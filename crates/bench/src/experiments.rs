@@ -730,7 +730,7 @@ pub fn survival_sampled(n: usize, limit: usize, trials: u64) -> ExpResult {
             let est = estimate_reach_uniform_from(
                 n,
                 plan,
-                start.clone(),
+                start,
                 arrow.to(),
                 time_to_budget(arrow.time()),
                 &mc,

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use pa_core::{Automaton, Step};
 use pa_lehmann_rabin::{Config, RoundAction, RoundConfig, RoundMdp, RoundState};
-use pa_mdp::{tag_choices, ChoiceTags, Explored, TAG_NONE};
+use pa_mdp::{least_key, rotate_lanes, tag_choices, ChoiceTags, Explored, TAG_NONE};
 
 use crate::{FaultError, FaultKind, FaultPlan};
 
@@ -96,14 +96,10 @@ impl FaultyRoundState {
     /// enforce that with [`crate::FaultError::SymmetryBroken`].
     pub fn rotated(&self, k: usize) -> FaultyRoundState {
         let n = self.inner.config.n();
-        let mut status = 0u64;
-        for i in 0..n {
-            let nibble = (self.status >> (4 * ((i + k) % n))) & 0xF;
-            status |= nibble << (4 * i);
-        }
+        let k = k % n;
         FaultyRoundState {
             inner: self.inner.rotated(k),
-            status,
+            status: rotate_lanes(u128::from(self.status), 4, n, k) as u64,
             round: self.round,
         }
     }
@@ -112,6 +108,15 @@ impl FaultyRoundState {
 impl pa_mdp::RingState for FaultyRoundState {
     fn rotated(&self, k: usize) -> FaultyRoundState {
         FaultyRoundState::rotated(self, k)
+    }
+
+    /// The round counter is rotation-invariant, so the derived `Ord` on
+    /// the rotations reduces to the inner round state's keys
+    /// ([`RoundState::rotation_keys`]) followed by the rotated status word.
+    fn least_rotation(&self, n: usize) -> usize {
+        let inner = self.inner.rotation_keys();
+        let (ring, status) = (self.inner.config.n(), u128::from(self.status));
+        least_key(n, |k| (inner(k), rotate_lanes(status, 4, ring, k)))
     }
 }
 
@@ -363,7 +368,7 @@ impl Automaton for FaultyRoundMdp {
                 .steps_of_process(&state.inner.config, i)
             {
                 let target = step.target.map(|cfg| FaultyRoundState {
-                    inner: Self::step_taken(&state.inner, i, cfg.clone()),
+                    inner: Self::step_taken(&state.inner, i, *cfg),
                     status: state.status,
                     round: state.round,
                 });
@@ -393,7 +398,7 @@ impl Automaton for FaultyRoundMdp {
             out.push(Step::deterministic(
                 RoundAction::EndRound,
                 FaultyRoundState {
-                    inner: self.fresh_inner(state.inner.config.clone(), status, dropped),
+                    inner: self.fresh_inner(state.inner.config, status, dropped),
                     status,
                     round: next_round,
                 },

@@ -17,6 +17,12 @@ pub enum LrError {
     /// A burst cap of zero was requested (every ready process must be able
     /// to take at least one step per round).
     ZeroBurst,
+    /// A burst cap above 15 was requested: each process's remaining
+    /// per-round budget is stored in a 4-bit nibble.
+    BurstTooLarge {
+        /// The requested burst cap.
+        burst: u8,
+    },
     /// An underlying model-checking error.
     Mdp(MdpError),
     /// An underlying framework error.
@@ -34,6 +40,10 @@ impl fmt::Display for LrError {
             }
             LrError::UnknownRegion(name) => write!(f, "unknown region atom {name}"),
             LrError::ZeroBurst => write!(f, "burst cap must be at least 1"),
+            LrError::BurstTooLarge { burst } => write!(
+                f,
+                "burst cap {burst} unsupported (per-round budgets are 4-bit nibbles, so burst ≤ 15)"
+            ),
             LrError::Mdp(e) => write!(f, "{e}"),
             LrError::Core(e) => write!(f, "{e}"),
             LrError::Concurrency(msg) => write!(f, "concurrent run failed: {msg}"),
@@ -73,6 +83,7 @@ mod tests {
             LrError::BadRingSize { n: 1 },
             LrError::UnknownRegion("X".into()),
             LrError::ZeroBurst,
+            LrError::BurstTooLarge { burst: 16 },
             LrError::Mdp(MdpError::NoInitialStates),
             LrError::Core(CoreError::FragmentMismatch),
             LrError::Concurrency("oops".into()),

@@ -76,4 +76,5 @@ pub use pc::{Pc, ProcState, Side};
 pub use protocol::{LrAction, LrProtocol, UserModel};
 pub use round::{round_cost, time_to_budget, RoundAction, RoundConfig, RoundMdp, RoundState};
 pub use state::Config;
+pub(crate) use state::MAX_RING;
 pub use witness::{worst_case_witness, Witness, WitnessStep};

@@ -1,12 +1,11 @@
 //! Bit-packed encodings of the ring's state types for
 //! [`pa_mdp::PackedSpace`].
 //!
-//! A boxed [`RoundState`] costs a heap allocation per state (the `Vec` of
-//! process states inside [`Config`]) plus the struct itself — roughly 100
-//! bytes resident per interned state, twice that with the interner's key
-//! copy. [`RoundStateCodec`] packs the same information into three `u64`
-//! words (24 bytes, no heap), which is what keeps the quotient round
-//! models of `n = 8..9` inside the bench box's memory.
+//! A boxed [`RoundState`] is a 48-byte struct (the inline process slots of
+//! [`Config`] plus masks and budgets), held twice by the interner (state
+//! table and key copy). [`RoundStateCodec`] packs the same information
+//! into three `u64` words (24 bytes), which is what keeps the quotient
+//! round models of `n = 8..9` inside the bench box's memory.
 //!
 //! Layout (`n ≤ 16` processes, the crate-wide ring bound):
 //!
@@ -25,11 +24,12 @@
 
 use pa_mdp::StateCodec;
 
-use crate::{Config, LrError, Pc, ProcState, RoundState, Side};
+use crate::{Config, LrError, Pc, ProcState, RoundState, Side, MAX_RING};
 
 /// Packs one process state into 5 bits (`pc` in the paper's numbering,
-/// doubled, plus the side bit).
-fn pack_proc(p: ProcState) -> u64 {
+/// doubled, plus the side bit). The integer order of the lanes is the
+/// `Ord` of [`ProcState`].
+pub(crate) fn pack_proc(p: ProcState) -> u64 {
     (p.pc as u64) << 1 | u64::from(p.side == Side::Right)
 }
 
@@ -67,20 +67,20 @@ fn pack_config(c: &Config) -> (u64, u64) {
     (w0, w1)
 }
 
-/// Decodes [`pack_config`] for a ring of `n`.
+/// Decodes [`pack_config`] for a ring of `n` (validated by the codec's
+/// constructor) straight into the configuration's inline slots.
 fn unpack_config(n: usize, w0: u64, w1: u64) -> Config {
-    let procs = (0..n)
-        .map(|i| {
-            let bits = if i < 12 {
-                (w0 >> (5 * i)) & 0x1F
-            } else {
-                (w1 >> (5 * (i - 12))) & 0x1F
-            };
-            unpack_proc(bits)
-        })
-        .collect();
-    let taken = (0..n).filter(|j| (w1 >> (20 + j)) & 1 == 1);
-    Config::from_parts(procs, taken).expect("codec ring size was validated at construction")
+    let mut procs = [ProcState::idle(); MAX_RING];
+    for (i, slot) in procs.iter_mut().enumerate().take(n) {
+        let bits = if i < 12 {
+            w0 >> (5 * i)
+        } else {
+            w1 >> (5 * (i - 12))
+        };
+        *slot = unpack_proc(bits & 0x1F);
+    }
+    let res = ((w1 >> 20) & ((1 << n) - 1)) as u16;
+    Config::from_slots(n, procs, res)
 }
 
 /// Fixed-width codec for [`RoundState`]: three `u64` words per state.

@@ -169,7 +169,7 @@ impl LrProtocol {
                 // stay in W (the step still happens — a busy-wait probe).
                 let r = config.res_index(i, p.side);
                 let next = if config.res_taken(r) {
-                    config.clone()
+                    *config
                 } else {
                     config
                         .with_res(r, true)
@@ -284,7 +284,7 @@ mod tests {
             step.target.is_point(),
             "use advance only on deterministic steps"
         );
-        let next = step.target.support().next().unwrap().clone();
+        let next = *step.target.support().next().unwrap();
         next
     }
 
@@ -404,7 +404,7 @@ mod tests {
         let steps = p.steps_of_process(&c1, 1);
         assert_eq!(steps.len(), 2);
         // Variant 0 keeps the right resource (Res_1), freeing Res_0.
-        let keep_right = steps[0].target.support().next().unwrap().clone();
+        let keep_right = *steps[0].target.support().next().unwrap();
         assert_eq!(keep_right.proc(1), ProcState::new(Pc::Es, Side::Right));
         assert!(!keep_right.res_taken(0));
         assert!(keep_right.res_taken(1));

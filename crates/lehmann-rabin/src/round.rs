@@ -29,6 +29,7 @@
 use std::sync::Arc;
 
 use pa_core::{Automaton, Step};
+use pa_mdp::{least_key, rotate_lanes};
 
 use crate::{Config, LrAction, LrError, LrProtocol, UserModel};
 
@@ -60,20 +61,29 @@ impl RoundState {
     /// exploration with [`pa_mdp::RingRotation`].
     pub fn rotated(&self, k: usize) -> RoundState {
         let n = self.config.n();
-        let config = self.config.rotated(k);
-        let mut obliged = 0u32;
-        let mut budget = 0u64;
-        for i in 0..n {
-            let j = (i + k) % n;
-            if self.obliged & (1 << j) != 0 {
-                obliged |= 1 << i;
-            }
-            budget |= ((self.budget >> (4 * j)) & 0xF) << (4 * i);
-        }
+        let k = k % n;
         RoundState {
-            config,
-            obliged,
-            budget,
+            config: self.config.rotated(k),
+            obliged: rotate_lanes(u128::from(self.obliged), 1, n, k) as u32,
+            budget: rotate_lanes(u128::from(self.budget), 4, n, k) as u64,
+        }
+    }
+
+    /// Integer keys of the rotations, ordered like the derived `Ord` on
+    /// `self.rotated(k)` (`k = 0` is `self`): the processes as 5-bit
+    /// `pc·2 + side` lanes with process 0 most significant, the rotated
+    /// resource mask, the rotated obligation mask, then the rotated budget
+    /// word. Wrappers extend the tuple with their own rotated words.
+    pub fn rotation_keys(&self) -> impl Fn(usize) -> ((u128, u128), u128, u128) {
+        let n = self.config.n();
+        let config = self.config.rotation_keys();
+        let (obliged, budget) = (u128::from(self.obliged), u128::from(self.budget));
+        move |k| {
+            (
+                config(k),
+                rotate_lanes(obliged, 1, n, k),
+                rotate_lanes(budget, 4, n, k),
+            )
         }
     }
 
@@ -91,6 +101,10 @@ impl RoundState {
 impl pa_mdp::RingState for RoundState {
     fn rotated(&self, k: usize) -> RoundState {
         RoundState::rotated(self, k)
+    }
+
+    fn least_rotation(&self, n: usize) -> usize {
+        least_key(n, self.rotation_keys())
     }
 }
 
@@ -160,13 +174,13 @@ impl RoundConfig {
     /// # Errors
     ///
     /// Returns [`LrError::ZeroBurst`] for `burst = 0` and
-    /// [`LrError::BadRingSize`] if it exceeds the 4-bit budget encoding.
+    /// [`LrError::BurstTooLarge`] if it exceeds the 4-bit budget encoding.
     pub fn with_burst(mut self, burst: u8) -> Result<RoundConfig, LrError> {
         if burst == 0 {
             return Err(LrError::ZeroBurst);
         }
         if burst > 15 {
-            return Err(LrError::BadRingSize { n: burst as usize });
+            return Err(LrError::BurstTooLarge { burst });
         }
         self.burst = burst;
         Ok(self)
@@ -283,7 +297,7 @@ impl Automaton for RoundMdp {
                 continue;
             }
             for step in self.protocol.steps_of_process(&state.config, i) {
-                let target = step.target.map(|cfg| state.with_step_taken(i, cfg.clone()));
+                let target = step.target.map(|cfg| state.with_step_taken(i, *cfg));
                 out.push(Step {
                     action: RoundAction::Schedule(step.action),
                     target,
@@ -295,7 +309,7 @@ impl Automaton for RoundMdp {
         if state.obliged == 0 {
             out.push(Step::deterministic(
                 RoundAction::EndRound,
-                self.fresh(state.config.clone()),
+                self.fresh(state.config),
             ));
             round_closes = 1;
         }
@@ -414,6 +428,19 @@ mod tests {
             RoundConfig::new(3).unwrap().with_burst(0),
             Err(LrError::ZeroBurst)
         ));
+    }
+
+    #[test]
+    fn burst_above_the_budget_nibble_is_rejected_as_such() {
+        assert!(RoundConfig::new(3).unwrap().with_burst(15).is_ok());
+        let err = RoundConfig::new(3).unwrap().with_burst(16).unwrap_err();
+        assert_eq!(err, LrError::BurstTooLarge { burst: 16 });
+        let msg = err.to_string();
+        assert!(
+            msg.contains("burst cap 16") && msg.contains("4-bit"),
+            "{msg}"
+        );
+        assert!(!msg.contains("ring size"), "{msg}");
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl<S: RoundScheduler> LrSim<S> {
     fn step_process(&self, config: &Config, i: usize, rng: &mut SplitMix64) -> Config {
         let steps = self.protocol.steps_of_process(config, i);
         if steps.is_empty() {
-            return config.clone();
+            return *config;
         }
         let step = if steps.len() == 1 {
             &steps[0]
@@ -197,7 +197,7 @@ impl<S: RoundScheduler> LrSim<S> {
                 Side::Left => &steps[1],
             }
         };
-        step.target.sample(rng).clone()
+        *step.target.sample(rng)
     }
 }
 
@@ -206,7 +206,7 @@ impl<S: RoundScheduler> Simulable for LrSim<S> {
 
     fn initial(&self, _rng: &mut SplitMix64) -> SimState {
         SimState {
-            config: self.start.clone(),
+            config: self.start,
             round: 0,
         }
     }

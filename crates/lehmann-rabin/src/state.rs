@@ -1,8 +1,16 @@
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+use pa_mdp::{least_key, rotate_lanes};
 
 #[cfg(test)]
 use crate::Pc;
 use crate::{LrError, ProcState, Side};
+
+/// The largest supported ring: [`Config`] stores its processes inline in
+/// this many slots, and the packed codecs are sized for it.
+pub(crate) const MAX_RING: usize = 16;
 
 /// A global configuration of the `n`-philosopher system: the local state of
 /// every process plus the value of every shared resource variable.
@@ -16,11 +24,58 @@ use crate::{LrError, ProcState, Side};
 /// bitmask; Lemma 6.1 says the resource values are determined by the local
 /// states on every *reachable* configuration, and
 /// [`crate::lemma_6_1_invariant`] verifies exactly that.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The processes live inline in 16 slots (the largest ring), so a
+/// configuration is `Copy` and never touches the heap. Slots past `n` are
+/// always idle and take no part in equality, hashing or ordering:
+/// configurations order lexicographically over their live processes, then
+/// by resource mask, exactly as a `Vec`-backed configuration would.
+#[derive(Clone, Copy)]
 pub struct Config {
-    procs: Vec<ProcState>,
+    procs: [ProcState; MAX_RING],
     /// Bit `i` set ⇔ `Res_i = taken`.
-    res: u32,
+    res: u16,
+    n: u8,
+}
+
+impl PartialEq for Config {
+    fn eq(&self, other: &Config) -> bool {
+        self.procs() == other.procs() && self.res == other.res
+    }
+}
+
+impl Eq for Config {}
+
+impl Hash for Config {
+    /// Feeds the hasher what the former `Vec<ProcState>` + `u32` layout's
+    /// derived `Hash` did, so interner layouts are unchanged.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.procs().hash(state);
+        u32::from(self.res).hash(state);
+    }
+}
+
+impl PartialOrd for Config {
+    fn partial_cmp(&self, other: &Config) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Config {
+    fn cmp(&self, other: &Config) -> Ordering {
+        self.procs()
+            .cmp(other.procs())
+            .then(self.res.cmp(&other.res))
+    }
+}
+
+impl fmt::Debug for Config {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Config")
+            .field("procs", &self.procs())
+            .field("res", &self.res)
+            .finish()
+    }
 }
 
 impl Config {
@@ -33,12 +88,13 @@ impl Config {
     ///
     /// Returns [`LrError::BadRingSize`] unless `2 ≤ n ≤ 16`.
     pub fn initial(n: usize) -> Result<Config, LrError> {
-        if !(2..=16).contains(&n) {
+        if !(2..=MAX_RING).contains(&n) {
             return Err(LrError::BadRingSize { n });
         }
         Ok(Config {
-            procs: vec![ProcState::idle(); n],
+            procs: [ProcState::idle(); MAX_RING],
             res: 0,
+            n: n as u8,
         })
     }
 
@@ -51,24 +107,54 @@ impl Config {
         procs: Vec<ProcState>,
         taken: impl IntoIterator<Item = usize>,
     ) -> Result<Config, LrError> {
-        let n = procs.len();
-        if !(2..=16).contains(&n) {
-            return Err(LrError::BadRingSize { n });
+        let mut c = Config::initial(procs.len())?;
+        for (slot, p) in c.procs.iter_mut().zip(procs) {
+            *slot = ProcState::new(p.pc, p.side);
         }
-        let procs = procs
-            .into_iter()
-            .map(|p| ProcState::new(p.pc, p.side))
-            .collect();
-        let mut res = 0u32;
         for i in taken {
-            res |= 1 << (i % n);
+            c.res |= 1 << (i % c.n());
         }
-        Ok(Config { procs, res })
+        Ok(c)
+    }
+
+    /// Builds a configuration from already side-canonical slots (idle past
+    /// `n`) and a resource mask within `n` bits; the packed codecs decode
+    /// through this without an intermediate `Vec`.
+    pub(crate) fn from_slots(n: usize, procs: [ProcState; MAX_RING], res: u16) -> Config {
+        debug_assert!((2..=MAX_RING).contains(&n));
+        Config {
+            procs,
+            res,
+            n: n as u8,
+        }
+    }
+
+    /// The processes as one integer of 5-bit `pc · 2 + side` lanes, process
+    /// 0 most significant: for configurations of the same ring size its
+    /// order is the lexicographic order of [`Config::procs`].
+    fn lanes(&self) -> u128 {
+        self.procs().iter().fold(0u128, |acc, &p| {
+            acc << 5 | u128::from(crate::packed::pack_proc(p))
+        })
+    }
+
+    /// Integer keys of the rotations, for
+    /// [`pa_mdp::RingState::least_rotation`] overrides: `key(k)` orders
+    /// like `self.rotated(k)` under `Ord` (`k = 0` is `self`). Wrappers
+    /// extend the tuple with their own rotated per-process words.
+    pub(crate) fn rotation_keys(&self) -> impl Fn(usize) -> (u128, u128) {
+        let (n, lanes, res) = (self.n(), self.lanes(), u128::from(self.res));
+        move |k| {
+            (
+                rotate_lanes(lanes, 5, n, n - k % n),
+                rotate_lanes(res, 1, n, k),
+            )
+        }
     }
 
     /// Ring size.
     pub fn n(&self) -> usize {
-        self.procs.len()
+        usize::from(self.n)
     }
 
     /// The local state of process `i` (mod `n`).
@@ -78,7 +164,7 @@ impl Config {
 
     /// All local states in ring order.
     pub fn procs(&self) -> &[ProcState] {
-        &self.procs
+        &self.procs[..self.n()]
     }
 
     /// Whether `Res_j` is taken.
@@ -98,14 +184,14 @@ impl Config {
 
     /// Returns a copy with process `i` replaced (side auto-canonicalized).
     pub fn with_proc(&self, i: usize, p: ProcState) -> Config {
-        let mut c = self.clone();
+        let mut c = *self;
         c.procs[i % self.n()] = ProcState::new(p.pc, p.side);
         c
     }
 
     /// Returns a copy with `Res_j` set to taken/free.
     pub fn with_res(&self, j: usize, taken: bool) -> Config {
-        let mut c = self.clone();
+        let mut c = *self;
         let bit = 1 << (j % self.n());
         if taken {
             c.res |= bit;
@@ -119,7 +205,7 @@ impl Config {
     /// unit under the `Unit-Time` schema).
     pub fn ready_mask(&self) -> u32 {
         let mut m = 0u32;
-        for (i, p) in self.procs.iter().enumerate() {
+        for (i, p) in self.procs().iter().enumerate() {
             if p.pc.is_ready() {
                 m |= 1 << i;
             }
@@ -148,14 +234,11 @@ impl Config {
     /// [`pa_mdp::RingRotation`] quotient exploration.
     pub fn rotated(&self, k: usize) -> Config {
         let n = self.n();
-        let procs = (0..n).map(|i| self.procs[(i + k) % n]).collect();
-        let mut res = 0u32;
-        for j in 0..n {
-            if self.res & (1 << ((j + k) % n)) != 0 {
-                res |= 1 << j;
-            }
-        }
-        Config { procs, res }
+        let k = k % n;
+        let mut c = *self;
+        c.procs[..n].rotate_left(k);
+        c.res = rotate_lanes(u128::from(self.res), 1, n, k) as u16;
+        c
     }
 
     /// The second half of Lemma 6.1: it is never the case that both
@@ -175,12 +258,16 @@ impl pa_mdp::RingState for Config {
     fn rotated(&self, k: usize) -> Config {
         Config::rotated(self, k)
     }
+
+    fn least_rotation(&self, n: usize) -> usize {
+        least_key(n, self.rotation_keys())
+    }
 }
 
 impl fmt::Display for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨")?;
-        for (i, p) in self.procs.iter().enumerate() {
+        for (i, p) in self.procs().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -207,6 +294,14 @@ mod tests {
             assert!(!c.res_taken(i));
         }
         assert_eq!(c.ready_mask(), 0);
+    }
+
+    #[test]
+    fn configurations_are_inline() {
+        // 16 two-byte process slots, the resource mask and `n`: no heap,
+        // and a round state (config + obligations + budgets) fits 48 bytes.
+        assert_eq!(std::mem::size_of::<Config>(), 36);
+        assert_eq!(std::mem::size_of::<crate::RoundState>(), 48);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Automaton for FromStart {
     type Action = LrAction;
 
     fn start_states(&self) -> Vec<Config> {
-        vec![self.start.clone()]
+        vec![self.start]
     }
 
     fn steps(&self, state: &Config) -> Vec<Step<Config, LrAction>> {
@@ -103,7 +103,7 @@ proptest! {
             }
             let step = &steps[variant % steps.len()];
             let mut rng = SplitMix64::new(seed);
-            config = step.target.sample(&mut rng).clone();
+            config = *step.target.sample(&mut rng);
             prop_assert!(lemma_6_1_invariant(&config), "after {:?} at {config}", step.action);
         }
     }
@@ -336,5 +336,107 @@ proptest! {
             prop_assert!(both <= n / 2);
         }
         let _ = rng.random_bool(0.5);
+    }
+}
+
+/// The first least rotation by comparing every rotated state: the
+/// selection rule of `pa_mdp::RingState::least_rotation`'s default.
+fn naive_least_rotation<S: pa_mdp::RingState>(s: &S, n: usize) -> usize {
+    let mut best = s.clone();
+    let mut best_k = 0;
+    for k in 1..n {
+        let r = s.rotated(k);
+        if r < best {
+            best = r;
+            best_k = k;
+        }
+    }
+    best_k
+}
+
+/// Checks the word-level `least_rotation` of `s` and of every successor
+/// of every step against the naive rule, then follows a random step.
+fn walk_checking_least_rotation<M>(model: &M, n: usize, seed: u64, len: usize)
+where
+    M: Automaton,
+    M::State: pa_mdp::RingState + std::fmt::Debug + Send + Sync,
+{
+    use pa_mdp::{RingRotation, RingState, Symmetry};
+    let sym = RingRotation::new(n);
+    let check = |s: &M::State| {
+        let k = naive_least_rotation(s, n);
+        assert_eq!(s.least_rotation(n), k, "n = {n}, seed {seed}: {s:?}");
+        let canon = if k == 0 { s.clone() } else { s.rotated(k) };
+        assert!(
+            sym.canon(s) == canon,
+            "n = {n}, seed {seed}: canon of {s:?}"
+        );
+    };
+    let mut rng = SplitMix64::new(seed);
+    let mut state = model.start_states().remove(0);
+    for _ in 0..len {
+        check(&state);
+        let steps = model.steps(&state);
+        for step in &steps {
+            step.target.support().for_each(check);
+        }
+        if steps.is_empty() {
+            return;
+        }
+        let step = &steps[rng.random_range(0..steps.len())];
+        state = step.target.sample(&mut rng).clone();
+    }
+}
+
+#[test]
+fn word_level_least_rotation_matches_the_naive_rule_up_to_n16() {
+    // Along random trajectories of the protocol, the round model and the
+    // fault-wrapped round model, for every ring size: the integer-key
+    // override must pick the same rotation as comparing all rotated
+    // states. Bursts up to 15 fill the budget nibbles, so at n = 16 the
+    // budget and status words use all 64 bits.
+    use pa_faults::{FaultEvent, FaultKind, FaultPlan, FaultyRoundMdp};
+    for n in 2..=16 {
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::new(seed * 101 + n as u64);
+            let start = if seed % 2 == 0 {
+                pa_lehmann_rabin::sims::all_trying(n).unwrap()
+            } else {
+                Config::initial(n).unwrap()
+            };
+            let protocol = FromStart {
+                protocol: LrProtocol::new(n, UserModel::full()).unwrap(),
+                start,
+            };
+            walk_checking_least_rotation(&protocol, n, seed, 60);
+
+            let burst = rng.random_range(1..16usize) as u8;
+            let cfg = RoundConfig::new(n).unwrap().with_burst(burst).unwrap();
+            let round = RoundMdp::new(cfg).with_starts(vec![start]);
+            walk_checking_least_rotation(&round, n, seed, 60);
+
+            let mut events = Vec::new();
+            for process in 0..n {
+                if rng.random_bool(0.5) {
+                    let kind = match rng.random_range(0..3usize) {
+                        0 => FaultKind::CrashStop,
+                        1 => FaultKind::CrashRestart {
+                            downtime: rng.random_range(1..15u32),
+                        },
+                        _ => FaultKind::DropObligation,
+                    };
+                    let round = rng.random_range(1..4u32);
+                    events.push(FaultEvent {
+                        round,
+                        process,
+                        kind,
+                    });
+                }
+            }
+            let faulty = FaultyRoundMdp::new(cfg, FaultPlan::new(events).unwrap())
+                .unwrap()
+                .with_starts(vec![start]);
+            walk_checking_least_rotation(&faulty, n, seed, 60);
+        }
     }
 }

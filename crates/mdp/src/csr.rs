@@ -38,7 +38,7 @@
 //! can be forced with the `PA_MDP_WORKERS` environment variable or the
 //! `workers` argument of each kernel.
 
-use crate::{ExplicitMdp, IterOptions, MdpError, Objective};
+use crate::{ExplicitMdp, IterOptions, MdpError, Objective, SccDecomposition};
 
 /// Sweeps over fewer states than this stay on the calling thread: below
 /// this size, thread spawn/join costs more than the sweep itself.
@@ -517,7 +517,7 @@ impl CsrMdp {
             budget,
             objective,
             workers,
-            false,
+            None,
             None,
             &mut |k, v| on_level(k, v),
             &mut SolveStats::default(),
@@ -528,9 +528,9 @@ impl CsrMdp {
     /// reused buffers (previous level, current level, Jacobi scratch)
     /// through every budget level instead of materializing one vector per
     /// level, optionally extracting the optimal cost-indexed policy along
-    /// the way. `use_scc` routes each level through the SCC-ordered solver
-    /// over the zero-cost condensation (computed once and reused across
-    /// all levels).
+    /// the way. Given the zero-cost condensation ([`CsrMdp::zero_cost_scc`],
+    /// built once by the caller), every level runs through the SCC-ordered
+    /// solver over it; without one, through parallel Jacobi.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn bounded_levels_engine(
         &self,
@@ -538,7 +538,7 @@ impl CsrMdp {
         budget: u32,
         objective: Objective,
         workers: Option<usize>,
-        use_scc: bool,
+        scc: Option<&SccDecomposition>,
         mut policy: Option<&mut Vec<Vec<Option<u32>>>>,
         on_level: &mut dyn FnMut(u32, &[f64]),
         stats: &mut SolveStats,
@@ -549,8 +549,7 @@ impl CsrMdp {
         let _span = pa_telemetry::span("mdp.vi.cost_bounded_seconds");
         let levels = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.levels"));
         let n = self.num_states();
-        let scc = use_scc.then(|| self.zero_cost_scc());
-        if let Some(scc) = &scc {
+        if let Some(scc) = scc {
             CsrMdp::record_scc_shape(scc);
             stats.components = scc.num_components() as u64;
             stats.nontrivial_components = scc.num_nontrivial() as u64;
@@ -565,7 +564,7 @@ impl CsrMdp {
                 .set_max((3 * n * std::mem::size_of::<f64>()) as i64);
         }
         for k in 0..=budget {
-            match &scc {
+            match scc {
                 Some(scc) => {
                     self.solve_level_scc(scc, target, &level_prev, objective, &mut cur, stats)
                 }

@@ -100,6 +100,6 @@ pub use query::{
 pub use scc::SccDecomposition;
 pub use source::{csr_digest, CsrRows, CsrSource};
 pub use space::{BoxedSpace, PackedSpace, StateCodec, StateSpace};
-pub use symmetry::{RingRotation, RingState, Symmetry};
+pub use symmetry::{least_key, rotate_lanes, RingRotation, RingState, Symmetry};
 pub use tag::{tag_choices, tagged_absorbing_violations, ChoiceTags, TAG_NONE};
 pub use value_iter::{prob0_max, prob0_min, prob1, IterOptions};

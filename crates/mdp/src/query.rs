@@ -39,10 +39,24 @@
 //! worker counts. [`Solver::SccOrdered`] condenses the choice graph first
 //! and solves components in reverse topological order (see
 //! [`crate::SccDecomposition`]); on layered models such as the
-//! Lehmann–Rabin round MDPs it performs strictly fewer state updates. Per
-//! query, pick one with [`Query::solver`]; process-wide, flip the default
-//! with [`set_default_solver`] (how `tables --solver scc` switches every
-//! migrated call site at once).
+//! Lehmann–Rabin round MDPs it performs strictly fewer state updates.
+//!
+//! A query that picks no solver — neither per query with
+//! [`Query::solver`] nor process-wide with [`set_default_solver`] (how
+//! `tables --solver` pins every call site at once) — is routed
+//! automatically:
+//!
+//! * an in-core **bounded** probability query (`MinProb`/`MaxProb` with a
+//!   [`Query::horizon`]) builds the zero-cost condensation and runs
+//!   [`Solver::SccOrdered`] when it has no nontrivial component. Every
+//!   state is then solved once from final successor values, by the same
+//!   floating-point expression the last Jacobi sweep evaluates, so the
+//!   values are bitwise identical to Jacobi's. A zero-cost cycle sends the
+//!   query to Jacobi;
+//! * every other query — unbounded, expected cost, or over a stored
+//!   backend ([`Query::source`]) — runs Jacobi.
+//!
+//! [`Analysis::solver`] reports the solver that actually ran.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -83,26 +97,35 @@ pub enum Solver {
     SccOrdered,
 }
 
-/// The process-wide default solver used by queries that do not call
-/// [`Query::solver`]: 0 = Jacobi, 1 = SccOrdered.
+/// The process-wide solver pin for queries that do not call
+/// [`Query::solver`]: 0 = none (automatic selection, see the
+/// [module docs](self)), 1 = Jacobi, 2 = SccOrdered.
 static DEFAULT_SOLVER: AtomicU8 = AtomicU8::new(0);
 
-/// Sets the process-wide default solver for queries that do not pick one
-/// explicitly. Callers that owe bitwise-stable outputs (oracle tests, the
-/// bench baselines) pin [`Solver::Jacobi`] per query and are unaffected.
+/// Pins the solver of every query that does not pick one explicitly,
+/// turning off automatic selection process-wide. Callers that owe
+/// bitwise-stable outputs (oracle tests, the bench baselines) pin
+/// [`Solver::Jacobi`] per query and are unaffected.
 pub fn set_default_solver(solver: Solver) {
     let v = match solver {
-        Solver::Jacobi => 0,
-        Solver::SccOrdered => 1,
+        Solver::Jacobi => 1,
+        Solver::SccOrdered => 2,
     };
     DEFAULT_SOLVER.store(v, Ordering::Relaxed);
 }
 
-/// The current process-wide default solver.
+/// The solver a query that picks none runs outside the automatic bounded
+/// rule: the pinned one, else [`Solver::Jacobi`].
 pub fn default_solver() -> Solver {
+    pinned_solver().unwrap_or(Solver::Jacobi)
+}
+
+/// The process-wide pin, if [`set_default_solver`] was called.
+fn pinned_solver() -> Option<Solver> {
     match DEFAULT_SOLVER.load(Ordering::Relaxed) {
-        0 => Solver::Jacobi,
-        _ => Solver::SccOrdered,
+        0 => None,
+        1 => Some(Solver::Jacobi),
+        _ => Some(Solver::SccOrdered),
     }
 }
 
@@ -186,7 +209,8 @@ pub struct Analysis {
     pub stats: SolveStats,
     /// The objective that was solved.
     pub objective: QueryObjective,
-    /// The solver that ran.
+    /// The solver that ran (for an automatically routed query, the one
+    /// the selection rule chose).
     pub solver: Solver,
     /// The time horizon, if the query was cost-bounded.
     pub horizon: Option<u32>,
@@ -311,8 +335,9 @@ impl<'m> Query<'m> {
         self
     }
 
-    /// Picks the solver for this query (default: the process-wide
-    /// [`default_solver`]).
+    /// Picks the solver for this query (default: the process-wide pin of
+    /// [`set_default_solver`], else automatic selection — see the
+    /// [module docs](self)).
     pub fn solver(mut self, solver: Solver) -> Self {
         self.solver = Some(solver);
         self
@@ -374,7 +399,8 @@ impl<'m> Query<'m> {
             })
             .and_then(|t| t)
             .map_err(wrap("target"))?;
-        let solver = self.solver.unwrap_or_else(default_solver);
+        let pinned = self.solver.or_else(pinned_solver);
+        let mut solver = pinned.unwrap_or(Solver::Jacobi);
         let use_scc = solver == Solver::SccOrdered;
         let mut stats = SolveStats::default();
 
@@ -457,6 +483,14 @@ impl<'m> Query<'m> {
         let mut policy = None;
         match (prob_objective, self.horizon) {
             (Some(objective), Some(budget)) => {
+                let scc = match pinned {
+                    Some(Solver::Jacobi) => None,
+                    Some(Solver::SccOrdered) => Some(mdp.zero_cost_scc()),
+                    None => Some(mdp.zero_cost_scc()).filter(|scc| scc.num_nontrivial() == 0),
+                };
+                if scc.is_some() {
+                    solver = Solver::SccOrdered;
+                }
                 let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
                 values = mdp
                     .bounded_levels_engine(
@@ -464,7 +498,7 @@ impl<'m> Query<'m> {
                         budget,
                         objective,
                         self.workers,
-                        use_scc,
+                        scc.as_ref(),
                         self.with_policy.then_some(&mut decisions),
                         &mut |_, _| {},
                         &mut stats,
@@ -639,5 +673,9 @@ mod tests {
         assert_eq!(default_solver(), Solver::SccOrdered);
         set_default_solver(Solver::Jacobi);
         assert_eq!(default_solver(), Solver::Jacobi);
+        assert_eq!(pinned_solver(), Some(Solver::Jacobi));
+        // Back to automatic selection for the rest of the process.
+        DEFAULT_SOLVER.store(0, Ordering::Relaxed);
+        assert_eq!(pinned_solver(), None);
     }
 }

@@ -37,12 +37,12 @@
 //!   shape;
 //! * `mdp.scc.component_size` — histogram of component sizes;
 //! * `mdp.scc.block_sweeps` — local Jacobi sweeps summed over blocks;
-//! * `mdp.scc.state_updates` — individual state-value computations;
-//! * `mdp.scc.saved_updates` — estimated updates a global Jacobi schedule
-//!   would have spent minus the updates actually performed. The estimate
-//!   multiplies the state count by the critical-path sweep depth of the
-//!   condensation (a lower bound on equivalent global sweeps), so it
-//!   *understates* the true saving.
+//! * `mdp.scc.state_updates` — individual state-value computations.
+//!
+//! Recording never rescans the model: the solve itself stays one pass over
+//! each component's edges with telemetry on or off. (The exact saving over
+//! Jacobi is measured by running both solvers, as the bench's `rings[].scc`
+//! block does, not estimated inside the solve.)
 
 use crate::csr::SolveStats;
 use crate::{CsrMdp, IterOptions, MdpError, Objective};
@@ -261,10 +261,17 @@ impl CsrMdp {
         pa_telemetry::counter("mdp.scc.runs").inc();
         pa_telemetry::counter("mdp.scc.components").add(scc.num_components() as u64);
         pa_telemetry::counter("mdp.scc.nontrivial_components").add(scc.num_nontrivial() as u64);
+        // Trivial components are single states: one bulk record covers
+        // them, so a million-state condensation costs a handful of atomics.
         let sizes = pa_telemetry::histogram("mdp.scc.component_size");
+        let mut singletons = 0u64;
         for c in 0..scc.num_components() {
-            sizes.record(scc.component(c).len() as u64);
+            match scc.component(c).len() {
+                1 => singletons += 1,
+                len => sizes.record(len as u64),
+            }
         }
+        sizes.record_n(1, singletons);
     }
 
     /// The SCC-ordered solve kernel shared by every quantitative analysis:
@@ -287,34 +294,20 @@ impl CsrMdp {
         block_cap: impl Fn(usize) -> usize,
         fixed: impl Fn(usize) -> bool,
         update: impl Fn(usize, &[f64]) -> f64,
-        zero_cost_only: bool,
         stats: &mut SolveStats,
     ) {
         let telemetry = pa_telemetry::enabled();
         let block_sweeps = telemetry.then(|| pa_telemetry::counter("mdp.scc.block_sweeps"));
         let updates_before = stats.state_updates;
-        // Critical-path sweep depth of the condensation, for the
-        // saved-updates estimate (only maintained while telemetry is on —
-        // it costs one extra edge scan per block).
-        let mut chain: Vec<u64> = if telemetry {
-            vec![0; scc.num_components()]
-        } else {
-            Vec::new()
-        };
-        let mut max_chain = 0u64;
         let mut scratch: Vec<f64> = Vec::new();
 
         for c in 0..scc.num_components() {
             let states = scc.component(c);
-            let rounds: u64;
             if !scc.is_nontrivial(c) {
                 let s = states[0] as usize;
-                if fixed(s) {
-                    rounds = 0;
-                } else {
+                if !fixed(s) {
                     values[s] = update(s, values);
                     stats.state_updates += 1;
-                    rounds = 1;
                 }
             } else {
                 let cap = block_cap(states.len()).max(1);
@@ -348,40 +341,12 @@ impl CsrMdp {
                 if let Some(counter) = &block_sweeps {
                     counter.add(local);
                 }
-                rounds = local;
-            }
-            if telemetry {
-                let mut succ_chain = 0u64;
-                for &s in states {
-                    let s = s as usize;
-                    for ch in self.choice_range(s) {
-                        if zero_cost_only && self.cost(ch) != 0 {
-                            continue;
-                        }
-                        for i in self.trans_range(ch) {
-                            let (t, p) = self.transition(i);
-                            if p > 0.0 {
-                                let tc = scc.component_of(t);
-                                if tc != c && chain[tc] > succ_chain {
-                                    succ_chain = chain[tc];
-                                }
-                            }
-                        }
-                    }
-                }
-                chain[c] = rounds + succ_chain;
-                if chain[c] > max_chain {
-                    max_chain = chain[c];
-                }
             }
         }
 
         if telemetry {
-            let performed = stats.state_updates - updates_before;
-            let global_estimate = self.num_states() as u64 * max_chain;
-            pa_telemetry::counter("mdp.scc.state_updates").add(performed);
-            pa_telemetry::counter("mdp.scc.saved_updates")
-                .add(global_estimate.saturating_sub(performed));
+            pa_telemetry::counter("mdp.scc.state_updates")
+                .add(stats.state_updates - updates_before);
         }
     }
 
@@ -428,7 +393,6 @@ impl CsrMdp {
                 }
                 best
             },
-            false,
             stats,
         );
         Ok(values)
@@ -483,7 +447,6 @@ impl CsrMdp {
                     v[s]
                 }
             },
-            false,
             stats,
         );
         for s in 0..n {
@@ -533,7 +496,6 @@ impl CsrMdp {
                 }
                 best
             },
-            true,
             stats,
         );
     }

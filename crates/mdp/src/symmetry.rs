@@ -18,6 +18,13 @@
 //! [`RingState`]; canonical form is the lexicographically least rotation,
 //! which the ring-rotation property tests in `pa-lehmann-rabin` pin as
 //! value-preserving.
+//!
+//! Canonicalization runs once per explored successor, so it is the hot
+//! path of quotient exploration. [`RingState::least_rotation`] lets a state
+//! pick its least rotation from integer keys — [`rotate_lanes`] moves
+//! per-process lanes of a packed word, [`least_key`] picks the first
+//! minimal key — so [`RingRotation::canon`] builds exactly one rotated
+//! state instead of all `n`.
 
 /// A group action on states, exposed through its canonicalization map.
 ///
@@ -48,12 +55,67 @@ pub trait RingState: Clone + Ord {
     /// The state relabelled by rotation amount `k` (new index `i` = old
     /// index `i + k`, mod the ring size).
     fn rotated(&self, k: usize) -> Self;
+
+    /// The first rotation amount `k < n` whose image is least under `Ord`
+    /// (`k = 0` stands for the state itself). The default compares all `n`
+    /// rotated states; implementations override it with integer keys whose
+    /// order equals `Ord` on the rotations, and must pick the same `k`.
+    fn least_rotation(&self, n: usize) -> usize {
+        let mut best: Option<Self> = None;
+        let mut best_k = 0;
+        for k in 1..n {
+            let r = self.rotated(k);
+            if r < *best.as_ref().unwrap_or(self) {
+                best = Some(r);
+                best_k = k;
+            }
+        }
+        best_k
+    }
+}
+
+/// Rotates a ring of `n` lanes of `lane_bits` bits each, packed into
+/// `word` with lane `i` at bits `lane_bits·i ..`, so that lane `k` becomes
+/// lane 0: the word-level image of [`RingState::rotated`] on per-process
+/// masks and nibble arrays. Bits above the ring are dropped, except for
+/// `k ≡ 0 (mod n)`, which returns `word` unchanged (the state itself, as
+/// [`RingState::least_rotation`] compares it). Rings up to 128 bits wide
+/// are supported, so a full 64-bit word of 16 nibbles needs no special
+/// case.
+///
+/// For lanes stored with process 0 *most* significant (so the integer
+/// order is the lexicographic order over processes), rotate by `n - k`.
+pub fn rotate_lanes(word: u128, lane_bits: u32, n: usize, k: usize) -> u128 {
+    let k = k % n;
+    if k == 0 {
+        return word;
+    }
+    let width = lane_bits * n as u32;
+    let mask = u128::MAX >> (128 - width);
+    let word = word & mask;
+    let shift = lane_bits * k as u32;
+    ((word >> shift) | (word << (width - shift))) & mask
+}
+
+/// The first `k < n` with the least `key(k)` — the selection rule of
+/// [`RingState::least_rotation`] over precomputed integer keys.
+pub fn least_key<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> usize {
+    let mut best = key(0);
+    let mut best_k = 0;
+    for k in 1..n {
+        let candidate = key(k);
+        if candidate < best {
+            best = candidate;
+            best_k = k;
+        }
+    }
+    best_k
 }
 
 /// The cyclic rotation symmetry of a ring of `n` processes.
 ///
 /// Canonical form is the minimum of all `n` rotations under the state's
-/// `Ord`. Sound whenever the model treats all ring positions identically —
+/// `Ord`, located by [`RingState::least_rotation`] and then built once. Sound whenever the model treats all ring positions identically —
 /// for the fault-wrapped models this means the fault plan must not name
 /// specific processes (an empty plan); the `pa-faults` quotient entry
 /// points enforce that.
@@ -76,14 +138,10 @@ impl RingRotation {
 
 impl<S: RingState + Send + Sync> Symmetry<S> for RingRotation {
     fn canon(&self, s: &S) -> S {
-        let mut best = s.clone();
-        for k in 1..self.n {
-            let r = s.rotated(k);
-            if r < best {
-                best = r;
-            }
+        match s.least_rotation(self.n) {
+            0 => s.clone(),
+            k => s.rotated(k),
         }
-        best
     }
 
     fn order(&self) -> usize {
@@ -123,6 +181,32 @@ mod tests {
         for k in 0..5 {
             assert_eq!(sym.canon(&s.rotated(k)), c, "rotation {k}");
         }
+    }
+
+    #[test]
+    fn rotate_lanes_moves_lane_k_to_lane_zero() {
+        // Nibbles 0x4321 on a ring of 4: lane 1 (value 2) becomes lane 0.
+        assert_eq!(rotate_lanes(0x4321, 4, 4, 1), 0x1432);
+        assert_eq!(rotate_lanes(0x4321, 4, 4, 3), 0x3214);
+        // A full 64-bit word of 16 nibbles rotates without overflow.
+        let word = 0xFEDC_BA98_7654_3210u128;
+        assert_eq!(rotate_lanes(word, 4, 16, 1), 0x0FED_CBA9_8765_4321);
+        // Bits above the ring are dropped, except by the identity.
+        assert_eq!(rotate_lanes(0b1_101, 1, 3, 1), 0b110);
+        assert_eq!(rotate_lanes(0b1_101, 1, 3, 3), 0b1_101);
+    }
+
+    #[test]
+    fn least_key_picks_the_first_minimum() {
+        assert_eq!(least_key(4, |k| [3, 1, 2, 1][k]), 1);
+        assert_eq!(least_key(3, |_| 0), 0);
+    }
+
+    #[test]
+    fn default_least_rotation_matches_canon() {
+        let s = Toy(vec![2, 0, 1, 0]);
+        assert_eq!(s.least_rotation(4), 1);
+        assert_eq!(Toy(vec![0, 5]).least_rotation(2), 0);
     }
 
     #[test]

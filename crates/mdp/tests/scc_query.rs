@@ -13,7 +13,11 @@
 //! * Jacobi-pinned `Query` runs match the nested-model oracles bitwise
 //!   (the contract the removed pre-`Query` wrappers used to pin);
 //! * on a layered round model the SCC-ordered solve performs strictly
-//!   fewer state updates than the global Jacobi schedule.
+//!   fewer state updates than the global Jacobi schedule;
+//! * a bounded probability query that picks no solver runs SCC-ordered
+//!   exactly when the zero-cost subgraph is acyclic (bitwise equal to
+//!   Jacobi), Jacobi otherwise, and reports the solver that ran; stored
+//!   backends ([`Query::source`]) stay on Jacobi.
 
 use pa_mdp::{
     reference, Choice, CsrMdp, ExplicitMdp, IterOptions, Objective, Query, QueryObjective, Solver,
@@ -191,6 +195,35 @@ proptest! {
             let pj = jacobi.policy.unwrap();
             let ps = scc.policy.unwrap();
             prop_assert_eq!(pj.decision, ps.decision);
+        }
+    }
+
+    /// A bounded query that picks no solver, on a zero-cost-acyclic model:
+    /// routed to the SCC-ordered solver, bitwise equal to a Jacobi-pinned
+    /// run, policies included.
+    #[test]
+    fn unpinned_horizon_runs_scc_bitwise_on_round_dags(m in random_round_dag(), budget in 0u32..6) {
+        let target = target_last(&m);
+        for objective in [Objective::MinProb, Objective::MaxProb] {
+            let jacobi = Query::over(&m)
+                .objective(objective)
+                .target(&target)
+                .horizon(budget)
+                .with_policy()
+                .solver(Solver::Jacobi)
+                .run()
+                .unwrap();
+            let auto = Query::over(&m)
+                .objective(objective)
+                .target(&target)
+                .horizon(budget)
+                .with_policy()
+                .run()
+                .unwrap();
+            prop_assert_eq!(jacobi.solver, Solver::Jacobi);
+            prop_assert_eq!(auto.solver, Solver::SccOrdered);
+            assert_bitwise(&jacobi.values, &auto.values, "unpinned horizon");
+            prop_assert_eq!(jacobi.policy.unwrap().decision, auto.policy.unwrap().decision);
         }
     }
 
@@ -391,4 +424,72 @@ fn scc_horizon_reuses_one_condensation_across_levels() {
         "round models are zero-cost acyclic"
     );
     assert!(a.stats.state_updates < b.stats.state_updates);
+}
+
+/// A zero-cost cycle `0 ⇄ 1` with a cost-1 exit to the target `2`.
+fn zero_cost_cycle() -> ExplicitMdp {
+    ExplicitMdp::new(
+        vec![
+            vec![Choice::to(0, 1)],
+            vec![Choice::to(0, 0), Choice::dist(1, vec![(2, 0.5), (0, 0.5)])],
+            vec![],
+        ],
+        vec![0],
+    )
+    .expect("valid cyclic model")
+}
+
+#[test]
+fn unpinned_horizon_falls_back_to_jacobi_on_a_zero_cost_cycle() {
+    let m = zero_cost_cycle();
+    let target = target_last(&m);
+    let auto = Query::over(&m)
+        .objective(QueryObjective::MaxProb)
+        .target(&target)
+        .horizon(4)
+        .run()
+        .unwrap();
+    let jacobi = Query::over(&m)
+        .objective(QueryObjective::MaxProb)
+        .target(&target)
+        .horizon(4)
+        .solver(Solver::Jacobi)
+        .run()
+        .unwrap();
+    assert_eq!(auto.solver, Solver::Jacobi);
+    assert_eq!(auto.stats.components, 0, "no condensation was used");
+    assert_bitwise(&jacobi.values, &auto.values, "cyclic horizon");
+    assert!(auto.values[0] > 0.0);
+}
+
+#[test]
+fn unpinned_unbounded_and_stored_queries_run_jacobi() {
+    let m = layered_rounds(4, 3);
+    let target = target_last(&m);
+    let unbounded = Query::over(&m)
+        .objective(QueryObjective::MinProb)
+        .target(&target)
+        .run()
+        .unwrap();
+    assert_eq!(unbounded.solver, Solver::Jacobi);
+
+    // A stored backend never takes the automatic SCC route: no
+    // "validate" error, Jacobi reported, values bitwise equal to the
+    // in-core Jacobi kernels.
+    let csr = CsrMdp::from_explicit(&m);
+    let source = Query::source(&csr)
+        .objective(QueryObjective::MinProb)
+        .target(&target)
+        .horizon(5)
+        .run()
+        .expect("stored backends accept unpinned bounded queries");
+    assert_eq!(source.solver, Solver::Jacobi);
+    let jacobi = Query::csr(&csr)
+        .objective(QueryObjective::MinProb)
+        .target(&target)
+        .horizon(5)
+        .solver(Solver::Jacobi)
+        .run()
+        .unwrap();
+    assert_bitwise(&jacobi.values, &source.values, "stored horizon");
 }

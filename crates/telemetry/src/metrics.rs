@@ -218,6 +218,19 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Records `times` observations of the same value at the cost of one
+    /// (no-op while telemetry is disabled or for `times == 0`).
+    pub fn record_n(&self, v: u64, times: u64) {
+        if !enabled() || times == 0 {
+            return;
+        }
+        self.buckets[bucket_of(v)].fetch_add(times, Ordering::Relaxed);
+        self.count.fetch_add(times, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(times), Ordering::Relaxed);
+        self.min.fetch_min(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -366,6 +379,22 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert!(h.nonzero_buckets().is_empty());
+    }
+
+    #[test]
+    fn bulk_records_equal_repeated_records() {
+        let _g = test_guard(true);
+        let (bulk, single) = (Histogram::default(), Histogram::default());
+        bulk.record_n(3, 4);
+        bulk.record_n(7, 0);
+        bulk.record_n(1, 1);
+        for v in [3u64, 3, 3, 3, 1] {
+            single.record(v);
+        }
+        assert_eq!(bulk.count(), single.count());
+        assert_eq!(bulk.sum(), single.sum());
+        assert_eq!((bulk.min(), bulk.max()), (single.min(), single.max()));
+        assert_eq!(bulk.nonzero_buckets(), single.nonzero_buckets());
     }
 
     #[test]

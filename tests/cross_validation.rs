@@ -62,7 +62,7 @@ fn concrete_schedulers_dominate_the_exact_worst_case() {
 fn exact_curve_lower_bounds_simulated_cdf() {
     let all_trying = sims::all_trying(3).unwrap();
     let mdp = RoundMdp::new(RoundConfig::new(3).unwrap())
-        .with_starts(vec![all_trying.clone()])
+        .with_starts(vec![all_trying])
         .with_absorb(regions::in_c);
     let explored = Explore::new(&mdp)
         .cost(round_cost)
