@@ -630,8 +630,7 @@ impl ModelCache {
     /// resident space tables plus the block-cache budget, not the on-disk
     /// model size — and participates in LRU eviction like any other slot.
     /// Answers are bitwise identical to the in-core quotient's for any
-    /// budget (the block-streamed engines are operation-order twins of the
-    /// CSR kernels).
+    /// budget (stored and in-core queries run the same solver kernels).
     ///
     /// # Errors
     ///

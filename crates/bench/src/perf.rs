@@ -1029,6 +1029,23 @@ pub fn machine() -> Machine {
     }
 }
 
+/// Unbounded reachability on the Jacobi engine with the default worker
+/// count — the kernel the VI throughput and telemetry rows time.
+fn jacobi_reach(
+    csr: &CsrMdp,
+    target: &[bool],
+    objective: Objective,
+    options: IterOptions,
+) -> Result<Vec<f64>, MdpError> {
+    Ok(Query::csr(csr)
+        .objective(objective)
+        .target(target)
+        .options(options)
+        .solver(Solver::Jacobi)
+        .run()?
+        .values)
+}
+
 /// Measures one ring size. Exploration is capped at `limit` states so the
 /// largest rings measure throughput without materializing the full space.
 pub fn bench_ring(n: usize, limit: usize) -> Result<RingBench, MdpError> {
@@ -1084,7 +1101,7 @@ pub fn bench_ring(n: usize, limit: usize) -> Result<RingBench, MdpError> {
     let csr_build = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let jacobi = csr.reach_prob(&target, Objective::MaxProb, opts, None)?;
+    let jacobi = jacobi_reach(&csr, &target, Objective::MaxProb, opts)?;
     let vi_csr = t0.elapsed().as_secs_f64();
 
     // Both engines converge on this model well before the timed sweep
@@ -1173,7 +1190,7 @@ pub fn telemetry_probe() -> Result<TelemetrySnapshot, Box<dyn std::error::Error>
             epsilon: 1e-9,
             max_sweeps: 10_000,
         };
-        csr.reach_prob(&target, Objective::MinProb, opts, None)?;
+        jacobi_reach(&csr, &target, Objective::MinProb, opts)?;
         // One SCC-ordered solve so the `mdp.scc.*` counters show up in the
         // snapshot the CI gate inspects.
         Query::csr(&csr)
@@ -1255,12 +1272,12 @@ pub fn telemetry_overhead(n: usize) -> Result<TelemetryOverhead, MdpError> {
     };
 
     let t0 = Instant::now();
-    let off = csr.reach_prob(&target, Objective::MaxProb, opts, None)?;
+    let off = jacobi_reach(&csr, &target, Objective::MaxProb, opts)?;
     let vi_disabled = t0.elapsed().as_secs_f64();
 
     pa_telemetry::set_enabled(true);
     let t0 = Instant::now();
-    let on = csr.reach_prob(&target, Objective::MaxProb, opts, None)?;
+    let on = jacobi_reach(&csr, &target, Objective::MaxProb, opts)?;
     let vi_enabled = t0.elapsed().as_secs_f64();
     pa_telemetry::set_enabled(false);
 

@@ -51,8 +51,9 @@ impl FaultyStateCodec {
     /// distinguish, so the horizon itself must fit the packed round field.
     ///
     /// This is the constructor for horizon-driven pipelines (the
-    /// out-of-core bench and example paths) that have no [`FaultPlan`] to
-    /// derive a cap from: it turns a horizon too deep for the 12-bit
+    /// out-of-core bench and example paths) that have no
+    /// [`FaultPlan`](crate::FaultPlan) to derive a cap from: it turns a
+    /// horizon too deep for the 12-bit
     /// field into the same typed error as an oversized plan cap — instead
     /// of the silent low-bit truncation an unchecked `pack` would commit.
     ///

@@ -9,7 +9,7 @@
 //! units. The best case is its dual: the expected time under the most
 //! cooperative scheduler.
 
-use crate::{CsrMdp, ExplicitMdp, IterOptions, MdpError};
+use crate::{CsrMdp, CsrSource, ExplicitMdp, IterOptions, MdpError, Query, QueryObjective, Solver};
 
 /// Result of an expected-cost analysis: per-state expectations, with
 /// `f64::INFINITY` marking states from which the target is not reached
@@ -87,14 +87,22 @@ pub fn min_expected_cost(
     target: &[bool],
     options: IterOptions,
 ) -> Result<ExpectedCost, MdpError> {
-    let values = CsrMdp::from_explicit(mdp).min_expected_cost(target, options, None)?;
-    Ok(ExpectedCost { values })
+    let analysis = Query::over(mdp)
+        .objective(QueryObjective::MinCost)
+        .target(target)
+        .options(options)
+        .solver(Solver::Jacobi)
+        .run()
+        .map_err(MdpError::into_root)?;
+    Ok(ExpectedCost {
+        values: analysis.values,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, Query, QueryObjective};
+    use crate::Choice;
 
     /// Worst-case expected cost via the `Query` builder (the migration
     /// target of the removed pre-`Query` free function).

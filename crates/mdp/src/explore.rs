@@ -304,8 +304,8 @@ where
         let sym = self.symmetry.as_deref();
         let workers = match self.workers {
             Workers::Serial => 1,
-            Workers::Auto => crate::csr::resolve_workers(None),
-            Workers::Exact(k) => crate::csr::resolve_workers(Some(k)),
+            Workers::Auto => crate::resolve_workers(None),
+            Workers::Exact(k) => crate::resolve_workers(Some(k)),
         };
         let mdp = if workers <= 1 {
             let mut cost_of = &self.cost_of;

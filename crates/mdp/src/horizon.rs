@@ -11,7 +11,7 @@
 //! dependent deterministic adversaries, so backward induction quantifies
 //! over the paper's full adversary class (substitution 2 in DESIGN.md).
 
-use crate::{CsrMdp, ExplicitMdp, MdpError};
+use crate::{source, CsrMdp, ExplicitMdp, MdpError, SolveStats};
 
 /// Whether the adversary minimizes or maximizes the objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +81,19 @@ pub fn cost_bounded_reach_levels(
     target: &[bool],
     budget: u32,
     objective: Objective,
-    on_level: impl FnMut(u32, &[f64]),
+    mut on_level: impl FnMut(u32, &[f64]),
 ) -> Result<Vec<f64>, MdpError> {
-    CsrMdp::from_explicit(mdp).cost_bounded_reach_levels(target, budget, objective, None, on_level)
+    source::bounded_levels(
+        &CsrMdp::from_explicit(mdp),
+        target,
+        budget,
+        objective,
+        None,
+        None,
+        None,
+        &mut on_level,
+        &mut SolveStats::default(),
+    )
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ pub mod symmetry;
 mod tag;
 mod value_iter;
 
-pub use csr::{resolve_workers, CsrMdp, SolveStats};
+pub use csr::CsrMdp;
 pub use error::MdpError;
 pub use expected::{has_zero_cost_cycle, min_expected_cost, ExpectedCost};
 pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};
@@ -98,7 +98,7 @@ pub use query::{
     default_solver, set_default_solver, Analysis, IntoTarget, Query, QueryObjective, Solver,
 };
 pub use scc::SccDecomposition;
-pub use source::{csr_digest, CsrRows, CsrSource};
+pub use source::{csr_digest, resolve_workers, CsrRows, CsrSource, SolveStats};
 pub use space::{BoxedSpace, PackedSpace, StateCodec, StateSpace};
 pub use symmetry::{least_key, rotate_lanes, RingRotation, RingState, Symmetry};
 pub use tag::{tag_choices, tagged_absorbing_violations, ChoiceTags, TAG_NONE};

@@ -36,7 +36,11 @@
 //!
 //! [`Solver::Jacobi`] is the original engine: global double-buffered
 //! sweeps, deterministically parallel, bit-for-bit reproducible across
-//! worker counts. [`Solver::SccOrdered`] condenses the choice graph first
+//! worker counts. It is the one kernel set of [`crate::source`], shared by
+//! every backend: an in-core query ([`Query::over`], [`Query::csr`]) and a
+//! stored one ([`Query::source`]) run the same code, and
+//! [`Query::workers`] splits the in-core model and every large stored
+//! block alike. [`Solver::SccOrdered`] condenses the choice graph first
 //! and solves components in reverse topological order (see
 //! [`crate::SccDecomposition`]); on layered models such as the
 //! Lehmann–Rabin round MDPs it performs strictly fewer state updates.
@@ -58,11 +62,11 @@
 //!
 //! [`Analysis::solver`] reports the solver that actually ran.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::csr::SolveStats;
 use crate::source::{self, CsrSource};
-use crate::{BoundedPolicy, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective};
+use crate::{BoundedPolicy, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective, SolveStats};
 
 /// What a [`Query`] optimizes, quantifying over all adversaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,30 +227,28 @@ impl Analysis {
     }
 }
 
-/// The model a query runs against: a borrowed, already-flattened CSR (so
-/// repeated queries amortize the flattening), one built and owned by the
-/// query itself, or any [`CsrSource`] backend (e.g. an out-of-core stored
-/// model) driven through the block-streamed engines.
+/// The model a query runs against: an in-core CSR — borrowed and already
+/// flattened (so repeated queries amortize the flattening), or built and
+/// owned by the query itself — or any [`CsrSource`] backend (e.g. an
+/// out-of-core stored model). Both run on the same [`crate::source`]
+/// kernels; only an in-core model can take the SCC-ordered solver.
 enum QueryModel<'m> {
-    Borrowed(&'m CsrMdp),
-    Owned(CsrMdp),
+    InCore(Cow<'m, CsrMdp>),
     Source(&'m dyn CsrSource),
 }
 
 impl QueryModel<'_> {
-    fn get(&self) -> &CsrMdp {
+    fn source(&self) -> &dyn CsrSource {
         match self {
-            QueryModel::Borrowed(m) => m,
-            QueryModel::Owned(m) => m,
-            QueryModel::Source(_) => unreachable!("source queries never flatten"),
+            QueryModel::InCore(m) => &**m,
+            QueryModel::Source(s) => *s,
         }
     }
 
-    fn num_states(&self) -> usize {
+    fn in_core(&self) -> Option<&CsrMdp> {
         match self {
-            QueryModel::Borrowed(m) => m.num_states(),
-            QueryModel::Owned(m) => m.num_states(),
-            QueryModel::Source(s) => s.num_states(),
+            QueryModel::InCore(m) => Some(m),
+            QueryModel::Source(_) => None,
         }
     }
 }
@@ -271,23 +273,24 @@ pub struct Query<'m> {
 impl Query<'static> {
     /// Starts a query over a nested model, flattening it to CSR once.
     pub fn over(mdp: &ExplicitMdp) -> Query<'static> {
-        Query::new(QueryModel::Owned(CsrMdp::from_explicit(mdp)))
+        Query::new(QueryModel::InCore(Cow::Owned(CsrMdp::from_explicit(mdp))))
     }
 }
 
 impl<'m> Query<'m> {
     /// Starts a query over an already-flattened model.
     pub fn csr(mdp: &'m CsrMdp) -> Query<'m> {
-        Query::new(QueryModel::Borrowed(mdp))
+        Query::new(QueryModel::InCore(Cow::Borrowed(mdp)))
     }
 
     /// Starts a query over any CSR backend — in-core or out-of-core —
     /// behind the [`CsrSource`] trait.
     ///
-    /// The analysis runs on the serial block-streamed engines, which are
-    /// bitwise identical to the in-core Jacobi kernels (see the
-    /// [`crate::source`] module docs); [`Solver::SccOrdered`] is rejected
-    /// at the `"validate"` stage and [`Query::workers`] has no effect.
+    /// The analysis runs on the same Jacobi kernels as an in-core query, so
+    /// its values are bitwise identical (see the [`crate::source`] module
+    /// docs); [`Query::workers`] splits every block large enough to be
+    /// worth a thread. [`Solver::SccOrdered`] is rejected at the
+    /// `"validate"` stage.
     pub fn source(src: &'m dyn CsrSource) -> Query<'m> {
         Query::new(QueryModel::Source(src))
     }
@@ -315,14 +318,14 @@ impl<'m> Query<'m> {
     /// list of state indices (`Vec<usize>` / `&[usize]`). Resolution
     /// errors are deferred to [`Query::run`].
     pub fn target(mut self, target: impl IntoTarget) -> Self {
-        let n = self.model.num_states();
+        let n = self.model.source().num_states();
         self.target = Some(target.into_target(n));
         self
     }
 
     /// Sets the target set from a predicate over state indices.
     pub fn target_where(mut self, mut pred: impl FnMut(usize) -> bool) -> Self {
-        let n = self.model.num_states();
+        let n = self.model.source().num_states();
         self.target = Some(Ok((0..n).map(&mut pred).collect()));
         self
     }
@@ -361,7 +364,8 @@ impl<'m> Query<'m> {
         self
     }
 
-    /// Forces the worker count of parallel sweeps (default: the
+    /// Forces the worker count of parallel sweeps over the in-core model
+    /// or any stored block of at least 4096 states (default: the
     /// `PA_MDP_WORKERS` environment variable, then available parallelism;
     /// see [`crate::resolve_workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
@@ -399,159 +403,115 @@ impl<'m> Query<'m> {
             })
             .and_then(|t| t)
             .map_err(wrap("target"))?;
+        let invalid = |reason: &str| {
+            wrap("validate")(MdpError::InvalidQuery {
+                reason: reason.into(),
+            })
+        };
         let pinned = self.solver.or_else(pinned_solver);
-        let mut solver = pinned.unwrap_or(Solver::Jacobi);
-        let use_scc = solver == Solver::SccOrdered;
-        let mut stats = SolveStats::default();
-
+        let in_core = self.model.in_core();
+        if pinned == Some(Solver::SccOrdered) && in_core.is_none() {
+            return Err(invalid(
+                "stored backends support the Jacobi solver only (the SCC-ordered solver \
+                 keeps the whole condensation resident)",
+            ));
+        }
         let prob_objective = match self.objective {
             QueryObjective::MinProb => Some(Objective::MinProb),
             QueryObjective::MaxProb => Some(Objective::MaxProb),
             QueryObjective::MinCost | QueryObjective::MaxCost => None,
         };
-
-        if let QueryModel::Source(src) = &self.model {
-            let src: &dyn CsrSource = *src;
-            if use_scc {
-                return Err(wrap("validate")(MdpError::InvalidQuery {
-                    reason: "stored backends support the Jacobi solver only (the \
-                             SCC-ordered solver keeps the whole condensation resident)"
-                        .into(),
-                }));
+        match (prob_objective, self.horizon) {
+            (Some(_), None) if self.with_policy => {
+                return Err(invalid(
+                    "policy extraction requires a horizon (cost-indexed policies are only \
+                     defined for bounded queries)",
+                ))
             }
-            let values;
-            let mut policy = None;
-            match (prob_objective, self.horizon) {
-                (Some(objective), Some(budget)) => {
-                    let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
-                    values = source::bounded_levels_src(
-                        src,
-                        &target,
-                        budget,
-                        objective,
-                        self.with_policy.then_some(&mut decisions),
-                        &mut stats,
-                    )
-                    .map_err(wrap("solve"))?;
-                    if self.with_policy {
-                        policy = Some(BoundedPolicy {
-                            decision: decisions,
-                        });
-                    }
-                }
-                (Some(objective), None) => {
-                    if self.with_policy {
-                        return Err(wrap("validate")(MdpError::InvalidQuery {
-                            reason: "policy extraction requires a horizon (cost-indexed \
-                                     policies are only defined for bounded queries)"
-                                .into(),
-                        }));
-                    }
-                    values =
-                        source::reach_prob_src(src, &target, objective, self.options, &mut stats)
-                            .map_err(wrap("solve"))?;
-                }
-                (None, horizon) => {
-                    if horizon.is_some() || self.with_policy {
-                        return Err(wrap("validate")(MdpError::InvalidQuery {
-                            reason: "expected-cost objectives support neither a horizon nor \
-                                     policy extraction"
-                                .into(),
-                        }));
-                    }
-                    values = match self.objective {
-                        QueryObjective::MaxCost => {
-                            source::max_expected_cost_src(src, &target, self.options, &mut stats)
-                        }
-                        _ => source::min_expected_cost_src(src, &target, self.options, &mut stats),
-                    }
-                    .map_err(wrap("solve"))?;
-                }
+            (None, horizon) if horizon.is_some() || self.with_policy => {
+                return Err(invalid(
+                    "expected-cost objectives support neither a horizon nor policy extraction",
+                ))
             }
-            return Ok(Analysis {
-                values,
-                policy,
-                stats,
-                objective: self.objective,
-                solver,
-                horizon: self.horizon,
-            });
+            _ => {}
         }
 
-        let mdp = self.model.get();
-        let values;
+        let src = self.model.source();
+        let mut solver = pinned.unwrap_or(Solver::Jacobi);
+        // The pinned SCC-ordered solver for unbounded and expected-cost
+        // queries (in-core only, checked above).
+        let scc_model = in_core.filter(|_| solver == Solver::SccOrdered);
+        let mut stats = SolveStats::default();
         let mut policy = None;
-        match (prob_objective, self.horizon) {
+        let values = match (prob_objective, self.horizon) {
             (Some(objective), Some(budget)) => {
-                let scc = match pinned {
+                let scc = in_core.and_then(|m| match pinned {
                     Some(Solver::Jacobi) => None,
-                    Some(Solver::SccOrdered) => Some(mdp.zero_cost_scc()),
-                    None => Some(mdp.zero_cost_scc()).filter(|scc| scc.num_nontrivial() == 0),
-                };
+                    Some(Solver::SccOrdered) => Some(m.zero_cost_scc()),
+                    None => Some(m.zero_cost_scc()).filter(|scc| scc.num_nontrivial() == 0),
+                });
                 if scc.is_some() {
                     solver = Solver::SccOrdered;
                 }
                 let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
-                values = mdp
-                    .bounded_levels_engine(
-                        &target,
-                        budget,
-                        objective,
-                        self.workers,
-                        scc.as_ref(),
-                        self.with_policy.then_some(&mut decisions),
-                        &mut |_, _| {},
-                        &mut stats,
-                    )
-                    .map_err(wrap("solve"))?;
+                let values = source::bounded_levels(
+                    src,
+                    &target,
+                    budget,
+                    objective,
+                    self.workers,
+                    in_core.zip(scc.as_ref()),
+                    self.with_policy.then_some(&mut decisions),
+                    &mut |_, _| {},
+                    &mut stats,
+                );
                 if self.with_policy {
                     policy = Some(BoundedPolicy {
                         decision: decisions,
                     });
                 }
+                values
             }
-            (Some(objective), None) => {
-                if self.with_policy {
-                    return Err(wrap("validate")(MdpError::InvalidQuery {
-                        reason: "policy extraction requires a horizon (cost-indexed policies \
-                                 are only defined for bounded queries)"
-                            .into(),
-                    }));
-                }
-                values = if use_scc {
-                    mdp.reach_prob_scc(&target, objective, self.options, &mut stats)
-                } else {
-                    mdp.reach_prob_stats(&target, objective, self.options, self.workers, &mut stats)
-                }
-                .map_err(wrap("solve"))?;
-            }
-            (None, horizon) => {
-                if horizon.is_some() || self.with_policy {
-                    return Err(wrap("validate")(MdpError::InvalidQuery {
-                        reason: "expected-cost objectives support neither a horizon nor \
-                                 policy extraction"
-                            .into(),
-                    }));
-                }
-                values = match self.objective {
-                    QueryObjective::MaxCost => mdp.max_expected_cost_solver(
+            (Some(objective), None) => match scc_model {
+                Some(m) => m.reach_prob_scc(&target, objective, self.options, &mut stats),
+                None => source::reach_prob(
+                    src,
+                    &target,
+                    objective,
+                    self.options,
+                    self.workers,
+                    &mut stats,
+                ),
+            },
+            (None, _) => {
+                // The cost direction, in the probability objectives' terms.
+                let objective = match self.objective {
+                    QueryObjective::MaxCost => Objective::MaxProb,
+                    _ => Objective::MinProb,
+                };
+                let live =
+                    source::finite_cost_states(src, &target, objective).map_err(wrap("solve"))?;
+                match scc_model {
+                    Some(m) => Ok(m.expected_cost_scc(
                         &target,
+                        &live,
+                        objective,
+                        self.options,
+                        &mut stats,
+                    )),
+                    None => source::expected_cost(
+                        src,
+                        &target,
+                        &live,
+                        objective,
                         self.options,
                         self.workers,
-                        use_scc,
-                        &mut stats,
-                    ),
-                    _ => mdp.min_expected_cost_solver(
-                        &target,
-                        self.options,
-                        self.workers,
-                        use_scc,
                         &mut stats,
                     ),
                 }
-                .map_err(wrap("solve"))?;
             }
         }
+        .map_err(wrap("solve"))?;
         Ok(Analysis {
             values,
             policy,

@@ -20,7 +20,7 @@
 use crate::{ExplicitMdp, IterOptions, MdpError, Objective};
 
 /// Nested-representation Jacobi unbounded reachability: the bitwise oracle
-/// for [`crate::CsrMdp::reach_prob`].
+/// for an unbounded Jacobi [`crate::Query`].
 pub fn reach_prob_jacobi(
     mdp: &ExplicitMdp,
     target: &[bool],
@@ -251,7 +251,7 @@ pub fn min_expected_cost_jacobi(
 
 /// The pre-CSR in-place Gauss–Seidel unbounded reachability, unchanged
 /// from the original implementation. Converges to the same fixpoint as
-/// [`crate::CsrMdp::reach_prob`] (tolerance-compared in property tests);
+/// an unbounded Jacobi [`crate::Query`] (tolerance-compared in property tests);
 /// serves as the benchmark baseline.
 pub fn reach_prob_gauss_seidel(
     mdp: &ExplicitMdp,

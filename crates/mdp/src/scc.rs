@@ -44,8 +44,7 @@
 //! Jacobi is measured by running both solvers, as the bench's `rings[].scc`
 //! block does, not estimated inside the solve.)
 
-use crate::csr::SolveStats;
-use crate::{CsrMdp, IterOptions, MdpError, Objective};
+use crate::{source, CsrMdp, IterOptions, MdpError, Objective, SolveStats};
 
 /// Marker for an unvisited state in the Tarjan pass.
 const UNVISITED: u32 = u32::MAX;
@@ -350,10 +349,10 @@ impl CsrMdp {
         }
     }
 
-    /// SCC-ordered unbounded reachability: semantics of
-    /// [`CsrMdp::reach_prob`], solved block by block. Bitwise-identical to
-    /// the Jacobi path on acyclic models, within iteration tolerance
-    /// otherwise.
+    /// SCC-ordered unbounded reachability: semantics of an unbounded
+    /// reachability [`crate::Query`], solved block by block.
+    /// Bitwise-identical to the Jacobi path on acyclic models, within
+    /// iteration tolerance otherwise.
     pub(crate) fn reach_prob_scc(
         &self,
         target: &[bool],
@@ -362,10 +361,7 @@ impl CsrMdp {
         stats: &mut SolveStats,
     ) -> Result<Vec<f64>, MdpError> {
         let _span = pa_telemetry::span("mdp.vi.reach_prob_seconds");
-        let zero = match objective {
-            Objective::MaxProb => self.prob0_max(target)?,
-            Objective::MinProb => self.prob0_min(target)?,
-        };
+        let zero = source::prob0(self, target, objective)?;
         let scc = self.scc();
         CsrMdp::record_scc_shape(&scc);
         stats.components = scc.num_components() as u64;
@@ -460,7 +456,7 @@ impl CsrMdp {
     /// One SCC-ordered level of cost-bounded backward induction over the
     /// zero-cost condensation `scc` (choices with `cost == 1` read the
     /// fixed `level_prev`). Writes the level's values into `values`;
-    /// semantics of the Jacobi [`CsrMdp::solve_level_into`], including the
+    /// semantics of the Jacobi level solve in `source.rs`, including the
     /// per-block `4·len + 8` sweep cap mirroring the global `4n + 8` one.
     pub(crate) fn solve_level_scc(
         &self,

@@ -1,35 +1,48 @@
-//! Backend-agnostic CSR access: the [`CsrSource`] trait and the
-//! block-streamed analysis engines that run on any implementation.
+//! Backend-agnostic CSR access — the [`CsrSource`] trait — and the one set
+//! of solver kernels that every query runs on.
 //!
 //! [`crate::CsrMdp`] holds the whole model in five flat arrays; an
 //! out-of-core backend (e.g. `pa-store`'s mmap-backed block file) holds the
 //! same arrays cut into contiguous *blocks* of states and pages them in on
 //! demand. [`CsrSource`] is the seam between the two: a backend exposes its
-//! rows block by block as borrowed [`CsrRows`] slices, and every engine in
-//! this module sweeps states strictly in block order — so an in-core model
-//! (one block spanning everything) and a stored model (many blocks behind a
-//! byte-budgeted cache) execute the *same* per-state floating-point
+//! rows block by block as borrowed [`CsrRows`] slices, and every kernel in
+//! this module sweeps the blocks strictly in state order. An in-core model
+//! is a single block spanning every state, so the in-core and the stored
+//! paths are the *same* code executing the *same* per-state floating-point
 //! operations in the *same* order.
 //!
-//! # Bitwise parity with the in-core engines
+//! # Deterministic parallelism
 //!
-//! The engines here are serial twins of the kernels in `csr.rs`: identical
-//! update expressions, identical buffer rotation, identical convergence
-//! tests. The in-core kernels are bit-for-bit invariant under worker-count
-//! chunking (see the `csr` module docs), so a serial sweep already produces
-//! the canonical bytes — which makes every engine below bitwise identical
-//! to its `CsrMdp` counterpart for any block structure and any cache
-//! budget. `crates/store`'s parity tests and the bench `store` block pin
-//! this contract.
+//! All iterative kernels are **double-buffered Jacobi** sweeps: the new
+//! value of every state is computed from the previous iterate only, never
+//! from values updated earlier in the same sweep. Per-state updates are
+//! therefore independent, and each block of at least `PAR_MIN_STATES`
+//! states is split across worker threads (`std::thread::scope`) over
+//! disjoint slices of the output buffer. Because each state's update reads
+//! the same immutable previous iterate and performs the same floating-point
+//! operations in the same order regardless of the split, and the
+//! convergence test reduces deltas with a maximum (order-independent for
+//! the finite values these kernels produce), **results are bit-for-bit
+//! identical for every worker count and every block structure** —
+//! `workers = 1` and `workers = 8`, one block or seven hundred, return the
+//! same bytes. `crates/mdp/tests/csr_equivalence.rs` and `crates/store`'s
+//! parity tests pin this contract.
 //!
-//! Two qualitative precomputations are *set-valued* rather than numeric and
-//! use different (block-friendly) algorithms than their in-core twins:
-//! `prob0` for [`crate::Objective::MaxProb`] (a forward fixpoint instead of
-//! a backward BFS over a materialized predecessor graph) and the zero-cost
-//! cycle check (a peeling fixpoint instead of a DFS). Both compute the
-//! exact same set/answer — they are different iteration strategies for the
-//! same fixpoint — so the numeric phases they feed remain bitwise
-//! identical.
+//! The worker count comes from [`crate::Query::workers`], else the
+//! `PA_MDP_WORKERS` environment variable, else the machine's available
+//! parallelism ([`resolve_workers`]). It splits the in-core model and every
+//! stored block large enough to be worth a thread.
+//!
+//! # Qualitative precomputations
+//!
+//! Two set-valued checks are trait methods, because the best algorithm
+//! depends on the backend: `prob0` for [`crate::Objective::MaxProb`]
+//! ([`CsrSource::prob0_max`]) and the zero-cost cycle check
+//! ([`CsrSource::has_zero_cost_cycle`]). The defaults are block-friendly
+//! forward fixpoints; [`crate::CsrMdp`] overrides them with a backward BFS
+//! and a DFS, which need random access to the whole graph. Both strategies
+//! compute the same set/answer, so the numeric phases they feed remain
+//! bitwise identical.
 //!
 //! The SCC-ordered solver is not available through this trait: it keeps
 //! per-component subgraphs resident by design. A [`crate::Query`] over a
@@ -38,8 +51,47 @@
 
 use std::ops::Range;
 
-use crate::csr::SolveStats;
-use crate::{IterOptions, MdpError, Objective};
+use crate::{CsrMdp, IterOptions, MdpError, Objective, SccDecomposition};
+
+/// Blocks with fewer states than this are swept on the calling thread:
+/// below this size, thread spawn/join costs more than the sweep itself.
+pub(crate) const PAR_MIN_STATES: usize = 4096;
+
+/// Work counters accumulated by one quantitative solve, reported through
+/// [`crate::Analysis::stats`]. The update counts are what the SCC-ordered
+/// solver is designed to shrink: a global Jacobi sweep recomputes every
+/// state until the slowest one converges, while the SCC-ordered path
+/// touches each component only as long as *it* needs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Value-iteration sweeps performed (global sweeps for the Jacobi
+    /// solver, per-block sweeps for the SCC-ordered solver).
+    pub sweeps: u64,
+    /// Individual state-value computations performed.
+    pub state_updates: u64,
+    /// Strongly connected components of the condensation (0 for the
+    /// Jacobi solver, which never builds one).
+    pub components: u64,
+    /// Components that contained a cycle and needed local iteration.
+    pub nontrivial_components: u64,
+}
+
+/// Resolves an optional worker-count override: explicit argument, then the
+/// `PA_MDP_WORKERS` environment variable, then available parallelism.
+pub fn resolve_workers(workers: Option<usize>) -> usize {
+    workers
+        .or_else(|| {
+            std::env::var("PA_MDP_WORKERS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+        })
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+        .max(1)
+}
 
 /// One contiguous block of CSR rows, borrowed from a backend.
 ///
@@ -132,9 +184,74 @@ pub trait CsrSource: Sync {
     /// Calls `f` with block `block`'s rows. Backends that page blocks in
     /// may fail with [`MdpError::Backend`] (I/O error, corrupt block).
     fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError>;
+
+    /// States with **maximal** reachability probability zero (no path to
+    /// the target). The default is a forward least fixpoint — mark states
+    /// with a positive-probability edge into the marked set until stable —
+    /// because a predecessor graph cannot be materialized for a model that
+    /// does not fit in memory.
+    fn prob0_max(&self, target: &[bool]) -> Result<Vec<bool>, MdpError> {
+        check_target(self, target)?;
+        let mut can_reach = target.to_vec();
+        loop {
+            let mut changed = false;
+            for_each_block(self, &mut |rows| {
+                for s in rows.states() {
+                    if can_reach[s] {
+                        continue;
+                    }
+                    let reaches = rows.choice_range(s).any(|c| {
+                        rows.trans_range(c)
+                            .any(|i| rows.probs[i] > 0.0 && can_reach[rows.targets[i] as usize])
+                    });
+                    if reaches {
+                        can_reach[s] = true;
+                        changed = true;
+                    }
+                }
+            })?;
+            if !changed {
+                return Ok(can_reach.iter().map(|&b| !b).collect());
+            }
+        }
+    }
+
+    /// Whether the zero-cost off-target transition subgraph has a cycle
+    /// (semantics of [`crate::has_zero_cost_cycle`]). The default is a
+    /// peeling greatest fixpoint, since a DFS's random state-access pattern
+    /// defeats block paging: repeatedly discard states with no zero-cost
+    /// positive-probability edge into the remaining set; the remainder is
+    /// nonempty iff the subgraph has a cycle.
+    fn has_zero_cost_cycle(&self, target: &[bool]) -> Result<bool, MdpError> {
+        check_target(self, target)?;
+        let mut in_u: Vec<bool> = target.iter().map(|&t| !t).collect();
+        loop {
+            let mut changed = false;
+            for_each_block(self, &mut |rows| {
+                for s in rows.states() {
+                    if !in_u[s] {
+                        continue;
+                    }
+                    let keeps = rows.choice_range(s).any(|c| {
+                        rows.costs[c] == 0
+                            && rows
+                                .trans_range(c)
+                                .any(|i| rows.probs[i] > 0.0 && in_u[rows.targets[i] as usize])
+                    });
+                    if !keeps {
+                        in_u[s] = false;
+                        changed = true;
+                    }
+                }
+            })?;
+            if !changed {
+                return Ok(in_u.iter().any(|&b| b));
+            }
+        }
+    }
 }
 
-pub(crate) fn check_target_src<S: CsrSource + ?Sized>(
+pub(crate) fn check_target<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
 ) -> Result<(), MdpError> {
@@ -157,72 +274,86 @@ fn for_each_block<S: CsrSource + ?Sized>(
     Ok(())
 }
 
-/// One serial double-buffered Jacobi sweep over all blocks in state order.
-/// Identical to the serial path of `csr.rs`'s `jacobi_sweep` (which the
-/// parallel path is bitwise-pinned against): per-state updates read the
-/// previous iterate only, and the delta is the max absolute change.
-fn jacobi_sweep_src<S: CsrSource + ?Sized>(
+/// One double-buffered Jacobi sweep over all blocks in state order.
+///
+/// `update(rows, s, prev)` computes state `s`'s next value from the
+/// previous iterate only; the sweep writes it to `next[s]` and returns the
+/// maximal `|next[s] - prev[s]|`. See the module docs for why the result is
+/// bitwise independent of the worker count and the block structure.
+fn jacobi_sweep<S, F>(
     src: &S,
     next: &mut [f64],
     prev: &[f64],
-    update: &dyn Fn(&CsrRows<'_>, usize, &[f64]) -> f64,
-) -> Result<f64, MdpError> {
+    workers: usize,
+    update: &F,
+) -> Result<f64, MdpError>
+where
+    S: CsrSource + ?Sized,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> f64 + Sync,
+{
     let mut delta = 0.0f64;
     for_each_block(src, &mut |rows| {
-        for s in rows.states() {
-            let v = update(&rows, s, prev);
-            let d = (v - prev[s]).abs();
-            if d > delta {
-                delta = d;
-            }
-            next[s] = v;
+        let d = sweep_block(rows, &mut next[rows.states()], prev, workers, update);
+        if d > delta {
+            delta = d;
         }
     })?;
     Ok(delta)
 }
 
-/// States with **maximal** reachability probability zero. Computes the same
-/// "cannot reach the target" set as [`crate::CsrMdp::prob0_max`], but as a
-/// forward least fixpoint (mark states with a positive-probability edge
-/// into the marked set until stable) instead of a backward BFS — a
-/// predecessor graph cannot be materialized for a model that does not fit
-/// in memory.
-pub(crate) fn prob0_max_src<S: CsrSource + ?Sized>(
-    src: &S,
-    target: &[bool],
-) -> Result<Vec<bool>, MdpError> {
-    check_target_src(src, target)?;
-    let mut can_reach = target.to_vec();
-    loop {
-        let mut changed = false;
-        for_each_block(src, &mut |rows| {
-            for s in rows.states() {
-                if can_reach[s] {
-                    continue;
-                }
-                let reaches = rows.choice_range(s).any(|c| {
-                    rows.trans_range(c)
-                        .any(|i| rows.probs[i] > 0.0 && can_reach[rows.targets[i] as usize])
-                });
-                if reaches {
-                    can_reach[s] = true;
-                    changed = true;
-                }
+/// Sweeps one block's states into `next` (the block's slice of the output
+/// buffer), split into `workers` contiguous chunks when the block is large
+/// enough to be worth the threads.
+fn sweep_block<F>(
+    rows: CsrRows<'_>,
+    next: &mut [f64],
+    prev: &[f64],
+    workers: usize,
+    update: &F,
+) -> f64
+where
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> f64 + Sync,
+{
+    let sweep = move |first: usize, slice: &mut [f64]| {
+        let mut delta = 0.0f64;
+        for (off, slot) in slice.iter_mut().enumerate() {
+            let s = first + off;
+            let v = update(&rows, s, prev);
+            let d = (v - prev[s]).abs();
+            if d > delta {
+                delta = d;
             }
-        })?;
-        if !changed {
-            return Ok(can_reach.iter().map(|&b| !b).collect());
+            *slot = v;
         }
+        delta
+    };
+    if workers <= 1 || next.len() < PAR_MIN_STATES {
+        return sweep(rows.first_state, next);
     }
+    let chunk = next.len().div_ceil(workers);
+    let sweep = &sweep;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = next
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(w, slice)| scope.spawn(move || sweep(rows.first_state + w * chunk, slice)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("value-iteration worker panicked"))
+            .fold(0.0f64, f64::max)
+    })
 }
 
-/// States with **minimal** reachability probability zero: the same greatest
-/// fixpoint as [`crate::CsrMdp::prob0_min`], swept block by block.
-pub(crate) fn prob0_min_src<S: CsrSource + ?Sized>(
+/// States with **minimal** reachability probability zero: greatest
+/// fixpoint of "not target, and terminal or some choice keeps all mass in
+/// the set" (terminal states count as avoiding because the adversary may
+/// stop scheduling).
+pub(crate) fn prob0_min<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
 ) -> Result<Vec<bool>, MdpError> {
-    check_target_src(src, target)?;
+    check_target(src, target)?;
     let mut in_x: Vec<bool> = target.iter().map(|&t| !t).collect();
     loop {
         let mut changed = false;
@@ -248,240 +379,43 @@ pub(crate) fn prob0_min_src<S: CsrSource + ?Sized>(
     }
 }
 
-/// Unbounded reachability on any backend; the serial twin of
-/// [`crate::CsrMdp::reach_prob`].
-pub(crate) fn reach_prob_src<S: CsrSource + ?Sized>(
-    src: &S,
-    target: &[bool],
-    objective: Objective,
-    options: IterOptions,
-    stats: &mut SolveStats,
-) -> Result<Vec<f64>, MdpError> {
-    let _span = pa_telemetry::span("mdp.vi.reach_prob_seconds");
-    check_target_src(src, target)?;
-    let zero = match objective {
-        Objective::MaxProb => prob0_max_src(src, target)?,
-        Objective::MinProb => prob0_min_src(src, target)?,
-    };
-    let n = src.num_states();
-    if pa_telemetry::enabled() {
-        pa_telemetry::counter("mdp.vi.runs").inc();
-    }
-    let mut cur = vec![0.0f64; n];
-    for s in 0..n {
-        if target[s] {
-            cur[s] = 1.0;
-        }
-    }
-    let mut prev = cur.clone();
-    for _ in 0..options.max_sweeps {
-        let sweep_span = pa_telemetry::span("mdp.vi.sweep_seconds");
-        let delta = jacobi_sweep_src(src, &mut cur, &prev, &|rows, s, prev| {
-            if target[s] || zero[s] || rows.is_terminal(s) {
-                return prev[s];
-            }
-            let mut best = objective.start();
-            for c in rows.choice_range(s) {
-                let val = rows.choice_value(c, prev);
-                if objective.better(val, best) {
-                    best = val;
-                }
-            }
-            best
-        })?;
-        sweep_span.finish();
-        stats.sweeps += 1;
-        stats.state_updates += n as u64;
-        if pa_telemetry::enabled() {
-            pa_telemetry::counter("mdp.vi.sweeps").inc();
-            pa_telemetry::series("mdp.vi.residual").push(delta);
-        }
-        std::mem::swap(&mut cur, &mut prev);
-        if delta <= options.epsilon {
-            break;
-        }
-    }
-    Ok(prev)
-}
-
-fn validate_costs_src<S: CsrSource + ?Sized>(src: &S) -> Result<(), MdpError> {
-    let mut bad: Option<(usize, u32)> = None;
-    for_each_block(src, &mut |rows| {
-        if bad.is_some() {
-            return;
-        }
-        for s in rows.states() {
-            for c in rows.choice_range(s) {
-                if rows.costs[c] > 1 {
-                    bad = Some((s, rows.costs[c]));
-                    return;
-                }
-            }
-        }
-    })?;
-    match bad {
-        Some((state, cost)) => Err(MdpError::BadDistribution {
-            state,
-            reason: format!("cost-bounded reachability supports costs 0 and 1, found {cost}"),
-        }),
-        None => Ok(()),
-    }
-}
-
-/// One cost-bounded induction level on any backend; the serial twin of
-/// `CsrMdp::solve_level_into` — same buffer alternation, same `4n + 8`
-/// sweep cap, same `1e-14` inner tolerance.
-#[allow(clippy::too_many_arguments)]
-fn solve_level_src<S: CsrSource + ?Sized>(
-    src: &S,
-    target: &[bool],
-    level_prev: &[f64],
-    objective: Objective,
-    values: &mut Vec<f64>,
-    scratch: &mut Vec<f64>,
-    stats: &mut SolveStats,
-) -> Result<(), MdpError> {
-    let n = src.num_states();
-    values.clear();
-    values.resize(n, 0.0);
-    for s in 0..n {
-        if target[s] {
-            values[s] = 1.0;
-        }
-    }
-    scratch.clear();
-    scratch.extend_from_slice(values);
-    let level_sweeps =
-        pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.level_sweeps"));
-    let max_sweeps = 4 * n + 8;
-    let update = |rows: &CsrRows<'_>, s: usize, prev: &[f64]| {
-        if target[s] || rows.is_terminal(s) {
-            return prev[s];
-        }
-        let mut best = objective.start();
-        for c in rows.choice_range(s) {
-            let source = if rows.costs[c] == 1 { level_prev } else { prev };
-            let val = rows.choice_value(c, source);
-            if objective.better(val, best) {
-                best = val;
-            }
-        }
-        best
-    };
-    let mut done = 0usize;
-    for k in 0..max_sweeps {
-        if let Some(c) = &level_sweeps {
-            c.inc();
-        }
-        stats.sweeps += 1;
-        stats.state_updates += n as u64;
-        let delta = if k % 2 == 0 {
-            jacobi_sweep_src(src, values, scratch, &update)?
-        } else {
-            jacobi_sweep_src(src, scratch, values, &update)?
-        };
-        done = k + 1;
-        if delta <= 1e-14 {
-            break;
-        }
-    }
-    if done.is_multiple_of(2) {
-        std::mem::swap(values, scratch);
-    }
-    Ok(())
-}
-
-/// The twin of `CsrMdp::extract_level_decisions` on any backend.
-fn extract_level_decisions_src<S: CsrSource + ?Sized>(
-    src: &S,
-    target: &[bool],
-    level_prev: &[f64],
-    values: &[f64],
-    objective: Objective,
-    dec: &mut Vec<Option<u32>>,
-) -> Result<(), MdpError> {
-    let n = src.num_states();
-    dec.clear();
-    dec.resize(n, None);
-    for_each_block(src, &mut |rows| {
-        for s in rows.states() {
-            if target[s] || rows.is_terminal(s) {
-                continue;
-            }
-            let mut best = objective.start();
-            let mut best_i = 0u32;
-            for (i, c) in rows.choice_range(s).enumerate() {
-                let source = if rows.costs[c] == 1 {
-                    level_prev
-                } else {
-                    values
-                };
-                let val = rows.choice_value(c, source);
-                if objective.better(val, best) {
-                    best = val;
-                    best_i = i as u32;
-                }
-            }
-            dec[s] = Some(best_i);
-        }
-    })
-}
-
-/// Cost-bounded backward induction on any backend; the serial twin of
-/// `CsrMdp::bounded_levels_engine` (Jacobi path — the SCC path needs the
-/// whole zero-cost condensation resident).
-pub(crate) fn bounded_levels_src<S: CsrSource + ?Sized>(
-    src: &S,
-    target: &[bool],
-    budget: u32,
-    objective: Objective,
-    mut policy: Option<&mut Vec<Vec<Option<u32>>>>,
-    stats: &mut SolveStats,
-) -> Result<Vec<f64>, MdpError> {
-    check_target_src(src, target)?;
-    validate_costs_src(src)?;
-    let _span = pa_telemetry::span("mdp.vi.cost_bounded_seconds");
-    let levels = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.levels"));
-    let n = src.num_states();
-    let mut level_prev = vec![0.0f64; n];
-    let mut cur: Vec<f64> = Vec::new();
-    let mut scratch: Vec<f64> = Vec::new();
-    if pa_telemetry::enabled() {
-        pa_telemetry::gauge("mdp.vi.level_buffer_bytes")
-            .set_max((3 * n * std::mem::size_of::<f64>()) as i64);
-    }
-    for _k in 0..=budget {
-        solve_level_src(
-            src,
-            target,
-            &level_prev,
-            objective,
-            &mut cur,
-            &mut scratch,
-            stats,
-        )?;
-        if let Some(policy) = policy.as_deref_mut() {
-            let mut dec = Vec::new();
-            extract_level_decisions_src(src, target, &level_prev, &cur, objective, &mut dec)?;
-            policy.push(dec);
-        }
-        std::mem::swap(&mut level_prev, &mut cur);
-    }
-    if let Some(c) = levels {
-        c.add(u64::from(budget) + 1);
-    }
-    Ok(level_prev)
-}
-
-/// Qualitative almost-sure reachability on any backend: the same nested
-/// `νZ. μY.` fixpoint as [`crate::CsrMdp::prob1`], swept block by block.
-pub(crate) fn prob1_src<S: CsrSource + ?Sized>(
+/// States whose optimal reachability probability is zero under
+/// `objective` — the states unbounded value iteration keeps at 0.
+pub(crate) fn prob0<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     objective: Objective,
 ) -> Result<Vec<bool>, MdpError> {
-    check_target_src(src, target)?;
+    match objective {
+        Objective::MaxProb => src.prob0_max(target),
+        Objective::MinProb => prob0_min(src, target),
+    }
+}
+
+/// Qualitative almost-sure reachability: the set of states whose
+/// `MinProb` (resp. `MaxProb`) reachability value is *exactly* 1,
+/// decided on the transition graph alone.
+///
+/// This is the standard nested fixpoint
+/// `νZ. μY. { s | s ∈ T ∨ Q a ∈ A(s): succ(a) ⊆ Z ∧ succ(a) ∩ Y ≠ ∅ }`
+/// with `Q = ∀` for [`Objective::MinProb`] (every adversary reaches the
+/// target almost surely) and `Q = ∃` for [`Objective::MaxProb`] (some
+/// policy does). Terminal non-target states never qualify: they stay
+/// put forever.
+///
+/// The expected-cost solvers use this instead of thresholding a
+/// numerically iterated reachability value: on large models value
+/// iteration can stop with true-1 states still measurably below 1, and
+/// any cutoff then misclassifies proper states as divergent.
+pub(crate) fn prob1<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+    objective: Objective,
+) -> Result<Vec<bool>, MdpError> {
+    check_target(src, target)?;
     let n = src.num_states();
+    // A choice "stays" in Z when every positive-probability successor is
+    // in Z, and "progresses" when some such successor is already in Y.
     let choice_ok = |rows: &CsrRows<'_>, c: usize, z: &[bool], y: &[bool]| -> bool {
         let mut progresses = false;
         for i in rows.trans_range(c) {
@@ -498,6 +432,8 @@ pub(crate) fn prob1_src<S: CsrSource + ?Sized>(
     };
     let mut z = vec![true; n];
     loop {
+        // Inner least fixpoint: states that, while confined to Z, reach
+        // a target state with positive probability.
         let mut y = target.to_vec();
         loop {
             let mut changed = false;
@@ -531,93 +467,352 @@ pub(crate) fn prob1_src<S: CsrSource + ?Sized>(
     }
 }
 
-/// Detects a cycle in the zero-cost off-target subgraph on any backend.
-/// Computes the same answer as [`crate::CsrMdp::has_zero_cost_cycle`]'s
-/// DFS, as a peeling greatest fixpoint (a DFS's random state-access pattern
-/// defeats block paging): repeatedly discard states with no zero-cost
-/// positive-probability edge into the remaining set; the remainder is
-/// nonempty iff the subgraph has a cycle.
-pub(crate) fn has_zero_cost_cycle_src<S: CsrSource + ?Sized>(
+/// Unbounded reachability `P^opt[eventually reach target]` by qualitative
+/// precomputation plus parallel Jacobi value iteration (semantics of an
+/// unbounded reachability [`crate::Query`]).
+pub(crate) fn reach_prob<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
-) -> Result<bool, MdpError> {
-    check_target_src(src, target)?;
-    let mut in_u: Vec<bool> = target.iter().map(|&t| !t).collect();
-    loop {
-        let mut changed = false;
-        for_each_block(src, &mut |rows| {
-            for s in rows.states() {
-                if !in_u[s] {
-                    continue;
-                }
-                let keeps = rows.choice_range(s).any(|c| {
-                    rows.costs[c] == 0
-                        && rows
-                            .trans_range(c)
-                            .any(|i| rows.probs[i] > 0.0 && in_u[rows.targets[i] as usize])
-                });
-                if !keeps {
-                    in_u[s] = false;
-                    changed = true;
+    objective: Objective,
+    options: IterOptions,
+    workers: Option<usize>,
+    stats: &mut SolveStats,
+) -> Result<Vec<f64>, MdpError> {
+    let _span = pa_telemetry::span("mdp.vi.reach_prob_seconds");
+    let zero = prob0(src, target, objective)?;
+    let n = src.num_states();
+    let workers = resolve_workers(workers);
+    if pa_telemetry::enabled() {
+        pa_telemetry::counter("mdp.vi.runs").inc();
+    }
+    let mut cur = vec![0.0f64; n];
+    for s in 0..n {
+        if target[s] {
+            cur[s] = 1.0;
+        }
+    }
+    let mut prev = cur.clone();
+    let update = |rows: &CsrRows<'_>, s: usize, prev: &[f64]| {
+        if target[s] || zero[s] || rows.is_terminal(s) {
+            return prev[s];
+        }
+        let mut best = objective.start();
+        for c in rows.choice_range(s) {
+            let val = rows.choice_value(c, prev);
+            if objective.better(val, best) {
+                best = val;
+            }
+        }
+        best
+    };
+    for _ in 0..options.max_sweeps {
+        let sweep_span = pa_telemetry::span("mdp.vi.sweep_seconds");
+        let delta = jacobi_sweep(src, &mut cur, &prev, workers, &update)?;
+        sweep_span.finish();
+        stats.sweeps += 1;
+        stats.state_updates += n as u64;
+        if pa_telemetry::enabled() {
+            pa_telemetry::counter("mdp.vi.sweeps").inc();
+            pa_telemetry::series("mdp.vi.residual").push(delta);
+        }
+        std::mem::swap(&mut cur, &mut prev);
+        if delta <= options.epsilon {
+            break;
+        }
+    }
+    Ok(prev)
+}
+
+fn validate_costs<S: CsrSource + ?Sized>(src: &S) -> Result<(), MdpError> {
+    let mut bad: Option<(usize, u32)> = None;
+    for_each_block(src, &mut |rows| {
+        if bad.is_some() {
+            return;
+        }
+        for s in rows.states() {
+            for c in rows.choice_range(s) {
+                if rows.costs[c] > 1 {
+                    bad = Some((s, rows.costs[c]));
+                    return;
                 }
             }
-        })?;
-        if !changed {
-            return Ok(in_u.iter().any(|&b| b));
+        }
+    })?;
+    match bad {
+        Some((state, cost)) => Err(MdpError::BadDistribution {
+            state,
+            reason: format!("cost-bounded reachability supports costs 0 and 1, found {cost}"),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// One level of cost-bounded backward induction: the least fixpoint of
+/// the zero-cost subgraph given the previous level `level_prev`, as a
+/// parallel Jacobi iteration capped at `4n + 8` sweeps (see
+/// [`crate::cost_bounded_reach_levels`] for the semantics).
+///
+/// The level's values end up in `values`; `scratch` is the second Jacobi
+/// buffer. Both are reused across calls (cleared and resized here), so a
+/// `budget`-level induction allocates two vectors total instead of one per
+/// level.
+#[allow(clippy::too_many_arguments)]
+fn solve_level<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+    level_prev: &[f64],
+    objective: Objective,
+    workers: usize,
+    values: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
+    stats: &mut SolveStats,
+) -> Result<(), MdpError> {
+    let n = src.num_states();
+    values.clear();
+    values.resize(n, 0.0);
+    for s in 0..n {
+        if target[s] {
+            values[s] = 1.0;
+        }
+    }
+    scratch.clear();
+    scratch.extend_from_slice(values);
+    let level_sweeps =
+        pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.level_sweeps"));
+    let max_sweeps = 4 * n + 8;
+    let update = |rows: &CsrRows<'_>, s: usize, prev: &[f64]| {
+        if target[s] || rows.is_terminal(s) {
+            return prev[s];
+        }
+        let mut best = objective.start();
+        for c in rows.choice_range(s) {
+            let source = if rows.costs[c] == 1 { level_prev } else { prev };
+            let val = rows.choice_value(c, source);
+            if objective.better(val, best) {
+                best = val;
+            }
+        }
+        best
+    };
+    // Alternate write/read roles between the two buffers; after sweep
+    // `k` the newest iterate is in `values` iff `k` is odd.
+    let mut done = 0usize;
+    for k in 0..max_sweeps {
+        if let Some(c) = &level_sweeps {
+            c.inc();
+        }
+        stats.sweeps += 1;
+        stats.state_updates += n as u64;
+        let delta = if k % 2 == 0 {
+            jacobi_sweep(src, values, scratch, workers, &update)?
+        } else {
+            jacobi_sweep(src, scratch, values, workers, &update)?
+        };
+        done = k + 1;
+        if delta <= 1e-14 {
+            break;
+        }
+    }
+    if done.is_multiple_of(2) {
+        std::mem::swap(values, scratch);
+    }
+    Ok(())
+}
+
+/// Extracts the optimal per-state choice of one budget level, given the
+/// converged level `values` and the previous level `level_prev`.
+/// Solver-independent: both the Jacobi and the SCC-ordered level solves
+/// feed their fixpoints through this.
+fn extract_level_decisions<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+    level_prev: &[f64],
+    values: &[f64],
+    objective: Objective,
+    dec: &mut Vec<Option<u32>>,
+) -> Result<(), MdpError> {
+    dec.clear();
+    dec.resize(src.num_states(), None);
+    for_each_block(src, &mut |rows| {
+        for s in rows.states() {
+            if target[s] || rows.is_terminal(s) {
+                continue;
+            }
+            let mut best = objective.start();
+            let mut best_i = 0u32;
+            for (i, c) in rows.choice_range(s).enumerate() {
+                let source = if rows.costs[c] == 1 {
+                    level_prev
+                } else {
+                    values
+                };
+                let val = rows.choice_value(c, source);
+                if objective.better(val, best) {
+                    best = val;
+                    best_i = i as u32;
+                }
+            }
+            dec[s] = Some(best_i);
+        }
+    })
+}
+
+/// Cost-bounded backward induction (semantics of
+/// [`crate::cost_bounded_reach_levels`]): rotates three reused buffers
+/// (previous level, current level, Jacobi scratch) through every budget
+/// level instead of materializing one vector per level, optionally
+/// extracting the optimal cost-indexed policy along the way and reporting
+/// each level to `on_level`.
+///
+/// Given an in-core model and its zero-cost condensation
+/// ([`CsrMdp::zero_cost_scc`], built once by the caller), every level runs
+/// through the SCC-ordered solver over it; without one, through parallel
+/// Jacobi over `src`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+    budget: u32,
+    objective: Objective,
+    workers: Option<usize>,
+    scc: Option<(&CsrMdp, &SccDecomposition)>,
+    mut policy: Option<&mut Vec<Vec<Option<u32>>>>,
+    on_level: &mut dyn FnMut(u32, &[f64]),
+    stats: &mut SolveStats,
+) -> Result<Vec<f64>, MdpError> {
+    check_target(src, target)?;
+    validate_costs(src)?;
+    let workers = resolve_workers(workers);
+    let _span = pa_telemetry::span("mdp.vi.cost_bounded_seconds");
+    let levels = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.levels"));
+    let n = src.num_states();
+    if let Some((_, scc)) = scc {
+        CsrMdp::record_scc_shape(scc);
+        stats.components = scc.num_components() as u64;
+        stats.nontrivial_components = scc.num_nontrivial() as u64;
+    }
+    let mut level_prev = vec![0.0f64; n];
+    let mut cur: Vec<f64> = Vec::new();
+    let mut scratch: Vec<f64> = Vec::new();
+    if pa_telemetry::enabled() {
+        // High-water value-buffer footprint of the whole induction:
+        // three reused f64 vectors, independent of the budget.
+        pa_telemetry::gauge("mdp.vi.level_buffer_bytes")
+            .set_max((3 * n * std::mem::size_of::<f64>()) as i64);
+    }
+    for k in 0..=budget {
+        match scc {
+            Some((mdp, scc)) => {
+                mdp.solve_level_scc(scc, target, &level_prev, objective, &mut cur, stats)
+            }
+            None => solve_level(
+                src,
+                target,
+                &level_prev,
+                objective,
+                workers,
+                &mut cur,
+                &mut scratch,
+                stats,
+            )?,
+        }
+        if let Some(policy) = policy.as_deref_mut() {
+            let mut dec = Vec::new();
+            extract_level_decisions(src, target, &level_prev, &cur, objective, &mut dec)?;
+            policy.push(dec);
+        }
+        on_level(k, &cur);
+        std::mem::swap(&mut level_prev, &mut cur);
+    }
+    if let Some(c) = levels {
+        c.add(u64::from(budget) + 1);
+    }
+    // The final level ended up in `level_prev` after the last swap.
+    Ok(level_prev)
+}
+
+/// The states whose optimal expected cost to the target is finite, for
+/// the expected-cost direction `objective` ([`Objective::MaxProb`]: the
+/// adversary maximizes cost, [`Objective::MinProb`]: the scheduler
+/// minimizes it).
+///
+/// Maximizing needs every adversary to reach the target almost surely
+/// (`prob1` under `MinProb`). Minimizing needs some policy to (`prob1`
+/// under `MaxProb`), and rejects models whose off-target zero-cost
+/// subgraph has a cycle with [`MdpError::DivergentExpectation`] (state 0
+/// by convention): a zero-cost loop would corrupt the least fixpoint.
+pub(crate) fn finite_cost_states<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+    objective: Objective,
+) -> Result<Vec<bool>, MdpError> {
+    match objective {
+        Objective::MaxProb => prob1(src, target, Objective::MinProb),
+        Objective::MinProb => {
+            if src.has_zero_cost_cycle(target)? {
+                return Err(MdpError::DivergentExpectation { state: 0 });
+            }
+            prob1(src, target, Objective::MaxProb)
         }
     }
 }
 
-/// Shared expected-cost Jacobi iteration on any backend; the serial twin of
-/// `CsrMdp::expected_cost_iterate`.
-fn expected_cost_iterate_src<S: CsrSource + ?Sized>(
+/// Expected-cost Jacobi iteration. `live[s]` marks states whose
+/// expectation is finite ([`finite_cost_states`]); others end at
+/// `f64::INFINITY`. A choice with a non-live, non-target successor is
+/// excluded (a proper policy never moves there; a maximizing adversary
+/// reaching one would contradict `live[s]`).
+pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     live: &[bool],
     objective: Objective,
     options: IterOptions,
+    workers: Option<usize>,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     let n = src.num_states();
+    let workers = resolve_workers(workers);
     let ec_sweeps = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.ec_sweeps"));
     let mut cur = vec![0.0f64; n];
     let mut prev = cur.clone();
+    let update = |rows: &CsrRows<'_>, s: usize, prev: &[f64]| {
+        if target[s] || !live[s] || rows.is_terminal(s) {
+            return prev[s];
+        }
+        let mut best = objective.start();
+        for c in rows.choice_range(s) {
+            let mut val = rows.costs[c] as f64;
+            let mut ok = true;
+            for i in rows.trans_range(c) {
+                let p = rows.probs[i];
+                if p == 0.0 {
+                    continue;
+                }
+                let t = rows.targets[i] as usize;
+                if !target[t] && !live[t] {
+                    ok = false;
+                    break;
+                }
+                val += p * prev[t];
+            }
+            if ok && objective.better(val, best) {
+                best = val;
+            }
+        }
+        if best.is_finite() {
+            best
+        } else {
+            prev[s]
+        }
+    };
     for _ in 0..options.max_sweeps {
         if let Some(c) = &ec_sweeps {
             c.inc();
         }
         stats.sweeps += 1;
         stats.state_updates += n as u64;
-        let delta = jacobi_sweep_src(src, &mut cur, &prev, &|rows, s, prev| {
-            if target[s] || !live[s] || rows.is_terminal(s) {
-                return prev[s];
-            }
-            let mut best = objective.start();
-            for c in rows.choice_range(s) {
-                let mut val = rows.costs[c] as f64;
-                let mut ok = true;
-                for i in rows.trans_range(c) {
-                    let p = rows.probs[i];
-                    if p == 0.0 {
-                        continue;
-                    }
-                    let t = rows.targets[i] as usize;
-                    if !target[t] && !live[t] {
-                        ok = false;
-                        break;
-                    }
-                    val += p * prev[t];
-                }
-                if ok && objective.better(val, best) {
-                    best = val;
-                }
-            }
-            if best.is_finite() {
-                best
-            } else {
-                prev[s]
-            }
-        })?;
+        let delta = jacobi_sweep(src, &mut cur, &prev, workers, &update)?;
         std::mem::swap(&mut cur, &mut prev);
         if delta <= options.epsilon {
             break;
@@ -630,35 +825,6 @@ fn expected_cost_iterate_src<S: CsrSource + ?Sized>(
         }
     }
     Ok(v)
-}
-
-/// Worst-case expected accumulated cost on any backend; the twin of
-/// [`crate::CsrMdp::max_expected_cost`].
-pub(crate) fn max_expected_cost_src<S: CsrSource + ?Sized>(
-    src: &S,
-    target: &[bool],
-    options: IterOptions,
-    stats: &mut SolveStats,
-) -> Result<Vec<f64>, MdpError> {
-    check_target_src(src, target)?;
-    let proper = prob1_src(src, target, Objective::MinProb)?;
-    expected_cost_iterate_src(src, target, &proper, Objective::MaxProb, options, stats)
-}
-
-/// Best-case expected accumulated cost on any backend; the twin of
-/// [`crate::CsrMdp::min_expected_cost`].
-pub(crate) fn min_expected_cost_src<S: CsrSource + ?Sized>(
-    src: &S,
-    target: &[bool],
-    options: IterOptions,
-    stats: &mut SolveStats,
-) -> Result<Vec<f64>, MdpError> {
-    check_target_src(src, target)?;
-    if has_zero_cost_cycle_src(src, target)? {
-        return Err(MdpError::DivergentExpectation { state: 0 });
-    }
-    let feasible = prob1_src(src, target, Objective::MaxProb)?;
-    expected_cost_iterate_src(src, target, &feasible, Objective::MinProb, options, stats)
 }
 
 /// FNV-1a 64 digest of a backend's *logical* content: counts, initial
@@ -715,7 +881,7 @@ pub fn csr_digest<S: CsrSource + ?Sized>(src: &S) -> Result<u64, MdpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, CsrMdp, ExplicitMdp};
+    use crate::{Choice, ExplicitMdp};
 
     fn escape() -> CsrMdp {
         CsrMdp::from_explicit(
@@ -729,6 +895,34 @@ mod tests {
             )
             .unwrap(),
         )
+    }
+
+    /// Runs the block-default qualitative checks on an in-core model by
+    /// hiding its `CsrMdp` overrides behind a forwarding source.
+    struct Defaults<'a>(&'a CsrMdp);
+
+    impl CsrSource for Defaults<'_> {
+        fn num_states(&self) -> usize {
+            CsrSource::num_states(self.0)
+        }
+        fn num_choices(&self) -> u64 {
+            CsrSource::num_choices(self.0)
+        }
+        fn num_transitions(&self) -> u64 {
+            CsrSource::num_transitions(self.0)
+        }
+        fn initial_states(&self) -> &[usize] {
+            CsrSource::initial_states(self.0)
+        }
+        fn num_blocks(&self) -> usize {
+            self.0.num_blocks()
+        }
+        fn block_states(&self, block: usize) -> Range<usize> {
+            self.0.block_states(block)
+        }
+        fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError> {
+            self.0.with_rows(block, f)
+        }
     }
 
     #[test]
@@ -751,22 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_engines_match_in_core_bitwise() {
-        let csr = escape();
-        let target = vec![false, false, true];
-        let opts = IterOptions::default();
-        let mut stats = SolveStats::default();
-        for objective in [Objective::MaxProb, Objective::MinProb] {
-            let in_core = csr.reach_prob(&target, objective, opts, Some(1)).unwrap();
-            let generic = reach_prob_src(&csr, &target, objective, opts, &mut stats).unwrap();
-            assert_eq!(in_core, generic, "{objective:?}");
-        }
-        let in_core = csr.max_expected_cost(&target, opts, Some(1)).unwrap();
-        let generic = max_expected_cost_src(&csr, &target, opts, &mut stats).unwrap();
-        assert_eq!(in_core, generic);
-    }
-
-    #[test]
     fn zero_cost_cycle_peeling_matches_dfs() {
         let cyclic = CsrMdp::from_explicit(
             &ExplicitMdp::new(
@@ -782,7 +960,18 @@ mod tests {
         for target in [[false, false, true], [true, false, false]] {
             assert_eq!(
                 cyclic.has_zero_cost_cycle(&target).unwrap(),
-                has_zero_cost_cycle_src(&cyclic, &target).unwrap(),
+                Defaults(&cyclic).has_zero_cost_cycle(&target).unwrap(),
+            );
+        }
+    }
+
+    #[test]
+    fn prob0_max_forward_fixpoint_matches_backward_bfs() {
+        let m = escape();
+        for target in [[false, false, true], [true, false, false], [false; 3]] {
+            assert_eq!(
+                m.prob0_max(&target).unwrap(),
+                Defaults(&m).prob0_max(&target).unwrap(),
             );
         }
     }

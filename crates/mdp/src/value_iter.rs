@@ -5,11 +5,11 @@
 //! These entry points keep the original nested-model signatures but run on
 //! the CSR engine ([`crate::CsrMdp`]): the model is flattened once, then
 //! analyzed with double-buffered Jacobi sweeps that parallelize
-//! deterministically (see the `csr` module docs). Callers holding a
-//! [`crate::CsrMdp`] can invoke the engine directly and amortize the
-//! flattening across analyses.
+//! deterministically (see the [`crate::source`] module docs). Callers
+//! holding a [`crate::CsrMdp`] amortize the flattening across analyses with
+//! [`crate::Query::csr`].
 
-use crate::{CsrMdp, ExplicitMdp, MdpError};
+use crate::{source, CsrMdp, CsrSource, ExplicitMdp, MdpError};
 
 /// Numerical options for value iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,21 +41,24 @@ pub fn prob0_max(mdp: &ExplicitMdp, target: &[bool]) -> Result<Vec<bool>, MdpErr
 /// X}` — terminal states count because an adversary may also stop
 /// scheduling (Definition 2.2 allows returning nothing).
 pub fn prob0_min(mdp: &ExplicitMdp, target: &[bool]) -> Result<Vec<bool>, MdpError> {
-    CsrMdp::from_explicit(mdp).prob0_min(target)
+    source::prob0_min(&CsrMdp::from_explicit(mdp), target)
 }
 
 /// States with reachability probability **exactly one** under the given
 /// objective (`MinProb`: every adversary reaches the target almost surely;
-/// `MaxProb`: some policy does). Nested-model wrapper over
-/// [`CsrMdp::prob1`]; see there for the fixpoint and why the expected-cost
-/// analyses need the qualitative answer rather than a thresholded
-/// numerical one.
+/// `MaxProb`: some policy does), decided on the transition graph alone by
+/// the nested fixpoint
+/// `νZ. μY. { s | s ∈ T ∨ Q a ∈ A(s): succ(a) ⊆ Z ∧ succ(a) ∩ Y ≠ ∅ }`
+/// (`Q = ∀` for `MinProb`, `∃` for `MaxProb`). The expected-cost analyses
+/// use this instead of thresholding a numerically iterated reachability
+/// value, which can stop with true-1 states measurably below 1 and so
+/// misclassify proper states as divergent.
 pub fn prob1(
     mdp: &ExplicitMdp,
     target: &[bool],
     objective: crate::Objective,
 ) -> Result<Vec<bool>, MdpError> {
-    CsrMdp::from_explicit(mdp).prob1(target, objective)
+    source::prob1(&CsrMdp::from_explicit(mdp), target, objective)
 }
 
 /// Computes unbounded reachability probabilities

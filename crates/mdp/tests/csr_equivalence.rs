@@ -6,13 +6,18 @@
 //! * the CSR fixpoints agree with the original Gauss–Seidel engine up to
 //!   iteration tolerance (the two methods converge to the same fixpoint
 //!   along different trajectories, so only tolerance equality is owed);
+//! * every objective answers bit for bit the same on any block structure
+//!   and worker count, through [`Query::source`] over a model cut into
+//!   blocks, as through [`Query::csr`] over the whole in-core model;
 //! * a parallel [`Explore`] run reproduces the serial one exactly —
 //!   same states in the same order, same choices, same limit errors.
 
 use pa_core::{Automaton, Step};
+use std::ops::Range;
+
 use pa_mdp::{
-    min_expected_cost, reference, Choice, CsrMdp, ExpectedCost, ExplicitMdp, Explore, IterOptions,
-    MdpError, Objective, Query, QueryObjective, Solver,
+    min_expected_cost, reference, Analysis, Choice, CsrMdp, CsrRows, CsrSource, ExpectedCost,
+    ExplicitMdp, Explore, IterOptions, MdpError, Objective, Query, QueryObjective, Solver,
 };
 use pa_prob::FiniteDist;
 use proptest::prelude::*;
@@ -70,33 +75,36 @@ fn max_expected_cost(
 /// Strategy: a random MDP with up to 8 states, up to 2 choices per state,
 /// cost-0/1 transitions, and fair two-point distributions.
 fn random_mdp() -> impl Strategy<Value = ExplicitMdp> {
-    (2usize..9, any::<u64>()).prop_map(|(n, seed)| {
-        let mut x = seed;
-        let mut next = || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) as usize
-        };
-        let choices: Vec<Vec<Choice>> = (0..n)
-            .map(|_| {
-                let k = next() % 3; // 0..=2 choices; 0 = terminal state
-                (0..k)
-                    .map(|_| {
-                        let cost = (next() % 2) as u32;
-                        let a = next() % n;
-                        let b = next() % n;
-                        if a == b {
-                            Choice::to(cost, a)
-                        } else {
-                            Choice::dist(cost, vec![(a, 0.5), (b, 0.5)])
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        ExplicitMdp::new(choices, vec![0]).expect("valid random model")
-    })
+    (2usize..9, any::<u64>()).prop_map(|(n, seed)| scrambled_mdp(n, seed))
+}
+
+/// The `random_mdp` model with `n` states drawn from `seed`.
+fn scrambled_mdp(n: usize, seed: u64) -> ExplicitMdp {
+    let mut x = seed;
+    let mut next = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as usize
+    };
+    let choices: Vec<Vec<Choice>> = (0..n)
+        .map(|_| {
+            let k = next() % 3; // 0..=2 choices; 0 = terminal state
+            (0..k)
+                .map(|_| {
+                    let cost = (next() % 2) as u32;
+                    let a = next() % n;
+                    let b = next() % n;
+                    if a == b {
+                        Choice::to(cost, a)
+                    } else {
+                        Choice::dist(cost, vec![(a, 0.5), (b, 0.5)])
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    ExplicitMdp::new(choices, vec![0]).expect("valid random model")
 }
 
 fn last_state_target(m: &ExplicitMdp) -> Vec<bool> {
@@ -134,6 +142,189 @@ fn assert_close(a: &[f64], b: &[f64], tol: f64) {
                 b[s]
             );
         }
+    }
+}
+
+/// A test-only backend: a [`CsrMdp`]'s rows cut into `k` contiguous
+/// blocks of near-equal state counts (empty ones included when `k`
+/// exceeds the state count), each with its own block-relative offset
+/// arrays — the shape `pa-store` pages in.
+struct Blocked {
+    num_states: usize,
+    num_choices: u64,
+    num_transitions: u64,
+    initial: Vec<usize>,
+    blocks: Vec<Block>,
+}
+
+struct Block {
+    first_state: usize,
+    choice_offsets: Vec<u32>,
+    trans_offsets: Vec<u32>,
+    costs: Vec<u32>,
+    targets: Vec<u32>,
+    probs: Vec<f64>,
+}
+
+impl Blocked {
+    fn split(csr: &CsrMdp, k: usize) -> Blocked {
+        let n = csr.num_states();
+        let blocks = (0..k)
+            .map(|b| {
+                let states = b * n / k..(b + 1) * n / k;
+                let mut block = Block {
+                    first_state: states.start,
+                    choice_offsets: vec![0],
+                    trans_offsets: vec![0],
+                    costs: Vec::new(),
+                    targets: Vec::new(),
+                    probs: Vec::new(),
+                };
+                for s in states {
+                    for c in csr.choice_range(s) {
+                        block.costs.push(csr.cost(c));
+                        for i in csr.trans_range(c) {
+                            let (t, p) = csr.transition(i);
+                            block.targets.push(t as u32);
+                            block.probs.push(p);
+                        }
+                        block.trans_offsets.push(block.targets.len() as u32);
+                    }
+                    block.choice_offsets.push(block.costs.len() as u32);
+                }
+                block
+            })
+            .collect();
+        Blocked {
+            num_states: n,
+            num_choices: csr.num_choices() as u64,
+            num_transitions: csr.num_transitions() as u64,
+            initial: csr.initial_states().to_vec(),
+            blocks,
+        }
+    }
+}
+
+impl CsrSource for Blocked {
+    fn num_states(&self) -> usize {
+        self.num_states
+    }
+
+    fn num_choices(&self) -> u64 {
+        self.num_choices
+    }
+
+    fn num_transitions(&self) -> u64 {
+        self.num_transitions
+    }
+
+    fn initial_states(&self) -> &[usize] {
+        &self.initial
+    }
+
+    fn num_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    fn block_states(&self, block: usize) -> Range<usize> {
+        let b = &self.blocks[block];
+        b.first_state..b.first_state + b.choice_offsets.len() - 1
+    }
+
+    fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError> {
+        let b = &self.blocks[block];
+        f(CsrRows {
+            first_state: b.first_state,
+            choice_offsets: &b.choice_offsets,
+            trans_offsets: &b.trans_offsets,
+            costs: &b.costs,
+            targets: &b.targets,
+            probs: &b.probs,
+        });
+        Ok(())
+    }
+}
+
+/// One Jacobi query; a horizon also extracts the policy.
+fn solve(
+    query: Query<'_>,
+    objective: QueryObjective,
+    target: &[bool],
+    horizon: Option<u32>,
+    options: IterOptions,
+    workers: usize,
+) -> Result<Analysis, MdpError> {
+    let query = query
+        .objective(objective)
+        .target(target)
+        .options(options)
+        .workers(workers)
+        .solver(Solver::Jacobi);
+    match horizon {
+        Some(budget) => query.horizon(budget).with_policy(),
+        None => query,
+    }
+    .run()
+}
+
+/// Every objective over `m` cut into 1, 2 and 5 blocks and swept by 1 and
+/// 3 workers answers bit for bit as the serial in-core query: values,
+/// bounded policies, and divergence errors.
+fn assert_blocks_match_in_core(m: &ExplicitMdp, budget: u32, options: IterOptions) {
+    let csr = CsrMdp::from_explicit(m);
+    let target = last_state_target(m);
+    let queries = [
+        (QueryObjective::MinProb, Some(budget)),
+        (QueryObjective::MaxProb, Some(budget)),
+        (QueryObjective::MinProb, None),
+        (QueryObjective::MaxProb, None),
+        (QueryObjective::MinCost, None),
+        (QueryObjective::MaxCost, None),
+    ];
+    for (objective, horizon) in queries {
+        let in_core = solve(Query::csr(&csr), objective, &target, horizon, options, 1);
+        for k in [1, 2, 5] {
+            let blocked = Blocked::split(&csr, k);
+            for workers in [1, 3] {
+                let got = solve(
+                    Query::source(&blocked),
+                    objective,
+                    &target,
+                    horizon,
+                    options,
+                    workers,
+                );
+                let tag =
+                    format!("{objective:?} horizon {horizon:?}, {k} blocks, {workers} workers");
+                match (&in_core, got) {
+                    (Ok(a), Ok(b)) => {
+                        assert_bitwise(&a.values, &b.values);
+                        assert_eq!(
+                            a.policy.as_ref().map(|p| &p.decision),
+                            b.policy.as_ref().map(|p| &p.decision),
+                            "{tag}: policy"
+                        );
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a, &b, "{tag}: error"),
+                    (a, b) => panic!("{tag}: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn large_blocks_split_across_workers_match_in_core_bitwise() {
+    // Blocks of at least 4096 states (the parallel cutoff) split across
+    // workers: one block, and two blocks of over 4096 states each. The
+    // sweep cap keeps the debug-build run short; equality is owed at any
+    // cap.
+    let options = IterOptions {
+        epsilon: 1e-12,
+        max_sweeps: 300,
+    };
+    for seed in [1u64, 2, 3] {
+        assert_blocks_match_in_core(&scrambled_mdp(8300, seed), 3, options);
     }
 }
 
@@ -185,23 +376,36 @@ proptest! {
     fn worker_count_is_invisible_in_results(m in random_mdp(), budget in 0u32..6) {
         let target = last_state_target(&m);
         let csr = CsrMdp::from_explicit(&m);
-        let opts = IterOptions::default();
-        for objective in [Objective::MinProb, Objective::MaxProb] {
-            let serial = csr.reach_prob(&target, objective, opts, Some(1)).unwrap();
-            let parallel = csr.reach_prob(&target, objective, opts, Some(3)).unwrap();
-            assert_bitwise(&serial, &parallel);
-
-            let serial = csr
-                .cost_bounded_reach_levels(&target, budget, objective, Some(1), |_, _| {})
-                .unwrap();
-            let parallel = csr
-                .cost_bounded_reach_levels(&target, budget, objective, Some(4), |_, _| {})
-                .unwrap();
-            assert_bitwise(&serial, &parallel);
+        let jacobi = |objective: QueryObjective, horizon: Option<u32>, workers: usize| {
+            let q = Query::csr(&csr)
+                .objective(objective)
+                .target(&target)
+                .workers(workers)
+                .solver(Solver::Jacobi);
+            match horizon {
+                Some(budget) => q.horizon(budget),
+                None => q,
+            }
+            .run()
+            .unwrap()
+            .values
+        };
+        for objective in [QueryObjective::MinProb, QueryObjective::MaxProb] {
+            assert_bitwise(&jacobi(objective, None, 1), &jacobi(objective, None, 3));
+            assert_bitwise(
+                &jacobi(objective, Some(budget), 1),
+                &jacobi(objective, Some(budget), 4),
+            );
         }
-        let serial = csr.max_expected_cost(&target, opts, Some(1)).unwrap();
-        let parallel = csr.max_expected_cost(&target, opts, Some(3)).unwrap();
-        assert_bitwise(&serial, &parallel);
+        assert_bitwise(
+            &jacobi(QueryObjective::MaxCost, None, 1),
+            &jacobi(QueryObjective::MaxCost, None, 3),
+        );
+    }
+
+    #[test]
+    fn block_structure_and_workers_are_invisible_in_results(m in random_mdp(), budget in 0u32..8) {
+        assert_blocks_match_in_core(&m, budget, IterOptions::default());
     }
 
     #[test]

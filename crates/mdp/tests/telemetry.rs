@@ -9,12 +9,24 @@
 
 use std::sync::Mutex;
 
-use pa_mdp::{Choice, CsrMdp, ExplicitMdp, IterOptions, Objective};
+use pa_mdp::{Choice, CsrMdp, ExplicitMdp, IterOptions, Objective, Query, Solver};
 
 /// Telemetry state is process-global; run the tests of this file one at a
 /// time (the file itself is its own process, so no other test binary can
 /// interfere).
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
+
+/// Unbounded `MaxProb` Jacobi value iteration on the in-core engine.
+fn reach_prob(csr: &CsrMdp, target: &[bool], opts: IterOptions) -> Vec<f64> {
+    Query::csr(csr)
+        .objective(Objective::MaxProb)
+        .target(target)
+        .options(opts)
+        .solver(Solver::Jacobi)
+        .run()
+        .unwrap()
+        .values
+}
 
 fn geometric_chain() -> ExplicitMdp {
     let coin = Choice {
@@ -36,9 +48,7 @@ fn vi_reports_exact_sweep_count_and_monotone_residuals() {
         epsilon: 0.0,
         max_sweeps: 10,
     };
-    let values = csr
-        .reach_prob(&target, Objective::MaxProb, opts, None)
-        .unwrap();
+    let values = reach_prob(&csr, &target, opts);
     // After 10 sweeps from below: 1 - 2^-10.
     assert_eq!(values[0], 1.0 - 0.5f64.powi(10));
 
@@ -81,8 +91,7 @@ fn convergence_stops_the_sweep_counter_early() {
         epsilon: 0.3,
         max_sweeps: 100,
     };
-    csr.reach_prob(&target, Objective::MaxProb, opts, None)
-        .unwrap();
+    reach_prob(&csr, &target, opts);
 
     let snap = pa_telemetry::snapshot();
     pa_telemetry::set_enabled(false);
@@ -104,18 +113,19 @@ fn disabled_registry_records_nothing() {
         epsilon: 0.0,
         max_sweeps: 10,
     };
-    csr.reach_prob(&target, Objective::MaxProb, opts, None)
-        .unwrap();
+    reach_prob(&csr, &target, opts);
 
     pa_telemetry::set_enabled(true);
     let snap = pa_telemetry::snapshot();
     pa_telemetry::set_enabled(false);
-    assert_eq!(snap.counter("mdp.vi.runs"), Some(0));
-    assert_eq!(snap.counter("mdp.vi.sweeps"), Some(0));
+    // A metric no earlier test registered is absent from the snapshot;
+    // absent reads as zero, so the result is independent of test order.
+    assert_eq!(snap.counter("mdp.vi.runs").unwrap_or(0), 0);
+    assert_eq!(snap.counter("mdp.vi.sweeps").unwrap_or(0), 0);
     assert_eq!(
-        snap.series("mdp.vi.residual").map(|s| s.values.len()),
-        Some(0),
+        snap.series("mdp.vi.residual").map_or(0, |s| s.values.len()),
+        0,
         "no residuals while disabled"
     );
-    assert_eq!(snap.timer("mdp.vi.sweep_seconds").unwrap().count, 0);
+    assert_eq!(snap.timer("mdp.vi.sweep_seconds").map_or(0, |t| t.count), 0);
 }

@@ -97,8 +97,10 @@ struct Inner {
     peak_resident: u64,
 }
 
-/// An LRU cache of mapped blocks with a byte budget; see the
-/// [module docs](self) for the pin/evict contract.
+/// An LRU cache of mapped blocks with a byte budget. A block stays
+/// resident while any caller holds its `Arc` (a pin); past the budget the
+/// least-recently-used unpinned block is dropped, except the block the
+/// current fault brought in, so any budget down to one byte terminates.
 pub struct BlockCache {
     budget: u64,
     inner: Mutex<Inner>,

@@ -42,7 +42,10 @@ pub enum StoreError {
         got: u64,
     },
     /// A block's declared geometry (state/choice/transition counts and
-    /// payload length) is internally inconsistent.
+    /// payload length) is internally inconsistent, or a paged-in CSR
+    /// block's rows break the invariants the solvers index by (offsets
+    /// that decrease, a target out of range, a choice that is not a
+    /// distribution).
     BadBlock {
         /// The offending block.
         block: usize,

@@ -26,12 +26,16 @@
 //! FNV-1a-64 digested at write time; the digest is re-verified on every
 //! page-in, so a corrupt block surfaces as a named
 //! [`StoreError::DigestMismatch`] — never as silently wrong probabilities.
+//! A CSR block whose digest matches is then checked for the row invariants
+//! the solvers index by (monotone offsets, in-range targets, choices that
+//! are distributions), so a crafted or buggy block surfaces as a named
+//! [`StoreError::BadBlock`] — never as a panic inside a solver.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use pa_mdp::{Choice, MdpError, RowSink};
+use pa_mdp::{Choice, CsrRows, MdpError, RowSink};
 
 use crate::error::StoreError;
 use crate::mmap::Mapping;
@@ -585,7 +589,9 @@ impl StoreFile {
     }
 
     /// Pages block `idx` in (mmap where possible, buffered read
-    /// otherwise) and verifies its payload digest.
+    /// otherwise), verifies its payload digest and, for a CSR block, the
+    /// row invariants the solver kernels index by (see
+    /// [`StoreError::BadBlock`]).
     pub fn load_block(&self, idx: usize) -> Result<MappedBlock, StoreError> {
         let meta = self.blocks[idx];
         let mapping = Mapping::map(&self.file, meta.offset, meta.payload_len as usize)?;
@@ -603,19 +609,8 @@ impl StoreFile {
             key_words: self.key_words,
         };
         if meta.kind == BlockKind::Csr {
-            let rows = block.rows();
-            let co_last = rows.choice_offsets[meta.states as usize];
-            let to_last = rows.trans_offsets[meta.choices as usize];
-            if u64::from(co_last) != meta.choices || u64::from(to_last) != meta.trans {
-                return Err(StoreError::BadBlock {
-                    block: idx,
-                    reason: format!(
-                        "offset arrays end at ({co_last}, {to_last}), geometry says \
-                         ({}, {})",
-                        meta.choices, meta.trans
-                    ),
-                });
-            }
+            check_rows(&block.rows(), &meta, self.num_states)
+                .map_err(|reason| StoreError::BadBlock { block: idx, reason })?;
         }
         Ok(block)
     }
@@ -633,6 +628,53 @@ impl StoreFile {
         }
         Ok(words)
     }
+}
+
+/// Checks the CSR invariants of a paged-in block whose digest matched: both
+/// offset arrays start at 0, never decrease, and end at the declared
+/// geometry; every target is a state of the model; every choice is a
+/// distribution, with probabilities in [0, 1] summing to 1 within the
+/// `1e-6` that `ExplicitMdp::new` allows. A digest only proves the bytes
+/// are the ones written, so these checks are what keep a crafted or buggy
+/// block from panicking inside a solver kernel.
+fn check_rows(rows: &CsrRows<'_>, meta: &BlockMeta, num_states: usize) -> Result<(), String> {
+    let (co, to) = (rows.choice_offsets, rows.trans_offsets);
+    let (co_last, to_last) = (co[co.len() - 1], to[to.len() - 1]);
+    if co[0] != 0
+        || to[0] != 0
+        || u64::from(co_last) != meta.choices
+        || u64::from(to_last) != meta.trans
+    {
+        return Err(format!(
+            "offset arrays span ({}, {})..({co_last}, {to_last}), geometry says (0, 0)..({}, {})",
+            co[0], to[0], meta.choices, meta.trans
+        ));
+    }
+    if let Some(i) = co.windows(2).position(|w| w[0] > w[1]) {
+        return Err(format!(
+            "choice offsets decrease at state {}",
+            meta.first_state + i as u64
+        ));
+    }
+    if let Some(c) = to.windows(2).position(|w| w[0] > w[1]) {
+        return Err(format!("transition offsets decrease at choice {c}"));
+    }
+    if let Some(t) = rows.targets.iter().find(|&&t| t as usize >= num_states) {
+        return Err(format!("target {t} out of range ({num_states} states)"));
+    }
+    for c in 0..co_last as usize {
+        let mut sum = 0.0f64;
+        for &p in &rows.probs[rows.trans_range(c)] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("choice {c} has probability {p}"));
+            }
+            sum += p;
+        }
+        if (sum - 1.0).abs() > 1e-6 {
+            return Err(format!("choice {c} probabilities sum to {sum}"));
+        }
+    }
+    Ok(())
 }
 
 /// One resident block: the mapping plus its parsed geometry. CSR blocks
@@ -665,7 +707,7 @@ impl MappedBlock {
     }
 
     /// The block's rows. Panics if called on a keys block.
-    pub fn rows(&self) -> pa_mdp::CsrRows<'_> {
+    pub fn rows(&self) -> CsrRows<'_> {
         assert_eq!(self.meta.kind, BlockKind::Csr);
         let states = self.meta.states as usize;
         let choices = self.meta.choices as usize;
@@ -685,7 +727,7 @@ impl MappedBlock {
         let costs = self.u32s(off, choices);
         off += choices * 4;
         let targets = self.u32s(off, trans);
-        pa_mdp::CsrRows {
+        CsrRows {
             first_state: self.meta.first_state as usize,
             choice_offsets,
             trans_offsets,

@@ -1,12 +1,13 @@
 //! Property tests for the `pa-store/csr/v1` format: serialize → (mmap)
 //! → deserialize is the identity on arbitrary blocks, and damaged files —
-//! truncation anywhere, a flipped payload bit — surface as *named* errors,
-//! never as UB or silently zeroed rows.
+//! truncation anywhere, a flipped payload bit, malformed rows behind a
+//! matching digest — surface as *named* errors, never as UB, panics or
+//! silently zeroed rows.
 
 use proptest::prelude::*;
 
-use pa_mdp::{Choice, CsrSource};
-use pa_store::{StoreError, StoreWriter, StoredCsr};
+use pa_mdp::{Choice, CsrSource, Query, QueryObjective};
+use pa_store::{fnv1a_64, StoreError, StoreWriter, StoredCsr};
 
 /// An arbitrary small model as nested rows: per state, a list of choices,
 /// each a cost in {0,1} and a normalized support over the state ids.
@@ -151,6 +152,100 @@ proptest! {
         // here: key_words = 0) or exactly cancelled nothing — every block is
         // CSR, so one with_rows must have failed.
         prop_assert!(hit_bad_block, "bit flip in block payload went unnoticed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Damages block `meta` of the store file image `bytes` so that its rows
+/// break one CSR invariant, then rewrites the footer digest to match the
+/// damaged payload. `pick` selects the damage and where it lands.
+fn craft_block(bytes: &mut [u8], meta: &pa_store::BlockMeta, num_states: usize, pick: u64) {
+    let (states, choices, trans) = (
+        meta.states as usize,
+        meta.choices as usize,
+        meta.trans as usize,
+    );
+    let probs = meta.offset as usize;
+    let choice_offsets = probs + trans * 8;
+    let trans_offsets = choice_offsets + (states + 1) * 4;
+    let targets = trans_offsets + (choices + 1) * 4 + choices * 4;
+    let at = (pick / 4) as usize;
+    let (pos, value) = match pick % 4 {
+        // A successor past the last state.
+        0 if trans > 0 => (
+            targets + 4 * (at % trans),
+            (num_states as u32 + (pick % 7) as u32)
+                .to_le_bytes()
+                .to_vec(),
+        ),
+        // A probability outside [0, 1], or one that breaks the sum.
+        1 if trans > 0 => {
+            let i = probs + 8 * (at % trans);
+            let p = f64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
+            let bad = [f64::NAN, 2.0, -0.25, p / 2.0][at % 4];
+            (i, bad.to_le_bytes().to_vec())
+        }
+        // A transition offset that runs backwards or past the end.
+        2 if choices > 0 => (
+            trans_offsets + 4 * (at % (choices + 1)),
+            u32::MAX.to_le_bytes().to_vec(),
+        ),
+        // A choice offset that starts late, runs backwards or past the end.
+        _ => (
+            choice_offsets + 4 * (at % (states + 1)),
+            u32::MAX.to_le_bytes().to_vec(),
+        ),
+    };
+    bytes[pos..pos + value.len()].copy_from_slice(&value);
+    let payload = &bytes[probs..probs + meta.payload_len as usize];
+    let digest = fnv1a_64(payload).to_le_bytes();
+    // The footer sits behind every payload, so the last occurrence of the
+    // old digest is its footer entry.
+    let old = meta.digest.to_le_bytes();
+    let entry = bytes
+        .windows(8)
+        .rposition(|w| w == old)
+        .expect("footer records the block digest");
+    bytes[entry..entry + 8].copy_from_slice(&digest);
+}
+
+proptest! {
+    /// Malformed rows behind a digest that matches are caught at page-in as
+    /// a named BadBlock, and every query over the file returns an error
+    /// instead of panicking inside a solver kernel.
+    #[test]
+    fn crafted_block_with_valid_digest_is_a_named_error(rows in arb_rows(12), pick in any::<u64>()) {
+        let dir = tmpdir("crafted");
+        let file = write_store(&dir, &rows, 256);
+        let path = file.path().to_path_buf();
+        let metas: Vec<_> = file.blocks().to_vec();
+        drop(file);
+        let victim = (pick % metas.len() as u64) as usize;
+        let mut bytes = std::fs::read(&path).unwrap();
+        craft_block(&mut bytes, &metas[victim], rows.len(), pick / 8);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let stored = StoredCsr::open(&path, u64::MAX).unwrap();
+        match stored.file().load_block(victim) {
+            Err(StoreError::BadBlock { block, .. }) => prop_assert_eq!(block, victim),
+            Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
+            Ok(_) => prop_assert!(false, "crafted block paged in"),
+        }
+        let target: Vec<bool> = (0..rows.len()).map(|s| s + 1 == rows.len()).collect();
+        for (objective, horizon) in [
+            (QueryObjective::MinProb, Some(2)),
+            (QueryObjective::MaxProb, None),
+            (QueryObjective::MinCost, None),
+            (QueryObjective::MaxCost, None),
+        ] {
+            let query = Query::source(&stored).objective(objective).target(target.clone());
+            let result = match horizon {
+                Some(budget) => query.horizon(budget),
+                None => query,
+            }
+            .run();
+            prop_assert!(result.is_err(), "{objective:?} answered over a crafted block");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
