@@ -43,8 +43,10 @@
 //! A cache built with [`ModelCache::with_budget`] enforces a byte budget
 //! over the resident model slots (full-space and quotient; the small
 //! reachable-config vectors are not budgeted). Each successful build is
-//! accounted at [`SharedModel::mem_bytes`] — the flattened CSR arrays
-//! plus the nested explicit model. When the resident total exceeds the
+//! accounted at [`SharedModel::mem_bytes`] — the CSR model plus the state
+//! store, which is all a slot keeps resident since exploration writes CSR
+//! rows directly (no nested model exists to count). When the resident
+//! total exceeds the
 //! budget, least-recently-used slots are dropped (never the slot that was
 //! just touched, and never an error slot) until the total fits or nothing
 //! evictable remains.
@@ -110,7 +112,7 @@ use pa_faults::{
     faulty_round_cost, FaultKind, FaultPlan, FaultyRoundMdp, FaultyRoundState, FaultyStateCodec,
 };
 use pa_lehmann_rabin::{reachable_configs, reachable_configs_quotient, Config, RoundConfig};
-use pa_mdp::{BoxedSpace, CsrMdp, Explore, Explored, PackedSpace, RingRotation, StateSpace};
+use pa_mdp::{BoxedSpace, Explore, Explored, PackedSpace, RingRotation, StateSpace};
 use pa_store::{SpillTo, StoredModel};
 use pa_telemetry::TelemetryScope;
 
@@ -123,7 +125,7 @@ use crate::report::CacheStats;
 /// The state store is pluggable: the default boxed representation for
 /// full-space models, [`PackedSpace`] for the quotient models of
 /// [`ModelCache::model_quotient`]. Queries are representation-agnostic —
-/// they run on [`SharedModel::csr`] and only touch the store through
+/// they run on the CSR model `explored.mdp` and only touch the store through
 /// [`pa_mdp::StateSpace`].
 pub struct SharedModel<SP = BoxedSpace<FaultyRoundState>> {
     /// Ring size.
@@ -132,10 +134,9 @@ pub struct SharedModel<SP = BoxedSpace<FaultyRoundState>> {
     /// non-drop events), the same mask `check_arrow_under` filters
     /// from-sets with.
     pub mask0: u32,
-    /// The explored model: states, index, and the explicit MDP.
+    /// The explored model: states, index, and the CSR model queries run
+    /// on (`explored.mdp`).
     pub explored: Explored<FaultyRoundState, SP>,
-    /// The CSR flattening, built once so queries skip re-flattening.
-    pub csr: CsrMdp,
 }
 
 /// The quotient [`SharedModel`]: orbit representatives under ring
@@ -198,11 +199,10 @@ impl<SP: StateSpace<FaultyRoundState>> SharedModel<SP> {
     }
 
     /// Heap bytes this model is accounted at when a cache enforces a byte
-    /// budget: the flattened CSR arrays plus the nested explicit model
-    /// (the state store is excluded — it is representation-dependent and
-    /// dominated by the other two on every model this workspace builds).
+    /// budget: the CSR arrays plus the state store (its estimate from
+    /// [`StateSpace::mem_bytes`]) — everything the slot keeps resident.
     pub fn mem_bytes(&self) -> u64 {
-        self.csr.mem_bytes() + self.explored.mdp.mem_bytes()
+        self.explored.mdp.mem_bytes() + self.explored.mem_bytes()
     }
 }
 
@@ -555,13 +555,7 @@ impl ModelCache {
                     .parallel()
                     .run()
                     .map_err(|e| e.to_string())?;
-                let csr = CsrMdp::from_explicit(&explored.mdp);
-                Ok(SharedModel {
-                    n,
-                    mask0,
-                    explored,
-                    csr,
-                })
+                Ok(SharedModel { n, mask0, explored })
             },
         );
         self.enforce_budget(stamp);
@@ -607,12 +601,10 @@ impl ModelCache {
                     .symmetry(RingRotation::new(n))
                     .run_in(PackedSpace::new(codec))
                     .map_err(|e| e.to_string())?;
-                let csr = CsrMdp::from_explicit(&explored.mdp);
                 Ok(SharedModel {
                     n,
                     mask0: 0,
                     explored,
-                    csr,
                 })
             },
         );
@@ -946,7 +938,7 @@ mod tests {
         let target = model
             .explored
             .target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
-        let values = pa_mdp::Query::csr(&model.csr)
+        let values = pa_mdp::Query::csr(&model.explored.mdp)
             .objective(pa_mdp::QueryObjective::MinProb)
             .target(target)
             .horizon(pa_lehmann_rabin::time_to_budget(arrow.time()))

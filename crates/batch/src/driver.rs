@@ -246,7 +246,7 @@ fn execute(ctx: &JobCtx<'_>) -> Result<JobValue, String> {
             let target = model
                 .explored
                 .target_where(|s| to_pred(&s.inner.config, s.crashed_mask(n)));
-            let values = Query::csr(&model.csr)
+            let values = Query::csr(&model.explored.mdp)
                 .objective(QueryObjective::MaxCost)
                 .target(target)
                 .solver(ctx.spec.solver)
@@ -380,7 +380,7 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
         .explored
         .target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
     let budget = time_to_budget(arrow.time());
-    let values = Query::csr(&model.csr)
+    let values = Query::csr(&model.explored.mdp)
         .objective(QueryObjective::MinProb)
         .target(target)
         .horizon(budget)

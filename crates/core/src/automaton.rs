@@ -59,9 +59,77 @@ pub trait Automaton {
     /// terminal (it enables no step).
     fn steps(&self, state: &Self::State) -> Vec<Step<Self::State, Self::Action>>;
 
+    /// Visits the steps enabled in `state` without materializing them:
+    /// `f` receives each step's action and its `(target, probability)`
+    /// outcomes, in [`Automaton::steps`] order and with the exact
+    /// probabilities `steps()` reports (distinct targets, positive
+    /// weights, duplicates already merged).
+    ///
+    /// The default forwards `steps()`. Automata on a hot exploration path
+    /// override it with an allocation-free enumeration and implement
+    /// `steps()` as a collector over it, so the step relation exists once.
+    fn for_each_step<F>(&self, state: &Self::State, mut f: F)
+    where
+        F: FnMut(&Self::Action, &[(Self::State, f64)]),
+        Self: Sized,
+    {
+        let mut outcomes = Vec::new();
+        for step in self.steps(state) {
+            outcomes.clear();
+            outcomes.extend(step.target.iter().map(|(t, p)| (t.clone(), p.value())));
+            f(&step.action, &outcomes);
+        }
+    }
+
     /// Whether `action` is external (visible). Defaults to `false`.
     fn is_external(&self, _action: &Self::Action) -> bool {
         false
+    }
+}
+
+/// Collects the steps a [`Automaton::for_each_step`] visitor enumerates —
+/// the `steps()` of an automaton whose step relation is written as a
+/// visitor.
+pub fn collect_steps<S, A: Clone>(
+    visit: impl FnOnce(&mut dyn FnMut(&A, &[(S, f64)])),
+) -> Vec<Step<S, A>>
+where
+    S: Clone + PartialEq,
+{
+    let mut out = Vec::new();
+    visit(&mut |action: &A, outcomes: &[(S, f64)]| {
+        out.push(Step {
+            action: action.clone(),
+            target: FiniteDist::new(outcomes.iter().cloned())
+                .expect("visitor outcomes form a distribution"),
+        });
+    });
+    out
+}
+
+/// Calls `f` with `outcomes` mapped through `g`, holding the mapped
+/// outcomes on the stack for the one- and two-point distributions wrapper
+/// automata see on their hot path. `g` must be injective on the outcomes
+/// (as a state-wrapping map is), so no merging is needed.
+pub fn map_outcomes<S, T: PartialEq>(
+    outcomes: &[(S, f64)],
+    g: impl Fn(&S) -> T,
+    f: impl FnOnce(&[(T, f64)]),
+) {
+    match outcomes {
+        [(a, p)] => f(&[(g(a), *p)]),
+        [(a, p), (b, q)] => {
+            let mapped = [(g(a), *p), (g(b), *q)];
+            debug_assert!(
+                mapped[0].0 != mapped[1].0,
+                "map_outcomes needs an injective map"
+            );
+            f(&mapped)
+        }
+        _ => {
+            let mapped: Vec<(T, f64)> = outcomes.iter().map(|(s, p)| (g(s), *p)).collect();
+            f(&mapped)
+        }
     }
 }
 
@@ -246,6 +314,71 @@ mod tests {
     fn builder_requires_start_state() {
         let r = TableAutomaton::<&str, &str>::builder().build();
         assert!(matches!(r, Err(CoreError::Structure(_))));
+    }
+
+    #[test]
+    fn default_step_visitor_replays_steps_exactly() {
+        // Duplicate outcomes ("b" twice) merge at construction; 1/3 and
+        // 2/3 are not dyadic, so a recomputed weight would show in the
+        // bits.
+        let m = TableAutomaton::builder()
+            .start("a")
+            .step("a", "dup", [("b", 0.25), ("c", 0.5), ("b", 0.25)])
+            .unwrap()
+            .step("a", "third", [("c", 1.0 / 3.0), ("b", 2.0 / 3.0)])
+            .unwrap()
+            .det_step("a", "stay", "a")
+            .build()
+            .unwrap();
+        let mut visited: Vec<(&str, Vec<(&str, u64)>)> = Vec::new();
+        m.for_each_step(&"a", |action, outcomes| {
+            visited.push((
+                action,
+                outcomes.iter().map(|&(t, p)| (t, p.to_bits())).collect(),
+            ));
+        });
+        let expected: Vec<(&str, Vec<(&str, u64)>)> = m
+            .steps(&"a")
+            .iter()
+            .map(|step| {
+                (
+                    step.action,
+                    step.target
+                        .iter()
+                        .map(|(t, p)| (*t, p.value().to_bits()))
+                        .collect(),
+                )
+            })
+            .collect();
+        assert_eq!(visited, expected);
+        assert_eq!(
+            visited[0].1,
+            [("b", 0.5f64.to_bits()), ("c", 0.5f64.to_bits())]
+        );
+        // The collector rebuilds the same steps from the visitor.
+        let collected = collect_steps(|f| m.for_each_step(&"a", f));
+        assert_eq!(collected, m.steps(&"a"));
+        let mut none = 0;
+        m.for_each_step(&"b", |_, _| none += 1);
+        assert_eq!(none, 0);
+    }
+
+    #[test]
+    fn map_outcomes_keeps_order_and_bits() {
+        let third = 1.0 / 3.0;
+        for outcomes in [
+            vec![(1u8, 1.0)],
+            vec![(1, third), (2, 1.0 - third)],
+            vec![(1, 0.25), (2, 0.25), (3, 0.5)],
+        ] {
+            let mut seen = Vec::new();
+            map_outcomes(&outcomes, |s| u16::from(*s) * 10, |m| seen = m.to_vec());
+            let want: Vec<(u16, f64)> = outcomes
+                .iter()
+                .map(|&(s, p)| (u16::from(s) * 10, p))
+                .collect();
+            assert_eq!(seen, want);
+        }
     }
 
     #[test]

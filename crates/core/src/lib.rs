@@ -61,7 +61,9 @@ pub use adversary::{
     validated_choice, Adversary, FaultFilter, FirstEnabled, FnAdversary, Halt, IndexAdversary,
 };
 pub use arrow::{Arrow, SetExpr};
-pub use automaton::{Automaton, Step, TableAutomaton, TableAutomatonBuilder};
+pub use automaton::{
+    collect_steps, map_outcomes, Automaton, Step, TableAutomaton, TableAutomatonBuilder,
+};
 pub use checker::ArrowCheck;
 pub use derivation::Derivation;
 pub use error::CoreError;

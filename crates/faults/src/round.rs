@@ -21,7 +21,7 @@
 //!   not) starve it for that round.
 //!
 //! Wrapping with [`FaultPlan::none`] is a strict identity: the step
-//! enumeration, exploration order, and resulting [`pa_mdp::ExplicitMdp`]
+//! enumeration, exploration order, and resulting [`pa_mdp::CsrMdp`]
 //! are bitwise identical to the unwrapped model's (the zero-fault column
 //! of every survival map is *equal*, not just close, to the fault-free
 //! arrow results).
@@ -35,7 +35,7 @@
 
 use std::sync::Arc;
 
-use pa_core::{Automaton, Step};
+use pa_core::{collect_steps, map_outcomes, Automaton, Step};
 use pa_lehmann_rabin::{Config, RoundAction, RoundConfig, RoundMdp, RoundState};
 use pa_mdp::{least_key, rotate_lanes, tag_choices, ChoiceTags, Explored, TAG_NONE};
 
@@ -351,32 +351,41 @@ impl Automaton for FaultyRoundMdp {
     }
 
     fn steps(&self, state: &FaultyRoundState) -> Vec<Step<FaultyRoundState, RoundAction>> {
+        collect_steps(|f| self.for_each_step(state, f))
+    }
+
+    /// The fault-free round scheduler's choices restricted to live
+    /// processes, then an `EndRound` that ticks restart countdowns and
+    /// applies the next round's fault events.
+    fn for_each_step<F>(&self, state: &FaultyRoundState, mut f: F)
+    where
+        F: FnMut(&RoundAction, &[(FaultyRoundState, f64)]),
+    {
         if let Some(pred) = &self.absorb {
             if pred(state) {
-                return Vec::new();
+                return;
             }
         }
         let n = self.base.config().n;
-        let mut out = Vec::new();
         for i in 0..n {
             if !state.is_live(i) || state.inner.budget_of(i) == 0 {
                 continue;
             }
-            for step in self
-                .base
-                .protocol()
-                .steps_of_process(&state.inner.config, i)
-            {
-                let target = step.target.map(|cfg| FaultyRoundState {
-                    inner: Self::step_taken(&state.inner, i, *cfg),
-                    status: state.status,
-                    round: state.round,
-                });
-                out.push(Step {
-                    action: RoundAction::Schedule(step.action),
-                    target,
-                });
-            }
+            self.base.protocol().for_each_step_of_process(
+                &state.inner.config,
+                i,
+                |action, outcomes| {
+                    map_outcomes(
+                        outcomes,
+                        |cfg| FaultyRoundState {
+                            inner: Self::step_taken(&state.inner, i, *cfg),
+                            status: state.status,
+                            round: state.round,
+                        },
+                        |targets| f(&RoundAction::Schedule(action), targets),
+                    );
+                },
+            );
         }
         if state.inner.obliged == 0 {
             let mut status = state.status;
@@ -395,16 +404,13 @@ impl Automaton for FaultyRoundMdp {
             }
             let next_round = (state.round + 1).min(self.cap);
             let dropped = self.apply_events(&mut status, next_round, &state.inner.config);
-            out.push(Step::deterministic(
-                RoundAction::EndRound,
-                FaultyRoundState {
-                    inner: self.fresh_inner(state.inner.config, status, dropped),
-                    status,
-                    round: next_round,
-                },
-            ));
+            let next = FaultyRoundState {
+                inner: self.fresh_inner(state.inner.config, status, dropped),
+                status,
+                round: next_round,
+            };
+            f(&RoundAction::EndRound, &[(next, 1.0)]);
         }
-        out
     }
 
     fn is_external(&self, action: &RoundAction) -> bool {

@@ -51,11 +51,7 @@ fn same_seed_twice_is_bitwise_identical() {
         .run()
         .unwrap();
     assert_eq!(ea.states(), eb.states());
-    assert_eq!(ea.mdp.initial_states(), eb.mdp.initial_states());
-    assert_eq!(ea.mdp.num_states(), eb.mdp.num_states());
-    for s in 0..ea.mdp.num_states() {
-        assert_eq!(ea.mdp.choices(s), eb.mdp.choices(s), "state {s}");
-    }
+    assert_eq!(ea.mdp, eb.mdp);
 }
 
 /// The full survival map is deterministic: two independent runs render to
@@ -85,10 +81,8 @@ fn zero_fault_wrapping_explores_the_identical_mdp() {
         .limit(LIMIT)
         .run()
         .unwrap();
-    assert_eq!(ep.mdp.num_states(), ew.mdp.num_states());
-    assert_eq!(ep.mdp.initial_states(), ew.mdp.initial_states());
+    assert_eq!(ep.mdp, ew.mdp);
     for s in 0..ep.mdp.num_states() {
-        assert_eq!(ep.mdp.choices(s), ew.mdp.choices(s), "state {s}");
         assert_eq!(ep.states()[s], ew.states()[s].inner, "state {s}");
     }
 }

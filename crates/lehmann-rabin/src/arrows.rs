@@ -4,8 +4,8 @@
 
 use pa_core::{Arrow, ArrowCheck, Derivation, SetExpr};
 use pa_mdp::{
-    ExpectedCost, Explore, Explored, Objective, PackedSpace, QueryObjective, RingRotation,
-    StateSpace,
+    BoxedSpace, CsrRow, ExpectedCost, Explore, Explored, MdpError, Objective, PackedSpace,
+    QueryObjective, RingRotation, RowSink, StateSpace,
 };
 use pa_prob::{Prob, ProbInterval};
 
@@ -159,8 +159,21 @@ pub fn set_pred(set: &SetExpr) -> Result<impl Fn(&Config) -> bool + Send + Sync,
 /// Propagates ring-size validation and state-limit errors.
 pub fn reachable_configs(n: usize, limit: usize) -> Result<Vec<Config>, LrError> {
     let protocol = crate::LrProtocol::new(n, crate::UserModel::full())?;
-    let explored = Explore::new(&protocol).limit(limit).parallel().run()?;
-    Ok(explored.into_states())
+    let (space, _) = Explore::new(&protocol)
+        .limit(limit)
+        .parallel()
+        .run_streamed(BoxedSpace::default(), &mut DiscardRows)?;
+    Ok(space.into_states())
+}
+
+/// A row sink that keeps nothing: the reachable-configuration
+/// enumerations need the explored states, never the model.
+struct DiscardRows;
+
+impl RowSink for DiscardRows {
+    fn state_row(&mut self, _id: usize, _row: CsrRow<'_>) -> Result<(), MdpError> {
+        Ok(())
+    }
 }
 
 /// The rotation-quotient of [`reachable_configs`]: one representative (the
@@ -175,12 +188,12 @@ pub fn reachable_configs(n: usize, limit: usize) -> Result<Vec<Config>, LrError>
 /// Propagates ring-size validation and state-limit errors.
 pub fn reachable_configs_quotient(n: usize, limit: usize) -> Result<Vec<Config>, LrError> {
     let protocol = crate::LrProtocol::new(n, crate::UserModel::full())?;
-    let explored = Explore::new(&protocol)
+    let (space, _) = Explore::new(&protocol)
         .limit(limit)
         .parallel()
         .symmetry(RingRotation::new(n))
-        .run()?;
-    Ok(explored.into_states())
+        .run_streamed(BoxedSpace::default(), &mut DiscardRows)?;
+    Ok(space.into_states())
 }
 
 /// Exactly checks an arrow claim `U —t→_p U'` on the round model: for every

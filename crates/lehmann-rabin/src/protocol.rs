@@ -1,5 +1,4 @@
-use pa_core::{Automaton, Step};
-use pa_prob::FiniteDist;
+use pa_core::{collect_steps, Automaton, Step};
 
 use crate::{Config, LrError, Pc, ProcState, Side};
 
@@ -139,30 +138,38 @@ impl LrProtocol {
 
     /// The steps of process `i` enabled in `config` (at most two: the exit
     /// drop has a nondeterministic variant pair). User-controlled actions
-    /// are included only if the [`UserModel`] allows them.
+    /// are included only if the [`UserModel`] allows them. A collector
+    /// over [`LrProtocol::for_each_step_of_process`].
     pub fn steps_of_process(&self, config: &Config, i: usize) -> Vec<Step<Config, LrAction>> {
+        collect_steps(|f| self.for_each_step_of_process(config, i, |a, outcomes| f(&a, outcomes)))
+    }
+
+    /// Visits the steps of process `i` enabled in `config` — Figure 1, one
+    /// line per program counter — without allocating: `f` receives each
+    /// step's action and its outcomes (one point, or the two sides of the
+    /// `flip` coin), in [`LrProtocol::steps_of_process`] order.
+    pub fn for_each_step_of_process(
+        &self,
+        config: &Config,
+        i: usize,
+        mut f: impl FnMut(LrAction, &[(Config, f64)]),
+    ) {
         let p = config.proc(i);
         let pi = i as u8;
         match p.pc {
             Pc::R => {
                 if self.user.allow_try {
-                    vec![Step::deterministic(
+                    f(
                         LrAction::Try(pi),
-                        config.with_proc(i, ProcState::new(Pc::F, p.side)),
-                    )]
-                } else {
-                    Vec::new()
+                        &[(config.with_proc(i, ProcState::new(Pc::F, p.side)), 1.0)],
+                    );
                 }
             }
             Pc::F => {
-                // Line 1: uᵢ ← random.
+                // Line 1: uᵢ ← random, a fair coin over the sides.
                 let left = config.with_proc(i, ProcState::new(Pc::W, Side::Left));
                 let right = config.with_proc(i, ProcState::new(Pc::W, Side::Right));
-                vec![Step {
-                    action: LrAction::Flip(pi),
-                    target: FiniteDist::bernoulli(left, right, pa_prob::Prob::HALF)
-                        .expect("fair coin"),
-                }]
+                f(LrAction::Flip(pi), &[(left, 0.5), (right, 0.5)]);
             }
             Pc::W => {
                 // Line 2: if Res(i, uᵢ) free, take it and move to S; else
@@ -175,7 +182,7 @@ impl LrProtocol {
                         .with_res(r, true)
                         .with_proc(i, ProcState::new(Pc::S, p.side))
                 };
-                vec![Step::deterministic(LrAction::Wait(pi), next)]
+                f(LrAction::Wait(pi), &[(next, 1.0)]);
             }
             Pc::S => {
                 // Line 3: one-shot check of the second resource; on success
@@ -188,62 +195,51 @@ impl LrProtocol {
                         .with_res(r, true)
                         .with_proc(i, ProcState::new(Pc::P, p.side))
                 };
-                vec![Step::deterministic(LrAction::Second(pi), next)]
+                f(LrAction::Second(pi), &[(next, 1.0)]);
             }
             Pc::D => {
                 // Line 4: put down the first resource, go back to line 1.
                 let r = config.res_index(i, p.side);
-                vec![Step::deterministic(
-                    LrAction::Drop(pi),
-                    config
-                        .with_res(r, false)
-                        .with_proc(i, ProcState::new(Pc::F, p.side)),
-                )]
+                let next = config
+                    .with_res(r, false)
+                    .with_proc(i, ProcState::new(Pc::F, p.side));
+                f(LrAction::Drop(pi), &[(next, 1.0)]);
             }
-            Pc::P => vec![Step::deterministic(
+            Pc::P => f(
                 LrAction::Crit(pi),
-                config.with_proc(i, ProcState::new(Pc::C, p.side)),
-            )],
+                &[(config.with_proc(i, ProcState::new(Pc::C, p.side)), 1.0)],
+            ),
             Pc::C => {
                 if self.user.allow_exit {
-                    vec![Step::deterministic(
+                    f(
                         LrAction::Exit(pi),
-                        config.with_proc(i, ProcState::new(Pc::Ef, p.side)),
-                    )]
-                } else {
-                    Vec::new()
+                        &[(config.with_proc(i, ProcState::new(Pc::Ef, p.side)), 1.0)],
+                    );
                 }
             }
             Pc::Ef => {
                 // Line 7: nondeterministic choice — keep one side, free the
                 // other. Two distinct steps, resolved by the adversary.
-                [Side::Right, Side::Left]
-                    .into_iter()
-                    .map(|keep| {
-                        let freed = config.res_index(i, keep.opp());
-                        Step::deterministic(
-                            LrAction::DropFirst(pi, keep),
-                            config
-                                .with_res(freed, false)
-                                .with_proc(i, ProcState::new(Pc::Es, keep)),
-                        )
-                    })
-                    .collect()
+                for keep in [Side::Right, Side::Left] {
+                    let freed = config.res_index(i, keep.opp());
+                    let next = config
+                        .with_res(freed, false)
+                        .with_proc(i, ProcState::new(Pc::Es, keep));
+                    f(LrAction::DropFirst(pi, keep), &[(next, 1.0)]);
+                }
             }
             Pc::Es => {
                 // Line 8: free the remaining resource.
                 let r = config.res_index(i, p.side);
-                vec![Step::deterministic(
-                    LrAction::DropSecond(pi),
-                    config
-                        .with_res(r, false)
-                        .with_proc(i, ProcState::new(Pc::Er, p.side)),
-                )]
+                let next = config
+                    .with_res(r, false)
+                    .with_proc(i, ProcState::new(Pc::Er, p.side));
+                f(LrAction::DropSecond(pi), &[(next, 1.0)]);
             }
-            Pc::Er => vec![Step::deterministic(
+            Pc::Er => f(
                 LrAction::Rem(pi),
-                config.with_proc(i, ProcState::new(Pc::R, p.side)),
-            )],
+                &[(config.with_proc(i, ProcState::new(Pc::R, p.side)), 1.0)],
+            ),
         }
     }
 }
@@ -257,11 +253,16 @@ impl Automaton for LrProtocol {
     }
 
     fn steps(&self, state: &Config) -> Vec<Step<Config, LrAction>> {
-        let mut out = Vec::new();
+        collect_steps(|f| self.for_each_step(state, f))
+    }
+
+    fn for_each_step<F>(&self, state: &Config, mut f: F)
+    where
+        F: FnMut(&LrAction, &[(Config, f64)]),
+    {
         for i in 0..self.n {
-            out.extend(self.steps_of_process(state, i));
+            self.for_each_step_of_process(state, i, |a, outcomes| f(&a, outcomes));
         }
-        out
     }
 
     fn is_external(&self, action: &LrAction) -> bool {

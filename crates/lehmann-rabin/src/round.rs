@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use pa_core::{Automaton, Step};
+use pa_core::{collect_steps, map_outcomes, Automaton, Step};
 use pa_mdp::{least_key, rotate_lanes};
 
 use crate::{Config, LrAction, LrError, LrProtocol, UserModel};
@@ -286,31 +286,40 @@ impl Automaton for RoundMdp {
     }
 
     fn steps(&self, state: &RoundState) -> Vec<Step<RoundState, RoundAction>> {
+        collect_steps(|f| self.for_each_step(state, f))
+    }
+
+    /// The round scheduler's choices: one `Schedule` step per enabled
+    /// protocol step of every process with budget left (outcomes mapped
+    /// on the stack by [`pa_core::map_outcomes`]), then `EndRound` once no
+    /// obligation is open.
+    fn for_each_step<F>(&self, state: &RoundState, mut f: F)
+    where
+        F: FnMut(&RoundAction, &[(RoundState, f64)]),
+    {
         if let Some(pred) = &self.absorb {
             if pred(&state.config) {
-                return Vec::new();
+                return;
             }
         }
-        let mut out = Vec::new();
+        let mut schedule_steps = 0u64;
         for i in 0..self.cfg.n {
             if state.budget_of(i) == 0 {
                 continue;
             }
-            for step in self.protocol.steps_of_process(&state.config, i) {
-                let target = step.target.map(|cfg| state.with_step_taken(i, *cfg));
-                out.push(Step {
-                    action: RoundAction::Schedule(step.action),
-                    target,
+            self.protocol
+                .for_each_step_of_process(&state.config, i, |action, outcomes| {
+                    schedule_steps += 1;
+                    map_outcomes(
+                        outcomes,
+                        |cfg| state.with_step_taken(i, *cfg),
+                        |targets| f(&RoundAction::Schedule(action), targets),
+                    );
                 });
-            }
         }
-        let schedule_steps = out.len() as u64;
         let mut round_closes = 0u64;
         if state.obliged == 0 {
-            out.push(Step::deterministic(
-                RoundAction::EndRound,
-                self.fresh(state.config),
-            ));
+            f(&RoundAction::EndRound, &[(self.fresh(state.config), 1.0)]);
             round_closes = 1;
         }
         if pa_telemetry::enabled() {
@@ -318,7 +327,6 @@ impl Automaton for RoundMdp {
             pa_telemetry::counter("lr.round.schedule_steps").add(schedule_steps);
             pa_telemetry::counter("lr.round.round_closes").add(round_closes);
         }
-        out
     }
 
     fn is_external(&self, action: &RoundAction) -> bool {

@@ -120,17 +120,19 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         let Some(choice_idx) = policy.choice(state, remaining) else {
             break;
         };
-        let choice = &explored.mdp.choices(state)[choice_idx as usize];
-        if choice.cost > remaining {
+        let c = explored.mdp.choice_range(state).start + choice_idx as usize;
+        let cost = explored.mdp.cost(c);
+        if cost > remaining {
             break;
         }
-        remaining -= choice.cost;
+        remaining -= cost;
         // Most adverse outcome: the successor with the smallest value at
         // the post-step budget level.
-        let next = choice
-            .transitions
-            .iter()
-            .filter(|&&(_, p)| p > 0.0)
+        let next = explored
+            .mdp
+            .trans_range(c)
+            .map(|i| explored.mdp.transition(i))
+            .filter(|&(_, p)| p > 0.0)
             .min_by(|a, b| values[a.0].total_cmp(&values[b.0]))
             .expect("valid distribution")
             .0;

@@ -1,0 +1,162 @@
+//! Exploration output pinned bit for bit: the `csr_digest` of every model
+//! the claim checks explore — the full round model, the absorbing
+//! rotation-quotient model of each of the six paper claims, the
+//! fault-wrapped round model under each plan of the default fault grid,
+//! and the free-interleaving protocol — recorded before exploration wrote
+//! CSR rows directly (when it still built a nested model and flattened
+//! it). Every engine path must reproduce them: serial `run_in`, the
+//! level-parallel engine at 2 and 3 workers, and `run_streamed` into a
+//! collecting sink.
+
+use pa_core::Automaton;
+use pa_faults::{default_grid, faulty_round_cost, FaultyRoundMdp};
+use pa_lehmann_rabin::{
+    paper, reachable_configs_quotient, round_cost, set_pred, LrProtocol, RoundConfig, RoundMdp,
+    RoundStateCodec, UserModel,
+};
+use pa_mdp::{csr_digest, BoxedSpace, CsrBuilder, Explore, PackedSpace, RingRotation, StateSpace};
+
+const LIMIT: usize = 30_000_000;
+
+/// Asserts that every engine path explores a model with digest `want`.
+/// `explore` builds a fresh, fully configured builder; `space` a fresh
+/// state store.
+fn assert_pinned<'a, M, F, SP>(
+    name: &str,
+    want: u64,
+    explore: impl Fn() -> Explore<'a, M, F>,
+    space: impl Fn() -> SP,
+) where
+    M: Automaton + Sync + 'a,
+    M::State: Send + Sync,
+    F: Fn(&M::State, &M::Action) -> u32 + Sync,
+    SP: StateSpace<M::State> + Send + Sync,
+{
+    let serial = explore().run_in(space()).unwrap();
+    assert_eq!(
+        csr_digest(&serial.mdp).unwrap(),
+        want,
+        "{name}: serial run_in"
+    );
+    for workers in [2, 3] {
+        let par = explore().workers(workers).run_in(space()).unwrap();
+        assert_eq!(
+            csr_digest(&par.mdp).unwrap(),
+            want,
+            "{name}: run_in, {workers} workers"
+        );
+    }
+    for workers in [1, 3] {
+        let mut sink = CsrBuilder::new();
+        let (streamed_space, summary) = explore()
+            .workers(workers)
+            .run_streamed(space(), &mut sink)
+            .unwrap();
+        assert_eq!(streamed_space.len(), serial.num_states());
+        let csr = sink.finish(summary.initial);
+        assert_eq!(
+            csr_digest(&csr).unwrap(),
+            want,
+            "{name}: run_streamed, {workers} workers"
+        );
+    }
+}
+
+#[test]
+fn round_model_full_space_is_pinned() {
+    for (n, want) in [(3, 0x4c62_8a01_53e9_cd8d), (4, 0x8b76_234b_051d_6ad5)] {
+        let m = RoundMdp::new(RoundConfig::new(n).unwrap());
+        assert_pinned(
+            &format!("round n={n}"),
+            want,
+            || Explore::new(&m).cost(round_cost).limit(LIMIT),
+            BoxedSpace::default,
+        );
+    }
+}
+
+#[test]
+fn claim_quotient_models_are_pinned() {
+    // The five axioms in chain order, then the composed T —13→_{1/8} C.
+    let pins: [(usize, [u64; 6]); 2] = [
+        (
+            3,
+            [
+                0x31b2_3b3c_a1bc_ff68,
+                0xaca8_b5f8_8444_cfa0,
+                0x29a0_0a1b_0002_c606,
+                0x2140_b873_ff5f_6076,
+                0x8cd2_4646_d314_40bf,
+                0x6bf9_e0fe_2e56_bd16,
+            ],
+        ),
+        (
+            4,
+            [
+                0x046d_0c98_0e64_4e40,
+                0xb8a7_5a1f_65ad_ee91,
+                0xcb06_ea9e_cbc2_ee24,
+                0x7ddb_1db0_30c3_d79a,
+                0x5b5a_2d3a_3ed9_d45e,
+                0xed00_82c1_bfa0_1f94,
+            ],
+        ),
+    ];
+    let mut arrows: Vec<_> = paper::all_arrows().into_iter().map(|(a, _)| a).collect();
+    arrows.push(paper::arrow_t_to_c());
+    for (n, wants) in pins {
+        let reachable = reachable_configs_quotient(n, LIMIT).unwrap();
+        for (arrow, want) in arrows.iter().zip(wants) {
+            let from = set_pred(arrow.from()).unwrap();
+            let to = set_pred(arrow.to()).unwrap();
+            let starts = reachable.iter().filter(|c| from(c)).copied().collect();
+            let m = RoundMdp::new(RoundConfig::new(n).unwrap())
+                .with_starts(starts)
+                .with_absorb(move |c| to(c));
+            assert_pinned(
+                &format!("n={n} {arrow}"),
+                want,
+                || {
+                    Explore::new(&m)
+                        .cost(round_cost)
+                        .limit(LIMIT)
+                        .symmetry(RingRotation::new(n))
+                },
+                || PackedSpace::new(RoundStateCodec::new(n).unwrap()),
+            );
+        }
+    }
+}
+
+#[test]
+fn faulty_round_models_are_pinned() {
+    let pins = [
+        ("none", 0x4c62_8a01_53e9_cd8d),
+        ("crash-stop r2 p0", 0x2386_07f6_e6fa_0a1d),
+        ("crash-restart r2 p0 d2", 0xd133_2fe9_619b_288a),
+        ("drop r2 p0", 0x0dfb_6a7a_b169_3ab3),
+    ];
+    let grid = default_grid();
+    assert_eq!(grid.len(), pins.len());
+    for ((name, plan), (pinned_name, want)) in grid.into_iter().zip(pins) {
+        assert_eq!(name, pinned_name);
+        let m = FaultyRoundMdp::new(RoundConfig::new(3).unwrap(), plan).unwrap();
+        assert_pinned(
+            &format!("faulty n=3 {name}"),
+            want,
+            || Explore::new(&m).cost(faulty_round_cost).limit(LIMIT),
+            BoxedSpace::default,
+        );
+    }
+}
+
+#[test]
+fn protocol_model_is_pinned() {
+    let p = LrProtocol::new(4, UserModel::full()).unwrap();
+    assert_pinned(
+        "protocol n=4",
+        0x0b30_4b41_599e_b248,
+        || Explore::new(&p).limit(LIMIT),
+        BoxedSpace::default,
+    );
+}

@@ -1,12 +1,7 @@
-//! The in-core model representation: an MDP flattened into
-//! compressed-sparse-row arrays.
+//! The model representation: an MDP as compressed-sparse-row arrays.
 //!
-//! The nested [`ExplicitMdp`] (`Vec<Vec<Choice>>` with a `Vec<(usize,
-//! f64)>` per choice) is convenient to build but hostile to sweep over:
-//! every state visit chases two levels of pointers and the transition pairs
-//! interleave an 8-byte index with an 8-byte probability across thousands
-//! of small allocations. [`CsrMdp`] flattens the same model into five
-//! contiguous arrays —
+//! Exploration writes every state's choices straight into five contiguous
+//! arrays —
 //!
 //! ```text
 //! choice_offsets : n+1      per-state range into the choice arrays
@@ -16,8 +11,16 @@
 //! probs          : k        per-transition probability
 //! ```
 //!
-//! — built once after exploration, so every analysis sweep is a linear
-//! walk.
+//! — so every analysis sweep is a linear walk and no per-state or
+//! per-choice allocation ever exists. The explorer hands each finished
+//! state to a [`crate::RowSink`] as a [`CsrRow`]; [`CsrBuilder`] is the
+//! one row builder that appends rows to these arrays, used both for the
+//! in-core [`CsrMdp`] of [`crate::Explore::run_in`] and, block by block,
+//! by `pa-store`'s disk writer.
+//!
+//! The nested [`ExplicitMdp`] (`Vec<Vec<Choice>>`) remains the constructor
+//! for hand-built models and the input of the [`crate::reference`]
+//! oracles; [`ToCsr`] lets the in-core entry points take either form.
 //!
 //! A `CsrMdp` is a [`CsrSource`] with a single block, so it runs on the
 //! same solver kernels as an out-of-core model (see the [`crate::source`]
@@ -26,14 +29,16 @@
 //! the DFS zero-cost cycle check (overrides of the block-friendly
 //! [`CsrSource`] defaults), and the SCC condensation.
 
-use crate::source::{check_target, CsrRows, CsrSource};
-use crate::{ExplicitMdp, MdpError};
+use std::borrow::Cow;
 
-/// A compressed-sparse-row view of an [`ExplicitMdp`].
+use crate::source::{check_target, CsrRows, CsrSource};
+use crate::{Choice, ExplicitMdp, MdpError, RowSink};
+
+/// An MDP in compressed-sparse-row form: what [`crate::Explore::run_in`]
+/// builds and every in-core analysis runs on.
 ///
-/// Indices are `u32` internally (a model with 4 billion choices or
-/// transitions would not fit in memory as nested vectors either);
-/// construction asserts the bounds.
+/// Indices are `u32` internally; [`CsrBuilder`] rejects a model whose
+/// choice or transition count would overflow them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMdp {
     /// `choice_offsets[s]..choice_offsets[s+1]` are state `s`'s choices.
@@ -51,44 +56,27 @@ pub struct CsrMdp {
 }
 
 impl CsrMdp {
-    /// Flattens a validated nested model. Choice and transition order are
-    /// preserved exactly, so analyses on the CSR form visit successors in
-    /// the same order (and produce bitwise-identical floating-point
-    /// results) as the same algorithm on the nested form.
-    pub fn from_explicit(mdp: &ExplicitMdp) -> CsrMdp {
-        let n = mdp.num_states();
-        let m = mdp.num_choices();
-        let k = mdp.num_transitions();
-        assert!(
-            m < u32::MAX as usize && k < u32::MAX as usize,
-            "model too large for u32 CSR offsets"
-        );
-        let mut choice_offsets = Vec::with_capacity(n + 1);
-        let mut trans_offsets = Vec::with_capacity(m + 1);
-        let mut costs = Vec::with_capacity(m);
-        let mut targets = Vec::with_capacity(k);
-        let mut probs = Vec::with_capacity(k);
-        choice_offsets.push(0);
-        trans_offsets.push(0);
-        for s in 0..n {
-            for c in mdp.choices(s) {
-                costs.push(c.cost);
-                for &(t, p) in &c.transitions {
-                    targets.push(t as u32);
-                    probs.push(p);
-                }
-                trans_offsets.push(targets.len() as u32);
-            }
-            choice_offsets.push(costs.len() as u32);
-        }
-        CsrMdp {
-            choice_offsets,
-            trans_offsets,
-            costs,
-            targets,
-            probs,
-            initial: mdp.initial_states().to_vec(),
-        }
+    /// A flat copy of `mdp`: flattens a nested [`ExplicitMdp`] (choice and
+    /// transition order preserved exactly, so analyses produce
+    /// bitwise-identical results on either form) and clones a `CsrMdp`.
+    pub fn from_explicit<M: ToCsr + ?Sized>(mdp: &M) -> CsrMdp {
+        mdp.to_csr().into_owned()
+    }
+
+    /// Rebuilds the nested form, for the nested-model oracles of
+    /// [`crate::reference`].
+    pub fn to_explicit(&self) -> ExplicitMdp {
+        let choices = (0..self.num_states())
+            .map(|s| {
+                self.choice_range(s)
+                    .map(|c| Choice {
+                        cost: self.costs[c],
+                        transitions: self.trans_range(c).map(|i| self.transition(i)).collect(),
+                    })
+                    .collect()
+            })
+            .collect();
+        ExplicitMdp::new(choices, self.initial.clone()).expect("a CsrMdp is a valid model")
     }
 
     /// Number of states.
@@ -170,6 +158,195 @@ impl CsrMdp {
 impl From<&ExplicitMdp> for CsrMdp {
     fn from(mdp: &ExplicitMdp) -> CsrMdp {
         CsrMdp::from_explicit(mdp)
+    }
+}
+
+/// A model the in-core entry points ([`crate::Query::over`] and the
+/// analysis free functions) accept: a [`CsrMdp`] is used as is, a nested
+/// [`ExplicitMdp`] is flattened on the way in.
+pub trait ToCsr {
+    /// The model in CSR form, borrowed when it already is.
+    fn to_csr(&self) -> Cow<'_, CsrMdp>;
+}
+
+impl ToCsr for CsrMdp {
+    fn to_csr(&self) -> Cow<'_, CsrMdp> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl ToCsr for ExplicitMdp {
+    fn to_csr(&self) -> Cow<'_, CsrMdp> {
+        let mut b = CsrBuilder::new();
+        let (mut costs, mut ends, mut targets, mut probs) = (vec![], vec![], vec![], vec![]);
+        for s in 0..self.num_states() {
+            costs.clear();
+            ends.clear();
+            targets.clear();
+            probs.clear();
+            for c in self.choices(s) {
+                costs.push(c.cost);
+                for &(t, p) in &c.transitions {
+                    targets.push(u32::try_from(t).expect("state index fits u32"));
+                    probs.push(p);
+                }
+                ends.push(targets.len() as u32);
+            }
+            let row = CsrRow {
+                costs: &costs,
+                trans_ends: &ends,
+                targets: &targets,
+                probs: &probs,
+            };
+            b.push_row(row)
+                .expect("model too large for u32 CSR offsets");
+        }
+        Cow::Owned(b.finish(self.initial_states().to_vec()))
+    }
+}
+
+/// One state's choices in flat form, as exploration emits them to a
+/// [`crate::RowSink`]: choice `k` costs `costs[k]` and owns the
+/// transitions `trans_ends[k - 1]..trans_ends[k]` (from 0 for `k = 0`) of
+/// `targets`/`probs`.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrRow<'a> {
+    /// Cost of each choice.
+    pub costs: &'a [u32],
+    /// Per choice, the row-relative end of its transitions.
+    pub trans_ends: &'a [u32],
+    /// Successor state of each transition.
+    pub targets: &'a [u32],
+    /// Probability of each transition.
+    pub probs: &'a [f64],
+}
+
+impl CsrRow<'_> {
+    /// The transition range of choice `k` within the row.
+    pub fn trans_range(&self, k: usize) -> std::ops::Range<usize> {
+        let start = if k == 0 {
+            0
+        } else {
+            self.trans_ends[k - 1] as usize
+        };
+        start..self.trans_ends[k] as usize
+    }
+}
+
+/// Appends [`CsrRow`]s to CSR arrays — the one row builder shared by the
+/// in-core sink of [`crate::Explore::run_in`] (finished with
+/// [`CsrBuilder::finish`]) and block writers that flush and
+/// [`CsrBuilder::clear`] it per block (`pa-store`).
+#[derive(Debug, Clone)]
+pub struct CsrBuilder {
+    choice_offsets: Vec<u32>,
+    trans_offsets: Vec<u32>,
+    costs: Vec<u32>,
+    targets: Vec<u32>,
+    probs: Vec<f64>,
+}
+
+impl Default for CsrBuilder {
+    fn default() -> CsrBuilder {
+        CsrBuilder::new()
+    }
+}
+
+impl CsrBuilder {
+    /// An empty builder.
+    pub fn new() -> CsrBuilder {
+        CsrBuilder {
+            choice_offsets: vec![0],
+            trans_offsets: vec![0],
+            costs: Vec::new(),
+            targets: Vec::new(),
+            probs: Vec::new(),
+        }
+    }
+
+    /// Appends one state's row.
+    ///
+    /// # Errors
+    ///
+    /// [`MdpError::Backend`] if the builder's choice or transition count
+    /// would overflow the `u32` offsets (nothing is appended then).
+    pub fn push_row(&mut self, row: CsrRow<'_>) -> Result<(), MdpError> {
+        let choices = self.costs.len() + row.costs.len();
+        let trans = self.targets.len() + row.targets.len();
+        if choices >= u32::MAX as usize || trans >= u32::MAX as usize {
+            return Err(MdpError::Backend {
+                reason: "model too large for u32 CSR offsets".into(),
+            });
+        }
+        let base = self.targets.len() as u32;
+        self.costs.extend_from_slice(row.costs);
+        self.trans_offsets
+            .extend(row.trans_ends.iter().map(|&end| base + end));
+        self.targets.extend_from_slice(row.targets);
+        self.probs.extend_from_slice(row.probs);
+        self.choice_offsets.push(self.costs.len() as u32);
+        Ok(())
+    }
+
+    /// Rows appended since creation or the last [`CsrBuilder::clear`].
+    pub fn num_states(&self) -> usize {
+        self.choice_offsets.len() - 1
+    }
+
+    /// Bytes the pending arrays occupy at their lengths: what a block
+    /// writer compares against its block target.
+    pub fn payload_bytes(&self) -> usize {
+        self.probs.len() * 8
+            + (self.choice_offsets.len() + self.trans_offsets.len()) * 4
+            + (self.costs.len() + self.targets.len()) * 4
+    }
+
+    /// The pending rows as one block whose first state is `first_state`.
+    pub fn rows(&self, first_state: usize) -> CsrRows<'_> {
+        CsrRows {
+            first_state,
+            choice_offsets: &self.choice_offsets,
+            trans_offsets: &self.trans_offsets,
+            costs: &self.costs,
+            targets: &self.targets,
+            probs: &self.probs,
+        }
+    }
+
+    /// Drops the pending rows, keeping the allocations for the next block.
+    pub fn clear(&mut self) {
+        self.choice_offsets.truncate(1);
+        self.trans_offsets.truncate(1);
+        self.costs.clear();
+        self.targets.clear();
+        self.probs.clear();
+    }
+
+    /// The finished in-core model, trimmed to its length.
+    pub fn finish(self, initial: Vec<usize>) -> CsrMdp {
+        let mut csr = CsrMdp {
+            choice_offsets: self.choice_offsets,
+            trans_offsets: self.trans_offsets,
+            costs: self.costs,
+            targets: self.targets,
+            probs: self.probs,
+            initial,
+        };
+        csr.choice_offsets.shrink_to_fit();
+        csr.trans_offsets.shrink_to_fit();
+        csr.costs.shrink_to_fit();
+        csr.targets.shrink_to_fit();
+        csr.probs.shrink_to_fit();
+        csr.initial.shrink_to_fit();
+        csr
+    }
+}
+
+/// The in-core sink: rows land in the builder in dense-id order.
+impl RowSink for CsrBuilder {
+    fn state_row(&mut self, id: usize, row: CsrRow<'_>) -> Result<(), MdpError> {
+        debug_assert_eq!(id, self.num_states(), "rows arrive in dense-id order");
+        self.push_row(row)
     }
 }
 
@@ -381,6 +558,34 @@ mod tests {
         let r = csr.trans_range(c);
         assert_eq!(csr.transition(r.start), (2, 0.5));
         assert_eq!(csr.transition(r.start + 1), (0, 0.5));
+    }
+
+    #[test]
+    fn nested_round_trip_and_block_reuse() {
+        let m = escape();
+        let csr = CsrMdp::from_explicit(&m);
+        let back = csr.to_explicit();
+        for s in 0..m.num_states() {
+            assert_eq!(back.choices(s), m.choices(s));
+        }
+        assert_eq!(CsrMdp::from_explicit(&csr), csr, "a CsrMdp copies as is");
+        // A cleared builder starts a fresh block with offsets from 0.
+        let mut b = CsrBuilder::new();
+        let row = CsrRow {
+            costs: &[1, 0],
+            trans_ends: &[1, 3],
+            targets: &[2, 0, 1],
+            probs: &[1.0, 0.5, 0.5],
+        };
+        b.push_row(row).unwrap();
+        b.clear();
+        b.push_row(row).unwrap();
+        b.push_row(row).unwrap();
+        let rows = b.rows(7);
+        assert_eq!(rows.choice_offsets, [0, 2, 4]);
+        assert_eq!(rows.trans_offsets, [0, 1, 3, 4, 6]);
+        assert_eq!(b.num_states(), 2);
+        assert_eq!(b.payload_bytes(), 6 * 8 + (3 + 5) * 4 + (4 + 6) * 4);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! units. The best case is its dual: the expected time under the most
 //! cooperative scheduler.
 
-use crate::{CsrMdp, CsrSource, ExplicitMdp, IterOptions, MdpError, Query, QueryObjective, Solver};
+use crate::{CsrSource, IterOptions, MdpError, Query, QueryObjective, Solver, ToCsr};
 
 /// Result of an expected-cost analysis: per-state expectations, with
 /// `f64::INFINITY` marking states from which the target is not reached
@@ -60,8 +60,8 @@ impl ExpectedCost {
 /// improper policy. [`min_expected_cost`] therefore refuses such models.
 /// (The round models of the case study are zero-cost-acyclic by
 /// construction: every scheduling step consumes per-round budget.)
-pub fn has_zero_cost_cycle(mdp: &ExplicitMdp, target: &[bool]) -> Result<bool, MdpError> {
-    CsrMdp::from_explicit(mdp).has_zero_cost_cycle(target)
+pub fn has_zero_cost_cycle<M: ToCsr + ?Sized>(mdp: &M, target: &[bool]) -> Result<bool, MdpError> {
+    mdp.to_csr().has_zero_cost_cycle(target)
 }
 
 /// Computes the best-case (scheduler-minimal) expected accumulated cost to
@@ -82,8 +82,8 @@ pub fn has_zero_cost_cycle(mdp: &ExplicitMdp, target: &[bool]) -> Result<bool, M
 /// Returns [`MdpError::TargetLengthMismatch`] for a malformed target, and
 /// [`MdpError::DivergentExpectation`] (state 0 by convention) when the
 /// zero-cost subgraph has a cycle.
-pub fn min_expected_cost(
-    mdp: &ExplicitMdp,
+pub fn min_expected_cost<M: ToCsr + ?Sized>(
+    mdp: &M,
     target: &[bool],
     options: IterOptions,
 ) -> Result<ExpectedCost, MdpError> {
@@ -102,7 +102,7 @@ pub fn min_expected_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Choice;
+    use crate::{Choice, ExplicitMdp};
 
     /// Worst-case expected cost via the `Query` builder (the migration
     /// target of the removed pre-`Query` free function).

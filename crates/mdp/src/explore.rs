@@ -1,4 +1,4 @@
-//! State-space exploration: building an [`ExplicitMdp`] from an implicit
+//! State-space exploration: building a [`CsrMdp`] from an implicit
 //! [`pa_core::Automaton`].
 //!
 //! The single entry point is the [`Explore`] builder:
@@ -13,24 +13,40 @@
 //!     .run()?;                      // or .run_in(PackedSpace::new(codec))
 //! ```
 //!
+//! # One BFS core, rows straight into CSR
+//!
+//! Both engines enumerate a state's steps through
+//! [`Automaton::for_each_step`] and write its choices into one reusable
+//! flat row buffer — costs, transition ends, `u32` successor ids and
+//! probabilities — so exploration allocates nothing per state or per
+//! choice. Each finished row is validated (as [`crate::ExplicitMdp::new`]
+//! would: non-empty support, finite non-negative weights summing to one)
+//! and handed to a [`RowSink`] in dense-id order (`0, 1, 2, …`).
+//! [`Explore::run_in`] passes the in-core sink, a [`CsrBuilder`], whose
+//! arrays become [`Explored::mdp`]; [`Explore::run_streamed`] passes the
+//! caller's sink (e.g. `pa-store`'s block writer). No nested model is
+//! built, copied or dropped on either path.
+//!
 //! Serial and parallel runs share one deterministic contract:
 //!
 //! * serial — FIFO breadth-first search, interning states through a
 //!   [`StateSpace`] (hashing with the crate's [`FxHashMap`]; SipHash
 //!   dominated the profile, and model states are not attacker-controlled,
-//!   see [`crate::fxhash`]).
+//!   see [`crate::fxhash`]). Ids are assigned in pop order, so a popped
+//!   state's row is final and goes to the sink at once.
 //! * parallel — level-synchronized BFS. Each BFS level is split into
 //!   contiguous shards (adaptively oversharded when the fresh yield of the
 //!   busiest shard runs hot — see [`next_shard_factor`]); workers expand
-//!   their shard against a read-only snapshot of the intern table,
-//!   deduplicating *new* successor states in a worker-local `FxHashMap`.
-//!   The main thread then merges shard outputs **in shard order**,
-//!   assigning global state ids in exactly the order the serial explorer
-//!   would (shard order = level order; within a shard, encounter order).
-//!   The result — state ids, choice lists, transitions, and even the state
-//!   at which a [`MdpError::StateLimitExceeded`] fires — is identical to
-//!   the serial run for every worker count, which the property tests
-//!   assert.
+//!   their shard into flat arrays against a read-only snapshot of the
+//!   intern table, deduplicating *new* successor states in a worker-local
+//!   `FxHashMap`. The main thread then merges shard outputs **in shard
+//!   order**, row by row, interning each shard-new state at its first
+//!   reference — exactly when the serial explorer would intern it (shard
+//!   order = level order; within a shard, encounter order). The result —
+//!   state ids, choice lists, transitions, and even the state at which a
+//!   [`MdpError::StateLimitExceeded`] or a
+//!   [`MdpError::BadDistribution`] fires — is identical to the serial run
+//!   for every worker count, which the property tests assert.
 //!
 //! With a [`Symmetry`] installed, every start state and every successor is
 //! canonicalized to its orbit representative before interning, so the
@@ -39,21 +55,26 @@
 //! determinism contract extends to quotient runs. The cost function must
 //! be constant on orbits (all shipped cost functions depend only on the
 //! action).
+//!
+//! Successor ids are `u32` in CSR, so the state limit is capped at `2^32`.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use pa_core::Automaton;
 
+use crate::csr::{CsrBuilder, CsrRow};
 use crate::fxhash::FxHashMap;
 use crate::space::{BoxedSpace, StateSpace};
 use crate::symmetry::Symmetry;
-use crate::{Choice, ExplicitMdp, MdpError};
+use crate::{CsrMdp, MdpError};
 
-/// The result of exploring an implicit model: the explicit MDP plus the
-/// state store mapping dense indices to concrete states.
+/// The result of exploring an implicit model: the CSR model plus the state
+/// store mapping dense indices to concrete states.
 ///
-/// Choice order is preserved: `mdp.choices(i)[k]` corresponds to
+/// Choice order is preserved: state `i`'s `k`-th choice
+/// (`mdp.choice_range(i).nth(k)`) corresponds to
 /// `automaton.steps(&state(i))[k]`, so an optimal policy over the explicit
 /// model can be replayed on the implicit one. The space parameter defaults
 /// to the boxed representation; [`crate::PackedSpace`] substitutes a
@@ -62,14 +83,14 @@ use crate::{Choice, ExplicitMdp, MdpError};
 pub struct Explored<S, SP = BoxedSpace<S>> {
     /// The state store: dense id ↔ concrete state.
     pub space: SP,
-    /// The explicit model.
-    pub mdp: ExplicitMdp,
+    /// The explored model.
+    pub mdp: CsrMdp,
     marker: PhantomData<fn() -> S>,
 }
 
 impl<S, SP: StateSpace<S>> Explored<S, SP> {
     /// Wraps a state store and model pair.
-    fn new(space: SP, mdp: ExplicitMdp) -> Explored<S, SP> {
+    fn new(space: SP, mdp: CsrMdp) -> Explored<S, SP> {
         Explored {
             space,
             mdp,
@@ -100,14 +121,13 @@ impl<S, SP: StateSpace<S>> Explored<S, SP> {
         out
     }
 
-    /// Starts a [`crate::Query`] over the explored model (flattening it to
-    /// CSR once).
-    pub fn query(&self) -> crate::Query<'static> {
-        crate::Query::over(&self.mdp)
+    /// Starts a [`crate::Query`] over the explored model.
+    pub fn query(&self) -> crate::Query<'_> {
+        crate::Query::csr(&self.mdp)
     }
 
     /// Starts a [`crate::Query`] targeting the states that satisfy `pred`.
-    pub fn query_where(&self, pred: impl FnMut(&S) -> bool) -> crate::Query<'static> {
+    pub fn query_where(&self, pred: impl FnMut(&S) -> bool) -> crate::Query<'_> {
         let target = self.target_where(pred);
         self.query().target(target)
     }
@@ -136,7 +156,7 @@ impl<S, SP: StateSpace<S>> Explored<S, SP> {
     }
 
     /// Estimated resident bytes of the state store (see
-    /// [`StateSpace::mem_bytes`]).
+    /// [`StateSpace::mem_bytes`]); [`CsrMdp::mem_bytes`] counts the model.
     pub fn mem_bytes(&self) -> u64 {
         self.space.mem_bytes()
     }
@@ -152,19 +172,6 @@ impl<S: Clone + Eq + std::hash::Hash> Explored<S, BoxedSpace<S>> {
     pub fn into_states(self) -> Vec<S> {
         self.space.into_states()
     }
-}
-
-/// Records the outcome of a finished exploration into the telemetry
-/// registry. Serial and parallel explorers share these names, so consumers
-/// see one set of exploration metrics regardless of engine.
-fn record_explored(mdp: &ExplicitMdp) {
-    if !pa_telemetry::enabled() {
-        return;
-    }
-    pa_telemetry::counter("mdp.explore.runs").inc();
-    pa_telemetry::counter("mdp.explore.states").add(mdp.num_states() as u64);
-    pa_telemetry::counter("mdp.explore.choices").add(mdp.num_choices() as u64);
-    pa_telemetry::counter("mdp.explore.transitions").add(mdp.num_transitions() as u64);
 }
 
 /// Worker-count selection for an [`Explore`] run.
@@ -269,79 +276,22 @@ impl<'a, M: Automaton, F> Explore<'a, M, F> {
     }
 }
 
-impl<M, F> Explore<'_, M, F>
-where
-    M: Automaton + Sync,
-    M::State: Send + Sync,
-    F: Fn(&M::State, &M::Action) -> u32 + Sync,
-{
-    /// Runs the exploration into the default boxed state store.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdpError::StateLimitExceeded`] if more than the configured
-    /// limit of states is discovered, [`MdpError::NoInitialStates`] for a
-    /// model without start states, and propagates model-validation errors
-    /// (which indicate a bug in the implicit model, e.g. an unnormalized
-    /// step distribution).
-    pub fn run(self) -> Result<Explored<M::State>, MdpError> {
-        self.run_in(BoxedSpace::default())
-    }
-
-    /// Runs the exploration into an explicit state store (e.g. a
-    /// [`crate::PackedSpace`] holding fixed-width encoded states).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Explore::run`].
-    pub fn run_in<SP>(self, mut space: SP) -> Result<Explored<M::State, SP>, MdpError>
-    where
-        SP: StateSpace<M::State> + Send + Sync,
-    {
-        if self.capacity_hint > 0 {
-            space.reserve(self.capacity_hint.min(self.limit));
-        }
-        let sym = self.symmetry.as_deref();
-        let workers = match self.workers {
-            Workers::Serial => 1,
-            Workers::Auto => crate::resolve_workers(None),
-            Workers::Exact(k) => crate::resolve_workers(Some(k)),
-        };
-        let mdp = if workers <= 1 {
-            let mut cost_of = &self.cost_of;
-            serial_core(self.automaton, &mut cost_of, self.limit, sym, &mut space)?
-        } else {
-            par_core(
-                self.automaton,
-                &self.cost_of,
-                self.limit,
-                sym,
-                &mut space,
-                workers,
-            )?
-        };
-        record_explored(&mdp);
-        Ok(Explored::new(space, mdp))
-    }
-}
-
-/// A row-by-row consumer for [`Explore::run_streamed`]: receives each
-/// explored state's validated choice list exactly once, in dense-id order
-/// (`0, 1, 2, …`), instead of the exploration accumulating the whole
-/// nested model in memory.
+/// A row-by-row consumer of an exploration: receives each explored
+/// state's validated choices exactly once, in dense-id order
+/// (`0, 1, 2, …`), as a flat [`CsrRow`].
 ///
+/// [`CsrBuilder`] is the in-core sink behind [`Explore::run_in`];
 /// `pa-store`'s block writer implements this to spill CSR blocks to disk
-/// as exploration closes them.
+/// as exploration closes them ([`Explore::run_streamed`]).
 pub trait RowSink {
     /// Consumes state `id`'s choices. `id` increases by exactly one per
     /// call. Errors (e.g. I/O failures of a disk spill) abort the
     /// exploration; [`MdpError::Backend`] is the conventional carrier.
-    fn state_row(&mut self, id: usize, choices: &[Choice]) -> Result<(), MdpError>;
+    fn state_row(&mut self, id: usize, row: CsrRow<'_>) -> Result<(), MdpError>;
 }
 
-/// Counts of a finished [`Explore::run_streamed`] exploration — what an
-/// [`ExplicitMdp`] would have reported, without the model ever having been
-/// resident.
+/// Counts of a finished exploration — what [`Explore::run_streamed`]
+/// reports alongside the state store, whatever the sink kept of the rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamSummary {
     /// The initial state indices.
@@ -360,101 +310,92 @@ where
     M::State: Send + Sync,
     F: Fn(&M::State, &M::Action) -> u32 + Sync,
 {
-    /// Runs the exploration, streaming each state's choices to `sink`
-    /// instead of materializing an [`ExplicitMdp`]. Returns the state store
-    /// and the exploration counts; peak memory is the store plus the BFS
-    /// frontier — the model itself lives wherever the sink puts it.
+    /// Runs the exploration into the default boxed state store.
     ///
-    /// Rows are emitted in dense-id order with the exact ids, choice
-    /// order, and transition order of [`Explore::run_in`] (serial FIFO BFS
-    /// assigns ids in pop order, so a popped state's row is final).
-    /// Streaming always runs the serial engine — a worker-count setting is
-    /// ignored — and the serial/parallel determinism contract makes that
-    /// the same model the parallel explorer would build.
+    /// # Errors
     ///
-    /// Each row is validated as [`ExplicitMdp::new`] would (empty support,
-    /// non-finite or negative weights, weight sums); successor indices come
-    /// from the interner and are in range by construction.
+    /// Returns [`MdpError::StateLimitExceeded`] if more than the configured
+    /// limit of states is discovered, [`MdpError::NoInitialStates`] for a
+    /// model without start states, and [`MdpError::BadDistribution`] for a
+    /// malformed step distribution (a bug in the implicit model).
+    pub fn run(self) -> Result<Explored<M::State>, MdpError> {
+        self.run_in(BoxedSpace::default())
+    }
+
+    /// Runs the exploration into an explicit state store (e.g. a
+    /// [`crate::PackedSpace`] holding fixed-width encoded states), with the
+    /// rows written straight into the in-core [`CsrMdp`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Explore::run`].
+    pub fn run_in<SP>(self, space: SP) -> Result<Explored<M::State, SP>, MdpError>
+    where
+        SP: StateSpace<M::State> + Send + Sync,
+    {
+        let mut csr = CsrBuilder::new();
+        let (space, summary) = self.explore_into(space, &mut csr)?;
+        Ok(Explored::new(space, csr.finish(summary.initial)))
+    }
+
+    /// Runs the exploration, streaming each state's row to `sink` instead
+    /// of keeping the model. Returns the state store and the exploration
+    /// counts; peak memory is the store plus the BFS frontier — the model
+    /// itself lives wherever the sink puts it.
+    ///
+    /// Rows are exactly those [`Explore::run_in`] builds its [`CsrMdp`]
+    /// from, emitted in dense-id order by the same engine (serial or
+    /// parallel, as configured). The serial engine emits each row as soon
+    /// as its state is expanded; the parallel one holds a whole BFS
+    /// level's rows until the level's merge, so a spill that must stay
+    /// within a memory bound keeps the serial default.
     ///
     /// # Errors
     ///
     /// As [`Explore::run_in`], plus whatever `sink` returns.
     pub fn run_streamed<SP>(
         self,
-        mut space: SP,
+        space: SP,
         sink: &mut dyn RowSink,
     ) -> Result<(SP, StreamSummary), MdpError>
     where
         SP: StateSpace<M::State> + Send + Sync,
     {
+        self.explore_into(space, sink)
+    }
+
+    /// The one exploration core: resolves the engine, runs it into
+    /// `sink`, and records the run's telemetry.
+    fn explore_into<SP, K>(
+        self,
+        mut space: SP,
+        sink: &mut K,
+    ) -> Result<(SP, StreamSummary), MdpError>
+    where
+        SP: StateSpace<M::State> + Send + Sync,
+        K: RowSink + ?Sized,
+    {
+        let limit = self.limit.min((u32::MAX as usize).saturating_add(1));
         if self.capacity_hint > 0 {
-            space.reserve(self.capacity_hint.min(self.limit));
+            space.reserve(self.capacity_hint.min(limit));
         }
         let sym = self.symmetry.as_deref();
-        let _span = pa_telemetry::span("mdp.explore.seconds");
-        let mut queue: VecDeque<usize> = VecDeque::new();
-
-        let intern = |s: &M::State,
-                      space: &mut SP,
-                      queue: &mut VecDeque<usize>|
-         -> Result<usize, MdpError> {
-            let canon;
-            let s = match sym {
-                Some(sym) => {
-                    canon = sym.canon(s);
-                    &canon
-                }
-                None => s,
-            };
-            let (id, new) = space.intern(s);
-            if new {
-                if space.len() > self.limit {
-                    return Err(MdpError::StateLimitExceeded { limit: self.limit });
-                }
-                queue.push_back(id);
-            }
-            Ok(id)
+        let workers = match self.workers {
+            Workers::Serial => 1,
+            Workers::Auto => crate::resolve_workers(None),
+            Workers::Exact(k) => crate::resolve_workers(Some(k)),
         };
-
-        let mut initial = Vec::new();
-        for s in self.automaton.start_states() {
-            initial.push(intern(&s, &mut space, &mut queue)?);
-        }
-        if initial.is_empty() {
-            return Err(MdpError::NoInitialStates);
-        }
-
-        let cost_of = &self.cost_of;
-        let mut num_choices = 0u64;
-        let mut num_transitions = 0u64;
-        let mut emitted = 0usize;
-        while let Some(id) = queue.pop_front() {
-            let state = space.state(id);
-            let mut cs = Vec::new();
-            for step in self.automaton.steps(&state) {
-                let cost = cost_of(&state, &step.action);
-                let mut transitions = Vec::with_capacity(step.target.len());
-                for (t, p) in step.target.iter() {
-                    let ti = intern(t, &mut space, &mut queue)?;
-                    transitions.push((ti, p.value()));
-                }
-                cs.push(Choice { cost, transitions });
-            }
-            validate_row(id, &cs)?;
-            num_choices += cs.len() as u64;
-            num_transitions += cs.iter().map(|c| c.transitions.len() as u64).sum::<u64>();
-            debug_assert_eq!(emitted, id);
-            sink.state_row(id, &cs)?;
-            emitted += 1;
-        }
-
-        let summary = StreamSummary {
-            initial,
-            num_states: space.len(),
-            num_choices,
-            num_transitions,
+        let core = Core {
+            automaton: self.automaton,
+            cost_of: &self.cost_of,
+            limit,
+            sym,
         };
-        debug_assert_eq!(emitted, summary.num_states);
+        let summary = if workers <= 1 {
+            core.serial(&mut space, sink)?
+        } else {
+            core.parallel(&mut space, sink, workers)?
+        };
         if pa_telemetry::enabled() {
             pa_telemetry::counter("mdp.explore.runs").inc();
             pa_telemetry::counter("mdp.explore.states").add(summary.num_states as u64);
@@ -465,97 +406,181 @@ where
     }
 }
 
-/// Per-row distribution validation for the streaming explorer — the same
-/// rules [`ExplicitMdp::new`] applies to a finished model (successor
-/// indices are interner-produced and therefore in range).
-fn validate_row(state: usize, cs: &[Choice]) -> Result<(), MdpError> {
-    for c in cs {
-        if c.transitions.is_empty() {
-            return Err(MdpError::BadDistribution {
-                state,
-                reason: "empty support".into(),
-            });
-        }
-        let mut sum = 0.0;
-        for &(_, p) in &c.transitions {
-            if !p.is_finite() || p < 0.0 {
-                return Err(MdpError::BadDistribution {
-                    state,
-                    reason: format!("weight {p}"),
-                });
-            }
-            sum += p;
-        }
-        if (sum - 1.0).abs() > 1e-6 {
-            return Err(MdpError::BadDistribution {
-                state,
-                reason: format!("weights sum to {sum}"),
-            });
-        }
-    }
-    Ok(())
+/// One state's choices under construction: the flat arrays a [`CsrRow`]
+/// borrows, reused across states.
+#[derive(Debug, Default)]
+struct RowBuf {
+    costs: Vec<u32>,
+    trans_ends: Vec<u32>,
+    targets: Vec<u32>,
+    probs: Vec<f64>,
 }
 
-/// Serial FIFO BFS over `automaton`, interning (canonicalized) states into
-/// `space`. The builder's serial path.
-fn serial_core<M: Automaton, SP: StateSpace<M::State>>(
-    automaton: &M,
-    cost_of: &mut impl FnMut(&M::State, &M::Action) -> u32,
-    limit: usize,
-    sym: Option<&dyn Symmetry<M::State>>,
-    space: &mut SP,
-) -> Result<ExplicitMdp, MdpError> {
-    let _span = pa_telemetry::span("mdp.explore.seconds");
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut choices: Vec<Vec<Choice>> = Vec::new();
-
-    // Interns a state (canonicalizing first under a symmetry); the hot
-    // path (an already-known successor) is a single hash lookup.
-    let intern =
-        |s: &M::State, space: &mut SP, queue: &mut VecDeque<usize>| -> Result<usize, MdpError> {
-            let canon;
-            let s = match sym {
-                Some(sym) => {
-                    canon = sym.canon(s);
-                    &canon
-                }
-                None => s,
-            };
-            let (id, new) = space.intern(s);
-            if new {
-                if space.len() > limit {
-                    return Err(MdpError::StateLimitExceeded { limit });
-                }
-                queue.push_back(id);
-            }
-            Ok(id)
-        };
-
-    let mut initial = Vec::new();
-    for s in automaton.start_states() {
-        initial.push(intern(&s, space, &mut queue)?);
-    }
-    if initial.is_empty() {
-        return Err(MdpError::NoInitialStates);
+impl RowBuf {
+    fn clear(&mut self) {
+        self.costs.clear();
+        self.trans_ends.clear();
+        self.targets.clear();
+        self.probs.clear();
     }
 
-    while let Some(id) = queue.pop_front() {
-        let state = space.state(id);
-        let mut cs = Vec::new();
-        for step in automaton.steps(&state) {
-            let cost = cost_of(&state, &step.action);
-            let mut transitions = Vec::with_capacity(step.target.len());
-            for (t, p) in step.target.iter() {
-                let ti = intern(t, space, &mut queue)?;
-                transitions.push((ti, p.value()));
-            }
-            cs.push(Choice { cost, transitions });
+    fn row(&self) -> CsrRow<'_> {
+        CsrRow {
+            costs: &self.costs,
+            trans_ends: &self.trans_ends,
+            targets: &self.targets,
+            probs: &self.probs,
         }
-        debug_assert_eq!(choices.len(), id);
-        choices.push(cs);
     }
 
-    ExplicitMdp::new(choices, initial)
+    /// Validates the row of `state` as [`crate::ExplicitMdp::new`] would
+    /// (successor ids come from the interner and are in range by
+    /// construction), then hands it to `sink` and adds its counts to
+    /// `summary`.
+    fn emit<K: RowSink + ?Sized>(
+        &self,
+        state: usize,
+        sink: &mut K,
+        summary: &mut StreamSummary,
+    ) -> Result<(), MdpError> {
+        let row = self.row();
+        for k in 0..row.costs.len() {
+            let range = row.trans_range(k);
+            if range.is_empty() {
+                return Err(MdpError::BadDistribution {
+                    state,
+                    reason: "empty support".into(),
+                });
+            }
+            let mut sum = 0.0;
+            for &p in &row.probs[range] {
+                if !p.is_finite() || p < 0.0 {
+                    return Err(MdpError::BadDistribution {
+                        state,
+                        reason: format!("weight {p}"),
+                    });
+                }
+                sum += p;
+            }
+            if (sum - 1.0).abs() > 1e-6 {
+                return Err(MdpError::BadDistribution {
+                    state,
+                    reason: format!("weights sum to {sum}"),
+                });
+            }
+        }
+        debug_assert_eq!(summary.num_states, state, "rows leave in dense-id order");
+        sink.state_row(state, row)?;
+        summary.num_states += 1;
+        summary.num_choices += row.costs.len() as u64;
+        summary.num_transitions += row.targets.len() as u64;
+        Ok(())
+    }
+}
+
+/// The parts of an [`Explore`] both engines read.
+struct Core<'e, M: Automaton, F> {
+    automaton: &'e M,
+    cost_of: &'e F,
+    limit: usize,
+    sym: Option<&'e dyn Symmetry<M::State>>,
+}
+
+impl<M, F> Core<'_, M, F>
+where
+    M: Automaton + Sync,
+    M::State: Send + Sync,
+    F: Fn(&M::State, &M::Action) -> u32 + Sync,
+{
+    /// Interns `s` (canonicalized first under a symmetry), returning its
+    /// id; the hot path (an already-known successor) is a single hash
+    /// lookup.
+    fn intern<SP: StateSpace<M::State>>(
+        &self,
+        s: &M::State,
+        space: &mut SP,
+    ) -> Result<usize, MdpError> {
+        match self.sym {
+            Some(sym) => self.intern_canonical(&sym.canon(s), space),
+            None => self.intern_canonical(s, space),
+        }
+    }
+
+    /// Interns an orbit representative (any state without a symmetry),
+    /// enforcing the state limit.
+    fn intern_canonical<SP: StateSpace<M::State>>(
+        &self,
+        s: &M::State,
+        space: &mut SP,
+    ) -> Result<usize, MdpError> {
+        let (id, new) = space.intern(s);
+        if new && space.len() > self.limit {
+            return Err(MdpError::StateLimitExceeded { limit: self.limit });
+        }
+        Ok(id)
+    }
+
+    /// Interns the start states, returning the initial ids (the first
+    /// BFS level is the new ones among them, in id order).
+    fn starts<SP: StateSpace<M::State>>(&self, space: &mut SP) -> Result<Vec<usize>, MdpError> {
+        let mut initial = Vec::new();
+        for s in self.automaton.start_states() {
+            initial.push(self.intern(&s, space)?);
+        }
+        if initial.is_empty() {
+            return Err(MdpError::NoInitialStates);
+        }
+        Ok(initial)
+    }
+
+    /// Serial FIFO BFS. Ids are dense in discovery order, so the queue is
+    /// just the next id to expand.
+    fn serial<SP, K>(&self, space: &mut SP, sink: &mut K) -> Result<StreamSummary, MdpError>
+    where
+        SP: StateSpace<M::State>,
+        K: RowSink + ?Sized,
+    {
+        let _span = pa_telemetry::span("mdp.explore.seconds");
+        let initial = self.starts(space)?;
+        let mut summary = StreamSummary {
+            initial,
+            num_states: 0,
+            num_choices: 0,
+            num_transitions: 0,
+        };
+        let mut row = RowBuf::default();
+        let mut failed: Option<MdpError> = None;
+        let mut id = 0;
+        while id < space.len() {
+            let state = space.state(id);
+            row.clear();
+            self.automaton.for_each_step(&state, |action, outcomes| {
+                if failed.is_some() {
+                    return;
+                }
+                row.costs.push((self.cost_of)(&state, action));
+                for (t, p) in outcomes {
+                    match self.intern(t, space) {
+                        Ok(ti) => {
+                            row.targets.push(ti as u32);
+                            row.probs.push(*p);
+                        }
+                        Err(e) => {
+                            failed = Some(e);
+                            return;
+                        }
+                    }
+                }
+                row.trans_ends.push(row.targets.len() as u32);
+            });
+            if let Some(e) = failed {
+                return Err(e);
+            }
+            row.emit(id, sink, &mut summary)?;
+            id += 1;
+        }
+        Ok(summary)
+    }
 }
 
 /// Cap on the adaptive oversharding factor: more than 8 shards per worker
@@ -593,218 +618,214 @@ fn next_shard_factor(factor: usize, max_fresh: u64, total_fresh: u64, shards: us
 /// A successor reference produced by a shard worker: either a state already
 /// interned when the level started, or the `k`-th *new* state this shard
 /// discovered.
+#[derive(Debug, Clone, Copy)]
 enum Succ {
     Known(usize),
     Fresh(usize),
 }
 
-/// One choice as expanded by a shard: its cost and shard-relative targets.
-type ShardChoice = (u32, Vec<(Succ, f64)>);
-
-/// One shard's expansion output for a BFS level.
+/// One shard's expansion of a slice of a BFS level, in flat form: the
+/// shard's rows as they will be emitted, with successors still
+/// shard-relative.
 struct ShardOutput<S> {
     /// New states in encounter order (shard-local ids `0..fresh.len()`).
     fresh: Vec<S>,
-    /// Per expanded state, its choices as `(cost, transitions)`.
-    expansions: Vec<Vec<ShardChoice>>,
+    /// Per expanded state, the end of its choices in `costs`/`trans_ends`.
+    row_ends: Vec<usize>,
+    /// Cost of each choice.
+    costs: Vec<u32>,
+    /// Per choice, the end of its transitions in `succs`/`probs`.
+    trans_ends: Vec<usize>,
+    /// Successor of each transition.
+    succs: Vec<Succ>,
+    /// Probability of each transition.
+    probs: Vec<f64>,
 }
 
-/// Expands `chunk` (state ids of the current level) against the read-only
-/// snapshot: successors already interned become [`Succ::Known`], new ones
-/// are deduplicated into a shard-local intern map. Under a symmetry, each
-/// successor is canonicalized first — the same point at which the serial
-/// engine canonicalizes, preserving the determinism contract.
-fn expand_shard<M: Automaton, SP: StateSpace<M::State>>(
-    automaton: &M,
-    cost_of: &(impl Fn(&M::State, &M::Action) -> u32 + Sync),
-    sym: Option<&dyn Symmetry<M::State>>,
-    space: &SP,
-    chunk: &[usize],
-) -> ShardOutput<M::State> {
-    let mut fresh: Vec<M::State> = Vec::new();
-    let mut local: FxHashMap<M::State, usize> = FxHashMap::default();
-    let mut expansions = Vec::with_capacity(chunk.len());
-    for &id in chunk {
-        let state = space.state(id);
-        let mut cs = Vec::new();
-        for step in automaton.steps(&state) {
-            let cost = cost_of(&state, &step.action);
-            let mut transitions = Vec::with_capacity(step.target.len());
-            for (t, p) in step.target.iter() {
-                let canon;
-                let t = match sym {
-                    Some(sym) => {
-                        canon = sym.canon(t);
-                        &canon
-                    }
-                    None => t,
-                };
-                let succ = if let Some(g) = space.get(t) {
-                    Succ::Known(g)
-                } else if let Some(&l) = local.get(t) {
-                    Succ::Fresh(l)
-                } else {
-                    let l = fresh.len();
-                    fresh.push(t.clone());
-                    local.insert(t.clone(), l);
-                    Succ::Fresh(l)
-                };
-                transitions.push((succ, p.value()));
-            }
-            cs.push((cost, transitions));
-        }
-        expansions.push(cs);
-    }
-    ShardOutput { fresh, expansions }
-}
-
-/// Level-synchronized parallel BFS (see the [module docs](self) for the
-/// merge contract). `workers` is already resolved and `> 1`.
-fn par_core<M, F, SP>(
-    automaton: &M,
-    cost_of: &F,
-    limit: usize,
-    sym: Option<&dyn Symmetry<M::State>>,
-    space: &mut SP,
-    workers: usize,
-) -> Result<ExplicitMdp, MdpError>
+impl<M, F> Core<'_, M, F>
 where
     M: Automaton + Sync,
     M::State: Send + Sync,
     F: Fn(&M::State, &M::Action) -> u32 + Sync,
-    SP: StateSpace<M::State> + Send + Sync,
 {
-    // Below this level width, shard spawn overhead dominates expansion.
-    const PAR_MIN_LEVEL: usize = 128;
-
-    let mut choices: Vec<Vec<Choice>> = Vec::new();
-
-    // Level 0: intern the start states serially, exactly like the serial
-    // engine.
-    let mut initial = Vec::new();
-    let mut level: Vec<usize> = Vec::new();
-    for s in automaton.start_states() {
-        let canon;
-        let s = match sym {
-            Some(sym) => {
-                canon = sym.canon(&s);
-                &canon
-            }
-            None => &s,
+    /// Expands the states `shard` (a slice of the current level) against
+    /// the read-only snapshot: successors already interned become
+    /// [`Succ::Known`], new ones are deduplicated into a shard-local intern
+    /// map. Under a symmetry, each successor is canonicalized first — the
+    /// same point at which the serial engine canonicalizes, preserving the
+    /// determinism contract.
+    fn expand_shard<SP: StateSpace<M::State>>(
+        &self,
+        space: &SP,
+        shard: Range<usize>,
+    ) -> ShardOutput<M::State> {
+        let mut local: FxHashMap<M::State, usize> = FxHashMap::default();
+        let mut out = ShardOutput {
+            fresh: Vec::new(),
+            row_ends: Vec::with_capacity(shard.len()),
+            costs: Vec::new(),
+            trans_ends: Vec::new(),
+            succs: Vec::new(),
+            probs: Vec::new(),
         };
-        let (id, new) = space.intern(s);
-        if new {
-            if space.len() > limit {
-                return Err(MdpError::StateLimitExceeded { limit });
-            }
-            level.push(id);
+        for id in shard {
+            let state = space.state(id);
+            self.automaton.for_each_step(&state, |action, outcomes| {
+                out.costs.push((self.cost_of)(&state, action));
+                for (t, p) in outcomes {
+                    let canon;
+                    let t = match self.sym {
+                        Some(sym) => {
+                            canon = sym.canon(t);
+                            &canon
+                        }
+                        None => t,
+                    };
+                    let succ = if let Some(g) = space.get(t) {
+                        Succ::Known(g)
+                    } else if let Some(&l) = local.get(t) {
+                        Succ::Fresh(l)
+                    } else {
+                        let l = out.fresh.len();
+                        out.fresh.push(t.clone());
+                        local.insert(t.clone(), l);
+                        Succ::Fresh(l)
+                    };
+                    out.succs.push(succ);
+                    out.probs.push(*p);
+                }
+                out.trans_ends.push(out.succs.len());
+            });
+            out.row_ends.push(out.costs.len());
         }
-        initial.push(id);
-    }
-    if initial.is_empty() {
-        return Err(MdpError::NoInitialStates);
+        out
     }
 
-    let _span = pa_telemetry::span("mdp.explore.seconds");
-    // Adaptive oversharding: shards per level = workers × this factor,
-    // adjusted between levels by `next_shard_factor`.
-    let mut shard_factor: usize = 1;
-    while !level.is_empty() {
-        if pa_telemetry::enabled() {
-            pa_telemetry::histogram("mdp.explore.frontier").record(level.len() as u64);
-            pa_telemetry::gauge("mdp.explore.peak_frontier").set_max(level.len() as i64);
-        }
-        // Expand the level in shards (in parallel when it pays off)...
-        let outputs: Vec<ShardOutput<M::State>> = if level.len() < PAR_MIN_LEVEL {
-            vec![expand_shard(automaton, cost_of, sym, space, &level)]
-        } else {
-            let shards = (workers * shard_factor).min(level.len());
-            let chunk = level.len().div_ceil(shards);
-            let space_ref: &SP = space;
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = level
-                    .chunks(chunk)
-                    .map(|shard| {
-                        scope
-                            .spawn(move |_| expand_shard(automaton, cost_of, sym, space_ref, shard))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("exploration worker panicked"))
-                    .collect()
-            })
-            .expect("exploration scope panicked")
+    /// Level-synchronized parallel BFS (see the [module docs](self) for
+    /// the merge contract). `workers` is already resolved and `> 1`. BFS
+    /// levels are contiguous id ranges, because ids are dense in discovery
+    /// order.
+    fn parallel<SP, K>(
+        &self,
+        space: &mut SP,
+        sink: &mut K,
+        workers: usize,
+    ) -> Result<StreamSummary, MdpError>
+    where
+        SP: StateSpace<M::State> + Send + Sync,
+        K: RowSink + ?Sized,
+    {
+        // Below this level width, shard spawn overhead dominates expansion.
+        const PAR_MIN_LEVEL: usize = 128;
+
+        let initial = self.starts(space)?;
+        let mut summary = StreamSummary {
+            initial,
+            num_states: 0,
+            num_choices: 0,
+            num_transitions: 0,
         };
-
-        // Shard imbalance: how much the busiest shard's fresh-state yield
-        // exceeds a perfectly even split (100 = balanced). Contiguous
-        // chunking makes the *input* shards even; the imbalance shows up in
-        // how unevenly new states fall out of them. The same yields drive
-        // the adaptive factor for the next level — unconditionally, so the
-        // shard schedule does not depend on whether telemetry is on.
-        if outputs.len() > 1 {
-            let total: u64 = outputs.iter().map(|o| o.fresh.len() as u64).sum();
-            let max = outputs
-                .iter()
-                .map(|o| o.fresh.len() as u64)
-                .max()
-                .unwrap_or(0);
-            let next = next_shard_factor(shard_factor, max, total, outputs.len());
+        let _span = pa_telemetry::span("mdp.explore.seconds");
+        let mut row = RowBuf::default();
+        let mut level = 0..space.len();
+        // Adaptive oversharding: shards per level = workers × this factor,
+        // adjusted between levels by `next_shard_factor`.
+        let mut shard_factor: usize = 1;
+        while !level.is_empty() {
             if pa_telemetry::enabled() {
-                if let Some(pct) = (max * outputs.len() as u64 * 100).checked_div(total) {
-                    pa_telemetry::histogram("mdp.explore.shard_imbalance_pct").record(pct);
-                }
-                if next > shard_factor {
-                    pa_telemetry::counter("mdp.explore.rebalances").inc();
-                }
-                pa_telemetry::gauge("mdp.explore.shard_factor").set_max(next as i64);
+                pa_telemetry::histogram("mdp.explore.frontier").record(level.len() as u64);
+                pa_telemetry::gauge("mdp.explore.peak_frontier").set_max(level.len() as i64);
             }
-            shard_factor = next;
-        }
+            // Expand the level in shards (in parallel when it pays off)...
+            let outputs: Vec<ShardOutput<M::State>> = if level.len() < PAR_MIN_LEVEL {
+                vec![self.expand_shard(space, level.clone())]
+            } else {
+                let shards = (workers * shard_factor).min(level.len());
+                let chunk = level.len().div_ceil(shards);
+                let snapshot: &SP = space;
+                crossbeam::thread::scope(|scope| {
+                    let handles: Vec<_> = level
+                        .clone()
+                        .step_by(chunk)
+                        .map(|first| {
+                            let shard = first..(first + chunk).min(level.end);
+                            scope.spawn(move |_| self.expand_shard(snapshot, shard))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("exploration worker panicked"))
+                        .collect()
+                })
+                .expect("exploration scope panicked")
+            };
 
-        // ...then merge deterministically: shard order is level order, so
-        // global ids are assigned exactly as the serial explorer would.
-        let mut next_level: Vec<usize> = Vec::new();
-        for out in outputs {
-            let mut local_to_global = Vec::with_capacity(out.fresh.len());
-            for s in out.fresh {
-                // A state can be fresh in two shards at once; the first
-                // shard (earlier in level order) wins, as in serial BFS.
-                let (id, new) = space.intern(&s);
-                if new {
-                    if space.len() > limit {
-                        return Err(MdpError::StateLimitExceeded { limit });
+            // Shard imbalance: how much the busiest shard's fresh-state
+            // yield exceeds a perfectly even split (100 = balanced). The
+            // same yields drive the adaptive factor for the next level —
+            // unconditionally, so the shard schedule does not depend on
+            // whether telemetry is on.
+            if outputs.len() > 1 {
+                let total: u64 = outputs.iter().map(|o| o.fresh.len() as u64).sum();
+                let max = outputs
+                    .iter()
+                    .map(|o| o.fresh.len() as u64)
+                    .max()
+                    .unwrap_or(0);
+                let next = next_shard_factor(shard_factor, max, total, outputs.len());
+                if pa_telemetry::enabled() {
+                    if let Some(pct) = (max * outputs.len() as u64 * 100).checked_div(total) {
+                        pa_telemetry::histogram("mdp.explore.shard_imbalance_pct").record(pct);
                     }
-                    next_level.push(id);
+                    if next > shard_factor {
+                        pa_telemetry::counter("mdp.explore.rebalances").inc();
+                    }
+                    pa_telemetry::gauge("mdp.explore.shard_factor").set_max(next as i64);
                 }
-                local_to_global.push(id);
+                shard_factor = next;
             }
-            for cs in out.expansions {
-                let resolved: Vec<Choice> = cs
-                    .into_iter()
-                    .map(|(cost, transitions)| Choice {
-                        cost,
-                        transitions: transitions
-                            .into_iter()
-                            .map(|(succ, p)| {
-                                let t = match succ {
-                                    Succ::Known(g) => g,
-                                    Succ::Fresh(l) => local_to_global[l],
-                                };
-                                (t, p)
-                            })
-                            .collect(),
-                    })
-                    .collect();
-                choices.push(resolved);
-            }
-        }
-        debug_assert_eq!(choices.len() + next_level.len(), space.len());
-        level = next_level;
-    }
 
-    ExplicitMdp::new(choices, initial)
+            // ...then merge deterministically, shard by shard and row by
+            // row. A shard-new state is interned at its first reference —
+            // shard-local ids are numbered in encounter order, so that is
+            // exactly when serial BFS interns it. A state can be fresh in
+            // two shards at once; the earlier shard (in level order) wins,
+            // as in serial BFS.
+            let next_first = space.len();
+            for out in outputs {
+                let mut local_to_global: Vec<usize> = Vec::with_capacity(out.fresh.len());
+                let (mut c0, mut t0) = (0, 0);
+                for &row_end in &out.row_ends {
+                    row.clear();
+                    for c in c0..row_end {
+                        row.costs.push(out.costs[c]);
+                        let t_end = out.trans_ends[c];
+                        for t in t0..t_end {
+                            let g = match out.succs[t] {
+                                Succ::Known(g) => g,
+                                Succ::Fresh(l) => {
+                                    if l == local_to_global.len() {
+                                        let g = self.intern_canonical(&out.fresh[l], space)?;
+                                        local_to_global.push(g);
+                                    }
+                                    local_to_global[l]
+                                }
+                            };
+                            row.targets.push(g as u32);
+                            row.probs.push(out.probs[t]);
+                        }
+                        row.trans_ends.push(row.targets.len() as u32);
+                        t0 = t_end;
+                    }
+                    c0 = row_end;
+                    row.emit(summary.num_states, sink, &mut summary)?;
+                }
+            }
+            debug_assert_eq!(summary.num_states, level.end);
+            level = next_first..space.len();
+        }
+        Ok(summary)
+    }
 }
 
 /// The outcome of an exhaustive invariant check over the reachable states.
@@ -965,8 +986,8 @@ mod tests {
             .unwrap();
         let s0 = e.index_of(&0).unwrap();
         let s1 = e.index_of(&1).unwrap();
-        assert_eq!(e.mdp.choices(s0)[0].cost, 1);
-        assert_eq!(e.mdp.choices(s1)[0].cost, 0);
+        assert_eq!(e.mdp.cost(e.mdp.choice_range(s0).start), 1);
+        assert_eq!(e.mdp.cost(e.mdp.choice_range(s1).start), 0);
     }
 
     #[test]
@@ -985,18 +1006,7 @@ mod tests {
         for workers in [1, 2, 5] {
             let par = Explore::new(&m).limit(1000).workers(workers).run().unwrap();
             assert_eq!(par.states(), serial.states(), "workers={workers}");
-            for s in 0..serial.mdp.num_states() {
-                assert_eq!(
-                    par.mdp.choices(s),
-                    serial.mdp.choices(s),
-                    "workers={workers}"
-                );
-            }
-            assert_eq!(
-                par.mdp.initial_states(),
-                serial.mdp.initial_states(),
-                "workers={workers}"
-            );
+            assert_eq!(par.mdp, serial.mdp, "workers={workers}");
         }
     }
 
@@ -1053,13 +1063,7 @@ mod tests {
                 .run()
                 .unwrap();
             assert_eq!(par.states(), serial.states(), "workers={workers}");
-            for s in 0..serial.mdp.num_states() {
-                assert_eq!(
-                    par.mdp.choices(s),
-                    serial.mdp.choices(s),
-                    "workers={workers}"
-                );
-            }
+            assert_eq!(par.mdp, serial.mdp, "workers={workers}");
         }
     }
 
@@ -1162,9 +1166,7 @@ mod tests {
                 .run()
                 .unwrap();
             assert_eq!(par.states(), serial.states(), "workers={workers}");
-            for s in 0..serial.mdp.num_states() {
-                assert_eq!(par.mdp.choices(s), serial.mdp.choices(s));
-            }
+            assert_eq!(par.mdp, serial.mdp, "workers={workers}");
         }
     }
 

@@ -11,7 +11,7 @@
 //! dependent deterministic adversaries, so backward induction quantifies
 //! over the paper's full adversary class (substitution 2 in DESIGN.md).
 
-use crate::{source, CsrMdp, ExplicitMdp, MdpError, SolveStats};
+use crate::{source, MdpError, SolveStats, ToCsr};
 
 /// Whether the adversary minimizes or maximizes the objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,15 +76,15 @@ impl BoundedPolicy {
 ///
 /// Returns [`MdpError::TargetLengthMismatch`] for a malformed target vector
 /// and [`MdpError::BadDistribution`] if any transition cost exceeds 1.
-pub fn cost_bounded_reach_levels(
-    mdp: &ExplicitMdp,
+pub fn cost_bounded_reach_levels<M: ToCsr + ?Sized>(
+    mdp: &M,
     target: &[bool],
     budget: u32,
     objective: Objective,
     mut on_level: impl FnMut(u32, &[f64]),
 ) -> Result<Vec<f64>, MdpError> {
     source::bounded_levels(
-        &CsrMdp::from_explicit(mdp),
+        &*mdp.to_csr(),
         target,
         budget,
         objective,
@@ -99,7 +99,7 @@ pub fn cost_bounded_reach_levels(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, Query};
+    use crate::{Choice, ExplicitMdp, Query};
 
     /// Bounded reachability via the `Query` builder (the migration target
     /// of the removed pre-`Query` free function).

@@ -5,9 +5,12 @@
 //! verifies them mechanically, PRISM-style, by quantifying over *all*
 //! adversaries of a schema at once:
 //!
-//! * [`Explore`] — build an [`ExplicitMdp`] from any implicit
+//! * [`Explore`] — build a [`CsrMdp`] from any implicit
 //!   [`pa_core::Automaton`], assigning each transition a time cost
 //!   (0 = scheduling step inside a time unit, 1 = time-unit boundary).
+//!   Rows go straight from the automaton's step visitor
+//!   ([`pa_core::Automaton::for_each_step`]) into the CSR arrays or any
+//!   other [`RowSink`]; no nested model is built.
 //!   The builder selects serial or parallel execution, an optional
 //!   [`Symmetry`] (quotient construction, e.g. [`RingRotation`]), and the
 //!   state representation ([`BoxedSpace`] or bit-packed [`PackedSpace`]).
@@ -29,8 +32,8 @@
 //! [`Query`].
 //!
 //! All quantitative analyses run on a compressed-sparse-row engine
-//! ([`CsrMdp`]): the nested model is flattened once into contiguous arrays
-//! and swept with double-buffered Jacobi value iteration, parallelized
+//! ([`CsrMdp`]; a hand-built [`ExplicitMdp`] is flattened on the way in)
+//! swept with double-buffered Jacobi value iteration, parallelized
 //! across disjoint state chunks with results that are bit-for-bit
 //! identical for every worker count. Alternatively,
 //! [`Solver::SccOrdered`] condenses the choice graph into strongly
@@ -87,7 +90,7 @@ pub mod symmetry;
 mod tag;
 mod value_iter;
 
-pub use csr::CsrMdp;
+pub use csr::{CsrBuilder, CsrMdp, CsrRow, ToCsr};
 pub use error::MdpError;
 pub use expected::{has_zero_cost_cycle, min_expected_cost, ExpectedCost};
 pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};

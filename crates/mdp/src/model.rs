@@ -37,9 +37,12 @@ impl Choice {
 /// (reachability value 0 unless it is a target, expected cost 0 once
 /// reached — see the individual algorithms).
 ///
-/// Construct with [`ExplicitMdp::new`], which validates every distribution,
-/// or via the [`crate::Explore`] builder from an implicit
-/// [`pa_core::Automaton`].
+/// Construct with [`ExplicitMdp::new`], which validates every distribution.
+/// This nested form is for hand-built models and the nested-model
+/// oracles of [`crate::reference`]: exploration of an implicit
+/// [`pa_core::Automaton`] ([`crate::Explore`]) writes a [`crate::CsrMdp`]
+/// directly, and every in-core entry point takes either form
+/// ([`crate::ToCsr`]).
 #[derive(Debug, Clone)]
 pub struct ExplicitMdp {
     choices: Vec<Vec<Choice>>,
@@ -120,26 +123,6 @@ impl ExplicitMdp {
             .flat_map(|cs| cs.iter())
             .map(|c| c.transitions.len())
             .sum()
-    }
-
-    /// Heap bytes held by the nested choice lists and the initial-state
-    /// vector, counted at `Vec` capacities. Used for per-slot size
-    /// accounting when a model cache enforces a byte budget.
-    pub fn mem_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let nested: usize = self
-            .choices
-            .iter()
-            .map(|cs| {
-                cs.capacity() * size_of::<Choice>()
-                    + cs.iter()
-                        .map(|c| c.transitions.capacity() * size_of::<(usize, f64)>())
-                        .sum::<usize>()
-            })
-            .sum();
-        (self.choices.capacity() * size_of::<Vec<Choice>>()
-            + nested
-            + self.initial.capacity() * size_of::<usize>()) as u64
     }
 
     /// The choices of a state.

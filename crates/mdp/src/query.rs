@@ -66,7 +66,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::source::{self, CsrSource};
-use crate::{BoundedPolicy, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective, SolveStats};
+use crate::{BoundedPolicy, CsrMdp, IterOptions, MdpError, Objective, SolveStats, ToCsr};
 
 /// What a [`Query`] optimizes, quantifying over all adversaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,15 +270,14 @@ pub struct Query<'m> {
     with_policy: bool,
 }
 
-impl Query<'static> {
-    /// Starts a query over a nested model, flattening it to CSR once.
-    pub fn over(mdp: &ExplicitMdp) -> Query<'static> {
-        Query::new(QueryModel::InCore(Cow::Owned(CsrMdp::from_explicit(mdp))))
-    }
-}
-
 impl<'m> Query<'m> {
-    /// Starts a query over an already-flattened model.
+    /// Starts a query over an in-core model: a [`CsrMdp`] is used as is, a
+    /// hand-built [`crate::ExplicitMdp`] is flattened to CSR once.
+    pub fn over<M: ToCsr + ?Sized>(mdp: &'m M) -> Query<'m> {
+        Query::new(QueryModel::InCore(mdp.to_csr()))
+    }
+
+    /// Starts a query over a [`CsrMdp`] (the same as [`Query::over`]).
     pub fn csr(mdp: &'m CsrMdp) -> Query<'m> {
         Query::new(QueryModel::InCore(Cow::Borrowed(mdp)))
     }
@@ -526,7 +525,7 @@ impl<'m> Query<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Choice;
+    use crate::{Choice, ExplicitMdp};
 
     fn geometric() -> ExplicitMdp {
         ExplicitMdp::new(

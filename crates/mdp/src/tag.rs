@@ -14,13 +14,13 @@
 
 use pa_core::Automaton;
 
-use crate::{ExplicitMdp, Explored};
+use crate::{CsrMdp, Explored};
 
 /// The neutral tag: an ordinary protocol choice.
 pub const TAG_NONE: u8 = 0;
 
 /// Per-choice tags aligned with an [`Explored`] model: `tags[s][k]`
-/// labels `mdp.choices(s)[k]`.
+/// labels state `s`'s `k`-th choice (`mdp.choice_range(s).nth(k)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChoiceTags {
     /// `tags[state][choice]`, in the explored model's choice order.
@@ -44,7 +44,7 @@ impl ChoiceTags {
 
 /// Tags every choice of an explored model by re-enumerating the implicit
 /// automaton's steps in explored state order (exploration preserves choice
-/// order, so `steps(&states[s])[k]` *is* `mdp.choices(s)[k]`).
+/// order, so `steps(&states[s])[k]` *is* state `s`'s `k`-th choice).
 ///
 /// Records the number of non-[`TAG_NONE`] choices in the
 /// `mdp.tag.tagged_choices` telemetry counter when telemetry is enabled.
@@ -64,22 +64,19 @@ pub fn tag_choices<M: Automaton, SP: crate::StateSpace<M::State>>(
     let mut tagged = 0u64;
     for s in 0..explored.num_states() {
         let state = explored.state(s);
-        let steps = automaton.steps(&state);
+        let mut row: Vec<u8> = Vec::new();
+        automaton.for_each_step(&state, |action, _| {
+            let t = tag_of(&state, action);
+            if t != TAG_NONE {
+                tagged += 1;
+            }
+            row.push(t);
+        });
         assert_eq!(
-            steps.len(),
-            explored.mdp.choices(s).len(),
+            row.len(),
+            explored.mdp.choice_range(s).len(),
             "state {s}: automaton disagrees with the explored model"
         );
-        let row: Vec<u8> = steps
-            .iter()
-            .map(|step| {
-                let t = tag_of(&state, &step.action);
-                if t != TAG_NONE {
-                    tagged += 1;
-                }
-                t
-            })
-            .collect();
         tags.push(row);
     }
     if pa_telemetry::enabled() {
@@ -94,19 +91,18 @@ pub fn tag_choices<M: Automaton, SP: crate::StateSpace<M::State>>(
 /// that violate it — an empty vector certifies that all tagged choices
 /// are absorbing, so both solvers treat the tagged states as sinks.
 pub fn tagged_absorbing_violations(
-    mdp: &ExplicitMdp,
+    mdp: &CsrMdp,
     tags: &ChoiceTags,
     tag: u8,
 ) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for s in 0..mdp.num_states() {
-        for (k, choice) in mdp.choices(s).iter().enumerate() {
+        for (k, c) in mdp.choice_range(s).enumerate() {
             if tags.tag(s, k) != tag {
                 continue;
             }
-            let absorbing = choice.transitions.len() == 1
-                && choice.transitions[0].0 == s
-                && choice.transitions[0].1 == 1.0;
+            let trans = mdp.trans_range(c);
+            let absorbing = trans.len() == 1 && mdp.transition(trans.start) == (s, 1.0);
             if !absorbing {
                 out.push((s, k));
             }

@@ -2,14 +2,13 @@
 //! iteration. The PRISM-style baseline against which the paper's manual
 //! proof method is compared in the benchmarks.
 //!
-//! These entry points keep the original nested-model signatures but run on
-//! the CSR engine ([`crate::CsrMdp`]): the model is flattened once, then
-//! analyzed with double-buffered Jacobi sweeps that parallelize
-//! deterministically (see the [`crate::source`] module docs). Callers
-//! holding a [`crate::CsrMdp`] amortize the flattening across analyses with
-//! [`crate::Query::csr`].
+//! These entry points take an explored [`crate::CsrMdp`] as is, or a
+//! hand-built [`crate::ExplicitMdp`] flattened on the way in
+//! ([`crate::ToCsr`]), and run on the CSR engine's double-buffered Jacobi
+//! sweeps that parallelize deterministically (see the [`crate::source`]
+//! module docs).
 
-use crate::{source, CsrMdp, CsrSource, ExplicitMdp, MdpError};
+use crate::{source, CsrSource, MdpError, ToCsr};
 
 /// Numerical options for value iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,8 +30,8 @@ impl Default for IterOptions {
 
 /// States with **maximal** reachability probability zero: no path to the
 /// target exists in the transition graph (any choice, any branch).
-pub fn prob0_max(mdp: &ExplicitMdp, target: &[bool]) -> Result<Vec<bool>, MdpError> {
-    CsrMdp::from_explicit(mdp).prob0_max(target)
+pub fn prob0_max<M: ToCsr + ?Sized>(mdp: &M, target: &[bool]) -> Result<Vec<bool>, MdpError> {
+    mdp.to_csr().prob0_max(target)
 }
 
 /// States with **minimal** reachability probability zero: the adversary has
@@ -40,8 +39,8 @@ pub fn prob0_max(mdp: &ExplicitMdp, target: &[bool]) -> Result<Vec<bool>, MdpErr
 /// fixpoint of `X = {s ∉ T : s terminal, or some choice keeps all mass in
 /// X}` — terminal states count because an adversary may also stop
 /// scheduling (Definition 2.2 allows returning nothing).
-pub fn prob0_min(mdp: &ExplicitMdp, target: &[bool]) -> Result<Vec<bool>, MdpError> {
-    source::prob0_min(&CsrMdp::from_explicit(mdp), target)
+pub fn prob0_min<M: ToCsr + ?Sized>(mdp: &M, target: &[bool]) -> Result<Vec<bool>, MdpError> {
+    source::prob0_min(&*mdp.to_csr(), target)
 }
 
 /// States with reachability probability **exactly one** under the given
@@ -53,12 +52,12 @@ pub fn prob0_min(mdp: &ExplicitMdp, target: &[bool]) -> Result<Vec<bool>, MdpErr
 /// use this instead of thresholding a numerically iterated reachability
 /// value, which can stop with true-1 states measurably below 1 and so
 /// misclassify proper states as divergent.
-pub fn prob1(
-    mdp: &ExplicitMdp,
+pub fn prob1<M: ToCsr + ?Sized>(
+    mdp: &M,
     target: &[bool],
     objective: crate::Objective,
 ) -> Result<Vec<bool>, MdpError> {
-    source::prob1(&CsrMdp::from_explicit(mdp), target, objective)
+    source::prob1(&*mdp.to_csr(), target, objective)
 }
 
 /// Computes unbounded reachability probabilities
@@ -75,7 +74,7 @@ pub fn prob1(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, Objective, Query};
+    use crate::{Choice, ExplicitMdp, Objective, Query};
 
     /// Unbounded reachability via the `Query` builder (the migration target
     /// of the removed pre-`Query` free function).

@@ -493,11 +493,7 @@ proptest! {
                 .run()
                 .unwrap();
             prop_assert_eq!(par.states(), serial.states(), "workers={}", workers);
-            prop_assert_eq!(par.mdp.initial_states(), serial.mdp.initial_states());
-            prop_assert_eq!(par.mdp.num_states(), serial.mdp.num_states());
-            for s in 0..serial.mdp.num_states() {
-                prop_assert_eq!(par.mdp.choices(s), serial.mdp.choices(s), "state {}", s);
-            }
+            prop_assert_eq!(&par.mdp, &serial.mdp, "workers={}", workers);
         }
     }
 

@@ -126,10 +126,7 @@ proptest! {
             .run()
             .unwrap();
         prop_assert_eq!(par.states(), serial.states());
-        prop_assert_eq!(par.mdp.initial_states(), serial.mdp.initial_states());
-        for s in 0..serial.mdp.num_states() {
-            prop_assert_eq!(par.mdp.choices(s), serial.mdp.choices(s));
-        }
+        prop_assert_eq!(&par.mdp, &serial.mdp);
     }
 
     #[test]

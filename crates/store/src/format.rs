@@ -35,7 +35,7 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use pa_mdp::{Choice, CsrRows, MdpError, RowSink};
+use pa_mdp::{CsrBuilder, CsrRow, CsrRows, MdpError, RowSink};
 
 use crate::error::StoreError;
 use crate::mmap::Mapping;
@@ -119,9 +119,11 @@ fn push_u32s(out: &mut Vec<u8>, vals: &[u32]) {
 /// Appends CSR blocks to a new store file as rows stream in; implements
 /// [`RowSink`] so [`pa_mdp::Explore::run_streamed`] can drive it directly.
 ///
-/// Rows accumulate in memory until the pending payload reaches the block
-/// target, then the block is flushed — peak writer memory is one block
-/// plus buffered-writer overhead, independent of model size.
+/// Rows accumulate in a [`CsrBuilder`] — the row builder the in-core
+/// explorer fills too — until the pending payload reaches the block
+/// target, then the builder's arrays are flushed as one block and cleared:
+/// peak writer memory is one block plus buffered-writer overhead,
+/// independent of model size.
 #[derive(Debug)]
 pub struct StoreWriter {
     file: BufWriter<File>,
@@ -131,12 +133,8 @@ pub struct StoreWriter {
     pos: u64,
     blocks: Vec<BlockMeta>,
     first_state: usize,
-    next_state: usize,
-    choice_offsets: Vec<u32>,
-    trans_offsets: Vec<u32>,
-    costs: Vec<u32>,
-    targets: Vec<u32>,
-    probs: Vec<f64>,
+    /// The pending block's rows.
+    pending: CsrBuilder,
 }
 
 impl StoreWriter {
@@ -158,12 +156,7 @@ impl StoreWriter {
             pos: 0,
             blocks: Vec::new(),
             first_state: 0,
-            next_state: 0,
-            choice_offsets: vec![0],
-            trans_offsets: vec![0],
-            costs: Vec::new(),
-            targets: Vec::new(),
-            probs: Vec::new(),
+            pending: CsrBuilder::new(),
         };
         let mut header = Vec::with_capacity(16);
         header.extend_from_slice(&HEADER_MAGIC);
@@ -196,54 +189,46 @@ impl StoreWriter {
         Ok(())
     }
 
-    fn pending_bytes(&self) -> usize {
-        self.probs.len() * 8
-            + (self.choice_offsets.len() + self.trans_offsets.len()) * 4
-            + (self.costs.len() + self.targets.len()) * 4
+    /// The next state id the writer expects.
+    fn next_state(&self) -> usize {
+        self.first_state + self.pending.num_states()
     }
 
-    /// Appends one state's row to the pending block, flushing first if the
-    /// block target is reached.
-    pub fn push_row(&mut self, id: usize, choices: &[Choice]) -> Result<(), StoreError> {
-        debug_assert_eq!(id, self.next_state, "rows must arrive in dense-id order");
-        if self.pending_bytes() >= self.block_bytes && self.next_state > self.first_state {
+    /// Appends state `id`'s row to the pending block, flushing first if
+    /// the block target is reached.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors of the flush.
+    pub fn push_row(&mut self, id: usize, row: CsrRow<'_>) -> Result<(), StoreError> {
+        debug_assert_eq!(id, self.next_state(), "rows must arrive in dense-id order");
+        if self.pending.payload_bytes() >= self.block_bytes && self.pending.num_states() > 0 {
             self.flush_csr_block()?;
         }
-        for c in choices {
-            self.costs.push(c.cost);
-            for &(t, p) in &c.transitions {
-                let t32 = u32::try_from(t).map_err(|_| StoreError::Unsupported {
-                    reason: format!("state id {t} exceeds the format's u32 target range"),
-                })?;
-                self.targets.push(t32);
-                self.probs.push(p);
-            }
-            self.trans_offsets.push(self.targets.len() as u32);
-        }
-        self.choice_offsets.push(self.costs.len() as u32);
-        self.next_state = id + 1;
+        self.pending.push_row(row)?;
         Ok(())
     }
 
     fn flush_csr_block(&mut self) -> Result<(), StoreError> {
-        let states = self.next_state - self.first_state;
+        let states = self.pending.num_states();
         if states == 0 {
             return Ok(());
         }
-        let mut payload = Vec::with_capacity(self.pending_bytes());
-        for p in &self.probs {
+        let rows = self.pending.rows(self.first_state);
+        let mut payload = Vec::with_capacity(self.pending.payload_bytes());
+        for p in rows.probs {
             payload.extend_from_slice(&p.to_bits().to_le_bytes());
         }
-        push_u32s(&mut payload, &self.choice_offsets);
-        push_u32s(&mut payload, &self.trans_offsets);
-        push_u32s(&mut payload, &self.costs);
-        push_u32s(&mut payload, &self.targets);
+        push_u32s(&mut payload, rows.choice_offsets);
+        push_u32s(&mut payload, rows.trans_offsets);
+        push_u32s(&mut payload, rows.costs);
+        push_u32s(&mut payload, rows.targets);
         let meta = BlockMeta {
             kind: BlockKind::Csr,
             first_state: self.first_state as u64,
             states: states as u64,
-            choices: self.costs.len() as u64,
-            trans: self.targets.len() as u64,
+            choices: rows.costs.len() as u64,
+            trans: rows.targets.len() as u64,
             offset: self.pos,
             payload_len: payload.len() as u64,
             digest: fnv1a_64(&payload),
@@ -251,14 +236,8 @@ impl StoreWriter {
         self.write_all(&payload)?;
         self.pad_to_align()?;
         self.blocks.push(meta);
-        self.first_state = self.next_state;
-        self.choice_offsets.clear();
-        self.choice_offsets.push(0);
-        self.trans_offsets.clear();
-        self.trans_offsets.push(0);
-        self.costs.clear();
-        self.targets.clear();
-        self.probs.clear();
+        self.first_state += states;
+        self.pending.clear();
         Ok(())
     }
 
@@ -305,7 +284,7 @@ impl StoreWriter {
         num_transitions: u64,
     ) -> Result<StoreFile, StoreError> {
         self.flush_csr_block()?;
-        let num_states = self.next_state as u64;
+        let num_states = self.first_state as u64;
         let mut footer = Vec::new();
         footer.extend_from_slice(&num_states.to_le_bytes());
         footer.extend_from_slice(&num_choices.to_le_bytes());
@@ -352,8 +331,8 @@ impl StoreWriter {
 }
 
 impl RowSink for StoreWriter {
-    fn state_row(&mut self, id: usize, choices: &[Choice]) -> Result<(), MdpError> {
-        self.push_row(id, choices).map_err(MdpError::from)
+    fn state_row(&mut self, id: usize, row: CsrRow<'_>) -> Result<(), MdpError> {
+        self.push_row(id, row).map_err(MdpError::from)
     }
 }
 

@@ -5,6 +5,22 @@
 //! This is the only module in the workspace that touches raw pointers:
 //! `pa-mdp` is `#![forbid(unsafe_code)]`, so the unsafety of borrowing the
 //! page cache is confined here, behind [`Mapping::bytes`].
+//!
+//! # Truncation
+//!
+//! Touching a page of a `MAP_PRIVATE` mapping that lies past the end of
+//! the file raises `SIGBUS`, which kills the process. [`Mapping::map`]
+//! therefore checks the requested range against the file's *current*
+//! length before mapping, so a store file truncated after it was opened
+//! (and validated) fails the page-in with [`StoreError::Truncated`].
+//!
+//! One race remains: a file truncated *while* a block of it is mapped
+//! (after the length check, before the mapping is dropped) still faults
+//! on the next touch of a page past the new end. The store's files are
+//! written once and never modified, so only an outside process shrinking
+//! a file under a running query can hit it; closing it would need a
+//! `SIGBUS` handler or copying every block (the owned path), and neither
+//! is worth its cost for that case.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -72,7 +88,31 @@ impl Mapping {
     /// page-aligned for the mmap path (the store writer aligns every block
     /// to 4096); if the mapping fails for any reason the owned read path
     /// is used instead, so callers never observe the difference.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Truncated`] if the range extends past the file's
+    /// current end (see the [module docs](self)), and I/O errors of the
+    /// length check or the owned read.
     pub fn map(file: &File, offset: u64, len: usize) -> Result<Mapping, StoreError> {
+        // `lseek` to the end reads the current length at under half the
+        // cost of `fstat`/`statx`, and this runs on every page-in. The
+        // offset it moves is unused by mappings, and the owned path seeks
+        // before it reads.
+        let mut f = file;
+        let file_len = f
+            .seek(SeekFrom::End(0))
+            .map_err(StoreError::io("read store file length"))?;
+        if offset
+            .checked_add(len as u64)
+            .is_none_or(|end| end > file_len)
+        {
+            return Err(StoreError::Truncated {
+                what: format!(
+                    "block payload at offset {offset} ({len} bytes) in a {file_len}-byte file"
+                ),
+            });
+        }
         #[cfg(unix)]
         if len > 0 && offset.is_multiple_of(4096) {
             use std::os::unix::io::AsRawFd;
@@ -204,6 +244,17 @@ mod tests {
         assert!(!owned.is_mapped());
         drop(mapped);
         drop(owned);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn map_past_eof_is_truncated_error() {
+        let (path, f) = temp_file(&[0u8; 8192]);
+        assert!(Mapping::map(&f, 4096, 4096).is_ok());
+        for (offset, len) in [(4096, 4097), (8192, 4096), (u64::MAX - 1, 4096)] {
+            let err = Mapping::map(&f, offset, len).unwrap_err();
+            assert!(matches!(err, StoreError::Truncated { .. }), "{err}");
+        }
         std::fs::remove_file(path).unwrap();
     }
 

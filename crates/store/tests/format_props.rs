@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use pa_mdp::{Choice, CsrSource, Query, QueryObjective};
+use pa_mdp::{Choice, CsrRow, CsrSource, Query, QueryObjective};
 use pa_store::{fnv1a_64, StoreError, StoreWriter, StoredCsr};
 
 /// An arbitrary small model as nested rows: per state, a list of choices,
@@ -55,7 +55,24 @@ fn write_store(
     for (id, cs) in rows.iter().enumerate() {
         choices += cs.len() as u64;
         trans += cs.iter().map(|c| c.transitions.len() as u64).sum::<u64>();
-        w.push_row(id, cs).unwrap();
+        let costs: Vec<u32> = cs.iter().map(|c| c.cost).collect();
+        let flat = cs.iter().flat_map(|c| c.transitions.iter());
+        let targets: Vec<u32> = flat.clone().map(|&(t, _)| t as u32).collect();
+        let probs: Vec<f64> = flat.map(|&(_, p)| p).collect();
+        let trans_ends: Vec<u32> = cs
+            .iter()
+            .scan(0u32, |end, c| {
+                *end += c.transitions.len() as u32;
+                Some(*end)
+            })
+            .collect();
+        let row = CsrRow {
+            costs: &costs,
+            trans_ends: &trans_ends,
+            targets: &targets,
+            probs: &probs,
+        };
+        w.push_row(id, row).unwrap();
     }
     w.finish(&[0], choices, trans).unwrap()
 }

@@ -365,3 +365,45 @@ fn reopened_store_answers_identically_without_the_original_space() {
     assert_bitwise("reopen", &first.values, &again.values);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A spilled file truncated after it was opened fails the query with a
+/// named error instead of killing the process: touching a mapped page
+/// past the new end of file would raise `SIGBUS`, so page-in checks the
+/// block range against the file's current length first.
+#[test]
+fn truncated_spill_fails_the_query_instead_of_faulting() {
+    let arrow = paper::arrow_g_to_p();
+    let to = set_pred(arrow.to()).unwrap();
+    let model = round_model("G", arrow.to());
+    for cache_budget in BUDGETS {
+        let dir = tmpdir(&format!("truncated-{cache_budget}"));
+        let stored = Explore::new(&model)
+            .cost(round_cost)
+            .limit(LIMIT)
+            .spill_to(&dir, cache_budget)
+            .block_bytes(BLOCK_BYTES)
+            .run()
+            .unwrap();
+        assert!(CsrSource::num_blocks(stored.store()) > 1);
+        let target = stored.target_where(|rs| to(&rs.config));
+        let path = stored.store().file().path().to_path_buf();
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        let result = Query::source(stored.store())
+            .objective(QueryObjective::MinProb)
+            .target(target)
+            .horizon(time_to_budget(arrow.time()))
+            .run();
+        let err = result.expect_err("a query over a truncated file must fail");
+        assert!(
+            err.into_root().to_string().contains("truncated"),
+            "budget {cache_budget}: the error names the truncation"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -146,15 +146,17 @@ fn extracted_worst_case_policy_reproduces_its_value() {
             let Some(choice_idx) = policy.choice(state, remaining) else {
                 break; // absorbing non-target state
             };
-            let choice = &explored.mdp.choices(state)[choice_idx as usize];
-            if choice.cost > remaining {
+            let mdp = &explored.mdp;
+            let c = mdp.choice_range(state).start + choice_idx as usize;
+            if mdp.cost(c) > remaining {
                 break; // out of time budget
             }
-            remaining -= choice.cost;
+            remaining -= mdp.cost(c);
             // Sample the successor.
             let mut x: f64 = rng.random();
-            let mut next = choice.transitions[0].0;
-            for &(t, p) in &choice.transitions {
+            let trans = mdp.trans_range(c);
+            let mut next = mdp.transition(trans.start).0;
+            for (t, p) in trans.map(|i| mdp.transition(i)) {
                 if x < p {
                     next = t;
                     break;
