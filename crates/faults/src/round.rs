@@ -112,11 +112,17 @@ impl pa_mdp::RingState for FaultyRoundState {
 
     /// The round counter is rotation-invariant, so the derived `Ord` on
     /// the rotations reduces to the inner round state's keys
-    /// ([`RoundState::rotation_keys`]) followed by the rotated status word.
+    /// ([`RoundState::rotation_keys`]) followed by the rotated status word;
+    /// the process lanes lead, so they alone decide unless they tie.
     fn least_rotation(&self, n: usize) -> usize {
-        let inner = self.inner.rotation_keys();
-        let (ring, status) = (self.inner.config.n(), u128::from(self.status));
-        least_key(n, |k| (inner(k), rotate_lanes(status, 4, ring, k)))
+        self.inner
+            .config
+            .unique_least_rotation()
+            .unwrap_or_else(|| {
+                let inner = self.inner.rotation_keys();
+                let (ring, status) = (self.inner.config.n(), u128::from(self.status));
+                least_key(n, |k| (inner(k), rotate_lanes(status, 4, ring, k)))
+            })
     }
 }
 

@@ -104,7 +104,9 @@ impl pa_mdp::RingState for RoundState {
     }
 
     fn least_rotation(&self, n: usize) -> usize {
-        least_key(n, self.rotation_keys())
+        self.config
+            .unique_least_rotation()
+            .unwrap_or_else(|| least_key(n, self.rotation_keys()))
     }
 }
 

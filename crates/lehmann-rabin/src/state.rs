@@ -2,7 +2,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use pa_mdp::{least_key, rotate_lanes};
+use pa_mdp::{least_key, least_lane_rotation, rotate_lanes};
 
 #[cfg(test)]
 use crate::Pc;
@@ -138,6 +138,17 @@ impl Config {
         })
     }
 
+    /// The least rotation as decided by the processes alone: `Some(k)`
+    /// when rotation `k` is the only one with the least lane word (the
+    /// processes as 5-bit `pc · 2 + side` lanes, process 0 most
+    /// significant), `None` when the lane pattern is rotation-periodic.
+    /// Every [`pa_mdp::RingState::least_rotation`] override over a
+    /// configuration orders the lane word first, so `Some(k)` is its
+    /// answer and only a tie needs the full rotation keys.
+    pub fn unique_least_rotation(&self) -> Option<usize> {
+        least_lane_rotation(self.lanes(), 5, self.n())
+    }
+
     /// Integer keys of the rotations, for
     /// [`pa_mdp::RingState::least_rotation`] overrides: `key(k)` orders
     /// like `self.rotated(k)` under `Ord` (`k = 0` is `self`). Wrappers
@@ -260,7 +271,8 @@ impl pa_mdp::RingState for Config {
     }
 
     fn least_rotation(&self, n: usize) -> usize {
-        least_key(n, self.rotation_keys())
+        self.unique_least_rotation()
+            .unwrap_or_else(|| least_key(n, self.rotation_keys()))
     }
 }
 

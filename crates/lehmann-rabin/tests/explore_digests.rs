@@ -4,12 +4,14 @@
 //! fault-wrapped round model under each plan of the default fault grid,
 //! and the free-interleaving protocol — recorded before exploration wrote
 //! CSR rows directly (when it still built a nested model and flattened
-//! it). Every engine path must reproduce them: serial `run_in`, the
-//! level-parallel engine at 2 and 3 workers, and `run_streamed` into a
-//! collecting sink.
+//! it). The rotation quotients of the fault-free fault-wrapped model and
+//! of the protocol were recorded before canonicalization read the least
+//! rotation off the process-lane word. Every engine path must reproduce
+//! them: serial `run_in`, the level-parallel engine at 2 and 3 workers,
+//! and `run_streamed` into a collecting sink.
 
 use pa_core::Automaton;
-use pa_faults::{default_grid, faulty_round_cost, FaultyRoundMdp};
+use pa_faults::{default_grid, faulty_round_cost, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
 use pa_lehmann_rabin::{
     paper, reachable_configs_quotient, round_cost, set_pred, LrProtocol, RoundConfig, RoundMdp,
     RoundStateCodec, UserModel,
@@ -157,6 +159,38 @@ fn protocol_model_is_pinned() {
         "protocol n=4",
         0x0b30_4b41_599e_b248,
         || Explore::new(&p).limit(LIMIT),
+        BoxedSpace::default,
+    );
+}
+
+#[test]
+fn faulty_round_quotient_is_pinned() {
+    for (n, want) in [(3, 0xbb91_1c0e_8965_c5c7), (4, 0x84ef_d6e9_03b1_ca80)] {
+        let m = FaultyRoundMdp::new(RoundConfig::new(n).unwrap(), FaultPlan::none()).unwrap();
+        let cap = m.round_cap();
+        assert_pinned(
+            &format!("faulty quotient n={n} none"),
+            want,
+            || {
+                Explore::new(&m)
+                    .cost(faulty_round_cost)
+                    .limit(LIMIT)
+                    .symmetry(RingRotation::new(n))
+            },
+            || PackedSpace::new(FaultyStateCodec::new(n, cap).unwrap()),
+        );
+    }
+}
+
+#[test]
+fn protocol_quotient_is_pinned() {
+    // n = 6 (382,708 orbits) takes several seconds per engine path in
+    // the debug test profile, so only n = 4 is pinned.
+    let p = LrProtocol::new(4, UserModel::full()).unwrap();
+    assert_pinned(
+        "protocol quotient n=4",
+        0x472c_27a2_065f_8852,
+        || Explore::new(&p).limit(LIMIT).symmetry(RingRotation::new(4)),
         BoxedSpace::default,
     );
 }

@@ -354,6 +354,123 @@ fn naive_least_rotation<S: pa_mdp::RingState>(s: &S, n: usize) -> usize {
     best_k
 }
 
+/// Asserts that `least_rotation` agrees with the naive rule on `s`, and
+/// returns the rotation both pick.
+fn checked_least_rotation<S: pa_mdp::RingState + std::fmt::Debug>(s: &S, n: usize) -> usize {
+    let k = naive_least_rotation(s, n);
+    assert_eq!(pa_mdp::RingState::least_rotation(s, n), k, "n = {n}: {s:?}");
+    k
+}
+
+/// A ring of `n` processes repeating `period` distinct local states in
+/// increasing order, so the lane word is least at every multiple of the
+/// period, `k = 0` included.
+fn periodic_procs(n: usize, period: usize) -> Vec<ProcState> {
+    let palette = [
+        ProcState::new(Pc::F, Side::Left),
+        ProcState::new(Pc::W, Side::Right),
+        ProcState::new(Pc::S, Side::Left),
+        ProcState::new(Pc::C, Side::Left),
+    ];
+    (0..n).map(|i| palette[i % period]).collect()
+}
+
+#[test]
+fn tied_lane_words_fall_back_to_the_full_key() {
+    // Rotation-periodic process patterns tie on the lane word at every
+    // multiple of the period, so the resource, obligation, budget or
+    // status word must decide. A lone bit or nibble at `j`, the start of
+    // the last period, reaches position 0 only under rotation `j`, which
+    // therefore wins each tie-break.
+    use pa_faults::FaultyRoundState;
+    use pa_lehmann_rabin::RoundState;
+    for n in [4, 6, 8, 16] {
+        for period in [1, 2, 4].into_iter().filter(|&p| p < n && n % p == 0) {
+            let procs = periodic_procs(n, period);
+            let j = n - period;
+            let plain = Config::from_parts(procs.clone(), []).unwrap();
+            assert_eq!(
+                plain.unique_least_rotation(),
+                None,
+                "n = {n}, period {period}"
+            );
+            assert_eq!(checked_least_rotation(&plain, n), 0);
+            let by_res = Config::from_parts(procs, [j]).unwrap();
+            assert_eq!(checked_least_rotation(&by_res, n), j);
+            let round = |obliged, budget| RoundState {
+                config: plain,
+                obliged,
+                budget,
+            };
+            assert_eq!(checked_least_rotation(&round(1 << j, 0), n), j);
+            assert_eq!(checked_least_rotation(&round(0, 0x3 << (4 * j)), n), j);
+            let faulty = FaultyRoundState {
+                inner: round(0, 0),
+                status: 0x5 << (4 * j),
+                round: 1,
+            };
+            assert_eq!(checked_least_rotation(&faulty, n), j);
+        }
+    }
+}
+
+#[test]
+fn a_fully_uniform_state_is_its_own_least_rotation() {
+    use pa_faults::FaultyRoundState;
+    use pa_lehmann_rabin::RoundState;
+    for n in [4, 6, 8, 16] {
+        let all =
+            |width: u32, value: u64| (0..n).fold(0u64, |acc, i| acc | value << (width * i as u32));
+        let config = Config::from_parts(periodic_procs(n, 1), 0..n).unwrap();
+        let state = FaultyRoundState {
+            inner: RoundState {
+                config,
+                obliged: all(1, 1) as u32,
+                budget: all(4, 0x7),
+            },
+            status: all(4, 0x2),
+            round: 3,
+        };
+        assert_eq!(checked_least_rotation(&config, n), 0);
+        assert_eq!(checked_least_rotation(&state.inner, n), 0);
+        assert_eq!(checked_least_rotation(&state, n), 0);
+    }
+}
+
+#[test]
+fn a_unique_least_lane_word_beats_smaller_secondary_words() {
+    // One process `m` with the least local state makes rotation `m` the
+    // unique least lane word. The secondary words all have their bit or
+    // nibble at `m - 1`: rotation `m` moves it to the top position
+    // (largest), rotation `m - 1` to position 0 (smallest), yet `m` wins.
+    use pa_faults::FaultyRoundState;
+    use pa_lehmann_rabin::RoundState;
+    for n in [4, 6, 8, 16] {
+        let m = n / 2;
+        let mut procs = vec![ProcState::new(Pc::S, Side::Left); n];
+        procs[m] = ProcState::new(Pc::F, Side::Left);
+        let config = Config::from_parts(procs, [m - 1]).unwrap();
+        let state = FaultyRoundState {
+            inner: RoundState {
+                config,
+                obliged: 1 << (m - 1),
+                budget: 0xF << (4 * (m - 1)),
+            },
+            status: 0xE << (4 * (m - 1)),
+            round: 1,
+        };
+        assert_eq!(config.unique_least_rotation(), Some(m));
+        let (won, beaten) = (state.rotated(m), state.rotated(m - 1));
+        assert!(beaten.inner.config.res_taken(0) && won.inner.config.res_taken(n - 1));
+        assert!(beaten.inner.obliged < won.inner.obliged);
+        assert!(beaten.inner.budget < won.inner.budget);
+        assert!(beaten.status < won.status);
+        assert_eq!(checked_least_rotation(&config, n), m);
+        assert_eq!(checked_least_rotation(&state.inner, n), m);
+        assert_eq!(checked_least_rotation(&state, n), m);
+    }
+}
+
 /// Checks the word-level `least_rotation` of `s` and of every successor
 /// of every step against the naive rule, then follows a random step.
 fn walk_checking_least_rotation<M>(model: &M, n: usize, seed: u64, len: usize)

@@ -32,17 +32,20 @@
 //! * serial — FIFO breadth-first search, interning states through a
 //!   [`StateSpace`] (hashing with the crate's [`FxHashMap`]; SipHash
 //!   dominated the profile, and model states are not attacker-controlled,
-//!   see [`crate::fxhash`]). Ids are assigned in pop order, so a popped
-//!   state's row is final and goes to the sink at once.
+//!   see [`crate::fxhash`]). Interning a packed word hashes and probes
+//!   once, through the map's entry API, whether the state is new or
+//!   known. Ids are assigned in pop order, so a popped state's row is
+//!   final and goes to the sink at once.
 //! * parallel — level-synchronized BFS. Each BFS level is split into
 //!   contiguous shards (adaptively oversharded when the fresh yield of the
 //!   busiest shard runs hot — see [`next_shard_factor`]); workers expand
 //!   their shard into flat arrays against a read-only snapshot of the
 //!   intern table, deduplicating *new* successor states in a worker-local
-//!   `FxHashMap`. The main thread then merges shard outputs **in shard
-//!   order**, row by row, interning each shard-new state at its first
-//!   reference — exactly when the serial explorer would intern it (shard
-//!   order = level order; within a shard, encounter order). The result —
+//!   `FxHashMap` (one entry lookup each). The main thread then merges
+//!   shard outputs **in shard order**, row by row, interning each
+//!   shard-new state at its first reference — exactly when the serial
+//!   explorer would intern it (shard order = level order; within a
+//!   shard, encounter order). The result —
 //!   state ids, choice lists, transitions, and even the state at which a
 //!   [`MdpError::StateLimitExceeded`] or a
 //!   [`MdpError::BadDistribution`] fires — is identical to the serial run
@@ -681,15 +684,15 @@ where
                         }
                         None => t,
                     };
-                    let succ = if let Some(g) = space.get(t) {
-                        Succ::Known(g)
-                    } else if let Some(&l) = local.get(t) {
-                        Succ::Fresh(l)
-                    } else {
-                        let l = out.fresh.len();
-                        out.fresh.push(t.clone());
-                        local.insert(t.clone(), l);
-                        Succ::Fresh(l)
+                    let succ = match space.get(t) {
+                        Some(g) => Succ::Known(g),
+                        None => {
+                            let fresh = &mut out.fresh;
+                            Succ::Fresh(*local.entry(t.clone()).or_insert_with(|| {
+                                fresh.push(t.clone());
+                                fresh.len() - 1
+                            }))
+                        }
                     };
                     out.succs.push(succ);
                     out.probs.push(*p);

@@ -16,6 +16,7 @@
 //! accessors ([`StateSpace::state`], [`StateSpace::for_each_state`])
 //! reconstruct states on demand.
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 use crate::fxhash::FxHashMap;
@@ -92,6 +93,9 @@ impl<S> BoxedSpace<S> {
 }
 
 impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
+    /// A hit costs one probe, a miss two. The entry API would need an
+    /// owned key, so every hit would pay for a clone; on the protocol
+    /// quotient that measured no faster.
     fn intern(&mut self, s: &S) -> (usize, bool) {
         if let Some(&id) = self.index.get(s) {
             return (id, false);
@@ -124,10 +128,7 @@ impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
     }
 
     fn mem_bytes(&self) -> u64 {
-        let entry = std::mem::size_of::<S>() as u64;
-        // Hash-map entries carry the key, the id, and control metadata.
-        self.states.capacity() as u64 * entry
-            + self.index.capacity() as u64 * (entry + std::mem::size_of::<usize>() as u64 + 1)
+        self.states.capacity() as u64 * std::mem::size_of::<S>() as u64 + index_bytes(&self.index)
     }
 
     fn for_each_state(&self, mut f: impl FnMut(usize, &S)) {
@@ -135,6 +136,21 @@ impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
             f(i, s);
         }
     }
+}
+
+/// Resident bytes of an interner's table. `capacity()` reports how many
+/// entries fit before the next grow, which is 7/8 of the allocated buckets
+/// (all but one below 8 buckets); inverting that load factor and rounding
+/// up to the power of two recovers the bucket count. Each bucket holds a
+/// `(key, id)` entry and one control byte, and the control bytes carry one
+/// trailing SIMD group of 16.
+fn index_bytes<K>(index: &FxHashMap<K, usize>) -> u64 {
+    let capacity = index.capacity() as u64;
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
+    buckets * (std::mem::size_of::<(K, usize)>() as u64 + 1) + 16
 }
 
 /// A fixed-width encoding of a state type: the bridge into
@@ -187,15 +203,19 @@ impl<C: StateCodec> PackedSpace<C> {
 }
 
 impl<C: StateCodec> StateSpace<C::State> for PackedSpace<C> {
+    /// One hash and one probe per call: the word is `Copy`, so it can key
+    /// the entry lookup and still be stored on a miss.
     fn intern(&mut self, s: &C::State) -> (usize, bool) {
         let w = self.codec.pack(s);
-        if let Some(&id) = self.index.get(&w) {
-            return (id, false);
+        match self.index.entry(w) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => {
+                let id = self.words.len();
+                e.insert(id);
+                self.words.push(w);
+                (id, true)
+            }
         }
-        let id = self.words.len();
-        self.words.push(w);
-        self.index.insert(w, id);
-        (id, true)
     }
 
     fn get(&self, s: &C::State) -> Option<usize> {
@@ -220,9 +240,8 @@ impl<C: StateCodec> StateSpace<C::State> for PackedSpace<C> {
     }
 
     fn mem_bytes(&self) -> u64 {
-        let entry = std::mem::size_of::<C::Word>() as u64;
-        self.words.capacity() as u64 * entry
-            + self.index.capacity() as u64 * (entry + std::mem::size_of::<usize>() as u64 + 1)
+        self.words.capacity() as u64 * std::mem::size_of::<C::Word>() as u64
+            + index_bytes(&self.index)
     }
 
     fn for_each_state(&self, mut f: impl FnMut(usize, &C::State)) {
@@ -291,6 +310,30 @@ mod tests {
         sp.clear_index();
         assert_eq!(sp.state(0), (9, 9));
         assert_eq!(sp.len(), 1);
+    }
+
+    #[test]
+    fn mem_bytes_counts_allocated_buckets_not_usable_capacity() {
+        // 100 words grow the interner to 128 buckets, of which only 112
+        // are usable capacity: each bucket is a `(u16, usize)` entry plus
+        // a control byte, and 16 trailing control bytes close the table.
+        let mut sp = PackedSpace::new(PairCodec);
+        for i in 0..100u8 {
+            sp.intern(&(i, 0));
+        }
+        assert_eq!(sp.index.capacity(), 112);
+        let words = sp.words.capacity() as u64 * 2;
+        assert_eq!(sp.mem_bytes(), words + 128 * (16 + 1) + 16);
+        // The largest claim model's 788,722 states sit in 2^20 buckets,
+        // though `capacity()` reads 917,504.
+        let index: FxHashMap<u32, usize> = (0..788_722).map(|i| (i, i as usize)).collect();
+        assert_eq!(index.capacity(), 917_504);
+        assert_eq!(index_bytes(&index), (1 << 20) * (16 + 1) + 16);
+        // Small tables keep all but one bucket usable.
+        let small: FxHashMap<u32, usize> = (0..3).map(|i| (i, 0)).collect();
+        assert_eq!(small.capacity(), 3);
+        assert_eq!(index_bytes(&small), 4 * 17 + 16);
+        assert_eq!(index_bytes(&FxHashMap::<u32, usize>::default()), 0);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! pick its least rotation from integer keys — [`rotate_lanes`] moves
 //! per-process lanes of a packed word, [`least_key`] picks the first
 //! minimal key — so [`RingRotation::canon`] builds exactly one rotated
-//! state instead of all `n`.
+//! state instead of all `n`. The ring states order their rotations by the
+//! process lanes first, so [`least_lane_rotation`] settles almost every
+//! state from that one word and [`least_key`] runs only on a tie.
 
 /// A group action on states, exposed through its canonicalization map.
 ///
@@ -110,6 +112,35 @@ pub fn least_key<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> usize {
         }
     }
     best_k
+}
+
+/// The first `k < n` whose rotation of a lane word is least, when it is
+/// the *only* `k` with that word; `None` on a tie.
+///
+/// `word` packs a ring of `n` lanes of `lane_bits` bits with process 0
+/// *most* significant, so the word of rotation `k` (new process `i` = old
+/// process `i + k`) is `word` rotated left by `k` lanes within the ring:
+/// one constant shift per step, no [`rotate_lanes`] call. States whose
+/// `Ord` compares this word first can take the answer as their
+/// [`RingState::least_rotation`] whenever it is `Some`, since no later
+/// key component can reorder distinct lane words. A tie means the lane
+/// pattern is rotation-periodic (all idle, say); callers then fall back
+/// to [`least_key`] over their full keys, which picks the first minimum
+/// just as this does.
+pub fn least_lane_rotation(word: u128, lane_bits: u32, n: usize) -> Option<usize> {
+    let width = lane_bits * n as u32;
+    debug_assert!(width <= 128 && (width == 128 || word >> width == 0));
+    let mask = u128::MAX >> (128 - width);
+    let (mut w, mut best, mut best_k, mut tie) = (word, word, 0, false);
+    for k in 1..n {
+        w = ((w << lane_bits) | (w >> (width - lane_bits))) & mask;
+        if w < best {
+            (best, best_k, tie) = (w, k, false);
+        } else if w == best {
+            tie = true;
+        }
+    }
+    (!tie).then_some(best_k)
 }
 
 /// The cyclic rotation symmetry of a ring of `n` processes.
@@ -200,6 +231,38 @@ mod tests {
     fn least_key_picks_the_first_minimum() {
         assert_eq!(least_key(4, |k| [3, 1, 2, 1][k]), 1);
         assert_eq!(least_key(3, |_| 0), 0);
+    }
+
+    #[test]
+    fn least_lane_rotation_finds_a_unique_minimum_or_reports_a_tie() {
+        // 2-bit lanes, process 0 most significant: 0b11_01_10 is
+        // (3, 1, 2); its rotations are (1, 2, 3) at k = 1, (2, 3, 1) at 2.
+        assert_eq!(least_lane_rotation(0b11_01_10, 2, 3), Some(1));
+        assert_eq!(least_lane_rotation(0b01_10_11, 2, 3), Some(0));
+        // Periodic patterns tie, including the uniform word.
+        assert_eq!(least_lane_rotation(0b01_10_01_10, 2, 4), None);
+        assert_eq!(least_lane_rotation(0, 5, 16), None);
+        // A full ring of 16 five-bit lanes (80 bits) and of 128 bits.
+        let word = 1u128 << 79 | 1;
+        assert_eq!(least_lane_rotation(word, 5, 16), Some(1));
+        assert_eq!(least_lane_rotation(1u128 << 127, 8, 16), Some(1));
+        // A one-process ring is its own least rotation.
+        assert_eq!(least_lane_rotation(0b101, 3, 1), Some(0));
+    }
+
+    #[test]
+    fn least_lane_rotation_agrees_with_least_key_on_lanes() {
+        // Over every 3-lane, 2-bit word: the fast path picks least_key's
+        // k whenever the minimum is unique.
+        for word in 0..64u128 {
+            let k = least_key(3, |k| rotate_lanes(word, 2, 3, 3 - k));
+            let unique = (0..3)
+                .filter(|&j| rotate_lanes(word, 2, 3, 3 - j) == rotate_lanes(word, 2, 3, 3 - k))
+                .count()
+                == 1;
+            let want = if unique { Some(k) } else { None };
+            assert_eq!(least_lane_rotation(word, 2, 3), want, "{word:06b}");
+        }
     }
 
     #[test]
