@@ -192,9 +192,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         // The out-of-core smoke probe for CI: spill the n=4 quotient with
         // 4 KiB blocks, re-query through the block-streamed engines at an
         // unbounded and a one-byte cache budget, and print the digests in
-        // a greppable shape. Exits nonzero on any parity, liveness, or
-        // residency-bound failure; the spill directory must be gone by
-        // then (store_bench fails if cleanup leaves it behind).
+        // a greppable shape. Exits nonzero on any parity, liveness,
+        // residency-bound or paging-bound failure; the spill directory
+        // must be gone by then (store_bench fails if cleanup leaves it
+        // behind).
         println!("store: spilling the n=4 quotient and re-querying out of core…");
         let store = perf::store_bench(5_000_000)?;
         println!(
@@ -213,6 +214,10 @@ fn main() -> Result<(), Box<dyn Error>> {
             store.peak_resident_bytes,
             store.query_seconds,
         );
+        println!(
+            "store: one-block sweeps {} over {} budget levels",
+            store.sweeps, store.levels,
+        );
         if !store.bitwise_identical {
             return Err("stored backend diverged from the in-core engine".into());
         }
@@ -223,6 +228,16 @@ fn main() -> Result<(), Box<dyn Error>> {
             return Err(format!(
                 "peak resident {} bytes exceeded budget + two blocks ({} max payload)",
                 store.peak_resident_bytes, store.max_block_payload,
+            )
+            .into());
+        }
+        // One paging pass per budget level: the fault-free quotient's
+        // zero-cost edges all point to higher ids.
+        let fault_bound = store.csr_blocks * store.levels;
+        if store.faults > fault_bound {
+            return Err(format!(
+                "one-block run paged {} blocks, more than {} CSR blocks x {} levels = {}",
+                store.faults, store.csr_blocks, store.levels, fault_bound,
             )
             .into());
         }

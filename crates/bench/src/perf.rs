@@ -572,6 +572,13 @@ pub struct StoreBench {
     pub bitwise_identical: bool,
     /// Block faults of the tight-budget run.
     pub faults: u64,
+    /// Budget levels the five arrows solve, `Σ (budget + 1)`. One paging
+    /// pass per level bounds the tight-budget faults by
+    /// `csr_blocks × levels`.
+    pub levels: u64,
+    /// Solver sweeps of the tight-budget run (one per level on a model
+    /// whose zero-cost edges all point to higher state ids).
+    pub sweeps: u64,
     /// Block-cache hits of the tight-budget run.
     pub hits: u64,
     /// Evictions of the tight-budget run. Must be positive — zero means
@@ -690,15 +697,15 @@ pub fn store_bench(limit: usize) -> Result<StoreBench, Box<dyn std::error::Error
     let tight = StoredCsr::open(&path, 1)?;
     let t0 = Instant::now();
     let mut one_block = Vec::new();
+    let mut sweeps = 0;
     for (mask, horizon) in &masks {
-        one_block.push(
-            Query::source(&tight)
-                .objective(QueryObjective::MinProb)
-                .target(mask.clone())
-                .horizon(*horizon)
-                .run()?
-                .values,
-        );
+        let analysis = Query::source(&tight)
+            .objective(QueryObjective::MinProb)
+            .target(mask.clone())
+            .horizon(*horizon)
+            .run()?;
+        sweeps += analysis.stats.sweeps;
+        one_block.push(analysis.values);
     }
     let query_seconds = t0.elapsed().as_secs_f64();
     let digest_one_block = digest_of(&one_block);
@@ -725,6 +732,8 @@ pub fn store_bench(limit: usize) -> Result<StoreBench, Box<dyn std::error::Error
         digest_one_block,
         bitwise_identical,
         faults: stats.faults,
+        levels: masks.iter().map(|(_, h)| u64::from(*h) + 1).sum(),
+        sweeps,
         hits: stats.hits,
         evictions: stats.evictions,
         peak_resident_bytes: stats.peak_resident_bytes,

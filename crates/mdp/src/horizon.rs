@@ -89,11 +89,12 @@ pub fn cost_bounded_reach_levels<M: ToCsr + ?Sized>(
         budget,
         objective,
         None,
-        None,
+        source::LevelSolver::Jacobi,
         None,
         &mut on_level,
         &mut SolveStats::default(),
     )
+    .map(|(values, _)| values)
 }
 
 #[cfg(test)]

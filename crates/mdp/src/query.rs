@@ -57,15 +57,28 @@
 //!   floating-point expression the last Jacobi sweep evaluates, so the
 //!   values are bitwise identical to Jacobi's. A zero-cost cycle sends the
 //!   query to Jacobi;
-//! * every other query — unbounded, expected cost, or over a stored
-//!   backend ([`Query::source`]) — runs Jacobi.
+//! * a bounded probability query over a stored backend
+//!   ([`Query::source`]) builds no condensation: it solves each budget
+//!   level in one reverse pass over the blocks (see [`crate::source`]),
+//!   which is exact, and bitwise equal to Jacobi, when every zero-cost
+//!   transition out of a non-target state goes to a higher state id or to
+//!   a target. Level 0's pass checks this as it goes; if the check fails
+//!   the query reruns on Jacobi from scratch. The pass is reported as
+//!   [`Solver::SccOrdered`]: descending ids order a condensation whose
+//!   components are single states;
+//! * every other query — unbounded or expected cost — runs Jacobi.
+//!
+//! A query pinned to [`Solver::Jacobi`] always runs Jacobi. Pinned to
+//! [`Solver::SccOrdered`], a stored bounded query takes the reverse pass
+//! and fails at the `"solve"` stage where that pass would fall back; a
+//! stored unbounded or expected-cost query fails at `"validate"`.
 //!
 //! [`Analysis::solver`] reports the solver that actually ran.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::source::{self, CsrSource};
+use crate::source::{self, CsrSource, LevelSolver};
 use crate::{BoundedPolicy, CsrMdp, IterOptions, MdpError, Objective, SolveStats, ToCsr};
 
 /// What a [`Query`] optimizes, quantifying over all adversaries.
@@ -97,7 +110,8 @@ pub enum Solver {
     /// Global double-buffered Jacobi sweeps, deterministically parallel.
     Jacobi,
     /// SCC-condensed sweeps: components of the choice graph are solved in
-    /// reverse topological order against already-fixed successors.
+    /// reverse topological order against already-fixed successors. Over a
+    /// stored backend, a bounded query's one reverse pass per budget level.
     SccOrdered,
 }
 
@@ -231,7 +245,7 @@ impl Analysis {
 /// flattened (so repeated queries amortize the flattening), or built and
 /// owned by the query itself — or any [`CsrSource`] backend (e.g. an
 /// out-of-core stored model). Both run on the same [`crate::source`]
-/// kernels; only an in-core model can take the SCC-ordered solver.
+/// kernels; only an in-core model can take the general SCC-ordered solver.
 enum QueryModel<'m> {
     InCore(Cow<'m, CsrMdp>),
     Source(&'m dyn CsrSource),
@@ -285,11 +299,16 @@ impl<'m> Query<'m> {
     /// Starts a query over any CSR backend — in-core or out-of-core —
     /// behind the [`CsrSource`] trait.
     ///
-    /// The analysis runs on the same Jacobi kernels as an in-core query, so
-    /// its values are bitwise identical (see the [`crate::source`] module
+    /// The analysis runs on the same kernels as an in-core query, so its
+    /// values are bitwise identical (see the [`crate::source`] module
     /// docs); [`Query::workers`] splits every block large enough to be
-    /// worth a thread. [`Solver::SccOrdered`] is rejected at the
-    /// `"validate"` stage.
+    /// worth a Jacobi thread. A bounded probability query pages each block
+    /// once per budget level when the model's zero-cost transitions all
+    /// point to higher state ids or to the target, and otherwise falls
+    /// back to Jacobi (see the [module docs](self)). Pinned to
+    /// [`Solver::SccOrdered`], such a model fails the query at the
+    /// `"solve"` stage, and an unbounded or expected-cost query fails at
+    /// `"validate"`.
     pub fn source(src: &'m dyn CsrSource) -> Query<'m> {
         Query::new(QueryModel::Source(src))
     }
@@ -387,7 +406,9 @@ impl<'m> Query<'m> {
     /// cause in its [`source`](std::error::Error::source) chain:
     /// `"target"` for a missing or malformed target, `"validate"` for an
     /// unsupported setting combination ([`MdpError::InvalidQuery`] inside),
-    /// `"solve"` for failures of the underlying analysis.
+    /// `"solve"` for failures of the underlying analysis (including an
+    /// [`MdpError::InvalidQuery`] for a model the pinned solver cannot
+    /// solve).
     pub fn run(self) -> Result<Analysis, MdpError> {
         let wrap = |stage: &'static str| {
             move |e: MdpError| MdpError::Query {
@@ -409,17 +430,18 @@ impl<'m> Query<'m> {
         };
         let pinned = self.solver.or_else(pinned_solver);
         let in_core = self.model.in_core();
-        if pinned == Some(Solver::SccOrdered) && in_core.is_none() {
-            return Err(invalid(
-                "stored backends support the Jacobi solver only (the SCC-ordered solver \
-                 keeps the whole condensation resident)",
-            ));
-        }
         let prob_objective = match self.objective {
             QueryObjective::MinProb => Some(Objective::MinProb),
             QueryObjective::MaxProb => Some(Objective::MaxProb),
             QueryObjective::MinCost | QueryObjective::MaxCost => None,
         };
+        let bounded = prob_objective.is_some() && self.horizon.is_some();
+        if pinned == Some(Solver::SccOrdered) && in_core.is_none() && !bounded {
+            return Err(invalid(
+                "stored backends run unbounded and expected-cost queries on the Jacobi solver \
+                 only (the SCC-ordered solver keeps the whole condensation resident)",
+            ));
+        }
         match (prob_objective, self.horizon) {
             (Some(_), None) if self.with_policy => {
                 return Err(invalid(
@@ -449,17 +471,23 @@ impl<'m> Query<'m> {
                     Some(Solver::SccOrdered) => Some(m.zero_cost_scc()),
                     None => Some(m.zero_cost_scc()).filter(|scc| scc.num_nontrivial() == 0),
                 });
-                if scc.is_some() {
-                    solver = Solver::SccOrdered;
-                }
+                // A stored backend takes the reverse level pass unless
+                // pinned to Jacobi.
+                let level_solver = match (in_core, &scc, pinned) {
+                    (Some(m), Some(scc), _) => LevelSolver::Scc(m, scc),
+                    (Some(_), None, _) | (None, _, Some(Solver::Jacobi)) => LevelSolver::Jacobi,
+                    (None, _, pinned) => LevelSolver::Reverse {
+                        strict: pinned == Some(Solver::SccOrdered),
+                    },
+                };
                 let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
-                let values = source::bounded_levels(
+                let solved = source::bounded_levels(
                     src,
                     &target,
                     budget,
                     objective,
                     self.workers,
-                    in_core.zip(scc.as_ref()),
+                    level_solver,
                     self.with_policy.then_some(&mut decisions),
                     &mut |_, _| {},
                     &mut stats,
@@ -469,7 +497,10 @@ impl<'m> Query<'m> {
                         decision: decisions,
                     });
                 }
-                values
+                solved.map(|(values, ran)| {
+                    solver = ran;
+                    values
+                })
             }
             (Some(objective), None) => match scc_model {
                 Some(m) => m.reach_prob_scc(&target, objective, self.options, &mut stats),

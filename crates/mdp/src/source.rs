@@ -6,16 +6,18 @@
 //! same arrays cut into contiguous *blocks* of states and pages them in on
 //! demand. [`CsrSource`] is the seam between the two: a backend exposes its
 //! rows block by block as borrowed [`CsrRows`] slices, and every kernel in
-//! this module sweeps the blocks strictly in state order. An in-core model
-//! is a single block spanning every state, so the in-core and the stored
-//! paths are the *same* code executing the *same* per-state floating-point
-//! operations in the *same* order.
+//! this module visits whole blocks in a fixed order — ascending state order
+//! for the Jacobi sweeps and the qualitative fixpoints, descending for the
+//! reverse level pass below. An in-core model is a single block spanning
+//! every state, so the in-core and the stored paths are the *same* code
+//! executing the *same* per-state floating-point operations in the *same*
+//! order.
 //!
 //! # Deterministic parallelism
 //!
-//! All iterative kernels are **double-buffered Jacobi** sweeps: the new
-//! value of every state is computed from the previous iterate only, never
-//! from values updated earlier in the same sweep. Per-state updates are
+//! The Jacobi kernels are **double-buffered** sweeps: the new value of
+//! every state is computed from the previous iterate only, never from
+//! values updated earlier in the same sweep. Per-state updates are
 //! therefore independent, and each block of at least `PAR_MIN_STATES`
 //! states is split across worker threads (`std::thread::scope`) over
 //! disjoint slices of the output buffer. Because each state's update reads
@@ -33,6 +35,27 @@
 //! parallelism ([`resolve_workers`]). It splits the in-core model and every
 //! stored block large enough to be worth a thread.
 //!
+//! # One pass per budget level
+//!
+//! A cost-bounded query solves one least fixpoint over the zero-cost
+//! subgraph per budget level. When every zero-cost transition out of a
+//! non-target state `s` goes to a higher id or to a target state — as on
+//! the spilled fault-free rotation quotient, whose exploration order is
+//! already a topological order of that subgraph — descending id order is
+//! a reverse topological order of a condensation with only trivial
+//! components. The reverse level pass then visits the blocks from last to
+//! first and the states from high id to low, updating each state *in
+//! place*: zero-cost choices read values already final at this level,
+//! cost-1 choices read the level below. Every state is computed once,
+//! from final successor values, by the expression the last Jacobi sweep
+//! evaluates ([`CsrRows::choice_value`], first best choice wins), so the
+//! level is bitwise identical to the Jacobi fixpoint at the price of one
+//! paging pass instead of one per sweep. Level 0's pass checks the edge
+//! order and the costs as it goes; a backward zero-cost edge sends the
+//! query back to Jacobi from scratch. [`crate::Query`] routes stored
+//! bounded queries here and reports the pass as
+//! [`crate::Solver::SccOrdered`].
+//!
 //! # Qualitative precomputations
 //!
 //! Two set-valued checks are trait methods, because the best algorithm
@@ -44,14 +67,17 @@
 //! compute the same set/answer, so the numeric phases they feed remain
 //! bitwise identical.
 //!
-//! The SCC-ordered solver is not available through this trait: it keeps
-//! per-component subgraphs resident by design. A [`crate::Query`] over a
-//! stored backend rejects [`crate::Solver::SccOrdered`] with
+//! The general SCC-ordered solver, which iterates nontrivial components
+//! locally, is not available through this trait: it keeps per-component
+//! subgraphs resident by design. Over a stored backend, only bounded
+//! queries whose zero-cost edges all point forward take the SCC-ordered
+//! route (the reverse level pass); [`crate::Query`] rejects
+//! [`crate::Solver::SccOrdered`] for the rest with
 //! [`MdpError::InvalidQuery`].
 
 use std::ops::Range;
 
-use crate::{CsrMdp, IterOptions, MdpError, Objective, SccDecomposition};
+use crate::{CsrMdp, IterOptions, MdpError, Objective, SccDecomposition, Solver};
 
 /// Blocks with fewer states than this are swept on the calling thread:
 /// below this size, thread spawn/join costs more than the sweep itself.
@@ -65,12 +91,14 @@ pub(crate) const PAR_MIN_STATES: usize = 4096;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Value-iteration sweeps performed (global sweeps for the Jacobi
-    /// solver, per-block sweeps for the SCC-ordered solver).
+    /// solver, per-block sweeps for the SCC-ordered solver, one pass per
+    /// budget level for the reverse level pass).
     pub sweeps: u64,
     /// Individual state-value computations performed.
     pub state_updates: u64,
     /// Strongly connected components of the condensation (0 for the
-    /// Jacobi solver, which never builds one).
+    /// Jacobi solver, which never builds one; one per state for the
+    /// reverse level pass).
     pub components: u64,
     /// Components that contained a cycle and needed local iteration.
     pub nontrivial_components: u64,
@@ -161,13 +189,15 @@ impl CsrRows<'_> {
 }
 
 /// A CSR model backend: rows grouped into contiguous blocks of states,
-/// visited in state order.
+/// fetched one block at a time by index.
 ///
 /// Implementations must partition `0..num_states()` into consecutive
 /// non-overlapping block ranges (`block_states(0).start == 0`, each block
-/// starts where the previous ended). [`crate::CsrMdp`] implements this as a
-/// single block over its full arrays; `pa-store`'s `StoredCsr` pages each
-/// block in from disk on demand.
+/// starts where the previous ended). Kernels fetch blocks in ascending or
+/// descending index order (see the [module docs](self)).
+/// [`crate::CsrMdp`] implements this as a single block over its full
+/// arrays; `pa-store`'s `StoredCsr` pages each block in from disk on
+/// demand.
 pub trait CsrSource: Sync {
     /// Number of states.
     fn num_states(&self) -> usize;
@@ -523,28 +553,65 @@ pub(crate) fn reach_prob<S: CsrSource + ?Sized>(
     Ok(prev)
 }
 
+fn bad_cost(state: usize, cost: u32) -> MdpError {
+    MdpError::BadDistribution {
+        state,
+        reason: format!("cost-bounded reachability supports costs 0 and 1, found {cost}"),
+    }
+}
+
+/// The first choice of state `s` whose cost exceeds 1, as `(s, cost)`.
+fn first_bad_cost(rows: &CsrRows<'_>, s: usize) -> Option<(usize, u32)> {
+    rows.choice_range(s)
+        .map(|c| rows.costs[c])
+        .find(|&cost| cost > 1)
+        .map(|cost| (s, cost))
+}
+
 fn validate_costs<S: CsrSource + ?Sized>(src: &S) -> Result<(), MdpError> {
     let mut bad: Option<(usize, u32)> = None;
     for_each_block(src, &mut |rows| {
-        if bad.is_some() {
-            return;
-        }
-        for s in rows.states() {
-            for c in rows.choice_range(s) {
-                if rows.costs[c] > 1 {
-                    bad = Some((s, rows.costs[c]));
-                    return;
-                }
-            }
+        if bad.is_none() {
+            bad = rows.states().find_map(|s| first_bad_cost(&rows, s));
         }
     })?;
     match bad {
-        Some((state, cost)) => Err(MdpError::BadDistribution {
-            state,
-            reason: format!("cost-bounded reachability supports costs 0 and 1, found {cost}"),
-        }),
+        Some((state, cost)) => Err(bad_cost(state, cost)),
         None => Ok(()),
     }
+}
+
+/// The value of non-fixed state `s` at one budget level, and the index
+/// (among `s`'s choices) of the first choice attaining it: cost-1 choices
+/// read the level below, `level_prev`, zero-cost choices read the current
+/// level, `cur`. Every level solver and the policy extraction evaluate
+/// this expression (the in-core SCC solver spells out the same one over
+/// [`CsrMdp`]'s accessors).
+#[inline]
+fn level_choice(
+    rows: &CsrRows<'_>,
+    s: usize,
+    objective: Objective,
+    level_prev: &[f64],
+    cur: &[f64],
+) -> (f64, u32) {
+    let mut best = objective.start();
+    let mut best_i = 0u32;
+    for (i, c) in rows.choice_range(s).enumerate() {
+        let source = if rows.costs[c] == 1 { level_prev } else { cur };
+        let val = rows.choice_value(c, source);
+        if objective.better(val, best) {
+            best = val;
+            best_i = i as u32;
+        }
+    }
+    (best, best_i)
+}
+
+/// Resets `values` to a level's starting point: 1 on the target, else 0.
+fn init_level(target: &[bool], values: &mut Vec<f64>) {
+    values.clear();
+    values.extend(target.iter().map(|&t| if t { 1.0 } else { 0.0 }));
 }
 
 /// One level of cost-bounded backward induction: the least fixpoint of
@@ -568,13 +635,7 @@ fn solve_level<S: CsrSource + ?Sized>(
     stats: &mut SolveStats,
 ) -> Result<(), MdpError> {
     let n = src.num_states();
-    values.clear();
-    values.resize(n, 0.0);
-    for s in 0..n {
-        if target[s] {
-            values[s] = 1.0;
-        }
-    }
+    init_level(target, values);
     scratch.clear();
     scratch.extend_from_slice(values);
     let level_sweeps =
@@ -584,15 +645,7 @@ fn solve_level<S: CsrSource + ?Sized>(
         if target[s] || rows.is_terminal(s) {
             return prev[s];
         }
-        let mut best = objective.start();
-        for c in rows.choice_range(s) {
-            let source = if rows.costs[c] == 1 { level_prev } else { prev };
-            let val = rows.choice_value(c, source);
-            if objective.better(val, best) {
-                best = val;
-            }
-        }
-        best
+        level_choice(rows, s, objective, level_prev, prev).0
     };
     // Alternate write/read roles between the two buffers; after sweep
     // `k` the newest iterate is in `values` iff `k` is odd.
@@ -619,10 +672,76 @@ fn solve_level<S: CsrSource + ?Sized>(
     Ok(())
 }
 
+/// One level of cost-bounded backward induction in a single reverse pass
+/// (see the [module docs](self)): blocks from last to first, states from
+/// high id to low, every non-fixed state updated in place by
+/// [`level_choice`].
+///
+/// With `check` set (level 0), the pass also validates the costs as
+/// [`validate_costs`] does, and checks that every zero-cost transition
+/// out of a non-target state goes to a higher id or to a target state. At
+/// the first one that does not, it stops and returns `Ok(false)`; the
+/// level's values are then meaningless. Later levels reuse level 0's
+/// verdict, because the model does not change between levels.
+fn reverse_level<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+    level_prev: &[f64],
+    objective: Objective,
+    check: bool,
+    values: &mut Vec<f64>,
+    stats: &mut SolveStats,
+) -> Result<bool, MdpError> {
+    init_level(target, values);
+    let reads_final = |rows: &CsrRows<'_>, s: usize| {
+        rows.choice_range(s)
+            .filter(|&c| rows.costs[c] != 1)
+            .flat_map(|c| rows.trans_range(c))
+            .all(|i| {
+                let t = rows.targets[i] as usize;
+                t > s || target[t]
+            })
+    };
+    let mut forward = true;
+    let mut bad: Option<(usize, u32)> = None;
+    let mut updates = 0u64;
+    for b in (0..src.num_blocks()).rev() {
+        src.with_rows(b, &mut |rows| {
+            for s in rows.states().rev() {
+                if check {
+                    // States come high to low, so the last one found is
+                    // the lowest, the state `validate_costs` reports.
+                    bad = first_bad_cost(&rows, s).or(bad);
+                }
+                if target[s] || rows.is_terminal(s) {
+                    continue;
+                }
+                if check && !reads_final(&rows, s) {
+                    forward = false;
+                    return;
+                }
+                values[s] = level_choice(&rows, s, objective, level_prev, values).0;
+                updates += 1;
+            }
+        })?;
+        if !forward {
+            return Ok(false);
+        }
+    }
+    if let Some((state, cost)) = bad {
+        return Err(bad_cost(state, cost));
+    }
+    if pa_telemetry::enabled() {
+        pa_telemetry::counter("mdp.vi.level_sweeps").inc();
+    }
+    stats.sweeps += 1;
+    stats.state_updates += updates;
+    Ok(true)
+}
+
 /// Extracts the optimal per-state choice of one budget level, given the
 /// converged level `values` and the previous level `level_prev`.
-/// Solver-independent: both the Jacobi and the SCC-ordered level solves
-/// feed their fixpoints through this.
+/// Solver-independent: every level solver feeds its fixpoint through this.
 fn extract_level_decisions<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
@@ -635,26 +754,25 @@ fn extract_level_decisions<S: CsrSource + ?Sized>(
     dec.resize(src.num_states(), None);
     for_each_block(src, &mut |rows| {
         for s in rows.states() {
-            if target[s] || rows.is_terminal(s) {
-                continue;
+            if !(target[s] || rows.is_terminal(s)) {
+                dec[s] = Some(level_choice(&rows, s, objective, level_prev, values).1);
             }
-            let mut best = objective.start();
-            let mut best_i = 0u32;
-            for (i, c) in rows.choice_range(s).enumerate() {
-                let source = if rows.costs[c] == 1 {
-                    level_prev
-                } else {
-                    values
-                };
-                let val = rows.choice_value(c, source);
-                if objective.better(val, best) {
-                    best = val;
-                    best_i = i as u32;
-                }
-            }
-            dec[s] = Some(best_i);
         }
     })
+}
+
+/// How [`bounded_levels`] solves each budget level.
+#[derive(Clone, Copy)]
+pub(crate) enum LevelSolver<'a> {
+    /// Parallel double-buffered Jacobi over the source.
+    Jacobi,
+    /// The in-core SCC-ordered solver over a zero-cost condensation
+    /// ([`CsrMdp::zero_cost_scc`], built once by the caller).
+    Scc(&'a CsrMdp, &'a SccDecomposition),
+    /// The reverse level pass over the source. On a backward zero-cost
+    /// edge the query falls back to Jacobi from scratch, or, when
+    /// `strict`, fails with [`MdpError::InvalidQuery`].
+    Reverse { strict: bool },
 }
 
 /// Cost-bounded backward induction (semantics of
@@ -662,12 +780,9 @@ fn extract_level_decisions<S: CsrSource + ?Sized>(
 /// (previous level, current level, Jacobi scratch) through every budget
 /// level instead of materializing one vector per level, optionally
 /// extracting the optimal cost-indexed policy along the way and reporting
-/// each level to `on_level`.
-///
-/// Given an in-core model and its zero-cost condensation
-/// ([`CsrMdp::zero_cost_scc`], built once by the caller), every level runs
-/// through the SCC-ordered solver over it; without one, through parallel
-/// Jacobi over `src`.
+/// each level to `on_level`. Returns the final level and the solver that
+/// ran: [`Solver::Jacobi`] for Jacobi, including a reverse pass that fell
+/// back to it, else [`Solver::SccOrdered`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     src: &S,
@@ -675,18 +790,21 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     budget: u32,
     objective: Objective,
     workers: Option<usize>,
-    scc: Option<(&CsrMdp, &SccDecomposition)>,
+    mut solver: LevelSolver<'_>,
     mut policy: Option<&mut Vec<Vec<Option<u32>>>>,
     on_level: &mut dyn FnMut(u32, &[f64]),
     stats: &mut SolveStats,
-) -> Result<Vec<f64>, MdpError> {
+) -> Result<(Vec<f64>, Solver), MdpError> {
     check_target(src, target)?;
-    validate_costs(src)?;
+    // The reverse pass validates the costs during level 0 instead.
+    if !matches!(solver, LevelSolver::Reverse { .. }) {
+        validate_costs(src)?;
+    }
     let workers = resolve_workers(workers);
     let _span = pa_telemetry::span("mdp.vi.cost_bounded_seconds");
     let levels = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.levels"));
     let n = src.num_states();
-    if let Some((_, scc)) = scc {
+    if let LevelSolver::Scc(_, scc) = solver {
         CsrMdp::record_scc_shape(scc);
         stats.components = scc.num_components() as u64;
         stats.nontrivial_components = scc.num_nontrivial() as u64;
@@ -701,20 +819,42 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
             .set_max((3 * n * std::mem::size_of::<f64>()) as i64);
     }
     for k in 0..=budget {
-        match scc {
-            Some((mdp, scc)) => {
-                mdp.solve_level_scc(scc, target, &level_prev, objective, &mut cur, stats)
-            }
-            None => solve_level(
+        let jacobi = |cur: &mut Vec<f64>, scratch: &mut Vec<f64>, stats: &mut SolveStats| {
+            solve_level(
                 src,
                 target,
                 &level_prev,
                 objective,
                 workers,
-                &mut cur,
-                &mut scratch,
+                cur,
+                scratch,
                 stats,
-            )?,
+            )
+        };
+        match solver {
+            LevelSolver::Scc(mdp, scc) => {
+                mdp.solve_level_scc(scc, target, &level_prev, objective, &mut cur, stats)
+            }
+            LevelSolver::Jacobi => jacobi(&mut cur, &mut scratch, stats)?,
+            LevelSolver::Reverse { strict } => {
+                let forward =
+                    reverse_level(src, target, &level_prev, objective, k == 0, &mut cur, stats)?;
+                if !forward {
+                    // Only level 0 checks, so this is still level 0:
+                    // nothing has been reported yet.
+                    validate_costs(src)?;
+                    if strict {
+                        return Err(MdpError::InvalidQuery {
+                            reason: "the SCC-ordered solver over a stored backend needs every \
+                                     zero-cost transition to go to a higher state id or to the \
+                                     target"
+                                .into(),
+                        });
+                    }
+                    solver = LevelSolver::Jacobi;
+                    jacobi(&mut cur, &mut scratch, stats)?;
+                }
+            }
         }
         if let Some(policy) = policy.as_deref_mut() {
             let mut dec = Vec::new();
@@ -727,8 +867,17 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     if let Some(c) = levels {
         c.add(u64::from(budget) + 1);
     }
+    let ran = match solver {
+        LevelSolver::Jacobi => Solver::Jacobi,
+        LevelSolver::Reverse { .. } => {
+            // Descending ids order a condensation of single states.
+            stats.components = n as u64;
+            Solver::SccOrdered
+        }
+        LevelSolver::Scc(..) => Solver::SccOrdered,
+    };
     // The final level ended up in `level_prev` after the last swap.
-    Ok(level_prev)
+    Ok((level_prev, ran))
 }
 
 /// The states whose optimal expected cost to the target is finite, for
@@ -974,6 +1123,81 @@ mod tests {
                 Defaults(&m).prob0_max(&target).unwrap(),
             );
         }
+    }
+
+    fn bounded<'m>(m: &'m CsrMdp, target: &[bool], solver: Option<Solver>) -> crate::Query<'m> {
+        let q = crate::Query::source(m).target(target).horizon(2);
+        match solver {
+            Some(solver) => q.solver(solver),
+            None => q,
+        }
+    }
+
+    #[test]
+    fn reverse_pass_reports_the_lowest_bad_cost_like_jacobi() {
+        // Costs 2 at state 1 and 3 at state 3; the second model adds a
+        // zero-cost edge 2 -> 0, which stops level 0's pass at state 2,
+        // before it reaches state 1.
+        let rows = |back: bool| {
+            let mut two = vec![Choice::to(0, 3)];
+            if back {
+                two.push(Choice::to(0, 0));
+            }
+            vec![
+                vec![Choice::to(0, 1)],
+                vec![Choice::to(0, 2), Choice::to(2, 2)],
+                two,
+                vec![Choice::to(3, 4)],
+                vec![],
+            ]
+        };
+        let target = [false, false, false, false, true];
+        for back in [false, true] {
+            let m = CsrMdp::from_explicit(&ExplicitMdp::new(rows(back), vec![0]).unwrap());
+            let reverse = bounded(&m, &target, None).run().unwrap_err().into_root();
+            let jacobi = bounded(&m, &target, Some(Solver::Jacobi))
+                .run()
+                .unwrap_err()
+                .into_root();
+            assert_eq!(reverse, jacobi, "backward edge: {back}");
+            assert!(matches!(
+                reverse,
+                MdpError::BadDistribution { state: 1, .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn edges_back_into_the_target_keep_the_reverse_pass() {
+        // 2 -> 0 is a zero-cost edge to a lower id, but 0 is a target, so
+        // its value is fixed at every level.
+        let m = CsrMdp::from_explicit(
+            &ExplicitMdp::new(
+                vec![
+                    vec![Choice::to(0, 1)],
+                    vec![Choice::dist(0, vec![(2, 0.5), (3, 0.5)])],
+                    vec![Choice::to(0, 0)],
+                    vec![Choice::to(1, 1)],
+                ],
+                vec![1],
+            )
+            .unwrap(),
+        );
+        let target = [true, false, false, false];
+        let reverse = bounded(&m, &target, None).run().unwrap();
+        let jacobi = bounded(&m, &target, Some(Solver::Jacobi)).run().unwrap();
+        assert_eq!(reverse.solver, Solver::SccOrdered);
+        assert_eq!(reverse.stats.sweeps, 3);
+        assert_eq!(reverse.values, jacobi.values);
+        assert_eq!(reverse.values, vec![1.0, 0.875, 1.0, 0.75]);
+
+        // The same edge into a non-target state sends the query to Jacobi.
+        let target = [false, false, false, true];
+        let fallback = bounded(&m, &target, None).run().unwrap();
+        let jacobi = bounded(&m, &target, Some(Solver::Jacobi)).run().unwrap();
+        assert_eq!(fallback.solver, Solver::Jacobi);
+        assert_eq!(fallback.values, jacobi.values);
+        assert_eq!(fallback.stats, jacobi.stats);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   fewer state updates than the global Jacobi schedule;
 //! * a bounded probability query that picks no solver runs SCC-ordered
 //!   exactly when the zero-cost subgraph is acyclic (bitwise equal to
-//!   Jacobi), Jacobi otherwise, and reports the solver that ran; stored
-//!   backends ([`Query::source`]) stay on Jacobi.
+//!   Jacobi), Jacobi otherwise, and reports the solver that ran; over a
+//!   stored backend ([`Query::source`]) it takes the one-pass-per-level
+//!   reverse solve, reported as SCC-ordered and equally bitwise equal.
 
 use pa_mdp::{
     reference, Choice, CsrMdp, ExplicitMdp, IterOptions, Objective, Query, QueryObjective, Solver,
@@ -463,7 +464,7 @@ fn unpinned_horizon_falls_back_to_jacobi_on_a_zero_cost_cycle() {
 }
 
 #[test]
-fn unpinned_unbounded_and_stored_queries_run_jacobi() {
+fn unpinned_unbounded_queries_run_jacobi_and_stored_bounded_ones_one_pass_per_level() {
     let m = layered_rounds(4, 3);
     let target = target_last(&m);
     let unbounded = Query::over(&m)
@@ -473,9 +474,10 @@ fn unpinned_unbounded_and_stored_queries_run_jacobi() {
         .unwrap();
     assert_eq!(unbounded.solver, Solver::Jacobi);
 
-    // A stored backend never takes the automatic SCC route: no
-    // "validate" error, Jacobi reported, values bitwise equal to the
-    // in-core Jacobi kernels.
+    // Over a stored backend, the round model's forward zero-cost edges
+    // send the bounded query to the reverse level pass: one sweep per
+    // level, SCC-ordered reported, values bitwise equal to the in-core
+    // Jacobi kernels.
     let csr = CsrMdp::from_explicit(&m);
     let source = Query::source(&csr)
         .objective(QueryObjective::MinProb)
@@ -483,7 +485,8 @@ fn unpinned_unbounded_and_stored_queries_run_jacobi() {
         .horizon(5)
         .run()
         .expect("stored backends accept unpinned bounded queries");
-    assert_eq!(source.solver, Solver::Jacobi);
+    assert_eq!(source.solver, Solver::SccOrdered);
+    assert_eq!(source.stats.sweeps, 6);
     let jacobi = Query::csr(&csr)
         .objective(QueryObjective::MinProb)
         .target(&target)

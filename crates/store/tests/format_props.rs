@@ -4,10 +4,13 @@
 //! matching digest — surface as *named* errors, never as UB, panics or
 //! silently zeroed rows.
 
+mod common;
+
 use proptest::prelude::*;
 
-use pa_mdp::{Choice, CsrRow, CsrSource, Query, QueryObjective};
-use pa_store::{fnv1a_64, StoreError, StoreWriter, StoredCsr};
+use common::write_store;
+use pa_mdp::{Choice, CsrSource, Query, QueryObjective};
+use pa_store::{fnv1a_64, StoreError, StoredCsr};
 
 /// An arbitrary small model as nested rows: per state, a list of choices,
 /// each a cost in {0,1} and a normalized support over the state ids.
@@ -40,41 +43,6 @@ fn arb_rows(max_states: usize) -> impl Strategy<Value = Vec<Vec<Choice>>> {
             })
             .collect()
     })
-}
-
-fn write_store(
-    dir: &std::path::Path,
-    rows: &[Vec<Choice>],
-    block_bytes: usize,
-) -> pa_store::StoreFile {
-    std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join("model.pacsr");
-    let mut w = StoreWriter::create(&path, 0, block_bytes).unwrap();
-    let mut choices = 0u64;
-    let mut trans = 0u64;
-    for (id, cs) in rows.iter().enumerate() {
-        choices += cs.len() as u64;
-        trans += cs.iter().map(|c| c.transitions.len() as u64).sum::<u64>();
-        let costs: Vec<u32> = cs.iter().map(|c| c.cost).collect();
-        let flat = cs.iter().flat_map(|c| c.transitions.iter());
-        let targets: Vec<u32> = flat.clone().map(|&(t, _)| t as u32).collect();
-        let probs: Vec<f64> = flat.map(|&(_, p)| p).collect();
-        let trans_ends: Vec<u32> = cs
-            .iter()
-            .scan(0u32, |end, c| {
-                *end += c.transitions.len() as u32;
-                Some(*end)
-            })
-            .collect();
-        let row = CsrRow {
-            costs: &costs,
-            trans_ends: &trans_ends,
-            targets: &targets,
-            probs: &probs,
-        };
-        w.push_row(id, row).unwrap();
-    }
-    w.finish(&[0], choices, trans).unwrap()
 }
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {

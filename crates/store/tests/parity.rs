@@ -13,13 +13,13 @@ use pa_faults::{
 };
 use pa_lehmann_rabin::{
     paper, reachable_configs, reachable_configs_quotient, region_pred, round_cost, set_pred,
-    time_to_budget, Config, RoundConfig, RoundMdp,
+    time_to_budget, Config, RoundConfig, RoundMdp, RoundState,
 };
 use pa_mdp::{
-    csr_digest, CsrSource, Explore, MdpError, PackedSpace, Query, QueryObjective, RingRotation,
-    Solver,
+    csr_digest, BoxedSpace, CsrSource, Explore, MdpError, PackedSpace, Query, QueryObjective,
+    RingRotation, Solver,
 };
-use pa_store::SpillTo;
+use pa_store::{SpillTo, StoredModel};
 
 const N: usize = 3;
 const LIMIT: usize = 2_000_000;
@@ -234,6 +234,9 @@ fn fault_plan_query_is_bitwise_identical() {
             .horizon(8)
             .run()
             .unwrap();
+        // The crash-stop round has zero-cost transitions back to lower
+        // state ids: the stored query falls back to Jacobi.
+        assert_eq!(analysis.solver, Solver::Jacobi);
         assert_bitwise("fault plan", &in_core.values, &analysis.values);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -299,31 +302,128 @@ fn quotient_model_with_packed_keys_round_trips_and_matches() {
     }
 }
 
-#[test]
-fn scc_solver_is_rejected_on_stored_backends_at_validate() {
-    let arrow = paper::arrow_p_to_c();
-    let model = round_model("P", arrow.to());
-    let dir = tmpdir("scc-reject");
-    let stored = Explore::new(&model)
+/// Spills `model` (round-model costs, 4 KiB blocks) at an unbounded cache
+/// budget into a fresh directory under `tag`.
+fn spill_round(
+    model: &RoundMdp,
+    tag: &str,
+) -> (
+    std::path::PathBuf,
+    StoredModel<RoundState, BoxedSpace<RoundState>>,
+) {
+    let dir = tmpdir(tag);
+    let stored = Explore::new(model)
         .cost(round_cost)
         .limit(LIMIT)
         .spill_to(&dir, u64::MAX)
+        .block_bytes(BLOCK_BYTES)
         .run()
         .unwrap();
-    let err = stored
+    (dir, stored)
+}
+
+/// On `P —1→ C`, every zero-cost transition goes to a higher state id, so
+/// a query pinned to the SCC-ordered solver runs the reverse level pass
+/// over the stored rows, bitwise equal to both in-core solvers.
+#[test]
+fn pinned_scc_on_a_forward_only_stored_model_matches_in_core() {
+    let arrow = paper::arrow_p_to_c();
+    let model = round_model("P", arrow.to());
+    let to = set_pred(arrow.to()).unwrap();
+    let budget = 4;
+    let explored = Explore::new(&model)
+        .cost(round_cost)
+        .limit(LIMIT)
+        .run()
+        .unwrap();
+    let target = explored.target_where(|rs| to(&rs.config));
+    let in_core = |solver| {
+        explored
+            .query()
+            .objective(QueryObjective::MinProb)
+            .target(target.clone())
+            .horizon(budget)
+            .solver(solver)
+            .run()
+            .unwrap()
+    };
+    let jacobi = in_core(Solver::Jacobi);
+    let scc = in_core(Solver::SccOrdered);
+    assert_bitwise("in-core scc", &jacobi.values, &scc.values);
+
+    let (dir, stored) = spill_round(&model, "scc-forward");
+    let analysis = stored
         .query()
         .objective(QueryObjective::MinProb)
-        .target_where(|_| true)
-        .horizon(1)
+        .target(stored.target_where(|rs| to(&rs.config)))
+        .horizon(budget)
         .solver(Solver::SccOrdered)
         .run()
-        .unwrap_err();
+        .unwrap();
+    assert_eq!(analysis.solver, Solver::SccOrdered);
+    assert_eq!(analysis.stats.nontrivial_components, 0);
+    assert_bitwise("stored scc", &jacobi.values, &analysis.values);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The full-space `G —5→ P` model has zero-cost transitions back to lower
+/// state ids, so no single reverse pass solves a level: a query pinned to
+/// the SCC-ordered solver fails at the solve stage, while an unpinned one
+/// falls back to Jacobi.
+#[test]
+fn pinned_scc_on_a_stored_model_with_backward_edges_fails_at_solve() {
+    let arrow = paper::arrow_g_to_p();
+    let model = round_model("G", arrow.to());
+    let to = set_pred(arrow.to()).unwrap();
+    let budget = time_to_budget(arrow.time());
+    let (dir, stored) = spill_round(&model, "scc-backward");
+    let target = stored.target_where(|rs| to(&rs.config));
+    let query = || {
+        stored
+            .query()
+            .objective(QueryObjective::MinProb)
+            .target(target.clone())
+            .horizon(budget)
+    };
+    let err = query().solver(Solver::SccOrdered).run().unwrap_err();
     match err {
         MdpError::Query { stage, source } => {
-            assert_eq!(stage, "validate");
+            assert_eq!(stage, "solve");
             assert!(matches!(*source, MdpError::InvalidQuery { .. }));
         }
-        other => panic!("expected a validate-stage Query error, got {other:?}"),
+        other => panic!("expected a solve-stage Query error, got {other:?}"),
+    }
+    assert_eq!(query().run().unwrap().solver, Solver::Jacobi);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The paging contract of the reverse level pass: at a one-byte cache
+/// budget, a forward-only bounded query pages every CSR block exactly once
+/// per budget level, never hits, and sweeps once per level.
+#[test]
+fn one_byte_budget_pages_every_block_once_per_level() {
+    let arrow = paper::arrow_p_to_c();
+    let model = round_model("P", arrow.to());
+    let to = set_pred(arrow.to()).unwrap();
+    let (dir, stored) = spill_round(&model, "paging");
+    let target = stored.target_where(|rs| to(&rs.config));
+    let path = stored.store().file().path().to_path_buf();
+    for budget in [0u32, 3] {
+        let tight = pa_store::StoredCsr::open(&path, 1).unwrap();
+        let blocks = CsrSource::num_blocks(&tight) as u64;
+        assert!(blocks > 1, "the model must split into several blocks");
+        let analysis = Query::source(&tight)
+            .objective(QueryObjective::MinProb)
+            .target(target.clone())
+            .horizon(budget)
+            .run()
+            .unwrap();
+        let levels = u64::from(budget) + 1;
+        let stats = tight.cache().local_stats();
+        assert_eq!(analysis.solver, Solver::SccOrdered);
+        assert_eq!(stats.faults, blocks * levels, "budget {budget}: faults");
+        assert_eq!(stats.hits, 0, "budget {budget}: hits");
+        assert_eq!(analysis.stats.sweeps, levels, "budget {budget}: sweeps");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
