@@ -4,10 +4,6 @@
 //! cargo run --release -p pa-bench --bin tables            # all experiments
 //! cargo run --release -p pa-bench --bin tables -- e5 e7   # selected ones
 //! cargo run --release -p pa-bench --bin tables -- --full  # larger rings
-//! cargo run --release -p pa-bench --bin tables -- --bench-json
-//!                                     # regenerate BENCH_mdp.json instead
-//! cargo run --release -p pa-bench --bin tables -- --bench-json --smoke --out BENCH_smoke.json
-//!                                     # small fixed instance for CI gating
 //! cargo run --release -p pa-bench --bin tables -- --solver scc
 //!                                     # run the experiments on the
 //!                                     # SCC-condensed solver
@@ -17,12 +13,13 @@
 //! cargo run --release -p pa-bench --bin tables -- --batch --smoke --workers 4
 //!                                     # n=3 CI smoke shape
 //! cargo run --release -p pa-bench --bin tables -- --mc --smoke --out BENCH_mc.json
-//!                                     # sampled-tier cross-validation,
-//!                                     # n=3 artifact for the CI gate
+//!                                     # sampled-tier cross-validation at
+//!                                     # n=3; fails unless the seed-42,
+//!                                     # 4000-trajectory digest is pinned
 //! cargo run --release -p pa-bench --bin tables -- --store
 //!                                     # out-of-core smoke: spill the n=4
 //!                                     # quotient, re-query at a one-byte
-//!                                     # cache budget, gate digest parity
+//!                                     # cache budget, check pinned digests
 //! cargo run --release -p pa-bench --bin tables -- --mc
 //!                                     # + n=4..5 cross-validation and the
 //!                                     # n=8 escape-hatch estimates
@@ -35,7 +32,7 @@
 
 use std::error::Error;
 
-use pa_bench::{batch_suite, experiments, mc_suite, perf, render_table, Row, Verdict};
+use pa_bench::{batch_suite, experiments, mc_suite, render_table, store_suite, Row, Verdict};
 use serde::Serialize;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -129,18 +126,18 @@ fn main() -> Result<(), Box<dyn Error>> {
             "mc: cross-validating the sampled tier (n=3, {trajectories} trajectories, \
              seed {seed})…"
         );
-        let report = mc_suite::mc_report(3, trajectories, seed, 5_000_000)?;
-        std::fs::write(out, perf::pretty_json(&report.to_json()))?;
+        let block = mc_suite::mc_bench(3, trajectories, seed, 5_000_000)?;
+        std::fs::write(out, block.to_json())?;
         println!("wrote {out}");
-        let mut extra = Vec::new();
+        let mut blocks = vec![block];
         if !smoke {
             for n in [4usize, 5] {
                 println!("mc: cross-validating n={n}…");
-                extra.push(mc_suite::mc_bench(n, trajectories, seed, 20_000_000)?);
+                blocks.push(mc_suite::mc_bench(n, trajectories, seed, 20_000_000)?);
             }
         }
-        let mut all_ok = true;
-        for block in std::iter::once(&report.mc).chain(extra.iter()) {
+        let mut failures = Vec::new();
+        for block in &blocks {
             println!(
                 "n={}: {} cells ({} vacuous), all intervals contain exact: {}, \
                  max width {:.4}; uniform anchor contained: {}; worker invariant: {}; \
@@ -154,8 +151,12 @@ fn main() -> Result<(), Box<dyn Error>> {
                 block.worker_invariant,
                 block.digest,
             );
-            all_ok &=
-                block.all_contain_exact && block.uniform.contains_exact && block.worker_invariant;
+            failures.extend(
+                block
+                    .check()
+                    .into_iter()
+                    .map(|f| format!("n={}: {f}", block.n)),
+            );
         }
         if !smoke {
             // The escape hatch: a ring the exact engine cannot hold
@@ -183,21 +184,22 @@ fn main() -> Result<(), Box<dyn Error>> {
                 );
             }
         }
-        if !all_ok {
-            return Err("sampled-tier cross-validation failed".into());
+        if !failures.is_empty() {
+            return Err(format!("sampled-tier check failed: {}", failures.join("; ")).into());
         }
+        println!("mc: ok");
         return Ok(());
     }
     if args.iter().any(|a| a == "--store") {
         // The out-of-core smoke probe for CI: spill the n=4 quotient with
         // 4 KiB blocks, re-query through the block-streamed engines at an
         // unbounded and a one-byte cache budget, and print the digests in
-        // a greppable shape. Exits nonzero on any parity, liveness,
+        // a greppable shape. Exits nonzero on any pinned-value, liveness,
         // residency-bound or paging-bound failure; the spill directory
         // must be gone by then (store_bench fails if cleanup leaves it
         // behind).
         println!("store: spilling the n=4 quotient and re-querying out of core…");
-        let store = perf::store_bench(5_000_000)?;
+        let store = store_suite::store_bench(5_000_000)?;
         println!(
             "store: n={} spilled {} states into {} CSR blocks ({} bytes on disk)",
             store.n, store.states, store.csr_blocks, store.file_bytes,
@@ -218,153 +220,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             "store: one-block sweeps {} over {} budget levels",
             store.sweeps, store.levels,
         );
-        if !store.bitwise_identical {
-            return Err("stored backend diverged from the in-core engine".into());
-        }
-        if store.csr_blocks < 2 || store.evictions == 0 {
-            return Err("tight-budget probe was vacuous (single block or no evictions)".into());
-        }
-        if !store.rss_bounded {
-            return Err(format!(
-                "peak resident {} bytes exceeded budget + two blocks ({} max payload)",
-                store.peak_resident_bytes, store.max_block_payload,
-            )
-            .into());
-        }
-        // One paging pass per budget level: the fault-free quotient's
-        // zero-cost edges all point to higher ids.
-        let fault_bound = store.csr_blocks * store.levels;
-        if store.faults > fault_bound {
-            return Err(format!(
-                "one-block run paged {} blocks, more than {} CSR blocks x {} levels = {}",
-                store.faults, store.csr_blocks, store.levels, fault_bound,
-            )
-            .into());
+        let failures = store.check();
+        if !failures.is_empty() {
+            return Err(format!("store check failed: {}", failures.join("; ")).into());
         }
         println!("store: ok (spill dir cleaned)");
-        return Ok(());
-    }
-    if args.iter().any(|a| a == "--bench-json") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let default_path = if smoke {
-            "BENCH_smoke.json"
-        } else {
-            "BENCH_mdp.json"
-        };
-        let path = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .map_or(default_path, String::as_str);
-        let report = if smoke {
-            perf::bench_report_sized(100_000, 4)?
-        } else {
-            perf::bench_report(3_000_000)?
-        };
-        std::fs::write(path, perf::pretty_json(&report.to_json()))?;
-        println!("wrote {path}");
-        for ring in &report.rings {
-            println!(
-                "n={}: explore {:.0} -> {:.0} states/s ({:.2}x), VI {:.2} -> {:.2} sweeps/s ({:.2}x)",
-                ring.n,
-                ring.explore_states_per_sec.baseline_per_sec,
-                ring.explore_states_per_sec.csr_per_sec,
-                ring.explore_states_per_sec.speedup,
-                ring.vi_sweeps_per_sec.baseline_per_sec,
-                ring.vi_sweeps_per_sec.csr_per_sec,
-                ring.vi_sweeps_per_sec.speedup,
-            );
-            println!(
-                "     scc: {} components ({} nontrivial), updates {} -> {} (ratio {:.3})",
-                ring.scc.components,
-                ring.scc.nontrivial_components,
-                ring.scc.jacobi_updates,
-                ring.scc.scc_updates,
-                ring.scc.update_ratio,
-            );
-        }
-        println!(
-            "telemetry probe: {} VI sweeps, {} states explored, {} MC trials; \
-             overhead on/off = {:.3}",
-            report.telemetry.counter("mdp.vi.sweeps").unwrap_or(0),
-            report.telemetry.counter("mdp.explore.states").unwrap_or(0),
-            report.telemetry.counter("sim.mc.trials").unwrap_or(0),
-            report.telemetry_overhead.enabled_over_disabled,
-        );
-        println!(
-            "faults: survival cells {} holds / {} degraded / {} fails; \
-             zero-fault bitwise equal: {}; crash self-loops tagged: {} ({} violations)",
-            report.faults.holds,
-            report.faults.degraded,
-            report.faults.fails,
-            report.faults.zero_fault_bitwise_equal,
-            report.faults.crash_tagged_choices,
-            report.faults.crash_absorbing_violations,
-        );
-        println!(
-            "batch: {} jobs ({} done, {} violated), cache hit rate {:.3}, \
-             worker invariant: {} (digest {})",
-            report.batch.jobs,
-            report.batch.done,
-            report.batch.violated,
-            report.batch.cache_hit_rate,
-            report.batch.worker_invariant,
-            report.batch.invariance_digest,
-        );
-        for ring in &report.symmetry.rings {
-            match (ring.full_states, ring.reduction) {
-                (Some(full), Some(r)) => println!(
-                    "symmetry n={}: {} orbits of {} states ({:.3}x, {:.2}s)",
-                    ring.n, ring.orbit_states, full, r, ring.quotient_explore_seconds,
-                ),
-                _ => println!(
-                    "symmetry n={}: {} orbits (quotient only, {:.2}s, {} MiB store)",
-                    ring.n,
-                    ring.orbit_states,
-                    ring.quotient_explore_seconds,
-                    ring.quotient_mem_bytes / (1 << 20),
-                ),
-            }
-        }
-        println!(
-            "symmetry: lifting bitwise equal at n={}: {}; frontier n={}: \
-             all arrows hold: {}, E[T->C] in [{:.3}, {:.3}] vs claimed {:.0} \
-             ({:.2}s); peak RSS {:.0} MiB",
-            report.symmetry.lifting_n,
-            report.symmetry.lifting_bitwise_equal,
-            report.symmetry.frontier.n,
-            report.symmetry.frontier.all_hold,
-            report.symmetry.frontier.expected_time_min,
-            report.symmetry.frontier.expected_time_max,
-            report.symmetry.frontier.expected_time_claimed,
-            report.symmetry.frontier.seconds,
-            report.symmetry.peak_rss_mib,
-        );
-        println!(
-            "serve: {} socket batches of {} jobs, digest invariant: {} ({}); \
-             {} evictions / {} rebuilds under budget; admission {} accepted / \
-             {} backpressured / {} bad lines",
-            report.serve.socket_batches,
-            report.serve.jobs,
-            report.serve.digest_invariant,
-            report.serve.digest,
-            report.serve.evictions,
-            report.serve.rebuilds,
-            report.serve.jobs_accepted,
-            report.serve.backpressure_rejections,
-            report.serve.lines_rejected,
-        );
-        println!(
-            "store: n={} in {} blocks, bitwise identical: {} ({}); \
-             {} faults / {} evictions at one-block budget, peak resident {} bytes",
-            report.store.n,
-            report.store.csr_blocks,
-            report.store.bitwise_identical,
-            report.store.digest_in_core,
-            report.store.faults,
-            report.store.evictions,
-            report.store.peak_resident_bytes,
-        );
         return Ok(());
     }
     let full = args.iter().any(|a| a == "--full");

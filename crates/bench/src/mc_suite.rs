@@ -1,4 +1,4 @@
-//! The sampled-tier (`pa-mc`) block of the bench artifact.
+//! The sampled-tier (`pa-mc`) cross-validation behind `tables --mc`.
 //!
 //! `tables --mc` cross-validates the Monte-Carlo estimation tier against
 //! the exact engine on a small ring: every paper arrow × default-grid
@@ -11,9 +11,11 @@
 //! and comparing the integer-accumulator digests bitwise.
 //!
 //! The block's `digest` (FNV-1a 64 over every estimate's integer counts)
-//! is pinned by the `mc-smoke` CI baseline: any change to the RNG stream
-//! layout, the trajectory semantics, or the estimator accounting shows up
-//! as a digest mismatch before it can silently shift the statistics.
+//! is pinned for the `n = 3`, 4,000-trajectory, seed-42 run that
+//! `tables --mc --smoke` makes ([`McBench::check`]): any change to the RNG
+//! stream layout, the trajectory semantics, or the estimator accounting
+//! shows up as a digest mismatch before it can silently shift the
+//! statistics.
 
 use std::error::Error;
 
@@ -44,7 +46,7 @@ pub struct McArrowRow {
     /// Interval width `hi - lo`.
     pub width: f64,
     /// Whether the interval contains the exact value. Must be `true` in
-    /// every row; gated by `compare_bench`.
+    /// every row.
     pub contains_exact: bool,
     /// Trajectories sampled.
     pub trials: u64,
@@ -70,7 +72,7 @@ pub struct McUniformCheck {
     pub contains_exact: bool,
 }
 
-/// The sampled-tier block of the bench artifact (schema v6).
+/// One cross-validation run of the sampled tier.
 #[derive(Debug, Clone, Serialize)]
 pub struct McBench {
     /// Ring size of the cross-validation.
@@ -85,17 +87,17 @@ pub struct McBench {
     /// plan (nothing to sample).
     pub skipped_vacuous: u64,
     /// Whether every row's interval contains its exact value. Must be
-    /// `true`; gated by `compare_bench`.
+    /// `true`.
     pub all_contain_exact: bool,
     /// The widest 99% interval across the rows.
     pub max_width: f64,
     /// The uniform-adversary chain cross-check.
     pub uniform: McUniformCheck,
     /// FNV-1a 64 over every estimate's integer accounting (16 hex
-    /// digits) — the seed-determinism digest the baseline pins exactly.
+    /// digits) — the seed-determinism digest [`McBench::check`] pins.
     pub digest: String,
     /// Whether the same seed produced bitwise-identical accumulators at
-    /// 1, 2 and 8 workers. Must be `true`; gated by `compare_bench`.
+    /// 1, 2 and 8 workers. Must be `true`.
     pub worker_invariant: bool,
     /// Total trajectories across every estimate in the block.
     pub trajectories_total: u64,
@@ -105,6 +107,44 @@ pub struct McBench {
     pub early_stops_total: u64,
     /// Total RNG words drawn.
     pub rng_draws_total: u64,
+}
+
+/// The pinned run: ring size, trajectories per estimate, seed, and the
+/// seed-determinism digest that run must reproduce.
+pub const PINNED_RUN: (usize, u64, u64, &str) = (3, 4_000, 42, "9e511effa77636a7");
+
+impl McBench {
+    /// Every way this run departs from its contract, one message each;
+    /// empty means it passed. Every interval (arrow cells and the uniform
+    /// anchor) must contain its exact value and the 1/2/8-worker probe must
+    /// be invariant. On the `n = 3` ring no cell is vacuous, and the
+    /// [`PINNED_RUN`] shape must reproduce its digest exactly.
+    #[must_use]
+    pub fn check(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.all_contain_exact {
+            failures.push("an arrow interval misses its exact value".to_string());
+        }
+        if !self.uniform.contains_exact {
+            failures.push("the uniform interval misses its chain anchor".to_string());
+        }
+        if !self.worker_invariant {
+            failures.push("1/2/8-worker accumulators differ".to_string());
+        }
+        if self.n == 3 && self.skipped_vacuous != 0 {
+            failures.push(format!(
+                "{} vacuous cells skipped at n = 3, expected 0",
+                self.skipped_vacuous
+            ));
+        }
+        let (n, trajectories, seed, digest) = PINNED_RUN;
+        if (self.n, self.trajectories, self.seed) == (n, trajectories, seed)
+            && self.digest != digest
+        {
+            failures.push(format!("digest: expected {digest}, got {}", self.digest));
+        }
+        failures
+    }
 }
 
 fn fnv1a(bytes: impl Iterator<Item = u8>) -> String {
@@ -225,43 +265,6 @@ pub fn mc_bench(
     })
 }
 
-/// The standalone sampled-tier artifact (`pa-bench/mc/v1`) the `mc-smoke`
-/// CI job emits and gates — the [`McBench`] block without the throughput
-/// suite around it, so the job stays fast.
-#[derive(Debug, Clone, Serialize)]
-pub struct McReport {
-    /// Artifact format tag.
-    pub schema: String,
-    /// Command that regenerates the artifact.
-    pub regenerate: String,
-    /// Machine the numbers were taken on.
-    pub machine: crate::perf::Machine,
-    /// The sampled-tier block.
-    pub mc: McBench,
-}
-
-/// Builds the standalone `pa-bench/mc/v1` artifact.
-///
-/// # Errors
-///
-/// Propagates [`mc_bench`] errors.
-pub fn mc_report(
-    n: usize,
-    trajectories: u64,
-    seed: u64,
-    limit: usize,
-) -> Result<McReport, Box<dyn Error>> {
-    Ok(McReport {
-        schema: "pa-bench/mc/v1".to_string(),
-        regenerate: format!(
-            "cargo run --release -p pa-bench --bin tables -- --mc --trajectories {trajectories} \
-             --seed {seed}"
-        ),
-        machine: crate::perf::machine(),
-        mc: mc_bench(n, trajectories, seed, limit)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,13 +272,11 @@ mod tests {
     #[test]
     fn mc_bench_n3_contains_exact_everywhere() {
         let b = mc_bench(3, 2_000, 42, 5_000_000).unwrap();
-        assert!(b.all_contain_exact, "rows: {:?}", b.rows);
-        assert!(b.uniform.contains_exact);
-        assert!(b.worker_invariant);
+        assert_eq!(b.check(), Vec::<String>::new(), "rows: {:?}", b.rows);
         assert!(!b.rows.is_empty());
         assert!(b.trajectories_total > 0 && b.rng_draws_total > 0);
         assert_eq!(b.digest.len(), 16);
-        // Same seed, same digest — the determinism the baseline pins.
+        // Same seed, same digest — the determinism the pinned run relies on.
         let again = mc_bench(3, 2_000, 42, 5_000_000).unwrap();
         assert_eq!(b.digest, again.digest);
     }
