@@ -30,8 +30,8 @@
 //! exactly once per key no matter how the scheduler interleaves jobs.
 //! Misses therefore equal the number of distinct keys demanded and hits
 //! equal `accesses − misses − rebuilds` — all independent of worker
-//! count, which the determinism tests (and the `compare_bench` gate on
-//! the v5 `batch` block) rely on.
+//! count, which the determinism tests (and the exact cache counts pinned
+//! by `pa-bench`'s `pinned_invariants` test) rely on.
 //!
 //! Build work runs inside the cache's own [`TelemetryScope`] (entered
 //! *nested* over the building job's scope), so exploration metrics are

@@ -311,13 +311,7 @@ fn execute(ctx: &JobCtx<'_>) -> Result<JobValue, String> {
             )
             .map_err(|e| e.to_string())?;
             ctx.checkpoint()?;
-            Ok(JobValue::Prob {
-                measured: exact,
-                claimed: *claimed,
-                holds: exact >= *claimed - 1e-12,
-                worst_state: None,
-                states_checked: 1,
-            })
+            Ok(prob_value(exact, *claimed, None, 1))
         }
         JobKind::Sampled {
             target,
@@ -399,12 +393,71 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
             worst_state = Some(model.explored.state(i).to_string());
         }
     }
-    let measured = Prob::clamped(worst).value();
-    Ok(JobValue::Prob {
-        measured,
+    Ok(prob_value(
+        Prob::clamped(worst).value(),
         claimed,
-        holds: measured >= claimed - 1e-12,
         worst_state,
         states_checked,
-    })
+    ))
+}
+
+/// A finished probability claim, its verdict from [`pa_core::meets_claim`].
+fn prob_value(
+    measured: f64,
+    claimed: f64,
+    worst_state: Option<String>,
+    states_checked: usize,
+) -> JobValue {
+    JobValue::Prob {
+        measured,
+        claimed,
+        holds: pa_core::meets_claim(measured, claimed),
+        worst_state,
+        states_checked,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pa_core::{Arrow, ArrowCheck, SetExpr};
+    use pa_faults::{classify, Survival};
+    use pa_prob::ProbInterval;
+
+    /// The four verdict sites — `ArrowCheck::holds`, the survival map's
+    /// `classify`, and the arrow and reachability jobs (both built by
+    /// `prob_value`) — agree on either side of the slack below a claim.
+    #[test]
+    fn every_verdict_site_agrees_just_below_a_claim() {
+        let claimed = 0.125;
+        for (measured, holds) in [(claimed - 1e-10, false), (claimed - 1e-13, true)] {
+            let check = ArrowCheck {
+                arrow: Arrow::new(
+                    SetExpr::named("T"),
+                    SetExpr::named("C"),
+                    13.0,
+                    Prob::new(claimed).unwrap(),
+                )
+                .unwrap(),
+                measured: ProbInterval::exact(Prob::new(measured).unwrap()),
+                worst_state: None,
+                states_checked: 1,
+            };
+            assert_eq!(check.holds(), holds, "check_arrow at {measured}");
+            let survival = if holds {
+                Survival::Holds
+            } else {
+                Survival::Degraded
+            };
+            assert_eq!(
+                classify(measured, claimed),
+                survival,
+                "survival at {measured}"
+            );
+            let JobValue::Prob { holds: job, .. } = prob_value(measured, claimed, None, 1) else {
+                unreachable!("prob_value builds JobValue::Prob");
+            };
+            assert_eq!(job, holds, "batch job at {measured}");
+        }
+    }
 }

@@ -27,8 +27,9 @@
 //! (parallelism comes from running *jobs* concurrently), the cache builds
 //! each key exactly once, and everything scheduling-dependent is kept out
 //! of the canonical serialization. `tests/determinism.rs` pins the
-//! contract; `tables --batch` (pa-bench) exposes it on the command line
-//! and the `batch` block of `BENCH_mdp.json` gates it in CI.
+//! contract; `tables --batch` (pa-bench) exposes it on the command line,
+//! and `pa-bench`'s `pinned_invariants` test pins the `n = 3` suite's
+//! tallies and digest at one and four workers.
 //!
 //! # Example
 //!

@@ -10,7 +10,7 @@
 //!   everything scheduling-dependent: wall-clock durations, timer
 //!   metrics, the worker count itself, and which job triggered each cache
 //!   build. [`BatchReport::digest`] is an FNV-1a 64 hash over it — the
-//!   `worker-invariance digest` of the bench artifact's `batch` block.
+//!   worker-invariance digest `pa-bench`'s `pinned_invariants` test pins.
 //! * [`BatchReport::jsonl`] — one line per job with durations and the
 //!   full telemetry snapshot; for humans and dashboards, not for diffing.
 

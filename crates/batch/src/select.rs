@@ -2,8 +2,9 @@
 //!
 //! The exact engine explores the (fault-wrapped) round model, so its
 //! memory footprint is governed by the ring's reachable state count. Both
-//! the full space and its rotation quotient are measured (they are pinned
-//! in `BENCH_mdp.json`'s `rings`/`symmetry` blocks) up to `n = 7`:
+//! the full space and its rotation quotient are measured up to `n = 7`
+//! (`EXPERIMENTS.md` records the table; `n = 3..=5` are pinned by
+//! `pa-bench`'s `pinned_invariants` test):
 //!
 //! | n | full states | quotient states |
 //! |---|-------------|-----------------|
@@ -29,7 +30,7 @@ use pa_core::SetExpr;
 use crate::spec::{JobKind, McSettings};
 
 /// Measured reachable-state counts for the saturating Lehmann–Rabin round
-/// model, `n = 3..=7` (the values pinned by the bench artifact).
+/// model, `n = 3..=7` (EXPERIMENTS.md's dated kernel table).
 const MEASURED: [(usize, u64); 5] = [
     (3, 536),
     (4, 4_252),

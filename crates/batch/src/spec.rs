@@ -243,7 +243,7 @@ pub enum JobValue {
         measured: f64,
         /// The claimed bound.
         claimed: f64,
-        /// Whether the claim holds (`measured >= claimed - 1e-12`).
+        /// Whether the claim holds ([`pa_core::meets_claim`]).
         holds: bool,
         /// The minimizing start state, rendered.
         worst_state: Option<String>,

@@ -38,6 +38,9 @@ pub enum FaultError {
     /// rotation symmetry — the quotient is only sound for the zero-fault
     /// column.
     SymmetryBroken,
+    /// A survival map was asked for over a fault grid with no columns; the
+    /// hybrid map needs at least its zero-fault column.
+    EmptyGrid,
     /// A fault plan's round cap does not fit the 12-bit round field of the
     /// bit-packed state encoding.
     RoundCapUnencodable {
@@ -72,6 +75,10 @@ impl std::fmt::Display for FaultError {
                 f,
                 "rotation-quotient analysis requires an empty fault plan \
                  (fault events name processes, breaking ring symmetry)"
+            ),
+            FaultError::EmptyGrid => write!(
+                f,
+                "the fault grid is empty; it needs at least the zero-fault column"
             ),
             FaultError::RoundCapUnencodable { cap } => {
                 write!(f, "round cap {cap} exceeds the packable bound 4095")

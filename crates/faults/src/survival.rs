@@ -85,9 +85,10 @@ impl SurvivalMap {
     }
 }
 
-/// Classifies a measured worst-case probability against a claimed bound.
+/// Classifies a measured worst-case probability against a claimed bound:
+/// [`Survival::Holds`] exactly when [`pa_core::meets_claim`] does.
 pub fn classify(measured: f64, claimed: f64) -> Survival {
-    if measured >= claimed - 1e-12 {
+    if pa_core::meets_claim(measured, claimed) {
         Survival::Holds
     } else if measured > 1e-12 {
         Survival::Degraded
@@ -434,8 +435,9 @@ pub fn survival_map_hybrid(
 ///
 /// # Errors
 ///
-/// As [`survival_map_hybrid`]; [`FaultError::SymmetryBroken`] if the
-/// grid's first column is not fault-free.
+/// As [`survival_map_hybrid`]; [`FaultError::EmptyGrid`] if the grid has
+/// no columns, and [`FaultError::SymmetryBroken`] if its first column is
+/// not fault-free.
 pub fn survival_map_hybrid_with_grid(
     n: usize,
     limit: usize,
@@ -443,7 +445,7 @@ pub fn survival_map_hybrid_with_grid(
     mc: &pa_mc::McConfig,
 ) -> Result<HybridSurvivalMap, FaultError> {
     let cfg = RoundConfig::new(n)?;
-    let (zero_name, zero_plan) = grid.first().ok_or(FaultError::SymmetryBroken)?;
+    let (zero_name, zero_plan) = grid.first().ok_or(FaultError::EmptyGrid)?;
     if !zero_plan.is_empty() {
         return Err(FaultError::SymmetryBroken);
     }
@@ -568,6 +570,20 @@ mod tests {
                 assert!(cell.lo <= cell.estimate && cell.estimate <= cell.hi);
             }
         }
+    }
+
+    #[test]
+    fn hybrid_map_names_an_empty_grid_and_a_faulted_first_column() {
+        let mc = pa_mc::McConfig::new(10, 1, 0);
+        assert!(matches!(
+            survival_map_hybrid_with_grid(3, 1_000_000, &[], &mc),
+            Err(FaultError::EmptyGrid)
+        ));
+        let faulted = default_grid()[1..].to_vec();
+        assert!(matches!(
+            survival_map_hybrid_with_grid(3, 1_000_000, &faulted, &mc),
+            Err(FaultError::SymmetryBroken)
+        ));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!   updated earlier in the same sweep, so its iterates differ from
 //!   Jacobi's and it cannot be parallelized deterministically; both
 //!   converge to the same fixpoint, which property tests check within
-//!   tolerance. These also serve as the before/after baseline for the
-//!   benchmark numbers in `BENCH_mdp.json`.
+//!   tolerance.
 
 use crate::{ExplicitMdp, IterOptions, MdpError, Objective};
 

@@ -1,8 +1,8 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! The vendored `serde` shim only serializes; the service's JSONL wire
-//! protocol and the bench artifact comparisons (`compare_bench`, which
-//! re-exports this module through `pa_bench::json`) need the reverse
+//! protocol and its clients (the `serve` binary in `pa-bench`, which
+//! re-exports this module as `pa_bench::json`) need the reverse
 //! direction. This parser covers the full JSON grammar minus exotic
 //! number forms and keeps object keys in document order.
 

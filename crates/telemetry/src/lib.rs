@@ -29,16 +29,16 @@
 //! initially taken from the `PA_TELEMETRY` environment variable, default
 //! off). While disabled, every record call is one relaxed atomic load and a
 //! predicted branch — no locks, no clock reads, no allocation — so
-//! instrumented hot paths run at full speed. `tables --bench-json` measures
-//! this as part of the benchmark artifact (the `telemetry_overhead` block).
+//! instrumented hot paths run at full speed. perfbench's
+//! `telemetry.overhead_ratio` measures this end to end.
 //!
 //! # Snapshots
 //!
 //! [`snapshot`] freezes every registered metric into a
 //! [`TelemetrySnapshot`], ordered deterministically by name and
-//! serializable to JSON through the workspace serde shim. `pa-bench` embeds
-//! one into `BENCH_mdp.json` so the perf trajectory carries engine
-//! internals, not just timings.
+//! serializable to JSON through the workspace serde shim. `pa-bench`'s
+//! `telemetry_counters` test takes one after a fixed workload and
+//! requires every instrumented layer's counters to be positive.
 //!
 //! # Scopes and the reset contract
 //!

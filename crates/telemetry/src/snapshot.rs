@@ -75,8 +75,8 @@ pub struct SeriesSnapshot {
     pub truncated: u64,
 }
 
-/// Every registered metric, frozen and sorted by name. Serializes to the
-/// `telemetry` block of `BENCH_mdp.json` via the workspace serde shim.
+/// Every registered metric, frozen and sorted by name. Serializes to JSON
+/// via the workspace serde shim.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetrySnapshot {
     /// Whether recording was enabled when the snapshot was taken.
