@@ -14,8 +14,8 @@
 //!                                     # n=3 CI smoke shape
 //! cargo run --release -p pa-bench --bin tables -- --mc --smoke --out BENCH_mc.json
 //!                                     # sampled-tier cross-validation at
-//!                                     # n=3; fails unless the seed-42,
-//!                                     # 4000-trajectory digest is pinned
+//!                                     # n=3; fails if the seed-42,
+//!                                     # 4000-trajectory run's digest drifts
 //! cargo run --release -p pa-bench --bin tables -- --store
 //!                                     # out-of-core smoke: spill the n=4
 //!                                     # quotient, re-query at a one-byte

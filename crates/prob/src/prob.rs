@@ -108,9 +108,6 @@ impl Prob {
     }
 
     /// Returns `true` if `self` is at least `other - 1e-9`.
-    ///
-    /// This is the comparison used when checking a measured probability
-    /// against a paper-claimed lower bound.
     pub fn at_least(self, other: Prob) -> bool {
         self.0 + EPSILON >= other.0
     }
