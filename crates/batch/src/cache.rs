@@ -20,7 +20,7 @@
 //!   which the cross-check tests pin.
 //! * Expected-cost analyses clamp target states to 0 the same way; states
 //!   from which an adversary avoids the target get `∞`, and
-//!   [`pa_mdp::ExpectedCost::max_over`] only faults on *queried* infinite
+//!   [`pa_mdp::Analysis::worst_over`] only faults on *queried* infinite
 //!   states, so reading just the analysis's start subset is safe.
 //!
 //! # Concurrency and determinism
@@ -109,7 +109,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pa_faults::{
-    faulty_round_cost, FaultKind, FaultPlan, FaultyRoundMdp, FaultyRoundState, FaultyStateCodec,
+    faulty_round_cost, start_crash_mask, FaultPlan, FaultyRoundMdp, FaultyRoundState,
+    FaultyStateCodec,
 };
 use pa_lehmann_rabin::{reachable_configs, reachable_configs_quotient, Config, RoundConfig};
 use pa_mdp::{BoxedSpace, Explore, Explored, PackedSpace, RingRotation, StateSpace};
@@ -541,11 +542,7 @@ impl ModelCache {
             || {
                 let configs = self.reachable(n, limit)?;
                 let cfg = RoundConfig::new(n).map_err(|e| e.to_string())?;
-                let mask0 = plan
-                    .events_at(1)
-                    .iter()
-                    .filter(|e| !matches!(e.kind, FaultKind::DropObligation))
-                    .fold(0u32, |m, e| m | (1 << e.process));
+                let mask0 = start_crash_mask(plan);
                 let model = FaultyRoundMdp::new(cfg, plan.clone())
                     .map_err(|e| e.to_string())?
                     .with_starts(configs.as_ref().clone());
@@ -872,6 +869,7 @@ impl<'c> CacheSession<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pa_faults::FaultKind;
 
     #[test]
     fn second_access_hits_and_shares_the_arc() {
@@ -933,22 +931,20 @@ mod tests {
         let from = pa_faults::set_pred_under(arrow.from()).unwrap();
         let to = pa_faults::set_pred_under(arrow.to()).unwrap();
         let starts = model.starts_where(|c, m| from(c, m));
-        assert!(!starts.is_empty(), "arrow source must be reachable");
         let n = model.n;
         let target = model
             .explored
             .target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
-        let values = pa_mdp::Query::csr(&model.explored.mdp)
+        pa_mdp::Query::csr(&model.explored.mdp)
             .objective(pa_mdp::QueryObjective::MinProb)
             .target(target)
             .horizon(pa_lehmann_rabin::time_to_budget(arrow.time()))
             .run()
             .unwrap()
-            .values;
-        starts
-            .into_iter()
-            .map(|i| values[i])
-            .fold(f64::INFINITY, f64::min)
+            .worst_over(&starts)
+            .unwrap()
+            .expect("arrow source must be reachable")
+            .1
     }
 
     #[test]
@@ -973,20 +969,18 @@ mod tests {
         let from = pa_faults::set_pred_under(arrow.from()).unwrap();
         let to = pa_faults::set_pred_under(arrow.to()).unwrap();
         let starts = model.starts_where(|c, m| from(c, m));
-        assert!(!starts.is_empty(), "arrow source must be reachable");
         let n = model.n;
-        let values = model
+        model
             .model
             .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
             .objective(pa_mdp::QueryObjective::MinProb)
             .horizon(pa_lehmann_rabin::time_to_budget(arrow.time()))
             .run()
             .unwrap()
-            .values;
-        starts
-            .into_iter()
-            .map(|i| values[i])
-            .fold(f64::INFINITY, f64::min)
+            .worst_over(&starts)
+            .unwrap()
+            .expect("arrow source must be reachable")
+            .1
     }
 
     fn spill_dir(tag: &str) -> std::path::PathBuf {

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use pa_core::Arrow;
 use pa_faults::set_pred_under;
 use pa_lehmann_rabin::{lemmas, paper, time_to_budget, verify_lemma_6_1};
-use pa_mdp::{ExpectedCost, InvariantResult, Query, QueryObjective};
+use pa_mdp::{InvariantResult, Query, QueryObjective};
 use pa_prob::Prob;
 use pa_telemetry::TelemetryScope;
 
@@ -246,30 +246,25 @@ fn execute(ctx: &JobCtx<'_>) -> Result<JobValue, String> {
             let target = model
                 .explored
                 .target_where(|s| to_pred(&s.inner.config, s.crashed_mask(n)));
-            let values = Query::csr(&model.explored.mdp)
+            let analysis = Query::csr(&model.explored.mdp)
                 .objective(QueryObjective::MaxCost)
                 .target(target)
                 .solver(ctx.spec.solver)
                 .epsilon(ctx.spec.epsilon)
                 .workers(1)
                 .run()
-                .map_err(|e| e.to_string())?
-                .values;
-            let expected = ExpectedCost { values };
-            // `max_over` faults only on divergence at a queried state —
+                .map_err(|e| e.to_string())?;
+            // `worst_over` faults only on divergence at a queried state —
             // the expected-time analogue of a violated bound.
-            match expected.max_over(starts) {
-                Ok(worst) => Ok(JobValue::Time {
-                    expected: Some(worst + 1.0),
-                    bound: *bound,
-                    within: worst + 1.0 <= *bound + 1e-9,
-                }),
-                Err(_) => Ok(JobValue::Time {
-                    expected: None,
-                    bound: *bound,
-                    within: false,
-                }),
-            }
+            let expected = analysis
+                .worst_over(&starts)
+                .ok()
+                .map(|worst| worst.expect("starts are nonempty").1 + 1.0);
+            Ok(JobValue::Time {
+                expected,
+                bound: *bound,
+                within: expected.is_some_and(|e| e <= *bound + 1e-9),
+            })
         }
         JobKind::Invariant => {
             match verify_lemma_6_1(ctx.spec.n, ctx.spec.state_limit).map_err(|e| e.to_string())? {
@@ -374,7 +369,7 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
         .explored
         .target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
     let budget = time_to_budget(arrow.time());
-    let values = Query::csr(&model.explored.mdp)
+    let (worst, measured) = Query::csr(&model.explored.mdp)
         .objective(QueryObjective::MinProb)
         .target(target)
         .horizon(budget)
@@ -382,22 +377,14 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
         .epsilon(ctx.spec.epsilon)
         .workers(1)
         .run()
+        .and_then(|analysis| analysis.worst_over(&starts))
         .map_err(|e| e.to_string())?
-        .values;
-    let mut worst = f64::INFINITY;
-    let mut worst_state = None;
-    let states_checked = starts.len();
-    for i in starts {
-        if values[i] < worst {
-            worst = values[i];
-            worst_state = Some(model.explored.state(i).to_string());
-        }
-    }
+        .expect("starts are nonempty");
     Ok(prob_value(
-        Prob::clamped(worst).value(),
+        Prob::clamped(measured).value(),
         claimed,
-        worst_state,
-        states_checked,
+        Some(model.explored.state(worst).to_string()),
+        starts.len(),
     ))
 }
 
@@ -458,6 +445,68 @@ mod tests {
                 unreachable!("prob_value builds JobValue::Prob");
             };
             assert_eq!(job, holds, "batch job at {measured}");
+        }
+    }
+
+    /// A plan that crash-stops every process in round 1 empties every
+    /// fault-aware region, so each arrow is vacuous: the exact checker, the
+    /// batch arrow job and the expected-time job all take their
+    /// empty-source branch.
+    #[test]
+    fn an_all_crash_plan_makes_every_source_region_vacuous() {
+        use pa_faults::{check_arrow_under, FaultEvent, FaultKind, FaultPlan};
+        use pa_lehmann_rabin::{RoundConfig, DEFAULT_STATE_LIMIT};
+
+        let crash = |process| FaultEvent {
+            round: 1,
+            process,
+            kind: FaultKind::CrashStop,
+        };
+        let plan = FaultPlan::new((0..3).map(crash).collect()).unwrap();
+        let cfg = RoundConfig::new(3).unwrap();
+        let mut specs = Vec::new();
+        for (index, (arrow, _why)) in paper::all_arrows().into_iter().enumerate() {
+            let check = check_arrow_under(cfg, &arrow, &plan, DEFAULT_STATE_LIMIT).unwrap();
+            assert_eq!(check.measured.lo(), Prob::ONE, "{arrow}");
+            assert_eq!(check.states_checked, 0, "{arrow}");
+            assert_eq!(check.worst_state, None, "{arrow}");
+            specs.push(JobSpec::new(3, JobKind::Arrow { index }).with_plan("all", plan.clone()));
+        }
+        specs.push(
+            JobSpec::new(
+                3,
+                JobKind::ExpectedTime {
+                    from: SetExpr::named("T"),
+                    to: SetExpr::named("C"),
+                    bound: 63.0,
+                },
+            )
+            .with_plan("all", plan),
+        );
+        let report = run_batch(&specs, &BatchOptions::default()).unwrap();
+        assert_eq!(report.jobs.len(), specs.len());
+        for job in &report.jobs {
+            match &job.status {
+                JobStatus::Done(JobValue::Prob {
+                    measured,
+                    holds,
+                    worst_state,
+                    states_checked,
+                    ..
+                }) => {
+                    assert_eq!(*measured, 1.0, "{}", job.key);
+                    assert!(*holds, "{}", job.key);
+                    assert_eq!(*worst_state, None, "{}", job.key);
+                    assert_eq!(*states_checked, 0, "{}", job.key);
+                }
+                JobStatus::Done(JobValue::Time {
+                    expected, within, ..
+                }) => {
+                    assert_eq!(*expected, Some(0.0));
+                    assert!(*within);
+                }
+                other => panic!("{}: {other:?}", job.key),
+            }
         }
     }
 }

@@ -811,20 +811,14 @@ pub fn out_of_core_frontier(n: usize, limit: usize, cache_budget: u64) -> ExpRes
             from(&s.inner.config, s.crashed_mask(n))
         })
         .collect();
-    if starts.is_empty() {
-        return Err(format!("E18: {arrow} source set unreachable at n={n}").into());
-    }
     let t0 = Instant::now();
-    let values = stored
+    let (_, worst) = stored
         .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
         .objective(QueryObjective::MinProb)
         .horizon(time_to_budget(arrow.time()))
         .run()?
-        .values;
-    let worst = starts
-        .iter()
-        .map(|&i| values[i])
-        .fold(f64::INFINITY, f64::min);
+        .worst_over(&starts)?
+        .ok_or_else(|| format!("E18: {arrow} source set unreachable at n={n}"))?;
     let query = fmt_duration(t0.elapsed());
     let stats = stored.store().cache().local_stats();
 

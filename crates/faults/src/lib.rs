@@ -70,7 +70,7 @@ pub use sampling::{
 };
 pub use survival::{
     check_arrow_under, check_arrow_under_quotient, classify, default_grid, region_pred_under,
-    set_pred_under, survival_map, survival_map_hybrid, survival_map_hybrid_with_grid,
-    survival_map_with_grid, HybridSurvivalMap, HybridSurvivalRow, SampledSurvivalCell, Survival,
-    SurvivalCell, SurvivalMap, SurvivalRow, DEFAULT_STATE_LIMIT,
+    set_pred_under, start_crash_mask, survival_map, survival_map_hybrid,
+    survival_map_hybrid_with_grid, survival_map_with_grid, HybridSurvivalMap, HybridSurvivalRow,
+    SampledSurvivalCell, Survival, SurvivalCell, SurvivalMap, SurvivalRow, DEFAULT_STATE_LIMIT,
 };

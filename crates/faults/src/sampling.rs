@@ -17,7 +17,9 @@
 //!   canonical all-trying start under the uniform-random adversary.
 
 use pa_core::{Arrow, Automaton, SetExpr};
-use pa_lehmann_rabin::{time_to_budget, Config, Pc, ProcState, RoundConfig, Side};
+use pa_lehmann_rabin::{
+    reachable_configs, time_to_budget, Config, Pc, ProcState, RoundConfig, Side,
+};
 use pa_mc::{
     chain_target, estimate_reach, McConfig, McEstimate, OptimalReplay, UniformChain, UniformPolicy,
 };
@@ -67,7 +69,8 @@ pub fn sampled_arrow_under(
     limit: usize,
     mc: &McConfig,
 ) -> Result<Option<SampledArrow>, FaultError> {
-    let Some((model, _states_checked)) = arrow_model(cfg, arrow, plan, limit)? else {
+    let reachable = reachable_configs(cfg.n, limit)?;
+    let Some((model, _states_checked)) = arrow_model(cfg, arrow, plan, &reachable)? else {
         return Ok(None);
     };
     let to = set_pred_under(arrow.to())?;
@@ -84,19 +87,9 @@ pub fn sampled_arrow_under(
         .horizon(budget)
         .with_policy()
         .run()?;
-    let worst = explored
-        .mdp
-        .initial_states()
-        .iter()
-        .copied()
-        .min_by(|&a, &b| {
-            analysis
-                .value(a)
-                .partial_cmp(&analysis.value(b))
-                .expect("reach probabilities are never NaN")
-        })
+    let (worst, exact) = analysis
+        .worst_over(explored.mdp.initial_states())?
         .expect("arrow model has at least one start state");
-    let exact = analysis.value(worst);
     let policy = analysis
         .policy
         .as_ref()
@@ -341,7 +334,8 @@ mod tests {
         let plan = FaultPlan::none();
         for n in [3usize, 4] {
             let cfg = RoundConfig::new(n).unwrap();
-            let (model, _) = arrow_model(cfg, &arrow, &plan, 1_000_000)
+            let reachable = reachable_configs(n, 1_000_000).unwrap();
+            let (model, _) = arrow_model(cfg, &arrow, &plan, &reachable)
                 .unwrap()
                 .expect("G is non-empty on the fault-free ring");
             let to = set_pred_under(arrow.to()).unwrap();
@@ -359,14 +353,10 @@ mod tests {
                 .with_policy()
                 .run()
                 .unwrap();
-            let worst = explored
-                .mdp
-                .initial_states()
-                .iter()
-                .copied()
-                .min_by(|&a, &b| analysis.value(a).partial_cmp(&analysis.value(b)).unwrap())
+            let (worst, exact) = analysis
+                .worst_over(explored.mdp.initial_states())
+                .unwrap()
                 .unwrap();
-            let exact = analysis.value(worst);
             let replay = OptimalReplay {
                 explored: &explored,
                 policy: analysis.policy.as_ref().unwrap(),

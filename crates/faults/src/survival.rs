@@ -150,7 +150,8 @@ pub fn check_arrow_under(
     plan: &FaultPlan,
     limit: usize,
 ) -> Result<ArrowCheck, FaultError> {
-    check_arrow_under_impl(cfg, arrow, plan, limit, false)
+    let reachable = reachable_configs(cfg.n, limit)?;
+    check_arrow_in(cfg, arrow, plan, &reachable, limit, false)
 }
 
 /// [`check_arrow_under`] on the rotation-quotient model with bit-packed
@@ -173,17 +174,22 @@ pub fn check_arrow_under_quotient(
     if !plan.is_empty() {
         return Err(FaultError::SymmetryBroken);
     }
-    check_arrow_under_impl(cfg, arrow, plan, limit, true)
+    let reps = reachable_configs_quotient(cfg.n, limit)?;
+    check_arrow_in(cfg, arrow, plan, &reps, limit, true)
 }
 
-fn check_arrow_under_impl(
+/// The exact fault check over already enumerated configurations: `reachable`
+/// holds the orbit representatives when `quotient` (and `plan` is then
+/// empty), every reachable configuration otherwise.
+fn check_arrow_in(
     cfg: RoundConfig,
     arrow: &Arrow,
     plan: &FaultPlan,
+    reachable: &[Config],
     limit: usize,
     quotient: bool,
 ) -> Result<ArrowCheck, FaultError> {
-    let Some((model, states_checked)) = arrow_model_impl(cfg, arrow, plan, limit, quotient)? else {
+    let Some((model, states_checked)) = arrow_model(cfg, arrow, plan, reachable)? else {
         return Ok(ArrowCheck {
             arrow: arrow.clone(),
             measured: ProbInterval::exact(Prob::ONE),
@@ -222,34 +228,25 @@ fn finish_arrow_under<SP: StateSpace<FaultyRoundState>>(
     arrow: &Arrow,
     states_checked: usize,
 ) -> Result<ArrowCheck, FaultError> {
-    let target = explored.target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
-    let values = explored
-        .query()
+    let (worst, measured) = explored
+        .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
         .objective(Objective::MinProb)
-        .target(target)
         .horizon(budget)
         .run()?
-        .values;
-    let mut worst = f64::INFINITY;
-    let mut worst_state = None;
-    for &i in explored.mdp.initial_states() {
-        if values[i] < worst {
-            worst = values[i];
-            worst_state = Some(explored.state(i).to_string());
-        }
-    }
+        .worst_over(explored.mdp.initial_states())?
+        .expect("an arrow model has starts");
     Ok(ArrowCheck {
         arrow: arrow.clone(),
-        measured: ProbInterval::exact(Prob::clamped(worst)),
-        worst_state,
+        measured: ProbInterval::exact(Prob::clamped(measured)),
+        worst_state: Some(explored.state(worst).to_string()),
         states_checked,
     })
 }
 
 /// The crash mask already in force when the clock starts: round-1 events
 /// strike before any process moves, so membership of the start states in
-/// the arrow's source region is judged under it.
-pub(crate) fn start_crash_mask(plan: &FaultPlan) -> u32 {
+/// an arrow's source region is judged under it.
+pub fn start_crash_mask(plan: &FaultPlan) -> u32 {
     plan.events_at(1)
         .iter()
         .filter(|e| !matches!(e.kind, FaultKind::DropObligation))
@@ -257,35 +254,25 @@ pub(crate) fn start_crash_mask(plan: &FaultPlan) -> u32 {
 }
 
 /// Builds the fault-wrapped arrow model both the exact and the sampled
-/// checkers run on: the reachable configurations of the arrow's source
-/// region (judged under the round-1 crash mask) as starts, with the target
-/// region absorbing. Returns `None` when the source region is empty —
-/// the arrow is then vacuously true and there is nothing to analyze.
+/// checkers run on: the configurations of `reachable` in the arrow's
+/// source region (judged under the round-1 crash mask) as starts, with
+/// the target region absorbing, plus the number of starts. Returns `None`
+/// when the source region is empty — the arrow is then vacuously true
+/// and there is nothing to analyze.
 pub(crate) fn arrow_model(
     cfg: RoundConfig,
     arrow: &Arrow,
     plan: &FaultPlan,
-    limit: usize,
-) -> Result<Option<(FaultyRoundMdp, usize)>, FaultError> {
-    arrow_model_impl(cfg, arrow, plan, limit, false)
-}
-
-pub(crate) fn arrow_model_impl(
-    cfg: RoundConfig,
-    arrow: &Arrow,
-    plan: &FaultPlan,
-    limit: usize,
-    quotient: bool,
+    reachable: &[Config],
 ) -> Result<Option<(FaultyRoundMdp, usize)>, FaultError> {
     let from = set_pred_under(arrow.from())?;
     let n = cfg.n;
     let mask0 = start_crash_mask(plan);
-    let reachable = if quotient {
-        reachable_configs_quotient(n, limit)?
-    } else {
-        reachable_configs(n, limit)?
-    };
-    let starts: Vec<Config> = reachable.into_iter().filter(|c| from(c, mask0)).collect();
+    let starts: Vec<Config> = reachable
+        .iter()
+        .filter(|c| from(c, mask0))
+        .copied()
+        .collect();
     if starts.is_empty() {
         return Ok(None);
     }
@@ -341,12 +328,13 @@ pub fn survival_map_with_grid(
     grid: &[(String, FaultPlan)],
 ) -> Result<SurvivalMap, FaultError> {
     let cfg = RoundConfig::new(n)?;
+    let reachable = reachable_configs(n, limit)?;
     let mut rows = Vec::new();
     for (arrow, _why) in paper::all_arrows() {
         let claimed = arrow.prob().value();
         let mut cells = Vec::new();
         for (name, plan) in grid {
-            let check = check_arrow_under(cfg, &arrow, plan, limit)?;
+            let check = check_arrow_in(cfg, &arrow, plan, &reachable, limit, false)?;
             let measured = check.measured.lo().value();
             cells.push(SurvivalCell {
                 fault: name.clone(),
@@ -449,12 +437,13 @@ pub fn survival_map_hybrid_with_grid(
     if !zero_plan.is_empty() {
         return Err(FaultError::SymmetryBroken);
     }
-    // One quotient sweep of the protocol serves every sampled column.
+    // One quotient sweep of the protocol serves the exact column and
+    // every sampled one.
     let reps = reachable_configs_quotient(n, limit)?;
     let mut rows = Vec::new();
     for (arrow, _why) in paper::all_arrows() {
         let claimed = arrow.prob().value();
-        let check = check_arrow_under_quotient(cfg, &arrow, zero_plan, limit)?;
+        let check = check_arrow_in(cfg, &arrow, zero_plan, &reps, limit, true)?;
         let measured = check.measured.lo().value();
         let exact = SurvivalCell {
             fault: zero_name.clone(),

@@ -4,8 +4,8 @@
 
 use pa_core::{Arrow, ArrowCheck, Derivation, SetExpr};
 use pa_mdp::{
-    BoxedSpace, CsrRow, ExpectedCost, Explore, Explored, MdpError, Objective, PackedSpace,
-    QueryObjective, RingRotation, RowSink, StateSpace,
+    BoxedSpace, CsrRow, Explore, Explored, MdpError, Objective, PackedSpace, QueryObjective,
+    RingRotation, RowSink,
 };
 use pa_prob::{Prob, ProbInterval};
 
@@ -158,22 +158,7 @@ pub fn set_pred(set: &SetExpr) -> Result<impl Fn(&Config) -> bool + Send + Sync,
 ///
 /// Propagates ring-size validation and state-limit errors.
 pub fn reachable_configs(n: usize, limit: usize) -> Result<Vec<Config>, LrError> {
-    let protocol = crate::LrProtocol::new(n, crate::UserModel::full())?;
-    let (space, _) = Explore::new(&protocol)
-        .limit(limit)
-        .parallel()
-        .run_streamed(BoxedSpace::default(), &mut DiscardRows)?;
-    Ok(space.into_states())
-}
-
-/// A row sink that keeps nothing: the reachable-configuration
-/// enumerations need the explored states, never the model.
-struct DiscardRows;
-
-impl RowSink for DiscardRows {
-    fn state_row(&mut self, _id: usize, _row: CsrRow<'_>) -> Result<(), MdpError> {
-        Ok(())
-    }
+    reachable(n, limit, false)
 }
 
 /// The rotation-quotient of [`reachable_configs`]: one representative (the
@@ -187,13 +172,86 @@ impl RowSink for DiscardRows {
 ///
 /// Propagates ring-size validation and state-limit errors.
 pub fn reachable_configs_quotient(n: usize, limit: usize) -> Result<Vec<Config>, LrError> {
+    reachable(n, limit, true)
+}
+
+/// The body of both enumerations: they differ only by the symmetry.
+fn reachable(n: usize, limit: usize, quotient: bool) -> Result<Vec<Config>, LrError> {
     let protocol = crate::LrProtocol::new(n, crate::UserModel::full())?;
-    let (space, _) = Explore::new(&protocol)
-        .limit(limit)
-        .parallel()
-        .symmetry(RingRotation::new(n))
-        .run_streamed(BoxedSpace::default(), &mut DiscardRows)?;
+    let mut explore = Explore::new(&protocol).limit(limit).parallel();
+    if quotient {
+        explore = explore.symmetry(RingRotation::new(n));
+    }
+    let (space, _) = explore.run_streamed(BoxedSpace::default(), &mut DiscardRows)?;
     Ok(space.into_states())
+}
+
+/// A row sink that keeps nothing: the reachable-configuration
+/// enumerations need the explored states, never the model.
+struct DiscardRows;
+
+impl RowSink for DiscardRows {
+    fn state_row(&mut self, _id: usize, _row: CsrRow<'_>) -> Result<(), MdpError> {
+        Ok(())
+    }
+}
+
+/// The explored model of one `from → to` question on the round model.
+pub(crate) struct ArrowModel {
+    /// The round model, started from the source region with the target
+    /// region absorbing (the witness replays its steps).
+    pub(crate) model: RoundMdp,
+    /// The explored model, states bit-packed.
+    pub(crate) explored: Explored<RoundState, PackedSpace<RoundStateCodec>>,
+    /// The target-region mask over the explored states.
+    pub(crate) target: Vec<bool>,
+}
+
+/// Builds and explores the model every arrow analysis runs on: each
+/// reachable configuration of `from` (each orbit representative when
+/// `quotient`) as a fresh round start, `to` absorbing (sound for
+/// first-hitting). Returns `None` when `from` has no reachable
+/// configuration.
+///
+/// States are always packed ([`RoundStateCodec`]): the packed store
+/// explores the same model, with the same ids, as the boxed one at half
+/// the bytes per state.
+pub(crate) fn arrow_model(
+    mdp: &RoundMdp,
+    from: &SetExpr,
+    to: &SetExpr,
+    limit: usize,
+    quotient: bool,
+) -> Result<Option<ArrowModel>, LrError> {
+    let from = set_pred(from)?;
+    let to_for_absorb = set_pred(to)?;
+    let to = set_pred(to)?;
+    let n = mdp.config().n;
+    let starts: Vec<Config> = reachable(n, limit, quotient)?
+        .into_iter()
+        .filter(|c| from(c))
+        .collect();
+    if starts.is_empty() {
+        return Ok(None);
+    }
+    let model = mdp
+        .clone()
+        .with_starts(starts)
+        .with_absorb(move |c| to_for_absorb(c));
+    let mut explore = Explore::new(&model)
+        .cost(round_cost)
+        .limit(limit)
+        .parallel();
+    if quotient {
+        explore = explore.symmetry(RingRotation::new(n));
+    }
+    let explored = explore.run_in(PackedSpace::new(RoundStateCodec::new(n)?))?;
+    let target = explored.target_where(|rs| to(&rs.config));
+    Ok(Some(ArrowModel {
+        model,
+        explored,
+        target,
+    }))
 }
 
 /// Exactly checks an arrow claim `U —t→_p U'` on the round model: for every
@@ -201,8 +259,9 @@ pub fn reachable_configs_quotient(n: usize, limit: usize) -> Result<Vec<Config>,
 /// adversaries of reaching `U'` within time `t` must be at least `p`.
 ///
 /// The check explores the round MDP from all `U`-configurations at once
-/// (each wrapped as a fresh round start), makes `U'` absorbing (sound for
-/// first-hitting), and runs cost-bounded backward induction.
+/// (each wrapped as a fresh round start, states bit-packed by
+/// [`RoundStateCodec`]), makes `U'` absorbing (sound for first-hitting),
+/// and runs cost-bounded backward induction.
 ///
 /// # Errors
 ///
@@ -227,12 +286,12 @@ pub fn check_arrow_with_limit(
 
 /// [`check_arrow_with_limit`] on the rotation-quotient round model:
 /// starts are the orbit representatives of `U ∩ rstates(M)` (so
-/// `states_checked` counts *orbits*, not configurations), successors are
-/// canonicalized during exploration, and states are held bit-packed
-/// ([`RoundStateCodec`]). Both the arrow regions and the round cost are
-/// rotation-invariant, so the verdict and the measured probability equal
-/// the full-space check's — the quotient-equivalence tests pin this to
-/// `1e-7` (and bitwise for bounded horizons) on `n = 3..5`.
+/// `states_checked` counts *orbits*, not configurations) and successors
+/// are canonicalized during exploration. Both the arrow regions and the
+/// round cost are rotation-invariant, so the verdict and the measured
+/// probability equal the full-space check's — the quotient-equivalence
+/// tests pin this to `1e-7` (and bitwise for bounded horizons) on
+/// `n = 3..5`.
 ///
 /// # Errors
 ///
@@ -251,80 +310,31 @@ fn check_arrow_impl(
     limit: usize,
     quotient: bool,
 ) -> Result<ArrowCheck, LrError> {
-    let from = set_pred(arrow.from())?;
-    let to = set_pred(arrow.to())?;
-    let n = mdp.config().n;
-    let reachable = if quotient {
-        reachable_configs_quotient(n, limit)?
-    } else {
-        reachable_configs(n, limit)?
-    };
-    let starts: Vec<Config> = reachable.into_iter().filter(|c| from(c)).collect();
-    if starts.is_empty() {
+    let Some(ArrowModel {
+        explored, target, ..
+    }) = arrow_model(mdp, arrow.from(), arrow.to(), limit, quotient)?
+    else {
         return Ok(ArrowCheck {
             arrow: arrow.clone(),
             measured: ProbInterval::exact(Prob::ONE),
             worst_state: None,
             states_checked: 0,
         });
-    }
-    let states_checked = starts.len();
-    let to_for_absorb = set_pred(arrow.to())?;
-    let model = mdp
-        .clone()
-        .with_starts(starts)
-        .with_absorb(move |c| to_for_absorb(c));
-    let budget = time_to_budget(arrow.time());
-    if quotient {
-        let space = PackedSpace::new(RoundStateCodec::new(n)?);
-        let explored = Explore::new(&model)
-            .cost(round_cost)
-            .limit(limit)
-            .parallel()
-            .symmetry(RingRotation::new(n))
-            .run_in(space)?;
-        finish_arrow(&explored, &to, budget, arrow, states_checked)
-    } else {
-        let explored = Explore::new(&model)
-            .cost(round_cost)
-            .limit(limit)
-            .parallel()
-            .run()?;
-        finish_arrow(&explored, &to, budget, arrow, states_checked)
-    }
-}
-
-/// The solver tail shared by the full-space and quotient arrow checks,
-/// generic over the state space so the two paths run byte-identical
-/// analysis code.
-fn finish_arrow<SP: StateSpace<RoundState>>(
-    explored: &Explored<RoundState, SP>,
-    to: &impl Fn(&Config) -> bool,
-    budget: u32,
-    arrow: &Arrow,
-    states_checked: usize,
-) -> Result<ArrowCheck, LrError> {
-    let target = explored.target_where(|rs| to(&rs.config));
-    let values = explored
+    };
+    let starts = explored.mdp.initial_states();
+    let (worst, measured) = explored
         .query()
         .objective(Objective::MinProb)
         .target(target)
-        .horizon(budget)
+        .horizon(time_to_budget(arrow.time()))
         .run()?
-        .values;
-    let mut worst = f64::INFINITY;
-    let mut worst_state = None;
-    for &i in explored.mdp.initial_states() {
-        if values[i] < worst {
-            worst = values[i];
-            worst_state = Some(explored.state(i).config.to_string());
-        }
-    }
+        .worst_over(starts)?
+        .expect("an arrow model has starts");
     Ok(ArrowCheck {
         arrow: arrow.clone(),
-        measured: ProbInterval::exact(Prob::clamped(worst)),
-        worst_state,
-        states_checked,
+        measured: ProbInterval::exact(Prob::clamped(measured)),
+        worst_state: Some(explored.state(worst).config.to_string()),
+        states_checked: starts.len(),
     })
 }
 
@@ -355,8 +365,8 @@ pub fn max_expected_time(
     )
 }
 
-/// [`max_expected_time`] on the rotation-quotient round model (packed
-/// states, orbit-representative starts). Pinned equal to the full-space
+/// [`max_expected_time`] on the rotation-quotient round model
+/// (orbit-representative starts). Pinned equal to the full-space
 /// value within `1e-7` on `n = 3..5` by the quotient-equivalence tests.
 ///
 /// # Errors
@@ -432,55 +442,19 @@ fn expected_time_impl(
     objective: QueryObjective,
     quotient: bool,
 ) -> Result<f64, LrError> {
-    let from = set_pred(from_set)?;
-    let to = set_pred(target_set)?;
-    let n = mdp.config().n;
-    let reachable = if quotient {
-        reachable_configs_quotient(n, limit)?
-    } else {
-        reachable_configs(n, limit)?
-    };
-    let starts: Vec<Config> = reachable.into_iter().filter(|c| from(c)).collect();
-    if starts.is_empty() {
+    let Some(ArrowModel {
+        explored, target, ..
+    }) = arrow_model(mdp, from_set, target_set, limit, quotient)?
+    else {
         return Ok(0.0);
-    }
-    let to_for_absorb = set_pred(target_set)?;
-    let model = mdp
-        .clone()
-        .with_starts(starts)
-        .with_absorb(move |c| to_for_absorb(c));
-    if quotient {
-        let space = PackedSpace::new(RoundStateCodec::new(n)?);
-        let explored = Explore::new(&model)
-            .cost(round_cost)
-            .limit(limit)
-            .parallel()
-            .symmetry(RingRotation::new(n))
-            .run_in(space)?;
-        finish_expected(&explored, &to, objective)
-    } else {
-        let explored = Explore::new(&model)
-            .cost(round_cost)
-            .limit(limit)
-            .parallel()
-            .run()?;
-        finish_expected(&explored, &to, objective)
-    }
-}
-
-/// The expected-cost solver tail shared by the full-space and quotient
-/// paths.
-fn finish_expected<SP: StateSpace<RoundState>>(
-    explored: &Explored<RoundState, SP>,
-    to: &impl Fn(&Config) -> bool,
-    objective: QueryObjective,
-) -> Result<f64, LrError> {
-    let target = explored.target_where(|rs| to(&rs.config));
-    let analysis = explored.query().objective(objective).target(target).run()?;
-    let expected = ExpectedCost {
-        values: analysis.values,
     };
-    let worst = expected.max_over(explored.mdp.initial_states().iter().copied())?;
+    let (_, worst) = explored
+        .query()
+        .objective(objective)
+        .target(target)
+        .run()?
+        .worst_over(explored.mdp.initial_states())?
+        .expect("an arrow model has starts");
     Ok(worst + 1.0)
 }
 
@@ -624,12 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn trivial_arrow_with_empty_start_set_holds() {
-        // RT ∩ C = ∅ as a source: "C ∧ RT" is unsatisfiable, so use an
-        // arrow from a region that cannot occur at n = 2... all regions
-        // occur; instead check the empty-start path via an arrow from P to
-        // P with zero reachable... P is reachable. Use the degenerate case
-        // of an unknown region to assert the error path instead.
+    fn unknown_source_region_is_an_error() {
         let mdp = RoundMdp::new(RoundConfig::new(2).unwrap());
         let bad = Arrow::new(
             SetExpr::named("NOSUCH"),

@@ -21,9 +21,10 @@ use pa_core::{Automaton, Step};
 use pa_mdp::{cost_bounded_reach_levels, Explore, Objective};
 use pa_prob::FiniteDist;
 
+use crate::arrows::{arrow_model, ArrowModel};
 use crate::{
-    reachable_configs, round_cost, set_pred, time_to_budget, Config, LrAction, LrError, Pc,
-    RoundAction, RoundMdp, RoundState, Side,
+    reachable_configs, round_cost, time_to_budget, Config, LrAction, LrError, Pc, RoundAction,
+    RoundMdp, RoundState, Side,
 };
 
 /// A conditioned round model: the first `flip_j` of each listed process is
@@ -397,17 +398,15 @@ pub fn check_lemma(n: usize, spec: &LemmaSpec, limit: usize) -> Result<LemmaChec
             .parallel()
             .run()?;
         let target = explored.target_where(|fs| (spec.goal)(&fs.round.config, i));
-        let values = explored
+        let worst = explored
             .query()
             .objective(Objective::MinProb)
             .target(target)
             .horizon(budget)
             .run()?
-            .values;
-        for &s in explored.mdp.initial_states() {
-            if values[s] < min_prob {
-                min_prob = values[s];
-            }
+            .worst_over(explored.mdp.initial_states())?;
+        if let Some((_, worst)) = worst {
+            min_prob = min_prob.min(worst);
         }
     }
     Ok(LemmaCheck {
@@ -433,28 +432,13 @@ pub fn progress_time_lower_bound(
     max_time: u32,
     limit: usize,
 ) -> Result<Option<u32>, LrError> {
-    let from = set_pred(from_set)?;
-    let to = set_pred(to_set)?;
-    let n = mdp.config().n;
-    let starts: Vec<Config> = reachable_configs(n, limit)?
-        .into_iter()
-        .filter(|c| from(c))
-        .collect();
-    if starts.is_empty() {
+    let Some(ArrowModel {
+        explored, target, ..
+    }) = arrow_model(mdp, from_set, to_set, limit, false)?
+    else {
         return Ok(None);
-    }
-    let to_for_absorb = set_pred(to_set)?;
-    let model = mdp
-        .clone()
-        .with_starts(starts)
-        .with_absorb(move |c| to_for_absorb(c));
-    let explored = Explore::new(&model)
-        .cost(round_cost)
-        .limit(limit)
-        .parallel()
-        .run()?;
-    let target = explored.target_where(|rs| to(&rs.config));
-    let initials: Vec<usize> = explored.mdp.initial_states().to_vec();
+    };
+    let initials = explored.mdp.initial_states();
     let mut first_positive: Option<u32> = None;
     cost_bounded_reach_levels(
         &explored.mdp,
@@ -462,11 +446,8 @@ pub fn progress_time_lower_bound(
         time_to_budget(f64::from(max_time)),
         Objective::MinProb,
         |k, v| {
-            if first_positive.is_none() {
-                let worst = initials.iter().map(|&s| v[s]).fold(1.0f64, f64::min);
-                if worst > 1e-12 {
-                    first_positive = Some(k + 1); // budget k ⇔ time k+1
-                }
+            if first_positive.is_none() && initials.iter().all(|&s| v[s] > 1e-12) {
+                first_positive = Some(k + 1); // budget k ⇔ time k+1
             }
         },
     )?;

@@ -11,11 +11,10 @@
 //! that forces repeated flip retries in the composed `T —13→ C` claim.
 
 use pa_core::Arrow;
-use pa_mdp::{Explore, Objective};
+use pa_mdp::Objective;
 
-use crate::{
-    reachable_configs, round_cost, set_pred, time_to_budget, Config, LrError, RoundAction, RoundMdp,
-};
+use crate::arrows::{arrow_model, ArrowModel};
+use crate::{time_to_budget, Config, LrError, RoundAction, RoundMdp};
 
 /// One step of a worst-case witness trace.
 #[derive(Debug, Clone)]
@@ -67,24 +66,13 @@ impl std::fmt::Display for Witness {
 ///
 /// Returns region-resolution and exploration errors.
 pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result<Witness, LrError> {
-    let from = set_pred(arrow.from())?;
-    let to = set_pred(arrow.to())?;
+    let ArrowModel {
+        model,
+        explored,
+        target,
+    } = arrow_model(mdp, arrow.from(), arrow.to(), limit, false)?
+        .expect("the arrow's source region is reachable");
     let n = mdp.config().n;
-    let starts: Vec<Config> = reachable_configs(n, limit)?
-        .into_iter()
-        .filter(|c| from(c))
-        .collect();
-    let to_for_absorb = set_pred(arrow.to())?;
-    let model = mdp
-        .clone()
-        .with_starts(starts)
-        .with_absorb(move |c| to_for_absorb(c));
-    let explored = Explore::new(&model)
-        .cost(round_cost)
-        .limit(limit)
-        .parallel()
-        .run()?;
-    let target = explored.target_where(|rs| to(&rs.config));
     let budget = time_to_budget(arrow.time());
     let analysis = explored
         .query()
@@ -93,17 +81,13 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         .horizon(budget)
         .with_policy()
         .run()?;
+    let (worst_start, _) = analysis
+        .worst_over(explored.mdp.initial_states())?
+        .expect("an arrow model has starts");
     let values = analysis.values;
     let policy = analysis
         .policy
         .expect("with_policy() query returns a policy");
-
-    let &worst_start = explored
-        .mdp
-        .initial_states()
-        .iter()
-        .min_by(|&&a, &&b| values[a].total_cmp(&values[b]))
-        .expect("nonempty start set");
 
     let mut steps = Vec::new();
     let mut state = worst_start;

@@ -64,15 +64,21 @@ fn assert_pinned<'a, M, F, SP>(
     }
 }
 
+/// The full round model has one digest, and the same state at every id,
+/// in the boxed and the packed store (the arrow checks explore packed).
 #[test]
 fn round_model_full_space_is_pinned() {
     for (n, want) in [(3, 0x4c62_8a01_53e9_cd8d), (4, 0x8b76_234b_051d_6ad5)] {
         let m = RoundMdp::new(RoundConfig::new(n).unwrap());
-        assert_pinned(
-            &format!("round n={n}"),
-            want,
-            || Explore::new(&m).cost(round_cost).limit(LIMIT),
-            BoxedSpace::default,
+        let explore = || Explore::new(&m).cost(round_cost).limit(LIMIT);
+        let packed = || PackedSpace::new(RoundStateCodec::new(n).unwrap());
+        assert_pinned(&format!("round n={n}"), want, explore, BoxedSpace::default);
+        assert_pinned(&format!("round n={n}, packed"), want, explore, packed);
+        let boxed = explore().run().unwrap();
+        let packed = explore().run_in(packed()).unwrap();
+        assert!(
+            (0..boxed.num_states()).all(|i| boxed.state(i) == packed.state(i)),
+            "round n={n}: boxed and packed states differ"
         );
     }
 }

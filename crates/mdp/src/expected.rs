@@ -21,28 +21,6 @@ pub struct ExpectedCost {
     pub values: Vec<f64>,
 }
 
-impl ExpectedCost {
-    /// Maximal finite expectation over the given states.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdpError::DivergentExpectation`] if any of the states has
-    /// an infinite expectation.
-    pub fn max_over(&self, states: impl IntoIterator<Item = usize>) -> Result<f64, MdpError> {
-        let mut best = 0.0f64;
-        for s in states {
-            let v = self.values[s];
-            if v.is_infinite() {
-                return Err(MdpError::DivergentExpectation { state: s });
-            }
-            if v > best {
-                best = v;
-            }
-        }
-        Ok(best)
-    }
-}
-
 /// Computes the worst-case (adversary-maximal) expected accumulated cost to
 /// reach `target`.
 ///
@@ -137,7 +115,6 @@ mod tests {
         let e = max_expected_cost(&geometric(), &[false, true], IterOptions::default()).unwrap();
         assert!((e.values[0] - 2.0).abs() < 1e-6, "{}", e.values[0]);
         assert_eq!(e.values[1], 0.0);
-        assert!((e.max_over([0, 1]).unwrap() - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -157,22 +134,6 @@ mod tests {
         .unwrap();
         let e = max_expected_cost(&m, &[false, true], IterOptions::default()).unwrap();
         assert!((e.values[0] - 4.0).abs() < 1e-6, "{}", e.values[0]);
-    }
-
-    #[test]
-    fn avoidable_target_diverges() {
-        // The adversary can loop forever away from the target.
-        let m = ExplicitMdp::new(
-            vec![vec![Choice::to(1, 0), Choice::to(1, 1)], vec![]],
-            vec![0],
-        )
-        .unwrap();
-        let e = max_expected_cost(&m, &[false, true], IterOptions::default()).unwrap();
-        assert!(e.values[0].is_infinite());
-        assert!(matches!(
-            e.max_over([0]),
-            Err(MdpError::DivergentExpectation { state: 0 })
-        ));
     }
 
     #[test]

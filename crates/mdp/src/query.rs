@@ -239,6 +239,38 @@ impl Analysis {
     pub fn value(&self, state: usize) -> f64 {
         self.values[state]
     }
+
+    /// The worst of `starts` with its value: the first start with the
+    /// least value under a probability objective (the quantifier of an
+    /// arrow `U —t→_p U'`), the first with the greatest under a cost
+    /// objective. `None` for an empty start set.
+    ///
+    /// # Errors
+    ///
+    /// Under a cost objective, [`MdpError::DivergentExpectation`] naming
+    /// the first start whose expectation is infinite.
+    pub fn worst_over(&self, starts: &[usize]) -> Result<Option<(usize, f64)>, MdpError> {
+        let cost = matches!(
+            self.objective,
+            QueryObjective::MinCost | QueryObjective::MaxCost
+        );
+        let mut worst: Option<(usize, f64)> = None;
+        for &s in starts {
+            let v = self.values[s];
+            if cost && v.is_infinite() {
+                return Err(MdpError::DivergentExpectation { state: s });
+            }
+            let worse = match worst {
+                None => true,
+                Some((_, w)) if cost => v > w,
+                Some((_, w)) => v < w,
+            };
+            if worse {
+                worst = Some((s, v));
+            }
+        }
+        Ok(worst)
+    }
 }
 
 /// The model a query runs against: an in-core CSR — borrowed and already
@@ -654,6 +686,79 @@ mod tests {
             assert!((a.values[0] - 2.0).abs() < 1e-6, "{solver:?}");
             assert_eq!(a.solver, solver);
         }
+    }
+
+    fn analysis(objective: QueryObjective, values: Vec<f64>) -> Analysis {
+        Analysis {
+            values,
+            policy: None,
+            stats: SolveStats::default(),
+            objective,
+            solver: Solver::Jacobi,
+            horizon: None,
+        }
+    }
+
+    #[test]
+    fn worst_over_picks_the_first_worst_start_by_objective() {
+        let values = vec![0.5, 0.25, 0.75, 0.25, 0.75];
+        for objective in [QueryObjective::MinProb, QueryObjective::MaxProb] {
+            let a = analysis(objective, values.clone());
+            assert_eq!(a.worst_over(&[]).unwrap(), None);
+            assert_eq!(a.worst_over(&[0, 1, 2, 3]).unwrap(), Some((1, 0.25)));
+            assert_eq!(a.worst_over(&[4, 2, 0]).unwrap(), Some((0, 0.5)));
+        }
+        for objective in [QueryObjective::MinCost, QueryObjective::MaxCost] {
+            let a = analysis(objective, values.clone());
+            assert_eq!(a.worst_over(&[]).unwrap(), None);
+            assert_eq!(a.worst_over(&[0, 1, 2, 3, 4]).unwrap(), Some((2, 0.75)));
+            assert_eq!(a.worst_over(&[3, 1]).unwrap(), Some((3, 0.25)));
+        }
+    }
+
+    #[test]
+    fn worst_over_names_the_first_divergent_start() {
+        let a = analysis(
+            QueryObjective::MaxCost,
+            vec![1.0, f64::INFINITY, 2.0, f64::INFINITY],
+        );
+        assert_eq!(a.worst_over(&[0, 2]).unwrap(), Some((2, 2.0)));
+        assert_eq!(
+            a.worst_over(&[0, 3, 1]),
+            Err(MdpError::DivergentExpectation { state: 3 })
+        );
+        // A probability objective has no divergence: ∞ is never least.
+        let p = analysis(QueryObjective::MinProb, a.values.clone());
+        assert_eq!(p.worst_over(&[3, 0]).unwrap(), Some((0, 1.0)));
+    }
+
+    #[test]
+    fn worst_over_reads_expected_costs_of_a_solved_model() {
+        // Geometric trial: expected time 2 from state 0, 0 at the target.
+        let e = Query::over(&geometric())
+            .objective(QueryObjective::MaxCost)
+            .target(vec![false, true])
+            .run()
+            .unwrap();
+        let (state, worst) = e.worst_over(&[0, 1]).unwrap().unwrap();
+        assert_eq!(state, 0);
+        assert!((worst - 2.0).abs() < 1e-6);
+        // The adversary can loop forever away from the target.
+        let m = ExplicitMdp::new(
+            vec![vec![Choice::to(1, 0), Choice::to(1, 1)], vec![]],
+            vec![0],
+        )
+        .unwrap();
+        let e = Query::over(&m)
+            .objective(QueryObjective::MaxCost)
+            .target(vec![false, true])
+            .run()
+            .unwrap();
+        assert!(e.values[0].is_infinite());
+        assert!(matches!(
+            e.worst_over(&[0]),
+            Err(MdpError::DivergentExpectation { state: 0 })
+        ));
     }
 
     #[test]

@@ -81,19 +81,13 @@ fn main() -> Result<(), Box<dyn Error>> {
                 from(&s.inner.config, s.crashed_mask(n))
             })
             .collect();
-        if starts.is_empty() {
-            return Err(format!("{arrow}: source set unreachable").into());
-        }
-        let values = stored
+        let (_, worst) = stored
             .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
             .objective(QueryObjective::MinProb)
             .horizon(time_to_budget(arrow.time()))
             .run()?
-            .values;
-        let worst = starts
-            .iter()
-            .map(|&i| values[i])
-            .fold(f64::INFINITY, f64::min);
+            .worst_over(&starts)?
+            .ok_or_else(|| format!("{arrow}: source set unreachable"))?;
         first_value.get_or_insert(worst.to_bits());
         let s = stored.store().cache().local_stats();
         println!(
@@ -139,17 +133,14 @@ fn main() -> Result<(), Box<dyn Error>> {
             from(&s.inner.config, s.crashed_mask(n))
         })
         .collect();
-    let values = roomy
+    let (_, worst) = roomy
         .query()
         .target(targets)
         .objective(QueryObjective::MinProb)
         .horizon(time_to_budget(arrow.time()))
         .run()?
-        .values;
-    let worst = starts
-        .iter()
-        .map(|&i| values[i])
-        .fold(f64::INFINITY, f64::min);
+        .worst_over(&starts)?
+        .ok_or("the first arrow's source set is unreachable")?;
     if Some(worst.to_bits()) != first_value {
         return Err("tight and unbounded cache budgets disagreed bitwise".into());
     }
