@@ -104,22 +104,21 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         let Some(choice_idx) = policy.choice(state, remaining) else {
             break;
         };
-        let c = explored.mdp.choice_range(state).start + choice_idx as usize;
-        let cost = explored.mdp.cost(c);
+        let rows = explored.mdp.rows();
+        let c = rows.choice_range(state).start + choice_idx as usize;
+        let cost = rows.costs[c];
         if cost > remaining {
             break;
         }
         remaining -= cost;
         // Most adverse outcome: the successor with the smallest value at
         // the post-step budget level.
-        let next = explored
-            .mdp
+        let next = rows
             .trans_range(c)
-            .map(|i| explored.mdp.transition(i))
-            .filter(|&(_, p)| p > 0.0)
-            .min_by(|a, b| values[a.0].total_cmp(&values[b.0]))
-            .expect("valid distribution")
-            .0;
+            .filter(|&i| rows.probs[i] > 0.0)
+            .map(|i| rows.targets[i] as usize)
+            .min_by(|&a, &b| values[a].total_cmp(&values[b]))
+            .expect("valid distribution");
         // Recover the action by matching the choice index against the
         // implicit model's step order (preserved by exploration).
         let action = {

@@ -298,14 +298,14 @@ proptest! {
         let ta = ea.target_where(regions::in_c);
         let tb = eb.target_where(regions::in_c);
         for objective in [Objective::MinProb, Objective::MaxProb] {
-            let va = Query::over(&ea.mdp)
+            let va = Query::csr(&ea.mdp)
                 .objective(objective)
                 .target(&ta)
                 .horizon(budget)
                 .run()
                 .unwrap()
                 .values;
-            let vb = Query::over(&eb.mdp)
+            let vb = Query::csr(&eb.mdp)
                 .objective(objective)
                 .target(&tb)
                 .horizon(budget)

@@ -20,18 +20,18 @@
 //!
 //! The nested [`ExplicitMdp`] (`Vec<Vec<Choice>>`) remains the constructor
 //! for hand-built models and the input of the [`crate::reference`]
-//! oracles; [`ToCsr`] lets the in-core entry points take either form.
+//! oracles; [`ToCsr`] lets the analysis free functions take either form,
+//! and `CsrMdp::from(&explicit)` flattens one for a [`crate::Query`].
 //!
-//! A `CsrMdp` is a [`CsrSource`] with a single block, so it runs on the
-//! same solver kernels as an out-of-core model (see the [`crate::source`]
-//! module docs for the kernels and their deterministic parallelism). What
-//! is in-core only lives here and in `scc.rs`: the backward-BFS `prob0` and
-//! the DFS zero-cost cycle check (overrides of the block-friendly
-//! [`CsrSource`] defaults), and the SCC condensation.
+//! A `CsrMdp` is a [`CsrSource`] with a single block, read through one
+//! view, [`CsrMdp::rows`]. Every solver — the Jacobi kernels, the
+//! qualitative checks and the SCC-ordered solver — reads that view, so an
+//! in-core model and a stored one that fits in one block take the same
+//! code (see the [`crate::source`] module docs).
 
 use std::borrow::Cow;
 
-use crate::source::{check_target, CsrRows, CsrSource};
+use crate::source::{CsrRows, CsrSource};
 use crate::{Choice, ExplicitMdp, MdpError, RowSink};
 
 /// An MDP in compressed-sparse-row form: what [`crate::Explore::run_in`]
@@ -66,12 +66,17 @@ impl CsrMdp {
     /// Rebuilds the nested form, for the nested-model oracles of
     /// [`crate::reference`].
     pub fn to_explicit(&self) -> ExplicitMdp {
-        let choices = (0..self.num_states())
+        let rows = self.rows();
+        let choices = rows
+            .states()
             .map(|s| {
-                self.choice_range(s)
+                rows.choice_range(s)
                     .map(|c| Choice {
-                        cost: self.costs[c],
-                        transitions: self.trans_range(c).map(|i| self.transition(i)).collect(),
+                        cost: rows.costs[c],
+                        transitions: rows
+                            .trans_range(c)
+                            .map(|i| (rows.targets[i] as usize, rows.probs[i]))
+                            .collect(),
                     })
                     .collect()
             })
@@ -112,46 +117,16 @@ impl CsrMdp {
             + self.initial.capacity() * size_of::<usize>()) as u64
     }
 
-    /// The flat choice-index range of a state.
-    #[inline]
-    pub fn choice_range(&self, s: usize) -> std::ops::Range<usize> {
-        self.choice_offsets[s] as usize..self.choice_offsets[s + 1] as usize
-    }
-
-    /// The flat transition-index range of a choice.
-    #[inline]
-    pub fn trans_range(&self, c: usize) -> std::ops::Range<usize> {
-        self.trans_offsets[c] as usize..self.trans_offsets[c + 1] as usize
-    }
-
-    /// The cost of a flat choice index.
-    #[inline]
-    pub fn cost(&self, c: usize) -> u32 {
-        self.costs[c]
-    }
-
-    /// The `(successor, probability)` pair of a flat transition index.
-    #[inline]
-    pub fn transition(&self, i: usize) -> (usize, f64) {
-        (self.targets[i] as usize, self.probs[i])
-    }
-
-    /// Whether a state has no choices.
-    #[inline]
-    pub(crate) fn is_terminal(&self, s: usize) -> bool {
-        self.choice_offsets[s] == self.choice_offsets[s + 1]
-    }
-
-    /// The expected value of choice `c` under the value vector `source`,
-    /// accumulated in transition order (the floating-point operation order
-    /// every engine in this crate agrees on).
-    #[inline]
-    pub(crate) fn choice_value(&self, c: usize, source: &[f64]) -> f64 {
-        let mut val = 0.0f64;
-        for i in self.trans_range(c) {
-            val += self.probs[i] * source[self.targets[i] as usize];
+    /// The whole model as one block of rows: the view every solver reads.
+    pub fn rows(&self) -> CsrRows<'_> {
+        CsrRows {
+            first_state: 0,
+            choice_offsets: &self.choice_offsets,
+            trans_offsets: &self.trans_offsets,
+            costs: &self.costs,
+            targets: &self.targets,
+            probs: &self.probs,
         }
-        val
     }
 }
 
@@ -161,9 +136,8 @@ impl From<&ExplicitMdp> for CsrMdp {
     }
 }
 
-/// A model the in-core entry points ([`crate::Query::over`] and the
-/// analysis free functions) accept: a [`CsrMdp`] is used as is, a nested
-/// [`ExplicitMdp`] is flattened on the way in.
+/// A model the analysis free functions accept: a [`CsrMdp`] is used as
+/// is, a nested [`ExplicitMdp`] is flattened on the way in.
 pub trait ToCsr {
     /// The model in CSR form, borrowed when it already is.
     fn to_csr(&self) -> Cow<'_, CsrMdp>;
@@ -351,9 +325,8 @@ impl RowSink for CsrBuilder {
 }
 
 /// An in-core model is a [`CsrSource`] with a single block spanning every
-/// state: its offset arrays already start at 0, so the full slices satisfy
-/// the block-relative contract as-is. The two qualitative checks that
-/// profit from random access to the whole graph are overridden.
+/// state: its offset arrays already start at 0, so [`CsrMdp::rows`]
+/// satisfies the block-relative contract as-is.
 impl CsrSource for CsrMdp {
     fn num_states(&self) -> usize {
         CsrMdp::num_states(self)
@@ -382,135 +355,15 @@ impl CsrSource for CsrMdp {
 
     fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError> {
         assert_eq!(block, 0, "CsrMdp has a single block");
-        f(CsrRows {
-            first_state: 0,
-            choice_offsets: &self.choice_offsets,
-            trans_offsets: &self.trans_offsets,
-            costs: &self.costs,
-            targets: &self.targets,
-            probs: &self.probs,
-        });
+        f(self.rows());
         Ok(())
-    }
-
-    /// Backward reachability over a CSR predecessor graph built on the
-    /// fly.
-    fn prob0_max(&self, target: &[bool]) -> Result<Vec<bool>, MdpError> {
-        check_target(self, target)?;
-        let n = CsrMdp::num_states(self);
-        // In-degree count, prefix sum, fill: a predecessor CSR without
-        // per-state vectors.
-        let mut pred_off = vec![0u32; n + 1];
-        for i in 0..CsrMdp::num_transitions(self) {
-            if self.probs[i] > 0.0 {
-                pred_off[self.targets[i] as usize + 1] += 1;
-            }
-        }
-        for t in 0..n {
-            pred_off[t + 1] += pred_off[t];
-        }
-        let mut preds = vec![0u32; pred_off[n] as usize];
-        let mut cursor = pred_off.clone();
-        for s in 0..n {
-            for c in self.choice_range(s) {
-                for i in self.trans_range(c) {
-                    if self.probs[i] > 0.0 {
-                        let t = self.targets[i] as usize;
-                        preds[cursor[t] as usize] = s as u32;
-                        cursor[t] += 1;
-                    }
-                }
-            }
-        }
-        let mut can_reach = target.to_vec();
-        let mut stack: Vec<usize> = (0..n).filter(|&s| target[s]).collect();
-        while let Some(t) = stack.pop() {
-            for &s in &preds[pred_off[t] as usize..pred_off[t + 1] as usize] {
-                if !can_reach[s as usize] {
-                    can_reach[s as usize] = true;
-                    stack.push(s as usize);
-                }
-            }
-        }
-        Ok(can_reach.iter().map(|&b| !b).collect())
-    }
-
-    /// A DFS over the CSR arrays that keeps a `(choice, transition)` cursor
-    /// per stack frame instead of re-collecting successor vectors on every
-    /// visit.
-    fn has_zero_cost_cycle(&self, target: &[bool]) -> Result<bool, MdpError> {
-        check_target(self, target)?;
-        let n = CsrMdp::num_states(self);
-        #[derive(Clone, Copy, PartialEq)]
-        enum Colour {
-            White,
-            Grey,
-            Black,
-        }
-        let mut colour = vec![Colour::White; n];
-        for root in 0..n {
-            if colour[root] != Colour::White || target[root] {
-                continue;
-            }
-            // Stack frames: (state, flat choice cursor, flat trans cursor).
-            let mut stack: Vec<(usize, usize, usize)> = Vec::new();
-            let start = self.choice_range(root).start;
-            stack.push((root, start, usize::MAX));
-            colour[root] = Colour::Grey;
-            while let Some(&mut (s, ref mut c, ref mut i)) = stack.last_mut() {
-                // Advance the cursor to the next zero-cost, positive-
-                // probability, off-target successor of `s`.
-                let mut next: Option<usize> = None;
-                let choice_end = self.choice_range(s).end;
-                'scan: while *c < choice_end {
-                    if self.costs[*c] != 0 {
-                        *c += 1;
-                        *i = usize::MAX;
-                        continue;
-                    }
-                    let range = self.trans_range(*c);
-                    let mut ti = if *i == usize::MAX {
-                        range.start
-                    } else {
-                        *i + 1
-                    };
-                    while ti < range.end {
-                        let t = self.targets[ti] as usize;
-                        if self.probs[ti] > 0.0 && !target[t] {
-                            *i = ti;
-                            next = Some(t);
-                            break 'scan;
-                        }
-                        ti += 1;
-                    }
-                    *c += 1;
-                    *i = usize::MAX;
-                }
-                match next {
-                    Some(t) => match colour[t] {
-                        Colour::Grey => return Ok(true),
-                        Colour::White => {
-                            colour[t] = Colour::Grey;
-                            let start = self.choice_range(t).start;
-                            stack.push((t, start, usize::MAX));
-                        }
-                        Colour::Black => {}
-                    },
-                    None => {
-                        colour[s] = Colour::Black;
-                        stack.pop();
-                    }
-                }
-            }
-        }
-        Ok(false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::PAR_MIN_STATES;
+    use crate::source::{has_zero_cost_cycle, PAR_MIN_STATES};
     use crate::{Choice, IterOptions, Objective, Query, Solver};
 
     /// Jacobi unbounded reachability on an in-core model with `workers`.
@@ -553,11 +406,12 @@ mod tests {
         assert_eq!(csr.num_transitions(), m.num_transitions());
         assert_eq!(csr.initial_states(), m.initial_states());
         // Spot-check flattening order: state 0's second choice.
-        let c = csr.choice_range(0).nth(1).unwrap();
-        assert_eq!(csr.cost(c), 1);
-        let r = csr.trans_range(c);
-        assert_eq!(csr.transition(r.start), (2, 0.5));
-        assert_eq!(csr.transition(r.start + 1), (0, 0.5));
+        let rows = csr.rows();
+        let c = rows.choice_range(0).nth(1).unwrap();
+        assert_eq!(rows.costs[c], 1);
+        let r = rows.trans_range(c);
+        assert_eq!(&rows.targets[r.clone()], [2, 0]);
+        assert_eq!(&rows.probs[r], [0.5, 0.5]);
     }
 
     #[test]
@@ -627,18 +481,32 @@ mod tests {
 
     #[test]
     fn zero_cost_cycle_walker_matches_semantics() {
-        let cyclic = ExplicitMdp::new(
+        let cycle = |rows: Vec<Vec<Choice>>, target: &[bool]| {
+            let csr = CsrMdp::from_explicit(&ExplicitMdp::new(rows, vec![0]).unwrap());
+            has_zero_cost_cycle(&csr, target).unwrap()
+        };
+        let cyclic = || {
             vec![
                 vec![Choice::to(0, 1)],
                 vec![Choice::to(0, 0), Choice::to(1, 2)],
                 vec![],
-            ],
-            vec![0],
-        )
-        .unwrap();
-        let csr = CsrMdp::from_explicit(&cyclic);
-        assert!(csr.has_zero_cost_cycle(&[false, false, true]).unwrap());
-        assert!(!csr.has_zero_cost_cycle(&[true, false, false]).unwrap());
+            ]
+        };
+        assert!(cycle(cyclic(), &[false, false, true]));
+        // Making 0 the target breaks the off-target cycle.
+        assert!(!cycle(cyclic(), &[true, false, false]));
+        // A chain has no cycle.
+        let chain = vec![vec![Choice::to(0, 1)], vec![Choice::to(1, 2)], vec![]];
+        assert!(!cycle(chain, &[false, false, true]));
+        // A zero-cost self-loop on a non-target state is a cycle.
+        let self_loop = vec![vec![Choice::to(0, 0), Choice::to(1, 1)], vec![]];
+        assert!(cycle(self_loop, &[false, true]));
+        // A zero-cost cycle through a target state is not.
+        let through_target = vec![vec![Choice::to(0, 1)], vec![Choice::to(0, 0)]];
+        assert!(!cycle(through_target, &[false, true]));
+        // Nor is a cycle made only of cost-1 edges.
+        let costed = vec![vec![Choice::to(1, 1)], vec![Choice::to(1, 0)], vec![]];
+        assert!(!cycle(costed, &[false, false, true]));
     }
 
     #[test]

@@ -77,7 +77,7 @@ use crate::{CsrMdp, MdpError};
 /// store mapping dense indices to concrete states.
 ///
 /// Choice order is preserved: state `i`'s `k`-th choice
-/// (`mdp.choice_range(i).nth(k)`) corresponds to
+/// (`mdp.rows().choice_range(i).nth(k)`) corresponds to
 /// `automaton.steps(&state(i))[k]`, so an optimal policy over the explicit
 /// model can be replayed on the implicit one. The space parameter defaults
 /// to the boxed representation; [`crate::PackedSpace`] substitutes a
@@ -989,8 +989,9 @@ mod tests {
             .unwrap();
         let s0 = e.index_of(&0).unwrap();
         let s1 = e.index_of(&1).unwrap();
-        assert_eq!(e.mdp.cost(e.mdp.choice_range(s0).start), 1);
-        assert_eq!(e.mdp.cost(e.mdp.choice_range(s1).start), 0);
+        let rows = e.mdp.rows();
+        assert_eq!(rows.costs[rows.choice_range(s0).start], 1);
+        assert_eq!(rows.costs[rows.choice_range(s1).start], 0);
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub fn cost_bounded_reach_levels<M: ToCsr + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, ExplicitMdp, Query};
+    use crate::{Choice, CsrMdp, ExplicitMdp, Query};
 
     /// Bounded reachability via the `Query` builder (the migration target
     /// of the removed pre-`Query` free function).
@@ -110,7 +110,7 @@ mod tests {
         budget: u32,
         objective: Objective,
     ) -> Result<Vec<f64>, MdpError> {
-        Ok(Query::over(mdp)
+        Ok(Query::csr(&CsrMdp::from(mdp))
             .objective(objective)
             .target(target)
             .horizon(budget)
@@ -125,7 +125,7 @@ mod tests {
         budget: u32,
         objective: Objective,
     ) -> Result<(Vec<f64>, BoundedPolicy), MdpError> {
-        let analysis = Query::over(mdp)
+        let analysis = Query::csr(&CsrMdp::from(mdp))
             .objective(objective)
             .target(target)
             .horizon(budget)

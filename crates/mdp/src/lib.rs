@@ -31,16 +31,18 @@
 //! after their deprecation cycle; every analysis now goes through
 //! [`Query`].
 //!
-//! All quantitative analyses run on a compressed-sparse-row engine
-//! ([`CsrMdp`]; a hand-built [`ExplicitMdp`] is flattened on the way in)
-//! swept with double-buffered Jacobi value iteration, parallelized
-//! across disjoint state chunks with results that are bit-for-bit
-//! identical for every worker count. Alternatively,
+//! All quantitative analyses read a model through one row view,
+//! [`CsrRows`], handed out block by block by a [`CsrSource`]: an in-core
+//! [`CsrMdp`] (`CsrMdp::from` flattens a hand-built [`ExplicitMdp`]) is a
+//! single block, a stored model one or many. The default schedule is
+//! double-buffered Jacobi value iteration, parallelized across disjoint
+//! state chunks with results that are bit-for-bit identical for every
+//! worker count and block structure. On a single-block source,
 //! [`Solver::SccOrdered`] condenses the choice graph into strongly
 //! connected components first ([`SccDecomposition`]) and solves them in
-//! reverse topological order — far fewer state updates on the layered
-//! round models this workspace targets (see the `query` module docs for
-//! selection guidance). [`Explore::workers`] parallelizes state-space
+//! reverse topological order with the same per-state updates — far fewer
+//! state updates on the layered round models this workspace targets (see
+//! the `query` module docs for selection guidance). [`Explore::workers`] parallelizes state-space
 //! exploration the same way (level-synchronized, deterministic merge). The
 //! [`mod@reference`] module retains nested-model oracles — both a Jacobi
 //! twin (bitwise comparison) and the original Gauss–Seidel engine
@@ -76,7 +78,6 @@
 
 mod csr;
 mod error;
-mod expected;
 mod explore;
 pub mod fxhash;
 mod horizon;
@@ -92,7 +93,6 @@ mod value_iter;
 
 pub use csr::{CsrBuilder, CsrMdp, CsrRow, ToCsr};
 pub use error::MdpError;
-pub use expected::{has_zero_cost_cycle, min_expected_cost, ExpectedCost};
 pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use horizon::{cost_bounded_reach_levels, BoundedPolicy, Objective};

@@ -41,8 +41,9 @@ impl Choice {
 /// This nested form is for hand-built models and the nested-model
 /// oracles of [`crate::reference`]: exploration of an implicit
 /// [`pa_core::Automaton`] ([`crate::Explore`]) writes a [`crate::CsrMdp`]
-/// directly, and every in-core entry point takes either form
-/// ([`crate::ToCsr`]).
+/// directly. The analysis free functions take either form
+/// ([`crate::ToCsr`]); a [`crate::Query`] takes the flattened one,
+/// `CsrMdp::from(&explicit)`.
 #[derive(Debug, Clone)]
 pub struct ExplicitMdp {
     choices: Vec<Vec<Choice>>,

@@ -152,7 +152,7 @@ pub fn cost_bounded_reach_jacobi(
 }
 
 /// Nested-representation Jacobi expected cost: the bitwise oracle for
-/// `MaxCost` queries / [`crate::min_expected_cost`] values.
+/// `MaxCost` and `MinCost` queries under a Jacobi solver.
 /// `live` is the proper/feasible mask (see the CSR engine); pass the same
 /// mask the engine computes.
 fn expected_cost_jacobi(
@@ -227,15 +227,15 @@ pub fn max_expected_cost_jacobi(
     Ok(v)
 }
 
-/// Nested Jacobi best-case expected cost (bitwise oracle for
-/// [`crate::min_expected_cost`]).
+/// Nested Jacobi best-case expected cost (bitwise oracle for `MinCost`
+/// queries under a Jacobi solver).
 pub fn min_expected_cost_jacobi(
     mdp: &ExplicitMdp,
     target: &[bool],
     options: IterOptions,
 ) -> Result<Vec<f64>, MdpError> {
     mdp.check_target(target)?;
-    if crate::has_zero_cost_cycle(mdp, target)? {
+    if crate::source::has_zero_cost_cycle(&crate::CsrMdp::from(mdp), target)? {
         return Err(MdpError::DivergentExpectation { state: 0 });
     }
     let feasible = crate::prob1(mdp, target, Objective::MaxProb)?;

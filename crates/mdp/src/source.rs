@@ -52,32 +52,41 @@
 //! level is bitwise identical to the Jacobi fixpoint at the price of one
 //! paging pass instead of one per sweep. Level 0's pass checks the edge
 //! order and the costs as it goes; a backward zero-cost edge sends the
-//! query back to Jacobi from scratch. [`crate::Query`] routes stored
-//! bounded queries here and reports the pass as
+//! query back to Jacobi from scratch. [`crate::Query`] routes the bounded
+//! queries of a multi-block source here and reports the pass as
 //! [`crate::Solver::SccOrdered`].
 //!
-//! # Qualitative precomputations
+//! # One block or many
 //!
-//! Two set-valued checks are trait methods, because the best algorithm
-//! depends on the backend: `prob0` for [`crate::Objective::MaxProb`]
-//! ([`CsrSource::prob0_max`]) and the zero-cost cycle check
-//! ([`CsrSource::has_zero_cost_cycle`]). The defaults are block-friendly
-//! forward fixpoints; [`crate::CsrMdp`] overrides them with a backward BFS
-//! and a DFS, which need random access to the whole graph. Both strategies
-//! compute the same set/answer, so the numeric phases they feed remain
-//! bitwise identical.
+//! Whether a source has one block or several is the one property that
+//! picks an algorithm; the Rust type of the model never does. A
+//! single-block source — an in-core [`crate::CsrMdp`], or a stored model
+//! that fits in one block — hands out rows that span every state, so the
+//! kernels that need random access to the whole graph run on it:
 //!
-//! The general SCC-ordered solver, which iterates nontrivial components
-//! locally, is not available through this trait: it keeps per-component
-//! subgraphs resident by design. Over a stored backend, only bounded
-//! queries whose zero-cost edges all point forward take the SCC-ordered
-//! route (the reverse level pass); [`crate::Query`] rejects
+//! * the SCC-ordered solver of `scc.rs` ([`crate::Solver::SccOrdered`]),
+//!   which condenses the choice graph with Tarjan and calls the same
+//!   per-state updates as the Jacobi sweeps (`level_choice`,
+//!   `reach_update` and `cost_update`);
+//! * the two qualitative checks: `prob0` for
+//!   [`crate::Objective::MaxProb`] is a backward BFS over a predecessor
+//!   graph, and the zero-cost cycle check asks Tarjan for a nontrivial
+//!   component of the zero-cost subgraph without the target states.
+//!
+//! A multi-block source runs the two checks as fixpoints over the blocks
+//! in order, because a graph search's random state-access pattern defeats
+//! block paging. Both strategies compute the same set/answer, so the
+//! numeric phases they feed remain bitwise identical. A multi-block source
+//! has no general SCC-ordered solver: only its bounded queries whose
+//! zero-cost edges all point forward take the SCC-ordered route (the
+//! reverse level pass above), and [`crate::Query`] rejects
 //! [`crate::Solver::SccOrdered`] for the rest with
 //! [`MdpError::InvalidQuery`].
 
 use std::ops::Range;
 
-use crate::{CsrMdp, IterOptions, MdpError, Objective, SccDecomposition, Solver};
+use crate::scc::{self, SccDecomposition};
+use crate::{IterOptions, MdpError, Objective, Solver};
 
 /// Blocks with fewer states than this are swept on the calling thread:
 /// below this size, thread spawn/join costs more than the sweep itself.
@@ -128,7 +137,8 @@ pub fn resolve_workers(workers: Option<usize>) -> usize {
 /// indexes into the block's own `targets`/`probs` slices. Successor state
 /// ids in `targets` are **global**. The accessor methods take global state
 /// indices (within [`CsrRows::states`]) and block-local choice/transition
-/// indices, mirroring the [`crate::CsrMdp`] accessors.
+/// indices. [`crate::CsrMdp::rows`] is the single block of an in-core
+/// model.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrRows<'a> {
     /// Global index of the first state in this block.
@@ -214,71 +224,6 @@ pub trait CsrSource: Sync {
     /// Calls `f` with block `block`'s rows. Backends that page blocks in
     /// may fail with [`MdpError::Backend`] (I/O error, corrupt block).
     fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError>;
-
-    /// States with **maximal** reachability probability zero (no path to
-    /// the target). The default is a forward least fixpoint — mark states
-    /// with a positive-probability edge into the marked set until stable —
-    /// because a predecessor graph cannot be materialized for a model that
-    /// does not fit in memory.
-    fn prob0_max(&self, target: &[bool]) -> Result<Vec<bool>, MdpError> {
-        check_target(self, target)?;
-        let mut can_reach = target.to_vec();
-        loop {
-            let mut changed = false;
-            for_each_block(self, &mut |rows| {
-                for s in rows.states() {
-                    if can_reach[s] {
-                        continue;
-                    }
-                    let reaches = rows.choice_range(s).any(|c| {
-                        rows.trans_range(c)
-                            .any(|i| rows.probs[i] > 0.0 && can_reach[rows.targets[i] as usize])
-                    });
-                    if reaches {
-                        can_reach[s] = true;
-                        changed = true;
-                    }
-                }
-            })?;
-            if !changed {
-                return Ok(can_reach.iter().map(|&b| !b).collect());
-            }
-        }
-    }
-
-    /// Whether the zero-cost off-target transition subgraph has a cycle
-    /// (semantics of [`crate::has_zero_cost_cycle`]). The default is a
-    /// peeling greatest fixpoint, since a DFS's random state-access pattern
-    /// defeats block paging: repeatedly discard states with no zero-cost
-    /// positive-probability edge into the remaining set; the remainder is
-    /// nonempty iff the subgraph has a cycle.
-    fn has_zero_cost_cycle(&self, target: &[bool]) -> Result<bool, MdpError> {
-        check_target(self, target)?;
-        let mut in_u: Vec<bool> = target.iter().map(|&t| !t).collect();
-        loop {
-            let mut changed = false;
-            for_each_block(self, &mut |rows| {
-                for s in rows.states() {
-                    if !in_u[s] {
-                        continue;
-                    }
-                    let keeps = rows.choice_range(s).any(|c| {
-                        rows.costs[c] == 0
-                            && rows
-                                .trans_range(c)
-                                .any(|i| rows.probs[i] > 0.0 && in_u[rows.targets[i] as usize])
-                    });
-                    if !keeps {
-                        in_u[s] = false;
-                        changed = true;
-                    }
-                }
-            })?;
-            if !changed {
-                return Ok(in_u.iter().any(|&b| b));
-            }
-        }
-    }
 }
 
 pub(crate) fn check_target<S: CsrSource + ?Sized>(
@@ -304,11 +249,150 @@ fn for_each_block<S: CsrSource + ?Sized>(
     Ok(())
 }
 
+/// Runs `f` on the rows of a single-block source, which span every state.
+pub(crate) fn with_one_block<S, R>(
+    src: &S,
+    f: impl FnOnce(&CsrRows<'_>) -> R,
+) -> Result<R, MdpError>
+where
+    S: CsrSource + ?Sized,
+{
+    debug_assert_eq!(src.num_blocks(), 1, "a single-block source");
+    let mut f = Some(f);
+    let mut out = None;
+    src.with_rows(0, &mut |rows| out = f.take().map(|f| f(&rows)))?;
+    Ok(out.expect("with_rows calls back once"))
+}
+
+/// States with **maximal** reachability probability zero (no path to the
+/// target). A single-block source takes a backward BFS over a predecessor
+/// graph built on the fly; a multi-block one, for which no predecessor
+/// graph can be held in memory, a forward least fixpoint: mark states
+/// with a positive-probability edge into the marked set until stable.
+pub(crate) fn prob0_max<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+) -> Result<Vec<bool>, MdpError> {
+    check_target(src, target)?;
+    let mut can_reach = target.to_vec();
+    if src.num_blocks() == 1 {
+        with_one_block(src, |rows| {
+            let n = rows.states().len();
+            // In-degree count, prefix sum, fill: a predecessor CSR without
+            // per-state vectors.
+            let mut pred_off = vec![0u32; n + 1];
+            for (&t, &p) in rows.targets.iter().zip(rows.probs) {
+                if p > 0.0 {
+                    pred_off[t as usize + 1] += 1;
+                }
+            }
+            for t in 0..n {
+                pred_off[t + 1] += pred_off[t];
+            }
+            let mut preds = vec![0u32; pred_off[n] as usize];
+            let mut cursor = pred_off.clone();
+            for s in 0..n {
+                for i in rows.choice_range(s).flat_map(|c| rows.trans_range(c)) {
+                    if rows.probs[i] > 0.0 {
+                        let t = rows.targets[i] as usize;
+                        preds[cursor[t] as usize] = s as u32;
+                        cursor[t] += 1;
+                    }
+                }
+            }
+            let mut stack: Vec<usize> = (0..n).filter(|&s| target[s]).collect();
+            while let Some(t) = stack.pop() {
+                for &s in &preds[pred_off[t] as usize..pred_off[t + 1] as usize] {
+                    if !can_reach[s as usize] {
+                        can_reach[s as usize] = true;
+                        stack.push(s as usize);
+                    }
+                }
+            }
+        })?;
+    } else {
+        loop {
+            let mut changed = false;
+            for_each_block(src, &mut |rows| {
+                for s in rows.states() {
+                    if can_reach[s] {
+                        continue;
+                    }
+                    let reaches = rows.choice_range(s).any(|c| {
+                        rows.trans_range(c)
+                            .any(|i| rows.probs[i] > 0.0 && can_reach[rows.targets[i] as usize])
+                    });
+                    if reaches {
+                        can_reach[s] = true;
+                        changed = true;
+                    }
+                }
+            })?;
+            if !changed {
+                break;
+            }
+        }
+    }
+    Ok(can_reach.iter().map(|&b| !b).collect())
+}
+
+/// Whether the zero-cost subgraph without the target states — states
+/// connected by positive-probability transitions of choices with
+/// `cost == 0` — has a cycle.
+///
+/// Zero-cost cycles make *minimizing* expected-cost analyses degenerate: a
+/// policy may loop forever at zero cost without reaching the target, and
+/// value iteration from below would report 0 instead of rejecting the
+/// improper policy, so a `MinCost` [`crate::Query`] refuses such models.
+/// (The round models of the case study are zero-cost-acyclic by
+/// construction: every scheduling step consumes per-round budget.)
+///
+/// A single-block source asks Tarjan for a nontrivial component of that
+/// subgraph. A multi-block source runs a peeling greatest fixpoint:
+/// repeatedly discard states with no zero-cost positive-probability edge
+/// into the remaining set; the remainder is nonempty iff the subgraph has
+/// a cycle.
+pub(crate) fn has_zero_cost_cycle<S: CsrSource + ?Sized>(
+    src: &S,
+    target: &[bool],
+) -> Result<bool, MdpError> {
+    check_target(src, target)?;
+    if src.num_blocks() == 1 {
+        return with_one_block(src, |rows| {
+            scc::condense(rows, |c| rows.costs[c] == 0, |t| !target[t]).num_nontrivial() > 0
+        });
+    }
+    let mut in_u: Vec<bool> = target.iter().map(|&t| !t).collect();
+    loop {
+        let mut changed = false;
+        for_each_block(src, &mut |rows| {
+            for s in rows.states() {
+                if !in_u[s] {
+                    continue;
+                }
+                let keeps = rows.choice_range(s).any(|c| {
+                    rows.costs[c] == 0
+                        && rows
+                            .trans_range(c)
+                            .any(|i| rows.probs[i] > 0.0 && in_u[rows.targets[i] as usize])
+                });
+                if !keeps {
+                    in_u[s] = false;
+                    changed = true;
+                }
+            }
+        })?;
+        if !changed {
+            return Ok(in_u.iter().any(|&b| b));
+        }
+    }
+}
+
 /// One double-buffered Jacobi sweep over all blocks in state order.
 ///
 /// `update(rows, s, prev)` computes state `s`'s next value from the
-/// previous iterate only; the sweep writes it to `next[s]` and returns the
-/// maximal `|next[s] - prev[s]|`. See the module docs for why the result is
+/// previous iterate only, `None` keeping a fixed state's value; the sweep
+/// writes it to `next[s]` and returns the maximal `|next[s] - prev[s]|`. See the module docs for why the result is
 /// bitwise independent of the worker count and the block structure.
 fn jacobi_sweep<S, F>(
     src: &S,
@@ -319,7 +403,7 @@ fn jacobi_sweep<S, F>(
 ) -> Result<f64, MdpError>
 where
     S: CsrSource + ?Sized,
-    F: Fn(&CsrRows<'_>, usize, &[f64]) -> f64 + Sync,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64> + Sync,
 {
     let mut delta = 0.0f64;
     for_each_block(src, &mut |rows| {
@@ -342,13 +426,13 @@ fn sweep_block<F>(
     update: &F,
 ) -> f64
 where
-    F: Fn(&CsrRows<'_>, usize, &[f64]) -> f64 + Sync,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64> + Sync,
 {
     let sweep = move |first: usize, slice: &mut [f64]| {
         let mut delta = 0.0f64;
         for (off, slot) in slice.iter_mut().enumerate() {
             let s = first + off;
-            let v = update(&rows, s, prev);
+            let v = update(&rows, s, prev).unwrap_or(prev[s]);
             let d = (v - prev[s]).abs();
             if d > delta {
                 delta = d;
@@ -417,7 +501,7 @@ pub(crate) fn prob0<S: CsrSource + ?Sized>(
     objective: Objective,
 ) -> Result<Vec<bool>, MdpError> {
     match objective {
-        Objective::MaxProb => src.prob0_max(target),
+        Objective::MaxProb => prob0_max(src, target),
         Objective::MinProb => prob0_min(src, target),
     }
 }
@@ -497,44 +581,67 @@ pub(crate) fn prob1<S: CsrSource + ?Sized>(
     }
 }
 
+/// The reach update: state `s`'s best choice value under `values`, or
+/// `None` for a state whose value is fixed (target, qualitative zero,
+/// terminal).
+#[inline]
+fn reach_update(
+    rows: &CsrRows<'_>,
+    s: usize,
+    target: &[bool],
+    zero: &[bool],
+    objective: Objective,
+    values: &[f64],
+) -> Option<f64> {
+    if target[s] || zero[s] || rows.is_terminal(s) {
+        return None;
+    }
+    let mut best = objective.start();
+    for c in rows.choice_range(s) {
+        let val = rows.choice_value(c, values);
+        if objective.better(val, best) {
+            best = val;
+        }
+    }
+    Some(best)
+}
+
 /// Unbounded reachability `P^opt[eventually reach target]` by qualitative
-/// precomputation plus parallel Jacobi value iteration (semantics of an
-/// unbounded reachability [`crate::Query`]).
+/// precomputation plus value iteration (semantics of an unbounded
+/// reachability [`crate::Query`]): parallel Jacobi sweeps, or, for
+/// [`Solver::SccOrdered`] over a single-block source, the SCC-ordered
+/// solve. Both schedules evaluate [`reach_update`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn reach_prob<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     objective: Objective,
     options: IterOptions,
     workers: Option<usize>,
+    solver: Solver,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     let _span = pa_telemetry::span("mdp.vi.reach_prob_seconds");
     let zero = prob0(src, target, objective)?;
     let n = src.num_states();
-    let workers = resolve_workers(workers);
-    if pa_telemetry::enabled() {
-        pa_telemetry::counter("mdp.vi.runs").inc();
-    }
     let mut cur = vec![0.0f64; n];
     for s in 0..n {
         if target[s] {
             cur[s] = 1.0;
         }
     }
-    let mut prev = cur.clone();
-    let update = |rows: &CsrRows<'_>, s: usize, prev: &[f64]| {
-        if target[s] || zero[s] || rows.is_terminal(s) {
-            return prev[s];
-        }
-        let mut best = objective.start();
-        for c in rows.choice_range(s) {
-            let val = rows.choice_value(c, prev);
-            if objective.better(val, best) {
-                best = val;
-            }
-        }
-        best
+    let update = |rows: &CsrRows<'_>, s: usize, v: &[f64]| {
+        reach_update(rows, s, target, &zero, objective, v)
     };
+    if solver == Solver::SccOrdered {
+        scc::solve_unbounded(src, &mut cur, options, &update, stats)?;
+        return Ok(cur);
+    }
+    let workers = resolve_workers(workers);
+    if pa_telemetry::enabled() {
+        pa_telemetry::counter("mdp.vi.runs").inc();
+    }
+    let mut prev = cur.clone();
     for _ in 0..options.max_sweeps {
         let sweep_span = pa_telemetry::span("mdp.vi.sweep_seconds");
         let delta = jacobi_sweep(src, &mut cur, &prev, workers, &update)?;
@@ -581,20 +688,23 @@ fn validate_costs<S: CsrSource + ?Sized>(src: &S) -> Result<(), MdpError> {
     }
 }
 
-/// The value of non-fixed state `s` at one budget level, and the index
-/// (among `s`'s choices) of the first choice attaining it: cost-1 choices
-/// read the level below, `level_prev`, zero-cost choices read the current
-/// level, `cur`. Every level solver and the policy extraction evaluate
-/// this expression (the in-core SCC solver spells out the same one over
-/// [`CsrMdp`]'s accessors).
+/// The value of state `s` at one budget level, and the index (among `s`'s
+/// choices) of the first choice attaining it: cost-1 choices read the
+/// level below, `level_prev`, zero-cost choices read the current level,
+/// `cur`. `None` for a state whose value is fixed (target or terminal).
+/// Every level solver and the policy extraction evaluate this expression.
 #[inline]
 fn level_choice(
     rows: &CsrRows<'_>,
     s: usize,
+    target: &[bool],
     objective: Objective,
     level_prev: &[f64],
     cur: &[f64],
-) -> (f64, u32) {
+) -> Option<(f64, u32)> {
+    if target[s] || rows.is_terminal(s) {
+        return None;
+    }
     let mut best = objective.start();
     let mut best_i = 0u32;
     for (i, c) in rows.choice_range(s).enumerate() {
@@ -605,7 +715,7 @@ fn level_choice(
             best_i = i as u32;
         }
     }
-    (best, best_i)
+    Some((best, best_i))
 }
 
 /// Resets `values` to a level's starting point: 1 on the target, else 0.
@@ -615,8 +725,8 @@ fn init_level(target: &[bool], values: &mut Vec<f64>) {
 }
 
 /// One level of cost-bounded backward induction: the least fixpoint of
-/// the zero-cost subgraph given the previous level `level_prev`, as a
-/// parallel Jacobi iteration capped at `4n + 8` sweeps (see
+/// the zero-cost subgraph given the previous level, as a parallel Jacobi
+/// iteration of the level's `update` capped at `4n + 8` sweeps (see
 /// [`crate::cost_bounded_reach_levels`] for the semantics).
 ///
 /// The level's values end up in `values`; `scratch` is the second Jacobi
@@ -624,16 +734,19 @@ fn init_level(target: &[bool], values: &mut Vec<f64>) {
 /// `budget`-level induction allocates two vectors total instead of one per
 /// level.
 #[allow(clippy::too_many_arguments)]
-fn solve_level<S: CsrSource + ?Sized>(
+fn solve_level<S, F>(
     src: &S,
     target: &[bool],
-    level_prev: &[f64],
-    objective: Objective,
     workers: usize,
+    update: &F,
     values: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
     stats: &mut SolveStats,
-) -> Result<(), MdpError> {
+) -> Result<(), MdpError>
+where
+    S: CsrSource + ?Sized,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64> + Sync,
+{
     let n = src.num_states();
     init_level(target, values);
     scratch.clear();
@@ -641,12 +754,6 @@ fn solve_level<S: CsrSource + ?Sized>(
     let level_sweeps =
         pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.level_sweeps"));
     let max_sweeps = 4 * n + 8;
-    let update = |rows: &CsrRows<'_>, s: usize, prev: &[f64]| {
-        if target[s] || rows.is_terminal(s) {
-            return prev[s];
-        }
-        level_choice(rows, s, objective, level_prev, prev).0
-    };
     // Alternate write/read roles between the two buffers; after sweep
     // `k` the newest iterate is in `values` iff `k` is odd.
     let mut done = 0usize;
@@ -657,9 +764,9 @@ fn solve_level<S: CsrSource + ?Sized>(
         stats.sweeps += 1;
         stats.state_updates += n as u64;
         let delta = if k % 2 == 0 {
-            jacobi_sweep(src, values, scratch, workers, &update)?
+            jacobi_sweep(src, values, scratch, workers, update)?
         } else {
-            jacobi_sweep(src, scratch, values, workers, &update)?
+            jacobi_sweep(src, scratch, values, workers, update)?
         };
         done = k + 1;
         if delta <= 1e-14 {
@@ -674,8 +781,8 @@ fn solve_level<S: CsrSource + ?Sized>(
 
 /// One level of cost-bounded backward induction in a single reverse pass
 /// (see the [module docs](self)): blocks from last to first, states from
-/// high id to low, every non-fixed state updated in place by
-/// [`level_choice`].
+/// high id to low, every non-fixed state updated in place by the level's
+/// `update`.
 ///
 /// With `check` set (level 0), the pass also validates the costs as
 /// [`validate_costs`] does, and checks that every zero-cost transition
@@ -683,15 +790,18 @@ fn solve_level<S: CsrSource + ?Sized>(
 /// the first one that does not, it stops and returns `Ok(false)`; the
 /// level's values are then meaningless. Later levels reuse level 0's
 /// verdict, because the model does not change between levels.
-fn reverse_level<S: CsrSource + ?Sized>(
+fn reverse_level<S, F>(
     src: &S,
     target: &[bool],
-    level_prev: &[f64],
-    objective: Objective,
     check: bool,
+    update: &F,
     values: &mut Vec<f64>,
     stats: &mut SolveStats,
-) -> Result<bool, MdpError> {
+) -> Result<bool, MdpError>
+where
+    S: CsrSource + ?Sized,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
+{
     init_level(target, values);
     let reads_final = |rows: &CsrRows<'_>, s: usize| {
         rows.choice_range(s)
@@ -713,14 +823,14 @@ fn reverse_level<S: CsrSource + ?Sized>(
                     // the lowest, the state `validate_costs` reports.
                     bad = first_bad_cost(&rows, s).or(bad);
                 }
-                if target[s] || rows.is_terminal(s) {
+                let Some(v) = update(&rows, s, values) else {
                     continue;
-                }
+                };
                 if check && !reads_final(&rows, s) {
                     forward = false;
                     return;
                 }
-                values[s] = level_choice(&rows, s, objective, level_prev, values).0;
+                values[s] = v;
                 updates += 1;
             }
         })?;
@@ -754,9 +864,7 @@ fn extract_level_decisions<S: CsrSource + ?Sized>(
     dec.resize(src.num_states(), None);
     for_each_block(src, &mut |rows| {
         for s in rows.states() {
-            if !(target[s] || rows.is_terminal(s)) {
-                dec[s] = Some(level_choice(&rows, s, objective, level_prev, values).1);
-            }
+            dec[s] = level_choice(&rows, s, target, objective, level_prev, values).map(|(_, i)| i);
         }
     })
 }
@@ -766,9 +874,9 @@ fn extract_level_decisions<S: CsrSource + ?Sized>(
 pub(crate) enum LevelSolver<'a> {
     /// Parallel double-buffered Jacobi over the source.
     Jacobi,
-    /// The in-core SCC-ordered solver over a zero-cost condensation
-    /// ([`CsrMdp::zero_cost_scc`], built once by the caller).
-    Scc(&'a CsrMdp, &'a SccDecomposition),
+    /// The SCC-ordered solver of a single-block source over its zero-cost
+    /// condensation (built once by the caller).
+    Scc(&'a SccDecomposition),
     /// The reverse level pass over the source. On a backward zero-cost
     /// edge the query falls back to Jacobi from scratch, or, when
     /// `strict`, fails with [`MdpError::InvalidQuery`].
@@ -780,9 +888,10 @@ pub(crate) enum LevelSolver<'a> {
 /// (previous level, current level, Jacobi scratch) through every budget
 /// level instead of materializing one vector per level, optionally
 /// extracting the optimal cost-indexed policy along the way and reporting
-/// each level to `on_level`. Returns the final level and the solver that
-/// ran: [`Solver::Jacobi`] for Jacobi, including a reverse pass that fell
-/// back to it, else [`Solver::SccOrdered`].
+/// each level to `on_level`. Every level solver evaluates
+/// [`level_choice`]. Returns the final level and the solver that ran:
+/// [`Solver::Jacobi`] for Jacobi, including a reverse pass that fell back
+/// to it, else [`Solver::SccOrdered`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     src: &S,
@@ -804,10 +913,8 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     let _span = pa_telemetry::span("mdp.vi.cost_bounded_seconds");
     let levels = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.levels"));
     let n = src.num_states();
-    if let LevelSolver::Scc(_, scc) = solver {
-        CsrMdp::record_scc_shape(scc);
-        stats.components = scc.num_components() as u64;
-        stats.nontrivial_components = scc.num_nontrivial() as u64;
+    if let LevelSolver::Scc(scc) = solver {
+        scc::record_shape(scc, stats);
     }
     let mut level_prev = vec![0.0f64; n];
     let mut cur: Vec<f64> = Vec::new();
@@ -819,35 +926,39 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
             .set_max((3 * n * std::mem::size_of::<f64>()) as i64);
     }
     for k in 0..=budget {
+        let level_prev_ref = &level_prev;
+        let update = |rows: &CsrRows<'_>, s: usize, cur: &[f64]| {
+            level_choice(rows, s, target, objective, level_prev_ref, cur).map(|(v, _)| v)
+        };
         let jacobi = |cur: &mut Vec<f64>, scratch: &mut Vec<f64>, stats: &mut SolveStats| {
-            solve_level(
-                src,
-                target,
-                &level_prev,
-                objective,
-                workers,
-                cur,
-                scratch,
-                stats,
-            )
+            solve_level(src, target, workers, &update, cur, scratch, stats)
         };
         match solver {
-            LevelSolver::Scc(mdp, scc) => {
-                mdp.solve_level_scc(scc, target, &level_prev, objective, &mut cur, stats)
+            LevelSolver::Scc(scc) => {
+                init_level(target, &mut cur);
+                with_one_block(src, |rows| {
+                    scc::ordered_solve(
+                        rows,
+                        scc,
+                        &mut cur,
+                        1e-14,
+                        |len| 4 * len + 8,
+                        &update,
+                        stats,
+                    )
+                })?;
             }
             LevelSolver::Jacobi => jacobi(&mut cur, &mut scratch, stats)?,
             LevelSolver::Reverse { strict } => {
-                let forward =
-                    reverse_level(src, target, &level_prev, objective, k == 0, &mut cur, stats)?;
-                if !forward {
+                if !reverse_level(src, target, k == 0, &update, &mut cur, stats)? {
                     // Only level 0 checks, so this is still level 0:
                     // nothing has been reported yet.
                     validate_costs(src)?;
                     if strict {
                         return Err(MdpError::InvalidQuery {
-                            reason: "the SCC-ordered solver over a stored backend needs every \
-                                     zero-cost transition to go to a higher state id or to the \
-                                     target"
+                            reason: "the SCC-ordered solver over a multi-block source needs \
+                                     every zero-cost transition to go to a higher state id or \
+                                     to the target"
                                 .into(),
                         });
                     }
@@ -874,7 +985,7 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
             stats.components = n as u64;
             Solver::SccOrdered
         }
-        LevelSolver::Scc(..) => Solver::SccOrdered,
+        LevelSolver::Scc(_) => Solver::SccOrdered,
     };
     // The final level ended up in `level_prev` after the last swap.
     Ok((level_prev, ran))
@@ -898,7 +1009,7 @@ pub(crate) fn finite_cost_states<S: CsrSource + ?Sized>(
     match objective {
         Objective::MaxProb => prob1(src, target, Objective::MinProb),
         Objective::MinProb => {
-            if src.has_zero_cost_cycle(target)? {
+            if has_zero_cost_cycle(src, target)? {
                 return Err(MdpError::DivergentExpectation { state: 0 });
             }
             prob1(src, target, Objective::MaxProb)
@@ -906,11 +1017,53 @@ pub(crate) fn finite_cost_states<S: CsrSource + ?Sized>(
     }
 }
 
-/// Expected-cost Jacobi iteration. `live[s]` marks states whose
+/// The cost update: state `s`'s best expected cost under `values` over
+/// the choices whose positive-probability successors are all live or
+/// target, falling back to `values[s]` when no choice qualifies; `None`
+/// for a state whose value is fixed (target, not live, terminal).
+#[inline]
+fn cost_update(
+    rows: &CsrRows<'_>,
+    s: usize,
+    target: &[bool],
+    live: &[bool],
+    objective: Objective,
+    values: &[f64],
+) -> Option<f64> {
+    if target[s] || !live[s] || rows.is_terminal(s) {
+        return None;
+    }
+    let mut best = objective.start();
+    for c in rows.choice_range(s) {
+        let mut val = rows.costs[c] as f64;
+        let mut ok = true;
+        for i in rows.trans_range(c) {
+            let p = rows.probs[i];
+            if p == 0.0 {
+                continue;
+            }
+            let t = rows.targets[i] as usize;
+            if !target[t] && !live[t] {
+                ok = false;
+                break;
+            }
+            val += p * values[t];
+        }
+        if ok && objective.better(val, best) {
+            best = val;
+        }
+    }
+    Some(if best.is_finite() { best } else { values[s] })
+}
+
+/// Expected-cost value iteration: parallel Jacobi sweeps, or, for
+/// [`Solver::SccOrdered`] over a single-block source, the SCC-ordered
+/// solve; both evaluate [`cost_update`]. `live[s]` marks states whose
 /// expectation is finite ([`finite_cost_states`]); others end at
 /// `f64::INFINITY`. A choice with a non-live, non-target successor is
 /// excluded (a proper policy never moves there; a maximizing adversary
 /// reaching one would contradict `live[s]`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
@@ -918,56 +1071,34 @@ pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
     objective: Objective,
     options: IterOptions,
     workers: Option<usize>,
+    solver: Solver,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     let n = src.num_states();
-    let workers = resolve_workers(workers);
-    let ec_sweeps = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.ec_sweeps"));
     let mut cur = vec![0.0f64; n];
-    let mut prev = cur.clone();
-    let update = |rows: &CsrRows<'_>, s: usize, prev: &[f64]| {
-        if target[s] || !live[s] || rows.is_terminal(s) {
-            return prev[s];
-        }
-        let mut best = objective.start();
-        for c in rows.choice_range(s) {
-            let mut val = rows.costs[c] as f64;
-            let mut ok = true;
-            for i in rows.trans_range(c) {
-                let p = rows.probs[i];
-                if p == 0.0 {
-                    continue;
-                }
-                let t = rows.targets[i] as usize;
-                if !target[t] && !live[t] {
-                    ok = false;
-                    break;
-                }
-                val += p * prev[t];
+    let update =
+        |rows: &CsrRows<'_>, s: usize, v: &[f64]| cost_update(rows, s, target, live, objective, v);
+    let mut v = if solver == Solver::SccOrdered {
+        scc::solve_unbounded(src, &mut cur, options, &update, stats)?;
+        cur
+    } else {
+        let workers = resolve_workers(workers);
+        let ec_sweeps = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.ec_sweeps"));
+        let mut prev = cur.clone();
+        for _ in 0..options.max_sweeps {
+            if let Some(c) = &ec_sweeps {
+                c.inc();
             }
-            if ok && objective.better(val, best) {
-                best = val;
+            stats.sweeps += 1;
+            stats.state_updates += n as u64;
+            let delta = jacobi_sweep(src, &mut cur, &prev, workers, &update)?;
+            std::mem::swap(&mut cur, &mut prev);
+            if delta <= options.epsilon {
+                break;
             }
         }
-        if best.is_finite() {
-            best
-        } else {
-            prev[s]
-        }
+        prev
     };
-    for _ in 0..options.max_sweeps {
-        if let Some(c) = &ec_sweeps {
-            c.inc();
-        }
-        stats.sweeps += 1;
-        stats.state_updates += n as u64;
-        let delta = jacobi_sweep(src, &mut cur, &prev, workers, &update)?;
-        std::mem::swap(&mut cur, &mut prev);
-        if delta <= options.epsilon {
-            break;
-        }
-    }
-    let mut v = prev;
     for s in 0..n {
         if !target[s] && !live[s] {
             v[s] = f64::INFINITY;
@@ -1030,7 +1161,7 @@ pub fn csr_digest<S: CsrSource + ?Sized>(src: &S) -> Result<u64, MdpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, ExplicitMdp};
+    use crate::{Choice, CsrBuilder, CsrMdp, CsrRow, ExplicitMdp};
 
     fn escape() -> CsrMdp {
         CsrMdp::from_explicit(
@@ -1046,31 +1177,75 @@ mod tests {
         )
     }
 
-    /// Runs the block-default qualitative checks on an in-core model by
-    /// hiding its `CsrMdp` overrides behind a forwarding source.
-    struct Defaults<'a>(&'a CsrMdp);
+    /// An in-core model's rows cut into blocks at the given state bounds,
+    /// each rebuilt with block-relative offsets: a multi-block source, so
+    /// the qualitative checks take their block fixpoints and a bounded
+    /// query the reverse level pass.
+    struct Split(Vec<(usize, CsrBuilder)>);
 
-    impl CsrSource for Defaults<'_> {
+    impl Split {
+        fn new(m: &CsrMdp, bounds: &[usize]) -> Split {
+            let rows = m.rows();
+            let mut cuts = vec![0];
+            cuts.extend_from_slice(bounds);
+            cuts.push(rows.states().end);
+            Split(
+                cuts.windows(2)
+                    .map(|w| {
+                        let mut b = CsrBuilder::new();
+                        for s in w[0]..w[1] {
+                            let choices = rows.choice_range(s);
+                            let trans = rows.trans_offsets[choices.start] as usize
+                                ..rows.trans_offsets[choices.end] as usize;
+                            let ends: Vec<u32> = choices
+                                .clone()
+                                .map(|c| (rows.trans_range(c).end - trans.start) as u32)
+                                .collect();
+                            b.push_row(CsrRow {
+                                costs: &rows.costs[choices],
+                                trans_ends: &ends,
+                                targets: &rows.targets[trans.clone()],
+                                probs: &rows.probs[trans],
+                            })
+                            .unwrap();
+                        }
+                        (w[0], b)
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    impl CsrSource for Split {
         fn num_states(&self) -> usize {
-            CsrSource::num_states(self.0)
+            self.0.iter().map(|(_, b)| b.num_states()).sum()
         }
         fn num_choices(&self) -> u64 {
-            CsrSource::num_choices(self.0)
+            self.0
+                .iter()
+                .map(|(f, b)| b.rows(*f).costs.len() as u64)
+                .sum()
         }
         fn num_transitions(&self) -> u64 {
-            CsrSource::num_transitions(self.0)
+            self.0
+                .iter()
+                .map(|(f, b)| b.rows(*f).targets.len() as u64)
+                .sum()
         }
         fn initial_states(&self) -> &[usize] {
-            CsrSource::initial_states(self.0)
+            &[]
         }
         fn num_blocks(&self) -> usize {
-            self.0.num_blocks()
+            self.0.len()
         }
         fn block_states(&self, block: usize) -> Range<usize> {
-            self.0.block_states(block)
+            let (first, b) = &self.0[block];
+            *first..first + b.num_states()
         }
         fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError> {
-            self.0.with_rows(block, f)
+            let (first, b) = &self.0[block];
+            f(b.rows(*first));
+            Ok(())
         }
     }
 
@@ -1093,24 +1268,53 @@ mod tests {
         assert_eq!(seen, 3);
     }
 
+    /// Every nonempty two- and three-block split of `m`.
+    fn splits(m: &CsrMdp) -> Vec<Split> {
+        let n = m.num_states();
+        let mut out: Vec<Split> = (1..n).map(|i| Split::new(m, &[i])).collect();
+        out.extend(
+            (1..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .map(|(i, j)| Split::new(m, &[i, j])),
+        );
+        out
+    }
+
     #[test]
-    fn zero_cost_cycle_peeling_matches_dfs() {
-        let cyclic = CsrMdp::from_explicit(
-            &ExplicitMdp::new(
-                vec![
+    fn zero_cost_cycle_peeling_matches_tarjan() {
+        let model = |rows: Vec<Vec<Choice>>| {
+            CsrMdp::from_explicit(&ExplicitMdp::new(rows, vec![0]).unwrap())
+        };
+        let cases = [
+            (
+                model(vec![
                     vec![Choice::to(0, 1)],
                     vec![Choice::to(0, 0), Choice::to(1, 2)],
                     vec![],
+                ]),
+                vec![[false, false, true], [true, false, false], [false; 3]],
+            ),
+            (
+                model(vec![
+                    vec![Choice::to(0, 0), Choice::to(1, 2)],
+                    vec![Choice::to(0, 2)],
+                    vec![Choice::to(0, 1), Choice::to(1, 0)],
+                ]),
+                vec![
+                    [false, false, true],
+                    [true, false, false],
+                    [false, true, false],
                 ],
-                vec![0],
-            )
-            .unwrap(),
-        );
-        for target in [[false, false, true], [true, false, false]] {
-            assert_eq!(
-                cyclic.has_zero_cost_cycle(&target).unwrap(),
-                Defaults(&cyclic).has_zero_cost_cycle(&target).unwrap(),
-            );
+            ),
+        ];
+        for (m, targets) in &cases {
+            for target in targets {
+                let single = has_zero_cost_cycle(m, target).unwrap();
+                for split in splits(m) {
+                    assert!(split.num_blocks() > 1);
+                    assert_eq!(single, has_zero_cost_cycle(&split, target).unwrap());
+                }
+            }
         }
     }
 
@@ -1118,14 +1322,18 @@ mod tests {
     fn prob0_max_forward_fixpoint_matches_backward_bfs() {
         let m = escape();
         for target in [[false, false, true], [true, false, false], [false; 3]] {
-            assert_eq!(
-                m.prob0_max(&target).unwrap(),
-                Defaults(&m).prob0_max(&target).unwrap(),
-            );
+            let single = prob0_max(&m, &target).unwrap();
+            for split in splits(&m) {
+                assert_eq!(single, prob0_max(&split, &target).unwrap());
+            }
         }
     }
 
-    fn bounded<'m>(m: &'m CsrMdp, target: &[bool], solver: Option<Solver>) -> crate::Query<'m> {
+    fn bounded<'m>(
+        m: &'m dyn CsrSource,
+        target: &[bool],
+        solver: Option<Solver>,
+    ) -> crate::Query<'m> {
         let q = crate::Query::source(m).target(target).horizon(2);
         match solver {
             Some(solver) => q.solver(solver),
@@ -1154,6 +1362,7 @@ mod tests {
         let target = [false, false, false, false, true];
         for back in [false, true] {
             let m = CsrMdp::from_explicit(&ExplicitMdp::new(rows(back), vec![0]).unwrap());
+            let m = Split::new(&m, &[2]);
             let reverse = bounded(&m, &target, None).run().unwrap_err().into_root();
             let jacobi = bounded(&m, &target, Some(Solver::Jacobi))
                 .run()
@@ -1183,6 +1392,7 @@ mod tests {
             )
             .unwrap(),
         );
+        let m = Split::new(&m, &[2]);
         let target = [true, false, false, false];
         let reverse = bounded(&m, &target, None).run().unwrap();
         let jacobi = bounded(&m, &target, Some(Solver::Jacobi)).run().unwrap();

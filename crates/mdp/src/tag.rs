@@ -20,7 +20,7 @@ use crate::{CsrMdp, Explored};
 pub const TAG_NONE: u8 = 0;
 
 /// Per-choice tags aligned with an [`Explored`] model: `tags[s][k]`
-/// labels state `s`'s `k`-th choice (`mdp.choice_range(s).nth(k)`).
+/// labels state `s`'s `k`-th choice (`mdp.rows().choice_range(s).nth(k)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChoiceTags {
     /// `tags[state][choice]`, in the explored model's choice order.
@@ -74,7 +74,7 @@ pub fn tag_choices<M: Automaton, SP: crate::StateSpace<M::State>>(
         });
         assert_eq!(
             row.len(),
-            explored.mdp.choice_range(s).len(),
+            explored.mdp.rows().choice_range(s).len(),
             "state {s}: automaton disagrees with the explored model"
         );
         tags.push(row);
@@ -96,13 +96,16 @@ pub fn tagged_absorbing_violations(
     tag: u8,
 ) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    for s in 0..mdp.num_states() {
-        for (k, c) in mdp.choice_range(s).enumerate() {
+    let rows = mdp.rows();
+    for s in rows.states() {
+        for (k, c) in rows.choice_range(s).enumerate() {
             if tags.tag(s, k) != tag {
                 continue;
             }
-            let trans = mdp.trans_range(c);
-            let absorbing = trans.len() == 1 && mdp.transition(trans.start) == (s, 1.0);
+            let trans = rows.trans_range(c);
+            let absorbing = trans.len() == 1
+                && rows.targets[trans.start] as usize == s
+                && rows.probs[trans.start] == 1.0;
             if !absorbing {
                 out.push((s, k));
             }

@@ -8,7 +8,7 @@
 //! sweeps that parallelize deterministically (see the [`crate::source`]
 //! module docs).
 
-use crate::{source, CsrSource, MdpError, ToCsr};
+use crate::{source, MdpError, ToCsr};
 
 /// Numerical options for value iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +31,7 @@ impl Default for IterOptions {
 /// States with **maximal** reachability probability zero: no path to the
 /// target exists in the transition graph (any choice, any branch).
 pub fn prob0_max<M: ToCsr + ?Sized>(mdp: &M, target: &[bool]) -> Result<Vec<bool>, MdpError> {
-    mdp.to_csr().prob0_max(target)
+    source::prob0_max(&*mdp.to_csr(), target)
 }
 
 /// States with **minimal** reachability probability zero: the adversary has
@@ -74,7 +74,7 @@ pub fn prob1<M: ToCsr + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, ExplicitMdp, Objective, Query};
+    use crate::{Choice, CsrMdp, ExplicitMdp, Objective, Query};
 
     /// Unbounded reachability via the `Query` builder (the migration target
     /// of the removed pre-`Query` free function).
@@ -84,7 +84,7 @@ mod tests {
         objective: Objective,
         options: IterOptions,
     ) -> Result<Vec<f64>, MdpError> {
-        Ok(Query::over(mdp)
+        Ok(Query::csr(&CsrMdp::from(mdp))
             .objective(objective)
             .target(target)
             .options(options)

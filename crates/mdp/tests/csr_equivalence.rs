@@ -12,12 +12,14 @@
 //! * a parallel [`Explore`] run reproduces the serial one exactly —
 //!   same states in the same order, same choices, same limit errors.
 
+mod common;
+
+use common::Blocked;
 use pa_core::{Automaton, Step};
-use std::ops::Range;
 
 use pa_mdp::{
-    min_expected_cost, reference, Analysis, Choice, CsrMdp, CsrRows, CsrSource, ExpectedCost,
-    ExplicitMdp, Explore, IterOptions, MdpError, Objective, Query, QueryObjective, Solver,
+    reference, Analysis, Choice, CsrMdp, ExplicitMdp, Explore, IterOptions, MdpError, Objective,
+    Query, QueryObjective, Solver,
 };
 use pa_prob::FiniteDist;
 use proptest::prelude::*;
@@ -32,7 +34,7 @@ fn reach_prob(
     objective: Objective,
     options: IterOptions,
 ) -> Result<Vec<f64>, MdpError> {
-    Ok(Query::over(mdp)
+    Ok(Query::csr(&CsrMdp::from(mdp))
         .objective(objective)
         .target(target)
         .options(options)
@@ -47,7 +49,7 @@ fn cost_bounded_reach(
     budget: u32,
     objective: Objective,
 ) -> Result<Vec<f64>, MdpError> {
-    Ok(Query::over(mdp)
+    Ok(Query::csr(&CsrMdp::from(mdp))
         .objective(objective)
         .target(target)
         .horizon(budget)
@@ -56,20 +58,22 @@ fn cost_bounded_reach(
         .values)
 }
 
-fn max_expected_cost(
+/// Expected costs under `objective` (`MaxCost` or `MinCost`), with the
+/// root cause of a failure.
+fn expected_cost(
     mdp: &ExplicitMdp,
+    objective: QueryObjective,
     target: &[bool],
     options: IterOptions,
-) -> Result<ExpectedCost, MdpError> {
-    let analysis = Query::over(mdp)
-        .objective(QueryObjective::MaxCost)
+) -> Result<Vec<f64>, MdpError> {
+    Ok(Query::csr(&CsrMdp::from(mdp))
+        .objective(objective)
         .target(target)
         .options(options)
         .solver(Solver::Jacobi)
-        .run()?;
-    Ok(ExpectedCost {
-        values: analysis.values,
-    })
+        .run()
+        .map_err(MdpError::into_root)?
+        .values)
 }
 
 /// Strategy: a random MDP with up to 8 states, up to 2 choices per state,
@@ -142,106 +146,6 @@ fn assert_close(a: &[f64], b: &[f64], tol: f64) {
                 b[s]
             );
         }
-    }
-}
-
-/// A test-only backend: a [`CsrMdp`]'s rows cut into `k` contiguous
-/// blocks of near-equal state counts (empty ones included when `k`
-/// exceeds the state count), each with its own block-relative offset
-/// arrays — the shape `pa-store` pages in.
-struct Blocked {
-    num_states: usize,
-    num_choices: u64,
-    num_transitions: u64,
-    initial: Vec<usize>,
-    blocks: Vec<Block>,
-}
-
-struct Block {
-    first_state: usize,
-    choice_offsets: Vec<u32>,
-    trans_offsets: Vec<u32>,
-    costs: Vec<u32>,
-    targets: Vec<u32>,
-    probs: Vec<f64>,
-}
-
-impl Blocked {
-    fn split(csr: &CsrMdp, k: usize) -> Blocked {
-        let n = csr.num_states();
-        let blocks = (0..k)
-            .map(|b| {
-                let states = b * n / k..(b + 1) * n / k;
-                let mut block = Block {
-                    first_state: states.start,
-                    choice_offsets: vec![0],
-                    trans_offsets: vec![0],
-                    costs: Vec::new(),
-                    targets: Vec::new(),
-                    probs: Vec::new(),
-                };
-                for s in states {
-                    for c in csr.choice_range(s) {
-                        block.costs.push(csr.cost(c));
-                        for i in csr.trans_range(c) {
-                            let (t, p) = csr.transition(i);
-                            block.targets.push(t as u32);
-                            block.probs.push(p);
-                        }
-                        block.trans_offsets.push(block.targets.len() as u32);
-                    }
-                    block.choice_offsets.push(block.costs.len() as u32);
-                }
-                block
-            })
-            .collect();
-        Blocked {
-            num_states: n,
-            num_choices: csr.num_choices() as u64,
-            num_transitions: csr.num_transitions() as u64,
-            initial: csr.initial_states().to_vec(),
-            blocks,
-        }
-    }
-}
-
-impl CsrSource for Blocked {
-    fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    fn num_choices(&self) -> u64 {
-        self.num_choices
-    }
-
-    fn num_transitions(&self) -> u64 {
-        self.num_transitions
-    }
-
-    fn initial_states(&self) -> &[usize] {
-        &self.initial
-    }
-
-    fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn block_states(&self, block: usize) -> Range<usize> {
-        let b = &self.blocks[block];
-        b.first_state..b.first_state + b.choice_offsets.len() - 1
-    }
-
-    fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError> {
-        let b = &self.blocks[block];
-        f(CsrRows {
-            first_state: b.first_state,
-            choice_offsets: &b.choice_offsets,
-            trans_offsets: &b.trans_offsets,
-            costs: &b.costs,
-            targets: &b.targets,
-            probs: &b.probs,
-        });
-        Ok(())
     }
 }
 
@@ -355,17 +259,17 @@ proptest! {
     #[test]
     fn expected_costs_match_nested_jacobi_bitwise(m in random_mdp()) {
         let target = last_state_target(&m);
-        let csr = max_expected_cost(&m, &target, IterOptions::default()).unwrap();
-        let oracle =
-            reference::max_expected_cost_jacobi(&m, &target, IterOptions::default()).unwrap();
-        assert_bitwise(&csr.values, &oracle);
+        let opts = IterOptions::default();
+        let csr = expected_cost(&m, QueryObjective::MaxCost, &target, opts).unwrap();
+        let oracle = reference::max_expected_cost_jacobi(&m, &target, opts).unwrap();
+        assert_bitwise(&csr, &oracle);
 
         // The minimizing analysis may reject the model (zero-cost cycles);
         // engine and oracle must agree on that, too.
-        let csr_min = min_expected_cost(&m, &target, IterOptions::default());
-        let oracle_min = reference::min_expected_cost_jacobi(&m, &target, IterOptions::default());
+        let csr_min = expected_cost(&m, QueryObjective::MinCost, &target, opts);
+        let oracle_min = reference::min_expected_cost_jacobi(&m, &target, opts);
         match (csr_min, oracle_min) {
-            (Ok(e), Ok(o)) => assert_bitwise(&e.values, &o),
+            (Ok(e), Ok(o)) => assert_bitwise(&e, &o),
             (Err(MdpError::DivergentExpectation { .. }),
              Err(MdpError::DivergentExpectation { .. })) => {}
             (a, b) => prop_assert!(false, "divergence mismatch: {:?} vs {:?}", a, b),
@@ -418,7 +322,10 @@ proptest! {
         // different residues under Jacobi and Gauss–Seidel, so tolerance
         // equality of the bounded recursion is only owed on zero-cost-
         // acyclic models — the shape of every case-study round model.
-        let zc = pa_mdp::has_zero_cost_cycle(&m, &target).unwrap();
+        let zc = matches!(
+            expected_cost(&m, QueryObjective::MinCost, &target, opts),
+            Err(MdpError::DivergentExpectation { .. })
+        );
         for objective in [Objective::MinProb, Objective::MaxProb] {
             let csr = reach_prob(&m, &target, objective, opts).unwrap();
             let gs = reference::reach_prob_gauss_seidel(&m, &target, objective, opts).unwrap();
@@ -433,9 +340,9 @@ proptest! {
                 assert_close(&csr, &gs, 1e-9);
             }
         }
-        let csr = max_expected_cost(&m, &target, opts).unwrap();
+        let csr = expected_cost(&m, QueryObjective::MaxCost, &target, opts).unwrap();
         let gs = reference::max_expected_cost_gauss_seidel(&m, &target, opts).unwrap();
-        assert_close(&csr.values, &gs, 1e-6);
+        assert_close(&csr, &gs, 1e-6);
     }
 }
 

@@ -3,8 +3,8 @@
 
 use pa_core::TableAutomaton;
 use pa_mdp::{
-    prob0_max, prob0_min, Choice, ExpectedCost, ExplicitMdp, Explore, IterOptions, MdpError,
-    Objective, Query, QueryObjective,
+    prob0_max, prob0_min, Choice, CsrMdp, ExplicitMdp, Explore, IterOptions, MdpError, Objective,
+    Query, QueryObjective,
 };
 use proptest::prelude::*;
 
@@ -16,7 +16,7 @@ fn cost_bounded_reach(
     budget: u32,
     objective: Objective,
 ) -> Result<Vec<f64>, MdpError> {
-    Ok(Query::over(mdp)
+    Ok(Query::csr(&CsrMdp::from(mdp))
         .objective(objective)
         .target(target)
         .horizon(budget)
@@ -31,7 +31,7 @@ fn reach_prob(
     objective: Objective,
     options: IterOptions,
 ) -> Result<Vec<f64>, MdpError> {
-    Ok(Query::over(mdp)
+    Ok(Query::csr(&CsrMdp::from(mdp))
         .objective(objective)
         .target(target)
         .options(options)
@@ -44,15 +44,13 @@ fn max_expected_cost(
     mdp: &ExplicitMdp,
     target: &[bool],
     options: IterOptions,
-) -> Result<ExpectedCost, MdpError> {
-    let analysis = Query::over(mdp)
+) -> Result<Vec<f64>, MdpError> {
+    Ok(Query::csr(&CsrMdp::from(mdp))
         .objective(QueryObjective::MaxCost)
         .target(target)
         .options(options)
-        .run()?;
-    Ok(ExpectedCost {
-        values: analysis.values,
-    })
+        .run()?
+        .values)
 }
 
 /// Strategy: a random MDP with `n` states, up to `c` choices per state,
@@ -189,9 +187,9 @@ proptest! {
         #[allow(clippy::needless_range_loop)]
         for s in 0..m.num_states() {
             if target[s] {
-                prop_assert_eq!(e.values[s], 0.0);
+                prop_assert_eq!(e[s], 0.0);
             } else {
-                prop_assert!(e.values[s] >= 0.0);
+                prop_assert!(e[s] >= 0.0);
             }
         }
     }

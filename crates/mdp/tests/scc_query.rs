@@ -16,10 +16,14 @@
 //!   fewer state updates than the global Jacobi schedule;
 //! * a bounded probability query that picks no solver runs SCC-ordered
 //!   exactly when the zero-cost subgraph is acyclic (bitwise equal to
-//!   Jacobi), Jacobi otherwise, and reports the solver that ran; over a
-//!   stored backend ([`Query::source`]) it takes the one-pass-per-level
-//!   reverse solve, reported as SCC-ordered and equally bitwise equal.
+//!   Jacobi), Jacobi otherwise, and reports the solver that ran, whether
+//!   the single-block source is in core or not; over a multi-block source
+//!   ([`Query::source`]) it takes the one-pass-per-level reverse solve,
+//!   reported as SCC-ordered and equally bitwise equal.
 
+mod common;
+
+use common::Blocked;
 use pa_mdp::{
     reference, Choice, CsrMdp, ExplicitMdp, IterOptions, Objective, Query, QueryObjective, Solver,
 };
@@ -147,16 +151,17 @@ proptest! {
     #[test]
     fn scc_unbounded_reach_is_bitwise_on_dags(m in random_dag()) {
         let target = target_last(&m);
+        let csr = CsrMdp::from(&m);
         let opts = IterOptions::default();
         for objective in [Objective::MinProb, Objective::MaxProb] {
-            let jacobi = Query::over(&m)
+            let jacobi = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .options(opts)
                 .solver(Solver::Jacobi)
                 .run()
                 .unwrap();
-            let scc = Query::over(&m)
+            let scc = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .options(opts)
@@ -175,8 +180,9 @@ proptest! {
     #[test]
     fn scc_horizon_is_bitwise_on_round_dags(m in random_round_dag(), budget in 0u32..6) {
         let target = target_last(&m);
+        let csr = CsrMdp::from(&m);
         for objective in [Objective::MinProb, Objective::MaxProb] {
-            let jacobi = Query::over(&m)
+            let jacobi = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .horizon(budget)
@@ -184,7 +190,7 @@ proptest! {
                 .solver(Solver::Jacobi)
                 .run()
                 .unwrap();
-            let scc = Query::over(&m)
+            let scc = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .horizon(budget)
@@ -205,8 +211,9 @@ proptest! {
     #[test]
     fn unpinned_horizon_runs_scc_bitwise_on_round_dags(m in random_round_dag(), budget in 0u32..6) {
         let target = target_last(&m);
+        let csr = CsrMdp::from(&m);
         for objective in [Objective::MinProb, Objective::MaxProb] {
-            let jacobi = Query::over(&m)
+            let jacobi = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .horizon(budget)
@@ -214,7 +221,7 @@ proptest! {
                 .solver(Solver::Jacobi)
                 .run()
                 .unwrap();
-            let auto = Query::over(&m)
+            let auto = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .horizon(budget)
@@ -233,16 +240,17 @@ proptest! {
     #[test]
     fn scc_agrees_within_tolerance_on_cyclic_models(m in random_cyclic()) {
         let target = target_last(&m);
+        let csr = CsrMdp::from(&m);
         let opts = IterOptions::default();
         for objective in [QueryObjective::MinProb, QueryObjective::MaxProb] {
-            let jacobi = Query::over(&m)
+            let jacobi = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .options(opts)
                 .solver(Solver::Jacobi)
                 .run()
                 .unwrap();
-            let scc = Query::over(&m)
+            let scc = Query::csr(&csr)
                 .objective(objective)
                 .target(&target)
                 .options(opts)
@@ -251,19 +259,64 @@ proptest! {
                 .unwrap();
             assert_close(&jacobi.values, &scc.values, 1e-10, "cyclic reach");
         }
-        let jacobi = Query::over(&m)
+        let jacobi = Query::csr(&csr)
             .objective(QueryObjective::MaxCost)
             .target(&target)
             .solver(Solver::Jacobi)
             .run()
             .unwrap();
-        let scc = Query::over(&m)
+        let scc = Query::csr(&csr)
             .objective(QueryObjective::MaxCost)
             .target(&target)
             .solver(Solver::SccOrdered)
             .run()
             .unwrap();
         assert_close(&jacobi.values, &scc.values, 1e-7, "cyclic expected cost");
+    }
+
+    /// The SCC-ordered solver follows the block count, not the model's
+    /// type: over a single-block source that is not a `CsrMdp`, pinned and
+    /// unpinned queries of every objective answer as the in-core model
+    /// does, bit for bit, with the same work counters.
+    #[test]
+    fn single_block_sources_route_and_answer_like_in_core(m in random_cyclic(), budget in 0u32..5) {
+        let target = target_last(&m);
+        let csr = CsrMdp::from(&m);
+        let one = Blocked::split(&csr, 1);
+        let queries = [
+            (QueryObjective::MinProb, Some(budget)),
+            (QueryObjective::MaxProb, Some(budget)),
+            (QueryObjective::MinProb, None),
+            (QueryObjective::MaxProb, None),
+            (QueryObjective::MinCost, None),
+            (QueryObjective::MaxCost, None),
+        ];
+        for (objective, horizon) in queries {
+            for solver in [None, Some(Solver::SccOrdered)] {
+                let run = |q: Query<'_>| {
+                    let q = q.objective(objective).target(&target);
+                    let q = match horizon {
+                        Some(b) => q.horizon(b),
+                        None => q,
+                    };
+                    match solver {
+                        Some(solver) => q.solver(solver),
+                        None => q,
+                    }
+                    .run()
+                };
+                let tag = format!("{objective:?} {horizon:?} {solver:?}");
+                match (run(Query::csr(&csr)), run(Query::source(&one))) {
+                    (Ok(a), Ok(b)) => {
+                        assert_bitwise(&a.values, &b.values, &tag);
+                        prop_assert_eq!(a.solver, b.solver);
+                        prop_assert_eq!(a.stats, b.stats);
+                    }
+                    (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                    (a, b) => prop_assert!(false, "{}: {:?} vs {:?}", tag, a.is_ok(), b.is_ok()),
+                }
+            }
+        }
     }
 
     /// The condensation's solve-order invariant on arbitrary models: every
@@ -282,10 +335,11 @@ proptest! {
             }
         }
         prop_assert!(seen.into_iter().all(|b| b));
-        for s in 0..csr.num_states() {
-            for c in csr.choice_range(s) {
-                for i in csr.trans_range(c) {
-                    let (t, p) = csr.transition(i);
+        let rows = csr.rows();
+        for s in rows.states() {
+            for c in rows.choice_range(s) {
+                for i in rows.trans_range(c) {
+                    let (t, p) = (rows.targets[i] as usize, rows.probs[i]);
                     if p > 0.0 && scc.component_of(t) != scc.component_of(s) {
                         prop_assert!(scc.component_of(t) < scc.component_of(s));
                     }
@@ -301,9 +355,10 @@ proptest! {
     #[test]
     fn jacobi_query_matches_oracles_bitwise(m in random_cyclic(), budget in 0u32..5) {
         let target = target_last(&m);
+        let csr = CsrMdp::from(&m);
         let opts = IterOptions::default();
 
-        let bounded = Query::over(&m)
+        let bounded = Query::csr(&csr)
             .objective(QueryObjective::MinProb)
             .target(&target)
             .horizon(budget)
@@ -314,7 +369,7 @@ proptest! {
             reference::cost_bounded_reach_jacobi(&m, &target, budget, Objective::MinProb).unwrap();
         assert_bitwise(&bounded.values, &oracle, "bounded reach vs oracle");
 
-        let unbounded = Query::over(&m)
+        let unbounded = Query::csr(&csr)
             .objective(QueryObjective::MaxProb)
             .target(&target)
             .options(opts)
@@ -324,7 +379,7 @@ proptest! {
         let oracle = reference::reach_prob_jacobi(&m, &target, Objective::MaxProb, opts).unwrap();
         assert_bitwise(&unbounded.values, &oracle, "unbounded reach vs oracle");
 
-        let cost = Query::over(&m)
+        let cost = Query::csr(&csr)
             .objective(QueryObjective::MaxCost)
             .target(&target)
             .options(opts)
@@ -334,7 +389,7 @@ proptest! {
         let oracle = reference::max_expected_cost_jacobi(&m, &target, opts).unwrap();
         assert_bitwise(&cost.values, &oracle, "max expected cost vs oracle");
 
-        let with_policy = Query::over(&m)
+        let with_policy = Query::csr(&csr)
             .objective(QueryObjective::MaxProb)
             .target(&target)
             .horizon(budget)
@@ -342,7 +397,7 @@ proptest! {
             .solver(Solver::Jacobi)
             .run()
             .unwrap();
-        let plain = Query::over(&m)
+        let plain = Query::csr(&csr)
             .objective(QueryObjective::MaxProb)
             .target(&target)
             .horizon(budget)
@@ -377,14 +432,15 @@ fn layered_rounds(levels: usize, width: usize) -> ExplicitMdp {
 fn scc_saves_state_updates_on_layered_round_models() {
     let m = layered_rounds(12, 6);
     let target = target_last(&m);
-    let jacobi = Query::over(&m)
+    let csr = CsrMdp::from(&m);
+    let jacobi = Query::csr(&csr)
         .objective(QueryObjective::MaxProb)
         .target(&target)
         .solver(Solver::Jacobi)
         .workers(1)
         .run()
         .unwrap();
-    let scc = Query::over(&m)
+    let scc = Query::csr(&csr)
         .objective(QueryObjective::MaxProb)
         .target(&target)
         .solver(Solver::SccOrdered)
@@ -404,14 +460,15 @@ fn scc_saves_state_updates_on_layered_round_models() {
 fn scc_horizon_reuses_one_condensation_across_levels() {
     let m = layered_rounds(6, 4);
     let target = target_last(&m);
-    let a = Query::over(&m)
+    let csr = CsrMdp::from(&m);
+    let a = Query::csr(&csr)
         .objective(QueryObjective::MinProb)
         .target(&target)
         .horizon(20)
         .solver(Solver::SccOrdered)
         .run()
         .unwrap();
-    let b = Query::over(&m)
+    let b = Query::csr(&csr)
         .objective(QueryObjective::MinProb)
         .target(&target)
         .horizon(20)
@@ -444,13 +501,14 @@ fn zero_cost_cycle() -> ExplicitMdp {
 fn unpinned_horizon_falls_back_to_jacobi_on_a_zero_cost_cycle() {
     let m = zero_cost_cycle();
     let target = target_last(&m);
-    let auto = Query::over(&m)
+    let csr = CsrMdp::from(&m);
+    let auto = Query::csr(&csr)
         .objective(QueryObjective::MaxProb)
         .target(&target)
         .horizon(4)
         .run()
         .unwrap();
-    let jacobi = Query::over(&m)
+    let jacobi = Query::csr(&csr)
         .objective(QueryObjective::MaxProb)
         .target(&target)
         .horizon(4)
@@ -467,24 +525,25 @@ fn unpinned_horizon_falls_back_to_jacobi_on_a_zero_cost_cycle() {
 fn unpinned_unbounded_queries_run_jacobi_and_stored_bounded_ones_one_pass_per_level() {
     let m = layered_rounds(4, 3);
     let target = target_last(&m);
-    let unbounded = Query::over(&m)
+    let csr = CsrMdp::from(&m);
+    let unbounded = Query::csr(&csr)
         .objective(QueryObjective::MinProb)
         .target(&target)
         .run()
         .unwrap();
     assert_eq!(unbounded.solver, Solver::Jacobi);
 
-    // Over a stored backend, the round model's forward zero-cost edges
-    // send the bounded query to the reverse level pass: one sweep per
-    // level, SCC-ordered reported, values bitwise equal to the in-core
+    // Over a multi-block source, the round model's forward zero-cost
+    // edges send the bounded query to the reverse level pass: one sweep
+    // per level, SCC-ordered reported, values bitwise equal to the in-core
     // Jacobi kernels.
-    let csr = CsrMdp::from_explicit(&m);
-    let source = Query::source(&csr)
+    let blocked = Blocked::split(&csr, 2);
+    let source = Query::source(&blocked)
         .objective(QueryObjective::MinProb)
         .target(&target)
         .horizon(5)
         .run()
-        .expect("stored backends accept unpinned bounded queries");
+        .expect("multi-block sources accept unpinned bounded queries");
     assert_eq!(source.solver, Solver::SccOrdered);
     assert_eq!(source.stats.sweeps, 6);
     let jacobi = Query::csr(&csr)
@@ -495,4 +554,24 @@ fn unpinned_unbounded_queries_run_jacobi_and_stored_bounded_ones_one_pass_per_le
         .run()
         .unwrap();
     assert_bitwise(&jacobi.values, &source.values, "stored horizon");
+
+    // A single-block source routes like the in-core model: the zero-cost
+    // condensation, no sweeps at all on an acyclic one.
+    let one = Blocked::split(&csr, 1);
+    let in_core = Query::csr(&csr)
+        .objective(QueryObjective::MinProb)
+        .target(&target)
+        .horizon(5)
+        .run()
+        .unwrap();
+    let single = Query::source(&one)
+        .objective(QueryObjective::MinProb)
+        .target(&target)
+        .horizon(5)
+        .run()
+        .unwrap();
+    assert_eq!(single.solver, Solver::SccOrdered);
+    assert_eq!(single.stats, in_core.stats);
+    assert_eq!(single.stats.sweeps, 0);
+    assert_bitwise(&jacobi.values, &single.values, "single-block horizon");
 }

@@ -6,14 +6,15 @@
 //! and a one-byte cache budget. For budgets 0..=6 and both probability
 //! objectives, the stored answer and policy must be bitwise equal to the
 //! in-core Jacobi and SCC-ordered solvers. One injected backward zero-cost
-//! edge must send the stored query back to Jacobi, still bitwise equal.
+//! edge must send a multi-block stored query back to Jacobi, still bitwise
+//! equal; a spill that fits in one block routes like the in-core model.
 
 mod common;
 
 use proptest::prelude::*;
 
 use common::write_store;
-use pa_mdp::{Analysis, Choice, CsrMdp, ExplicitMdp, Objective, Query, Solver};
+use pa_mdp::{Analysis, Choice, CsrMdp, CsrSource, ExplicitMdp, Objective, Query, Solver};
 use pa_store::StoredCsr;
 
 fn lcg(seed: u64) -> impl FnMut() -> usize {
@@ -86,8 +87,9 @@ fn bounded<'m>(q: Query<'m>, objective: Objective, target: &[bool], budget: u32)
 }
 
 /// Queries `rows` in core and spilled at `block_bytes`; the stored query
-/// must report `expect` as its solver and match in-core Jacobi bitwise
-/// (and in-core SCC-ordered, when `expect` is the SCC-ordered route).
+/// must report `expect` as its solver (or, when the spill is one block,
+/// the in-core query's) and match in-core Jacobi bitwise (and in-core
+/// SCC-ordered, when `expect` is the SCC-ordered route).
 fn check(rows: &[Vec<Choice>], target: &[bool], block_bytes: usize, expect: Solver) {
     let csr = CsrMdp::from_explicit(&ExplicitMdp::new(rows.to_vec(), vec![0]).unwrap());
     let dir = tmpdir(&format!("{expect:?}"));
@@ -107,11 +109,19 @@ fn check(rows: &[Vec<Choice>], target: &[bool], block_bytes: usize, expect: Solv
                     .unwrap();
                 assert_same(&format!("{tag}, in-core scc"), &jacobi, &scc);
             }
+            let in_core = bounded(Query::csr(&csr), objective, target, budget)
+                .run()
+                .unwrap();
             for store in &stores {
                 let got = bounded(Query::source(store), objective, target, budget)
                     .run()
                     .unwrap();
                 let tag = format!("{tag}, cache budget {}", store.cache().budget());
+                let expect = if store.num_blocks() == 1 {
+                    in_core.solver
+                } else {
+                    expect
+                };
                 assert_eq!(got.solver, expect, "{tag}: solver");
                 assert_same(&tag, &jacobi, &got);
             }

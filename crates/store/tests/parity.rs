@@ -397,6 +397,58 @@ fn pinned_scc_on_a_stored_model_with_backward_edges_fails_at_solve() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A spill that fits in one block is a single-block source, which runs
+/// the general SCC-ordered solver on the stored rows: pinned unbounded and
+/// expected-cost queries answer bitwise as the in-core model does, with
+/// the same work counters. Cut into many blocks, the same model still
+/// refuses them at the validate stage.
+#[test]
+fn pinned_scc_on_a_one_block_spill_matches_in_core() {
+    let arrow = paper::arrow_g_to_p();
+    let model = round_model("G", arrow.to());
+    let to = set_pred(arrow.to()).unwrap();
+    let explored = Explore::new(&model)
+        .cost(round_cost)
+        .limit(LIMIT)
+        .run()
+        .unwrap();
+    let target = explored.target_where(|rs| to(&rs.config));
+    let one_dir = tmpdir("scc-one-block");
+    let one = Explore::new(&model)
+        .cost(round_cost)
+        .limit(LIMIT)
+        .spill_to(&one_dir, 1)
+        .block_bytes(1 << 26)
+        .run()
+        .unwrap();
+    assert_eq!(CsrSource::num_blocks(one.store()), 1);
+    let (many_dir, many) = spill_round(&model, "scc-many-blocks");
+    assert!(CsrSource::num_blocks(many.store()) > 1);
+    for objective in [QueryObjective::MaxProb, QueryObjective::MaxCost] {
+        let run = |q: Query<'_>| {
+            q.objective(objective)
+                .target(target.clone())
+                .solver(Solver::SccOrdered)
+                .run()
+        };
+        let in_core = run(explored.query()).unwrap();
+        let stored = run(one.query()).unwrap();
+        assert_eq!(stored.solver, Solver::SccOrdered);
+        assert_eq!(stored.stats, in_core.stats, "{objective:?}: work counters");
+        assert_bitwise(
+            &format!("one-block {objective:?}"),
+            &in_core.values,
+            &stored.values,
+        );
+        match run(many.query()) {
+            Err(MdpError::Query { stage, .. }) => assert_eq!(stage, "validate", "{objective:?}"),
+            other => panic!("{objective:?}: expected a validate-stage error, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&one_dir).unwrap();
+    std::fs::remove_dir_all(&many_dir).unwrap();
+}
+
 /// The paging contract of the reverse level pass: at a one-byte cache
 /// budget, a forward-only bounded query pages every CSR block exactly once
 /// per budget level, never hits, and sweeps once per level.

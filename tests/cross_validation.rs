@@ -118,7 +118,7 @@ fn extracted_worst_case_policy_reproduces_its_value() {
         .unwrap();
     let target = explored.target_where(|rs| regions::in_c(&rs.config));
     let budget = 12u32; // time 13
-    let analysis = Query::over(&explored.mdp)
+    let analysis = Query::csr(&explored.mdp)
         .objective(Objective::MinProb)
         .target(&target)
         .horizon(budget)
@@ -146,22 +146,22 @@ fn extracted_worst_case_policy_reproduces_its_value() {
             let Some(choice_idx) = policy.choice(state, remaining) else {
                 break; // absorbing non-target state
             };
-            let mdp = &explored.mdp;
-            let c = mdp.choice_range(state).start + choice_idx as usize;
-            if mdp.cost(c) > remaining {
+            let rows = explored.mdp.rows();
+            let c = rows.choice_range(state).start + choice_idx as usize;
+            if rows.costs[c] > remaining {
                 break; // out of time budget
             }
-            remaining -= mdp.cost(c);
+            remaining -= rows.costs[c];
             // Sample the successor.
             let mut x: f64 = rng.random();
-            let trans = mdp.trans_range(c);
-            let mut next = mdp.transition(trans.start).0;
-            for (t, p) in trans.map(|i| mdp.transition(i)) {
-                if x < p {
-                    next = t;
+            let trans = rows.trans_range(c);
+            let mut next = rows.targets[trans.start] as usize;
+            for i in trans {
+                if x < rows.probs[i] {
+                    next = rows.targets[i] as usize;
                     break;
                 }
-                x -= p;
+                x -= rows.probs[i];
             }
             state = next;
         }
