@@ -23,10 +23,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pa_core::Arrow;
-use pa_faults::set_pred_under;
-use pa_lehmann_rabin::{lemmas, paper, time_to_budget, verify_lemma_6_1};
-use pa_mdp::{InvariantResult, Query, QueryObjective};
-use pa_prob::Prob;
+use pa_faults::region_pred_under;
+use pa_lehmann_rabin::{lemmas, paper, verify_lemma_6_1, LrError};
+use pa_mdp::{InvariantResult, MdpError, Query, QueryObjective};
 use pa_telemetry::TelemetryScope;
 
 use crate::cache::{CacheSession, ModelCache};
@@ -228,42 +227,26 @@ fn execute(ctx: &JobCtx<'_>) -> Result<JobValue, String> {
         }
         JobKind::ComposedArrow => run_arrow(ctx, &paper::arrow_t_to_c()),
         JobKind::ExpectedTime { from, to, bound } => {
-            let from_pred = set_pred_under(from).map_err(|e| e.to_string())?;
-            let to_pred = set_pred_under(to).map_err(|e| e.to_string())?;
-            let model = ctx
+            // An unknown region fails the job before it touches the cache.
+            for atom in from.atoms().chain(to.atoms()) {
+                region_pred_under(atom).map_err(|e| e.to_string())?;
+            }
+            let checker = ctx
                 .cache
                 .model(ctx.spec.n, &ctx.spec.plan, ctx.spec.state_limit)?;
             ctx.checkpoint()?;
-            let starts = model.starts_where(|c, mask| from_pred(c, mask));
-            if starts.is_empty() {
-                return Ok(JobValue::Time {
-                    expected: Some(0.0),
-                    bound: *bound,
-                    within: true,
-                });
-            }
-            let n = ctx.spec.n;
-            let target = model
-                .explored
-                .target_where(|s| to_pred(&s.inner.config, s.crashed_mask(n)));
-            let analysis = Query::csr(&model.explored.mdp)
-                .objective(QueryObjective::MaxCost)
-                .target(target)
-                .solver(ctx.spec.solver)
-                .epsilon(ctx.spec.epsilon)
-                .workers(1)
-                .run()
-                .map_err(|e| e.to_string())?;
-            // `worst_over` faults only on divergence at a queried state —
-            // the expected-time analogue of a violated bound.
-            let expected = analysis
-                .worst_over(&starts)
-                .ok()
-                .map(|worst| worst.expect("starts are nonempty").1 + 1.0);
+            // A divergent expectation at a queried start is the
+            // expected-time analogue of a violated bound, not a failure.
+            let expected = match checker.expected_time(from, to, QueryObjective::MaxCost, tune(ctx))
+            {
+                Ok(expected) => Some(expected),
+                Err(LrError::Mdp(MdpError::DivergentExpectation { .. })) => None,
+                Err(e) => return Err(e.to_string()),
+            };
             Ok(JobValue::Time {
                 expected,
                 bound: *bound,
-                within: expected.is_some_and(|e| e <= *bound + 1e-9),
+                within: expected.is_some_and(|e| pa_core::meets_time_bound(e, *bound)),
             })
         }
         JobKind::Invariant => {
@@ -341,51 +324,29 @@ fn execute(ctx: &JobCtx<'_>) -> Result<JobValue, String> {
     }
 }
 
-/// Evaluates one arrow claim on the shared model: minimal probability over
-/// all adversaries of reaching the *to*-set within the arrow's time, from
-/// the worst *from*-state. Mirrors `pa_faults::check_arrow_under` (with
-/// `FaultPlan::none` that in turn equals the fault-free `check_arrow`),
-/// bitwise — see the soundness notes on [`crate::cache`].
+/// Evaluates one arrow claim on the shared model's checker. Equals
+/// `pa_faults::check_arrow_under` (with `FaultPlan::none` that in turn
+/// equals the fault-free `check_arrow`) bitwise — see the soundness notes
+/// on [`crate::cache`].
 fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
-    let claimed = arrow.prob().value();
-    let from = set_pred_under(arrow.from()).map_err(|e| e.to_string())?;
-    let to = set_pred_under(arrow.to()).map_err(|e| e.to_string())?;
-    let model = ctx
+    let checker = ctx
         .cache
         .model(ctx.spec.n, &ctx.spec.plan, ctx.spec.state_limit)?;
     ctx.checkpoint()?;
-    let starts = model.starts_where(|c, mask| from(c, mask));
-    if starts.is_empty() {
-        return Ok(JobValue::Prob {
-            measured: 1.0,
-            claimed,
-            holds: true,
-            worst_state: None,
-            states_checked: 0,
-        });
-    }
-    let n = ctx.spec.n;
-    let target = model
-        .explored
-        .target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
-    let budget = time_to_budget(arrow.time());
-    let (worst, measured) = Query::csr(&model.explored.mdp)
-        .objective(QueryObjective::MinProb)
-        .target(target)
-        .horizon(budget)
-        .solver(ctx.spec.solver)
-        .epsilon(ctx.spec.epsilon)
-        .workers(1)
-        .run()
-        .and_then(|analysis| analysis.worst_over(&starts))
-        .map_err(|e| e.to_string())?
-        .expect("starts are nonempty");
+    let check = checker.arrow(arrow, tune(ctx)).map_err(|e| e.to_string())?;
     Ok(prob_value(
-        Prob::clamped(measured).value(),
-        claimed,
-        Some(model.explored.state(worst).to_string()),
-        starts.len(),
+        check.measured.lo().value(),
+        arrow.prob().value(),
+        check.worst_state,
+        check.states_checked,
     ))
+}
+
+/// The job's own query settings: its solver and tolerance, on one worker
+/// (parallelism comes from running jobs concurrently).
+fn tune(ctx: &JobCtx<'_>) -> impl for<'q> FnOnce(Query<'q>) -> Query<'q> {
+    let (solver, epsilon) = (ctx.spec.solver, ctx.spec.epsilon);
+    move |q| q.solver(solver).epsilon(epsilon).workers(1)
 }
 
 /// A finished probability claim, its verdict from [`pa_core::meets_claim`].
@@ -409,42 +370,53 @@ mod tests {
     use super::*;
     use pa_core::{Arrow, ArrowCheck, SetExpr};
     use pa_faults::{classify, Survival};
-    use pa_prob::ProbInterval;
+    use pa_prob::{Prob, ProbInterval};
 
-    /// The four verdict sites — `ArrowCheck::holds`, the survival map's
-    /// `classify`, and the arrow and reachability jobs (both built by
-    /// `prob_value`) — agree on either side of the slack below a claim.
+    /// The verdict sites — `ArrowCheck::holds`, the survival map's
+    /// `classify`, the arrow and reachability jobs (both built by
+    /// `prob_value`), and `LemmaCheck::holds` behind the lemma job for the
+    /// certain claims — agree on either side of the slack below a claim.
     #[test]
     fn every_verdict_site_agrees_just_below_a_claim() {
-        let claimed = 0.125;
-        for (measured, holds) in [(claimed - 1e-10, false), (claimed - 1e-13, true)] {
-            let check = ArrowCheck {
-                arrow: Arrow::new(
-                    SetExpr::named("T"),
-                    SetExpr::named("C"),
-                    13.0,
-                    Prob::new(claimed).unwrap(),
-                )
-                .unwrap(),
-                measured: ProbInterval::exact(Prob::new(measured).unwrap()),
-                worst_state: None,
-                states_checked: 1,
-            };
-            assert_eq!(check.holds(), holds, "check_arrow at {measured}");
-            let survival = if holds {
-                Survival::Holds
-            } else {
-                Survival::Degraded
-            };
-            assert_eq!(
-                classify(measured, claimed),
-                survival,
-                "survival at {measured}"
-            );
-            let JobValue::Prob { holds: job, .. } = prob_value(measured, claimed, None, 1) else {
-                unreachable!("prob_value builds JobValue::Prob");
-            };
-            assert_eq!(job, holds, "batch job at {measured}");
+        for claimed in [0.125, 1.0] {
+            for (measured, holds) in [(claimed - 1e-10, false), (claimed - 1e-13, true)] {
+                let check = ArrowCheck {
+                    arrow: Arrow::new(
+                        SetExpr::named("T"),
+                        SetExpr::named("C"),
+                        13.0,
+                        Prob::new(claimed).unwrap(),
+                    )
+                    .unwrap(),
+                    measured: ProbInterval::exact(Prob::new(measured).unwrap()),
+                    worst_state: None,
+                    states_checked: 1,
+                };
+                assert_eq!(check.holds(), holds, "check_arrow at {measured}");
+                let survival = if holds {
+                    Survival::Holds
+                } else {
+                    Survival::Degraded
+                };
+                assert_eq!(
+                    classify(measured, claimed),
+                    survival,
+                    "survival at {measured}"
+                );
+                let JobValue::Prob { holds: job, .. } = prob_value(measured, claimed, None, 1)
+                else {
+                    unreachable!("prob_value builds JobValue::Prob");
+                };
+                assert_eq!(job, holds, "batch job at {measured}");
+                if claimed == 1.0 {
+                    let lemma = lemmas::LemmaCheck {
+                        name: "A.4",
+                        instances: 1,
+                        min_prob: measured,
+                    };
+                    assert_eq!(lemma.holds(), holds, "lemma at {measured}");
+                }
+            }
         }
     }
 

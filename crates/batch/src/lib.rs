@@ -15,7 +15,9 @@
 //!   batch cancellation, aggregating into a [`BatchReport`].
 //! * [`ModelCache`] — explored fault-wrapped round models keyed by
 //!   `(ring, plan)`, built once and shared by every job that queries them
-//!   (soundness argument on the [`cache`] module).
+//!   as the [`pa_lehmann_rabin::ArrowChecker`] every arrow and
+//!   expected-time job asks (soundness argument on
+//!   [`pa_lehmann_rabin::checker`]).
 //! * Per-job [`pa_telemetry::TelemetryScope`]s — no cross-job bleed, no
 //!   global resets.
 //!
@@ -53,7 +55,7 @@ mod report;
 mod select;
 mod spec;
 
-pub use cache::{CacheSession, ModelCache, QuotientModel, SharedModel, StoredQuotientModel};
+pub use cache::{CacheSession, ModelCache};
 pub use driver::{run_batch, run_batch_in, BatchError, JobCtx};
 pub use report::{BatchReport, CacheStats, Tally};
 pub use select::{estimated_quotient_states, estimated_ring_states, select_kind};

@@ -338,34 +338,3 @@ fn sampled_interval_contains_the_exact_tier_value() {
     );
     assert!(!refuted, "the paper's T -> C claim must survive sampling");
 }
-
-/// One-off measurement helper for the bench symmetry block: full vs
-/// quotient shared round-model sizes (run with `--ignored --nocapture`).
-#[test]
-#[ignore = "measurement helper"]
-fn print_shared_model_sizes() {
-    use pa_batch::ModelCache;
-    let range = std::env::var("QC_RANGE").unwrap_or_else(|_| "3:4".to_string());
-    let (lo, hi) = range.split_once(':').unwrap();
-    let cache = ModelCache::new();
-    for n in lo.parse().unwrap()..=hi.parse::<usize>().unwrap() {
-        let t0 = std::time::Instant::now();
-        let quot = cache.model_quotient(n, 200_000_000).unwrap();
-        let tq = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        let full = if std::env::var("QC_FULL").as_deref() == Ok("0") {
-            None
-        } else {
-            cache
-                .model(n, &pa_faults::FaultPlan::none(), 200_000_000)
-                .ok()
-        };
-        let tf = t0.elapsed().as_secs_f64();
-        println!(
-            "n={n}: quotient={} ({tq:.2}s, {} MB) full={:?} ({tf:.2}s)",
-            quot.explored.num_states(),
-            quot.explored.mem_bytes() / (1 << 20),
-            full.map(|m| m.explored.num_states()),
-        );
-    }
-}

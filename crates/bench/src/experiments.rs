@@ -154,7 +154,7 @@ pub fn expected_time(n: usize) -> ExpResult {
             format!("exact worst-case E[time {from} → {to}], n={n}"),
             format!("≤ {paper_bound}"),
             format!("{e:.3}"),
-            e <= paper_bound,
+            pa_core::meets_time_bound(e, paper_bound),
             format!("round model B=1 [{}]", fmt_duration(t0.elapsed())),
         ));
     }
@@ -770,11 +770,9 @@ pub fn survival_sampled(n: usize, limit: usize, trials: u64) -> ExpResult {
 /// The spill directory is removed on success; the row fails (`Violated`)
 /// if the measured worst-case probability drops below the claim.
 pub fn out_of_core_frontier(n: usize, limit: usize, cache_budget: u64) -> ExpResult {
-    use pa_faults::{
-        faulty_round_cost, set_pred_under, FaultPlan, FaultyRoundMdp, FaultyStateCodec,
-    };
-    use pa_lehmann_rabin::{reachable_configs_quotient, time_to_budget};
-    use pa_mdp::{CsrSource, PackedSpace, QueryObjective, RingRotation};
+    use pa_faults::{faulty_round_cost, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
+    use pa_lehmann_rabin::{reachable_configs_quotient, ArrowChecker};
+    use pa_mdp::{PackedSpace, RingRotation};
     use pa_store::SpillTo;
 
     let dir = std::env::temp_dir().join(format!("pa-e18-n{n}-{}", std::process::id()));
@@ -799,28 +797,13 @@ pub fn out_of_core_frontier(n: usize, limit: usize, cache_budget: u64) -> ExpRes
         .find(|(a, _)| a.time() == 1.0)
         .expect("the paper has exactly one t = 1 arrow (P —1→ C)");
     let claimed = arrow.prob().value();
-    let from = set_pred_under(arrow.from())?;
-    let to = set_pred_under(arrow.to())?;
-    let starts: Vec<usize> = stored
-        .store()
-        .initial_states()
-        .iter()
-        .copied()
-        .filter(|&i| {
-            let s = stored.state(i);
-            from(&s.inner.config, s.crashed_mask(n))
-        })
-        .collect();
+    // The fault-free quotient: no process is down when the clock starts.
+    let checker = ArrowChecker::new(n, 0, stored);
     let t0 = Instant::now();
-    let (_, worst) = stored
-        .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
-        .objective(QueryObjective::MinProb)
-        .horizon(time_to_budget(arrow.time()))
-        .run()?
-        .worst_over(&starts)?
-        .ok_or_else(|| format!("E18: {arrow} source set unreachable at n={n}"))?;
+    let check = checker.arrow(&arrow, |q| q)?;
+    let worst = check.measured.lo().value();
     let query = fmt_duration(t0.elapsed());
-    let stats = stored.store().cache().local_stats();
+    let stats = checker.model().store().cache().local_stats();
 
     let rows = vec![
         Row::info(
@@ -832,17 +815,20 @@ pub fn out_of_core_frontier(n: usize, limit: usize, cache_budget: u64) -> ExpRes
         ),
         Row::checked(
             "E18",
-            format!("{arrow} on the spilled n={n} quotient ({} starts)", starts.len()),
+            format!(
+                "{arrow} on the spilled n={n} quotient ({} starts)",
+                check.states_checked
+            ),
             format!("p ≥ {claimed}"),
             format!("min p = {worst:.6}"),
-            worst >= claimed,
+            check.holds(),
             format!(
                 "cache budget {cache_budget} B, peak resident {} B, {} faults, {} evictions [{query}]",
                 stats.peak_resident_bytes, stats.faults, stats.evictions,
             ),
         ),
     ];
-    drop(stored);
+    drop(checker);
     std::fs::remove_dir_all(&dir)?;
     Ok(rows)
 }

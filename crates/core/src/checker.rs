@@ -11,11 +11,19 @@ pub const CLAIM_SLACK: f64 = 1e-12;
 /// The one verdict rule for a probability claim: `true` when `measured`
 /// is at least `claimed` up to [`CLAIM_SLACK`].
 ///
-/// [`ArrowCheck::holds`], the fault survival map, and the batch driver's
-/// arrow and reachability jobs all decide through this function, so a
-/// worst case just below a claim gets the same verdict everywhere.
+/// [`ArrowCheck::holds`], `pa-lehmann-rabin`'s `LemmaCheck::holds`, the
+/// fault survival map, and the batch driver's arrow, reachability and
+/// lemma jobs all decide through this function, so a worst case just
+/// below a claim gets the same verdict everywhere.
 pub fn meets_claim(measured: f64, claimed: f64) -> bool {
     measured >= claimed - CLAIM_SLACK
+}
+
+/// The one verdict rule for an expected-time bound: `true` when
+/// `expected` is at most `bound` up to [`CLAIM_SLACK`]. The batch
+/// driver's expected-time job and experiment E7 decide through it.
+pub fn meets_time_bound(expected: f64, bound: f64) -> bool {
+    expected <= bound + CLAIM_SLACK
 }
 
 /// The result of checking an [`Arrow`] claim against a model.
@@ -40,6 +48,17 @@ pub struct ArrowCheck {
 }
 
 impl ArrowCheck {
+    /// The answer for a source region with no reachable state: the claim
+    /// holds vacuously, with probability 1 and nothing checked.
+    pub fn vacuous(arrow: &Arrow) -> ArrowCheck {
+        ArrowCheck {
+            arrow: arrow.clone(),
+            measured: ProbInterval::exact(pa_prob::Prob::ONE),
+            worst_state: None,
+            states_checked: 0,
+        }
+    }
+
     /// `true` when the measured bracket's lower end meets the claimed
     /// bound ([`meets_claim`]).
     pub fn holds(&self) -> bool {
@@ -102,6 +121,14 @@ mod tests {
     fn holds_allows_round_off_only() {
         assert!(check(0.25 - CLAIM_SLACK / 2.0, 0.25).holds());
         assert!(!check(0.25 - 1e-10, 0.25).holds());
+    }
+
+    #[test]
+    fn time_bounds_allow_round_off_only() {
+        assert!(meets_time_bound(60.0, 60.0));
+        assert!(meets_time_bound(60.0 + 1e-13, 60.0));
+        assert!(!meets_time_bound(60.0 + 1e-10, 60.0));
+        assert!(!meets_time_bound(f64::INFINITY, 60.0));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use arrow::{Arrow, SetExpr};
 pub use automaton::{
     collect_steps, map_outcomes, Automaton, Step, TableAutomaton, TableAutomatonBuilder,
 };
-pub use checker::{meets_claim, ArrowCheck, CLAIM_SLACK};
+pub use checker::{meets_claim, meets_time_bound, ArrowCheck, CLAIM_SLACK};
 pub use derivation::Derivation;
 pub use error::CoreError;
 pub use event::{AllOf, AnyOf, Complement, EventSchema, Eventually, Outcome};

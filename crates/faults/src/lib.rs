@@ -61,16 +61,21 @@ mod survival;
 pub use adversary::{faulty_adversary, round_of_time};
 pub use error::FaultError;
 pub use model::FaultModel;
+/// The fault-aware region resolvers, which live beside the fault-free
+/// ones in `pa-lehmann-rabin`.
+pub use pa_lehmann_rabin::{region_pred_under, set_pred_under};
 pub use packed::{FaultyStateCodec, MAX_PACKED_ROUND};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, MAX_DOWNTIME};
-pub use round::{faulty_round_cost, FaultyRoundMdp, FaultyRoundState, STOPPED, TAG_CRASH};
+pub use round::{
+    faulty_round_cost, FaultChecker, FaultyRoundMdp, FaultyRoundState, STOPPED, TAG_CRASH,
+};
 pub use sampling::{
     estimate_reach_uniform, estimate_reach_uniform_from, exact_reach_uniform, sampled_arrow_under,
     trying_start, SampledArrow,
 };
 pub use survival::{
-    check_arrow_under, check_arrow_under_quotient, classify, default_grid, region_pred_under,
-    set_pred_under, start_crash_mask, survival_map, survival_map_hybrid,
-    survival_map_hybrid_with_grid, survival_map_with_grid, HybridSurvivalMap, HybridSurvivalRow,
-    SampledSurvivalCell, Survival, SurvivalCell, SurvivalMap, SurvivalRow, DEFAULT_STATE_LIMIT,
+    check_arrow_under, check_arrow_under_quotient, classify, default_grid, start_crash_mask,
+    survival_map, survival_map_hybrid, survival_map_hybrid_with_grid, survival_map_with_grid,
+    HybridSurvivalMap, HybridSurvivalRow, SampledSurvivalCell, Survival, SurvivalCell, SurvivalMap,
+    SurvivalRow, DEFAULT_STATE_LIMIT,
 };

@@ -36,7 +36,10 @@
 use std::sync::Arc;
 
 use pa_core::{collect_steps, map_outcomes, Automaton, Step};
-use pa_lehmann_rabin::{Config, RoundAction, RoundConfig, RoundMdp, RoundState};
+use pa_lehmann_rabin::{
+    ArrowChecker, CheckedState, Config, RoundAction, RoundAutomaton, RoundConfig, RoundMdp,
+    RoundState,
+};
 use pa_mdp::{least_key, rotate_lanes, tag_choices, ChoiceTags, Explored, TAG_NONE};
 
 use crate::{FaultError, FaultKind, FaultPlan};
@@ -424,6 +427,46 @@ impl Automaton for FaultyRoundMdp {
             RoundAction::Schedule(a) => a.is_external(),
             RoundAction::EndRound => false,
         }
+    }
+}
+
+/// An [`ArrowChecker`] over an in-core fault-wrapped model with boxed
+/// states.
+pub type FaultChecker = ArrowChecker<FaultyRoundState, Explored<FaultyRoundState>>;
+
+/// The checker reads a fault-wrapped state's regions under the faults in
+/// force and reports a worst start as the whole state.
+impl CheckedState for FaultyRoundState {
+    fn config(&self) -> &Config {
+        &self.inner.config
+    }
+    fn crash_mask(&self, n: usize) -> u32 {
+        self.crashed_mask(n)
+    }
+    fn render(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl RoundAutomaton for FaultyRoundMdp {
+    fn ring_size(&self) -> usize {
+        self.base.config().n
+    }
+    fn start_crash_mask(&self) -> u32 {
+        crate::start_crash_mask(&self.plan)
+    }
+    fn step_cost(state: &FaultyRoundState, action: &RoundAction) -> u32 {
+        faulty_round_cost(state, action)
+    }
+    fn starting_from(self, starts: Vec<Config>) -> FaultyRoundMdp {
+        self.with_starts(starts)
+    }
+    fn absorbing(
+        self,
+        region: impl Fn(&Config, u32) -> bool + Send + Sync + 'static,
+    ) -> FaultyRoundMdp {
+        let n = self.ring_size();
+        self.with_absorb(move |s| region(&s.inner.config, s.crashed_mask(n)))
     }
 }
 

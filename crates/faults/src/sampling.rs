@@ -18,17 +18,19 @@
 
 use pa_core::{Arrow, Automaton, SetExpr};
 use pa_lehmann_rabin::{
-    reachable_configs, time_to_budget, Config, Pc, ProcState, RoundConfig, Side,
+    explore_checker, reachable_configs, time_to_budget, ArrowSolve, Config, Pc, ProcState,
+    RoundConfig, Side,
 };
 use pa_mc::{
     chain_target, estimate_reach, McConfig, McEstimate, OptimalReplay, UniformChain, UniformPolicy,
 };
-use pa_mdp::{Explore, Objective};
+use pa_mdp::{BoxedSpace, Explore, Objective};
 use pa_prob::stats::Z_99;
 use pa_prob::{Prob, ProbInterval};
 
-use crate::survival::arrow_model;
-use crate::{faulty_round_cost, set_pred_under, FaultError, FaultPlan};
+use crate::{
+    faulty_round_cost, set_pred_under, FaultChecker, FaultError, FaultPlan, FaultyRoundMdp,
+};
 
 /// A sampled arrow check with its exact-engine anchor.
 #[derive(Debug, Clone)]
@@ -69,36 +71,25 @@ pub fn sampled_arrow_under(
     limit: usize,
     mc: &McConfig,
 ) -> Result<Option<SampledArrow>, FaultError> {
-    let reachable = reachable_configs(cfg.n, limit)?;
-    let Some((model, _states_checked)) = arrow_model(cfg, arrow, plan, &reachable)? else {
+    let Some((model, checker)) = arrow_model(cfg, arrow, plan, limit)? else {
         return Ok(None);
     };
-    let to = set_pred_under(arrow.to())?;
-    let n = cfg.n;
-    let explored = Explore::new(&model)
-        .cost(faulty_round_cost)
-        .limit(limit)
-        .parallel()
-        .run()?;
-    let budget = time_to_budget(arrow.time());
-    let analysis = explored
-        .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
-        .objective(Objective::MinProb)
-        .horizon(budget)
-        .with_policy()
-        .run()?;
-    let (worst, exact) = analysis
-        .worst_over(explored.mdp.initial_states())?
+    let ArrowSolve {
+        worst, analysis, ..
+    } = checker
+        .solve_arrow(arrow, |q| q.with_policy())?
         .expect("arrow model has at least one start state");
+    let exact = analysis.values[worst];
     let policy = analysis
         .policy
         .as_ref()
         .expect("with_policy() query returns a policy");
 
-    let replay = OptimalReplay {
-        explored: &explored,
-        policy,
-    };
+    let to = set_pred_under(arrow.to())?;
+    let n = cfg.n;
+    let budget = time_to_budget(arrow.time());
+    let explored = checker.model();
+    let replay = OptimalReplay { explored, policy };
     let estimate = estimate_reach(
         &model,
         &explored.state(worst),
@@ -120,6 +111,27 @@ pub fn sampled_arrow_under(
         interval,
         contains_exact: interval.contains(Prob::clamped(exact)),
     }))
+}
+
+/// The fault-wrapped arrow model the sampled replays run on (boxed,
+/// full space), with its automaton; `None` for an empty source region.
+fn arrow_model(
+    cfg: RoundConfig,
+    arrow: &Arrow,
+    plan: &FaultPlan,
+    limit: usize,
+) -> Result<Option<(FaultyRoundMdp, FaultChecker)>, FaultError> {
+    let reachable = reachable_configs(cfg.n, limit)?;
+    let model = FaultyRoundMdp::new(cfg, plan.clone())?;
+    let scope = Some((arrow.from(), arrow.to()));
+    Ok(explore_checker(
+        model,
+        &reachable,
+        scope,
+        limit,
+        false,
+        BoxedSpace::default(),
+    )?)
 }
 
 /// The canonical all-trying configuration (`T`: every process at `Pc::F`),
@@ -334,31 +346,21 @@ mod tests {
         let plan = FaultPlan::none();
         for n in [3usize, 4] {
             let cfg = RoundConfig::new(n).unwrap();
-            let reachable = reachable_configs(n, 1_000_000).unwrap();
-            let (model, _) = arrow_model(cfg, &arrow, &plan, &reachable)
+            let (model, checker) = arrow_model(cfg, &arrow, &plan, 1_000_000)
                 .unwrap()
                 .expect("G is non-empty on the fault-free ring");
-            let to = set_pred_under(arrow.to()).unwrap();
-            let explored = Explore::new(&model)
-                .cost(faulty_round_cost)
-                .limit(1_000_000)
-                .parallel()
-                .run()
-                .unwrap();
-            let budget = time_to_budget(arrow.time());
-            let analysis = explored
-                .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
-                .objective(Objective::MinProb)
-                .horizon(budget)
-                .with_policy()
-                .run()
-                .unwrap();
-            let (worst, exact) = analysis
-                .worst_over(explored.mdp.initial_states())
+            let ArrowSolve {
+                worst, analysis, ..
+            } = checker
+                .solve_arrow(&arrow, |q| q.with_policy())
                 .unwrap()
                 .unwrap();
+            let exact = analysis.values[worst];
+            let to = set_pred_under(arrow.to()).unwrap();
+            let budget = time_to_budget(arrow.time());
+            let explored = checker.model();
             let replay = OptimalReplay {
-                explored: &explored,
+                explored,
                 policy: analysis.policy.as_ref().unwrap(),
             };
             let mut contained = 0;

@@ -9,19 +9,15 @@
 //! equal to the fault-free [`pa_lehmann_rabin::check_arrow`] results, a
 //! property the regression tests pin down.
 
-use pa_core::{Arrow, ArrowCheck, SetExpr};
+use pa_core::{Arrow, ArrowCheck};
 use pa_lehmann_rabin::{
-    paper, reachable_configs, reachable_configs_quotient, regions, time_to_budget, Config,
-    RoundConfig,
+    explore_checker, paper, reachable_configs, reachable_configs_quotient, set_pred_under,
+    time_to_budget, Config, RoundConfig,
 };
-use pa_mdp::{Explore, Explored, Objective, PackedSpace, RingRotation, StateSpace};
-use pa_prob::{Prob, ProbInterval};
+use pa_mdp::{BoxedSpace, PackedSpace};
 use serde::Serialize;
 
-use crate::{
-    faulty_round_cost, FaultError, FaultKind, FaultPlan, FaultyRoundMdp, FaultyRoundState,
-    FaultyStateCodec,
-};
+use crate::{FaultError, FaultKind, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
 
 /// Default cap on explored states for survival analyses, matching
 /// [`pa_lehmann_rabin::DEFAULT_STATE_LIMIT`].
@@ -97,41 +93,6 @@ pub fn classify(measured: f64, claimed: f64) -> Survival {
     }
 }
 
-/// Resolves a region atom to its fault-aware predicate (the `_under`
-/// family, which requires progress witnesses to be live).
-///
-/// # Errors
-///
-/// [`pa_lehmann_rabin::LrError::UnknownRegion`] for unknown atoms.
-pub fn region_pred_under(atom: &str) -> Result<fn(&Config, u32) -> bool, FaultError> {
-    match atom {
-        "T" => Ok(regions::in_t_under),
-        "C" => Ok(regions::in_c_under),
-        "RT" => Ok(regions::in_rt_under),
-        "F" => Ok(regions::in_f_under),
-        "G" => Ok(regions::in_g_under),
-        "P" => Ok(regions::in_p_under),
-        other => Err(FaultError::Lr(pa_lehmann_rabin::LrError::UnknownRegion(
-            other.to_string(),
-        ))),
-    }
-}
-
-/// Resolves a [`SetExpr`] to a fault-aware union predicate.
-///
-/// # Errors
-///
-/// Same as [`region_pred_under`].
-pub fn set_pred_under(
-    set: &SetExpr,
-) -> Result<impl Fn(&Config, u32) -> bool + Send + Sync, FaultError> {
-    let preds: Vec<fn(&Config, u32) -> bool> = set
-        .atoms()
-        .map(region_pred_under)
-        .collect::<Result<_, _>>()?;
-    Ok(move |c: &Config, crashed: u32| preds.iter().any(|p| p(c, crashed)))
-}
-
 /// Exactly checks an arrow claim on the fault-wrapped round model: for
 /// every reachable configuration in `U` (judged under the faults already
 /// struck at round 1), the minimal probability over all round adversaries
@@ -180,7 +141,8 @@ pub fn check_arrow_under_quotient(
 
 /// The exact fault check over already enumerated configurations: `reachable`
 /// holds the orbit representatives when `quotient` (and `plan` is then
-/// empty), every reachable configuration otherwise.
+/// empty, and states are bit-packed), every reachable configuration
+/// otherwise.
 fn check_arrow_in(
     cfg: RoundConfig,
     arrow: &Arrow,
@@ -189,58 +151,19 @@ fn check_arrow_in(
     limit: usize,
     quotient: bool,
 ) -> Result<ArrowCheck, FaultError> {
-    let Some((model, states_checked)) = arrow_model(cfg, arrow, plan, reachable)? else {
-        return Ok(ArrowCheck {
-            arrow: arrow.clone(),
-            measured: ProbInterval::exact(Prob::ONE),
-            worst_state: None,
-            states_checked: 0,
-        });
-    };
-    let to = set_pred_under(arrow.to())?;
-    let n = cfg.n;
-    let budget = time_to_budget(arrow.time());
-    if quotient {
-        let space = PackedSpace::new(FaultyStateCodec::new(n, model.round_cap())?);
-        let explored = Explore::new(&model)
-            .cost(faulty_round_cost)
-            .limit(limit)
-            .parallel()
-            .symmetry(RingRotation::new(n))
-            .run_in(space)?;
-        finish_arrow_under(&explored, &to, n, budget, arrow, states_checked)
+    let model = FaultyRoundMdp::new(cfg, plan.clone())?;
+    let scope = Some((arrow.from(), arrow.to()));
+    let check = if quotient {
+        let space = PackedSpace::new(FaultyStateCodec::new(cfg.n, model.round_cap())?);
+        explore_checker(model, reachable, scope, limit, true, space)?
+            .map(|(_, checker)| checker.arrow(arrow, |q| q))
     } else {
-        let explored = Explore::new(&model)
-            .cost(faulty_round_cost)
-            .limit(limit)
-            .parallel()
-            .run()?;
-        finish_arrow_under(&explored, &to, n, budget, arrow, states_checked)
-    }
-}
-
-/// The solver tail shared by the full-space and quotient fault checks.
-fn finish_arrow_under<SP: StateSpace<FaultyRoundState>>(
-    explored: &Explored<FaultyRoundState, SP>,
-    to: &impl Fn(&Config, u32) -> bool,
-    n: usize,
-    budget: u32,
-    arrow: &Arrow,
-    states_checked: usize,
-) -> Result<ArrowCheck, FaultError> {
-    let (worst, measured) = explored
-        .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
-        .objective(Objective::MinProb)
-        .horizon(budget)
-        .run()?
-        .worst_over(explored.mdp.initial_states())?
-        .expect("an arrow model has starts");
-    Ok(ArrowCheck {
-        arrow: arrow.clone(),
-        measured: ProbInterval::exact(Prob::clamped(measured)),
-        worst_state: Some(explored.state(worst).to_string()),
-        states_checked,
-    })
+        explore_checker(model, reachable, scope, limit, false, BoxedSpace::default())?
+            .map(|(_, checker)| checker.arrow(arrow, |q| q))
+    };
+    Ok(check
+        .transpose()?
+        .unwrap_or_else(|| ArrowCheck::vacuous(arrow)))
 }
 
 /// The crash mask already in force when the clock starts: round-1 events
@@ -251,37 +174,6 @@ pub fn start_crash_mask(plan: &FaultPlan) -> u32 {
         .iter()
         .filter(|e| !matches!(e.kind, FaultKind::DropObligation))
         .fold(0u32, |m, e| m | (1 << e.process))
-}
-
-/// Builds the fault-wrapped arrow model both the exact and the sampled
-/// checkers run on: the configurations of `reachable` in the arrow's
-/// source region (judged under the round-1 crash mask) as starts, with
-/// the target region absorbing, plus the number of starts. Returns `None`
-/// when the source region is empty — the arrow is then vacuously true
-/// and there is nothing to analyze.
-pub(crate) fn arrow_model(
-    cfg: RoundConfig,
-    arrow: &Arrow,
-    plan: &FaultPlan,
-    reachable: &[Config],
-) -> Result<Option<(FaultyRoundMdp, usize)>, FaultError> {
-    let from = set_pred_under(arrow.from())?;
-    let n = cfg.n;
-    let mask0 = start_crash_mask(plan);
-    let starts: Vec<Config> = reachable
-        .iter()
-        .filter(|c| from(c, mask0))
-        .copied()
-        .collect();
-    if starts.is_empty() {
-        return Ok(None);
-    }
-    let states_checked = starts.len();
-    let to_for_absorb = set_pred_under(arrow.to())?;
-    let model = FaultyRoundMdp::new(cfg, plan.clone())?
-        .with_starts(starts)
-        .with_absorb(move |s| to_for_absorb(&s.inner.config, s.crashed_mask(n)));
-    Ok(Some((model, states_checked)))
 }
 
 /// The default fault grid: the zero-fault identity column plus one
@@ -511,14 +403,6 @@ mod tests {
         assert_eq!(classify(0.5 + 1e-15, 0.5), Survival::Holds);
         assert_eq!(classify(0.25, 0.5), Survival::Degraded);
         assert_eq!(classify(0.0, 0.5), Survival::Fails);
-    }
-
-    #[test]
-    fn region_resolver_knows_all_atoms() {
-        for atom in ["T", "C", "RT", "F", "G", "P"] {
-            assert!(region_pred_under(atom).is_ok());
-        }
-        assert!(region_pred_under("X").is_err());
     }
 
     #[test]

@@ -11,9 +11,13 @@
 
 use pa_core::Automaton;
 use pa_faults::{
-    check_arrow_under, faulty_round_cost, survival_map, FaultModel, FaultPlan, FaultyRoundMdp,
+    check_arrow_under, faulty_round_cost, region_pred_under, survival_map, FaultModel, FaultPlan,
+    FaultyRoundMdp,
 };
-use pa_lehmann_rabin::{check_arrow_with_limit, paper, round_cost, RoundConfig, RoundMdp};
+use pa_lehmann_rabin::{
+    check_arrow_with_limit, paper, reachable_configs, region_pred, round_cost, RoundConfig,
+    RoundMdp,
+};
 use pa_mdp::{Explore, Objective};
 use serde::Serialize;
 
@@ -129,13 +133,28 @@ fn zero_fault_query_values_are_bitwise_unchanged() {
     }
 }
 
-/// Checker verdicts under the empty plan equal the fault-free
-/// `check_arrow` results bitwise, for every paper arrow.
+/// The one region resolver the checker reads (`region_pred_under`)
+/// agrees with the fault-free one under the empty crash mask on every
+/// reachable configuration, and checker verdicts under the empty plan
+/// (boxed fault-wrapped states) equal the fault-free `check_arrow`
+/// results (packed round states) bitwise, for all six paper claims.
 #[test]
 fn zero_fault_checker_verdicts_are_bitwise_unchanged() {
+    for n in [3, 4] {
+        let configs = reachable_configs(n, LIMIT).unwrap();
+        for atom in ["T", "C", "RT", "F", "G", "P"] {
+            let plain = region_pred(atom).unwrap();
+            let under = region_pred_under(atom).unwrap();
+            for c in &configs {
+                assert_eq!(plain(c), under(c, 0), "{atom} at n = {n}: {c}");
+            }
+        }
+    }
     let cfg = RoundConfig::new(3).unwrap();
     let mdp = RoundMdp::new(cfg);
-    for (arrow, why) in paper::all_arrows() {
+    let mut claims = paper::all_arrows();
+    claims.push((paper::arrow_t_to_c(), "Section 6.2"));
+    for (arrow, why) in claims {
         let plain = check_arrow_with_limit(&mdp, &arrow, LIMIT).unwrap();
         let wrapped = check_arrow_under(cfg, &arrow, &FaultPlan::none(), LIMIT).unwrap();
         assert_eq!(

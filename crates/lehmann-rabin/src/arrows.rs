@@ -1,16 +1,18 @@
-//! The paper's arrow claims as data, the region resolver, and the exact
-//! checker that verifies each claim against *all* adversaries of the round
-//! model.
+//! The paper's arrow claims as data, the region resolvers, the
+//! reachable-configuration enumerations, and the exact checks of each
+//! claim against *all* adversaries of the round model (thin calls into
+//! [`crate::ArrowChecker`]).
 
 use pa_core::{Arrow, ArrowCheck, Derivation, SetExpr};
 use pa_mdp::{
-    BoxedSpace, CsrRow, Explore, Explored, MdpError, Objective, PackedSpace, QueryObjective,
-    RingRotation, RowSink,
+    BoxedSpace, CsrRow, Explore, Explored, MdpError, PackedSpace, QueryObjective, RingRotation,
+    RowSink,
 };
-use pa_prob::{Prob, ProbInterval};
+use pa_prob::Prob;
 
+use crate::checker::{explore_checker, ArrowChecker};
 use crate::packed::RoundStateCodec;
-use crate::{regions, round_cost, time_to_budget, Config, LrError, RoundMdp, RoundState};
+use crate::{regions, Config, LrError, RoundMdp, RoundState};
 
 /// Default cap on explored round states.
 pub const DEFAULT_STATE_LIMIT: usize = 20_000_000;
@@ -150,6 +152,41 @@ pub fn set_pred(set: &SetExpr) -> Result<impl Fn(&Config) -> bool + Send + Sync,
     Ok(move |c: &Config| preds.iter().any(|p| p(c)))
 }
 
+/// Resolves a region atom to its fault-aware predicate over a
+/// configuration and the crash mask in force (the `_under` family of
+/// [`regions`], which requires progress witnesses to be live). Under the
+/// mask 0 each agrees with [`region_pred`]'s.
+///
+/// # Errors
+///
+/// [`LrError::UnknownRegion`] for unknown atoms.
+pub fn region_pred_under(atom: &str) -> Result<fn(&Config, u32) -> bool, LrError> {
+    match atom {
+        "T" => Ok(regions::in_t_under),
+        "C" => Ok(regions::in_c_under),
+        "RT" => Ok(regions::in_rt_under),
+        "F" => Ok(regions::in_f_under),
+        "G" => Ok(regions::in_g_under),
+        "P" => Ok(regions::in_p_under),
+        other => Err(LrError::UnknownRegion(other.to_string())),
+    }
+}
+
+/// Resolves a [`SetExpr`] to a fault-aware union predicate.
+///
+/// # Errors
+///
+/// Same as [`region_pred_under`].
+pub fn set_pred_under(
+    set: &SetExpr,
+) -> Result<impl Fn(&Config, u32) -> bool + Send + Sync + 'static, LrError> {
+    let preds: Vec<fn(&Config, u32) -> bool> = set
+        .atoms()
+        .map(region_pred_under)
+        .collect::<Result<_, _>>()?;
+    Ok(move |c: &Config, crashed: u32| preds.iter().any(|p| p(c, crashed)))
+}
+
 /// Enumerates `rstates(M)`: every configuration reachable from the all-idle
 /// start under the full user model and free interleaving. These are the
 /// states the paper's arrow statements quantify over.
@@ -196,21 +233,18 @@ impl RowSink for DiscardRows {
     }
 }
 
-/// The explored model of one `from → to` question on the round model.
-pub(crate) struct ArrowModel {
-    /// The round model, started from the source region with the target
-    /// region absorbing (the witness replays its steps).
-    pub(crate) model: RoundMdp,
-    /// The explored model, states bit-packed.
-    pub(crate) explored: Explored<RoundState, PackedSpace<RoundStateCodec>>,
-    /// The target-region mask over the explored states.
-    pub(crate) target: Vec<bool>,
-}
+/// The explored arrow model of one `from → to` question on the round
+/// model: the automaton (the witness replays its steps) and the checker
+/// over its bit-packed states.
+pub(crate) type ArrowModel = (
+    RoundMdp,
+    ArrowChecker<RoundState, Explored<RoundState, PackedSpace<RoundStateCodec>>>,
+);
 
-/// Builds and explores the model every arrow analysis runs on: each
-/// reachable configuration of `from` (each orbit representative when
-/// `quotient`) as a fresh round start, `to` absorbing (sound for
-/// first-hitting). Returns `None` when `from` has no reachable
+/// Explores the model every arrow analysis of the round model runs on
+/// ([`crate::explore_checker`]): each reachable configuration of `from`
+/// (each orbit representative when `quotient`) as a fresh round start,
+/// `to` absorbing. Returns `None` when `from` has no reachable
 /// configuration.
 ///
 /// States are always packed ([`RoundStateCodec`]): the packed store
@@ -223,35 +257,17 @@ pub(crate) fn arrow_model(
     limit: usize,
     quotient: bool,
 ) -> Result<Option<ArrowModel>, LrError> {
-    let from = set_pred(from)?;
-    let to_for_absorb = set_pred(to)?;
-    let to = set_pred(to)?;
     let n = mdp.config().n;
-    let starts: Vec<Config> = reachable(n, limit, quotient)?
-        .into_iter()
-        .filter(|c| from(c))
-        .collect();
-    if starts.is_empty() {
-        return Ok(None);
-    }
-    let model = mdp
-        .clone()
-        .with_starts(starts)
-        .with_absorb(move |c| to_for_absorb(c));
-    let mut explore = Explore::new(&model)
-        .cost(round_cost)
-        .limit(limit)
-        .parallel();
-    if quotient {
-        explore = explore.symmetry(RingRotation::new(n));
-    }
-    let explored = explore.run_in(PackedSpace::new(RoundStateCodec::new(n)?))?;
-    let target = explored.target_where(|rs| to(&rs.config));
-    Ok(Some(ArrowModel {
-        model,
-        explored,
-        target,
-    }))
+    let configs = reachable(n, limit, quotient)?;
+    let space = PackedSpace::new(RoundStateCodec::new(n)?);
+    explore_checker(
+        mdp.clone(),
+        &configs,
+        Some((from, to)),
+        limit,
+        quotient,
+        space,
+    )
 }
 
 /// Exactly checks an arrow claim `U —t→_p U'` on the round model: for every
@@ -310,32 +326,10 @@ fn check_arrow_impl(
     limit: usize,
     quotient: bool,
 ) -> Result<ArrowCheck, LrError> {
-    let Some(ArrowModel {
-        explored, target, ..
-    }) = arrow_model(mdp, arrow.from(), arrow.to(), limit, quotient)?
-    else {
-        return Ok(ArrowCheck {
-            arrow: arrow.clone(),
-            measured: ProbInterval::exact(Prob::ONE),
-            worst_state: None,
-            states_checked: 0,
-        });
-    };
-    let starts = explored.mdp.initial_states();
-    let (worst, measured) = explored
-        .query()
-        .objective(Objective::MinProb)
-        .target(target)
-        .horizon(time_to_budget(arrow.time()))
-        .run()?
-        .worst_over(starts)?
-        .expect("an arrow model has starts");
-    Ok(ArrowCheck {
-        arrow: arrow.clone(),
-        measured: ProbInterval::exact(Prob::clamped(measured)),
-        worst_state: Some(explored.state(worst).config.to_string()),
-        states_checked: starts.len(),
-    })
+    match arrow_model(mdp, arrow.from(), arrow.to(), limit, quotient)? {
+        Some((_, checker)) => checker.arrow(arrow, |q| q),
+        None => Ok(ArrowCheck::vacuous(arrow)),
+    }
 }
 
 /// Computes the exact worst-case expected time (in time units) to reach
@@ -442,20 +436,10 @@ fn expected_time_impl(
     objective: QueryObjective,
     quotient: bool,
 ) -> Result<f64, LrError> {
-    let Some(ArrowModel {
-        explored, target, ..
-    }) = arrow_model(mdp, from_set, target_set, limit, quotient)?
-    else {
-        return Ok(0.0);
-    };
-    let (_, worst) = explored
-        .query()
-        .objective(objective)
-        .target(target)
-        .run()?
-        .worst_over(explored.mdp.initial_states())?
-        .expect("an arrow model has starts");
-    Ok(worst + 1.0)
+    match arrow_model(mdp, from_set, target_set, limit, quotient)? {
+        Some((_, checker)) => checker.expected_time(from_set, target_set, objective, |q| q),
+        None => Ok(0.0),
+    }
 }
 
 #[cfg(test)]
@@ -494,11 +478,16 @@ mod tests {
     }
 
     #[test]
-    fn region_resolver_knows_all_atoms() {
+    fn region_resolvers_know_all_atoms() {
         for atom in ["T", "C", "RT", "F", "G", "P"] {
             assert!(region_pred(atom).is_ok());
+            assert!(region_pred_under(atom).is_ok());
         }
         assert!(matches!(region_pred("X"), Err(LrError::UnknownRegion(_))));
+        assert!(matches!(
+            region_pred_under("X"),
+            Err(LrError::UnknownRegion(_))
+        ));
     }
 
     #[test]

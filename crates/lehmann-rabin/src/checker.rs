@@ -1,0 +1,313 @@
+//! The one arrow checker: every arrow `U —t→_p U'` and every expected-time
+//! question is answered by an [`ArrowChecker`] over one explored model.
+//!
+//! [`explore_checker`] is the one builder. It explores a
+//! [`RoundAutomaton`] (the round model, or `pa-faults`' fault-wrapped one)
+//! from a set of configurations, either as an *arrow model* (starts
+//! filtered by the source region, target region absorbing) or as a
+//! *shared model* (every configuration a start, nothing absorbing). The
+//! checker then does the one tail every question shares: filter the
+//! model's starts by the source region, answer an empty source vacuously,
+//! build the target mask, run the query, and take the worst start.
+//!
+//! Regions resolve once, through the `(config, crash mask)` family
+//! [`crate::set_pred_under`]; a fault-free state's mask is 0, under which
+//! every atom agrees with [`crate::region_pred`].
+//!
+//! # Why one model can answer many questions
+//!
+//! An arrow model has the arrow's source configurations as its starts and
+//! its target region absorbing. A shared model has **every** reachable
+//! configuration as a start and **no** absorption, and each query picks
+//! its own start subset and target mask:
+//!
+//! * Bounded reachability clamps target states to their value (1) at every
+//!   budget level, so a target state's outgoing transitions — the only
+//!   thing absorption removes — never influence any value. Every state of
+//!   the arrow model appears in the shared model with an identical
+//!   successor distribution, so per-state value arithmetic is the same
+//!   `f64` operations in the same order: the results are bitwise equal,
+//!   which `pa-batch`'s determinism tests pin.
+//! * Expected-cost analyses clamp target states to 0 the same way; states
+//!   from which an adversary avoids the target get `∞`, and
+//!   [`pa_mdp::Analysis::worst_over`] only faults on *queried* infinite
+//!   states, so reading just the question's start subset is safe.
+//!
+//! The starts keep the model's initial-state order, which is the order of
+//! the configurations the model was explored from, so the worst start is
+//! the same on either model.
+
+use std::marker::PhantomData;
+
+use pa_core::{Arrow, ArrowCheck, Automaton, SetExpr};
+use pa_mdp::{
+    Analysis, Explore, Explored, Objective, Query, QueryObjective, RingRotation, RingState,
+    StateRows, StateSpace,
+};
+use pa_prob::{Prob, ProbInterval};
+
+use crate::{round_cost, set_pred_under, time_to_budget, Config, LrError, RoundMdp, RoundState};
+
+/// A state the checker reads regions from.
+pub trait CheckedState {
+    /// The protocol configuration.
+    fn config(&self) -> &Config;
+    /// The crashed processes in force (bit `i` = process `i`); always 0
+    /// on the fault-free model.
+    fn crash_mask(&self, n: usize) -> u32;
+    /// How a worst start state is reported.
+    fn render(&self) -> String;
+}
+
+impl CheckedState for RoundState {
+    fn config(&self) -> &Config {
+        &self.config
+    }
+    fn crash_mask(&self, _n: usize) -> u32 {
+        0
+    }
+    fn render(&self) -> String {
+        self.config.to_string()
+    }
+}
+
+/// A round automaton [`explore_checker`] can explore: its starts are
+/// configurations, and a region can be made absorbing.
+pub trait RoundAutomaton:
+    Automaton<State: CheckedState + RingState + Send + Sync> + Sync + Sized
+{
+    /// Ring size.
+    fn ring_size(&self) -> usize;
+    /// The crash mask in force when the clock starts, under which the
+    /// source region of a question is judged.
+    fn start_crash_mask(&self) -> u32;
+    /// The time cost of a step (1 at a round boundary, else 0).
+    fn step_cost(state: &Self::State, action: &Self::Action) -> u32;
+    /// The automaton with `starts` as its start configurations.
+    fn starting_from(self, starts: Vec<Config>) -> Self;
+    /// The automaton with the states in `region` absorbing.
+    fn absorbing(self, region: impl Fn(&Config, u32) -> bool + Send + Sync + 'static) -> Self;
+}
+
+impl RoundAutomaton for RoundMdp {
+    fn ring_size(&self) -> usize {
+        self.config().n
+    }
+    fn start_crash_mask(&self) -> u32 {
+        0
+    }
+    fn step_cost(state: &RoundState, action: &crate::RoundAction) -> u32 {
+        round_cost(state, action)
+    }
+    fn starting_from(self, starts: Vec<Config>) -> RoundMdp {
+        self.with_starts(starts)
+    }
+    fn absorbing(self, region: impl Fn(&Config, u32) -> bool + Send + Sync + 'static) -> RoundMdp {
+        self.with_absorb(move |c| region(c, 0))
+    }
+}
+
+/// Explores `automaton` from `configs` into `space` (under ring rotation
+/// when `quotient`) and wraps the result in a checker.
+///
+/// With `arrow = Some((from, to))` this is the arrow model: only the
+/// configurations in `from` (judged under the start crash mask) start,
+/// and `to` is absorbing, which is sound for first-hitting questions.
+/// It is `None` when no configuration lies in `from`. With `arrow = None`
+/// every configuration starts and nothing absorbs: the shared model.
+/// The automaton comes back too, for callers that replay its steps.
+///
+/// # Errors
+///
+/// [`LrError::UnknownRegion`] for unresolvable atoms, and exploration
+/// errors.
+#[allow(clippy::type_complexity)]
+pub fn explore_checker<A, SP>(
+    automaton: A,
+    configs: &[Config],
+    arrow: Option<(&SetExpr, &SetExpr)>,
+    limit: usize,
+    quotient: bool,
+    space: SP,
+) -> Result<Option<(A, ArrowChecker<A::State, Explored<A::State, SP>>)>, LrError>
+where
+    A: RoundAutomaton,
+    SP: StateSpace<A::State> + Send + Sync,
+{
+    let n = automaton.ring_size();
+    let mask0 = automaton.start_crash_mask();
+    let automaton = match arrow {
+        Some((from, to)) => {
+            let from = set_pred_under(from)?;
+            let to = set_pred_under(to)?;
+            let starts: Vec<Config> = configs.iter().filter(|c| from(c, mask0)).copied().collect();
+            if starts.is_empty() {
+                return Ok(None);
+            }
+            automaton.starting_from(starts).absorbing(to)
+        }
+        None => automaton.starting_from(configs.to_vec()),
+    };
+    let mut explore = Explore::new(&automaton)
+        .cost(A::step_cost)
+        .limit(limit)
+        .parallel();
+    if quotient {
+        explore = explore.symmetry(RingRotation::new(n));
+    }
+    let explored = explore.run_in(space)?;
+    Ok(Some((automaton, ArrowChecker::new(n, mask0, explored))))
+}
+
+/// One arrow's bounded solve: the answer and what it was read from.
+#[derive(Debug)]
+pub struct ArrowSolve {
+    /// The answer.
+    pub check: ArrowCheck,
+    /// The worst start's state id.
+    pub worst: usize,
+    /// The analysis (with the policy, if the query asked for one).
+    pub analysis: Analysis,
+}
+
+/// Answers arrows and expected times over one explored model of a ring of
+/// `n` (see the [module docs](self)).
+///
+/// The model is any [`StateRows`]: an in-core [`Explored`], a stored
+/// model, or a state store paired with rows opened separately.
+#[derive(Debug)]
+pub struct ArrowChecker<S, M> {
+    n: usize,
+    mask0: u32,
+    model: M,
+    state: PhantomData<fn() -> S>,
+}
+
+impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
+    /// A checker over `model` of a ring of `n`, whose source regions are
+    /// judged under the start crash mask `mask0` (0 when fault-free).
+    pub fn new(n: usize, mask0: u32, model: M) -> ArrowChecker<S, M> {
+        ArrowChecker {
+            n,
+            mask0,
+            model,
+            state: PhantomData,
+        }
+    }
+
+    /// The explored model.
+    pub fn model(&self) -> &M {
+        &self.model
+    }
+
+    /// The initial states in `from`, in initial-state order.
+    fn starts(&self, from: &SetExpr) -> Result<Vec<usize>, LrError> {
+        let from = set_pred_under(from)?;
+        let space = self.model.space();
+        Ok(self
+            .model
+            .rows()
+            .initial_states()
+            .iter()
+            .copied()
+            .filter(|&i| from(space.state(i).config(), self.mask0))
+            .collect())
+    }
+
+    /// The target mask of `to`, each state judged under its own crash
+    /// mask.
+    ///
+    /// # Errors
+    ///
+    /// [`LrError::UnknownRegion`] for unresolvable atoms.
+    pub(crate) fn target_mask(&self, to: &SetExpr) -> Result<Vec<bool>, LrError> {
+        let to = set_pred_under(to)?;
+        let mut mask = vec![false; self.model.space().len()];
+        self.model
+            .space()
+            .for_each_state(|i, s| mask[i] = to(s.config(), s.crash_mask(self.n)));
+        Ok(mask)
+    }
+
+    /// Checks `arrow`: the least probability over all adversaries of
+    /// reaching its target within its time, from its worst start.
+    /// `tune` adds per-call query settings (`|q| q` keeps the defaults).
+    ///
+    /// # Errors
+    ///
+    /// Region and analysis errors.
+    pub fn arrow(
+        &self,
+        arrow: &Arrow,
+        tune: impl FnOnce(Query<'_>) -> Query<'_>,
+    ) -> Result<ArrowCheck, LrError> {
+        Ok(self
+            .solve_arrow(arrow, tune)?
+            .map_or_else(|| ArrowCheck::vacuous(arrow), |solve| solve.check))
+    }
+
+    /// [`ArrowChecker::arrow`] with the analysis it read the answer from,
+    /// for callers that replay the policy; `None` for an empty source.
+    ///
+    /// # Errors
+    ///
+    /// As [`ArrowChecker::arrow`].
+    pub fn solve_arrow(
+        &self,
+        arrow: &Arrow,
+        tune: impl FnOnce(Query<'_>) -> Query<'_>,
+    ) -> Result<Option<ArrowSolve>, LrError> {
+        let starts = self.starts(arrow.from())?;
+        if starts.is_empty() {
+            return Ok(None);
+        }
+        let query = Query::source(self.model.rows())
+            .objective(Objective::MinProb)
+            .target(self.target_mask(arrow.to())?)
+            .horizon(time_to_budget(arrow.time()));
+        let analysis = tune(query).run()?;
+        let (worst, measured) = analysis.worst_over(&starts)?.expect("starts are nonempty");
+        let check = ArrowCheck {
+            arrow: arrow.clone(),
+            measured: ProbInterval::exact(Prob::clamped(measured)),
+            worst_state: Some(self.model.space().state(worst).render()),
+            states_checked: starts.len(),
+        };
+        Ok(Some(ArrowSolve {
+            check,
+            worst,
+            analysis,
+        }))
+    }
+
+    /// The worst start's expected time to reach `to` from `from` under
+    /// `objective` (`MaxCost` for the worst scheduler, `MinCost` for the
+    /// most cooperative one), in time units: expected rounds `+ 1`, which
+    /// covers the partial final round. 0 for an empty source.
+    ///
+    /// # Errors
+    ///
+    /// Region and analysis errors, and
+    /// [`pa_mdp::MdpError::DivergentExpectation`] (wrapped in
+    /// [`LrError::Mdp`]) when some adversary avoids `to` from a start.
+    pub fn expected_time(
+        &self,
+        from: &SetExpr,
+        to: &SetExpr,
+        objective: QueryObjective,
+        tune: impl FnOnce(Query<'_>) -> Query<'_>,
+    ) -> Result<f64, LrError> {
+        let starts = self.starts(from)?;
+        if starts.is_empty() {
+            return Ok(0.0);
+        }
+        let query = Query::source(self.model.rows())
+            .objective(objective)
+            .target(self.target_mask(to)?);
+        let (_, worst) = tune(query)
+            .run()?
+            .worst_over(&starts)?
+            .expect("starts are nonempty");
+        Ok(worst + 1.0)
+    }
+}

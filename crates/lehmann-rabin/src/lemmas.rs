@@ -21,7 +21,7 @@ use pa_core::{Automaton, Step};
 use pa_mdp::{cost_bounded_reach_levels, Explore, Objective};
 use pa_prob::FiniteDist;
 
-use crate::arrows::{arrow_model, ArrowModel};
+use crate::arrows::arrow_model;
 use crate::{
     reachable_configs, round_cost, time_to_budget, Config, LrAction, LrError, Pc, RoundAction,
     RoundMdp, RoundState, Side,
@@ -344,9 +344,10 @@ pub struct LemmaCheck {
 }
 
 impl LemmaCheck {
-    /// The lemma claims certainty: it holds iff the minimum is 1.
+    /// The lemma claims certainty: it holds iff the minimum is 1, decided
+    /// by [`pa_core::meets_claim`].
     pub fn holds(&self) -> bool {
-        self.instances == 0 || self.min_prob >= 1.0 - 1e-9
+        self.instances == 0 || pa_core::meets_claim(self.min_prob, 1.0)
     }
 }
 
@@ -432,16 +433,14 @@ pub fn progress_time_lower_bound(
     max_time: u32,
     limit: usize,
 ) -> Result<Option<u32>, LrError> {
-    let Some(ArrowModel {
-        explored, target, ..
-    }) = arrow_model(mdp, from_set, to_set, limit, false)?
-    else {
+    let Some((_, checker)) = arrow_model(mdp, from_set, to_set, limit, false)? else {
         return Ok(None);
     };
-    let initials = explored.mdp.initial_states();
+    let target = checker.target_mask(to_set)?;
+    let initials = checker.model().mdp.initial_states();
     let mut first_positive: Option<u32> = None;
     cost_bounded_reach_levels(
-        &explored.mdp,
+        &checker.model().mdp,
         &target,
         time_to_budget(f64::from(max_time)),
         Objective::MinProb,

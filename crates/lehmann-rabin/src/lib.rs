@@ -17,7 +17,9 @@
 //! * [`paper`] — the five arrow axioms, the composed `T —13→_{1/8} C`
 //!   derivation, and the 60/63 expected-time bounds.
 //! * [`check_arrow`] / [`max_expected_time`] — exact verification of those
-//!   claims against *all* round adversaries.
+//!   claims against *all* round adversaries, through the one
+//!   [`ArrowChecker`] that every arrow and expected-time question in the
+//!   workspace runs on.
 //! * [`check_arrow_quotient`] / [`RoundStateCodec`] — the same checks on
 //!   the rotation-quotient model with bit-packed states: up to `n`-fold
 //!   fewer states, which is what pushes exact verification past `n = 7`.
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 
 mod arrows;
+pub mod checker;
 pub mod concurrent;
 mod error;
 pub mod events;
@@ -67,8 +70,10 @@ mod witness;
 pub use arrows::{
     check_arrow, check_arrow_quotient, check_arrow_with_limit, max_expected_time,
     max_expected_time_quotient, min_expected_time, min_expected_time_quotient, paper,
-    reachable_configs, reachable_configs_quotient, region_pred, set_pred, DEFAULT_STATE_LIMIT,
+    reachable_configs, reachable_configs_quotient, region_pred, region_pred_under, set_pred,
+    set_pred_under, DEFAULT_STATE_LIMIT,
 };
+pub use checker::{explore_checker, ArrowChecker, ArrowSolve, CheckedState, RoundAutomaton};
 pub use error::LrError;
 pub use invariant::{adjacent_exclusion, lemma_6_1_invariant, verify_lemma_6_1};
 pub use packed::{ConfigCodec, RoundStateCodec};

@@ -11,10 +11,9 @@
 //! that forces repeated flip retries in the composed `T —13→ C` claim.
 
 use pa_core::Arrow;
-use pa_mdp::Objective;
 
-use crate::arrows::{arrow_model, ArrowModel};
-use crate::{time_to_budget, Config, LrError, RoundAction, RoundMdp};
+use crate::arrows::arrow_model;
+use crate::{time_to_budget, ArrowSolve, Config, LrError, RoundAction, RoundMdp};
 
 /// One step of a worst-case witness trace.
 #[derive(Debug, Clone)]
@@ -66,24 +65,19 @@ impl std::fmt::Display for Witness {
 ///
 /// Returns region-resolution and exploration errors.
 pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result<Witness, LrError> {
-    let ArrowModel {
-        model,
-        explored,
-        target,
-    } = arrow_model(mdp, arrow.from(), arrow.to(), limit, false)?
+    let (model, checker) = arrow_model(mdp, arrow.from(), arrow.to(), limit, false)?
         .expect("the arrow's source region is reachable");
+    let ArrowSolve {
+        worst: worst_start,
+        analysis,
+        ..
+    } = checker
+        .solve_arrow(arrow, |q| q.with_policy())?
+        .expect("an arrow model has starts");
+    let target = checker.target_mask(arrow.to())?;
+    let explored = checker.model();
     let n = mdp.config().n;
     let budget = time_to_budget(arrow.time());
-    let analysis = explored
-        .query()
-        .objective(Objective::MinProb)
-        .target(target.clone())
-        .horizon(budget)
-        .with_policy()
-        .run()?;
-    let (worst_start, _) = analysis
-        .worst_over(explored.mdp.initial_states())?
-        .expect("an arrow model has starts");
     let values = analysis.values;
     let policy = analysis
         .policy

@@ -93,7 +93,9 @@ mod value_iter;
 
 pub use csr::{CsrBuilder, CsrMdp, CsrRow, ToCsr};
 pub use error::MdpError;
-pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};
+pub use explore::{
+    check_invariant, Explore, Explored, InvariantResult, RowSink, StateRows, StreamSummary,
+};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use horizon::{cost_bounded_reach_levels, BoundedPolicy, Objective};
 pub use model::{Choice, ExplicitMdp};

@@ -245,23 +245,14 @@ impl Server {
             Some(b) => b.to_string(),
             None => "null".to_string(),
         };
-        // v2 adds the stored-model cache counters and the process-wide
-        // block-store gauges (the `mdp.store.*` telemetry mirrors): a
-        // monitoring client can read peak paging residency next to the
-        // model cache's accounted bytes without scraping telemetry.
-        let store = pa_store::stats();
         format!(
-            "{{\"ok\":true,\"stats\":{{\"schema\":\"pa-serve/stats/v2\",\
+            "{{\"ok\":true,\"stats\":{{\"schema\":\"pa-serve/stats/v3\",\
              \"jobs_accepted\":{},\"jobs_rejected\":{},\"lines_rejected\":{},\
              \"batches_run\":{},\"connections_accepted\":{},\"connections_rejected\":{},\
              \"pending\":{pending},\"draining\":{},\
              \"cache\":{{\"model_hits\":{},\"model_misses\":{},\"rebuilds\":{},\
              \"evictions\":{},\"resident_bytes\":{},\"budget\":{budget},\
-             \"distinct_models\":{},\"stored_hits\":{},\"stored_misses\":{},\
-             \"distinct_stored_models\":{}}},\
-             \"store\":{{\"resident_bytes\":{},\"peak_resident_bytes\":{},\
-             \"faults\":{},\"hits\":{},\"evictions\":{},\"budget_bytes\":{},\
-             \"caches\":{}}}}}}}",
+             \"distinct_models\":{}}}}}}}",
             self.jobs_accepted(),
             self.jobs_rejected(),
             self.lines_rejected(),
@@ -275,16 +266,6 @@ impl Server {
             self.cache.evictions(),
             self.cache.resident_bytes(),
             self.cache.distinct_models(),
-            self.cache.stored_hits(),
-            self.cache.stored_misses(),
-            self.cache.distinct_stored_models(),
-            store.resident_bytes,
-            store.peak_resident_bytes,
-            store.faults,
-            store.hits,
-            store.evictions,
-            store.budget_bytes,
-            store.caches,
         )
     }
 
@@ -542,13 +523,13 @@ mod tests {
         let lines = drive(&s, "{\"op\":\"ping\"}\n\n{\"op\":\"stats\"}\n");
         assert_eq!(lines.len(), 2, "blank line gets no response");
         assert!(lines[0].contains("\"pong\":true"));
-        assert!(lines[1].contains("\"pa-serve/stats/v2\""));
+        assert!(lines[1].contains("\"pa-serve/stats/v3\""));
         assert!(lines[1].contains("\"budget\":null"));
-        // v2: block-store gauges ride along (process-wide, so only their
-        // presence — not their values — is deterministic here).
-        assert!(lines[1].contains("\"store\":{\"resident_bytes\":"));
-        assert!(lines[1].contains("\"peak_resident_bytes\":"));
-        assert!(lines[1].contains("\"stored_misses\":"));
+        // v3 ends the cache block at its model counters and has no
+        // stored-model counters or block-store gauges.
+        assert!(lines[1].contains("\"distinct_models\":0}}}"));
+        assert!(!lines[1].contains("\"store\""));
+        assert!(!lines[1].contains("stored_"));
     }
 
     #[test]

@@ -21,11 +21,9 @@
 
 use std::error::Error;
 
-use timebounds::faults::{
-    faulty_round_cost, set_pred_under, FaultPlan, FaultyRoundMdp, FaultyStateCodec,
-};
-use timebounds::lehmann_rabin::{paper, reachable_configs_quotient, time_to_budget, RoundConfig};
-use timebounds::mdp::{CsrSource, Explore, PackedSpace, QueryObjective, RingRotation};
+use timebounds::faults::{faulty_round_cost, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
+use timebounds::lehmann_rabin::{paper, reachable_configs_quotient, ArrowChecker, RoundConfig};
+use timebounds::mdp::{Explore, PackedSpace, RingRotation};
 use timebounds::store::{SpillTo, StoredCsr};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -66,30 +64,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // Answer every paper arrow on the stored backend, worst case over the
-    // arrow's source states, and chart residency as the sweeps page.
+    // arrow's source states, and chart residency as the sweeps page. The
+    // quotient is fault-free: no process is down when the clock starts.
+    let checker = ArrowChecker::new(n, 0, stored);
     let mut first_value = None;
     for (arrow, _why) in paper::all_arrows() {
-        let from = set_pred_under(arrow.from())?;
-        let to = set_pred_under(arrow.to())?;
-        let starts: Vec<usize> = stored
-            .store()
-            .initial_states()
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let s = stored.state(i);
-                from(&s.inner.config, s.crashed_mask(n))
-            })
-            .collect();
-        let (_, worst) = stored
-            .query_where(|s| to(&s.inner.config, s.crashed_mask(n)))
-            .objective(QueryObjective::MinProb)
-            .horizon(time_to_budget(arrow.time()))
-            .run()?
-            .worst_over(&starts)?
-            .ok_or_else(|| format!("{arrow}: source set unreachable"))?;
+        let worst = checker.arrow(&arrow, |q| q)?.measured.lo().value();
         first_value.get_or_insert(worst.to_bits());
-        let s = stored.store().cache().local_stats();
+        let s = checker.model().store().cache().local_stats();
         println!(
             "{arrow}: worst P = {worst:.6} | resident {} peak {} (faults {}, hits {}, evictions {})",
             s.resident_bytes, s.peak_resident_bytes, s.faults, s.hits, s.evictions,
@@ -98,6 +80,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Paging bound: budget plus at most two in-flight blocks (one pinned
     // by the sweep, one just faulted before eviction catches up).
+    let stored = checker.model();
     let s = stored.store().cache().local_stats();
     let bound = budget + 2 * max_payload;
     if s.peak_resident_bytes > bound {
@@ -114,40 +97,20 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Budget-independence: the same file behind an unbounded cache must
     // answer the first arrow bitwise identically.
-    let roomy = StoredCsr::open(file.path(), u64::MAX)?;
+    let roomy = StoredCsr::open(stored.store().file().path(), u64::MAX)?;
     let (arrow, _why) = paper::all_arrows().remove(0);
-    let to = set_pred_under(arrow.to())?;
-    let targets: Vec<bool> = (0..stored.num_states())
-        .map(|i| {
-            let s = stored.state(i);
-            to(&s.inner.config, s.crashed_mask(n))
-        })
-        .collect();
-    let from = set_pred_under(arrow.from())?;
-    let starts: Vec<usize> = roomy
-        .initial_states()
-        .iter()
-        .copied()
-        .filter(|&i| {
-            let s = stored.state(i);
-            from(&s.inner.config, s.crashed_mask(n))
-        })
-        .collect();
-    let (_, worst) = roomy
-        .query()
-        .target(targets)
-        .objective(QueryObjective::MinProb)
-        .horizon(time_to_budget(arrow.time()))
-        .run()?
-        .worst_over(&starts)?
-        .ok_or("the first arrow's source set is unreachable")?;
+    let worst = ArrowChecker::new(n, 0, (stored.space(), &roomy))
+        .arrow(&arrow, |q| q)?
+        .measured
+        .lo()
+        .value();
     if Some(worst.to_bits()) != first_value {
         return Err("tight and unbounded cache budgets disagreed bitwise".into());
     }
     println!("{arrow}: unbounded budget matches 64 KiB budget bitwise");
 
     drop(roomy);
-    drop(stored);
+    drop(checker);
     std::fs::remove_dir_all(&dir)?;
     if dir.exists() {
         return Err("spill directory survived cleanup".into());
