@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use pa_faults::{FaultChecker, FaultPlan, FaultyRoundMdp};
-use pa_lehmann_rabin::{explore_checker, reachable_configs, Config, RoundConfig};
+use pa_lehmann_rabin::{explore_checker, reachable_configs, Config, Quotient, RoundConfig};
 use pa_mdp::BoxedSpace;
 use pa_telemetry::TelemetryScope;
 
@@ -348,10 +348,16 @@ impl ModelCache {
                 let configs = self.reachable(n, limit)?;
                 let cfg = RoundConfig::new(n).map_err(|e| e.to_string())?;
                 let model = FaultyRoundMdp::new(cfg, plan.clone()).map_err(|e| e.to_string())?;
-                let (_, checker) =
-                    explore_checker(model, &configs, None, limit, false, BoxedSpace::default())
-                        .map_err(|e| e.to_string())?
-                        .expect("a shared model starts from every configuration");
+                let (_, checker) = explore_checker(
+                    model,
+                    &configs,
+                    None,
+                    limit,
+                    Quotient::Full,
+                    BoxedSpace::default(),
+                )
+                .map_err(|e| e.to_string())?
+                .expect("a shared model starts from every configuration");
                 Ok(checker)
             },
         );

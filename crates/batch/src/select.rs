@@ -19,11 +19,18 @@
 //! every orbit has all `n` rotations distinct).
 //!
 //! [`select_kind`] keys on [`estimated_ring_states`] — or, when the
-//! caller's exact tier runs on the rotation quotient, on
+//! caller's exact tier runs on a quotient, on
 //! [`estimated_quotient_states`]: when the estimate fits the caller's
 //! state budget the exact [`JobKind::Arrow`] / [`JobKind::Reach`] tier
 //! runs; otherwise the job degrades to [`JobKind::Sampled`], whose memory
 //! is constant in `n`.
+//!
+//! The quotient estimate is the rotation quotient's. An exact tier on the
+//! dihedral quotient (`pa_lehmann_rabin::check_arrow_quotient`, which also
+//! folds mirror images) explores about half as many states: 101, 572,
+//! 3 454, 22 808 and 154 894 protocol orbits at `n = 3..=7`. For it the
+//! estimate is therefore ≈ 2× conservative, which errs on the
+//! degrade-early side like every other margin here.
 
 use pa_core::SetExpr;
 
@@ -101,10 +108,12 @@ pub fn estimated_quotient_states(n: usize) -> u64 {
 /// processes: exact ([`JobKind::Reach`]) when the estimated state count
 /// fits `state_budget`, sampled ([`JobKind::Sampled`]) otherwise.
 ///
-/// `symmetry` says whether the caller's exact tier runs on the rotation
-/// quotient (e.g. `pa_lehmann_rabin::check_arrow_quotient` or the exact
-/// column of `pa_faults::survival_map_hybrid`): the budget is then judged
-/// against [`estimated_quotient_states`] instead of the full space. Pass
+/// `symmetry` says whether the caller's exact tier runs on a quotient
+/// (e.g. the exact column of `pa_faults::survival_map_hybrid` on the
+/// rotation quotient, or `pa_lehmann_rabin::check_arrow_quotient` on the
+/// dihedral quotient, for which the estimate is ≈ 2× conservative): the
+/// budget is then judged against [`estimated_quotient_states`] instead of
+/// the full space. Pass
 /// `false` for exact analyses that explore the full space — including any
 /// run under a non-empty fault plan, which has no sound quotient.
 #[must_use]

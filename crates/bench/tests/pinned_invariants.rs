@@ -19,7 +19,7 @@ use pa_lehmann_rabin::{
     check_arrow_quotient, max_expected_time_quotient, paper, regions, LrProtocol, RoundConfig,
     RoundMdp, UserModel,
 };
-use pa_mdp::{Explore, IterOptions, QueryObjective, RingRotation, Solver};
+use pa_mdp::{Explore, IterOptions, QueryObjective, RingDihedral, RingRotation, Solver};
 use pa_serve::{CustomRegistry, ServeConfig, Server};
 
 const LIMIT: usize = 5_000_000;
@@ -83,7 +83,8 @@ fn saturating_protocol_shape_and_solver_work_are_pinned() {
 }
 
 /// Rotation-quotient orbit counts of the protocol against its full
-/// space, and the `n = 4` quotient frontier: every paper arrow holds on
+/// space, dihedral orbit counts beside them, and the `n = 4` quotient
+/// frontier: every paper arrow holds on
 /// orbit representatives and the worst-case expected `T → C` time stays
 /// within the paper's bound.
 #[test]
@@ -106,6 +107,16 @@ fn protocol_orbits_and_the_n4_quotient_frontier_are_pinned() {
             (full, orbits),
             "n={n} full states vs orbits"
         );
+    }
+    // Dihedral orbits (rotations and the mirror image) beside them.
+    for (n, dihedral) in [(3, 101), (4, 572), (5, 3_454)] {
+        let quotient = Explore::new(&saturating(n))
+            .limit(LIMIT)
+            .parallel()
+            .symmetry(RingDihedral::new(n))
+            .run()
+            .unwrap();
+        assert_eq!(quotient.mdp.num_states(), dihedral, "n={n} dihedral orbits");
     }
 
     let mdp = RoundMdp::new(RoundConfig::new(4).unwrap());

@@ -40,7 +40,7 @@ use pa_lehmann_rabin::{
     ArrowChecker, CheckedState, Config, RoundAction, RoundAutomaton, RoundConfig, RoundMdp,
     RoundState,
 };
-use pa_mdp::{least_key, rotate_lanes, tag_choices, ChoiceTags, Explored, TAG_NONE};
+use pa_mdp::{least_key, reflect_lanes, rotate_lanes, tag_choices, ChoiceTags, Explored, TAG_NONE};
 
 use crate::{FaultError, FaultKind, FaultPlan};
 
@@ -126,6 +126,25 @@ impl pa_mdp::RingState for FaultyRoundState {
                 let (ring, status) = (self.inner.config.n(), u128::from(self.status));
                 least_key(n, |k| (inner(k), rotate_lanes(status, 4, ring, k)))
             })
+    }
+}
+
+impl pa_mdp::MirrorRingState for FaultyRoundState {
+    /// The wrapped round state reflects ([`RoundState::reflected`]) and
+    /// the status nibbles move with their processes; the round counter is
+    /// position-free. As with rotation, this is a symmetry of the model
+    /// only under the empty plan.
+    fn reflected(&self) -> FaultyRoundState {
+        let n = self.inner.config.n();
+        FaultyRoundState {
+            inner: self.inner.reflected(),
+            status: reflect_lanes(u128::from(self.status), 4, n) as u64,
+            round: self.round,
+        }
+    }
+
+    fn unique_least_image(&self, _n: usize) -> Option<(bool, usize)> {
+        self.inner.config.unique_least_image()
     }
 }
 

@@ -19,7 +19,7 @@
 use pa_core::{Arrow, Automaton, SetExpr};
 use pa_lehmann_rabin::{
     explore_checker, reachable_configs, time_to_budget, ArrowSolve, Config, Pc, ProcState,
-    RoundConfig, Side,
+    Quotient, RoundConfig, Side,
 };
 use pa_mc::{
     chain_target, estimate_reach, McConfig, McEstimate, OptimalReplay, UniformChain, UniformPolicy,
@@ -129,7 +129,7 @@ fn arrow_model(
         &reachable,
         scope,
         limit,
-        false,
+        Quotient::Full,
         BoxedSpace::default(),
     )?)
 }

@@ -12,7 +12,7 @@
 use pa_core::{Arrow, ArrowCheck};
 use pa_lehmann_rabin::{
     explore_checker, paper, reachable_configs, reachable_configs_quotient, set_pred_under,
-    time_to_budget, Config, RoundConfig,
+    time_to_budget, Config, Quotient, RoundConfig,
 };
 use pa_mdp::{BoxedSpace, PackedSpace};
 use serde::Serialize;
@@ -155,11 +155,18 @@ fn check_arrow_in(
     let scope = Some((arrow.from(), arrow.to()));
     let check = if quotient {
         let space = PackedSpace::new(FaultyStateCodec::new(cfg.n, model.round_cap())?);
-        explore_checker(model, reachable, scope, limit, true, space)?
+        explore_checker(model, reachable, scope, limit, Quotient::Rotation, space)?
             .map(|(_, checker)| checker.arrow(arrow, |q| q))
     } else {
-        explore_checker(model, reachable, scope, limit, false, BoxedSpace::default())?
-            .map(|(_, checker)| checker.arrow(arrow, |q| q))
+        explore_checker(
+            model,
+            reachable,
+            scope,
+            limit,
+            Quotient::Full,
+            BoxedSpace::default(),
+        )?
+        .map(|(_, checker)| checker.arrow(arrow, |q| q))
     };
     Ok(check
         .transpose()?

@@ -5,12 +5,11 @@
 
 use pa_core::{Arrow, ArrowCheck, Derivation, SetExpr};
 use pa_mdp::{
-    BoxedSpace, CsrRow, Explore, Explored, MdpError, PackedSpace, QueryObjective, RingRotation,
-    RowSink,
+    BoxedSpace, CsrRow, Explore, Explored, MdpError, PackedSpace, QueryObjective, RowSink,
 };
 use pa_prob::Prob;
 
-use crate::checker::{explore_checker, ArrowChecker};
+use crate::checker::{explore_checker, ArrowChecker, Quotient};
 use crate::packed::RoundStateCodec;
 use crate::{regions, Config, LrError, RoundMdp, RoundState};
 
@@ -195,31 +194,42 @@ pub fn set_pred_under(
 ///
 /// Propagates ring-size validation and state-limit errors.
 pub fn reachable_configs(n: usize, limit: usize) -> Result<Vec<Config>, LrError> {
-    reachable(n, limit, false)
+    reachable_configs_in(n, limit, Quotient::Full)
 }
 
-/// The rotation-quotient of [`reachable_configs`]: one representative (the
-/// lexicographically least rotation) per orbit of reachable
-/// configurations — up to `n`-fold fewer states. Region membership and
+/// The rotation quotient of [`reachable_configs`]: one representative (the
+/// lexicographically least rotation) per rotation orbit of reachable
+/// configurations, up to `n`-fold fewer states. Region membership and
 /// analysis values are rotation-invariant, so quantifying over
 /// representatives is equivalent to quantifying over `rstates(M)` (see
-/// DESIGN §13).
+/// DESIGN §13). This stays a rotation enumeration: the `pa-faults`
+/// quotient, the stored models and their pinned digests are built from
+/// it. [`check_arrow_quotient`] enumerates the dihedral quotient instead.
 ///
 /// # Errors
 ///
 /// Propagates ring-size validation and state-limit errors.
 pub fn reachable_configs_quotient(n: usize, limit: usize) -> Result<Vec<Config>, LrError> {
-    reachable(n, limit, true)
+    reachable_configs_in(n, limit, Quotient::Rotation)
 }
 
-/// The body of both enumerations: they differ only by the symmetry.
-fn reachable(n: usize, limit: usize, quotient: bool) -> Result<Vec<Config>, LrError> {
+/// The reachable configurations under `quotient`: all of them
+/// ([`reachable_configs`]), or one representative per rotation or
+/// dihedral orbit, in exploration order.
+///
+/// # Errors
+///
+/// Propagates ring-size validation and state-limit errors.
+pub fn reachable_configs_in(
+    n: usize,
+    limit: usize,
+    quotient: Quotient,
+) -> Result<Vec<Config>, LrError> {
     let protocol = crate::LrProtocol::new(n, crate::UserModel::full())?;
-    let mut explore = Explore::new(&protocol).limit(limit).parallel();
-    if quotient {
-        explore = explore.symmetry(RingRotation::new(n));
-    }
-    let (space, _) = explore.run_streamed(BoxedSpace::default(), &mut DiscardRows)?;
+    let explore = Explore::new(&protocol).limit(limit).parallel();
+    let (space, _) = quotient
+        .install(explore, n)
+        .run_streamed(BoxedSpace::default(), &mut DiscardRows)?;
     Ok(space.into_states())
 }
 
@@ -243,7 +253,7 @@ pub(crate) type ArrowModel = (
 
 /// Explores the model every arrow analysis of the round model runs on
 /// ([`crate::explore_checker`]): each reachable configuration of `from`
-/// (each orbit representative when `quotient`) as a fresh round start,
+/// (each orbit representative under a quotient) as a fresh round start,
 /// `to` absorbing. Returns `None` when `from` has no reachable
 /// configuration.
 ///
@@ -255,10 +265,10 @@ pub(crate) fn arrow_model(
     from: &SetExpr,
     to: &SetExpr,
     limit: usize,
-    quotient: bool,
+    quotient: Quotient,
 ) -> Result<Option<ArrowModel>, LrError> {
     let n = mdp.config().n;
-    let configs = reachable(n, limit, quotient)?;
+    let configs = reachable_configs_in(n, limit, quotient)?;
     let space = PackedSpace::new(RoundStateCodec::new(n)?);
     explore_checker(
         mdp.clone(),
@@ -297,17 +307,19 @@ pub fn check_arrow_with_limit(
     arrow: &Arrow,
     limit: usize,
 ) -> Result<ArrowCheck, LrError> {
-    check_arrow_impl(mdp, arrow, limit, false)
+    check_arrow_impl(mdp, arrow, limit, Quotient::Full)
 }
 
-/// [`check_arrow_with_limit`] on the rotation-quotient round model:
-/// starts are the orbit representatives of `U ∩ rstates(M)` (so
-/// `states_checked` counts *orbits*, not configurations) and successors
-/// are canonicalized during exploration. Both the arrow regions and the
-/// round cost are rotation-invariant, so the verdict and the measured
-/// probability equal the full-space check's — the quotient-equivalence
-/// tests pin this to `1e-7` (and bitwise for bounded horizons) on
-/// `n = 3..5`.
+/// [`check_arrow_with_limit`] on the dihedral-quotient round model
+/// ([`pa_mdp::RingDihedral`]: rotations and the mirror image). Starts are
+/// the dihedral orbit representatives of `U ∩ rstates(M)`, so
+/// `states_checked` counts *dihedral orbits*, not configurations, and
+/// `worst_state` is a representative; successors are canonicalized during
+/// exploration. Both the arrow regions and the round cost are invariant
+/// under rotation and reflection, so the verdict and the measured
+/// probability equal the full-space check's. The quotient-equivalence
+/// tests pin them bitwise against the full space and the rotation
+/// quotient on `n = 3..5`.
 ///
 /// # Errors
 ///
@@ -317,14 +329,14 @@ pub fn check_arrow_quotient(
     arrow: &Arrow,
     limit: usize,
 ) -> Result<ArrowCheck, LrError> {
-    check_arrow_impl(mdp, arrow, limit, true)
+    check_arrow_impl(mdp, arrow, limit, Quotient::Dihedral)
 }
 
 fn check_arrow_impl(
     mdp: &RoundMdp,
     arrow: &Arrow,
     limit: usize,
-    quotient: bool,
+    quotient: Quotient,
 ) -> Result<ArrowCheck, LrError> {
     match arrow_model(mdp, arrow.from(), arrow.to(), limit, quotient)? {
         Some((_, checker)) => checker.arrow(arrow, |q| q),
@@ -355,13 +367,14 @@ pub fn max_expected_time(
         target_set,
         limit,
         QueryObjective::MaxCost,
-        false,
+        Quotient::Full,
     )
 }
 
-/// [`max_expected_time`] on the rotation-quotient round model
-/// (orbit-representative starts). Pinned equal to the full-space
-/// value within `1e-7` on `n = 3..5` by the quotient-equivalence tests.
+/// [`max_expected_time`] on the dihedral-quotient round model
+/// (orbit-representative starts, as in [`check_arrow_quotient`]). Pinned
+/// equal to the full-space value within `1e-7` on `n = 3..5` by the
+/// quotient-equivalence tests.
 ///
 /// # Errors
 ///
@@ -378,7 +391,7 @@ pub fn max_expected_time_quotient(
         target_set,
         limit,
         QueryObjective::MaxCost,
-        true,
+        Quotient::Dihedral,
     )
 }
 
@@ -403,11 +416,11 @@ pub fn min_expected_time(
         target_set,
         limit,
         QueryObjective::MinCost,
-        false,
+        Quotient::Full,
     )
 }
 
-/// [`min_expected_time`] on the rotation-quotient round model.
+/// [`min_expected_time`] on the dihedral-quotient round model.
 ///
 /// # Errors
 ///
@@ -424,7 +437,7 @@ pub fn min_expected_time_quotient(
         target_set,
         limit,
         QueryObjective::MinCost,
-        true,
+        Quotient::Dihedral,
     )
 }
 
@@ -434,7 +447,7 @@ fn expected_time_impl(
     target_set: &SetExpr,
     limit: usize,
     objective: QueryObjective,
-    quotient: bool,
+    quotient: Quotient,
 ) -> Result<f64, LrError> {
     match arrow_model(mdp, from_set, target_set, limit, quotient)? {
         Some((_, checker)) => checker.expected_time(from_set, target_set, objective, |q| q),
@@ -534,7 +547,7 @@ mod tests {
         let full = reachable_configs(4, 1_000_000).unwrap();
         let quot = reachable_configs_quotient(4, 1_000_000).unwrap();
         assert!(quot.len() < full.len(), "{} !< {}", quot.len(), full.len());
-        let rot = RingRotation::new(4);
+        let rot = pa_mdp::RingRotation::new(4);
         assert!(quot.iter().all(|c| rot.canon(c) == *c));
         // Every reachable configuration's orbit has exactly one
         // representative among the quotient states.

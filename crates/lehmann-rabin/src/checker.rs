@@ -41,8 +41,8 @@ use std::marker::PhantomData;
 
 use pa_core::{Arrow, ArrowCheck, Automaton, SetExpr};
 use pa_mdp::{
-    Analysis, Explore, Explored, Objective, Query, QueryObjective, RingRotation, RingState,
-    StateRows, StateSpace,
+    Analysis, Explore, Explored, MirrorRingState, Objective, Query, QueryObjective, RingDihedral,
+    RingRotation, StateRows, StateSpace,
 };
 use pa_prob::{Prob, ProbInterval};
 
@@ -74,7 +74,7 @@ impl CheckedState for RoundState {
 /// A round automaton [`explore_checker`] can explore: its starts are
 /// configurations, and a region can be made absorbing.
 pub trait RoundAutomaton:
-    Automaton<State: CheckedState + RingState + Send + Sync> + Sync + Sized
+    Automaton<State: CheckedState + MirrorRingState + Send + Sync> + Sync + Sized
 {
     /// Ring size.
     fn ring_size(&self) -> usize;
@@ -107,8 +107,36 @@ impl RoundAutomaton for RoundMdp {
     }
 }
 
-/// Explores `automaton` from `configs` into `space` (under ring rotation
-/// when `quotient`) and wraps the result in a checker.
+/// Which ring symmetry an exploration quotients by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Quotient {
+    /// No quotient: every state of the full space.
+    Full,
+    /// One representative per rotation orbit ([`RingRotation`]).
+    Rotation,
+    /// One representative per orbit of the rotations and the mirror
+    /// ([`RingDihedral`]): down to half the states of `Rotation`.
+    Dihedral,
+}
+
+impl Quotient {
+    /// `explore` with this quotient's symmetry of a ring of `n` installed.
+    pub(crate) fn install<'a, M, F>(self, explore: Explore<'a, M, F>, n: usize) -> Explore<'a, M, F>
+    where
+        M: Automaton,
+        M::State: MirrorRingState + Send + Sync,
+    {
+        match self {
+            Quotient::Full => explore,
+            Quotient::Rotation => explore.symmetry(RingRotation::new(n)),
+            Quotient::Dihedral => explore.symmetry(RingDihedral::new(n)),
+        }
+    }
+}
+
+/// Explores `automaton` from `configs` into `space` under `quotient` and
+/// wraps the result in a checker. `configs` should be representatives of
+/// the same quotient (or all configurations for [`Quotient::Full`]).
 ///
 /// With `arrow = Some((from, to))` this is the arrow model: only the
 /// configurations in `from` (judged under the start crash mask) start,
@@ -127,7 +155,7 @@ pub fn explore_checker<A, SP>(
     configs: &[Config],
     arrow: Option<(&SetExpr, &SetExpr)>,
     limit: usize,
-    quotient: bool,
+    quotient: Quotient,
     space: SP,
 ) -> Result<Option<(A, ArrowChecker<A::State, Explored<A::State, SP>>)>, LrError>
 where
@@ -148,14 +176,11 @@ where
         }
         None => automaton.starting_from(configs.to_vec()),
     };
-    let mut explore = Explore::new(&automaton)
+    let explore = Explore::new(&automaton)
         .cost(A::step_cost)
         .limit(limit)
         .parallel();
-    if quotient {
-        explore = explore.symmetry(RingRotation::new(n));
-    }
-    let explored = explore.run_in(space)?;
+    let explored = quotient.install(explore, n).run_in(space)?;
     Ok(Some((automaton, ArrowChecker::new(n, mask0, explored))))
 }
 

@@ -23,8 +23,8 @@ use pa_prob::FiniteDist;
 
 use crate::arrows::arrow_model;
 use crate::{
-    reachable_configs, round_cost, time_to_budget, Config, LrAction, LrError, Pc, RoundAction,
-    RoundMdp, RoundState, Side,
+    reachable_configs, round_cost, time_to_budget, Config, LrAction, LrError, Pc, Quotient,
+    RoundAction, RoundMdp, RoundState, Side,
 };
 
 /// A conditioned round model: the first `flip_j` of each listed process is
@@ -433,7 +433,7 @@ pub fn progress_time_lower_bound(
     max_time: u32,
     limit: usize,
 ) -> Result<Option<u32>, LrError> {
-    let Some((_, checker)) = arrow_model(mdp, from_set, to_set, limit, false)? else {
+    let Some((_, checker)) = arrow_model(mdp, from_set, to_set, limit, Quotient::Full)? else {
         return Ok(None);
     };
     let target = checker.target_mask(to_set)?;

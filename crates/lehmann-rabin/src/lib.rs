@@ -21,8 +21,11 @@
 //!   [`ArrowChecker`] that every arrow and expected-time question in the
 //!   workspace runs on.
 //! * [`check_arrow_quotient`] / [`RoundStateCodec`] — the same checks on
-//!   the rotation-quotient model with bit-packed states: up to `n`-fold
-//!   fewer states, which is what pushes exact verification past `n = 7`.
+//!   the dihedral-quotient model (rotations and the mirror image,
+//!   [`Config::reflected`]) with bit-packed states: up to `2n`-fold fewer
+//!   states. `states_checked` then counts dihedral orbits of the source
+//!   region. [`reachable_configs_quotient`] and the `pa-faults` quotient
+//!   stay on the rotation quotient; [`Quotient`] names the choice.
 //! * [`sims`] — concrete schedulers (round-robin, random, adaptive
 //!   anti-progress) plugged into the `pa-sim` Monte-Carlo runner.
 //! * [`lemmas`] — the appendix lemmas A.4–A.10 verified on conditioned
@@ -70,10 +73,12 @@ mod witness;
 pub use arrows::{
     check_arrow, check_arrow_quotient, check_arrow_with_limit, max_expected_time,
     max_expected_time_quotient, min_expected_time, min_expected_time_quotient, paper,
-    reachable_configs, reachable_configs_quotient, region_pred, region_pred_under, set_pred,
-    set_pred_under, DEFAULT_STATE_LIMIT,
+    reachable_configs, reachable_configs_in, reachable_configs_quotient, region_pred,
+    region_pred_under, set_pred, set_pred_under, DEFAULT_STATE_LIMIT,
 };
-pub use checker::{explore_checker, ArrowChecker, ArrowSolve, CheckedState, RoundAutomaton};
+pub use checker::{
+    explore_checker, ArrowChecker, ArrowSolve, CheckedState, Quotient, RoundAutomaton,
+};
 pub use error::LrError;
 pub use invariant::{adjacent_exclusion, lemma_6_1_invariant, verify_lemma_6_1};
 pub use packed::{ConfigCodec, RoundStateCodec};

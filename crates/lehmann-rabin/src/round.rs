@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use pa_core::{collect_steps, map_outcomes, Automaton, Step};
-use pa_mdp::{least_key, rotate_lanes};
+use pa_mdp::{least_key, reflect_lanes, rotate_lanes};
 
 use crate::{Config, LrAction, LrError, LrProtocol, UserModel};
 
@@ -66,6 +66,21 @@ impl RoundState {
             config: self.config.rotated(k),
             obliged: rotate_lanes(u128::from(self.obliged), 1, n, k) as u32,
             budget: rotate_lanes(u128::from(self.budget), 4, n, k) as u64,
+        }
+    }
+
+    /// The round state's mirror image: the configuration reflects (see
+    /// [`Config::reflected`]) and the obligation bits and budget nibbles
+    /// move from process `i` to process `n − 1 − i`. The round scheduler
+    /// treats both directions around the ring alike, so reflection
+    /// commutes with [`RoundMdp`]'s step relation, which is the hypothesis
+    /// behind quotient exploration with [`pa_mdp::RingDihedral`].
+    pub fn reflected(&self) -> RoundState {
+        let n = self.config.n();
+        RoundState {
+            config: self.config.reflected(),
+            obliged: reflect_lanes(u128::from(self.obliged), 1, n) as u32,
+            budget: reflect_lanes(u128::from(self.budget), 4, n) as u64,
         }
     }
 
@@ -107,6 +122,18 @@ impl pa_mdp::RingState for RoundState {
         self.config
             .unique_least_rotation()
             .unwrap_or_else(|| least_key(n, self.rotation_keys()))
+    }
+}
+
+impl pa_mdp::MirrorRingState for RoundState {
+    fn reflected(&self) -> RoundState {
+        RoundState::reflected(self)
+    }
+
+    /// The configuration leads the derived `Ord`, so its lane words decide
+    /// ([`Config::unique_least_image`]).
+    fn unique_least_image(&self, _n: usize) -> Option<(bool, usize)> {
+        self.config.unique_least_image()
     }
 }
 

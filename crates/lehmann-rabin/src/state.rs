@@ -2,7 +2,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use pa_mdp::{least_key, least_lane_rotation, rotate_lanes};
+use pa_mdp::{least_key, least_lane_image, least_lane_rotation, reflect_lanes, rotate_lanes};
 
 #[cfg(test)]
 use crate::Pc;
@@ -149,6 +149,29 @@ impl Config {
         least_lane_rotation(self.lanes(), 5, self.n())
     }
 
+    /// The lane word of the mirror image ([`Config::reflected`]) read off
+    /// this configuration's own: the lanes reversed, with the side bit of
+    /// every process whose side is live flipped.
+    fn mirror_lanes(&self, lanes: u128) -> u128 {
+        let flips = self
+            .procs()
+            .iter()
+            .fold(0u128, |acc, p| acc << 5 | u128::from(p.pc.side_matters()));
+        reflect_lanes(lanes ^ flips, 5, self.n())
+    }
+
+    /// The least of the `2n` dihedral images as decided by the processes
+    /// alone: `Some((reflect, k))` when rotation `k` of the configuration,
+    /// or of its mirror when `reflect`, is the only image with the least
+    /// lane word; `None` on a tie. As with
+    /// [`Config::unique_least_rotation`], every
+    /// [`pa_mdp::MirrorRingState::unique_least_image`] over a configuration
+    /// orders the lane word first, so `Some` is its answer.
+    pub fn unique_least_image(&self) -> Option<(bool, usize)> {
+        let lanes = self.lanes();
+        least_lane_image(lanes, self.mirror_lanes(lanes), 5, self.n())
+    }
+
     /// Integer keys of the rotations, for
     /// [`pa_mdp::RingState::least_rotation`] overrides: `key(k)` orders
     /// like `self.rotated(k)` under `Ord` (`k = 0` is `self`). Wrappers
@@ -252,6 +275,28 @@ impl Config {
         c
     }
 
+    /// The configuration's mirror image: new process `i` is old process
+    /// `n − 1 − i` with its side flipped, and new `Res_j` is old
+    /// `Res_{(n−2−j) mod n}`, the resource between the same two processes.
+    /// A dead side stays `Left` ([`ProcState::new`]).
+    ///
+    /// Reflection is a protocol automorphism: Figure 1's flip is a fair
+    /// coin between the two sides, and every other step names its
+    /// resources by side, so the step relation commutes with it (the
+    /// mirror property tests pin this). With the rotations it generates
+    /// the dihedral group behind [`pa_mdp::RingDihedral`] quotient
+    /// exploration.
+    pub fn reflected(&self) -> Config {
+        let n = self.n();
+        let mut c = *self;
+        for (slot, p) in c.procs[..n].iter_mut().zip(self.procs().iter().rev()) {
+            *slot = ProcState::new(p.pc, p.side.opp());
+        }
+        let res = reflect_lanes(u128::from(self.res), 1, n);
+        c.res = rotate_lanes(res, 1, n, 1) as u16;
+        c
+    }
+
     /// The second half of Lemma 6.1: it is never the case that both
     /// process `i` holds `Res_i` (from the left) and process `i+1` holds it
     /// (from the right) — at most one process holds each resource.
@@ -273,6 +318,16 @@ impl pa_mdp::RingState for Config {
     fn least_rotation(&self, n: usize) -> usize {
         self.unique_least_rotation()
             .unwrap_or_else(|| least_key(n, self.rotation_keys()))
+    }
+}
+
+impl pa_mdp::MirrorRingState for Config {
+    fn reflected(&self) -> Config {
+        Config::reflected(self)
+    }
+
+    fn unique_least_image(&self, _n: usize) -> Option<(bool, usize)> {
+        Config::unique_least_image(self)
     }
 }
 

@@ -13,7 +13,7 @@
 use pa_core::Arrow;
 
 use crate::arrows::arrow_model;
-use crate::{time_to_budget, ArrowSolve, Config, LrError, RoundAction, RoundMdp};
+use crate::{time_to_budget, ArrowSolve, Config, LrError, Quotient, RoundAction, RoundMdp};
 
 /// One step of a worst-case witness trace.
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ impl std::fmt::Display for Witness {
 ///
 /// Returns region-resolution and exploration errors.
 pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result<Witness, LrError> {
-    let (model, checker) = arrow_model(mdp, arrow.from(), arrow.to(), limit, false)?
+    let (model, checker) = arrow_model(mdp, arrow.from(), arrow.to(), limit, Quotient::Full)?
         .expect("the arrow's source region is reachable");
     let ArrowSolve {
         worst: worst_start,

@@ -4,7 +4,8 @@
 //! fault-wrapped round model under each plan of the default fault grid,
 //! and the free-interleaving protocol — recorded before exploration wrote
 //! CSR rows directly (when it still built a nested model and flattened
-//! it). The rotation quotients of the fault-free fault-wrapped model and
+//! it). The dihedral-quotient claim models, which `check_arrow_quotient`
+//! explores, are pinned beside their rotation quotients. The rotation quotients of the fault-free fault-wrapped model and
 //! of the protocol were recorded before canonicalization read the least
 //! rotation off the process-lane word. Every engine path must reproduce
 //! them: serial `run_in`, the level-parallel engine at 2 and 3 workers,
@@ -13,10 +14,13 @@
 use pa_core::Automaton;
 use pa_faults::{default_grid, faulty_round_cost, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
 use pa_lehmann_rabin::{
-    paper, reachable_configs_quotient, round_cost, set_pred, LrProtocol, RoundConfig, RoundMdp,
-    RoundStateCodec, UserModel,
+    paper, reachable_configs_in, reachable_configs_quotient, round_cost, set_pred, LrProtocol,
+    Quotient, RoundConfig, RoundMdp, RoundStateCodec, UserModel,
 };
-use pa_mdp::{csr_digest, BoxedSpace, CsrBuilder, Explore, PackedSpace, RingRotation, StateSpace};
+use pa_mdp::{
+    csr_digest, BoxedSpace, CsrBuilder, Explore, PackedSpace, RingDihedral, RingRotation,
+    StateSpace,
+};
 
 const LIMIT: usize = 30_000_000;
 
@@ -129,6 +133,63 @@ fn claim_quotient_models_are_pinned() {
                         .cost(round_cost)
                         .limit(LIMIT)
                         .symmetry(RingRotation::new(n))
+                },
+                || PackedSpace::new(RoundStateCodec::new(n).unwrap()),
+            );
+        }
+    }
+}
+
+#[test]
+fn claim_dihedral_models_are_pinned() {
+    // The six claim models as `check_arrow_quotient` explores them:
+    // dihedral orbit representatives as starts, canonicalized under
+    // rotation and reflection. Recorded when the dihedral quotient was
+    // added; the rotation pins above are the same claims' rotation
+    // quotients.
+    let pins: [(usize, [u64; 6]); 2] = [
+        (
+            3,
+            [
+                0x641f_3645_0df2_08ba,
+                0x9a76_cc35_28ee_6322,
+                0x979c_6215_8da8_df65,
+                0xa043_3ed7_0c55_7876,
+                0x7191_0eb0_4678_44d2,
+                0x0b4b_ad6c_4693_016d,
+            ],
+        ),
+        (
+            4,
+            [
+                0xe6a1_11c0_327c_abd2,
+                0xb2d5_5c65_7a56_044b,
+                0x2659_a1a0_8cd7_0e85,
+                0xdfcf_8a57_72e7_7be3,
+                0xb522_04a5_b605_99f8,
+                0x00b5_f081_ba2e_5461,
+            ],
+        ),
+    ];
+    let mut arrows: Vec<_> = paper::all_arrows().into_iter().map(|(a, _)| a).collect();
+    arrows.push(paper::arrow_t_to_c());
+    for (n, wants) in pins {
+        let reachable = reachable_configs_in(n, LIMIT, Quotient::Dihedral).unwrap();
+        for (arrow, want) in arrows.iter().zip(wants) {
+            let from = set_pred(arrow.from()).unwrap();
+            let to = set_pred(arrow.to()).unwrap();
+            let starts = reachable.iter().filter(|c| from(c)).copied().collect();
+            let m = RoundMdp::new(RoundConfig::new(n).unwrap())
+                .with_starts(starts)
+                .with_absorb(move |c| to(c));
+            assert_pinned(
+                &format!("dihedral n={n} {arrow}"),
+                want,
+                || {
+                    Explore::new(&m)
+                        .cost(round_cost)
+                        .limit(LIMIT)
+                        .symmetry(RingDihedral::new(n))
                 },
                 || PackedSpace::new(RoundStateCodec::new(n).unwrap()),
             );

@@ -1,9 +1,9 @@
 //! Quotient-vs-full state counts of the saturating protocol: the measured
 //! table behind `pa-batch`'s tier selection and the bench `symmetry`
-//! block.
+//! block, with the dihedral quotient beside the rotation quotient.
 
 use pa_lehmann_rabin::{LrProtocol, UserModel};
-use pa_mdp::{Explore, RingRotation};
+use pa_mdp::{Explore, RingDihedral, RingRotation};
 
 const LIMIT: usize = 50_000_000;
 
@@ -28,16 +28,77 @@ fn quotient_states(n: usize) -> usize {
     explored.mdp.num_states()
 }
 
-/// One-off measurement helper: prints the full/quotient table.
+fn dihedral_states(n: usize) -> usize {
+    let protocol = LrProtocol::new(n, UserModel::saturating()).unwrap();
+    let explored = Explore::new(&protocol)
+        .limit(LIMIT)
+        .parallel()
+        .symmetry(RingDihedral::new(n))
+        .run()
+        .unwrap();
+    explored.mdp.num_states()
+}
+
+/// One-off measurement helper: prints the full/quotient table, with the
+/// dihedral quotient beside the rotation quotient.
 #[test]
 #[ignore = "measurement helper, run with --ignored --nocapture"]
 fn print_quotient_counts() {
     for n in 3..=7 {
         let full = full_states(n);
         let quot = quotient_states(n);
+        let dihedral = dihedral_states(n);
         println!(
-            "n={n}: full={full} quotient={quot} reduction={:.3}",
-            full as f64 / quot as f64
+            "n={n}: full={full} quotient={quot} reduction={:.3} dihedral={dihedral} reduction={:.3}",
+            full as f64 / quot as f64,
+            full as f64 / dihedral as f64
+        );
+    }
+}
+
+/// One-off measurement helper: the states each of the six claim models
+/// explores on the rotation and on the dihedral quotient, and their
+/// totals (run with `--ignored --nocapture`, range via `QC_RANGE=lo:hi`).
+#[test]
+#[ignore = "measurement helper, run with --ignored --nocapture"]
+fn print_claim_model_states() {
+    use pa_lehmann_rabin::{
+        explore_checker, paper, reachable_configs_in, Quotient, RoundConfig, RoundMdp,
+        RoundStateCodec,
+    };
+    use pa_mdp::PackedSpace;
+    let range = std::env::var("QC_RANGE").unwrap_or_else(|_| "3:5".to_string());
+    let (lo, hi) = range.split_once(':').unwrap();
+    let mut claims: Vec<_> = paper::all_arrows().into_iter().map(|(a, _)| a).collect();
+    claims.push(paper::arrow_t_to_c());
+    for n in lo.parse().unwrap()..=hi.parse::<usize>().unwrap() {
+        let mut totals = [0usize; 2];
+        for arrow in &claims {
+            let mut counts = [0usize; 2];
+            for (slot, quotient) in [Quotient::Rotation, Quotient::Dihedral]
+                .into_iter()
+                .enumerate()
+            {
+                let configs = reachable_configs_in(n, LIMIT, quotient).unwrap();
+                let space = PackedSpace::new(RoundStateCodec::new(n).unwrap());
+                let mdp = RoundMdp::new(RoundConfig::new(n).unwrap());
+                let scope = Some((arrow.from(), arrow.to()));
+                let (_, checker) = explore_checker(mdp, &configs, scope, LIMIT, quotient, space)
+                    .unwrap()
+                    .unwrap();
+                counts[slot] = checker.model().num_states();
+                totals[slot] += counts[slot];
+            }
+            println!(
+                "n={n} {arrow}: rotation={} dihedral={}",
+                counts[0], counts[1]
+            );
+        }
+        println!(
+            "n={n} six claims: rotation={} dihedral={} reduction={:.3}",
+            totals[0],
+            totals[1],
+            totals[0] as f64 / totals[1] as f64
         );
     }
 }

@@ -106,7 +106,8 @@ pub use scc::SccDecomposition;
 pub use source::{csr_digest, resolve_workers, CsrRows, CsrSource, SolveStats};
 pub use space::{BoxedSpace, PackedSpace, StateCodec, StateSpace};
 pub use symmetry::{
-    least_key, least_lane_rotation, rotate_lanes, RingRotation, RingState, Symmetry,
+    least_key, least_lane_image, least_lane_rotation, reflect_lanes, rotate_lanes, MirrorRingState,
+    RingDihedral, RingRotation, RingState, Symmetry,
 };
 pub use tag::{tag_choices, tagged_absorbing_violations, ChoiceTags, TAG_NONE};
 pub use value_iter::{prob0_max, prob0_min, prob1, IterOptions};

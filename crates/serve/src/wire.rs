@@ -26,7 +26,8 @@
 //! and `{"custom":"name"}` — closures cannot cross the wire, so custom
 //! jobs are resolved by name against the server's [`CustomRegistry`].
 //! `SET` is a region-atom name or an array of them
-//! ([`pa_core::SetExpr::union_of`]).
+//! ([`pa_core::SetExpr::union_of`]); an atom outside `T`, `C`, `RT`, `F`,
+//! `G`, `P` rejects the line.
 //!
 //! # Fidelity
 //!
@@ -234,20 +235,26 @@ fn as_finite_f64(v: &Json, field: &str) -> Result<f64, WireError> {
         .ok_or_else(|| WireError::new(format!("\"{field}\" must be a finite number")))
 }
 
-/// A region set: one atom name or an array of them.
+/// A region set: one atom name or an array of them, each a known region
+/// atom ([`pa_faults::region_pred_under`]), so a misspelt atom is a bad
+/// line rather than a queued job that fails in the batch.
 fn set_expr(v: &Json, field: &str) -> Result<SetExpr, WireError> {
+    let atom = |name: &str| {
+        pa_faults::region_pred_under(name)
+            .map(|_| name.to_string())
+            .map_err(|_| {
+                WireError::new(format!("unknown region atom {name:?} in field \"{field}\""))
+            })
+    };
     match v {
-        Json::String(name) => Ok(SetExpr::named(name.clone())),
+        Json::String(name) => Ok(SetExpr::named(atom(name)?)),
         Json::Array(items) => {
             let mut names = Vec::with_capacity(items.len());
             for item in items {
-                names.push(
-                    item.as_str()
-                        .ok_or_else(|| {
-                            WireError::new(format!("\"{field}\" atoms must be strings"))
-                        })?
-                        .to_string(),
-                );
+                let name = item
+                    .as_str()
+                    .ok_or_else(|| WireError::new(format!("\"{field}\" atoms must be strings")))?;
+                names.push(atom(name)?);
             }
             if names.is_empty() {
                 return Err(WireError::new(format!("\"{field}\" must not be empty")));
@@ -661,6 +668,14 @@ mod tests {
             (
                 "{\"op\":\"job\",\"kind\":{\"custom\":\"nope\"},\"n\":3}",
                 "unknown custom job",
+            ),
+            (
+                "{\"op\":\"job\",\"kind\":{\"etime\":{\"from\":\"NOPE\",\"to\":\"C\",\"bound\":63}},\"n\":3}",
+                "unknown region atom \"NOPE\" in field \"from\"",
+            ),
+            (
+                "{\"op\":\"job\",\"kind\":{\"reach\":{\"target\":[\"C\",\"X\"],\"within\":2,\"claimed\":0.5}},\"n\":3}",
+                "unknown region atom \"X\" in field \"target\"",
             ),
             (
                 "{\"op\":\"job\",\"kind\":{\"arrow\":0},\"n\":3,\"solver\":\"gauss\"}",

@@ -58,6 +58,7 @@ const CORPUS: &[&str] = &[
     "{\"op\":\"job\",\"kind\":{\"arrow\":0},\"n\":3,\
      \"plan\":[{\"round\":2,\"process\":0,\"kind\":\"crash-stop\"}]}",
     "{\"op\":\"run\",\"workers\":\"four\"}",
+    "{\"op\":\"job\",\"kind\":{\"etime\":{\"from\":\"NOPE\",\"to\":\"C\",\"bound\":63}},\"n\":3}",
 ];
 
 /// One line (no newline, never blank) the server must reject.
