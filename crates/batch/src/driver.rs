@@ -342,11 +342,10 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
     ))
 }
 
-/// The job's own query settings: its solver and tolerance, on one worker
-/// (parallelism comes from running jobs concurrently).
+/// The job's own query settings: its solver and tolerance.
 fn tune(ctx: &JobCtx<'_>) -> impl for<'q> FnOnce(Query<'q>) -> Query<'q> {
     let (solver, epsilon) = (ctx.spec.solver, ctx.spec.epsilon);
-    move |q| q.solver(solver).epsilon(epsilon).workers(1)
+    move |q| q.solver(solver).epsilon(epsilon)
 }
 
 /// A finished probability claim, its verdict from [`pa_core::meets_claim`].

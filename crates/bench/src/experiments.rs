@@ -471,7 +471,6 @@ pub fn ablation(n: usize) -> ExpResult {
     let explored = Explore::new(&model)
         .cost(round_cost)
         .limit(STATE_LIMIT)
-        .parallel()
         .run()?;
     let target = explored.target_where(|rs| to(&rs.config));
     let start = explored.mdp.initial_states()[0];

@@ -145,7 +145,6 @@ pub fn store_bench(limit: usize) -> Result<StoreBench, Box<dyn std::error::Error
     let explored = Explore::new(&model)
         .cost(faulty_round_cost)
         .limit(limit)
-        .parallel()
         .symmetry(RingRotation::new(n))
         .run_in(PackedSpace::new(codec))?;
     let csr = &explored.mdp;

@@ -46,7 +46,6 @@ fn saturating_protocol_shape_and_solver_work_are_pinned() {
         let explored = Explore::new(&saturating(n))
             .cost(|_, _| 1)
             .limit(LIMIT)
-            .parallel()
             .run()
             .unwrap();
         let csr = &explored.mdp;
@@ -91,14 +90,9 @@ fn saturating_protocol_shape_and_solver_work_are_pinned() {
 fn protocol_orbits_and_the_n4_quotient_frontier_are_pinned() {
     for (n, full, orbits) in [(3, 536, 184), (4, 4_252, 1_084), (5, 33_848, 6_776)] {
         let protocol = saturating(n);
-        let explored = Explore::new(&protocol)
-            .limit(LIMIT)
-            .parallel()
-            .run()
-            .unwrap();
+        let explored = Explore::new(&protocol).limit(LIMIT).run().unwrap();
         let quotient = Explore::new(&protocol)
             .limit(LIMIT)
-            .parallel()
             .symmetry(RingRotation::new(n))
             .run()
             .unwrap();
@@ -112,7 +106,6 @@ fn protocol_orbits_and_the_n4_quotient_frontier_are_pinned() {
     for (n, dihedral) in [(3, 101), (4, 572), (5, 3_454)] {
         let quotient = Explore::new(&saturating(n))
             .limit(LIMIT)
-            .parallel()
             .symmetry(RingDihedral::new(n))
             .run()
             .unwrap();
@@ -167,7 +160,6 @@ fn n3_survival_tallies_and_crash_absorption_are_pinned() {
     let explored = Explore::new(&wrapped)
         .cost(faulty_round_cost)
         .limit(LIMIT)
-        .parallel()
         .run()
         .unwrap();
     let tags = wrapped.crash_tags(&explored);

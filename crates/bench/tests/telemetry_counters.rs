@@ -21,7 +21,6 @@ fn every_instrumented_layer_records_its_counters() {
     let explored = Explore::new(&mdp)
         .cost(round_cost)
         .limit(1_000_000)
-        .parallel()
         .run()
         .unwrap();
     let target = explored.target_where(|s| regions::in_c(&s.config));
@@ -73,7 +72,6 @@ fn every_instrumented_layer_records_its_counters() {
     let faulted = Explore::new(&faulty)
         .cost(faulty_round_cost)
         .limit(1_000_000)
-        .parallel()
         .run()
         .unwrap();
     faulty.crash_tags(&faulted);

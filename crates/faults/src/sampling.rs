@@ -235,7 +235,6 @@ pub fn exact_reach_uniform(
             faulty_round_cost,
         ))
         .limit(limit)
-        .parallel()
         .run()?;
     let mut pred =
         chain_target(|s: &crate::FaultyRoundState| to(&s.inner.config, s.crashed_mask(n)));

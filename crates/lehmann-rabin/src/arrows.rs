@@ -226,7 +226,7 @@ pub fn reachable_configs_in(
     quotient: Quotient,
 ) -> Result<Vec<Config>, LrError> {
     let protocol = crate::LrProtocol::new(n, crate::UserModel::full())?;
-    let explore = Explore::new(&protocol).limit(limit).parallel();
+    let explore = Explore::new(&protocol).limit(limit);
     let (space, _) = quotient
         .install(explore, n)
         .run_streamed(BoxedSpace::default(), &mut DiscardRows)?;

@@ -73,9 +73,7 @@ impl CheckedState for RoundState {
 
 /// A round automaton [`explore_checker`] can explore: its starts are
 /// configurations, and a region can be made absorbing.
-pub trait RoundAutomaton:
-    Automaton<State: CheckedState + MirrorRingState + Send + Sync> + Sync + Sized
-{
+pub trait RoundAutomaton: Automaton<State: CheckedState + MirrorRingState> + Sized {
     /// Ring size.
     fn ring_size(&self) -> usize;
     /// The crash mask in force when the clock starts, under which the
@@ -124,7 +122,7 @@ impl Quotient {
     pub(crate) fn install<'a, M, F>(self, explore: Explore<'a, M, F>, n: usize) -> Explore<'a, M, F>
     where
         M: Automaton,
-        M::State: MirrorRingState + Send + Sync,
+        M::State: MirrorRingState,
     {
         match self {
             Quotient::Full => explore,
@@ -160,7 +158,7 @@ pub fn explore_checker<A, SP>(
 ) -> Result<Option<(A, ArrowChecker<A::State, Explored<A::State, SP>>)>, LrError>
 where
     A: RoundAutomaton,
-    SP: StateSpace<A::State> + Send + Sync,
+    SP: StateSpace<A::State>,
 {
     let n = automaton.ring_size();
     let mask0 = automaton.start_crash_mask();
@@ -176,10 +174,7 @@ where
         }
         None => automaton.starting_from(configs.to_vec()),
     };
-    let explore = Explore::new(&automaton)
-        .cost(A::step_cost)
-        .limit(limit)
-        .parallel();
+    let explore = Explore::new(&automaton).cost(A::step_cost).limit(limit);
     let explored = quotient.install(explore, n).run_in(space)?;
     Ok(Some((automaton, ArrowChecker::new(n, mask0, explored))))
 }

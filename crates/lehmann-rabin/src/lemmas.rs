@@ -396,7 +396,6 @@ pub fn check_lemma(n: usize, spec: &LemmaSpec, limit: usize) -> Result<LemmaChec
         let explored = Explore::new(&model)
             .cost(|s: &ForcedState, a: &RoundAction| round_cost(&s.round, a))
             .limit(limit)
-            .parallel()
             .run()?;
         let target = explored.target_where(|fs| (spec.goal)(&fs.round.config, i));
         let worst = explored

@@ -5,11 +5,11 @@
 //! and the free-interleaving protocol — recorded before exploration wrote
 //! CSR rows directly (when it still built a nested model and flattened
 //! it). The dihedral-quotient claim models, which `check_arrow_quotient`
-//! explores, are pinned beside their rotation quotients. The rotation quotients of the fault-free fault-wrapped model and
-//! of the protocol were recorded before canonicalization read the least
-//! rotation off the process-lane word. Every engine path must reproduce
-//! them: serial `run_in`, the level-parallel engine at 2 and 3 workers,
-//! and `run_streamed` into a collecting sink.
+//! explores, are pinned beside their rotation quotients. The rotation
+//! quotients of the fault-free fault-wrapped model and of the protocol were
+//! recorded before canonicalization read the least rotation off the
+//! process-lane word. Both engine paths must reproduce them: `run_in`, and
+//! `run_streamed` into a collecting sink.
 
 use pa_core::Automaton;
 use pa_faults::{default_grid, faulty_round_cost, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
@@ -33,39 +33,17 @@ fn assert_pinned<'a, M, F, SP>(
     explore: impl Fn() -> Explore<'a, M, F>,
     space: impl Fn() -> SP,
 ) where
-    M: Automaton + Sync + 'a,
-    M::State: Send + Sync,
-    F: Fn(&M::State, &M::Action) -> u32 + Sync,
-    SP: StateSpace<M::State> + Send + Sync,
+    M: Automaton + 'a,
+    F: Fn(&M::State, &M::Action) -> u32,
+    SP: StateSpace<M::State>,
 {
-    let serial = explore().run_in(space()).unwrap();
-    assert_eq!(
-        csr_digest(&serial.mdp).unwrap(),
-        want,
-        "{name}: serial run_in"
-    );
-    for workers in [2, 3] {
-        let par = explore().workers(workers).run_in(space()).unwrap();
-        assert_eq!(
-            csr_digest(&par.mdp).unwrap(),
-            want,
-            "{name}: run_in, {workers} workers"
-        );
-    }
-    for workers in [1, 3] {
-        let mut sink = CsrBuilder::new();
-        let (streamed_space, summary) = explore()
-            .workers(workers)
-            .run_streamed(space(), &mut sink)
-            .unwrap();
-        assert_eq!(streamed_space.len(), serial.num_states());
-        let csr = sink.finish(summary.initial);
-        assert_eq!(
-            csr_digest(&csr).unwrap(),
-            want,
-            "{name}: run_streamed, {workers} workers"
-        );
-    }
+    let in_core = explore().run_in(space()).unwrap();
+    assert_eq!(csr_digest(&in_core.mdp).unwrap(), want, "{name}: run_in");
+    let mut sink = CsrBuilder::new();
+    let (streamed_space, summary) = explore().run_streamed(space(), &mut sink).unwrap();
+    assert_eq!(streamed_space.len(), in_core.num_states());
+    let csr = sink.finish(summary.initial);
+    assert_eq!(csr_digest(&csr).unwrap(), want, "{name}: run_streamed");
 }
 
 /// The full round model has one digest, and the same state at every id,

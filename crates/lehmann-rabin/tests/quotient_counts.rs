@@ -9,11 +9,7 @@ const LIMIT: usize = 50_000_000;
 
 fn full_states(n: usize) -> usize {
     let protocol = LrProtocol::new(n, UserModel::saturating()).unwrap();
-    let explored = Explore::new(&protocol)
-        .limit(LIMIT)
-        .parallel()
-        .run()
-        .unwrap();
+    let explored = Explore::new(&protocol).limit(LIMIT).run().unwrap();
     explored.mdp.num_states()
 }
 
@@ -21,7 +17,6 @@ fn quotient_states(n: usize) -> usize {
     let protocol = LrProtocol::new(n, UserModel::saturating()).unwrap();
     let explored = Explore::new(&protocol)
         .limit(LIMIT)
-        .parallel()
         .symmetry(RingRotation::new(n))
         .run()
         .unwrap();
@@ -32,7 +27,6 @@ fn dihedral_states(n: usize) -> usize {
     let protocol = LrProtocol::new(n, UserModel::saturating()).unwrap();
     let explored = Explore::new(&protocol)
         .limit(LIMIT)
-        .parallel()
         .symmetry(RingDihedral::new(n))
         .run()
         .unwrap();

@@ -14,8 +14,7 @@
 //! * Determinism contract: trajectory `i` always runs on the private
 //!   stream `SplitMix64::for_trial(seed, i)`, and the accumulator is
 //!   integer-only (a first-hit-time histogram), so the result is bitwise
-//!   identical for every worker count — the same contract the exact
-//!   engine's parallel explorer keeps.
+//!   identical for every worker count.
 //! * Cross-validation: [`OptimalReplay`] replays the cost-indexed optimal
 //!   policy extracted by [`pa_mdp::Query::with_policy`] on the implicit
 //!   model (choice order is preserved by [`pa_mdp::Explored`]), so on

@@ -67,7 +67,6 @@ fn optimal_replay_interval_contains_exact_min_prob() {
     let explored = Explore::new(&Race)
         .cost(race_cost)
         .limit(10_000)
-        .parallel()
         .run()
         .unwrap();
     let analysis = explored
@@ -109,7 +108,6 @@ fn uniform_policy_interval_contains_chain_exact_value() {
     let explored = Explore::new(&chain)
         .cost(UniformChain::<Race>::cost(race_cost))
         .limit(10_000)
-        .parallel()
         .run()
         .unwrap();
     let mut target = chain_target(at_goal);

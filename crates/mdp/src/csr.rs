@@ -363,22 +363,20 @@ impl CsrSource for CsrMdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{has_zero_cost_cycle, PAR_MIN_STATES};
+    use crate::source::has_zero_cost_cycle;
     use crate::{Choice, IterOptions, Objective, Query, Solver};
 
-    /// Jacobi unbounded reachability on an in-core model with `workers`.
+    /// Jacobi unbounded reachability on an in-core model.
     fn reach_prob(
         csr: &CsrMdp,
         target: &[bool],
         objective: Objective,
         opts: IterOptions,
-        workers: usize,
     ) -> Vec<f64> {
         Query::csr(csr)
             .objective(objective)
             .target(target)
             .options(opts)
-            .workers(workers)
             .solver(Solver::Jacobi)
             .run()
             .unwrap()
@@ -447,36 +445,10 @@ mod tests {
         let csr = CsrMdp::from_explicit(&escape());
         let target = [false, false, true];
         let opts = IterOptions::default();
-        let vmax = reach_prob(&csr, &target, Objective::MaxProb, opts, 1);
+        let vmax = reach_prob(&csr, &target, Objective::MaxProb, opts);
         assert!((vmax[0] - 1.0).abs() < 1e-9);
-        let vmin = reach_prob(&csr, &target, Objective::MinProb, opts, 1);
+        let vmin = reach_prob(&csr, &target, Objective::MinProb, opts);
         assert_eq!(vmin[0], 0.0);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_bits() {
-        // Small model, but force the parallel path decision logic: with
-        // n < PAR_MIN_STATES the sweep is serial either way, so exercise
-        // the contract on a chain long enough to split.
-        let n = PAR_MIN_STATES + 17;
-        let mut choices = Vec::with_capacity(n);
-        for s in 0..n - 1 {
-            choices.push(vec![Choice::dist(
-                1,
-                vec![(s + 1, 0.7), (s, 0.25), (0, 0.05)],
-            )]);
-        }
-        choices.push(vec![]);
-        let m = ExplicitMdp::new(choices, vec![0]).unwrap();
-        let csr = CsrMdp::from_explicit(&m);
-        let target: Vec<bool> = (0..n).map(|s| s == n - 1).collect();
-        let opts = IterOptions {
-            epsilon: 1e-10,
-            max_sweeps: 50_000,
-        };
-        let serial = reach_prob(&csr, &target, Objective::MinProb, opts, 1);
-        let parallel = reach_prob(&csr, &target, Objective::MinProb, opts, 3);
-        assert_eq!(serial, parallel, "Jacobi sweeps must be chunk-invariant");
     }
 
     #[test]
@@ -507,13 +479,5 @@ mod tests {
         // Nor is a cycle made only of cost-1 edges.
         let costed = vec![vec![Choice::to(1, 1)], vec![Choice::to(1, 0)], vec![]];
         assert!(!cycle(costed, &[false, false, true]));
-    }
-
-    #[test]
-    fn resolve_workers_prefers_explicit_argument() {
-        use crate::resolve_workers;
-        assert_eq!(resolve_workers(Some(3)), 3);
-        assert_eq!(resolve_workers(Some(0)), 1);
-        assert!(resolve_workers(None) >= 1);
     }
 }

@@ -6,64 +6,47 @@
 //! ```ignore
 //! let explored = Explore::new(&model)
 //!     .cost(round_cost)             // default: every transition costs 1
-//!     .workers(4)                   // default: serial
 //!     .symmetry(RingRotation::new(n)) // default: no reduction
-//!     .capacity_hint(1 << 20)
 //!     .limit(20_000_000)
 //!     .run()?;                      // or .run_in(PackedSpace::new(codec))
 //! ```
 //!
 //! # One BFS core, rows straight into CSR
 //!
-//! Both engines enumerate a state's steps through
-//! [`Automaton::for_each_step`] and write its choices into one reusable
-//! flat row buffer — costs, transition ends, `u32` successor ids and
-//! probabilities — so exploration allocates nothing per state or per
-//! choice. Each finished row is validated (as [`crate::ExplicitMdp::new`]
-//! would: non-empty support, finite non-negative weights summing to one)
-//! and handed to a [`RowSink`] in dense-id order (`0, 1, 2, …`).
-//! [`Explore::run_in`] passes the in-core sink, a [`CsrBuilder`], whose
-//! arrays become [`Explored::mdp`]; [`Explore::run_streamed`] passes the
-//! caller's sink (e.g. `pa-store`'s block writer). No nested model is
-//! built, copied or dropped on either path.
+//! The engine is a FIFO breadth-first search. It enumerates a state's
+//! steps through [`Automaton::for_each_step`] and writes its choices into
+//! one reusable flat row buffer — costs, transition ends, `u32` successor
+//! ids and probabilities — so exploration allocates nothing per state or
+//! per choice. States are interned through a [`StateSpace`] (hashing with
+//! the crate's [`FxHashMap`]; SipHash dominated the profile, and model
+//! states are not attacker-controlled, see [`crate::fxhash`]). Interning a
+//! packed word hashes and probes once, through the map's entry API,
+//! whether the state is new or known. Ids are assigned in discovery
+//! order, so a popped state's row is final at once: it is validated (as
+//! [`crate::ExplicitMdp::new`] would: non-empty support, finite
+//! non-negative weights summing to one) and handed to a [`RowSink`] in
+//! dense-id order (`0, 1, 2, …`). [`Explore::run_in`] passes the in-core
+//! sink, a [`CsrBuilder`], whose arrays become [`Explored::mdp`];
+//! [`Explore::run_streamed`] passes the caller's sink (e.g. `pa-store`'s
+//! block writer). No nested model is built, copied or dropped on either
+//! path.
 //!
-//! Serial and parallel runs share one deterministic contract:
-//!
-//! * serial — FIFO breadth-first search, interning states through a
-//!   [`StateSpace`] (hashing with the crate's [`FxHashMap`]; SipHash
-//!   dominated the profile, and model states are not attacker-controlled,
-//!   see [`crate::fxhash`]). Interning a packed word hashes and probes
-//!   once, through the map's entry API, whether the state is new or
-//!   known. Ids are assigned in pop order, so a popped state's row is
-//!   final and goes to the sink at once.
-//! * parallel — level-synchronized BFS. Each BFS level is split into
-//!   contiguous shards (adaptively oversharded when the fresh yield of the
-//!   busiest shard runs hot — see [`next_shard_factor`]); workers expand
-//!   their shard into flat arrays against a read-only snapshot of the
-//!   intern table, deduplicating *new* successor states in a worker-local
-//!   `FxHashMap` (one entry lookup each). The main thread then merges
-//!   shard outputs **in shard order**, row by row, interning each
-//!   shard-new state at its first reference — exactly when the serial
-//!   explorer would intern it (shard order = level order; within a
-//!   shard, encounter order). The result —
-//!   state ids, choice lists, transitions, and even the state at which a
-//!   [`MdpError::StateLimitExceeded`] or a
-//!   [`MdpError::BadDistribution`] fires — is identical to the serial run
-//!   for every worker count, which the property tests assert.
+//! The engine runs on the calling thread. Callers that want parallelism
+//! run independent questions side by side (as `pa-batch`'s workers do),
+//! so one run's ids, rows and the state at which a
+//! [`MdpError::StateLimitExceeded`] or a [`MdpError::BadDistribution`]
+//! fires depend on the model alone.
 //!
 //! With a [`Symmetry`] installed, every start state and every successor is
 //! canonicalized to its orbit representative before interning, so the
-//! explorers build the *quotient* MDP (up to `order()`-fold smaller).
-//! Canonicalization happens at the same points in both engines, so the
-//! determinism contract extends to quotient runs. The cost function must
-//! be constant on orbits (all shipped cost functions depend only on the
-//! action).
+//! explorer builds the *quotient* MDP (up to `order()`-fold smaller). The
+//! cost function must be constant on orbits (all shipped cost functions
+//! depend only on the action).
 //!
 //! Successor ids are `u32` in CSR, so the state limit is capped at `2^32`.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::ops::Range;
 
 use pa_core::Automaton;
 
@@ -210,18 +193,6 @@ impl<S: Clone + Eq + std::hash::Hash> Explored<S, BoxedSpace<S>> {
     }
 }
 
-/// Worker-count selection for an [`Explore`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Workers {
-    /// Serial FIFO BFS (the default).
-    Serial,
-    /// Parallel with the environment-resolved count
-    /// ([`crate::resolve_workers`] with `None`).
-    Auto,
-    /// Parallel with an explicit count.
-    Exact(usize),
-}
-
 /// Builder for state-space exploration — see the crate docs for the
 /// contract and an example.
 pub struct Explore<
@@ -232,10 +203,11 @@ pub struct Explore<
     automaton: &'a M,
     cost_of: F,
     limit: usize,
-    workers: Workers,
     symmetry: Option<Box<dyn Symmetry<M::State> + 'a>>,
-    capacity_hint: usize,
 }
+
+/// Successor ids are `u32` in CSR, so no exploration holds more states.
+const MAX_STATES: usize = (u32::MAX as usize).saturating_add(1);
 
 /// The default cost function: every transition costs one unit.
 fn unit_cost<S, A>(_s: &S, _a: &A) -> u32 {
@@ -243,16 +215,14 @@ fn unit_cost<S, A>(_s: &S, _a: &A) -> u32 {
 }
 
 impl<'a, M: Automaton> Explore<'a, M> {
-    /// Starts a builder over `automaton` with unit costs, no state limit,
-    /// serial execution, and no symmetry reduction.
+    /// Starts a builder over `automaton` with unit costs, no state limit
+    /// and no symmetry reduction.
     pub fn new(automaton: &'a M) -> Explore<'a, M> {
         Explore {
             automaton,
             cost_of: unit_cost::<M::State, M::Action>,
-            limit: usize::MAX,
-            workers: Workers::Serial,
+            limit: MAX_STATES,
             symmetry: None,
-            capacity_hint: 0,
         }
     }
 }
@@ -265,35 +235,22 @@ impl<'a, M: Automaton, F> Explore<'a, M, F> {
             automaton: self.automaton,
             cost_of,
             limit: self.limit,
-            workers: self.workers,
             symmetry: self.symmetry,
-            capacity_hint: self.capacity_hint,
         }
     }
 
     /// Caps the number of explored states;
     /// [`MdpError::StateLimitExceeded`] fires beyond it.
     pub fn limit(mut self, limit: usize) -> Self {
-        self.limit = limit;
+        self.limit = limit.min(MAX_STATES);
         self
     }
 
-    /// Requests parallel exploration: `Some(k)` for an explicit worker
-    /// count, `None` for the environment-resolved default (as in
-    /// [`crate::resolve_workers`]). A count of 1 runs the serial engine,
-    /// which produces the identical result by contract.
-    pub fn workers(mut self, workers: impl Into<Option<usize>>) -> Self {
-        self.workers = match workers.into() {
-            Some(k) => Workers::Exact(k),
-            None => Workers::Auto,
-        };
-        self
-    }
-
-    /// Requests parallel exploration with the environment-resolved worker
-    /// count (sugar for `.workers(None)`).
-    pub fn parallel(mut self) -> Self {
-        self.workers = Workers::Auto;
+    /// Does nothing: exploration is serial. Kept only because the
+    /// benchmark's traced claim replay (`perfbench/src/claims.rs`) still
+    /// calls it; it goes with that replay's next update (ROADMAP item 6).
+    #[doc(hidden)]
+    pub fn parallel(self) -> Self {
         self
     }
 
@@ -301,13 +258,6 @@ impl<'a, M: Automaton, F> Explore<'a, M, F> {
     /// representatives before interning, building the quotient MDP.
     pub fn symmetry(mut self, symmetry: impl Symmetry<M::State> + 'a) -> Self {
         self.symmetry = Some(Box::new(symmetry));
-        self
-    }
-
-    /// Pre-reserves the state store (and interner) for roughly `states`
-    /// entries, avoiding rehash stalls on explorations of known size.
-    pub fn capacity_hint(mut self, states: usize) -> Self {
-        self.capacity_hint = states;
         self
     }
 }
@@ -342,9 +292,8 @@ pub struct StreamSummary {
 
 impl<M, F> Explore<'_, M, F>
 where
-    M: Automaton + Sync,
-    M::State: Send + Sync,
-    F: Fn(&M::State, &M::Action) -> u32 + Sync,
+    M: Automaton,
+    F: Fn(&M::State, &M::Action) -> u32,
 {
     /// Runs the exploration into the default boxed state store.
     ///
@@ -367,7 +316,7 @@ where
     /// Same as [`Explore::run`].
     pub fn run_in<SP>(self, space: SP) -> Result<Explored<M::State, SP>, MdpError>
     where
-        SP: StateSpace<M::State> + Send + Sync,
+        SP: StateSpace<M::State>,
     {
         let mut csr = CsrBuilder::new();
         let (space, summary) = self.explore_into(space, &mut csr)?;
@@ -376,15 +325,12 @@ where
 
     /// Runs the exploration, streaming each state's row to `sink` instead
     /// of keeping the model. Returns the state store and the exploration
-    /// counts; peak memory is the store plus the BFS frontier — the model
-    /// itself lives wherever the sink puts it.
+    /// counts; peak memory is the store (the BFS queue is just the next id
+    /// to expand) — the model itself lives wherever the sink puts it.
     ///
     /// Rows are exactly those [`Explore::run_in`] builds its [`CsrMdp`]
-    /// from, emitted in dense-id order by the same engine (serial or
-    /// parallel, as configured). The serial engine emits each row as soon
-    /// as its state is expanded; the parallel one holds a whole BFS
-    /// level's rows until the level's merge, so a spill that must stay
-    /// within a memory bound keeps the serial default.
+    /// from, emitted in dense-id order by the same engine, each as soon as
+    /// its state is expanded.
     ///
     /// # Errors
     ///
@@ -395,43 +341,23 @@ where
         sink: &mut dyn RowSink,
     ) -> Result<(SP, StreamSummary), MdpError>
     where
-        SP: StateSpace<M::State> + Send + Sync,
+        SP: StateSpace<M::State>,
     {
         self.explore_into(space, sink)
     }
 
-    /// The one exploration core: resolves the engine, runs it into
-    /// `sink`, and records the run's telemetry.
+    /// The one exploration core: runs the BFS into `sink` and records the
+    /// run's telemetry.
     fn explore_into<SP, K>(
         self,
         mut space: SP,
         sink: &mut K,
     ) -> Result<(SP, StreamSummary), MdpError>
     where
-        SP: StateSpace<M::State> + Send + Sync,
+        SP: StateSpace<M::State>,
         K: RowSink + ?Sized,
     {
-        let limit = self.limit.min((u32::MAX as usize).saturating_add(1));
-        if self.capacity_hint > 0 {
-            space.reserve(self.capacity_hint.min(limit));
-        }
-        let sym = self.symmetry.as_deref();
-        let workers = match self.workers {
-            Workers::Serial => 1,
-            Workers::Auto => crate::resolve_workers(None),
-            Workers::Exact(k) => crate::resolve_workers(Some(k)),
-        };
-        let core = Core {
-            automaton: self.automaton,
-            cost_of: &self.cost_of,
-            limit,
-            sym,
-        };
-        let summary = if workers <= 1 {
-            core.serial(&mut space, sink)?
-        } else {
-            core.parallel(&mut space, sink, workers)?
-        };
+        let summary = self.bfs(&mut space, sink)?;
         if pa_telemetry::enabled() {
             pa_telemetry::counter("mdp.explore.runs").inc();
             pa_telemetry::counter("mdp.explore.states").add(summary.num_states as u64);
@@ -514,42 +440,23 @@ impl RowBuf {
     }
 }
 
-/// The parts of an [`Explore`] both engines read.
-struct Core<'e, M: Automaton, F> {
-    automaton: &'e M,
-    cost_of: &'e F,
-    limit: usize,
-    sym: Option<&'e dyn Symmetry<M::State>>,
-}
-
-impl<M, F> Core<'_, M, F>
+impl<M, F> Explore<'_, M, F>
 where
-    M: Automaton + Sync,
-    M::State: Send + Sync,
-    F: Fn(&M::State, &M::Action) -> u32 + Sync,
+    M: Automaton,
+    F: Fn(&M::State, &M::Action) -> u32,
 {
     /// Interns `s` (canonicalized first under a symmetry), returning its
-    /// id; the hot path (an already-known successor) is a single hash
-    /// lookup.
+    /// id and enforcing the state limit; the hot path (an already-known
+    /// successor) is a single hash lookup.
     fn intern<SP: StateSpace<M::State>>(
         &self,
         s: &M::State,
         space: &mut SP,
     ) -> Result<usize, MdpError> {
-        match self.sym {
-            Some(sym) => self.intern_canonical(&sym.canon(s), space),
-            None => self.intern_canonical(s, space),
-        }
-    }
-
-    /// Interns an orbit representative (any state without a symmetry),
-    /// enforcing the state limit.
-    fn intern_canonical<SP: StateSpace<M::State>>(
-        &self,
-        s: &M::State,
-        space: &mut SP,
-    ) -> Result<usize, MdpError> {
-        let (id, new) = space.intern(s);
+        let (id, new) = match &self.symmetry {
+            Some(sym) => space.intern(&sym.canon(s)),
+            None => space.intern(s),
+        };
         if new && space.len() > self.limit {
             return Err(MdpError::StateLimitExceeded { limit: self.limit });
         }
@@ -569,9 +476,9 @@ where
         Ok(initial)
     }
 
-    /// Serial FIFO BFS. Ids are dense in discovery order, so the queue is
-    /// just the next id to expand.
-    fn serial<SP, K>(&self, space: &mut SP, sink: &mut K) -> Result<StreamSummary, MdpError>
+    /// FIFO BFS. Ids are dense in discovery order, so the queue is just
+    /// the next id to expand.
+    fn bfs<SP, K>(&self, space: &mut SP, sink: &mut K) -> Result<StreamSummary, MdpError>
     where
         SP: StateSpace<M::State>,
         K: RowSink + ?Sized,
@@ -614,251 +521,6 @@ where
             }
             row.emit(id, sink, &mut summary)?;
             id += 1;
-        }
-        Ok(summary)
-    }
-}
-
-/// Cap on the adaptive oversharding factor: more than 8 shards per worker
-/// buys no further balance but multiplies spawn overhead.
-const MAX_SHARD_FACTOR: usize = 8;
-
-/// Adapts the oversharding factor from one BFS level's fresh-state yields.
-///
-/// Contiguous chunking keeps the *input* shards even; imbalance shows up in
-/// how unevenly *new* states fall out of them. When the busiest shard
-/// yields more than ~150% of an even split, the next level is cut into
-/// `2×` as many shards per worker (capped at [`MAX_SHARD_FACTOR`]) so the
-/// OS scheduler can spread the hot region across workers; once yields are
-/// within ~110% of even, the factor decays back toward 1 to shed spawn
-/// overhead.
-///
-/// Pure and driven only by deterministic quantities (fresh yields are a
-/// function of the model and the previous factors), so the shard schedule —
-/// and therefore the exploration result, which is shard-size-invariant by
-/// the merge contract anyway — stays reproducible for a fixed worker count.
-fn next_shard_factor(factor: usize, max_fresh: u64, total_fresh: u64, shards: usize) -> usize {
-    if shards <= 1 || total_fresh == 0 {
-        return factor;
-    }
-    let even = total_fresh as f64 / shards as f64;
-    if max_fresh as f64 > even * 1.5 {
-        (factor * 2).min(MAX_SHARD_FACTOR)
-    } else if max_fresh as f64 <= even * 1.1 {
-        (factor / 2).max(1)
-    } else {
-        factor
-    }
-}
-
-/// A successor reference produced by a shard worker: either a state already
-/// interned when the level started, or the `k`-th *new* state this shard
-/// discovered.
-#[derive(Debug, Clone, Copy)]
-enum Succ {
-    Known(usize),
-    Fresh(usize),
-}
-
-/// One shard's expansion of a slice of a BFS level, in flat form: the
-/// shard's rows as they will be emitted, with successors still
-/// shard-relative.
-struct ShardOutput<S> {
-    /// New states in encounter order (shard-local ids `0..fresh.len()`).
-    fresh: Vec<S>,
-    /// Per expanded state, the end of its choices in `costs`/`trans_ends`.
-    row_ends: Vec<usize>,
-    /// Cost of each choice.
-    costs: Vec<u32>,
-    /// Per choice, the end of its transitions in `succs`/`probs`.
-    trans_ends: Vec<usize>,
-    /// Successor of each transition.
-    succs: Vec<Succ>,
-    /// Probability of each transition.
-    probs: Vec<f64>,
-}
-
-impl<M, F> Core<'_, M, F>
-where
-    M: Automaton + Sync,
-    M::State: Send + Sync,
-    F: Fn(&M::State, &M::Action) -> u32 + Sync,
-{
-    /// Expands the states `shard` (a slice of the current level) against
-    /// the read-only snapshot: successors already interned become
-    /// [`Succ::Known`], new ones are deduplicated into a shard-local intern
-    /// map. Under a symmetry, each successor is canonicalized first — the
-    /// same point at which the serial engine canonicalizes, preserving the
-    /// determinism contract.
-    fn expand_shard<SP: StateSpace<M::State>>(
-        &self,
-        space: &SP,
-        shard: Range<usize>,
-    ) -> ShardOutput<M::State> {
-        let mut local: FxHashMap<M::State, usize> = FxHashMap::default();
-        let mut out = ShardOutput {
-            fresh: Vec::new(),
-            row_ends: Vec::with_capacity(shard.len()),
-            costs: Vec::new(),
-            trans_ends: Vec::new(),
-            succs: Vec::new(),
-            probs: Vec::new(),
-        };
-        for id in shard {
-            let state = space.state(id);
-            self.automaton.for_each_step(&state, |action, outcomes| {
-                out.costs.push((self.cost_of)(&state, action));
-                for (t, p) in outcomes {
-                    let canon;
-                    let t = match self.sym {
-                        Some(sym) => {
-                            canon = sym.canon(t);
-                            &canon
-                        }
-                        None => t,
-                    };
-                    let succ = match space.get(t) {
-                        Some(g) => Succ::Known(g),
-                        None => {
-                            let fresh = &mut out.fresh;
-                            Succ::Fresh(*local.entry(t.clone()).or_insert_with(|| {
-                                fresh.push(t.clone());
-                                fresh.len() - 1
-                            }))
-                        }
-                    };
-                    out.succs.push(succ);
-                    out.probs.push(*p);
-                }
-                out.trans_ends.push(out.succs.len());
-            });
-            out.row_ends.push(out.costs.len());
-        }
-        out
-    }
-
-    /// Level-synchronized parallel BFS (see the [module docs](self) for
-    /// the merge contract). `workers` is already resolved and `> 1`. BFS
-    /// levels are contiguous id ranges, because ids are dense in discovery
-    /// order.
-    fn parallel<SP, K>(
-        &self,
-        space: &mut SP,
-        sink: &mut K,
-        workers: usize,
-    ) -> Result<StreamSummary, MdpError>
-    where
-        SP: StateSpace<M::State> + Send + Sync,
-        K: RowSink + ?Sized,
-    {
-        // Below this level width, shard spawn overhead dominates expansion.
-        const PAR_MIN_LEVEL: usize = 128;
-
-        let initial = self.starts(space)?;
-        let mut summary = StreamSummary {
-            initial,
-            num_states: 0,
-            num_choices: 0,
-            num_transitions: 0,
-        };
-        let _span = pa_telemetry::span("mdp.explore.seconds");
-        let mut row = RowBuf::default();
-        let mut level = 0..space.len();
-        // Adaptive oversharding: shards per level = workers × this factor,
-        // adjusted between levels by `next_shard_factor`.
-        let mut shard_factor: usize = 1;
-        while !level.is_empty() {
-            if pa_telemetry::enabled() {
-                pa_telemetry::histogram("mdp.explore.frontier").record(level.len() as u64);
-                pa_telemetry::gauge("mdp.explore.peak_frontier").set_max(level.len() as i64);
-            }
-            // Expand the level in shards (in parallel when it pays off)...
-            let outputs: Vec<ShardOutput<M::State>> = if level.len() < PAR_MIN_LEVEL {
-                vec![self.expand_shard(space, level.clone())]
-            } else {
-                let shards = (workers * shard_factor).min(level.len());
-                let chunk = level.len().div_ceil(shards);
-                let snapshot: &SP = space;
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = level
-                        .clone()
-                        .step_by(chunk)
-                        .map(|first| {
-                            let shard = first..(first + chunk).min(level.end);
-                            scope.spawn(move |_| self.expand_shard(snapshot, shard))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("exploration worker panicked"))
-                        .collect()
-                })
-                .expect("exploration scope panicked")
-            };
-
-            // Shard imbalance: how much the busiest shard's fresh-state
-            // yield exceeds a perfectly even split (100 = balanced). The
-            // same yields drive the adaptive factor for the next level —
-            // unconditionally, so the shard schedule does not depend on
-            // whether telemetry is on.
-            if outputs.len() > 1 {
-                let total: u64 = outputs.iter().map(|o| o.fresh.len() as u64).sum();
-                let max = outputs
-                    .iter()
-                    .map(|o| o.fresh.len() as u64)
-                    .max()
-                    .unwrap_or(0);
-                let next = next_shard_factor(shard_factor, max, total, outputs.len());
-                if pa_telemetry::enabled() {
-                    if let Some(pct) = (max * outputs.len() as u64 * 100).checked_div(total) {
-                        pa_telemetry::histogram("mdp.explore.shard_imbalance_pct").record(pct);
-                    }
-                    if next > shard_factor {
-                        pa_telemetry::counter("mdp.explore.rebalances").inc();
-                    }
-                    pa_telemetry::gauge("mdp.explore.shard_factor").set_max(next as i64);
-                }
-                shard_factor = next;
-            }
-
-            // ...then merge deterministically, shard by shard and row by
-            // row. A shard-new state is interned at its first reference —
-            // shard-local ids are numbered in encounter order, so that is
-            // exactly when serial BFS interns it. A state can be fresh in
-            // two shards at once; the earlier shard (in level order) wins,
-            // as in serial BFS.
-            let next_first = space.len();
-            for out in outputs {
-                let mut local_to_global: Vec<usize> = Vec::with_capacity(out.fresh.len());
-                let (mut c0, mut t0) = (0, 0);
-                for &row_end in &out.row_ends {
-                    row.clear();
-                    for c in c0..row_end {
-                        row.costs.push(out.costs[c]);
-                        let t_end = out.trans_ends[c];
-                        for t in t0..t_end {
-                            let g = match out.succs[t] {
-                                Succ::Known(g) => g,
-                                Succ::Fresh(l) => {
-                                    if l == local_to_global.len() {
-                                        let g = self.intern_canonical(&out.fresh[l], space)?;
-                                        local_to_global.push(g);
-                                    }
-                                    local_to_global[l]
-                                }
-                            };
-                            row.targets.push(g as u32);
-                            row.probs.push(out.probs[t]);
-                        }
-                        row.trans_ends.push(row.targets.len() as u32);
-                        t0 = t_end;
-                    }
-                    c0 = row_end;
-                    row.emit(summary.num_states, sink, &mut summary)?;
-                }
-            }
-            debug_assert_eq!(summary.num_states, level.end);
-            level = next_first..space.len();
         }
         Ok(summary)
     }
@@ -1036,80 +698,43 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn par_explore_matches_serial_exactly() {
-        let m = coin_walk();
-        let serial = Explore::new(&m).limit(1000).run().unwrap();
-        for workers in [1, 2, 5] {
-            let par = Explore::new(&m).limit(1000).workers(workers).run().unwrap();
-            assert_eq!(par.states(), serial.states(), "workers={workers}");
-            assert_eq!(par.mdp, serial.mdp, "workers={workers}");
+    /// A chain `0 → 1 → 2 → …` whose state `bad` steps with weight 1/2.
+    struct LeakyChain {
+        bad: u8,
+    }
+
+    impl Automaton for LeakyChain {
+        type State = u8;
+        type Action = ();
+
+        fn start_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+
+        fn steps(&self, _: &u8) -> Vec<pa_core::Step<u8, ()>> {
+            unreachable!("exploration enumerates through for_each_step")
+        }
+
+        fn for_each_step<F>(&self, s: &u8, mut f: F)
+        where
+            F: FnMut(&(), &[(u8, f64)]),
+        {
+            let p = if *s == self.bad { 0.5 } else { 1.0 };
+            f(&(), &[(s + 1, p)]);
         }
     }
 
     #[test]
-    fn shard_factor_doubles_on_hot_shard_and_decays_when_even() {
-        // Busiest shard at 4× even split: double, then saturate at the cap.
-        assert_eq!(next_shard_factor(1, 40, 40, 4), 2);
-        assert_eq!(next_shard_factor(4, 40, 40, 4), 8);
-        assert_eq!(next_shard_factor(8, 40, 40, 4), 8);
-        // Perfectly even yields decay the factor back toward 1.
-        assert_eq!(next_shard_factor(4, 10, 40, 4), 2);
-        assert_eq!(next_shard_factor(1, 10, 40, 4), 1);
-        // In the dead band (110%..150% of even) the factor holds.
-        assert_eq!(next_shard_factor(2, 13, 40, 4), 2);
-        // Degenerate inputs leave the factor alone.
-        assert_eq!(next_shard_factor(3, 0, 0, 4), 3);
-        assert_eq!(next_shard_factor(3, 5, 5, 1), 3);
-    }
-
-    /// A two-level model wide enough to trigger parallel sharding
-    /// (`PAR_MIN_LEVEL`), with all the branching concentrated in one corner
-    /// of the first level so the contiguous shards yield unevenly and the
-    /// adaptive factor actually engages.
-    fn skewed_fanout() -> TableAutomaton<u32, &'static str> {
-        let mut b = TableAutomaton::builder().start(0);
-        let width = 400u32;
-        for i in 0..width {
-            b = b.det_step(0, "spread", i + 1).det_step(i + 1, "go", {
-                // The last few first-level states fan out 64-wide; the rest
-                // are funnels into a handful of shared states.
-                if i >= width - 8 {
-                    10_000 + i * 64
-                } else {
-                    1_000 + i % 4
-                }
-            });
+    fn the_first_bad_row_or_the_limit_stops_exploration() {
+        let m = LeakyChain { bad: 3 };
+        match Explore::new(&m).limit(100).run() {
+            Err(MdpError::BadDistribution { state, .. }) => assert_eq!(state, 3),
+            other => panic!("expected a bad distribution, got {:?}", other.err()),
         }
-        for i in width - 8..width {
-            for j in 0..64u32 {
-                b = b.det_step(10_000 + i * 64, "fan", 20_000 + i * 64 + j);
-            }
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn adaptive_sharding_leaves_exploration_unchanged() {
-        let m = skewed_fanout();
-        let serial = Explore::new(&m).limit(1_000_000).run().unwrap();
-        for workers in [2, 3, 8] {
-            let par = Explore::new(&m)
-                .limit(1_000_000)
-                .workers(workers)
-                .run()
-                .unwrap();
-            assert_eq!(par.states(), serial.states(), "workers={workers}");
-            assert_eq!(par.mdp, serial.mdp, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn par_explore_enforces_limit_like_serial() {
-        let m = coin_walk();
+        // Expanding state 2 discovers a fourth state before state 3's row.
         assert!(matches!(
-            Explore::new(&m).limit(2).workers(3).run(),
-            Err(MdpError::StateLimitExceeded { limit: 2 })
+            Explore::new(&m).limit(3).run(),
+            Err(MdpError::StateLimitExceeded { limit: 3 })
         ));
     }
 
@@ -1184,39 +809,6 @@ mod tests {
             let rep = sym.canon(&full.state(i));
             assert!(quot.index_of(&rep).is_some());
         }
-    }
-
-    #[test]
-    fn quotient_exploration_is_deterministic_across_workers() {
-        use crate::symmetry::RingRotation;
-        let m = RingCounter { n: 5 };
-        let serial = Explore::new(&m)
-            .limit(100_000)
-            .symmetry(RingRotation::new(5))
-            .run()
-            .unwrap();
-        for workers in [2, 4] {
-            let par = Explore::new(&m)
-                .limit(100_000)
-                .symmetry(RingRotation::new(5))
-                .workers(workers)
-                .run()
-                .unwrap();
-            assert_eq!(par.states(), serial.states(), "workers={workers}");
-            assert_eq!(par.mdp, serial.mdp, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn capacity_hint_does_not_change_the_result() {
-        let m = coin_walk();
-        let plain = Explore::new(&m).limit(1000).run().unwrap();
-        let hinted = Explore::new(&m)
-            .limit(1000)
-            .capacity_hint(512)
-            .run()
-            .unwrap();
-        assert_eq!(plain.states(), hinted.states());
     }
 
     #[test]

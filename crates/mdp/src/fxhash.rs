@@ -6,12 +6,9 @@
 //! need: keys are model states, not attacker-controlled input. This module
 //! provides a multiply-xor hasher in the style of Firefox's FxHash — one
 //! multiplication per word of input — plus map aliases used by the
-//! [`crate::Explore`] builder's serial and parallel paths.
+//! [`crate::Explore`] builder.
 //!
-//! The hash is deterministic across runs and threads, which the
-//! deterministic parallel exploration relies on (shard-local maps hash the
-//! same state to the same bucket sequence regardless of which worker
-//! owns it).
+//! The hash is unkeyed, so it is the same in every run and every process.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -70,7 +70,7 @@ impl BoundedPolicy {
 /// subgraph, starting from 0 (the least fixpoint, reached exactly when the
 /// zero-cost subgraph is acyclic, and approached monotonically from below —
 /// hence conservatively for `MinProb` claims — otherwise). Levels run on
-/// the CSR engine's deterministic parallel Jacobi sweeps.
+/// the CSR engine's Jacobi sweeps.
 ///
 /// # Errors
 ///
@@ -88,7 +88,6 @@ pub fn cost_bounded_reach_levels<M: ToCsr + ?Sized>(
         target,
         budget,
         objective,
-        None,
         source::LevelSolver::Jacobi,
         None,
         &mut on_level,

@@ -10,15 +10,15 @@
 //!   (0 = scheduling step inside a time unit, 1 = time-unit boundary).
 //!   Rows go straight from the automaton's step visitor
 //!   ([`pa_core::Automaton::for_each_step`]) into the CSR arrays or any
-//!   other [`RowSink`]; no nested model is built.
-//!   The builder selects serial or parallel execution, an optional
-//!   [`Symmetry`] (quotient construction, e.g. [`RingRotation`]), and the
-//!   state representation ([`BoxedSpace`] or bit-packed [`PackedSpace`]).
+//!   other [`RowSink`]; no nested model is built. The builder selects an
+//!   optional [`Symmetry`] (quotient construction, e.g.
+//!   [`RingRotation`]) and the state representation ([`BoxedSpace`] or
+//!   bit-packed [`PackedSpace`]).
 //! * [`Query`] — the single analysis entry point: a builder unifying
 //!   objective ([`QueryObjective`]: bounded/unbounded reachability per
 //!   Definition 3.1, worst/best-case expected time per Section 6.2),
 //!   target (mask, index list, or predicate), optional time horizon,
-//!   solver, tolerance, worker count, and policy extraction behind a
+//!   solver, tolerance and policy extraction behind a
 //!   single [`Query::run`] returning a typed [`Analysis`].
 //! * [`check_invariant`] — exhaustive invariant checking with shortest
 //!   witness paths (Lemma 6.1).
@@ -35,16 +35,15 @@
 //! [`CsrRows`], handed out block by block by a [`CsrSource`]: an in-core
 //! [`CsrMdp`] (`CsrMdp::from` flattens a hand-built [`ExplicitMdp`]) is a
 //! single block, a stored model one or many. The default schedule is
-//! double-buffered Jacobi value iteration, parallelized across disjoint
-//! state chunks with results that are bit-for-bit identical for every
-//! worker count and block structure. On a single-block source,
+//! double-buffered Jacobi value iteration, with results that are
+//! bit-for-bit identical for every block structure. On a single-block source,
 //! [`Solver::SccOrdered`] condenses the choice graph into strongly
 //! connected components first ([`SccDecomposition`]) and solves them in
 //! reverse topological order with the same per-state updates — far fewer
 //! state updates on the layered round models this workspace targets (see
-//! the `query` module docs for selection guidance). [`Explore::workers`] parallelizes state-space
-//! exploration the same way (level-synchronized, deterministic merge). The
-//! [`mod@reference`] module retains nested-model oracles — both a Jacobi
+//! the `query` module docs for selection guidance). Every engine runs on
+//! the calling thread; parallelism lives one level up, in callers that
+//! answer independent questions side by side. The [`mod@reference`] module retains nested-model oracles — both a Jacobi
 //! twin (bitwise comparison) and the original Gauss–Seidel engine
 //! (tolerance comparison, benchmark baseline) — used by the property
 //! tests.
@@ -103,7 +102,7 @@ pub use query::{
     default_solver, set_default_solver, Analysis, IntoTarget, Query, QueryObjective, Solver,
 };
 pub use scc::SccDecomposition;
-pub use source::{csr_digest, resolve_workers, CsrRows, CsrSource, SolveStats};
+pub use source::{csr_digest, CsrRows, CsrSource, SolveStats};
 pub use space::{BoxedSpace, PackedSpace, StateCodec, StateSpace};
 pub use symmetry::{
     least_key, least_lane_image, least_lane_rotation, reflect_lanes, rotate_lanes, MirrorRingState,

@@ -3,7 +3,7 @@
 //! The crate's original surface grew one free function per analysis —
 //! bounded/unbounded reachability, expected cost, policy extraction —
 //! each with its own signature for the same knobs (objective, tolerance,
-//! workers, target). Those free functions are gone; [`Query`] folds every
+//! target). Those free functions are gone; [`Query`] folds every
 //! analysis into one builder:
 //!
 //! ```
@@ -41,10 +41,8 @@
 //! run.
 //!
 //! [`Solver::Jacobi`] is the original engine: global double-buffered
-//! sweeps, deterministically parallel, bit-for-bit reproducible across
-//! worker counts and block structures. It is the one kernel set of
-//! [`crate::source`], and [`Query::workers`] splits every block large
-//! enough to be worth a thread. [`Solver::SccOrdered`] condenses the
+//! sweeps, bit-for-bit reproducible across block structures. It is the
+//! one kernel set of [`crate::source`]. [`Solver::SccOrdered`] condenses the
 //! choice graph of a single-block source first and solves components in
 //! reverse topological order (see [`crate::SccDecomposition`]); on layered
 //! models such as the Lehmann–Rabin round MDPs it performs strictly fewer
@@ -111,7 +109,7 @@ impl From<Objective> for QueryObjective {
 /// Which value-iteration engine a [`Query`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
-    /// Global double-buffered Jacobi sweeps, deterministically parallel.
+    /// Global double-buffered Jacobi sweeps.
     Jacobi,
     /// SCC-condensed sweeps: components of the choice graph are solved in
     /// reverse topological order against already-fixed successors. Over a
@@ -279,7 +277,7 @@ impl Analysis {
 
 /// A builder for one quantitative analysis over all adversaries: pick an
 /// objective, a target, optionally a time horizon / solver / tolerance /
-/// worker count / policy extraction, then [`run`](Query::run).
+/// policy extraction, then [`run`](Query::run).
 ///
 /// See the [module docs](self) for an example and the solver-selection
 /// guidance.
@@ -290,7 +288,6 @@ pub struct Query<'m> {
     horizon: Option<u32>,
     solver: Option<Solver>,
     options: IterOptions,
-    workers: Option<usize>,
     with_policy: bool,
 }
 
@@ -307,8 +304,7 @@ impl<'m> Query<'m> {
     ///
     /// Every backend runs the same kernels, so the values are bitwise
     /// identical for any block structure (see the [`crate::source`] module
-    /// docs); [`Query::workers`] splits every block large enough to be
-    /// worth a Jacobi thread. The solver follows the block count (see the
+    /// docs). The solver follows the block count (see the
     /// [module docs](self)): a single-block source routes exactly like an
     /// in-core model. A multi-block bounded probability query pages each
     /// block once per budget level when the model's zero-cost transitions
@@ -324,7 +320,6 @@ impl<'m> Query<'m> {
             horizon: None,
             solver: None,
             options: IterOptions::default(),
-            workers: None,
             with_policy: false,
         }
     }
@@ -382,15 +377,6 @@ impl<'m> Query<'m> {
     /// Sets both iteration options at once.
     pub fn options(mut self, options: IterOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Forces the worker count of parallel sweeps over any block of at
-    /// least 4096 states (default: the
-    /// `PA_MDP_WORKERS` environment variable, then available parallelism;
-    /// see [`crate::resolve_workers`]).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
         self
     }
 
@@ -487,7 +473,6 @@ impl<'m> Query<'m> {
                     &target,
                     budget,
                     objective,
-                    self.workers,
                     level_solver,
                     self.with_policy.then_some(&mut decisions),
                     &mut |_, _| {},
@@ -503,15 +488,9 @@ impl<'m> Query<'m> {
                     values
                 })
             }
-            (Some(objective), None) => source::reach_prob(
-                src,
-                &target,
-                objective,
-                self.options,
-                self.workers,
-                solver,
-                &mut stats,
-            ),
+            (Some(objective), None) => {
+                source::reach_prob(src, &target, objective, self.options, solver, &mut stats)
+            }
             (None, _) => {
                 // The cost direction, in the probability objectives' terms.
                 let objective = match self.objective {
@@ -526,7 +505,6 @@ impl<'m> Query<'m> {
                     &live,
                     objective,
                     self.options,
-                    self.workers,
                     solver,
                     &mut stats,
                 )

@@ -7,14 +7,13 @@
 //! * `*_jacobi` — double-buffered Jacobi sweeps over the nested
 //!   representation, performing the **same floating-point operations in
 //!   the same order** as the CSR kernels. Property tests assert their
-//!   results are bit-for-bit identical to the CSR engine (any worker
-//!   count), which pins both the flattening and the parallel chunking.
+//!   results are bit-for-bit identical to the CSR engine (any block
+//!   structure), which pins both the flattening and the block cutting.
 //! * `*_gauss_seidel` — the original in-place Gauss–Seidel sweeps this
 //!   crate shipped with before the CSR engine. Gauss–Seidel reads values
 //!   updated earlier in the same sweep, so its iterates differ from
-//!   Jacobi's and it cannot be parallelized deterministically; both
-//!   converge to the same fixpoint, which property tests check within
-//!   tolerance.
+//!   Jacobi's; both converge to the same fixpoint, which property tests
+//!   check within tolerance.
 
 use crate::{ExplicitMdp, IterOptions, MdpError, Objective};
 

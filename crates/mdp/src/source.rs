@@ -13,27 +13,19 @@
 //! executing the *same* per-state floating-point operations in the *same*
 //! order.
 //!
-//! # Deterministic parallelism
+//! # Block-structure invariance
 //!
 //! The Jacobi kernels are **double-buffered** sweeps: the new value of
 //! every state is computed from the previous iterate only, never from
-//! values updated earlier in the same sweep. Per-state updates are
-//! therefore independent, and each block of at least `PAR_MIN_STATES`
-//! states is split across worker threads (`std::thread::scope`) over
-//! disjoint slices of the output buffer. Because each state's update reads
-//! the same immutable previous iterate and performs the same floating-point
-//! operations in the same order regardless of the split, and the
-//! convergence test reduces deltas with a maximum (order-independent for
-//! the finite values these kernels produce), **results are bit-for-bit
-//! identical for every worker count and every block structure** —
-//! `workers = 1` and `workers = 8`, one block or seven hundred, return the
-//! same bytes. `crates/mdp/tests/csr_equivalence.rs` and `crates/store`'s
-//! parity tests pin this contract.
-//!
-//! The worker count comes from [`crate::Query::workers`], else the
-//! `PA_MDP_WORKERS` environment variable, else the machine's available
-//! parallelism ([`resolve_workers`]). It splits the in-core model and every
-//! stored block large enough to be worth a thread.
+//! values updated earlier in the same sweep. Each state's update therefore
+//! reads the same immutable previous iterate and performs the same
+//! floating-point operations in the same order however the rows are cut
+//! into blocks, and the convergence test reduces deltas with a maximum
+//! (order-independent for the finite values these kernels produce), so
+//! **results are bit-for-bit identical for every block structure** — one
+//! block or seven hundred return the same bytes.
+//! `crates/mdp/tests/csr_equivalence.rs` and `crates/store`'s parity tests
+//! pin this contract. The sweeps run on the calling thread.
 //!
 //! # One pass per budget level
 //!
@@ -88,10 +80,6 @@ use std::ops::Range;
 use crate::scc::{self, SccDecomposition};
 use crate::{IterOptions, MdpError, Objective, Solver};
 
-/// Blocks with fewer states than this are swept on the calling thread:
-/// below this size, thread spawn/join costs more than the sweep itself.
-pub(crate) const PAR_MIN_STATES: usize = 4096;
-
 /// Work counters accumulated by one quantitative solve, reported through
 /// [`crate::Analysis::stats`]. The update counts are what the SCC-ordered
 /// solver is designed to shrink: a global Jacobi sweep recomputes every
@@ -111,23 +99,6 @@ pub struct SolveStats {
     pub components: u64,
     /// Components that contained a cycle and needed local iteration.
     pub nontrivial_components: u64,
-}
-
-/// Resolves an optional worker-count override: explicit argument, then the
-/// `PA_MDP_WORKERS` environment variable, then available parallelism.
-pub fn resolve_workers(workers: Option<usize>) -> usize {
-    workers
-        .or_else(|| {
-            std::env::var("PA_MDP_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .max(1)
 }
 
 /// One contiguous block of CSR rows, borrowed from a backend.
@@ -208,7 +179,7 @@ impl CsrRows<'_> {
 /// [`crate::CsrMdp`] implements this as a single block over its full
 /// arrays; `pa-store`'s `StoredCsr` pages each block in from disk on
 /// demand.
-pub trait CsrSource: Sync {
+pub trait CsrSource {
     /// Number of states.
     fn num_states(&self) -> usize;
     /// Total number of choices.
@@ -392,46 +363,18 @@ pub(crate) fn has_zero_cost_cycle<S: CsrSource + ?Sized>(
 ///
 /// `update(rows, s, prev)` computes state `s`'s next value from the
 /// previous iterate only, `None` keeping a fixed state's value; the sweep
-/// writes it to `next[s]` and returns the maximal `|next[s] - prev[s]|`. See the module docs for why the result is
-/// bitwise independent of the worker count and the block structure.
-fn jacobi_sweep<S, F>(
-    src: &S,
-    next: &mut [f64],
-    prev: &[f64],
-    workers: usize,
-    update: &F,
-) -> Result<f64, MdpError>
+/// writes it to `next[s]` and returns the maximal `|next[s] - prev[s]|`.
+/// See the module docs for why the result is bitwise independent of the
+/// block structure.
+fn jacobi_sweep<S, F>(src: &S, next: &mut [f64], prev: &[f64], update: &F) -> Result<f64, MdpError>
 where
     S: CsrSource + ?Sized,
-    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64> + Sync,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
 {
     let mut delta = 0.0f64;
     for_each_block(src, &mut |rows| {
-        let d = sweep_block(rows, &mut next[rows.states()], prev, workers, update);
-        if d > delta {
-            delta = d;
-        }
-    })?;
-    Ok(delta)
-}
-
-/// Sweeps one block's states into `next` (the block's slice of the output
-/// buffer), split into `workers` contiguous chunks when the block is large
-/// enough to be worth the threads.
-fn sweep_block<F>(
-    rows: CsrRows<'_>,
-    next: &mut [f64],
-    prev: &[f64],
-    workers: usize,
-    update: &F,
-) -> f64
-where
-    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64> + Sync,
-{
-    let sweep = move |first: usize, slice: &mut [f64]| {
-        let mut delta = 0.0f64;
-        for (off, slot) in slice.iter_mut().enumerate() {
-            let s = first + off;
+        for (off, slot) in next[rows.states()].iter_mut().enumerate() {
+            let s = rows.first_state + off;
             let v = update(&rows, s, prev).unwrap_or(prev[s]);
             let d = (v - prev[s]).abs();
             if d > delta {
@@ -439,24 +382,8 @@ where
             }
             *slot = v;
         }
-        delta
-    };
-    if workers <= 1 || next.len() < PAR_MIN_STATES {
-        return sweep(rows.first_state, next);
-    }
-    let chunk = next.len().div_ceil(workers);
-    let sweep = &sweep;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = next
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(w, slice)| scope.spawn(move || sweep(rows.first_state + w * chunk, slice)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("value-iteration worker panicked"))
-            .fold(0.0f64, f64::max)
-    })
+    })?;
+    Ok(delta)
 }
 
 /// States with **minimal** reachability probability zero: greatest
@@ -608,16 +535,14 @@ fn reach_update(
 
 /// Unbounded reachability `P^opt[eventually reach target]` by qualitative
 /// precomputation plus value iteration (semantics of an unbounded
-/// reachability [`crate::Query`]): parallel Jacobi sweeps, or, for
+/// reachability [`crate::Query`]): Jacobi sweeps, or, for
 /// [`Solver::SccOrdered`] over a single-block source, the SCC-ordered
 /// solve. Both schedules evaluate [`reach_update`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn reach_prob<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     objective: Objective,
     options: IterOptions,
-    workers: Option<usize>,
     solver: Solver,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
@@ -637,14 +562,13 @@ pub(crate) fn reach_prob<S: CsrSource + ?Sized>(
         scc::solve_unbounded(src, &mut cur, options, &update, stats)?;
         return Ok(cur);
     }
-    let workers = resolve_workers(workers);
     if pa_telemetry::enabled() {
         pa_telemetry::counter("mdp.vi.runs").inc();
     }
     let mut prev = cur.clone();
     for _ in 0..options.max_sweeps {
         let sweep_span = pa_telemetry::span("mdp.vi.sweep_seconds");
-        let delta = jacobi_sweep(src, &mut cur, &prev, workers, &update)?;
+        let delta = jacobi_sweep(src, &mut cur, &prev, &update)?;
         sweep_span.finish();
         stats.sweeps += 1;
         stats.state_updates += n as u64;
@@ -725,7 +649,7 @@ fn init_level(target: &[bool], values: &mut Vec<f64>) {
 }
 
 /// One level of cost-bounded backward induction: the least fixpoint of
-/// the zero-cost subgraph given the previous level, as a parallel Jacobi
+/// the zero-cost subgraph given the previous level, as a Jacobi
 /// iteration of the level's `update` capped at `4n + 8` sweeps (see
 /// [`crate::cost_bounded_reach_levels`] for the semantics).
 ///
@@ -733,11 +657,9 @@ fn init_level(target: &[bool], values: &mut Vec<f64>) {
 /// buffer. Both are reused across calls (cleared and resized here), so a
 /// `budget`-level induction allocates two vectors total instead of one per
 /// level.
-#[allow(clippy::too_many_arguments)]
 fn solve_level<S, F>(
     src: &S,
     target: &[bool],
-    workers: usize,
     update: &F,
     values: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
@@ -745,7 +667,7 @@ fn solve_level<S, F>(
 ) -> Result<(), MdpError>
 where
     S: CsrSource + ?Sized,
-    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64> + Sync,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
 {
     let n = src.num_states();
     init_level(target, values);
@@ -764,9 +686,9 @@ where
         stats.sweeps += 1;
         stats.state_updates += n as u64;
         let delta = if k % 2 == 0 {
-            jacobi_sweep(src, values, scratch, workers, update)?
+            jacobi_sweep(src, values, scratch, update)?
         } else {
-            jacobi_sweep(src, scratch, values, workers, update)?
+            jacobi_sweep(src, scratch, values, update)?
         };
         done = k + 1;
         if delta <= 1e-14 {
@@ -872,7 +794,7 @@ fn extract_level_decisions<S: CsrSource + ?Sized>(
 /// How [`bounded_levels`] solves each budget level.
 #[derive(Clone, Copy)]
 pub(crate) enum LevelSolver<'a> {
-    /// Parallel double-buffered Jacobi over the source.
+    /// Double-buffered Jacobi over the source.
     Jacobi,
     /// The SCC-ordered solver of a single-block source over its zero-cost
     /// condensation (built once by the caller).
@@ -898,7 +820,6 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     target: &[bool],
     budget: u32,
     objective: Objective,
-    workers: Option<usize>,
     mut solver: LevelSolver<'_>,
     mut policy: Option<&mut Vec<Vec<Option<u32>>>>,
     on_level: &mut dyn FnMut(u32, &[f64]),
@@ -909,7 +830,6 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     if !matches!(solver, LevelSolver::Reverse { .. }) {
         validate_costs(src)?;
     }
-    let workers = resolve_workers(workers);
     let _span = pa_telemetry::span("mdp.vi.cost_bounded_seconds");
     let levels = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.levels"));
     let n = src.num_states();
@@ -931,7 +851,7 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
             level_choice(rows, s, target, objective, level_prev_ref, cur).map(|(v, _)| v)
         };
         let jacobi = |cur: &mut Vec<f64>, scratch: &mut Vec<f64>, stats: &mut SolveStats| {
-            solve_level(src, target, workers, &update, cur, scratch, stats)
+            solve_level(src, target, &update, cur, scratch, stats)
         };
         match solver {
             LevelSolver::Scc(scc) => {
@@ -1056,21 +976,19 @@ fn cost_update(
     Some(if best.is_finite() { best } else { values[s] })
 }
 
-/// Expected-cost value iteration: parallel Jacobi sweeps, or, for
+/// Expected-cost value iteration: Jacobi sweeps, or, for
 /// [`Solver::SccOrdered`] over a single-block source, the SCC-ordered
 /// solve; both evaluate [`cost_update`]. `live[s]` marks states whose
 /// expectation is finite ([`finite_cost_states`]); others end at
 /// `f64::INFINITY`. A choice with a non-live, non-target successor is
 /// excluded (a proper policy never moves there; a maximizing adversary
 /// reaching one would contradict `live[s]`).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     live: &[bool],
     objective: Objective,
     options: IterOptions,
-    workers: Option<usize>,
     solver: Solver,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
@@ -1082,7 +1000,6 @@ pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
         scc::solve_unbounded(src, &mut cur, options, &update, stats)?;
         cur
     } else {
-        let workers = resolve_workers(workers);
         let ec_sweeps = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.ec_sweeps"));
         let mut prev = cur.clone();
         for _ in 0..options.max_sweeps {
@@ -1091,7 +1008,7 @@ pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
             }
             stats.sweeps += 1;
             stats.state_updates += n as u64;
-            let delta = jacobi_sweep(src, &mut cur, &prev, workers, &update)?;
+            let delta = jacobi_sweep(src, &mut cur, &prev, &update)?;
             std::mem::swap(&mut cur, &mut prev);
             if delta <= options.epsilon {
                 break;

@@ -45,9 +45,6 @@ pub trait StateSpace<S> {
         self.len() == 0
     }
 
-    /// Pre-reserves capacity for `additional` more states.
-    fn reserve(&mut self, additional: usize);
-
     /// Drops the lookup index, keeping id-to-state decoding intact. Frees
     /// the interner's memory once no further [`StateSpace::intern`] /
     /// [`StateSpace::get`] calls are needed (long-lived benchmark models
@@ -118,11 +115,6 @@ impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
         self.states.len()
     }
 
-    fn reserve(&mut self, additional: usize) {
-        self.states.reserve(additional);
-        self.index.reserve(additional);
-    }
-
     fn clear_index(&mut self) {
         self.index = FxHashMap::default();
     }
@@ -164,7 +156,7 @@ pub trait StateCodec {
     /// The state type being encoded.
     type State;
     /// The fixed-width encoded form, e.g. `[u64; 3]`.
-    type Word: Copy + Eq + Hash + Send + Sync;
+    type Word: Copy + Eq + Hash;
 
     /// Encodes a state.
     fn pack(&self, s: &Self::State) -> Self::Word;
@@ -228,11 +220,6 @@ impl<C: StateCodec> StateSpace<C::State> for PackedSpace<C> {
 
     fn len(&self) -> usize {
         self.words.len()
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.words.reserve(additional);
-        self.index.reserve(additional);
     }
 
     fn clear_index(&mut self) {

@@ -48,7 +48,7 @@
 ///   element `g` (for [`RingRotation`]: every rotation amount).
 ///
 /// Both laws are property-tested for the shipped instances.
-pub trait Symmetry<S>: Send + Sync {
+pub trait Symmetry<S> {
     /// The canonical representative of the orbit of `s`.
     fn canon(&self, s: &S) -> S;
 
@@ -229,7 +229,7 @@ impl RingRotation {
     }
 }
 
-impl<S: RingState + Send + Sync> Symmetry<S> for RingRotation {
+impl<S: RingState> Symmetry<S> for RingRotation {
     fn canon(&self, s: &S) -> S {
         match s.least_rotation(self.n) {
             0 => s.clone(),
@@ -303,7 +303,7 @@ impl RingDihedral {
     }
 }
 
-impl<S: MirrorRingState + Send + Sync> Symmetry<S> for RingDihedral {
+impl<S: MirrorRingState> Symmetry<S> for RingDihedral {
     fn canon(&self, s: &S) -> S {
         match self.least_image(s) {
             (false, 0) => s.clone(),

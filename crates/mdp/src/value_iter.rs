@@ -5,8 +5,7 @@
 //! These entry points take an explored [`crate::CsrMdp`] as is, or a
 //! hand-built [`crate::ExplicitMdp`] flattened on the way in
 //! ([`crate::ToCsr`]), and run on the CSR engine's double-buffered Jacobi
-//! sweeps that parallelize deterministically (see the [`crate::source`]
-//! module docs).
+//! sweeps (see the [`crate::source`] module docs).
 
 use crate::{source, MdpError, ToCsr};
 
@@ -63,7 +62,7 @@ pub fn prob1<M: ToCsr + ?Sized>(
 /// Computes unbounded reachability probabilities
 /// `P^opt[eventually reach target]` by qualitative precomputation followed
 /// by value iteration from below (double-buffered Jacobi on the CSR
-/// engine; deterministically parallel — see [`crate::CsrMdp`]).
+/// engine — see [`crate::CsrMdp`]).
 ///
 /// A terminal non-target state has value 0 under both objectives (for
 /// `MinProb` also because the adversary may simply stop scheduling).

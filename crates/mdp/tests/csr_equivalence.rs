@@ -2,15 +2,16 @@
 //!
 //! * every CSR analysis is **bit-for-bit** identical to its nested-model
 //!   Jacobi oracle in [`pa_mdp::reference`];
-//! * worker count never changes a single bit of any result;
 //! * the CSR fixpoints agree with the original Gauss–Seidel engine up to
 //!   iteration tolerance (the two methods converge to the same fixpoint
 //!   along different trajectories, so only tolerance equality is owed);
-//! * every objective answers bit for bit the same on any block structure
-//!   and worker count, through [`Query::source`] over a model cut into
-//!   blocks, as through [`Query::csr`] over the whole in-core model;
-//! * a parallel [`Explore`] run reproduces the serial one exactly —
-//!   same states in the same order, same choices, same limit errors.
+//! * every objective answers bit for bit the same on any block structure,
+//!   through [`Query::source`] over a model cut into blocks, as through
+//!   [`Query::csr`] over the whole in-core model;
+//! * an [`Explore`] run replays the automaton exactly — every state's row
+//!   lists its steps in order with interned successor ids — and fails with
+//!   [`MdpError::StateLimitExceeded`] exactly when the reachable space
+//!   exceeds the limit.
 
 mod common;
 
@@ -156,13 +157,11 @@ fn solve(
     target: &[bool],
     horizon: Option<u32>,
     options: IterOptions,
-    workers: usize,
 ) -> Result<Analysis, MdpError> {
     let query = query
         .objective(objective)
         .target(target)
         .options(options)
-        .workers(workers)
         .solver(Solver::Jacobi);
     match horizon {
         Some(budget) => query.horizon(budget).with_policy(),
@@ -171,9 +170,8 @@ fn solve(
     .run()
 }
 
-/// Every objective over `m` cut into 1, 2 and 5 blocks and swept by 1 and
-/// 3 workers answers bit for bit as the serial in-core query: values,
-/// bounded policies, and divergence errors.
+/// Every objective over `m` cut into 1, 2 and 5 blocks answers bit for bit
+/// as the in-core query: values, bounded policies, and divergence errors.
 fn assert_blocks_match_in_core(m: &ExplicitMdp, budget: u32, options: IterOptions) {
     let csr = CsrMdp::from_explicit(m);
     let target = last_state_target(m);
@@ -186,43 +184,38 @@ fn assert_blocks_match_in_core(m: &ExplicitMdp, budget: u32, options: IterOption
         (QueryObjective::MaxCost, None),
     ];
     for (objective, horizon) in queries {
-        let in_core = solve(Query::csr(&csr), objective, &target, horizon, options, 1);
+        let in_core = solve(Query::csr(&csr), objective, &target, horizon, options);
         for k in [1, 2, 5] {
             let blocked = Blocked::split(&csr, k);
-            for workers in [1, 3] {
-                let got = solve(
-                    Query::source(&blocked),
-                    objective,
-                    &target,
-                    horizon,
-                    options,
-                    workers,
-                );
-                let tag =
-                    format!("{objective:?} horizon {horizon:?}, {k} blocks, {workers} workers");
-                match (&in_core, got) {
-                    (Ok(a), Ok(b)) => {
-                        assert_bitwise(&a.values, &b.values);
-                        assert_eq!(
-                            a.policy.as_ref().map(|p| &p.decision),
-                            b.policy.as_ref().map(|p| &p.decision),
-                            "{tag}: policy"
-                        );
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, &b, "{tag}: error"),
-                    (a, b) => panic!("{tag}: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+            let got = solve(
+                Query::source(&blocked),
+                objective,
+                &target,
+                horizon,
+                options,
+            );
+            let tag = format!("{objective:?} horizon {horizon:?}, {k} blocks");
+            match (&in_core, got) {
+                (Ok(a), Ok(b)) => {
+                    assert_bitwise(&a.values, &b.values);
+                    assert_eq!(
+                        a.policy.as_ref().map(|p| &p.decision),
+                        b.policy.as_ref().map(|p| &p.decision),
+                        "{tag}: policy"
+                    );
                 }
+                (Err(a), Err(b)) => assert_eq!(a, &b, "{tag}: error"),
+                (a, b) => panic!("{tag}: {:?} vs {:?}", a.is_ok(), b.is_ok()),
             }
         }
     }
 }
 
 #[test]
-fn large_blocks_split_across_workers_match_in_core_bitwise() {
-    // Blocks of at least 4096 states (the parallel cutoff) split across
-    // workers: one block, and two blocks of over 4096 states each. The
-    // sweep cap keeps the debug-build run short; equality is owed at any
-    // cap.
+fn large_models_match_in_core_bitwise_on_any_block_structure() {
+    // Blocks of thousands of states: one block, two of over 4096 states
+    // each, and five. The sweep cap keeps the debug-build run short;
+    // equality is owed at any cap.
     let options = IterOptions {
         epsilon: 1e-12,
         max_sweeps: 300,
@@ -277,38 +270,7 @@ proptest! {
     }
 
     #[test]
-    fn worker_count_is_invisible_in_results(m in random_mdp(), budget in 0u32..6) {
-        let target = last_state_target(&m);
-        let csr = CsrMdp::from_explicit(&m);
-        let jacobi = |objective: QueryObjective, horizon: Option<u32>, workers: usize| {
-            let q = Query::csr(&csr)
-                .objective(objective)
-                .target(&target)
-                .workers(workers)
-                .solver(Solver::Jacobi);
-            match horizon {
-                Some(budget) => q.horizon(budget),
-                None => q,
-            }
-            .run()
-            .unwrap()
-            .values
-        };
-        for objective in [QueryObjective::MinProb, QueryObjective::MaxProb] {
-            assert_bitwise(&jacobi(objective, None, 1), &jacobi(objective, None, 3));
-            assert_bitwise(
-                &jacobi(objective, Some(budget), 1),
-                &jacobi(objective, Some(budget), 4),
-            );
-        }
-        assert_bitwise(
-            &jacobi(QueryObjective::MaxCost, None, 1),
-            &jacobi(QueryObjective::MaxCost, None, 3),
-        );
-    }
-
-    #[test]
-    fn block_structure_and_workers_are_invisible_in_results(m in random_mdp(), budget in 0u32..8) {
+    fn block_structure_is_invisible_in_results(m in random_mdp(), budget in 0u32..8) {
         assert_blocks_match_in_core(&m, budget, IterOptions::default());
     }
 
@@ -388,35 +350,64 @@ impl Automaton for ScrambleGraph {
 
 proptest! {
     #[test]
-    fn par_explore_reproduces_serial_exploration(n in 2u64..80, fanout in 1u64..4) {
+    fn explore_rows_replay_the_automaton_steps(n in 2u64..80, fanout in 1u64..4) {
         let g = ScrambleGraph { n, fanout };
         let cost = |s: &u64, a: &u64| ((s ^ a) % 2) as u32;
-        let serial = Explore::new(&g).cost(cost).limit(10_000).run().unwrap();
-        for workers in [1usize, 2, 5] {
-            let par = Explore::new(&g)
-                .cost(cost)
-                .limit(10_000)
-                .workers(workers)
-                .run()
-                .unwrap();
-            prop_assert_eq!(par.states(), serial.states(), "workers={}", workers);
-            prop_assert_eq!(&par.mdp, &serial.mdp, "workers={}", workers);
+        let e = Explore::new(&g).cost(cost).limit(10_000).run().unwrap();
+        let rows = e.mdp.rows();
+        prop_assert_eq!(e.mdp.initial_states(), &[0][..]);
+        for (i, s) in e.states().iter().enumerate() {
+            prop_assert_eq!(e.index_of(s), Some(i));
+            let steps = g.steps(s);
+            let choices = rows.choice_range(i);
+            prop_assert_eq!(choices.len(), steps.len(), "state {}", s);
+            for (c, step) in choices.zip(&steps) {
+                prop_assert_eq!(rows.costs[c], cost(s, &step.action));
+                let got: Vec<(u32, f64)> = rows
+                    .trans_range(c)
+                    .map(|t| (rows.targets[t], rows.probs[t]))
+                    .collect();
+                let want: Vec<(u32, f64)> = step
+                    .target
+                    .iter()
+                    .map(|(t, p)| (e.index_of(t).unwrap() as u32, p.value()))
+                    .collect();
+                prop_assert_eq!(got, want, "state {}", s);
+            }
+        }
+        // BFS discovery order: every successor of state i has an id at
+        // most one past the largest id seen so far.
+        let mut seen = e.mdp.initial_states().len();
+        for i in 0..e.num_states() {
+            for c in rows.choice_range(i) {
+                for t in rows.trans_range(c) {
+                    let t = rows.targets[t] as usize;
+                    prop_assert!(t <= seen, "state {} jumps to {}", i, t);
+                    seen = seen.max(t + 1);
+                }
+            }
         }
     }
 
     #[test]
-    fn par_explore_hits_the_same_state_limit(n in 8u64..60, limit in 1usize..8) {
+    fn explore_hits_the_state_limit_exactly_beyond_it(n in 2u64..60, below in 0usize..8) {
         let g = ScrambleGraph { n, fanout: 3 };
         let cost = |_: &u64, _: &u64| 1u32;
-        let serial = Explore::new(&g).cost(cost).limit(limit).run();
-        let par = Explore::new(&g).cost(cost).limit(limit).workers(3).run();
-        match (serial, par) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a.states(), b.states()),
-            (
-                Err(MdpError::StateLimitExceeded { limit: a }),
-                Err(MdpError::StateLimitExceeded { limit: b }),
-            ) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "limit mismatch: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+        let full = Explore::new(&g).cost(cost).run().unwrap();
+        let size = full.num_states();
+        // Limits on both sides of the reachable space's size, and at it.
+        for limit in [size.saturating_sub(below), size, size + 1] {
+            match Explore::new(&g).cost(cost).limit(limit).run() {
+                Ok(e) => {
+                    prop_assert!(size <= limit);
+                    prop_assert_eq!(e.states(), full.states());
+                }
+                Err(MdpError::StateLimitExceeded { limit: l }) => {
+                    prop_assert!(size > limit);
+                    prop_assert_eq!(l, limit);
+                }
+                Err(e) => prop_assert!(false, "unexpected error {:?}", e),
+            }
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Property-based tests for the MDP analysis algorithms on randomly
 //! generated models.
 
-use pa_core::TableAutomaton;
 use pa_mdp::{
-    prob0_max, prob0_min, Choice, CsrMdp, ExplicitMdp, Explore, IterOptions, MdpError, Objective,
-    Query, QueryObjective,
+    prob0_max, prob0_min, Choice, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective, Query,
+    QueryObjective,
 };
 use proptest::prelude::*;
 
@@ -85,48 +84,7 @@ fn random_mdp() -> impl Strategy<Value = ExplicitMdp> {
     })
 }
 
-/// Strategy: an implicit automaton whose first BFS level is wide enough to
-/// shard in parallel, with a seed-controlled skew in where the branching
-/// lands — the shape that drives `par_explore`'s adaptive shard sizing.
-fn skewed_automaton() -> impl Strategy<Value = TableAutomaton<u32, &'static str>> {
-    (150usize..400, any::<u64>()).prop_map(|(width, seed)| {
-        let mut x = seed;
-        let mut next = || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) as usize
-        };
-        let hot = next() % width; // branching concentrates after this index
-        let mut b = TableAutomaton::builder().start(0);
-        for i in 0..width as u32 {
-            b = b.det_step(0, "spread", i + 1);
-            let fan = if i as usize >= hot {
-                1 + next() % 24
-            } else {
-                1
-            };
-            for j in 0..fan as u32 {
-                b = b.det_step(i + 1, "fan", 10_000 + i * 32 + j);
-            }
-        }
-        b.build().expect("valid generated automaton")
-    })
-}
-
 proptest! {
-    #[test]
-    fn adaptive_parallel_exploration_matches_serial(m in skewed_automaton(), workers in 2usize..9) {
-        let serial = Explore::new(&m).limit(1_000_000).run().unwrap();
-        let par = Explore::new(&m)
-            .limit(1_000_000)
-            .workers(workers)
-            .run()
-            .unwrap();
-        prop_assert_eq!(par.states(), serial.states());
-        prop_assert_eq!(&par.mdp, &serial.mdp);
-    }
-
     #[test]
     fn bounded_values_are_probabilities_and_monotone(m in random_mdp(), budget in 0u32..8) {
         let target: Vec<bool> = (0..m.num_states()).map(|s| s == m.num_states() - 1).collect();

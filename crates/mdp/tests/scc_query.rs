@@ -437,7 +437,6 @@ fn scc_saves_state_updates_on_layered_round_models() {
         .objective(QueryObjective::MaxProb)
         .target(&target)
         .solver(Solver::Jacobi)
-        .workers(1)
         .run()
         .unwrap();
     let scc = Query::csr(&csr)

@@ -110,9 +110,8 @@ impl<E> Spilling<E> {
 
 impl<M, F> Spilling<Explore<'_, M, F>>
 where
-    M: Automaton + Sync,
-    M::State: Send + Sync,
-    F: Fn(&M::State, &M::Action) -> u32 + Sync,
+    M: Automaton,
+    F: Fn(&M::State, &M::Action) -> u32,
 {
     /// Runs the spilled exploration with a [`BoxedSpace`].
     pub fn run(self) -> Result<StoredModel<M::State, BoxedSpace<M::State>>, StoreError>
@@ -132,7 +131,7 @@ where
     /// errors.
     pub fn run_in<SP>(self, space: SP) -> Result<StoredModel<M::State, SP>, StoreError>
     where
-        SP: StateSpace<M::State> + KeySource + Send + Sync,
+        SP: StateSpace<M::State> + KeySource,
     {
         std::fs::create_dir_all(&self.dir).map_err(StoreError::io("create spill directory"))?;
         let path = self.dir.join("model.pacsr");

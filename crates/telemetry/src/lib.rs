@@ -2,17 +2,17 @@
 //!
 //! The paper's claims are quantitative, so the reproduction needs to *see*
 //! what the engines actually did: how many Jacobi sweeps value iteration
-//! ran and how the residual fell, how wide each BFS frontier was, how many
-//! Monte-Carlo trials fired in which round. This crate is the substrate all
-//! of that reports through:
+//! ran and how the residual fell, how many states each exploration found,
+//! how many Monte-Carlo trials fired in which round. This crate is the
+//! substrate all of that reports through:
 //!
 //! * [`Counter`] — monotone `u64` event counts (sweeps, states, trials).
 //! * [`Gauge`] — signed instantaneous values with a `set_max` reduction
-//!   (peak frontier width, shard imbalance).
+//!   (resident bytes and their peak).
 //! * [`Timer`] / [`Span`] — monotonic wall-clock accumulation; a [`span`]
 //!   guard records its elapsed time into the named timer on drop.
 //! * [`Histogram`] — lock-free power-of-two-bucketed `u64` distributions
-//!   (rounds-to-fire, frontier widths).
+//!   (rounds-to-fire, SCC component sizes).
 //! * [`Series`] — an ordered `f64` trajectory (per-sweep residuals).
 //!
 //! All metrics live in name-keyed registries and are looked up with
