@@ -1,68 +1,62 @@
 //! Budget-driven exact-vs-sampled tier selection.
 //!
-//! The exact engine explores the (fault-wrapped) round model, so its
-//! memory footprint is governed by the ring's reachable state count. Both
-//! the full space and its rotation quotient are measured up to `n = 7`
-//! (`EXPERIMENTS.md` records the table; `n = 3..=5` are pinned by
-//! `pa-bench`'s `pinned_invariants` test):
+//! [`select_kind`] sizes the exact tier by the states that tier explores,
+//! not by the protocol model's. Both tables below count them:
 //!
-//! | n | full states | quotient states |
-//! |---|-------------|-----------------|
-//! | 3 | 536 | 184 |
-//! | 4 | 4 252 | 1 084 |
-//! | 5 | 33 848 | 6 776 |
-//! | 6 | 270 218 | 45 151 |
-//! | 7 | 2 161 272 | 308 760 |
+//! * **full** — [`JobKind::Reach`] runs [`pa_faults::exact_reach_uniform`],
+//!   which explores the `UniformChain` wrapping of the faulty round model
+//!   from the all-trying start. The table holds the largest chain over
+//!   [`pa_faults::default_grid`]'s plans (the `drop` plan at both sizes).
+//! * **quotient** — the exact tiers that run on a quotient
+//!   (`pa_faults::survival_map_hybrid`'s zero-fault column and
+//!   `pa_lehmann_rabin::check_arrow_quotient`) explore one arrow model per
+//!   paper claim from the orbit representatives. The table holds the
+//!   largest of the six claims' models on the rotation quotient,
+//!   `T —13→ C` at every size. Only the empty plan has a quotient. The
+//!   dihedral quotient of `check_arrow_quotient` explores about half as
+//!   many (1,515, 23,947 and 395,418 states), so for it the estimate is
+//!   ≈ 2× conservative, which errs on the degrade-early side like every
+//!   other margin here.
 //!
-//! The full space grows by roughly ×8 per process; the quotient is a
-//! factor `≈ n` smaller (the reduction is exactly 7.000 at `n = 7`, where
-//! every orbit has all `n` rotations distinct).
+//! | n | full (chain) states | quotient (arrow model) states |
+//! |---|---------------------|-------------------------------|
+//! | 3 | 20 486 | 2 937 |
+//! | 4 | 465 792 | 47 108 |
+//! | 5 | 10 946 112 (extrapolated) | 788 722 |
 //!
-//! [`select_kind`] keys on [`estimated_ring_states`] — or, when the
-//! caller's exact tier runs on a quotient, on
-//! [`estimated_quotient_states`]: when the estimate fits the caller's
-//! state budget the exact [`JobKind::Arrow`] / [`JobKind::Reach`] tier
-//! runs; otherwise the job degrades to [`JobKind::Sampled`], whose memory
-//! is constant in `n`.
+//! The `n = 3` and `n = 4` rows are pinned by this module's tests. The
+//! chain at `n = 5` is extrapolated: counted once under the empty plan it
+//! held 10,415,118 states in 3.15 GB, too large to re-count in a test. The protocol model the tables used to hold (536,
+//! 4,252 and 33,848 states at `n = 3..=5`) is 38–308× smaller than
+//! what the exact tier explores, so it admitted the chain at `n = 5`
+//! under a 1 M-state budget.
 //!
-//! The quotient estimate is the rotation quotient's. An exact tier on the
-//! dihedral quotient (`pa_lehmann_rabin::check_arrow_quotient`, which also
-//! folds mirror images) explores about half as many states: 101, 572,
-//! 3 454, 22 808 and 154 894 protocol orbits at `n = 3..=7`. For it the
-//! estimate is therefore ≈ 2× conservative, which errs on the
-//! degrade-early side like every other margin here.
+//! When the estimate fits the caller's state budget the exact
+//! [`JobKind::Reach`] tier runs; otherwise the job degrades to
+//! [`JobKind::Sampled`], whose memory is constant in `n`.
 
 use pa_core::SetExpr;
 
 use crate::spec::{JobKind, McSettings};
 
-/// Measured reachable-state counts for the saturating Lehmann–Rabin round
-/// model, `n = 3..=7` (EXPERIMENTS.md's dated kernel table).
-const MEASURED: [(usize, u64); 5] = [
-    (3, 536),
-    (4, 4_252),
-    (5, 33_848),
-    (6, 270_218),
-    (7, 2_161_272),
-];
+/// Measured state counts of the exact [`JobKind::Reach`] tier: the
+/// largest `UniformChain` over the default fault grid.
+const MEASURED: [(usize, u64); 2] = [(3, 20_486), (4, 465_792)];
 
-/// Measured state counts of the rotation quotient of the same model (the
-/// values the bench `symmetry` block pins). A factor `≈ n` below
-/// [`MEASURED`]: 2.91, 3.92, 5.00, 5.99, 7.00.
-const MEASURED_QUOTIENT: [(usize, u64); 5] =
-    [(3, 184), (4, 1_084), (5, 6_776), (6, 45_151), (7, 308_760)];
+/// Measured state counts of the largest paper-claim arrow model on the
+/// rotation quotient.
+const MEASURED_QUOTIENT: [(usize, u64); 3] = [(3, 2_937), (4, 47_108), (5, 788_722)];
 
-/// Per-process growth factor used to extrapolate beyond the measured
-/// range. The measured ratios are 7.93, 7.96, 7.98, 8.00 — we round up a
-/// touch so the extrapolation over-estimates (degrading to sampling early
-/// is safe; exhausting memory is not).
-const GROWTH: f64 = 8.2;
+/// Per-process growth factor of the chain beyond the measured range. The
+/// measured ratio is 22.74 (22.98 and 22.42 over `n = 3..=5` under the
+/// empty plan); rounding up to 23.5 over-estimates the `n = 5` count by
+/// 5% (degrading to sampling early is safe; exhausting memory is not).
+const GROWTH: f64 = 23.5;
 
-/// Per-process growth factor of the quotient. The measured ratios are
-/// 5.89, 6.25, 6.66, 6.84 and approach `GROWTH · n/(n+1)` (the reduction
-/// factor converges to `n`), so 7.5 over-estimates every extrapolated
-/// size — erring, as with [`GROWTH`], on the degrade-early side.
-const QUOTIENT_GROWTH: f64 = 7.5;
+/// Per-process growth factor of the quotient's arrow models. The measured
+/// ratios are 16.04 and 16.74 and still rising, so 18 leaves room for the
+/// next few, erring, as with [`GROWTH`], on the degrade-early side.
+const QUOTIENT_GROWTH: f64 = 18.0;
 
 fn estimate(n: usize, measured: &[(usize, u64)], growth: f64) -> u64 {
     if n < 3 {
@@ -81,9 +75,10 @@ fn estimate(n: usize, measured: &[(usize, u64)], growth: f64) -> u64 {
     }
 }
 
-/// Estimated reachable-state count of the ring of `n` processes.
+/// Estimated state count of the exact [`JobKind::Reach`] tier on the ring
+/// of `n` processes (the tables of `select.rs`).
 ///
-/// Exact (measured) for `n = 3..=7`, extrapolated geometrically beyond;
+/// Exact (measured) for `n = 3..=4`, extrapolated geometrically beyond;
 /// rings below the protocol minimum report 0 (they cannot be built, so
 /// any budget "fits").
 #[must_use]
@@ -91,14 +86,11 @@ pub fn estimated_ring_states(n: usize) -> u64 {
     estimate(n, &MEASURED, GROWTH)
 }
 
-/// Estimated state count of the rotation quotient of the ring of `n`
-/// processes — what the exact engine actually explores when a
-/// [`pa_mdp::RingRotation`] symmetry is active.
+/// Estimated state count of the largest paper-claim arrow model on the
+/// rotation quotient of the ring of `n` processes — what an exact tier
+/// explores when a [`pa_mdp::RingRotation`] symmetry is active.
 ///
-/// Exact (measured) for `n = 3..=7`, extrapolated geometrically beyond.
-/// At `n = 8` the quotient (≈ 2.3 M states) is the size the *full* space
-/// had at `n = 7`, which is what moves the exact-tier frontier out by one
-/// process per available memory octave.
+/// Exact (measured) for `n = 3..=5`, extrapolated geometrically beyond.
 #[must_use]
 pub fn estimated_quotient_states(n: usize) -> u64 {
     estimate(n, &MEASURED_QUOTIENT, QUOTIENT_GROWTH)
@@ -150,53 +142,90 @@ pub fn select_kind(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pa_faults::{default_grid, uniform_chain_states};
+    use pa_lehmann_rabin::{
+        explore_checker, paper, reachable_configs_in, Quotient, RoundConfig, RoundMdp,
+        RoundStateCodec,
+    };
+    use pa_mdp::PackedSpace;
+
+    const LIMIT: usize = 2_000_000;
+
+    fn mc() -> McSettings {
+        McSettings {
+            trajectories: 1_000,
+            seed: 1,
+        }
+    }
+
+    #[test]
+    fn measured_tables_are_what_the_exact_tiers_explore() {
+        let mut claims: Vec<_> = paper::all_arrows().into_iter().map(|(a, _)| a).collect();
+        claims.push(paper::arrow_t_to_c());
+        for n in [3, 4] {
+            let chain = default_grid()
+                .iter()
+                .map(|(_, plan)| uniform_chain_states(n, plan, LIMIT).unwrap())
+                .max();
+            assert_eq!(chain, Some(estimated_ring_states(n) as usize), "n={n}");
+            let configs = reachable_configs_in(n, LIMIT, Quotient::Rotation).unwrap();
+            let largest = claims
+                .iter()
+                .map(|claim| {
+                    let mdp = RoundMdp::new(RoundConfig::new(n).unwrap());
+                    let space = PackedSpace::new(RoundStateCodec::new(n).unwrap());
+                    let scope = Some((claim.from(), claim.to()));
+                    explore_checker(mdp, &configs, scope, LIMIT, Quotient::Rotation, space)
+                        .unwrap()
+                        .map_or(0, |(_, checker)| checker.model().num_states())
+                })
+                .max();
+            assert_eq!(
+                largest,
+                Some(estimated_quotient_states(n) as usize),
+                "n={n}"
+            );
+        }
+    }
 
     #[test]
     fn measured_counts_are_returned_verbatim() {
-        assert_eq!(estimated_ring_states(3), 536);
-        assert_eq!(estimated_ring_states(7), 2_161_272);
-        assert_eq!(estimated_quotient_states(3), 184);
-        assert_eq!(estimated_quotient_states(7), 308_760);
+        assert_eq!(estimated_ring_states(3), 20_486);
+        assert_eq!(estimated_ring_states(4), 465_792);
+        assert_eq!(estimated_quotient_states(3), 2_937);
+        assert_eq!(estimated_quotient_states(5), 788_722);
     }
 
     #[test]
     fn extrapolation_grows_geometrically() {
-        let n8 = estimated_ring_states(8);
-        let n9 = estimated_ring_states(9);
-        assert!(n8 > 17_000_000, "n=8 estimate {n8} too small");
-        assert!(n9 > 8 * n8 && n9 < 9 * n8);
-        let q8 = estimated_quotient_states(8);
-        let q9 = estimated_quotient_states(9);
-        assert!(q8 > 2_000_000 && q8 < 3_000_000, "n=8 quotient {q8}");
-        assert!(q9 > 7 * q8 && q9 < 8 * q8);
-        // The quotient estimate stays an over-estimate of full/n.
-        assert!(q8 > n8 / 8);
+        // Above the one n = 5 count of the chain (the empty plan).
+        let n5 = estimated_ring_states(5);
+        assert!(n5 > 10_415_118 && n5 < 11_000_000, "n=5 estimate {n5}");
+        let n6 = estimated_ring_states(6);
+        assert!(n6 > 23 * n5 && n6 < 24 * n5);
+        let q6 = estimated_quotient_states(6);
+        assert!(q6 > 17 * 788_722 && q6 < 19 * 788_722, "n=6 quotient {q6}");
+        // The quotient's arrow models stay below the chain.
+        assert!(q6 < n6);
     }
 
     #[test]
     fn selection_degrades_to_sampling_over_budget() {
-        let mc = McSettings {
-            trajectories: 1_000,
-            seed: 1,
-        };
-        let exact = select_kind(3, 1_000_000, SetExpr::named("C"), 13, 0.125, mc, false);
-        assert!(matches!(exact, JobKind::Reach { .. }));
-        let sampled = select_kind(8, 1_000_000, SetExpr::named("C"), 13, 0.125, mc, false);
-        assert!(matches!(sampled, JobKind::Sampled { .. }));
+        // A 1 M-state budget holds the n = 4 chain but not the n = 5 one.
+        let kind = |n| select_kind(n, 1_000_000, SetExpr::named("C"), 13, 0.125, mc(), false);
+        assert!(matches!(kind(3), JobKind::Reach { .. }));
+        assert!(matches!(kind(4), JobKind::Reach { .. }));
+        assert!(matches!(kind(5), JobKind::Sampled { .. }));
     }
 
     #[test]
     fn symmetry_keeps_the_exact_tier_one_process_longer() {
-        let mc = McSettings {
-            trajectories: 1_000,
-            seed: 1,
-        };
-        // A 4M-state budget: the full n=8 space (~17.7M) is out of reach,
-        // but its quotient (~2.3M) fits — the whole point of the quotient.
+        // A 4M-state budget: the n = 5 chain (~10.9M) is out of reach, but
+        // the largest n = 5 quotient arrow model (788,722) fits.
         let budget = 4_000_000;
-        let full = select_kind(8, budget, SetExpr::named("C"), 13, 0.125, mc, false);
+        let full = select_kind(5, budget, SetExpr::named("C"), 13, 0.125, mc(), false);
         assert!(matches!(full, JobKind::Sampled { .. }));
-        let quotient = select_kind(8, budget, SetExpr::named("C"), 13, 0.125, mc, true);
+        let quotient = select_kind(5, budget, SetExpr::named("C"), 13, 0.125, mc(), true);
         assert!(matches!(quotient, JobKind::Reach { .. }));
     }
 }

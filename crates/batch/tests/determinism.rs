@@ -8,13 +8,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pa_batch::{
-    run_batch, select_kind, BatchError, BatchOptions, JobKind, JobSpec, JobStatus, JobValue,
-    McSettings,
+    estimated_ring_states, run_batch, select_kind, BatchError, BatchOptions, JobKind, JobSpec,
+    JobStatus, JobValue, McSettings, ModelCache,
 };
 use pa_core::SetExpr;
-use pa_faults::{check_arrow_under, default_grid, FaultKind, FaultPlan};
-use pa_lehmann_rabin::{max_expected_time, paper, RoundConfig, RoundMdp};
-use pa_mdp::Solver;
+use pa_faults::{check_arrow_under, default_grid, FaultKind, FaultPlan, FaultyRoundMdp};
+use pa_lehmann_rabin::{
+    explore_checker, max_expected_time, paper, reachable_configs, Quotient, RoundConfig, RoundMdp,
+};
+use pa_mdp::{BoxedSpace, Query, Solver};
 
 /// Serializes tests that toggle the process-global telemetry flag.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
@@ -180,6 +182,57 @@ fn batch_arrow_values_match_the_unshared_pipeline_bitwise() {
     }
 }
 
+/// Pins a query to Jacobi, as every batch job does.
+fn jacobi(q: Query<'_>) -> Query<'_> {
+    q.solver(Solver::Jacobi)
+}
+
+/// For every paper arrow under every default plan on a ring of `n`: the
+/// cone a batch arrow job solves on the shared model has exactly the
+/// states of the arrow's own model (`explore_checker` with the target
+/// absorbing), and the two Jacobi solves do the same work.
+fn assert_cones_are_the_arrow_models(n: usize) {
+    const LIMIT: usize = 2_000_000;
+    let cfg = RoundConfig::new(n).unwrap();
+    let configs = reachable_configs(n, LIMIT).unwrap();
+    let cache = ModelCache::new();
+    for (name, plan) in default_grid() {
+        let shared = cache.model(n, &plan, LIMIT).unwrap();
+        for (arrow, _why) in paper::all_arrows() {
+            let tag = format!("n={n} {arrow} under {name}");
+            let cone = shared.solve_arrow(&arrow, jacobi).unwrap();
+            let own = explore_checker(
+                FaultyRoundMdp::new(cfg, plan.clone()).unwrap(),
+                &configs,
+                Some((arrow.from(), arrow.to())),
+                LIMIT,
+                Quotient::Full,
+                BoxedSpace::default(),
+            )
+            .unwrap();
+            let (Some(cone), Some((_, own))) = (cone, own) else {
+                panic!("{tag}: a vacuous arrow on one model only");
+            };
+            let cone_states = cone.analysis.values.iter().filter(|v| !v.is_nan()).count();
+            assert_eq!(cone_states, own.model().num_states(), "{tag}: cone size");
+            let own = own.solve_arrow(&arrow, jacobi).unwrap().unwrap();
+            assert_eq!(cone.analysis.stats, own.analysis.stats, "{tag}: solve work");
+            assert_eq!(cone.check.measured, own.check.measured, "{tag}");
+        }
+    }
+}
+
+#[test]
+fn batch_arrow_cones_are_the_arrow_models() {
+    assert_cones_are_the_arrow_models(3);
+}
+
+#[test]
+#[ignore = "n = 4 takes a release build; CI runs it with --include-ignored"]
+fn batch_arrow_cones_are_the_arrow_models_at_n4() {
+    assert_cones_are_the_arrow_models(4);
+}
+
 #[test]
 fn batch_expected_time_matches_the_unshared_pipeline() {
     let from = SetExpr::named("RT");
@@ -304,11 +357,12 @@ fn sampled_interval_contains_the_exact_tier_value() {
         trajectories: 4_000,
         seed: 7,
     };
-    // A generous budget keeps n = 3 on the exact tier; a starved budget
-    // degrades the same claim to the sampled tier.
-    let exact_kind = select_kind(3, 1_000_000, SetExpr::named("C"), 13, 0.125, mc, false);
+    // A budget of exactly the n = 3 exact tier's states keeps it exact;
+    // one state less degrades the same claim to the sampled tier.
+    let tier = estimated_ring_states(3);
+    let exact_kind = select_kind(3, tier, SetExpr::named("C"), 13, 0.125, mc, false);
     assert!(matches!(exact_kind, JobKind::Reach { .. }));
-    let sampled_kind = select_kind(3, 100, SetExpr::named("C"), 13, 0.125, mc, false);
+    let sampled_kind = select_kind(3, tier - 1, SetExpr::named("C"), 13, 0.125, mc, false);
     assert!(matches!(sampled_kind, JobKind::Sampled { .. }));
 
     let specs = vec![JobSpec::new(3, exact_kind), JobSpec::new(3, sampled_kind)];

@@ -71,7 +71,7 @@ pub use round::{
 };
 pub use sampling::{
     estimate_reach_uniform, estimate_reach_uniform_from, exact_reach_uniform, sampled_arrow_under,
-    trying_start, SampledArrow,
+    trying_start, uniform_chain_states, SampledArrow,
 };
 pub use survival::{
     check_arrow_under, check_arrow_under_quotient, classify, default_grid, start_crash_mask,

@@ -22,9 +22,10 @@ use pa_lehmann_rabin::{
     Quotient, RoundConfig, Side,
 };
 use pa_mc::{
-    chain_target, estimate_reach, McConfig, McEstimate, OptimalReplay, UniformChain, UniformPolicy,
+    chain_target, estimate_reach, ChainState, McConfig, McEstimate, OptimalReplay, UniformChain,
+    UniformPolicy,
 };
-use pa_mdp::{BoxedSpace, Explore, Objective};
+use pa_mdp::{BoxedSpace, Explore, Explored, Objective};
 use pa_prob::stats::Z_99;
 use pa_prob::{Prob, ProbInterval};
 
@@ -226,16 +227,8 @@ pub fn exact_reach_uniform(
     within: u32,
     limit: usize,
 ) -> Result<f64, FaultError> {
-    let cfg = RoundConfig::new(n)?;
     let to = set_pred_under(target)?;
-    let model = crate::FaultyRoundMdp::new(cfg, plan.clone())?.with_starts(vec![trying_start(n)?]);
-    let chain = UniformChain::new(&model);
-    let explored = Explore::new(&chain)
-        .cost(UniformChain::<crate::FaultyRoundMdp>::cost(
-            faulty_round_cost,
-        ))
-        .limit(limit)
-        .run()?;
+    let explored = explore_uniform_chain(n, plan, limit)?;
     let mut pred =
         chain_target(|s: &crate::FaultyRoundState| to(&s.inner.config, s.crashed_mask(n)));
     let analysis = explored
@@ -250,6 +243,34 @@ pub fn exact_reach_uniform(
         .copied()
         .expect("chain model has a start state");
     Ok(analysis.value(start))
+}
+
+/// The number of states [`exact_reach_uniform`] explores on a ring of `n`
+/// under `plan`: the size of its exact tier, whatever the target.
+///
+/// # Errors
+///
+/// Plan-validation and exploration errors.
+pub fn uniform_chain_states(n: usize, plan: &FaultPlan, limit: usize) -> Result<usize, FaultError> {
+    Ok(explore_uniform_chain(n, plan, limit)?.num_states())
+}
+
+/// The [`UniformChain`] wrapping of the faulty round model of a ring of
+/// `n` under `plan`, explored from the all-trying start.
+fn explore_uniform_chain(
+    n: usize,
+    plan: &FaultPlan,
+    limit: usize,
+) -> Result<Explored<ChainState<crate::FaultyRoundState>>, FaultError> {
+    let cfg = RoundConfig::new(n)?;
+    let model = crate::FaultyRoundMdp::new(cfg, plan.clone())?.with_starts(vec![trying_start(n)?]);
+    let chain = UniformChain::new(&model);
+    Ok(Explore::new(&chain)
+        .cost(UniformChain::<crate::FaultyRoundMdp>::cost(
+            faulty_round_cost,
+        ))
+        .limit(limit)
+        .run()?)
 }
 
 #[cfg(test)]

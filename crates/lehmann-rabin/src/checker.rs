@@ -36,6 +36,21 @@
 //! The starts keep the model's initial-state order, which is the order of
 //! the configurations the model was explored from, so the worst start is
 //! the same on either model.
+//!
+//! # Solving only the cone
+//!
+//! A shared model is much larger than any one arrow needs: an arrow's
+//! value depends only on its *cone*, the states reachable from its starts
+//! without passing a target state. That is exactly the state set of the
+//! arrow model, with the same rows. [`ArrowChecker::solve_arrow`] hands
+//! its starts to [`Query::cone`], which solves a copy of the cone alone
+//! (on `n = 4` shared models, 1.8%–85% of the states) and reports the
+//! arrow model's values. An arrow model is already its own cone: every
+//! initial state is a start and every target state is terminal. The
+//! checker then names no cone, so the per-arrow checks run no search and
+//! no copy. Expected-time questions solve the whole model: their
+//! iteration stops on a residual over every state, which a cone would
+//! change.
 
 use std::marker::PhantomData;
 
@@ -249,6 +264,26 @@ impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
         Ok(mask)
     }
 
+    /// Whether an arrow from `starts` to `target` needs a cone: not when
+    /// the model is its own cone, an arrow model (every initial state
+    /// starts and every target state is terminal), and not on a
+    /// multi-block model, which the query solves whole anyway (scanning
+    /// its rows would page every block).
+    fn needs_cone(&self, starts: &[usize], target: &[bool]) -> Result<bool, LrError> {
+        let rows = self.model.rows();
+        if rows.num_blocks() > 1 {
+            return Ok(false);
+        }
+        if starts.len() < rows.initial_states().len() {
+            return Ok(true);
+        }
+        let mut absorbing = true;
+        rows.with_rows(0, &mut |rows| {
+            absorbing = rows.states().all(|s| !target[s] || rows.is_terminal(s));
+        })?;
+        Ok(!absorbing)
+    }
+
     /// Checks `arrow`: the least probability over all adversaries of
     /// reaching its target within its time, from its worst start.
     /// `tune` adds per-call query settings (`|q| q` keeps the defaults).
@@ -281,11 +316,14 @@ impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
         if starts.is_empty() {
             return Ok(None);
         }
-        let query = Query::source(self.model.rows())
+        let target = self.target_mask(arrow.to())?;
+        let mut query = Query::source(self.model.rows())
             .objective(Objective::MinProb)
-            .target(self.target_mask(arrow.to())?)
             .horizon(time_to_budget(arrow.time()));
-        let analysis = tune(query).run()?;
+        if self.needs_cone(&starts, &target)? {
+            query = query.cone(&starts);
+        }
+        let analysis = tune(query.target(target)).run()?;
         let (worst, measured) = analysis.worst_over(&starts)?.expect("starts are nonempty");
         let check = ArrowCheck {
             arrow: arrow.clone(),

@@ -38,6 +38,12 @@ pub enum MdpError {
         /// The offending state index.
         state: usize,
     },
+    /// A value was read at a state the analysis did not solve: one
+    /// outside the cone of a [`crate::Query::cone`] query.
+    Unsolved {
+        /// The unsolved state index.
+        state: usize,
+    },
     /// The model has no initial states.
     NoInitialStates,
     /// A [`crate::Query`] was built with an unsupported combination of
@@ -95,6 +101,9 @@ impl fmt::Display for MdpError {
                 f,
                 "worst-case expected cost diverges from state {state} (target not reached almost surely)"
             ),
+            MdpError::Unsolved { state } => {
+                write!(f, "state {state} lies outside the solved cone")
+            }
             MdpError::NoInitialStates => write!(f, "model has no initial states"),
             MdpError::InvalidQuery { reason } => write!(f, "invalid query: {reason}"),
             MdpError::Backend { reason } => write!(f, "model backend failed: {reason}"),
@@ -135,6 +144,7 @@ mod tests {
                 expected: 3,
             },
             MdpError::DivergentExpectation { state: 7 },
+            MdpError::Unsolved { state: 4 },
             MdpError::NoInitialStates,
             MdpError::InvalidQuery {
                 reason: "horizon on a cost objective".into(),

@@ -77,6 +77,50 @@
 //! multi-block unbounded or expected-cost query fails at `"validate"`.
 //!
 //! [`Analysis::solver`] reports the solver that actually ran.
+//!
+//! # Cone restriction
+//!
+//! A bounded question about a few start states of a large model — one
+//! arrow on a model shared by many — depends only on its *cone*: the
+//! states reachable from the starts without passing a target state.
+//! [`Query::cone`] names the starts. On a single-block source the query
+//! then:
+//!
+//! 1. finds the cone by a graph search from the starts that does not
+//!    expand target states;
+//! 2. copies the cone's rows in ascending id order into a model of its
+//!    own, giving each target state an empty row, so a zero-cost edge
+//!    that pointed forward still does;
+//! 3. routes the copy exactly as above (a pinned solver stays pinned) and
+//!    reports the answer in the source's numbering: `NaN` values and
+//!    `None` policy decisions outside the cone, and [`SolveStats`] that
+//!    count only the states solved. [`Analysis::worst_over`] names an
+//!    unsolved start with [`MdpError::Unsolved`].
+//!
+//! A cone that holds every state is solved in place, with no copy.
+//!
+//! A cone state's row is copied unchanged, its successors stay in the
+//! cone, and a target state's value is fixed at every level. So each cone
+//! state evaluates the same floating-point expression on the same
+//! operands as in the unrestricted query, and the cone solve is the solve
+//! of the cone as a model of its own: for an arrow on a shared model,
+//! the arrow's own model, with its target absorbing. Against the
+//! unrestricted query, one thing can differ: a Jacobi level may stop
+//! after fewer sweeps, because its residual then ranges over fewer
+//! states. A level whose zero-cost subgraph has no cycle reaches its
+//! fixpoint exactly, so further sweeps recompute the same bits and the
+//! values agree bitwise. A level with a zero-cost cycle converges only to
+//! within `1e-14`, and its last bits may differ.
+//!
+//! Two cases solve without a cone:
+//!
+//! * a **multi-block** source solves the whole model, as if no cone were
+//!   named, because an in-core copy of the cone would defeat the page
+//!   budget that made the model multi-block;
+//! * an **unbounded** or **expected-cost** query rejects a cone at the
+//!   `"validate"` stage. Its Jacobi iteration stops on the largest
+//!   residual over every state, so a cone solve could stop at an earlier
+//!   sweep and return different bits.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -249,8 +293,10 @@ impl Analysis {
     ///
     /// # Errors
     ///
-    /// Under a cost objective, [`MdpError::DivergentExpectation`] naming
-    /// the first start whose expectation is infinite.
+    /// [`MdpError::Unsolved`] naming the first start outside the solved
+    /// cone (its value is `NaN`, see [`Query::cone`]). Under a cost
+    /// objective, [`MdpError::DivergentExpectation`] naming the first
+    /// start whose expectation is infinite.
     pub fn worst_over(&self, starts: &[usize]) -> Result<Option<(usize, f64)>, MdpError> {
         let cost = matches!(
             self.objective,
@@ -259,6 +305,9 @@ impl Analysis {
         let mut worst: Option<(usize, f64)> = None;
         for &s in starts {
             let v = self.values[s];
+            if v.is_nan() {
+                return Err(MdpError::Unsolved { state: s });
+            }
             if cost && v.is_infinite() {
                 return Err(MdpError::DivergentExpectation { state: s });
             }
@@ -289,6 +338,7 @@ pub struct Query<'m> {
     solver: Option<Solver>,
     options: IterOptions,
     with_policy: bool,
+    cone: Option<Vec<usize>>,
 }
 
 impl<'m> Query<'m> {
@@ -321,6 +371,7 @@ impl<'m> Query<'m> {
             solver: None,
             options: IterOptions::default(),
             with_policy: false,
+            cone: None,
         }
     }
 
@@ -387,6 +438,20 @@ impl<'m> Query<'m> {
         self
     }
 
+    /// Restricts a bounded probability query to the cone of `starts`: the
+    /// states reachable from them without passing a target state, which
+    /// are all the states their values depend on. On a single-block
+    /// source the query solves a copy of the cone's rows and reports
+    /// `NaN` values and `None` decisions outside it; a multi-block source
+    /// solves the whole model. Inside the cone the values are those of the
+    /// unrestricted query, bitwise wherever a level reaches its fixpoint
+    /// exactly (see the [module docs](self#cone-restriction)). Unbounded
+    /// and expected-cost queries reject a cone.
+    pub fn cone(mut self, starts: &[usize]) -> Self {
+        self.cone = Some(starts.to_vec());
+        self
+    }
+
     /// Runs the analysis.
     ///
     /// # Errors
@@ -394,7 +459,8 @@ impl<'m> Query<'m> {
     /// Always a [`MdpError::Query`] naming the failed stage, with the root
     /// cause in its [`source`](std::error::Error::source) chain:
     /// `"target"` for a missing or malformed target, `"validate"` for an
-    /// unsupported setting combination ([`MdpError::InvalidQuery`] inside),
+    /// unsupported setting combination ([`MdpError::InvalidQuery`] inside,
+    /// or [`MdpError::BadStateIndex`] for a cone start out of range),
     /// `"solve"` for failures of the underlying analysis (including an
     /// [`MdpError::InvalidQuery`] for a model the pinned solver cannot
     /// solve).
@@ -426,6 +492,21 @@ impl<'m> Query<'m> {
             QueryObjective::MinCost | QueryObjective::MaxCost => None,
         };
         let bounded = prob_objective.is_some() && self.horizon.is_some();
+        if let Some(starts) = &self.cone {
+            if !bounded {
+                return Err(invalid(
+                    "a cone restricts bounded probability queries only (an iterative solve \
+                     stops on the residual over every state, so a cone could change its values)",
+                ));
+            }
+            let num_states = src.num_states();
+            if let Some(&index) = starts.iter().find(|&&s| s >= num_states) {
+                return Err(wrap("validate")(MdpError::BadStateIndex {
+                    index,
+                    num_states,
+                }));
+            }
+        }
         if pinned == Some(Solver::SccOrdered) && !one_block && !bounded {
             return Err(invalid(
                 "multi-block sources run unbounded and expected-cost queries on the Jacobi \
@@ -452,41 +533,31 @@ impl<'m> Query<'m> {
         let mut policy = None;
         let values = match (prob_objective, self.horizon) {
             (Some(objective), Some(budget)) => {
-                // A single-block source unless pinned to Jacobi: the
-                // zero-cost condensation, which picks SCC or Jacobi.
-                let condensation = (one_block && pinned != Some(Solver::Jacobi))
-                    .then(|| with_one_block(src, scc::zero_cost_scc))
-                    .transpose()
-                    .map_err(wrap("solve"))?;
-                let level_solver = match (pinned, &condensation) {
-                    (Some(Solver::Jacobi), _) => LevelSolver::Jacobi,
-                    (Some(_), Some(scc)) => LevelSolver::Scc(scc),
-                    (None, Some(scc)) if scc.num_nontrivial() == 0 => LevelSolver::Scc(scc),
-                    (None, Some(_)) => LevelSolver::Jacobi,
-                    (pinned, None) => LevelSolver::Reverse {
-                        strict: pinned == Some(Solver::SccOrdered),
-                    },
+                let cone = match &self.cone {
+                    Some(starts) if one_block => find_cone(src, starts, &target),
+                    _ => Ok(None),
                 };
-                let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
-                let solved = source::bounded_levels(
-                    src,
-                    &target,
-                    budget,
-                    objective,
-                    level_solver,
-                    self.with_policy.then_some(&mut decisions),
-                    &mut |_, _| {},
-                    &mut stats,
-                );
-                if self.with_policy {
-                    policy = Some(BoundedPolicy {
-                        decision: decisions,
-                    });
-                }
-                solved.map(|(values, ran)| {
-                    solver = ran;
-                    values
-                })
+                let bounded = |src: &dyn CsrSource, target: &[bool], stats: &mut SolveStats| {
+                    solve_bounded(
+                        src,
+                        target,
+                        budget,
+                        objective,
+                        pinned,
+                        self.with_policy,
+                        stats,
+                    )
+                };
+                let solved = cone
+                    .and_then(|cone| match cone {
+                        None => bounded(src, &target, &mut stats),
+                        Some(cone) => bounded(&cone.copy, &cone.target, &mut stats)
+                            .map(|solved| solved.lift(&cone.states, src.num_states())),
+                    })
+                    .map_err(wrap("solve"))?;
+                policy = solved.policy;
+                solver = solved.solver;
+                Ok(solved.values)
             }
             (Some(objective), None) => {
                 source::reach_prob(src, &target, objective, self.options, solver, &mut stats)
@@ -520,6 +591,124 @@ impl<'m> Query<'m> {
             horizon: self.horizon,
         })
     }
+}
+
+/// A bounded solve's answer: per-state values, the policy if asked for,
+/// and the solver that ran.
+struct Bounded {
+    values: Vec<f64>,
+    policy: Option<BoundedPolicy>,
+    solver: Solver,
+}
+
+impl Bounded {
+    /// The answer of a solve over a cone copy, in the numbering of the
+    /// `num_states`-state source: `states[i]` is copy state `i`'s id, and
+    /// every other state reads `NaN` and `None`.
+    fn lift(self, states: &[usize], num_states: usize) -> Bounded {
+        let mut values = vec![f64::NAN; num_states];
+        for (&v, &s) in self.values.iter().zip(states) {
+            values[s] = v;
+        }
+        let policy = self.policy.map(|p| BoundedPolicy {
+            decision: p
+                .decision
+                .iter()
+                .map(|level| {
+                    let mut decision = vec![None; num_states];
+                    for (&d, &s) in level.iter().zip(states) {
+                        decision[s] = d;
+                    }
+                    decision
+                })
+                .collect(),
+        });
+        Bounded {
+            values,
+            policy,
+            solver: self.solver,
+        }
+    }
+}
+
+/// Cost-bounded backward induction over `src`, routed as the
+/// [module docs](self) say.
+fn solve_bounded(
+    src: &dyn CsrSource,
+    target: &[bool],
+    budget: u32,
+    objective: Objective,
+    pinned: Option<Solver>,
+    with_policy: bool,
+    stats: &mut SolveStats,
+) -> Result<Bounded, MdpError> {
+    // A single-block source unless pinned to Jacobi: the zero-cost
+    // condensation, which picks SCC or Jacobi.
+    let condensation = (src.num_blocks() == 1 && pinned != Some(Solver::Jacobi))
+        .then(|| with_one_block(src, scc::zero_cost_scc))
+        .transpose()?;
+    let level_solver = match (pinned, &condensation) {
+        (Some(Solver::Jacobi), _) => LevelSolver::Jacobi,
+        (Some(_), Some(scc)) => LevelSolver::Scc(scc),
+        (None, Some(scc)) if scc.num_nontrivial() == 0 => LevelSolver::Scc(scc),
+        (None, Some(_)) => LevelSolver::Jacobi,
+        (pinned, None) => LevelSolver::Reverse {
+            strict: pinned == Some(Solver::SccOrdered),
+        },
+    };
+    let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
+    let (values, solver) = source::bounded_levels(
+        src,
+        target,
+        budget,
+        objective,
+        level_solver,
+        with_policy.then_some(&mut decisions),
+        &mut |_, _| {},
+        stats,
+    )?;
+    Ok(Bounded {
+        values,
+        policy: with_policy.then_some(BoundedPolicy {
+            decision: decisions,
+        }),
+        solver,
+    })
+}
+
+/// A cone's rows copied into a model of their own (see
+/// [`source::restrict`]), with the target mask in the copy's numbering.
+struct Cone {
+    copy: CsrMdp,
+    states: Vec<usize>,
+    target: Vec<bool>,
+}
+
+/// The cone of `starts` under `target` on a single-block source; `None`
+/// when it holds every state, so the query solves the source in place.
+fn find_cone(
+    src: &dyn CsrSource,
+    starts: &[usize],
+    target: &[bool],
+) -> Result<Option<Cone>, MdpError> {
+    let _span = pa_telemetry::span("mdp.query.cone_seconds");
+    with_one_block(src, |rows| {
+        let mask = source::cone_mask(rows, starts, target);
+        let size = mask.iter().filter(|&&m| m).count();
+        if pa_telemetry::enabled() {
+            pa_telemetry::counter("mdp.query.cone_states").add(size as u64);
+        }
+        if size == mask.len() {
+            return Ok(None);
+        }
+        let (copy, states) = source::restrict(rows, &mask, target)?;
+        let target = states.iter().map(|&s| target[s]).collect();
+        Ok(Some(Cone {
+            copy,
+            states,
+            target,
+        }))
+    })?
 }
 
 #[cfg(test)]

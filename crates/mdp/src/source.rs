@@ -78,7 +78,7 @@
 use std::ops::Range;
 
 use crate::scc::{self, SccDecomposition};
-use crate::{IterOptions, MdpError, Objective, Solver};
+use crate::{CsrBuilder, CsrMdp, CsrRow, IterOptions, MdpError, Objective, Solver};
 
 /// Work counters accumulated by one quantitative solve, reported through
 /// [`crate::Analysis::stats`]. The update counts are what the SCC-ordered
@@ -233,6 +233,82 @@ where
     let mut out = None;
     src.with_rows(0, &mut |rows| out = f.take().map(|f| f(&rows)))?;
     Ok(out.expect("with_rows calls back once"))
+}
+
+/// The cone of `starts` under `target` over rows that span every state:
+/// the states reachable from `starts` without expanding a target state,
+/// as a membership mask. Every transition is followed whatever its
+/// probability, so no row of a non-target cone state leaves the cone.
+pub(crate) fn cone_mask(rows: &CsrRows<'_>, starts: &[usize], target: &[bool]) -> Vec<bool> {
+    let mut seen = vec![false; rows.states().len()];
+    let mut stack = Vec::new();
+    let mut visit = |s: usize, stack: &mut Vec<usize>| {
+        if !seen[s] {
+            seen[s] = true;
+            stack.push(s);
+        }
+    };
+    for &s in starts {
+        visit(s, &mut stack);
+    }
+    while let Some(s) = stack.pop() {
+        if target[s] {
+            continue;
+        }
+        for c in rows.choice_range(s) {
+            for i in rows.trans_range(c) {
+                visit(rows.targets[i] as usize, &mut stack);
+            }
+        }
+    }
+    seen
+}
+
+/// The rows of the states in `cone`, copied in ascending id order into a
+/// model of their own with successors renumbered, so a zero-cost edge to
+/// a higher id still points forward. A target state gets an empty row:
+/// every solver fixes its value, so its choices are never read. Returns
+/// the copy and the original id of each of its states.
+///
+/// # Errors
+///
+/// [`MdpError::Backend`] if the copy overflows the `u32` CSR offsets.
+pub(crate) fn restrict(
+    rows: &CsrRows<'_>,
+    cone: &[bool],
+    target: &[bool],
+) -> Result<(CsrMdp, Vec<usize>), MdpError> {
+    let states: Vec<usize> = rows.states().filter(|&s| cone[s]).collect();
+    let mut id = vec![u32::MAX; cone.len()];
+    for (new, &old) in states.iter().enumerate() {
+        id[old] = new as u32;
+    }
+    let mut builder = CsrBuilder::new();
+    let (mut trans_ends, mut succ) = (Vec::new(), Vec::new());
+    for &s in &states {
+        let choices = if target[s] {
+            0..0
+        } else {
+            rows.choice_range(s)
+        };
+        trans_ends.clear();
+        succ.clear();
+        for c in choices.clone() {
+            succ.extend(rows.trans_range(c).map(|i| id[rows.targets[i] as usize]));
+            trans_ends.push(succ.len() as u32);
+        }
+        let first = choices
+            .clone()
+            .next()
+            .map_or(0, |c| rows.trans_offsets[c] as usize);
+        builder.push_row(CsrRow {
+            costs: &rows.costs[choices],
+            trans_ends: &trans_ends,
+            targets: &succ,
+            probs: &rows.probs[first..first + succ.len()],
+        })?;
+    }
+    Ok((builder.finish(Vec::new()), states))
 }
 
 /// States with **maximal** reachability probability zero (no path to the

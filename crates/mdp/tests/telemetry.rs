@@ -129,3 +129,33 @@ fn disabled_registry_records_nothing() {
     );
     assert_eq!(snap.timer("mdp.vi.sweep_seconds").map_or(0, |t| t.count), 0);
 }
+
+#[test]
+fn a_cone_query_records_its_size_and_time() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    pa_telemetry::set_enabled(true);
+    pa_telemetry::reset();
+
+    // 0 —1→ 1 (target) —1→ 2: the cone of 0 stops at the target.
+    let csr = CsrMdp::from_explicit(
+        &ExplicitMdp::new(
+            vec![vec![Choice::to(1, 1)], vec![Choice::to(1, 2)], vec![]],
+            vec![0],
+        )
+        .expect("valid model"),
+    );
+    for starts in [&[0][..], &[0, 2]] {
+        Query::csr(&csr)
+            .target(vec![false, true, false])
+            .horizon(2)
+            .cone(starts)
+            .run()
+            .unwrap();
+    }
+
+    let snap = pa_telemetry::snapshot();
+    pa_telemetry::set_enabled(false);
+    // Two states, then all three (solved in place).
+    assert_eq!(snap.counter("mdp.query.cone_states"), Some(5));
+    assert_eq!(snap.timer("mdp.query.cone_seconds").unwrap().count, 2);
+}
