@@ -58,7 +58,7 @@ mod spec;
 pub use cache::{CacheSession, ModelCache};
 pub use driver::{run_batch, run_batch_in, BatchError, JobCtx};
 pub use report::{BatchReport, CacheStats, Tally};
-pub use select::{estimated_quotient_states, estimated_ring_states, select_kind};
+pub use select::{estimated_ring_states, select_kind};
 pub use spec::{
     BatchOptions, CustomFn, JobKind, JobResult, JobSpec, JobStatus, JobValue, McSettings,
 };

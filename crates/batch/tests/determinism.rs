@@ -360,9 +360,9 @@ fn sampled_interval_contains_the_exact_tier_value() {
     // A budget of exactly the n = 3 exact tier's states keeps it exact;
     // one state less degrades the same claim to the sampled tier.
     let tier = estimated_ring_states(3);
-    let exact_kind = select_kind(3, tier, SetExpr::named("C"), 13, 0.125, mc, false);
+    let exact_kind = select_kind(3, tier, SetExpr::named("C"), 13, 0.125, mc);
     assert!(matches!(exact_kind, JobKind::Reach { .. }));
-    let sampled_kind = select_kind(3, tier - 1, SetExpr::named("C"), 13, 0.125, mc, false);
+    let sampled_kind = select_kind(3, tier - 1, SetExpr::named("C"), 13, 0.125, mc);
     assert!(matches!(sampled_kind, JobKind::Sampled { .. }));
 
     let specs = vec![JobSpec::new(3, exact_kind), JobSpec::new(3, sampled_kind)];

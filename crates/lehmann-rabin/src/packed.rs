@@ -2,10 +2,11 @@
 //! [`pa_mdp::PackedSpace`].
 //!
 //! A boxed [`RoundState`] is a 48-byte struct (the inline process slots of
-//! [`Config`] plus masks and budgets), held twice by the interner (state
-//! table and key copy). [`RoundStateCodec`] packs the same information
-//! into three `u64` words (24 bytes), which is what keeps the quotient
-//! round models of `n = 8..9` inside the bench box's memory.
+//! [`Config`] plus masks and budgets), held once in the state store's
+//! `Vec` (the interner keeps only a tag and an id per state).
+//! [`RoundStateCodec`] packs the same information into three `u64` words
+//! (24 bytes), half the store, which is what keeps the quotient round
+//! models of `n = 8..9` inside the bench box's memory.
 //!
 //! Layout (`n ≤ 16` processes, the crate-wide ring bound):
 //!

@@ -149,17 +149,6 @@ impl Config {
         least_lane_rotation(self.lanes(), 5, self.n())
     }
 
-    /// The lane word of the mirror image ([`Config::reflected`]) read off
-    /// this configuration's own: the lanes reversed, with the side bit of
-    /// every process whose side is live flipped.
-    fn mirror_lanes(&self, lanes: u128) -> u128 {
-        let flips = self
-            .procs()
-            .iter()
-            .fold(0u128, |acc, p| acc << 5 | u128::from(p.pc.side_matters()));
-        reflect_lanes(lanes ^ flips, 5, self.n())
-    }
-
     /// The least of the `2n` dihedral images as decided by the processes
     /// alone: `Some((reflect, k))` when rotation `k` of the configuration,
     /// or of its mirror when `reflect`, is the only image with the least
@@ -167,9 +156,19 @@ impl Config {
     /// [`Config::unique_least_rotation`], every
     /// [`pa_mdp::MirrorRingState::unique_least_image`] over a configuration
     /// orders the lane word first, so `Some` is its answer.
+    ///
+    /// One loop builds both lane words. The mirror ([`Config::reflected`])
+    /// holds process `i` as its process `n − 1 − i`, so in the mirror's
+    /// word process `i`'s lane is lane `i` counted from the least
+    /// significant end, with the side bit flipped when the side is live.
     pub fn unique_least_image(&self) -> Option<(bool, usize)> {
-        let lanes = self.lanes();
-        least_lane_image(lanes, self.mirror_lanes(lanes), 5, self.n())
+        let (mut lanes, mut mirror) = (0u128, 0u128);
+        for (i, &p) in self.procs().iter().enumerate() {
+            let lane = u128::from(crate::packed::pack_proc(p));
+            lanes = lanes << 5 | lane;
+            mirror |= (lane ^ u128::from(p.pc.side_matters())) << (5 * i);
+        }
+        least_lane_image(lanes, mirror, 5, self.n())
     }
 
     /// Integer keys of the rotations, for

@@ -17,15 +17,15 @@
 //! steps through [`Automaton::for_each_step`] and writes its choices into
 //! one reusable flat row buffer — costs, transition ends, `u32` successor
 //! ids and probabilities — so exploration allocates nothing per state or
-//! per choice. States are interned through a [`StateSpace`] (hashing with
-//! the crate's [`FxHashMap`]; SipHash dominated the profile, and model
-//! states are not attacker-controlled, see [`crate::fxhash`]). Interning a
-//! packed word hashes and probes once, through the map's entry API,
-//! whether the state is new or known. Ids are assigned in discovery
-//! order, so a popped state's row is final at once: it is validated (as
-//! [`crate::ExplicitMdp::new`] would: non-empty support, finite
-//! non-negative weights summing to one) and handed to a [`RowSink`] in
-//! dense-id order (`0, 1, 2, …`). [`Explore::run_in`] passes the in-core
+//! per choice. States are interned through a [`StateSpace`], whose id-only
+//! index hashes with the crate's [`crate::FxHasher`] (SipHash dominated
+//! the profile, and model states are not attacker-controlled, see
+//! [`crate::fxhash`]). Interning hashes and probes once, whether the state
+//! is new or known, and a new state is stored once. Ids are assigned in
+//! discovery order, so a popped state's row is final at once: it is
+//! validated (as [`crate::ExplicitMdp::new`] would: non-empty support,
+//! finite non-negative weights summing to one) and handed to a
+//! [`RowSink`] in dense-id order (`0, 1, 2, …`). [`Explore::run_in`] passes the in-core
 //! sink, a [`CsrBuilder`], whose arrays become [`Explored::mdp`];
 //! [`Explore::run_streamed`] passes the caller's sink (e.g. `pa-store`'s
 //! block writer). No nested model is built, copied or dropped on either
@@ -43,15 +43,15 @@
 //! cost function must be constant on orbits (all shipped cost functions
 //! depend only on the action).
 //!
-//! Successor ids are `u32` in CSR, so the state limit is capped at `2^32`.
+//! Successor ids are `u32` in CSR and in the state index, and the state
+//! past the limit is interned before the limit fires, so the limit is
+//! capped at `2^32 − 1`.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 
 use pa_core::Automaton;
 
 use crate::csr::{CsrBuilder, CsrRow};
-use crate::fxhash::FxHashMap;
 use crate::space::{BoxedSpace, StateSpace};
 use crate::symmetry::Symmetry;
 use crate::{CsrMdp, MdpError};
@@ -206,8 +206,9 @@ pub struct Explore<
     symmetry: Option<Box<dyn Symmetry<M::State> + 'a>>,
 }
 
-/// Successor ids are `u32` in CSR, so no exploration holds more states.
-const MAX_STATES: usize = (u32::MAX as usize).saturating_add(1);
+/// Successor ids are `u32` in CSR and in the state index. The state that
+/// trips the limit is interned first, so it too needs a `u32` id.
+const MAX_STATES: usize = u32::MAX as usize;
 
 /// The default cost function: every transition costs one unit.
 fn unit_cost<S, A>(_s: &S, _a: &A) -> u32 {
@@ -565,64 +566,50 @@ pub fn check_invariant<M: Automaton>(
     mut invariant: impl FnMut(&M::State) -> bool,
     limit: usize,
 ) -> Result<InvariantResult<M::State>, MdpError> {
-    let mut index: FxHashMap<M::State, usize> = FxHashMap::default();
+    let mut space: BoxedSpace<M::State> = BoxedSpace::default();
     let mut parent: Vec<Option<usize>> = Vec::new();
-    let mut states: Vec<M::State> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-
-    let push = |s: &M::State,
-                from: Option<usize>,
-                index: &mut FxHashMap<M::State, usize>,
-                states: &mut Vec<M::State>,
-                parent: &mut Vec<Option<usize>>,
-                queue: &mut VecDeque<usize>|
-     -> Result<Option<usize>, MdpError> {
-        if index.contains_key(s) {
-            return Ok(None);
+    // Interns `s`; whether it is known or satisfies the invariant.
+    let mut visit = |s: &M::State,
+                     from: Option<usize>,
+                     space: &mut BoxedSpace<M::State>|
+     -> Result<bool, MdpError> {
+        let (id, new) = space.intern(s);
+        if !new {
+            return Ok(true);
         }
-        let id = states.len();
         if id >= limit {
             return Err(MdpError::StateLimitExceeded { limit });
         }
-        index.insert(s.clone(), id);
-        states.push(s.clone());
         parent.push(from);
-        queue.push_back(id);
-        Ok(Some(id))
+        Ok(invariant(s))
     };
 
+    // Ids are dense in discovery order, so the BFS queue is just the next
+    // id to expand, and a violation is the last state interned.
     let mut witness: Option<usize> = None;
     'outer: {
         for s in automaton.start_states() {
-            if let Some(id) = push(&s, None, &mut index, &mut states, &mut parent, &mut queue)? {
-                if !invariant(&states[id]) {
-                    witness = Some(id);
-                    break 'outer;
-                }
+            if !visit(&s, None, &mut space)? {
+                witness = Some(space.len() - 1);
+                break 'outer;
             }
         }
-        while let Some(id) = queue.pop_front() {
-            let state = states[id].clone();
+        let mut id = 0;
+        while id < space.len() {
+            let state = space.state(id);
             for step in automaton.steps(&state) {
                 for (t, _) in step.target.iter() {
-                    if let Some(nid) = push(
-                        t,
-                        Some(id),
-                        &mut index,
-                        &mut states,
-                        &mut parent,
-                        &mut queue,
-                    )? {
-                        if !invariant(&states[nid]) {
-                            witness = Some(nid);
-                            break 'outer;
-                        }
+                    if !visit(t, Some(id), &mut space)? {
+                        witness = Some(space.len() - 1);
+                        break 'outer;
                     }
                 }
             }
+            id += 1;
         }
     }
 
+    let states = space.states();
     match witness {
         None => Ok(InvariantResult::Holds {
             states_checked: states.len(),

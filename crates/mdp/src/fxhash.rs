@@ -1,12 +1,12 @@
 //! A fast, non-cryptographic hasher for state interning.
 //!
 //! State-space exploration spends a large share of its time hashing
-//! concrete states into the intern map. The std `HashMap` default
-//! (SipHash-1-3) is keyed and DoS-resistant, which exploration does not
-//! need: keys are model states, not attacker-controlled input. This module
-//! provides a multiply-xor hasher in the style of Firefox's FxHash — one
-//! multiplication per word of input — plus map aliases used by the
-//! [`crate::Explore`] builder.
+//! concrete states into the state stores' index ([`crate::space`]). The
+//! std `HashMap` default (SipHash-1-3) is keyed and DoS-resistant, which
+//! exploration does not need: keys are model states, not
+//! attacker-controlled input. This module provides a multiply-xor hasher
+//! in the style of Firefox's FxHash — one multiplication per word of
+//! input — plus map aliases for other trusted keys.
 //!
 //! The hash is unkeyed, so it is the same in every run and every process.
 

@@ -3,29 +3,34 @@
 //!
 //! Exploration needs exactly three things from a state store: intern a
 //! state to a dense id, look a state up, and decode an id back to a state.
-//! [`BoxedSpace`] is the historical representation — states kept verbatim
-//! in a `Vec` plus an `FxHashMap` interner. [`PackedSpace`] stores each
-//! state as a fixed-width word produced by a [`StateCodec`], so the
-//! frontier, the interner, and [`crate::Explored`] hold copyable words
-//! instead of heap-allocating state structs — several-fold less resident
-//! memory on the ring models, which is what buys exploration headroom at
-//! `n = 8..9` (see BENCH's `symmetry` block).
+//! [`BoxedSpace`] keeps states verbatim in a `Vec`. [`PackedSpace`] stores
+//! each state as a fixed-width word produced by a [`StateCodec`], so the
+//! frontier and [`crate::Explored`] hold copyable words instead of
+//! heap-allocating state structs — several-fold less resident memory on
+//! the ring models, which is what buys exploration headroom at `n = 8..9`.
+//!
+//! Both stores intern through one id-only index: an open-addressed table
+//! whose slots hold a 32-bit hash tag and a `u32` id, never a key. The key
+//! lives once, in the store's id-ordered `Vec`; a lookup compares tags and
+//! then `vec[id]` against the probe, and growing the table rehashes from
+//! the tags alone. Ids come from discovery order, not from the table, so
+//! the table's layout never shows in an id.
 //!
 //! The two are interchangeable anywhere an [`crate::Explored`] is
 //! consumed: analyses only see dense indices, and the decoded-state
 //! accessors ([`StateSpace::state`], [`StateSpace::for_each_state`])
 //! reconstruct states on demand.
 
-use std::collections::hash_map::Entry;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxBuildHasher;
 
 /// A dense-id state store: the interner and decoder behind
 /// [`crate::Explored`].
 ///
 /// Ids are assigned contiguously from 0 in interning order, which the
-/// explorers rely on for their determinism contract.
+/// explorers rely on for their determinism contract. The index keeps ids
+/// as `u32`, so a store holds at most `2^32` states.
 pub trait StateSpace<S> {
     /// Interns `s`, returning its id and whether it was newly inserted.
     fn intern(&mut self, s: &S) -> (usize, bool);
@@ -51,8 +56,9 @@ pub trait StateSpace<S> {
     /// do this between exploration and analysis).
     fn clear_index(&mut self);
 
-    /// Estimated resident bytes of the store's own tables (vectors and
-    /// interner). Heap payloads owned by individual boxed states are not
+    /// Estimated resident bytes of the store's own tables: the id-ordered
+    /// `Vec`'s capacity times the element size, plus 8 bytes per index
+    /// slot. Heap payloads owned by individual boxed states are not
     /// counted — packed spaces have none, which is the point.
     fn mem_bytes(&self) -> u64;
 
@@ -61,18 +67,136 @@ pub trait StateSpace<S> {
     fn for_each_state(&self, f: impl FnMut(usize, &S));
 }
 
+/// An empty slot. Every tag is odd ([`IdIndex::tag`]), so no occupied
+/// slot, whatever its id, encodes to zero.
+const EMPTY: u64 = 0;
+
+/// The smallest table the index allocates.
+const MIN_SLOTS: usize = 8;
+
+/// An occupied slot: the tag in the high half, the id in the low half.
+fn slot(tag: u32, id: u32) -> u64 {
+    u64::from(tag) << 32 | u64::from(id)
+}
+
+fn slot_tag(slot: u64) -> u32 {
+    (slot >> 32) as u32
+}
+
+fn slot_id(slot: u64) -> usize {
+    slot as u32 as usize
+}
+
+/// A new state's id as the index keeps it.
+fn id_of(next: usize) -> u32 {
+    u32::try_from(next).expect("a state store holds at most 2^32 states")
+}
+
+/// The id-only interner shared by both stores: open addressing over a
+/// power-of-two table with linear probing, at most half full. A slot
+/// holds a key's tag and id; the key itself is the store's to compare,
+/// through the `is_key` callback.
+#[derive(Debug, Clone, Default)]
+struct IdIndex {
+    slots: Vec<u64>,
+}
+
+impl IdIndex {
+    /// The tag of `key`: the high half of its [`crate::FxHasher`] hash,
+    /// whose multiply puts the best-mixed bits there, with the lowest bit
+    /// set so no occupied slot is [`EMPTY`].
+    fn tag<K: Hash + ?Sized>(key: &K) -> u32 {
+        (FxBuildHasher::default().hash_one(key) >> 32) as u32 | 1
+    }
+
+    /// The slot a tag probes first: the tag's top bits, as many as the
+    /// table has index bits.
+    fn home(&self, tag: u32) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        ((u64::from(tag) << 32) >> (64 - bits)) as usize
+    }
+
+    /// Where the probe for `tag` ends: `Ok(id)` at the key for which
+    /// `is_key(id)` holds, `Err(i)` at the first empty slot `i` (there is
+    /// one: the table is at most half full). `None` for an empty table.
+    fn probe(&self, tag: u32, is_key: impl Fn(usize) -> bool) -> Option<Result<usize, usize>> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            let s = self.slots[i];
+            if s == EMPTY {
+                return Some(Err(i));
+            }
+            if slot_tag(s) == tag && is_key(slot_id(s)) {
+                return Some(Ok(slot_id(s)));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The id of the key with `tag` for which `is_key(id)` holds.
+    fn get(&self, tag: u32, is_key: impl Fn(usize) -> bool) -> Option<usize> {
+        self.probe(tag, is_key)?.ok()
+    }
+
+    /// The id of the key with `tag` for which `is_key(id)` holds, or, when
+    /// there is none, `next` recorded as that key's id and `(next, true)`
+    /// returned. `next` is the store's length, which bounds the number of
+    /// occupied slots.
+    fn intern(&mut self, tag: u32, next: usize, is_key: impl Fn(usize) -> bool) -> (usize, bool) {
+        match self.probe(tag, is_key) {
+            Some(Ok(id)) => return (id, false),
+            Some(Err(i)) if (next + 1) * 2 <= self.slots.len() => {
+                self.slots[i] = slot(tag, id_of(next));
+            }
+            _ => {
+                self.grow(next + 1);
+                self.place(slot(tag, id_of(next)));
+            }
+        }
+        (next, true)
+    }
+
+    /// Reallocates for `len` keys at load at most 1/2, moving every
+    /// occupied slot by its tag alone.
+    fn grow(&mut self, len: usize) {
+        let size = (len * 2).next_power_of_two().max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
+        for s in old.into_iter().filter(|&s| s != EMPTY) {
+            self.place(s);
+        }
+    }
+
+    /// Puts an occupied slot into the first empty slot from its home.
+    fn place(&mut self, s: u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(slot_tag(s));
+        while self.slots[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = s;
+    }
+
+    fn bytes(&self) -> u64 {
+        self.slots.capacity() as u64 * 8
+    }
+}
+
 /// The boxed representation: states stored verbatim.
 #[derive(Debug, Clone)]
 pub struct BoxedSpace<S> {
     states: Vec<S>,
-    index: FxHashMap<S, usize>,
+    index: IdIndex,
 }
 
 impl<S> Default for BoxedSpace<S> {
     fn default() -> BoxedSpace<S> {
         BoxedSpace {
             states: Vec::new(),
-            index: FxHashMap::default(),
+            index: IdIndex::default(),
         }
     }
 }
@@ -90,21 +214,21 @@ impl<S> BoxedSpace<S> {
 }
 
 impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
-    /// A hit costs one probe, a miss two. The entry API would need an
-    /// owned key, so every hit would pay for a clone; on the protocol
-    /// quotient that measured no faster.
+    /// One hash and one probe; a new state is cloned once, into the
+    /// `Vec`.
     fn intern(&mut self, s: &S) -> (usize, bool) {
-        if let Some(&id) = self.index.get(s) {
-            return (id, false);
+        let states = &self.states;
+        let (id, new) = self
+            .index
+            .intern(IdIndex::tag(s), states.len(), |id| states[id] == *s);
+        if new {
+            self.states.push(s.clone());
         }
-        let id = self.states.len();
-        self.states.push(s.clone());
-        self.index.insert(s.clone(), id);
-        (id, true)
+        (id, new)
     }
 
     fn get(&self, s: &S) -> Option<usize> {
-        self.index.get(s).copied()
+        self.index.get(IdIndex::tag(s), |id| self.states[id] == *s)
     }
 
     fn state(&self, id: usize) -> S {
@@ -116,11 +240,11 @@ impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
     }
 
     fn clear_index(&mut self) {
-        self.index = FxHashMap::default();
+        self.index = IdIndex::default();
     }
 
     fn mem_bytes(&self) -> u64 {
-        self.states.capacity() as u64 * std::mem::size_of::<S>() as u64 + index_bytes(&self.index)
+        self.states.capacity() as u64 * std::mem::size_of::<S>() as u64 + self.index.bytes()
     }
 
     fn for_each_state(&self, mut f: impl FnMut(usize, &S)) {
@@ -128,21 +252,6 @@ impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
             f(i, s);
         }
     }
-}
-
-/// Resident bytes of an interner's table. `capacity()` reports how many
-/// entries fit before the next grow, which is 7/8 of the allocated buckets
-/// (all but one below 8 buckets); inverting that load factor and rounding
-/// up to the power of two recovers the bucket count. Each bucket holds a
-/// `(key, id)` entry and one control byte, and the control bytes carry one
-/// trailing SIMD group of 16.
-fn index_bytes<K>(index: &FxHashMap<K, usize>) -> u64 {
-    let capacity = index.capacity() as u64;
-    if capacity == 0 {
-        return 0;
-    }
-    let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
-    buckets * (std::mem::size_of::<(K, usize)>() as u64 + 1) + 16
 }
 
 /// A fixed-width encoding of a state type: the bridge into
@@ -170,7 +279,7 @@ pub trait StateCodec {
 pub struct PackedSpace<C: StateCodec> {
     codec: C,
     words: Vec<C::Word>,
-    index: FxHashMap<C::Word, usize>,
+    index: IdIndex,
 }
 
 impl<C: StateCodec> PackedSpace<C> {
@@ -179,7 +288,7 @@ impl<C: StateCodec> PackedSpace<C> {
         PackedSpace {
             codec,
             words: Vec::new(),
-            index: FxHashMap::default(),
+            index: IdIndex::default(),
         }
     }
 
@@ -195,23 +304,22 @@ impl<C: StateCodec> PackedSpace<C> {
 }
 
 impl<C: StateCodec> StateSpace<C::State> for PackedSpace<C> {
-    /// One hash and one probe per call: the word is `Copy`, so it can key
-    /// the entry lookup and still be stored on a miss.
+    /// One pack, one hash and one probe per call.
     fn intern(&mut self, s: &C::State) -> (usize, bool) {
         let w = self.codec.pack(s);
-        match self.index.entry(w) {
-            Entry::Occupied(e) => (*e.get(), false),
-            Entry::Vacant(e) => {
-                let id = self.words.len();
-                e.insert(id);
-                self.words.push(w);
-                (id, true)
-            }
+        let words = &self.words;
+        let (id, new) = self
+            .index
+            .intern(IdIndex::tag(&w), words.len(), |id| words[id] == w);
+        if new {
+            self.words.push(w);
         }
+        (id, new)
     }
 
     fn get(&self, s: &C::State) -> Option<usize> {
-        self.index.get(&self.codec.pack(s)).copied()
+        let w = self.codec.pack(s);
+        self.index.get(IdIndex::tag(&w), |id| self.words[id] == w)
     }
 
     fn state(&self, id: usize) -> C::State {
@@ -223,12 +331,11 @@ impl<C: StateCodec> StateSpace<C::State> for PackedSpace<C> {
     }
 
     fn clear_index(&mut self) {
-        self.index = FxHashMap::default();
+        self.index = IdIndex::default();
     }
 
     fn mem_bytes(&self) -> u64 {
-        self.words.capacity() as u64 * std::mem::size_of::<C::Word>() as u64
-            + index_bytes(&self.index)
+        self.words.capacity() as u64 * std::mem::size_of::<C::Word>() as u64 + self.index.bytes()
     }
 
     fn for_each_state(&self, mut f: impl FnMut(usize, &C::State)) {
@@ -301,26 +408,66 @@ mod tests {
 
     #[test]
     fn mem_bytes_counts_allocated_buckets_not_usable_capacity() {
-        // 100 words grow the interner to 128 buckets, of which only 112
-        // are usable capacity: each bucket is a `(u16, usize)` entry plus
-        // a control byte, and 16 trailing control bytes close the table.
+        // An empty store owns nothing; the first state allocates the
+        // smallest table.
         let mut sp = PackedSpace::new(PairCodec);
-        for i in 0..100u8 {
+        assert_eq!(sp.mem_bytes(), 0);
+        sp.intern(&(0, 0));
+        assert_eq!(sp.index.slots.len(), MIN_SLOTS);
+        // 100 words grow the index to 256 slots, of which only 128 may
+        // fill before the next grow: the 65th word doubled it. Each slot
+        // is 8 bytes and each word 2.
+        for i in 1..100u8 {
             sp.intern(&(i, 0));
         }
-        assert_eq!(sp.index.capacity(), 112);
+        assert_eq!(sp.index.slots.len(), 256);
         let words = sp.words.capacity() as u64 * 2;
-        assert_eq!(sp.mem_bytes(), words + 128 * (16 + 1) + 16);
-        // The largest claim model's 788,722 states sit in 2^20 buckets,
-        // though `capacity()` reads 917,504.
-        let index: FxHashMap<u32, usize> = (0..788_722).map(|i| (i, i as usize)).collect();
-        assert_eq!(index.capacity(), 917_504);
-        assert_eq!(index_bytes(&index), (1 << 20) * (16 + 1) + 16);
-        // Small tables keep all but one bucket usable.
-        let small: FxHashMap<u32, usize> = (0..3).map(|i| (i, 0)).collect();
-        assert_eq!(small.capacity(), 3);
-        assert_eq!(index_bytes(&small), 4 * 17 + 16);
-        assert_eq!(index_bytes(&FxHashMap::<u32, usize>::default()), 0);
+        assert_eq!(sp.mem_bytes(), words + 256 * 8);
+        // A boxed store counts its states once, not once more as keys.
+        let mut boxed: BoxedSpace<u64> = BoxedSpace::default();
+        for i in 0..1000 {
+            boxed.intern(&i);
+        }
+        assert_eq!(boxed.index.slots.len(), 2048);
+        let states = boxed.states.capacity() as u64 * 8;
+        assert_eq!(boxed.mem_bytes(), states + 2048 * 8);
+        boxed.clear_index();
+        assert_eq!(boxed.mem_bytes(), states);
+    }
+
+    #[test]
+    fn an_occupied_slot_is_never_empty_and_keeps_its_id() {
+        for tag in [1, 3, 0x8000_0001, u32::MAX] {
+            for id in [0, 1, 0x7FFF_FFFF, u32::MAX] {
+                let s = slot(tag, id);
+                assert_ne!(s, EMPTY, "tag {tag:#x} id {id:#x}");
+                assert_eq!((slot_tag(s), slot_id(s)), (tag, id as usize));
+            }
+        }
+        // Every tag is odd, so the lowest possible occupied slot is id 0
+        // under tag 1, and even a zero hash gets an odd tag.
+        assert_eq!(IdIndex::tag(&0u64), 1);
+        assert!((0..1000u64).all(|k| IdIndex::tag(&k) & 1 == 1));
+    }
+
+    #[test]
+    fn the_home_slot_is_the_tags_top_bits() {
+        let index = IdIndex {
+            slots: vec![EMPTY; 16],
+        };
+        assert_eq!(index.home(0xF000_0001), 15);
+        assert_eq!(index.home(0x1FFF_FFFF), 1);
+        // Growing moves each slot by its tag alone, keeping every lookup.
+        let mut index = IdIndex::default();
+        for id in 0..40 {
+            let tag = (id as u32).wrapping_mul(0x9E37_79B9) | 1;
+            assert_eq!(index.intern(tag, id, |_| false), (id, true));
+        }
+        assert_eq!(index.slots.len(), 128);
+        for id in 0..40 {
+            let tag = (id as u32).wrapping_mul(0x9E37_79B9) | 1;
+            assert_eq!(index.get(tag, |found| found == id), Some(id));
+        }
     }
 
     #[test]

@@ -34,10 +34,13 @@
 //! state instead of all `n`. The ring states order their rotations by the
 //! process lanes first, so [`least_lane_rotation`] settles almost every
 //! state from that one word and [`least_key`] runs only on a tie. The
-//! mirror costs one more search of that kind: [`reflect_lanes`] reverses
-//! the lane word, [`least_lane_image`] compares the least rotations of
-//! both words, and [`RingDihedral::canon`] builds the state once, for the
-//! winning orientation.
+//! mirror lengthens the same search: [`reflect_lanes`] reverses the lane
+//! word, [`least_lane_image`] walks the `n` rotations of both words in one
+//! pass, and [`RingDihedral::canon`] builds the state once, for the
+//! winning orientation. The lane kernels keep `u128` signatures but run on
+//! `u64` whenever the ring fits 64 bits (5-bit lanes up to `n = 12`, every
+//! 4-bit ring), and are `#[inline]` so callers in other crates compile
+//! them in place.
 
 /// A group action on states, exposed through its canonicalization map.
 ///
@@ -87,6 +90,57 @@ pub trait RingState: Clone + Ord {
     }
 }
 
+/// An unsigned integer that holds a lane word: the kernels below have one
+/// body each, instantiated for `u64` and `u128`. A ring of at most 64 bits
+/// runs on `u64`, whose shifts and compares are single instructions; wider
+/// rings (5-bit lanes from `n = 13`) run on `u128`.
+trait LaneWord:
+    Copy
+    + Ord
+    + std::ops::Shl<u32, Output = Self>
+    + std::ops::Shr<u32, Output = Self>
+    + std::ops::BitOr<Output = Self>
+    + std::ops::BitAnd<Output = Self>
+{
+    const BITS: u32;
+    const MAX: Self;
+    /// The low `BITS` bits of `word`.
+    fn narrow(word: u128) -> Self;
+    fn widen(self) -> u128;
+}
+
+impl LaneWord for u64 {
+    const BITS: u32 = 64;
+    const MAX: u64 = u64::MAX;
+    #[inline]
+    fn narrow(word: u128) -> u64 {
+        word as u64
+    }
+    #[inline]
+    fn widen(self) -> u128 {
+        u128::from(self)
+    }
+}
+
+impl LaneWord for u128 {
+    const BITS: u32 = 128;
+    const MAX: u128 = u128::MAX;
+    #[inline]
+    fn narrow(word: u128) -> u128 {
+        word
+    }
+    #[inline]
+    fn widen(self) -> u128 {
+        self
+    }
+}
+
+/// Whether a ring of `n` lanes of `lane_bits` bits fits a `u64`.
+#[inline]
+fn fits_u64(lane_bits: u32, n: usize) -> bool {
+    lane_bits as usize * n <= 64
+}
+
 /// Rotates a ring of `n` lanes of `lane_bits` bits each, packed into
 /// `word` with lane `i` at bits `lane_bits·i ..`, so that lane `k` becomes
 /// lane 0: the word-level image of [`RingState::rotated`] on per-process
@@ -98,16 +152,27 @@ pub trait RingState: Clone + Ord {
 ///
 /// For lanes stored with process 0 *most* significant (so the integer
 /// order is the lexicographic order over processes), rotate by `n - k`.
+#[inline]
 pub fn rotate_lanes(word: u128, lane_bits: u32, n: usize, k: usize) -> u128 {
     let k = k % n;
     if k == 0 {
         return word;
     }
+    if fits_u64(lane_bits, n) {
+        rotate::<u64>(word, lane_bits, n, k)
+    } else {
+        rotate::<u128>(word, lane_bits, n, k)
+    }
+}
+
+/// [`rotate_lanes`] for `0 < k < n` on a ring that fits `W`.
+#[inline]
+fn rotate<W: LaneWord>(word: u128, lane_bits: u32, n: usize, k: usize) -> u128 {
     let width = lane_bits * n as u32;
-    let mask = u128::MAX >> (128 - width);
-    let word = word & mask;
+    let mask = W::MAX >> (W::BITS - width);
+    let word = W::narrow(word) & mask;
     let shift = lane_bits * k as u32;
-    ((word >> shift) | (word << (width - shift))) & mask
+    (((word >> shift) | (word << (width - shift))) & mask).widen()
 }
 
 /// Reverses a ring of `n` lanes of `lane_bits` bits each, packed into
@@ -116,15 +181,30 @@ pub fn rotate_lanes(word: u128, lane_bits: u32, n: usize, k: usize) -> u128 {
 /// and nibble arrays. Bits above the ring are dropped. Lane reversal does
 /// not depend on which end holds process 0, so it serves words stored
 /// either way.
+#[inline]
 pub fn reflect_lanes(word: u128, lane_bits: u32, n: usize) -> u128 {
-    let lane = u128::MAX >> (128 - lane_bits);
-    (0..n as u32).fold(0, |acc, i| {
-        acc << lane_bits | (word >> (lane_bits * i) & lane)
-    })
+    if fits_u64(lane_bits, n) {
+        reflect::<u64>(word, lane_bits, n)
+    } else {
+        reflect::<u128>(word, lane_bits, n)
+    }
+}
+
+/// [`reflect_lanes`] on a ring that fits `W`.
+#[inline]
+fn reflect<W: LaneWord>(word: u128, lane_bits: u32, n: usize) -> u128 {
+    let lane = W::MAX >> (W::BITS - lane_bits);
+    let word = W::narrow(word);
+    (0..n as u32)
+        .fold(W::narrow(0), |acc, i| {
+            acc << lane_bits | (word >> (lane_bits * i) & lane)
+        })
+        .widen()
 }
 
 /// The first `k < n` with the least `key(k)` — the selection rule of
 /// [`RingState::least_rotation`] over precomputed integer keys.
+#[inline]
 pub fn least_key<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> usize {
     let mut best = key(0);
     let mut best_k = 0;
@@ -151,27 +231,9 @@ pub fn least_key<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> usize {
 /// pattern is rotation-periodic (all idle, say); callers then fall back
 /// to [`least_key`] over their full keys, which picks the first minimum
 /// just as this does.
+#[inline]
 pub fn least_lane_rotation(word: u128, lane_bits: u32, n: usize) -> Option<usize> {
-    least_lane_word(word, lane_bits, n).1
-}
-
-/// The least rotation of a lane word, and the first `k` reaching it when
-/// no other `k < n` does: the search behind [`least_lane_rotation`] and
-/// [`least_lane_image`].
-fn least_lane_word(word: u128, lane_bits: u32, n: usize) -> (u128, Option<usize>) {
-    let width = lane_bits * n as u32;
-    debug_assert!(width <= 128 && (width == 128 || word >> width == 0));
-    let mask = u128::MAX >> (128 - width);
-    let (mut w, mut best, mut best_k, mut tie) = (word, word, 0, false);
-    for k in 1..n {
-        w = ((w << lane_bits) | (w >> (width - lane_bits))) & mask;
-        if w < best {
-            (best, best_k, tie) = (w, k, false);
-        } else if w == best {
-            tie = true;
-        }
-    }
-    (best, (!tie).then_some(best_k))
+    least_image(&[word], lane_bits, n).map(|(_, k)| k)
 }
 
 /// The least of the `2n` dihedral images of a lane word, as
@@ -188,19 +250,59 @@ fn least_lane_word(word: u128, lane_bits: u32, n: usize) -> (u128, Option<usize>
 /// a rotation-periodic pattern, or one whose least rotation is also the
 /// least rotation of its mirror (a palindrome, say). Callers then compare
 /// full states ([`RingDihedral::least_image`] does).
+///
+/// One pass visits the state's rotations and then the mirror's.
+#[inline]
 pub fn least_lane_image(
     word: u128,
     mirror: u128,
     lane_bits: u32,
     n: usize,
 ) -> Option<(bool, usize)> {
-    let (least, k) = least_lane_word(word, lane_bits, n);
-    let (least_mirror, j) = least_lane_word(mirror, lane_bits, n);
-    match least.cmp(&least_mirror) {
-        std::cmp::Ordering::Less => k.map(|k| (false, k)),
-        std::cmp::Ordering::Greater => j.map(|j| (true, j)),
-        std::cmp::Ordering::Equal => None,
+    least_image(&[word, mirror], lane_bits, n)
+}
+
+/// The search behind [`least_lane_rotation`] and [`least_lane_image`]:
+/// the rotations of each word of `orientations` (the state's, then its
+/// mirror's), on `u64` when the ring fits.
+#[inline]
+fn least_image(orientations: &[u128], lane_bits: u32, n: usize) -> Option<(bool, usize)> {
+    if fits_u64(lane_bits, n) {
+        least_image_of::<u64>(orientations, lane_bits, n)
+    } else {
+        least_image_of::<u128>(orientations, lane_bits, n)
     }
+}
+
+/// [`least_image`] on a ring that fits `W`, one lane shift per image. It
+/// keeps the least word, the first image `(reflect, k)` reaching it and
+/// how many images reach it, and answers only when one does.
+#[inline]
+fn least_image_of<W: LaneWord>(
+    orientations: &[u128],
+    lane_bits: u32,
+    n: usize,
+) -> Option<(bool, usize)> {
+    let width = lane_bits * n as u32;
+    debug_assert!(width <= W::BITS);
+    debug_assert!(width == 128 || orientations.iter().all(|w| w >> width == 0));
+    let mask = W::MAX >> (W::BITS - width);
+    let mut best = W::narrow(orientations[0]);
+    let (mut best_image, mut reaching) = ((false, 0), 0);
+    for (reflect, &word) in orientations.iter().enumerate() {
+        let mut w = W::narrow(word);
+        for k in 0..n {
+            if k > 0 {
+                w = ((w << lane_bits) | (w >> (width - lane_bits))) & mask;
+            }
+            if w < best {
+                (best, best_image, reaching) = (w, (reflect == 1, k), 1);
+            } else if w == best {
+                reaching += 1;
+            }
+        }
+    }
+    (reaching == 1).then_some(best_image)
 }
 
 /// The cyclic rotation symmetry of a ring of `n` processes.
@@ -338,37 +440,39 @@ mod tests {
         }
     }
 
-    /// A toy ring whose payload values are 4-bit lanes of one word
+    /// A toy ring whose payload values are `BITS`-bit lanes of one word
     /// (process 0 most significant), so its `Ord` is the word's order and
     /// the word-level searches decide its least images.
     #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-    struct Nibbles(Vec<u8>);
+    struct Lanes<const BITS: u32>(Vec<u8>);
 
-    impl Nibbles {
+    type Nibbles = Lanes<4>;
+
+    impl<const BITS: u32> Lanes<BITS> {
         fn word(&self) -> u128 {
-            self.0.iter().fold(0, |acc, &v| acc << 4 | u128::from(v))
+            self.0.iter().fold(0, |acc, &v| acc << BITS | u128::from(v))
         }
     }
 
-    impl RingState for Nibbles {
-        fn rotated(&self, k: usize) -> Nibbles {
-            Nibbles(Toy(self.0.clone()).rotated(k).0)
+    impl<const BITS: u32> RingState for Lanes<BITS> {
+        fn rotated(&self, k: usize) -> Lanes<BITS> {
+            Lanes(Toy(self.0.clone()).rotated(k).0)
         }
 
         fn least_rotation(&self, n: usize) -> usize {
-            least_lane_rotation(self.word(), 4, n)
+            least_lane_rotation(self.word(), BITS, n)
                 .unwrap_or_else(|| least_key(n, |k| self.rotated(k)))
         }
     }
 
-    impl MirrorRingState for Nibbles {
-        fn reflected(&self) -> Nibbles {
-            Nibbles(self.0.iter().rev().copied().collect())
+    impl<const BITS: u32> MirrorRingState for Lanes<BITS> {
+        fn reflected(&self) -> Lanes<BITS> {
+            Lanes(self.0.iter().rev().copied().collect())
         }
 
         fn unique_least_image(&self, n: usize) -> Option<(bool, usize)> {
             let word = self.word();
-            least_lane_image(word, reflect_lanes(word, 4, n), 4, n)
+            least_lane_image(word, reflect_lanes(word, BITS, n), BITS, n)
         }
     }
 
@@ -524,11 +628,11 @@ mod tests {
         let sym = RingDihedral::new(5);
         assert_eq!(sym.canon(&s), RingRotation::new(5).canon(&s));
         // Its lane word ties its mirror's, so the word search defers.
-        let s = Nibbles(s.0);
+        let s: Nibbles = Lanes(s.0);
         let word = s.word();
         assert_eq!(reflect_lanes(word, 4, 5), word);
         assert_eq!(least_lane_image(word, word, 4, 5), None);
-        assert_eq!(sym.canon(&s), Nibbles(vec![1, 1, 2, 3, 2]));
+        assert_eq!(sym.canon(&s), Lanes(vec![1, 1, 2, 3, 2]));
     }
 
     #[test]
@@ -546,28 +650,107 @@ mod tests {
         assert_eq!(least_lane_image(0x0101, 0x1010, 4, 4), None);
     }
 
-    #[test]
-    fn word_level_least_image_matches_the_naive_rule_up_to_n16() {
-        // Random walks over 4-bit rings, each step rewriting one lane with
-        // a value from a small alphabet (so ties and palindromes occur):
-        // the canon must be the least of all 2n images, idempotent and
-        // invariant on each of them.
+    /// Random walks over `BITS`-bit rings of `n` processes, each step
+    /// rewriting one lane with a value from a small alphabet (so ties and
+    /// palindromes occur): the canon must be the least of all 2n images,
+    /// idempotent and invariant on each of them, and the least rotation
+    /// the first least of the n rotations.
+    fn check_least_images<const BITS: u32>(n: usize, alphabets: &[u8]) {
         use pa_prob::rng::SplitMix64;
         use rand::RngExt;
+        let sym = RingDihedral::new(n);
+        let mut rng = SplitMix64::new(n as u64 * 100 + u64::from(BITS));
+        for &alphabet in alphabets {
+            let mut s = Lanes::<BITS>(vec![0; n]);
+            for _ in 0..60 {
+                let lane = rng.random_range(0..n);
+                s.0[lane] = rng.random_range(0..alphabet);
+                let all = images(&s, n);
+                let least = all.iter().min().unwrap().clone();
+                let canon = sym.canon(&s);
+                assert_eq!(canon, least, "n = {n}: {s:?}");
+                assert_eq!(sym.canon(&canon), canon, "n = {n}: {s:?}");
+                assert!(all.iter().all(|image| sym.canon(image) == canon));
+                let k = least_key(n, |k| s.rotated(k));
+                assert_eq!(s.least_rotation(n), k, "n = {n}: {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_level_least_image_matches_the_naive_rule_up_to_n16() {
         for n in 2..=16 {
-            let sym = RingDihedral::new(n);
-            let mut rng = SplitMix64::new(n as u64);
-            for alphabet in [2u8, 3, 16] {
-                let mut s = Nibbles(vec![0; n]);
-                for _ in 0..60 {
-                    let lane = rng.random_range(0..n);
-                    s.0[lane] = rng.random_range(0..alphabet);
-                    let all = images(&s, n);
-                    let least = all.iter().min().unwrap().clone();
-                    let canon = sym.canon(&s);
-                    assert_eq!(canon, least, "n = {n}: {s:?}");
-                    assert_eq!(sym.canon(&canon), canon, "n = {n}: {s:?}");
-                    assert!(all.iter().all(|image| sym.canon(image) == canon));
+            check_least_images::<4>(n, &[2, 3, 16]);
+        }
+    }
+
+    #[test]
+    fn five_bit_lanes_match_the_naive_rule_on_both_sides_of_64_bits() {
+        // n = 12 is 60 bits (the `u64` kernels), n = 13..16 is 65–80 bits
+        // (the `u128` ones).
+        for n in 2..=16 {
+            check_least_images::<5>(n, &[2, 3, 32]);
+        }
+    }
+
+    /// The lanes of `word`, lane `i` at bits `lane_bits·i ..`.
+    fn split(word: u128, lane_bits: u32, n: usize) -> Vec<u128> {
+        let lane = u128::MAX >> (128 - lane_bits);
+        (0..n as u32)
+            .map(|i| word >> (lane_bits * i) & lane)
+            .collect()
+    }
+
+    fn join(lanes: &[u128], lane_bits: u32) -> u128 {
+        lanes
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (i, &v)| acc | v << (lane_bits * i as u32))
+    }
+
+    #[test]
+    fn lane_kernels_match_a_per_lane_reference_at_64_and_65_bits() {
+        use pa_prob::rng::SplitMix64;
+        use rand::RngExt;
+        let mut rng = SplitMix64::new(64);
+        // (lane bits, n): widths 64 and 65, with 60, 80 and 128 beside.
+        let rings = [
+            (1, 64),
+            (2, 32),
+            (4, 16),
+            (8, 8),
+            (16, 4),
+            (1, 65),
+            (5, 13),
+            (13, 5),
+            (5, 12),
+            (5, 16),
+            (8, 16),
+        ];
+        for (lane_bits, n) in rings {
+            for _ in 0..50 {
+                let word = u128::from(rng.random::<u64>()) << 64 | u128::from(rng.random::<u64>());
+                let lanes = split(word, lane_bits, n);
+                let mut reversed = lanes.clone();
+                reversed.reverse();
+                let ring = format!("{lane_bits} × {n}");
+                assert_eq!(
+                    reflect_lanes(word, lane_bits, n),
+                    join(&reversed, lane_bits),
+                    "{ring}"
+                );
+                assert_eq!(rotate_lanes(word, lane_bits, n, 0), word, "{ring}");
+                assert_eq!(rotate_lanes(word, lane_bits, n, n), word, "{ring}");
+                for k in 1..n {
+                    let mut rotated = lanes.clone();
+                    rotated.rotate_left(k);
+                    let want = join(&rotated, lane_bits);
+                    assert_eq!(rotate_lanes(word, lane_bits, n, k), want, "{ring}, k = {k}");
+                    assert_eq!(
+                        rotate_lanes(word, lane_bits, n, k + n),
+                        want,
+                        "{ring}, k = {k}"
+                    );
                 }
             }
         }
