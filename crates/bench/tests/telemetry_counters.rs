@@ -4,14 +4,14 @@
 //! own: nothing else runs while the registry is enabled.
 
 use pa_faults::{faulty_round_cost, FaultEvent, FaultKind, FaultPlan, FaultyRoundMdp};
-use pa_lehmann_rabin::{regions, round_cost, sims, RoundConfig, RoundMdp};
+use pa_lehmann_rabin::{check_arrow, paper, regions, round_cost, sims, RoundConfig, RoundMdp};
 use pa_mdp::{Explore, IterOptions, QueryObjective, Solver};
 use pa_sim::MonteCarlo;
 
 /// A fixed workload — exploration, Jacobi and SCC-ordered solves, a
-/// `pa-sim` Monte-Carlo batch, a faulted exploration with all three
-/// fault kinds, and a sampled-tier estimate — must leave every counter
-/// listed at the end above zero.
+/// reduced arrow check, a `pa-sim` Monte-Carlo batch, a faulted
+/// exploration with all three fault kinds, and a sampled-tier estimate —
+/// must leave every counter listed at the end above zero.
 #[test]
 fn every_instrumented_layer_records_its_counters() {
     pa_telemetry::set_enabled(true);
@@ -37,6 +37,10 @@ fn every_instrumented_layer_records_its_counters() {
             .run()
             .unwrap();
     }
+
+    // A reduced arrow check keeps one step in some round states.
+    let check = check_arrow(&mdp, &paper::arrow_t_to_c()).unwrap();
+    assert!(check.holds(), "{check}");
 
     let sim = sims::LrSim::new(3, sims::RoundRobin)
         .unwrap()
@@ -95,6 +99,8 @@ fn every_instrumented_layer_records_its_counters() {
         "mdp.scc.components",
         "mdp.tag.tagged_choices",
         "lr.round.expansions",
+        "lr.reduce.reduced_expansions",
+        "lr.reduce.pruned_steps",
         "prob.rng.streams",
         "sim.mc.trials",
         "sim.mc.rng_draws",

@@ -9,9 +9,9 @@ use pa_mdp::{
 };
 use pa_prob::Prob;
 
-use crate::checker::{explore_checker, ArrowChecker, Quotient};
+use crate::checker::{explore_checker, ArrowChecker, Quotient, RoundAutomaton};
 use crate::packed::RoundStateCodec;
-use crate::{regions, Config, LrError, RoundMdp, RoundState};
+use crate::{regions, Config, LrError, Reduced, RoundMdp, RoundState};
 
 /// Default cap on explored round states.
 pub const DEFAULT_STATE_LIMIT: usize = 20_000_000;
@@ -243,35 +243,39 @@ impl RowSink for DiscardRows {
     }
 }
 
-/// The explored arrow model of one `from → to` question on the round
-/// model: the automaton (the witness replays its steps) and the checker
-/// over its bit-packed states.
-pub(crate) type ArrowModel = (
-    RoundMdp,
+/// The explored arrow model of one `from → to` question on a round
+/// automaton: the automaton (the witness replays its steps) and the
+/// checker over its bit-packed states.
+pub(crate) type ArrowModel<A> = (
+    A,
     ArrowChecker<RoundState, Explored<RoundState, PackedSpace<RoundStateCodec>>>,
 );
 
 /// Explores the model every arrow analysis of the round model runs on
 /// ([`crate::explore_checker`]): each reachable configuration of `from`
 /// (each orbit representative under a quotient) as a fresh round start,
-/// `to` absorbing. Returns `None` when `from` has no reachable
-/// configuration.
+/// `to` absorbing. `automaton` is the round model itself, or the model
+/// reduced for `to` ([`Reduced`]). Returns `None` when `from` has no
+/// reachable configuration.
 ///
 /// States are always packed ([`RoundStateCodec`]): the packed store
 /// explores the same model, with the same ids, as the boxed one at half
 /// the bytes per state.
-pub(crate) fn arrow_model(
-    mdp: &RoundMdp,
+pub(crate) fn arrow_model<A>(
+    automaton: A,
     from: &SetExpr,
     to: &SetExpr,
     limit: usize,
     quotient: Quotient,
-) -> Result<Option<ArrowModel>, LrError> {
-    let n = mdp.config().n;
+) -> Result<Option<ArrowModel<A>>, LrError>
+where
+    A: RoundAutomaton<State = RoundState>,
+{
+    let n = automaton.ring_size();
     let configs = reachable_configs_in(n, limit, quotient)?;
     let space = PackedSpace::new(RoundStateCodec::new(n)?);
     explore_checker(
-        mdp.clone(),
+        automaton,
         &configs,
         Some((from, to)),
         limit,
@@ -289,6 +293,15 @@ pub(crate) fn arrow_model(
 /// [`RoundStateCodec`]), makes `U'` absorbing (sound for first-hitting),
 /// and runs cost-bounded backward induction.
 ///
+/// The explored model is [`Reduced`] for `U'`: at burst 1, a round state
+/// where some obliged process has one invisible step that commutes with
+/// every other step of the round keeps only that step (DESIGN §13). The
+/// reduction keeps every bounded reachability value of `U'`, the worst
+/// start and `states_checked`; `tests/reduction.rs` pins them against the
+/// unreduced model. The expected-time functions ([`max_expected_time`],
+/// [`min_expected_time`] and their `_quotient` forms), the witness and the
+/// lemma checks explore the unreduced model.
+///
 /// # Errors
 ///
 /// Returns [`LrError::UnknownRegion`] for unresolvable set atoms and
@@ -297,7 +310,8 @@ pub fn check_arrow(mdp: &RoundMdp, arrow: &Arrow) -> Result<ArrowCheck, LrError>
     check_arrow_with_limit(mdp, arrow, DEFAULT_STATE_LIMIT)
 }
 
-/// [`check_arrow`] with an explicit state limit.
+/// [`check_arrow`] with an explicit state limit, on the same reduced
+/// model.
 ///
 /// # Errors
 ///
@@ -311,12 +325,13 @@ pub fn check_arrow_with_limit(
 }
 
 /// [`check_arrow_with_limit`] on the dihedral-quotient round model
-/// ([`pa_mdp::RingDihedral`]: rotations and the mirror image). Starts are
-/// the dihedral orbit representatives of `U ∩ rstates(M)`, so
-/// `states_checked` counts *dihedral orbits*, not configurations, and
-/// `worst_state` is a representative; successors are canonicalized during
-/// exploration. Both the arrow regions and the round cost are invariant
-/// under rotation and reflection, so the verdict and the measured
+/// ([`pa_mdp::RingDihedral`]: rotations and the mirror image), reduced for
+/// the target as in [`check_arrow`]. Starts are the dihedral orbit
+/// representatives of `U ∩ rstates(M)`, so `states_checked` counts
+/// *dihedral orbits*, not configurations, and `worst_state` is a
+/// representative; successors are canonicalized during exploration.
+/// Both the arrow regions and the round cost are invariant under
+/// rotation and reflection, so the verdict and the measured
 /// probability equal the full-space check's. The quotient-equivalence
 /// tests pin them bitwise against the full space and the rotation
 /// quotient on `n = 3..5`.
@@ -338,17 +353,19 @@ fn check_arrow_impl(
     limit: usize,
     quotient: Quotient,
 ) -> Result<ArrowCheck, LrError> {
-    match arrow_model(mdp, arrow.from(), arrow.to(), limit, quotient)? {
+    let reduced = Reduced::new(mdp.clone(), arrow.to())?;
+    match arrow_model(reduced, arrow.from(), arrow.to(), limit, quotient)? {
         Some((_, checker)) => checker.arrow(arrow, |q| q),
         None => Ok(ArrowCheck::vacuous(arrow)),
     }
 }
 
 /// Computes the exact worst-case expected time (in time units) to reach
-/// `target_set` from the worst configuration of `from_set`, on the round
-/// model. Round counting measures whole time units, so the reported value
-/// upper-bounds the continuous expected time by construction of the model
-/// (`expected rounds + 1` covers the partial final round).
+/// `target_set` from the worst configuration of `from_set`, on the
+/// unreduced round model. Round counting measures whole time units, so
+/// the reported value upper-bounds the continuous expected time by
+/// construction of the model (`expected rounds + 1` covers the partial
+/// final round).
 ///
 /// # Errors
 ///
@@ -449,7 +466,7 @@ fn expected_time_impl(
     objective: QueryObjective,
     quotient: Quotient,
 ) -> Result<f64, LrError> {
-    match arrow_model(mdp, from_set, target_set, limit, quotient)? {
+    match arrow_model(mdp.clone(), from_set, target_set, limit, quotient)? {
         Some((_, checker)) => checker.expected_time(from_set, target_set, objective, |q| q),
         None => Ok(0.0),
     }

@@ -432,7 +432,8 @@ pub fn progress_time_lower_bound(
     max_time: u32,
     limit: usize,
 ) -> Result<Option<u32>, LrError> {
-    let Some((_, checker)) = arrow_model(mdp, from_set, to_set, limit, Quotient::Full)? else {
+    let Some((_, checker)) = arrow_model(mdp.clone(), from_set, to_set, limit, Quotient::Full)?
+    else {
         return Ok(None);
     };
     let target = checker.target_mask(to_set)?;

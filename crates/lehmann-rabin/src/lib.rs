@@ -19,7 +19,9 @@
 //! * [`check_arrow`] / [`max_expected_time`] — exact verification of those
 //!   claims against *all* round adversaries, through the one
 //!   [`ArrowChecker`] that every arrow and expected-time question in the
-//!   workspace runs on.
+//!   workspace runs on. The bounded arrow checks explore the round model
+//!   with its commuting intra-round interleavings reduced ([`Reduced`]);
+//!   the expected-time functions explore it unreduced.
 //! * [`check_arrow_quotient`] / [`RoundStateCodec`] — the same checks on
 //!   the dihedral-quotient model (rotations and the mirror image,
 //!   [`Config::reflected`]) with bit-packed states: up to `2n`-fold fewer
@@ -64,6 +66,7 @@ pub mod lemmas;
 mod packed;
 mod pc;
 mod protocol;
+mod reduce;
 pub mod regions;
 mod round;
 pub mod sims;
@@ -84,6 +87,7 @@ pub use invariant::{adjacent_exclusion, lemma_6_1_invariant, verify_lemma_6_1};
 pub use packed::{ConfigCodec, RoundStateCodec};
 pub use pc::{Pc, ProcState, Side};
 pub use protocol::{LrAction, LrProtocol, UserModel};
+pub use reduce::Reduced;
 pub use round::{round_cost, time_to_budget, RoundAction, RoundConfig, RoundMdp, RoundState};
 pub use state::Config;
 pub(crate) use state::MAX_RING;

@@ -242,6 +242,22 @@ impl LrProtocol {
             ),
         }
     }
+
+    /// The forks process `i`'s enabled steps in `config` read or write, as
+    /// a mask over `Res_j` (bit `j`): `Res(i, uᵢ)` in `W`, `D` and `E_S`,
+    /// `Res(i, opp uᵢ)` in `S`, both forks in `E_F`, and none elsewhere
+    /// (`try`, `flip`, `crit`, `exit` and `rem` touch no fork). Two
+    /// processes whose footprints are disjoint take steps that commute.
+    pub fn footprint(config: &Config, i: usize) -> u16 {
+        let p = config.proc(i);
+        let fork = |side| 1u16 << config.res_index(i, side);
+        match p.pc {
+            Pc::W | Pc::D | Pc::Es => fork(p.side),
+            Pc::S => fork(p.side.opp()),
+            Pc::Ef => fork(Side::Left) | fork(Side::Right),
+            Pc::R | Pc::F | Pc::P | Pc::C | Pc::Er => 0,
+        }
+    }
 }
 
 impl Automaton for LrProtocol {

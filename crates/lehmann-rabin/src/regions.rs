@@ -1,7 +1,9 @@
 //! The state-set classifiers of Section 6.2: `T`, `C`, `RT`, `F`, `G`, `P`
 //! and the *good process* notion behind `G`.
 
-use crate::{Config, Pc, Side};
+use pa_core::SetExpr;
+
+use crate::{Config, LrError, Pc, Side};
 
 /// `T`: some process is in its trying region
 /// (`∃i Xᵢ ∈ {F, W, S, D, P}`).
@@ -81,6 +83,91 @@ pub fn in_g(c: &Config) -> bool {
 /// The good processes of a configuration.
 pub fn good_processes(c: &Config) -> Vec<usize> {
     (0..c.n()).filter(|&i| is_good(c, i)).collect()
+}
+
+// ---------------------------------------------------------------------------
+// Static visibility.
+//
+// Each atom above reads a configuration only through a few features of
+// each process's program counter (and, for `G`, the side of a `W`, `S` or
+// `D` process). A step that moves one process from `before` to `after`
+// without changing its side where the side matters, and otherwise changes
+// only forks, which no atom reads, cannot change an atom whose features
+// agree on `before` and `after`. The partial-order reduction
+// (`crate::Reduced`) keeps such a step alone only when it is invisible for
+// every atom of the target.
+
+const TRYING: u8 = 1;
+const IDLE: u8 = 1 << 1;
+const CRITICAL: u8 = 1 << 2;
+const PRE_CRITICAL: u8 = 1 << 3;
+const FLIPPING: u8 = 1 << 4;
+const COMMITTED: u8 = 1 << 5;
+const CONTROLLING: u8 = 1 << 6;
+
+/// The pc features of `pc` (one bit each).
+fn pc_features(pc: Pc) -> u8 {
+    let bit = |on: bool, feature: u8| if on { feature } else { 0 };
+    bit(pc.in_trying(), TRYING)
+        | bit(matches!(pc, Pc::Er | Pc::R), IDLE)
+        | bit(pc == Pc::C, CRITICAL)
+        | bit(pc == Pc::P, PRE_CRITICAL)
+        | bit(pc == Pc::F, FLIPPING)
+        | bit(matches!(pc, Pc::W | Pc::S), COMMITTED)
+        | bit(matches!(pc, Pc::W | Pc::S | Pc::D), CONTROLLING)
+}
+
+/// The pc features a region atom reads: `T`, `C` and `P` one each; `RT`
+/// whether some process is trying and whether each is in `{E_R, R} ∪ T`;
+/// `F` those and `F` itself; `G` those and the committed and
+/// potentially-controlling sets of the good-process test.
+fn atom_features(atom: &str) -> Result<u8, LrError> {
+    const RT: u8 = TRYING | IDLE;
+    Ok(match atom {
+        "T" => TRYING,
+        "C" => CRITICAL,
+        "P" => PRE_CRITICAL,
+        "RT" => RT,
+        "F" => RT | FLIPPING,
+        "G" => RT | FLIPPING | COMMITTED | CONTROLLING,
+        other => return Err(LrError::UnknownRegion(other.to_string())),
+    })
+}
+
+/// The one-process pc transitions that can change a set of region atoms:
+/// bit `10·before + after` (pcs in [`Pc::ALL`] order) is set when moving
+/// one process from `before` to `after` can change some atom's truth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Visibility(u128);
+
+impl Visibility {
+    /// The visible transitions of `set`: those of any of its atoms.
+    ///
+    /// # Errors
+    ///
+    /// [`LrError::UnknownRegion`] for an atom outside `T`, `C`, `RT`, `F`,
+    /// `G`, `P`.
+    pub fn of(set: &SetExpr) -> Result<Visibility, LrError> {
+        let mut read = 0u8;
+        for atom in set.atoms() {
+            read |= atom_features(atom)?;
+        }
+        let mut bits = 0u128;
+        for before in Pc::ALL {
+            for after in Pc::ALL {
+                if (pc_features(before) ^ pc_features(after)) & read != 0 {
+                    bits |= 1 << (10 * before as u32 + after as u32);
+                }
+            }
+        }
+        Ok(Visibility(bits))
+    }
+
+    /// Whether moving one process from `before` to `after` can change the
+    /// truth of some atom of the set.
+    pub fn may_change(self, before: Pc, after: Pc) -> bool {
+        self.0 >> (10 * before as u32 + after as u32) & 1 == 1
+    }
 }
 
 // ---------------------------------------------------------------------------

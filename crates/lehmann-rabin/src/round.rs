@@ -102,7 +102,9 @@ impl RoundState {
         }
     }
 
-    fn with_step_taken(&self, i: usize, config: Config) -> RoundState {
+    /// The state after process `i` takes a step to `config`: its
+    /// obligation is discharged and one unit of its budget spent.
+    pub(crate) fn with_step_taken(&self, i: usize, config: Config) -> RoundState {
         let b = self.budget_of(i) - 1;
         let mask = !(0xFu64 << (4 * i));
         RoundState {
@@ -291,6 +293,46 @@ impl RoundMdp {
         &self.protocol
     }
 
+    /// Whether `config` is absorbing ([`RoundMdp::with_absorb`]).
+    pub(crate) fn absorbs(&self, config: &Config) -> bool {
+        self.absorb.as_ref().is_some_and(|pred| pred(config))
+    }
+
+    /// Every step of a state that is not absorbing: one `Schedule` step
+    /// per enabled protocol step of every process with budget left
+    /// (outcomes mapped on the stack by [`pa_core::map_outcomes`]), then
+    /// `EndRound` once no obligation is open.
+    pub(crate) fn expand<F>(&self, state: &RoundState, mut f: F)
+    where
+        F: FnMut(&RoundAction, &[(RoundState, f64)]),
+    {
+        let mut schedule_steps = 0u64;
+        for i in 0..self.cfg.n {
+            if state.budget_of(i) == 0 {
+                continue;
+            }
+            self.protocol
+                .for_each_step_of_process(&state.config, i, |action, outcomes| {
+                    schedule_steps += 1;
+                    map_outcomes(
+                        outcomes,
+                        |cfg| state.with_step_taken(i, *cfg),
+                        |targets| f(&RoundAction::Schedule(action), targets),
+                    );
+                });
+        }
+        let mut round_closes = 0u64;
+        if state.obliged == 0 {
+            f(&RoundAction::EndRound, &[(self.fresh(state.config), 1.0)]);
+            round_closes = 1;
+        }
+        if pa_telemetry::enabled() {
+            pa_telemetry::counter("lr.round.expansions").inc();
+            pa_telemetry::counter("lr.round.schedule_steps").add(schedule_steps);
+            pa_telemetry::counter("lr.round.round_closes").add(round_closes);
+        }
+    }
+
     /// Wraps a configuration as a fresh round start.
     pub fn fresh(&self, config: Config) -> RoundState {
         let obliged = config.ready_mask();
@@ -318,43 +360,16 @@ impl Automaton for RoundMdp {
         collect_steps(|f| self.for_each_step(state, f))
     }
 
-    /// The round scheduler's choices: one `Schedule` step per enabled
-    /// protocol step of every process with budget left (outcomes mapped
-    /// on the stack by [`pa_core::map_outcomes`]), then `EndRound` once no
-    /// obligation is open.
-    fn for_each_step<F>(&self, state: &RoundState, mut f: F)
+    /// The round scheduler's choices: nothing in an absorbing state;
+    /// otherwise one `Schedule` step per enabled protocol step of every
+    /// process with budget left, then `EndRound` once no obligation is
+    /// open.
+    fn for_each_step<F>(&self, state: &RoundState, f: F)
     where
         F: FnMut(&RoundAction, &[(RoundState, f64)]),
     {
-        if let Some(pred) = &self.absorb {
-            if pred(&state.config) {
-                return;
-            }
-        }
-        let mut schedule_steps = 0u64;
-        for i in 0..self.cfg.n {
-            if state.budget_of(i) == 0 {
-                continue;
-            }
-            self.protocol
-                .for_each_step_of_process(&state.config, i, |action, outcomes| {
-                    schedule_steps += 1;
-                    map_outcomes(
-                        outcomes,
-                        |cfg| state.with_step_taken(i, *cfg),
-                        |targets| f(&RoundAction::Schedule(action), targets),
-                    );
-                });
-        }
-        let mut round_closes = 0u64;
-        if state.obliged == 0 {
-            f(&RoundAction::EndRound, &[(self.fresh(state.config), 1.0)]);
-            round_closes = 1;
-        }
-        if pa_telemetry::enabled() {
-            pa_telemetry::counter("lr.round.expansions").inc();
-            pa_telemetry::counter("lr.round.schedule_steps").add(schedule_steps);
-            pa_telemetry::counter("lr.round.round_closes").add(round_closes);
+        if !self.absorbs(&state.config) {
+            self.expand(state, f);
         }
     }
 

@@ -4,8 +4,9 @@
 //! fault-wrapped round model under each plan of the default fault grid,
 //! and the free-interleaving protocol — recorded before exploration wrote
 //! CSR rows directly (when it still built a nested model and flattened
-//! it). The dihedral-quotient claim models, which `check_arrow_quotient`
-//! explores, are pinned beside their rotation quotients. The rotation
+//! it). The dihedral-quotient claim models are pinned beside their
+//! rotation quotients, and the dihedral models reduced for each claim's
+//! target, which `check_arrow_quotient` explores, beside those. The rotation
 //! quotients of the fault-free fault-wrapped model and of the protocol were
 //! recorded before canonicalization read the least rotation off the
 //! process-lane word. Both engine paths must reproduce them: `run_in`, and
@@ -15,7 +16,7 @@ use pa_core::Automaton;
 use pa_faults::{default_grid, faulty_round_cost, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
 use pa_lehmann_rabin::{
     paper, reachable_configs_in, reachable_configs_quotient, round_cost, set_pred, LrProtocol,
-    Quotient, RoundConfig, RoundMdp, RoundStateCodec, UserModel,
+    Quotient, Reduced, RoundAutomaton, RoundConfig, RoundMdp, RoundStateCodec, UserModel,
 };
 use pa_mdp::{
     csr_digest, BoxedSpace, CsrBuilder, Explore, PackedSpace, RingDihedral, RingRotation,
@@ -162,6 +163,63 @@ fn claim_dihedral_models_are_pinned() {
                 .with_absorb(move |c| to(c));
             assert_pinned(
                 &format!("dihedral n={n} {arrow}"),
+                want,
+                || {
+                    Explore::new(&m)
+                        .cost(round_cost)
+                        .limit(LIMIT)
+                        .symmetry(RingDihedral::new(n))
+                },
+                || PackedSpace::new(RoundStateCodec::new(n).unwrap()),
+            );
+        }
+    }
+}
+
+#[test]
+fn claim_reduced_dihedral_models_are_pinned() {
+    // The six claim models as `check_arrow_quotient` explores them since
+    // the partial-order reduction: the dihedral models above with the
+    // intra-round interleavings reduced for each claim's target
+    // ([`Reduced`]). Recorded when the reduction was added.
+    let pins: [(usize, [u64; 6]); 2] = [
+        (
+            3,
+            [
+                0x8c75_139c_284c_b612,
+                0x423e_4081_2c71_0e4d,
+                0x02ca_591c_f69b_2560,
+                0xac31_fa5c_d89f_153b,
+                0xc153_f097_275b_2d6d,
+                0x6b3d_aff3_f1e9_b9ca,
+            ],
+        ),
+        (
+            4,
+            [
+                0x57b4_7620_ab40_3a72,
+                0xf8d0_2eec_c23d_4374,
+                0x6ed0_6827_c86c_ae26,
+                0xf4c1_4f35_3262_6f76,
+                0x650b_9eb8_52b1_5436,
+                0x0ace_7e68_b704_b79c,
+            ],
+        ),
+    ];
+    let mut arrows: Vec<_> = paper::all_arrows().into_iter().map(|(a, _)| a).collect();
+    arrows.push(paper::arrow_t_to_c());
+    for (n, wants) in pins {
+        let reachable = reachable_configs_in(n, LIMIT, Quotient::Dihedral).unwrap();
+        for (arrow, want) in arrows.iter().zip(wants) {
+            let from = set_pred(arrow.from()).unwrap();
+            let to = set_pred(arrow.to()).unwrap();
+            let starts = reachable.iter().filter(|c| from(c)).copied().collect();
+            let m = Reduced::new(RoundMdp::new(RoundConfig::new(n).unwrap()), arrow.to())
+                .unwrap()
+                .starting_from(starts)
+                .absorbing(move |c, _| to(c));
+            assert_pinned(
+                &format!("reduced dihedral n={n} {arrow}"),
                 want,
                 || {
                     Explore::new(&m)
