@@ -4,9 +4,6 @@
 //! cargo run --release -p pa-bench --bin tables            # all experiments
 //! cargo run --release -p pa-bench --bin tables -- e5 e7   # selected ones
 //! cargo run --release -p pa-bench --bin tables -- --full  # larger rings
-//! cargo run --release -p pa-bench --bin tables -- --solver scc
-//!                                     # run the experiments on the
-//!                                     # SCC-condensed solver
 //! cargo run --release -p pa-bench --bin tables -- --batch --workers 4
 //!                                     # full E1–E15 × n=3..5 through the
 //!                                     # pa-batch driver (shared models)
@@ -37,15 +34,6 @@ use serde::Serialize;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--solver") {
-        let which = args.get(i + 1).map(String::as_str);
-        match which {
-            Some("jacobi") => pa_mdp::set_default_solver(pa_mdp::Solver::Jacobi),
-            Some("scc") => pa_mdp::set_default_solver(pa_mdp::Solver::SccOrdered),
-            other => return Err(format!("--solver needs 'jacobi' or 'scc', got {other:?}").into()),
-        }
-        println!("default solver: {}", which.expect("matched above"));
-    }
     if args.iter().any(|a| a == "--batch") {
         let smoke = args.iter().any(|a| a == "--smoke");
         let workers = args
@@ -228,13 +216,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
     let full = args.iter().any(|a| a == "--full");
-    // `--solver`'s value is a flag argument, not an experiment selection.
-    let solver_value_idx = args.iter().position(|a| a == "--solver").map(|i| i + 1);
     let selected: Vec<String> = args
         .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && Some(*i) != solver_value_idx)
-        .map(|(_, a)| a.to_lowercase())
+        .filter(|a| !a.starts_with("--"))
+        .map(|a| a.to_lowercase())
         .collect();
     let want = |ids: &[&str]| {
         selected.is_empty() || ids.iter().any(|id| selected.contains(&id.to_lowercase()))

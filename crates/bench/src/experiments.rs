@@ -16,7 +16,7 @@ use pa_lehmann_rabin::{
     set_pred, sims, verify_lemma_6_1, Config, LrAction, LrProtocol, Pc, RoundConfig, RoundMdp,
     Side, UserModel,
 };
-use pa_mdp::{cost_bounded_reach_levels, Explore, Objective};
+use pa_mdp::{Explore, Objective};
 use pa_prob::stats::Z_99;
 use pa_prob::Prob;
 use pa_sim::MonteCarlo;
@@ -475,9 +475,13 @@ pub fn ablation(n: usize) -> ExpResult {
     let target = explored.target_where(|rs| to(&rs.config));
     let start = explored.mdp.initial_states()[0];
     let mut curve = Vec::new();
-    cost_bounded_reach_levels(&explored.mdp, &target, 25, Objective::MinProb, |k, v| {
-        curve.push((k + 1, v[start]));
-    })?;
+    explored
+        .query()
+        .objective(Objective::MinProb)
+        .target(target)
+        .horizon(25)
+        .on_level(|k, v| curve.push((k + 1, v[start])))
+        .run()?;
     let series = curve
         .iter()
         .filter(|(t, _)| [1, 3, 5, 7, 9, 11, 13, 17, 21, 26].contains(t))

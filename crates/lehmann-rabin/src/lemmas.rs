@@ -18,8 +18,7 @@
 //! adversary can still surely prevent progress.
 
 use pa_core::{Automaton, Step};
-use pa_mdp::{cost_bounded_reach_levels, Explore, Objective};
-use pa_prob::FiniteDist;
+use pa_mdp::{Explore, Objective};
 
 use crate::arrows::arrow_model;
 use crate::{
@@ -439,27 +438,23 @@ pub fn progress_time_lower_bound(
     let target = checker.target_mask(to_set)?;
     let initials = checker.model().mdp.initial_states();
     let mut first_positive: Option<u32> = None;
-    cost_bounded_reach_levels(
-        &checker.model().mdp,
-        &target,
-        time_to_budget(f64::from(max_time)),
-        Objective::MinProb,
-        |k, v| {
+    checker
+        .model()
+        .query()
+        .objective(Objective::MinProb)
+        .target(target)
+        .horizon(time_to_budget(f64::from(max_time)))
+        .on_level(|k, v| {
             if first_positive.is_none() && initials.iter().all(|&s| v[s] > 1e-12) {
                 first_positive = Some(k + 1); // budget k ⇔ time k+1
             }
-        },
-    )?;
+        })
+        .run()?;
     Ok(match first_positive {
         Some(t) => Some(t - 1),
         None => Some(max_time),
     })
 }
-
-// Re-export FiniteDist so the module doc example can reference it without
-// an extra import in downstream code.
-#[allow(unused)]
-fn _type_anchor(_: FiniteDist<u8>) {}
 
 #[cfg(test)]
 mod tests {

@@ -20,8 +20,7 @@
 //!
 //! The nested [`ExplicitMdp`] (`Vec<Vec<Choice>>`) remains the constructor
 //! for hand-built models and the input of the [`crate::reference`]
-//! oracles; [`ToCsr`] lets the analysis free functions take either form,
-//! and `CsrMdp::from(&explicit)` flattens one for a [`crate::Query`].
+//! oracles; `CsrMdp::from(&explicit)` flattens one for a [`crate::Query`].
 //!
 //! A `CsrMdp` is a [`CsrSource`] with a single block, read through one
 //! view, [`CsrMdp::rows`]. Every solver — the Jacobi kernels, the
@@ -29,10 +28,8 @@
 //! in-core model and a stored one that fits in one block take the same
 //! code (see the [`crate::source`] module docs).
 
-use std::borrow::Cow;
-
 use crate::source::{CsrRows, CsrSource};
-use crate::{Choice, ExplicitMdp, MdpError, RowSink};
+use crate::{ExplicitMdp, MdpError, RowSink};
 
 /// An MDP in compressed-sparse-row form: what [`crate::Explore::run_in`]
 /// builds and every in-core analysis runs on.
@@ -59,29 +56,11 @@ impl CsrMdp {
     /// A flat copy of `mdp`: flattens a nested [`ExplicitMdp`] (choice and
     /// transition order preserved exactly, so analyses produce
     /// bitwise-identical results on either form) and clones a `CsrMdp`.
-    pub fn from_explicit<M: ToCsr + ?Sized>(mdp: &M) -> CsrMdp {
-        mdp.to_csr().into_owned()
-    }
-
-    /// Rebuilds the nested form, for the nested-model oracles of
-    /// [`crate::reference`].
-    pub fn to_explicit(&self) -> ExplicitMdp {
-        let rows = self.rows();
-        let choices = rows
-            .states()
-            .map(|s| {
-                rows.choice_range(s)
-                    .map(|c| Choice {
-                        cost: rows.costs[c],
-                        transitions: rows
-                            .trans_range(c)
-                            .map(|i| (rows.targets[i] as usize, rows.probs[i]))
-                            .collect(),
-                    })
-                    .collect()
-            })
-            .collect();
-        ExplicitMdp::new(choices, self.initial.clone()).expect("a CsrMdp is a valid model")
+    pub fn from_explicit<'a, M: ?Sized>(mdp: &'a M) -> CsrMdp
+    where
+        CsrMdp: From<&'a M>,
+    {
+        CsrMdp::from(mdp)
     }
 
     /// Number of states.
@@ -130,35 +109,22 @@ impl CsrMdp {
     }
 }
 
+impl From<&CsrMdp> for CsrMdp {
+    fn from(mdp: &CsrMdp) -> CsrMdp {
+        mdp.clone()
+    }
+}
+
 impl From<&ExplicitMdp> for CsrMdp {
     fn from(mdp: &ExplicitMdp) -> CsrMdp {
-        CsrMdp::from_explicit(mdp)
-    }
-}
-
-/// A model the analysis free functions accept: a [`CsrMdp`] is used as
-/// is, a nested [`ExplicitMdp`] is flattened on the way in.
-pub trait ToCsr {
-    /// The model in CSR form, borrowed when it already is.
-    fn to_csr(&self) -> Cow<'_, CsrMdp>;
-}
-
-impl ToCsr for CsrMdp {
-    fn to_csr(&self) -> Cow<'_, CsrMdp> {
-        Cow::Borrowed(self)
-    }
-}
-
-impl ToCsr for ExplicitMdp {
-    fn to_csr(&self) -> Cow<'_, CsrMdp> {
         let mut b = CsrBuilder::new();
         let (mut costs, mut ends, mut targets, mut probs) = (vec![], vec![], vec![], vec![]);
-        for s in 0..self.num_states() {
+        for s in 0..mdp.num_states() {
             costs.clear();
             ends.clear();
             targets.clear();
             probs.clear();
-            for c in self.choices(s) {
+            for c in mdp.choices(s) {
                 costs.push(c.cost);
                 for &(t, p) in &c.transitions {
                     targets.push(u32::try_from(t).expect("state index fits u32"));
@@ -175,7 +141,7 @@ impl ToCsr for ExplicitMdp {
             b.push_row(row)
                 .expect("model too large for u32 CSR offsets");
         }
-        Cow::Owned(b.finish(self.initial_states().to_vec()))
+        b.finish(mdp.initial_states().to_vec())
     }
 }
 
@@ -413,12 +379,22 @@ mod tests {
     }
 
     #[test]
-    fn nested_round_trip_and_block_reuse() {
+    fn flattening_keeps_order_and_blocks_reuse_the_builder() {
         let m = escape();
         let csr = CsrMdp::from_explicit(&m);
-        let back = csr.to_explicit();
+        let rows = csr.rows();
         for s in 0..m.num_states() {
-            assert_eq!(back.choices(s), m.choices(s));
+            let flat: Vec<Choice> = rows
+                .choice_range(s)
+                .map(|c| Choice {
+                    cost: rows.costs[c],
+                    transitions: rows
+                        .trans_range(c)
+                        .map(|i| (rows.targets[i] as usize, rows.probs[i]))
+                        .collect(),
+                })
+                .collect();
+            assert_eq!(flat, m.choices(s));
         }
         assert_eq!(CsrMdp::from_explicit(&csr), csr, "a CsrMdp copies as is");
         // A cleared builder starts a fresh block with offsets from 0.

@@ -10,7 +10,7 @@
 //!
 //! The hash is unkeyed, so it is the same in every run and every process.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the FxHash family (a 64-bit odd constant derived from
@@ -84,9 +84,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with [`FxHasher`]. Drop-in for `HashMap` where keys
 /// are trusted (e.g. model states during exploration).
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` hashed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

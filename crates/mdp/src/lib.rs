@@ -14,22 +14,18 @@
 //!   optional [`Symmetry`] (quotient construction, e.g.
 //!   [`RingRotation`]) and the state representation ([`BoxedSpace`] or
 //!   bit-packed [`PackedSpace`]).
-//! * [`Query`] — the single analysis entry point: a builder unifying
+//! * [`Query`] — the one way to run a solver: a builder unifying
 //!   objective ([`QueryObjective`]: bounded/unbounded reachability per
 //!   Definition 3.1, worst/best-case expected time per Section 6.2),
 //!   target (mask, index list, or predicate), optional time horizon,
-//!   solver, tolerance and policy extraction behind a
-//!   single [`Query::run`] returning a typed [`Analysis`].
+//!   solver, tolerance, policy extraction and a per-level callback
+//!   ([`Query::on_level`]) behind a single [`Query::run`] returning a
+//!   typed [`Analysis`].
 //! * [`check_invariant`] — exhaustive invariant checking with shortest
 //!   witness paths (Lemma 6.1).
 //! * [`tag_choices`] — annotate explored choices (e.g. fault-injected
 //!   crash self-loops) so absorbing structure can be audited before
 //!   solving ([`tagged_absorbing_violations`]).
-//!
-//! The pre-`Query` free functions (`cost_bounded_reach`, `reach_prob`,
-//! `max_expected_cost`, `cost_bounded_reach_with_policy`) were removed
-//! after their deprecation cycle; every analysis now goes through
-//! [`Query`].
 //!
 //! All quantitative analyses read a model through one row view,
 //! [`CsrRows`], handed out block by block by a [`CsrSource`]: an in-core
@@ -43,10 +39,10 @@
 //! state updates on the layered round models this workspace targets (see
 //! the `query` module docs for selection guidance). Every engine runs on
 //! the calling thread; parallelism lives one level up, in callers that
-//! answer independent questions side by side. The [`mod@reference`] module retains nested-model oracles — both a Jacobi
-//! twin (bitwise comparison) and the original Gauss–Seidel engine
-//! (tolerance comparison, benchmark baseline) — used by the property
-//! tests.
+//! answer independent questions side by side. The [`mod@reference`]
+//! module retains nested-model oracles — both a Jacobi twin (bitwise
+//! comparison) and the original Gauss–Seidel engine (tolerance
+//! comparison, benchmark baseline) — used by the property tests.
 //!
 //! # Example
 //!
@@ -79,7 +75,6 @@ mod csr;
 mod error;
 mod explore;
 pub mod fxhash;
-mod horizon;
 mod model;
 pub mod query;
 pub mod reference;
@@ -88,18 +83,16 @@ pub mod source;
 pub mod space;
 pub mod symmetry;
 mod tag;
-mod value_iter;
 
-pub use csr::{CsrBuilder, CsrMdp, CsrRow, ToCsr};
+pub use csr::{CsrBuilder, CsrMdp, CsrRow};
 pub use error::MdpError;
 pub use explore::{
     check_invariant, Explore, Explored, InvariantResult, RowSink, StateRows, StreamSummary,
 };
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use horizon::{cost_bounded_reach_levels, BoundedPolicy, Objective};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use model::{Choice, ExplicitMdp};
 pub use query::{
-    default_solver, set_default_solver, Analysis, IntoTarget, Query, QueryObjective, Solver,
+    Analysis, BoundedPolicy, IntoTarget, IterOptions, Objective, Query, QueryObjective, Solver,
 };
 pub use scc::SccDecomposition;
 pub use source::{csr_digest, CsrRows, CsrSource, SolveStats};
@@ -109,4 +102,3 @@ pub use symmetry::{
     RingDihedral, RingRotation, RingState, Symmetry,
 };
 pub use tag::{tag_choices, tagged_absorbing_violations, ChoiceTags, TAG_NONE};
-pub use value_iter::{prob0_max, prob0_min, prob1, IterOptions};

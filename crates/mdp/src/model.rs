@@ -41,8 +41,7 @@ impl Choice {
 /// This nested form is for hand-built models and the nested-model
 /// oracles of [`crate::reference`]: exploration of an implicit
 /// [`pa_core::Automaton`] ([`crate::Explore`]) writes a [`crate::CsrMdp`]
-/// directly. The analysis free functions take either form
-/// ([`crate::ToCsr`]); a [`crate::Query`] takes the flattened one,
+/// directly. A [`crate::Query`] takes the flattened form,
 /// `CsrMdp::from(&explicit)`.
 #[derive(Debug, Clone)]
 pub struct ExplicitMdp {

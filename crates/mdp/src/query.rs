@@ -1,10 +1,8 @@
 //! The unified quantitative-analysis entry point: [`Query`].
 //!
-//! The crate's original surface grew one free function per analysis —
-//! bounded/unbounded reachability, expected cost, policy extraction —
-//! each with its own signature for the same knobs (objective, tolerance,
-//! target). Those free functions are gone; [`Query`] folds every
-//! analysis into one builder:
+//! Every analysis — bounded/unbounded reachability, expected cost, policy
+//! extraction, the per-level values of a bounded query — runs through one
+//! builder, and it is the only way to run a solver:
 //!
 //! ```
 //! use pa_mdp::{Choice, CsrMdp, ExplicitMdp, Query, QueryObjective};
@@ -48,9 +46,7 @@
 //! models such as the Lehmann–Rabin round MDPs it performs strictly fewer
 //! state updates. It evaluates the same per-state updates as Jacobi.
 //!
-//! A query that picks no solver — neither per query with
-//! [`Query::solver`] nor process-wide with [`set_default_solver`] (how
-//! `tables --solver` pins every call site at once) — is routed
+//! A query that picks no solver with [`Query::solver`] is routed
 //! automatically:
 //!
 //! * a **bounded** probability query (`MinProb`/`MaxProb` with a
@@ -77,6 +73,26 @@
 //! multi-block unbounded or expected-cost query fails at `"validate"`.
 //!
 //! [`Analysis::solver`] reports the solver that actually ran.
+//!
+//! # Bounded queries and their levels
+//!
+//! With intra-round scheduling steps costing 0 and round boundaries
+//! costing 1, the minimal probability over all adversaries of reaching
+//! the target with total cost at most `t` is exactly the quantity an arrow
+//! `U —t→_p U'` bounds (Definition 3.1). For finite-horizon reachability on
+//! a finite MDP, deterministic cost-indexed Markov policies attain the
+//! optimum over all history-dependent adversaries, so backward induction
+//! over the budget quantifies over the paper's full adversary class
+//! (substitution 2 in DESIGN.md).
+//!
+//! The induction solves one budget level `k = 0..=horizon` after another,
+//! each the least fixpoint of
+//! `v(s) = opt_c [ Σ p · (cost(c)=1 ? prev : v)(t) ]` over the zero-cost
+//! subgraph. [`Query::on_level`] hands each level's values to a callback
+//! as it is solved — a whole probability-vs-time curve from one query.
+//! The automatic rule leaves Jacobi only for a route whose every level is
+//! bitwise equal to Jacobi's, so an unpinned query reports the levels of
+//! a Jacobi-pinned one, bit for bit.
 //!
 //! # Cone restriction
 //!
@@ -122,10 +138,76 @@
 //!   residual over every state, so a cone solve could stop at an earlier
 //!   sweep and return different bits.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use crate::source::{self, with_one_block, CsrSource, LevelSolver};
-use crate::{scc, BoundedPolicy, CsrMdp, IterOptions, MdpError, Objective, SolveStats};
+use crate::{scc, CsrMdp, MdpError, SolveStats};
+
+/// Whether the adversary minimizes or maximizes the probability of
+/// reaching the target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// Worst case for the algorithm: the adversary minimizes the
+    /// probability of reaching the target (the quantifier in `U —t→_p U'`).
+    MinProb,
+    /// Best case: the adversary maximizes the probability.
+    MaxProb,
+}
+
+impl Objective {
+    /// Whether `a` improves on `b` under this objective.
+    #[inline]
+    pub(crate) fn better(self, a: f64, b: f64) -> bool {
+        match self {
+            Objective::MinProb => a < b,
+            Objective::MaxProb => a > b,
+        }
+    }
+
+    /// The identity element of the optimization (`±∞`).
+    #[inline]
+    pub(crate) fn start(self) -> f64 {
+        match self {
+            Objective::MinProb => f64::INFINITY,
+            Objective::MaxProb => f64::NEG_INFINITY,
+        }
+    }
+}
+
+/// A deterministic cost-indexed policy extracted from backward induction:
+/// `decision[k][s]` is the optimal choice index in state `s` with `k` cost
+/// units of budget remaining (`None` for states without choices).
+#[derive(Debug, Clone)]
+pub struct BoundedPolicy {
+    /// `decision[k][s]`, `k = 0..=budget`.
+    pub decision: Vec<Vec<Option<u32>>>,
+}
+
+impl BoundedPolicy {
+    /// The optimal choice in `state` with `remaining` budget (clamped to
+    /// the largest computed level).
+    pub fn choice(&self, state: usize, remaining: u32) -> Option<u32> {
+        let k = (remaining as usize).min(self.decision.len() - 1);
+        self.decision[k][state]
+    }
+}
+
+/// Numerical options of the iterative (unbounded and expected-cost)
+/// solves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IterOptions {
+    /// Stop when the largest per-sweep change drops below this.
+    pub epsilon: f64,
+    /// Hard cap on sweeps.
+    pub max_sweeps: usize,
+}
+
+impl Default for IterOptions {
+    fn default() -> IterOptions {
+        IterOptions {
+            epsilon: 1e-12,
+            max_sweeps: 1_000_000,
+        }
+    }
+}
 
 /// What a [`Query`] optimizes, quantifying over all adversaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,38 +241,6 @@ pub enum Solver {
     /// reverse topological order against already-fixed successors. Over a
     /// stored backend, a bounded query's one reverse pass per budget level.
     SccOrdered,
-}
-
-/// The process-wide solver pin for queries that do not call
-/// [`Query::solver`]: 0 = none (automatic selection, see the
-/// [module docs](self)), 1 = Jacobi, 2 = SccOrdered.
-static DEFAULT_SOLVER: AtomicU8 = AtomicU8::new(0);
-
-/// Pins the solver of every query that does not pick one explicitly,
-/// turning off automatic selection process-wide. Callers that owe
-/// bitwise-stable outputs (oracle tests, the bench baselines) pin
-/// [`Solver::Jacobi`] per query and are unaffected.
-pub fn set_default_solver(solver: Solver) {
-    let v = match solver {
-        Solver::Jacobi => 1,
-        Solver::SccOrdered => 2,
-    };
-    DEFAULT_SOLVER.store(v, Ordering::Relaxed);
-}
-
-/// The solver a query that picks none runs outside the automatic bounded
-/// rule: the pinned one, else [`Solver::Jacobi`].
-pub fn default_solver() -> Solver {
-    pinned_solver().unwrap_or(Solver::Jacobi)
-}
-
-/// The process-wide pin, if [`set_default_solver`] was called.
-fn pinned_solver() -> Option<Solver> {
-    match DEFAULT_SOLVER.load(Ordering::Relaxed) {
-        0 => None,
-        1 => Some(Solver::Jacobi),
-        _ => Some(Solver::SccOrdered),
-    }
 }
 
 /// Anything [`Query::target`] accepts: a per-state `bool` mask or a list
@@ -326,7 +376,7 @@ impl Analysis {
 
 /// A builder for one quantitative analysis over all adversaries: pick an
 /// objective, a target, optionally a time horizon / solver / tolerance /
-/// policy extraction, then [`run`](Query::run).
+/// policy extraction / level callback, then [`run`](Query::run).
 ///
 /// See the [module docs](self) for an example and the solver-selection
 /// guidance.
@@ -339,7 +389,11 @@ pub struct Query<'m> {
     options: IterOptions,
     with_policy: bool,
     cone: Option<Vec<usize>>,
+    on_level: Option<LevelFn<'m>>,
 }
+
+/// A [`Query::on_level`] callback.
+type LevelFn<'m> = Box<dyn FnMut(u32, &[f64]) + 'm>;
 
 impl<'m> Query<'m> {
     /// Starts a query over an in-core model, a source with a single block
@@ -372,6 +426,7 @@ impl<'m> Query<'m> {
             options: IterOptions::default(),
             with_policy: false,
             cone: None,
+            on_level: None,
         }
     }
 
@@ -405,9 +460,8 @@ impl<'m> Query<'m> {
         self
     }
 
-    /// Picks the solver for this query (default: the process-wide pin of
-    /// [`set_default_solver`], else automatic selection — see the
-    /// [module docs](self)).
+    /// Picks the solver for this query (default: automatic selection — see
+    /// the [module docs](self)).
     pub fn solver(mut self, solver: Solver) -> Self {
         self.solver = Some(solver);
         self
@@ -452,6 +506,16 @@ impl<'m> Query<'m> {
         self
     }
 
+    /// Calls `f(k, values)` after each budget level `k = 0..=horizon` of a
+    /// bounded probability query, with that level's values of every state
+    /// (see the [module docs](self#bounded-queries-and-their-levels)).
+    /// Unbounded and expected-cost queries reject it, and so does a query
+    /// with a [`Query::cone`], whose copy numbers the states differently.
+    pub fn on_level(mut self, f: impl FnMut(u32, &[f64]) + 'm) -> Self {
+        self.on_level = Some(Box::new(f));
+        self
+    }
+
     /// Runs the analysis.
     ///
     /// # Errors
@@ -483,7 +547,7 @@ impl<'m> Query<'m> {
                 reason: reason.into(),
             })
         };
-        let pinned = self.solver.or_else(pinned_solver);
+        let pinned = self.solver;
         let src = self.model;
         let one_block = src.num_blocks() == 1;
         let prob_objective = match self.objective {
@@ -506,6 +570,12 @@ impl<'m> Query<'m> {
                     num_states,
                 }));
             }
+        }
+        if self.on_level.is_some() && (!bounded || self.cone.is_some()) {
+            return Err(invalid(
+                "on_level reports the levels of bounded probability queries without a cone only \
+                 (a cone's copy numbers the states differently)",
+            ));
         }
         if pinned == Some(Solver::SccOrdered) && !one_block && !bounded {
             return Err(invalid(
@@ -537,7 +607,8 @@ impl<'m> Query<'m> {
                     Some(starts) if one_block => find_cone(src, starts, &target),
                     _ => Ok(None),
                 };
-                let bounded = |src: &dyn CsrSource, target: &[bool], stats: &mut SolveStats| {
+                let mut on_level = self.on_level.unwrap_or_else(|| Box::new(|_, _| {}));
+                let mut bounded = |src: &dyn CsrSource, target: &[bool], stats: &mut SolveStats| {
                     solve_bounded(
                         src,
                         target,
@@ -545,6 +616,7 @@ impl<'m> Query<'m> {
                         objective,
                         pinned,
                         self.with_policy,
+                        &mut *on_level,
                         stats,
                     )
                 };
@@ -632,7 +704,8 @@ impl Bounded {
 }
 
 /// Cost-bounded backward induction over `src`, routed as the
-/// [module docs](self) say.
+/// [module docs](self) say, reporting each level to `on_level`.
+#[allow(clippy::too_many_arguments)]
 fn solve_bounded(
     src: &dyn CsrSource,
     target: &[bool],
@@ -640,6 +713,7 @@ fn solve_bounded(
     objective: Objective,
     pinned: Option<Solver>,
     with_policy: bool,
+    on_level: &mut dyn FnMut(u32, &[f64]),
     stats: &mut SolveStats,
 ) -> Result<Bounded, MdpError> {
     // A single-block source unless pinned to Jacobi: the zero-cost
@@ -664,7 +738,7 @@ fn solve_bounded(
         objective,
         level_solver,
         with_policy.then_some(&mut decisions),
-        &mut |_, _| {},
+        on_level,
         stats,
     )?;
     Ok(Bounded {
@@ -716,14 +790,18 @@ mod tests {
     use super::*;
     use crate::{Choice, ExplicitMdp};
 
-    fn geometric() -> CsrMdp {
-        CsrMdp::from(
-            &ExplicitMdp::new(
-                vec![vec![Choice::dist(1, vec![(1, 0.5), (0, 0.5)])], vec![]],
-                vec![0],
-            )
-            .unwrap(),
+    /// Geometric trial: each round, flip a coin; heads wins.
+    /// State 0 = trying, 1 = won.
+    fn geometric_trial() -> ExplicitMdp {
+        ExplicitMdp::new(
+            vec![vec![Choice::dist(1, vec![(1, 0.5), (0, 0.5)])], vec![]],
+            vec![0],
         )
+        .unwrap()
+    }
+
+    fn geometric() -> CsrMdp {
+        CsrMdp::from(&geometric_trial())
     }
 
     /// Expected costs of `m` under `objective` (Jacobi), root errors.
@@ -1018,16 +1096,211 @@ mod tests {
         assert!(lo[0] <= hi[0]);
     }
 
+    /// Bounded reachability values of `mdp`, root errors.
+    fn cost_bounded_reach(
+        mdp: &ExplicitMdp,
+        target: &[bool],
+        budget: u32,
+        objective: Objective,
+    ) -> Result<Vec<f64>, MdpError> {
+        Ok(Query::csr(&CsrMdp::from(mdp))
+            .objective(objective)
+            .target(target)
+            .horizon(budget)
+            .run()
+            .map_err(MdpError::into_root)?
+            .values)
+    }
+
+    fn cost_bounded_reach_with_policy(
+        mdp: &ExplicitMdp,
+        target: &[bool],
+        budget: u32,
+        objective: Objective,
+    ) -> Result<(Vec<f64>, BoundedPolicy), MdpError> {
+        let analysis = Query::csr(&CsrMdp::from(mdp))
+            .objective(objective)
+            .target(target)
+            .horizon(budget)
+            .with_policy()
+            .run()
+            .map_err(MdpError::into_root)?;
+        let policy = analysis
+            .policy
+            .expect("with_policy() query returns a policy");
+        Ok((analysis.values, policy))
+    }
+
     #[test]
-    fn default_solver_round_trips() {
-        assert_eq!(default_solver(), Solver::Jacobi);
-        set_default_solver(Solver::SccOrdered);
-        assert_eq!(default_solver(), Solver::SccOrdered);
-        set_default_solver(Solver::Jacobi);
-        assert_eq!(default_solver(), Solver::Jacobi);
-        assert_eq!(pinned_solver(), Some(Solver::Jacobi));
-        // Back to automatic selection for the rest of the process.
-        DEFAULT_SOLVER.store(0, Ordering::Relaxed);
-        assert_eq!(pinned_solver(), None);
+    fn geometric_bounded_reach_is_one_minus_half_pow() {
+        let m = geometric_trial();
+        let target = [false, true];
+        for budget in 0..6 {
+            let v = cost_bounded_reach(&m, &target, budget, Objective::MinProb).unwrap();
+            let expect = 1.0 - 0.5f64.powi(budget as i32);
+            assert!(
+                (v[0] - expect).abs() < 1e-12,
+                "budget {budget}: {} vs {expect}",
+                v[0]
+            );
+        }
+    }
+
+    #[test]
+    fn target_states_have_probability_one_at_zero_budget() {
+        let m = geometric_trial();
+        let v = cost_bounded_reach(&m, &[false, true], 0, Objective::MinProb).unwrap();
+        assert_eq!(v[1], 1.0);
+    }
+
+    /// Adversary picks between a safe branch (never reaches) and a risky
+    /// branch (reaches with probability 1): min picks safe, max risky.
+    fn pick() -> ExplicitMdp {
+        ExplicitMdp::new(
+            vec![
+                vec![Choice::to(1, 1), Choice::to(1, 2)],
+                vec![], // dead end
+                vec![], // target
+            ],
+            vec![0],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn min_and_max_differ_under_nondeterminism() {
+        let m = pick();
+        let target = [false, false, true];
+        let vmin = cost_bounded_reach(&m, &target, 3, Objective::MinProb).unwrap();
+        let vmax = cost_bounded_reach(&m, &target, 3, Objective::MaxProb).unwrap();
+        assert_eq!(vmin[0], 0.0);
+        assert_eq!(vmax[0], 1.0);
+    }
+
+    #[test]
+    fn zero_cost_steps_do_not_consume_budget() {
+        // 0 -0-> 1 -0-> 2 (target): reachable even with budget 0.
+        let m = ExplicitMdp::new(
+            vec![vec![Choice::to(0, 1)], vec![Choice::to(0, 2)], vec![]],
+            vec![0],
+        )
+        .unwrap();
+        let v = cost_bounded_reach(&m, &[false, false, true], 0, Objective::MinProb).unwrap();
+        assert_eq!(v[0], 1.0);
+    }
+
+    #[test]
+    fn cost_one_steps_consume_budget() {
+        // 0 -1-> 1 -1-> 2 (target): needs budget 2.
+        let m = ExplicitMdp::new(
+            vec![vec![Choice::to(1, 1)], vec![Choice::to(1, 2)], vec![]],
+            vec![0],
+        )
+        .unwrap();
+        let target = [false, false, true];
+        let v1 = cost_bounded_reach(&m, &target, 1, Objective::MinProb).unwrap();
+        let v2 = cost_bounded_reach(&m, &target, 2, Objective::MinProb).unwrap();
+        assert_eq!(v1[0], 0.0);
+        assert_eq!(v2[0], 1.0);
+    }
+
+    #[test]
+    fn levels_are_monotone_in_budget_and_end_at_the_answer() {
+        let m = geometric();
+        let mut levels = Vec::new();
+        let a = Query::csr(&m)
+            .target(vec![false, true])
+            .horizon(8)
+            .on_level(|k, v| levels.push((k, v.to_vec())))
+            .run()
+            .unwrap();
+        assert_eq!(levels.len(), 9);
+        for (k, (level, v)) in levels.iter().enumerate() {
+            assert_eq!(*level as usize, k);
+            assert_eq!(v[0], 1.0 - 0.5f64.powi(k as i32));
+        }
+        assert_eq!(levels[8].1, a.values);
+    }
+
+    #[test]
+    fn on_level_is_rejected_by_unbounded_and_expected_cost_queries() {
+        let m = geometric();
+        for objective in [QueryObjective::MinProb, QueryObjective::MaxCost] {
+            let err = Query::csr(&m)
+                .objective(objective)
+                .target(vec![1])
+                .on_level(|_, _| {})
+                .run()
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                MdpError::Query {
+                    stage: "validate",
+                    ..
+                }
+            ));
+            assert!(matches!(err.into_root(), MdpError::InvalidQuery { .. }));
+        }
+    }
+
+    #[test]
+    fn on_level_is_rejected_together_with_a_cone() {
+        let m = geometric();
+        let err = Query::csr(&m)
+            .target(vec![1])
+            .horizon(3)
+            .cone(&[0])
+            .on_level(|_, _| {})
+            .run()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            MdpError::Query {
+                stage: "validate",
+                ..
+            }
+        ));
+        assert!(matches!(err.into_root(), MdpError::InvalidQuery { .. }));
+    }
+
+    #[test]
+    fn rejects_costs_above_one() {
+        let m = ExplicitMdp::new(vec![vec![Choice::to(2, 0)]], vec![0]).unwrap();
+        assert!(matches!(
+            cost_bounded_reach(&m, &[false], 3, Objective::MinProb),
+            Err(MdpError::BadDistribution { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_bad_target_length() {
+        let m = geometric_trial();
+        assert!(matches!(
+            cost_bounded_reach(&m, &[false], 3, Objective::MinProb),
+            Err(MdpError::TargetLengthMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn policy_extraction_picks_optimal_choice() {
+        let m = pick();
+        let target = [false, false, true];
+        let (_, pmin) = cost_bounded_reach_with_policy(&m, &target, 3, Objective::MinProb).unwrap();
+        let (_, pmax) = cost_bounded_reach_with_policy(&m, &target, 3, Objective::MaxProb).unwrap();
+        // With budget remaining, min avoids the target (choice 0 → dead end),
+        // max goes for it (choice 1 → target).
+        assert_eq!(pmin.choice(0, 3), Some(0));
+        assert_eq!(pmax.choice(0, 3), Some(1));
+        // Terminal states have no decision.
+        assert_eq!(pmin.choice(1, 3), None);
+    }
+
+    #[test]
+    fn policy_clamps_budget_lookup() {
+        let m = pick();
+        let (_, p) =
+            cost_bounded_reach_with_policy(&m, &[false, false, true], 1, Objective::MaxProb)
+                .unwrap();
+        assert_eq!(p.choice(0, 99), p.choice(0, 1));
     }
 }

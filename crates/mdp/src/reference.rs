@@ -15,7 +15,7 @@
 //!   Jacobi's; both converge to the same fixpoint, which property tests
 //!   check within tolerance.
 
-use crate::{ExplicitMdp, IterOptions, MdpError, Objective};
+use crate::{source, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective};
 
 /// Nested-representation Jacobi unbounded reachability: the bitwise oracle
 /// for an unbounded Jacobi [`crate::Query`].
@@ -27,10 +27,7 @@ pub fn reach_prob_jacobi(
 ) -> Result<Vec<f64>, MdpError> {
     mdp.check_target(target)?;
     let n = mdp.num_states();
-    let zero = match objective {
-        Objective::MaxProb => crate::prob0_max(mdp, target)?,
-        Objective::MinProb => crate::prob0_min(mdp, target)?,
-    };
+    let zero = source::prob0(&CsrMdp::from(mdp), target, objective)?;
     let mut cur = vec![0.0f64; n];
     for s in 0..n {
         if target[s] {
@@ -216,7 +213,7 @@ pub fn max_expected_cost_jacobi(
     options: IterOptions,
 ) -> Result<Vec<f64>, MdpError> {
     mdp.check_target(target)?;
-    let proper = crate::prob1(mdp, target, Objective::MinProb)?;
+    let proper = source::prob1(&CsrMdp::from(mdp), target, Objective::MinProb)?;
     let mut v = expected_cost_jacobi(mdp, target, &proper, Objective::MaxProb, options);
     for s in 0..mdp.num_states() {
         if !target[s] && !proper[s] {
@@ -234,10 +231,11 @@ pub fn min_expected_cost_jacobi(
     options: IterOptions,
 ) -> Result<Vec<f64>, MdpError> {
     mdp.check_target(target)?;
-    if crate::source::has_zero_cost_cycle(&crate::CsrMdp::from(mdp), target)? {
+    let csr = CsrMdp::from(mdp);
+    if source::has_zero_cost_cycle(&csr, target)? {
         return Err(MdpError::DivergentExpectation { state: 0 });
     }
-    let feasible = crate::prob1(mdp, target, Objective::MaxProb)?;
+    let feasible = source::prob1(&csr, target, Objective::MaxProb)?;
     let mut v = expected_cost_jacobi(mdp, target, &feasible, Objective::MinProb, options);
     for s in 0..mdp.num_states() {
         if !target[s] && !feasible[s] {
@@ -259,10 +257,7 @@ pub fn reach_prob_gauss_seidel(
 ) -> Result<Vec<f64>, MdpError> {
     mdp.check_target(target)?;
     let n = mdp.num_states();
-    let zero = match objective {
-        Objective::MaxProb => crate::prob0_max(mdp, target)?,
-        Objective::MinProb => crate::prob0_min(mdp, target)?,
-    };
+    let zero = source::prob0(&CsrMdp::from(mdp), target, objective)?;
     let mut v = vec![0.0f64; n];
     for s in 0..n {
         if target[s] {
@@ -381,7 +376,7 @@ pub fn max_expected_cost_gauss_seidel(
 ) -> Result<Vec<f64>, MdpError> {
     mdp.check_target(target)?;
     let n = mdp.num_states();
-    let proper = crate::prob1(mdp, target, Objective::MinProb)?;
+    let proper = source::prob1(&CsrMdp::from(mdp), target, Objective::MinProb)?;
 
     let mut v = vec![0.0f64; n];
     for _ in 0..options.max_sweeps {

@@ -727,7 +727,7 @@ fn init_level(target: &[bool], values: &mut Vec<f64>) {
 /// One level of cost-bounded backward induction: the least fixpoint of
 /// the zero-cost subgraph given the previous level, as a Jacobi
 /// iteration of the level's `update` capped at `4n + 8` sweeps (see
-/// [`crate::cost_bounded_reach_levels`] for the semantics).
+/// the [`crate::query`] module docs for the semantics).
 ///
 /// The level's values end up in `values`; `scratch` is the second Jacobi
 /// buffer. Both are reused across calls (cleared and resized here), so a
@@ -881,8 +881,8 @@ pub(crate) enum LevelSolver<'a> {
     Reverse { strict: bool },
 }
 
-/// Cost-bounded backward induction (semantics of
-/// [`crate::cost_bounded_reach_levels`]): rotates three reused buffers
+/// Cost-bounded backward induction (the bounded [`crate::Query`], see its
+/// module docs): rotates three reused buffers
 /// (previous level, current level, Jacobi scratch) through every budget
 /// level instead of materializing one vector per level, optionally
 /// extracting the optimal cost-indexed policy along the way and reporting
@@ -1154,20 +1154,19 @@ pub fn csr_digest<S: CsrSource + ?Sized>(src: &S) -> Result<u64, MdpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, CsrBuilder, CsrMdp, CsrRow, ExplicitMdp};
+    use crate::{Choice, ExplicitMdp};
+    use proptest::prelude::*;
+
+    fn model(rows: Vec<Vec<Choice>>) -> CsrMdp {
+        CsrMdp::from(&ExplicitMdp::new(rows, vec![0]).unwrap())
+    }
 
     fn escape() -> CsrMdp {
-        CsrMdp::from_explicit(
-            &ExplicitMdp::new(
-                vec![
-                    vec![Choice::to(1, 1), Choice::dist(1, vec![(2, 0.5), (0, 0.5)])],
-                    vec![Choice::to(1, 0)],
-                    vec![],
-                ],
-                vec![0],
-            )
-            .unwrap(),
-        )
+        model(vec![
+            vec![Choice::to(1, 1), Choice::dist(1, vec![(2, 0.5), (0, 0.5)])],
+            vec![Choice::to(1, 0)],
+            vec![],
+        ])
     }
 
     /// An in-core model's rows cut into blocks at the given state bounds,
@@ -1275,9 +1274,6 @@ mod tests {
 
     #[test]
     fn zero_cost_cycle_peeling_matches_tarjan() {
-        let model = |rows: Vec<Vec<Choice>>| {
-            CsrMdp::from_explicit(&ExplicitMdp::new(rows, vec![0]).unwrap())
-        };
         let cases = [
             (
                 model(vec![
@@ -1424,5 +1420,220 @@ mod tests {
             .unwrap(),
         );
         assert_ne!(d1, csr_digest(&other).unwrap());
+    }
+
+    /// Unbounded reachability values through a [`crate::Query`].
+    fn unbounded(
+        m: &CsrMdp,
+        target: &[bool],
+        objective: Objective,
+        options: IterOptions,
+    ) -> Vec<f64> {
+        crate::Query::csr(m)
+            .objective(objective)
+            .target(target)
+            .options(options)
+            .run()
+            .unwrap()
+            .values
+    }
+
+    #[test]
+    fn prob0_max_finds_graph_unreachable_states() {
+        // 3-state model where state 1 is a dead end.
+        let m = model(vec![
+            vec![Choice::to(1, 1), Choice::to(1, 2)],
+            vec![],
+            vec![],
+        ]);
+        let z = prob0_max(&m, &[false, false, true]).unwrap();
+        assert_eq!(z, vec![false, true, false]);
+    }
+
+    #[test]
+    fn prob0_min_detects_avoidance_strategy() {
+        let m = escape();
+        // The adversary can ping-pong 0<->1 forever, avoiding 2.
+        let z = prob0_min(&m, &[false, false, true]).unwrap();
+        assert_eq!(z, vec![true, true, false]);
+    }
+
+    #[test]
+    fn prob0_min_counts_halting_as_avoidance() {
+        // Single choice leads to target, but a terminal sink exists.
+        let m = model(vec![vec![Choice::to(1, 1)], vec![]]);
+        // From 0, the only scheduled run reaches 1. But 1 itself, if it were
+        // not the target... here target = {1}: min prob is 1? No: the
+        // adversary may stop scheduling *at state 0*, so min reach = 0.
+        //
+        // Definition 2.2 allows the adversary to return nothing; our
+        // prob0_min treats terminal states as avoiding, but a *non-terminal*
+        // state where the adversary stops is equivalent to... stopping,
+        // which avoids the target. That is exactly why `in_x` keeps states
+        // whose choices all leave X OR which the adversary can park in X.
+        // State 0 has a choice into the target, and "stopping" is modelled
+        // only at terminal states; schemas like Unit-Time forbid stopping,
+        // which is the semantics the Lehmann–Rabin analysis uses.
+        let z = prob0_min(&m, &[false, true]).unwrap();
+        assert_eq!(z, vec![false, false]);
+    }
+
+    #[test]
+    fn prob1_separates_forced_from_possible() {
+        let m = escape();
+        // Choice A ping-pongs 0<->1 forever, so an adversary avoids the
+        // target: Pmin < 1 on both loop states. Choice B still reaches 2
+        // with probability 1/2 per attempt, so a cooperative scheduler
+        // gets there almost surely: Pmax = 1 everywhere.
+        let t = [false, false, true];
+        assert_eq!(
+            prob1(&m, &t, Objective::MinProb).unwrap(),
+            vec![false, false, true]
+        );
+        assert_eq!(
+            prob1(&m, &t, Objective::MaxProb).unwrap(),
+            vec![true, true, true]
+        );
+    }
+
+    #[test]
+    fn prob1_handles_stochastic_loops_and_terminal_sinks() {
+        // A stochastic self-loop that leaks to the target has Pmin = 1
+        // even though no finite horizon reaches it surely — the case a
+        // thresholded numeric reachability value gets wrong when value
+        // iteration stops early.
+        let m = model(vec![
+            vec![Choice::dist(1, vec![(1, 0.5), (0, 0.5)])],
+            vec![],
+        ]);
+        assert_eq!(
+            prob1(&m, &[false, true], Objective::MinProb).unwrap(),
+            vec![true, true]
+        );
+        // A terminal non-target state stays put forever: never almost-sure.
+        let m = model(vec![vec![Choice::to(1, 1)], vec![], vec![]]);
+        assert_eq!(
+            prob1(&m, &[false, true, false], Objective::MinProb).unwrap(),
+            vec![true, true, false]
+        );
+        assert_eq!(
+            prob1(&m, &[false, true, false], Objective::MaxProb).unwrap(),
+            vec![true, true, false]
+        );
+    }
+
+    #[test]
+    fn reach_prob_max_is_one_when_escape_possible() {
+        let v = unbounded(
+            &escape(),
+            &[false, false, true],
+            Objective::MaxProb,
+            IterOptions::default(),
+        );
+        assert!((v[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reach_prob_min_is_zero_with_avoidance() {
+        let v = unbounded(
+            &escape(),
+            &[false, false, true],
+            Objective::MinProb,
+            IterOptions::default(),
+        );
+        assert_eq!(v[0], 0.0);
+        assert_eq!(v[1], 0.0);
+        assert_eq!(v[2], 1.0);
+    }
+
+    #[test]
+    fn forced_geometric_min_reach_is_one() {
+        // One choice: flip until heads. Min = max = 1.
+        let m = model(vec![
+            vec![Choice::dist(1, vec![(1, 0.5), (0, 0.5)])],
+            vec![],
+        ]);
+        let v = unbounded(
+            &m,
+            &[false, true],
+            Objective::MinProb,
+            IterOptions::default(),
+        );
+        assert!((v[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn iter_options_cap_sweeps() {
+        let m = model(vec![
+            vec![Choice::dist(1, vec![(1, 0.5), (0, 0.5)])],
+            vec![],
+        ]);
+        let coarse = unbounded(
+            &m,
+            &[false, true],
+            Objective::MinProb,
+            IterOptions {
+                epsilon: 0.0,
+                max_sweeps: 3,
+            },
+        );
+        assert!(coarse[0] < 1.0);
+    }
+
+    /// Strategy: a random MDP with `n` states, up to `c` choices per state,
+    /// cost-0/1 transitions, and fair two-point distributions.
+    fn random_mdp() -> impl Strategy<Value = CsrMdp> {
+        (2usize..8, any::<u64>()).prop_map(|(n, seed)| {
+            let mut x = seed;
+            let mut next = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 33) as usize
+            };
+            let choices: Vec<Vec<Choice>> = (0..n)
+                .map(|_| {
+                    let k = next() % 3; // 0..=2 choices; 0 = terminal state
+                    (0..k)
+                        .map(|_| {
+                            let cost = (next() % 2) as u32;
+                            let a = next() % n;
+                            let b = next() % n;
+                            if a == b {
+                                Choice::to(cost, a)
+                            } else {
+                                Choice::dist(cost, vec![(a, 0.5), (b, 0.5)])
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            model(choices)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prob0_sets_match_values(m in random_mdp()) {
+            let n = m.num_states();
+            let target: Vec<bool> = (0..n).map(|s| s == n - 1).collect();
+            let zero_max = prob0_max(&m, &target).unwrap();
+            let zero_min = prob0_min(&m, &target).unwrap();
+            let vmax = unbounded(&m, &target, Objective::MaxProb, IterOptions::default());
+            let vmin = unbounded(&m, &target, Objective::MinProb, IterOptions::default());
+            #[allow(clippy::needless_range_loop)]
+            for s in 0..n {
+                if zero_max[s] {
+                    prop_assert!(vmax[s] == 0.0, "prob0_max state has max value {}", vmax[s]);
+                }
+                if zero_min[s] {
+                    prop_assert!(vmin[s] == 0.0, "prob0_min state has min value {}", vmin[s]);
+                }
+                // Targets are never in a prob0 set.
+                if target[s] {
+                    prop_assert!(!zero_max[s] && !zero_min[s]);
+                }
+            }
+        }
     }
 }

@@ -2,8 +2,7 @@
 //! generated models.
 
 use pa_mdp::{
-    prob0_max, prob0_min, Choice, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective, Query,
-    QueryObjective,
+    Choice, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective, Query, QueryObjective,
 };
 use proptest::prelude::*;
 
@@ -113,28 +112,6 @@ proptest! {
         let unbounded = reach_prob(&m, &target, Objective::MaxProb, IterOptions::default()).unwrap();
         for s in 0..m.num_states() {
             prop_assert!(unbounded[s] + 1e-9 >= bounded[s]);
-        }
-    }
-
-    #[test]
-    fn prob0_sets_match_values(m in random_mdp()) {
-        let target: Vec<bool> = (0..m.num_states()).map(|s| s == m.num_states() - 1).collect();
-        let zero_max = prob0_max(&m, &target).unwrap();
-        let zero_min = prob0_min(&m, &target).unwrap();
-        let vmax = reach_prob(&m, &target, Objective::MaxProb, IterOptions::default()).unwrap();
-        let vmin = reach_prob(&m, &target, Objective::MinProb, IterOptions::default()).unwrap();
-        #[allow(clippy::needless_range_loop)]
-        for s in 0..m.num_states() {
-            if zero_max[s] {
-                prop_assert!(vmax[s] == 0.0, "prob0_max state has max value {}", vmax[s]);
-            }
-            if zero_min[s] {
-                prop_assert!(vmin[s] == 0.0, "prob0_min state has min value {}", vmin[s]);
-            }
-            // Targets are never in a prob0 set.
-            if target[s] {
-                prop_assert!(!zero_max[s] && !zero_min[s]);
-            }
         }
     }
 

@@ -176,32 +176,50 @@ proptest! {
 
     /// Horizon queries on DAG-of-rounds models (zero-cost subgraph
     /// acyclic, cost-1 cycles allowed): bitwise across solvers, and the
-    /// extracted policies pick identical choices.
+    /// extracted policies pick identical choices. Every budget level that
+    /// `on_level` reports is bitwise equal too, pinned or routed, one call
+    /// per level.
     #[test]
     fn scc_horizon_is_bitwise_on_round_dags(m in random_round_dag(), budget in 0u32..6) {
         let target = target_last(&m);
         let csr = CsrMdp::from(&m);
         for objective in [Objective::MinProb, Objective::MaxProb] {
-            let jacobi = Query::csr(&csr)
-                .objective(objective)
-                .target(&target)
-                .horizon(budget)
-                .with_policy()
-                .solver(Solver::Jacobi)
+            let run = |solver: Option<Solver>| {
+                let mut levels = Vec::new();
+                let q = Query::csr(&csr)
+                    .objective(objective)
+                    .target(&target)
+                    .horizon(budget)
+                    .with_policy()
+                    .on_level(|k, v| levels.push((k, v.to_vec())));
+                let a = match solver {
+                    Some(solver) => q.solver(solver),
+                    None => q,
+                }
                 .run()
                 .unwrap();
-            let scc = Query::csr(&csr)
-                .objective(objective)
-                .target(&target)
-                .horizon(budget)
-                .with_policy()
-                .solver(Solver::SccOrdered)
-                .run()
-                .unwrap();
-            assert_bitwise(&jacobi.values, &scc.values, "horizon");
-            let pj = jacobi.policy.unwrap();
-            let ps = scc.policy.unwrap();
-            prop_assert_eq!(pj.decision, ps.decision);
+                (a, levels)
+            };
+            let (jacobi, jacobi_levels) = run(Some(Solver::Jacobi));
+            prop_assert_eq!(jacobi_levels.len(), budget as usize + 1);
+            for (k, (level, values)) in jacobi_levels.iter().enumerate() {
+                prop_assert_eq!(*level as usize, k);
+                if k == budget as usize {
+                    assert_bitwise(&jacobi.values, values, "last level");
+                }
+            }
+            for solver in [Some(Solver::SccOrdered), None] {
+                let (scc, scc_levels) = run(solver);
+                let tag = format!("{solver:?}");
+                prop_assert_eq!(scc.solver, Solver::SccOrdered);
+                assert_bitwise(&jacobi.values, &scc.values, &tag);
+                prop_assert_eq!(&jacobi.policy.as_ref().unwrap().decision, &scc.policy.unwrap().decision);
+                prop_assert_eq!(scc_levels.len(), jacobi_levels.len());
+                for ((k, want), (level, got)) in jacobi_levels.iter().zip(&scc_levels) {
+                    prop_assert_eq!(k, level);
+                    assert_bitwise(want, got, &format!("{tag} level {k}"));
+                }
+            }
         }
     }
 

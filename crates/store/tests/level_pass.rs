@@ -4,8 +4,9 @@
 //! all go to higher state ids (cost-1 edges go anywhere), are spilled at a
 //! random block size and queried through `Query::source` at an unbounded
 //! and a one-byte cache budget. For budgets 0..=6 and both probability
-//! objectives, the stored answer and policy must be bitwise equal to the
-//! in-core Jacobi and SCC-ordered solvers. One injected backward zero-cost
+//! objectives, the stored answer and policy, and every budget level the
+//! stored query reports through `Query::on_level`, must be bitwise equal
+//! to the in-core Jacobi and SCC-ordered solvers. One injected backward zero-cost
 //! edge must send a multi-block stored query back to Jacobi, still bitwise
 //! equal; a spill that fits in one block routes like the in-core model.
 
@@ -88,8 +89,8 @@ fn bounded<'m>(q: Query<'m>, objective: Objective, target: &[bool], budget: u32)
 
 /// Queries `rows` in core and spilled at `block_bytes`; the stored query
 /// must report `expect` as its solver (or, when the spill is one block,
-/// the in-core query's) and match in-core Jacobi bitwise (and in-core
-/// SCC-ordered, when `expect` is the SCC-ordered route).
+/// the in-core query's) and match in-core Jacobi bitwise, level by level
+/// (and in-core SCC-ordered, when `expect` is the SCC-ordered route).
 fn check(rows: &[Vec<Choice>], target: &[bool], block_bytes: usize, expect: Solver) {
     let csr = CsrMdp::from_explicit(&ExplicitMdp::new(rows.to_vec(), vec![0]).unwrap());
     let dir = tmpdir(&format!("{expect:?}"));
@@ -98,10 +99,17 @@ fn check(rows: &[Vec<Choice>], target: &[bool], block_bytes: usize, expect: Solv
     for objective in [Objective::MinProb, Objective::MaxProb] {
         for budget in 0..=6 {
             let tag = format!("{objective:?} budget {budget}");
+            let mut jacobi_levels = Vec::new();
             let jacobi = bounded(Query::csr(&csr), objective, target, budget)
                 .solver(Solver::Jacobi)
+                .on_level(|_, v| jacobi_levels.push(v.to_vec()))
                 .run()
                 .unwrap();
+            assert_eq!(jacobi_levels.len(), budget as usize + 1, "{tag}: levels");
+            assert_eq!(
+                jacobi_levels[budget as usize], jacobi.values,
+                "{tag}: last level"
+            );
             if expect == Solver::SccOrdered {
                 let scc = bounded(Query::csr(&csr), objective, target, budget)
                     .solver(Solver::SccOrdered)
@@ -113,10 +121,18 @@ fn check(rows: &[Vec<Choice>], target: &[bool], block_bytes: usize, expect: Solv
                 .run()
                 .unwrap();
             for store in &stores {
+                let mut levels = Vec::new();
                 let got = bounded(Query::source(store), objective, target, budget)
+                    .on_level(|k, v| levels.push((k, v.to_vec())))
                     .run()
                     .unwrap();
                 let tag = format!("{tag}, cache budget {}", store.cache().budget());
+                assert_eq!(levels.len(), jacobi_levels.len(), "{tag}: levels");
+                for (k, ((level, got), want)) in levels.iter().zip(&jacobi_levels).enumerate() {
+                    assert_eq!(*level as usize, k, "{tag}: level order");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), "{tag}: level {k}");
+                }
                 let expect = if store.num_blocks() == 1 {
                     in_core.solver
                 } else {

@@ -5,7 +5,7 @@
 use timebounds::lehmann_rabin::{
     check_arrow, paper, regions, round_cost, sims, RoundConfig, RoundMdp,
 };
-use timebounds::mdp::{cost_bounded_reach_levels, Explore, Objective};
+use timebounds::mdp::{Explore, Objective};
 use timebounds::prob::stats::Z_99;
 use timebounds::prob::Prob;
 use timebounds::sim::MonteCarlo;
@@ -72,10 +72,27 @@ fn exact_curve_lower_bounds_simulated_cdf() {
     let target = explored.target_where(|rs| regions::in_c(&rs.config));
     let start = explored.mdp.initial_states()[0];
     let mut exact_curve = vec![0.0f64]; // t = 0
-    cost_bounded_reach_levels(&explored.mdp, &target, 19, Objective::MinProb, |_, v| {
-        exact_curve.push(v[start]);
-    })
-    .unwrap();
+    explored
+        .query()
+        .objective(Objective::MinProb)
+        .target(target)
+        .horizon(19)
+        .on_level(|_, v| exact_curve.push(v[start]))
+        .run()
+        .unwrap();
+    // The curve's bits, pinned: 1 - 4^-j from t = 4j on (0, 3/4, 15/16,
+    // 63/64, 255/256, 1023/1024), each held for four time units.
+    let steps: [u64; 6] = [
+        0,
+        0x3fe8_0000_0000_0000,
+        0x3fee_0000_0000_0000,
+        0x3fef_8000_0000_0000,
+        0x3fef_e000_0000_0000,
+        0x3fef_f800_0000_0000,
+    ];
+    let bits: Vec<u64> = exact_curve.iter().map(|v| v.to_bits()).collect();
+    let pinned: Vec<u64> = (0..=20).map(|t| steps[t / 4]).collect();
+    assert_eq!(bits, pinned);
 
     let sim = sims::LrSim::new(3, sims::UniformRandom)
         .unwrap()

@@ -1,10 +1,12 @@
 //! End-to-end reproduction of the paper's headline claims at n = 3
 //! (and n = 2 where cheap), spanning pa-core, pa-mdp and pa-lehmann-rabin.
 
-use timebounds::core::SetExpr;
+use timebounds::core::{ArrowCheck, SetExpr};
 use timebounds::lehmann_rabin::{
-    check_arrow, max_expected_time, paper, verify_lemma_6_1, RoundConfig, RoundMdp,
+    check_arrow, explore_checker, max_expected_time, paper, reachable_configs, verify_lemma_6_1,
+    Quotient, RoundConfig, RoundMdp, RoundStateCodec, DEFAULT_STATE_LIMIT,
 };
+use timebounds::mdp::{PackedSpace, Solver};
 use timebounds::prob::Prob;
 
 fn mdp(n: usize) -> RoundMdp {
@@ -45,6 +47,38 @@ fn composed_claim_t_13_eighth_c_holds() {
     // The direct worst case is much better than the composed bound —
     // Theorem 3.4 is sound but conservative.
     assert!(report.measured.lo().value() > 0.5);
+}
+
+/// E6's composed claim `T —13→ C` at n = 3, answered on one explored
+/// model under pinned Jacobi, pinned SCC-ordered and the automatic route:
+/// the same worst start, the same value bits, and a holding verdict.
+#[test]
+fn composed_claim_is_solver_independent() {
+    let composed = paper::arrow_t_to_c();
+    let configs = reachable_configs(3, DEFAULT_STATE_LIMIT).expect("enumerable");
+    let space = PackedSpace::new(RoundStateCodec::new(3).expect("valid ring"));
+    let (_, checker) = explore_checker(
+        mdp(3),
+        &configs,
+        Some((composed.from(), composed.to())),
+        DEFAULT_STATE_LIMIT,
+        Quotient::Full,
+        space,
+    )
+    .expect("explorable")
+    .expect("T is reachable");
+    let checks = [
+        checker.arrow(&composed, |q| q.solver(Solver::Jacobi)),
+        checker.arrow(&composed, |q| q.solver(Solver::SccOrdered)),
+        checker.arrow(&composed, |q| q),
+    ]
+    .map(|check| check.expect("checkable"));
+    let bits = |c: &ArrowCheck| c.measured.lo().value().to_bits();
+    for check in &checks {
+        assert!(check.holds(), "{check}");
+        assert_eq!(bits(check), bits(&checks[0]), "{check}");
+        assert_eq!(check.worst_state, checks[0].worst_state);
+    }
 }
 
 #[test]
@@ -131,4 +165,6 @@ fn progress_time_is_sandwiched() {
     // guarantees progress (w.p. ≥ 1/8) by 13. Lower < upper.
     assert!(lower < 13, "lower bound {lower}");
     assert!(lower >= 3, "a meal takes at least 4 time units");
+    // The exact value at n = 3, pinned.
+    assert_eq!(lower, 6);
 }
