@@ -12,11 +12,13 @@ use pa_batch::{
     JobStatus, JobValue, McSettings, ModelCache,
 };
 use pa_core::SetExpr;
-use pa_faults::{check_arrow_under, default_grid, FaultKind, FaultPlan, FaultyRoundMdp};
+use pa_faults::{
+    check_arrow_under, default_grid, FaultKind, FaultPlan, FaultyRoundMdp, DEFAULT_STATE_LIMIT,
+};
 use pa_lehmann_rabin::{
     explore_checker, max_expected_time, paper, reachable_configs, Quotient, RoundConfig, RoundMdp,
 };
-use pa_mdp::{BoxedSpace, Query, Solver};
+use pa_mdp::{BoxedSpace, Query, QueryObjective, Solver};
 
 /// Serializes tests that toggle the process-global telemetry flag.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
@@ -271,6 +273,53 @@ fn batch_expected_time_matches_the_unshared_pipeline() {
          {expected} vs {reference} (relative gap {gap:e})"
     );
     assert!(within);
+}
+
+/// The batch's two expected times on the shared fault-free model of a
+/// ring of `n` at the batch epsilon `1e-9`, as `f64` bits, each with the
+/// Jacobi sweeps it took: `(RT → P bits, sweeps, T → C bits, sweeps)`.
+fn assert_batch_expected_times(n: usize, pins: (u64, u64, u64, u64)) {
+    let _lock = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = pa_telemetry::enabled();
+    pa_telemetry::set_enabled(true);
+    let checker = ModelCache::new()
+        .model(n, &FaultPlan::none(), DEFAULT_STATE_LIMIT)
+        .unwrap();
+    let solve = |from: &str, to: &str| {
+        let scope = pa_telemetry::TelemetryScope::new("expected time");
+        let _guard = scope.enter();
+        let expected = checker
+            .expected_time(
+                &SetExpr::named(from),
+                &SetExpr::named(to),
+                QueryObjective::MaxCost,
+                |q| jacobi(q).epsilon(1e-9),
+            )
+            .unwrap();
+        let sweeps = scope.snapshot().counter("mdp.vi.ec_sweeps").unwrap_or(0);
+        (expected.to_bits(), sweeps)
+    };
+    let (rt_p, rt_p_sweeps) = solve("RT", "P");
+    let (t_c, t_c_sweeps) = solve("T", "C");
+    pa_telemetry::set_enabled(was_enabled);
+    assert_eq!(
+        (rt_p, rt_p_sweeps, t_c, t_c_sweeps),
+        pins,
+        "n={n}: RT -> P {} and T -> C {}",
+        f64::from_bits(rt_p),
+        f64::from_bits(t_c)
+    );
+}
+
+#[test]
+fn batch_expected_times_and_sweeps_are_pinned() {
+    assert_batch_expected_times(3, (0x401d_5555_5510_0000, 251, 0x4021_5555_5538_0000, 255));
+}
+
+#[test]
+#[ignore = "n = 4 takes a release build; CI runs it with --include-ignored"]
+fn batch_expected_times_and_sweeps_are_pinned_at_n4() {
+    assert_batch_expected_times(4, (0x401a_4924_9249_2460, 324, 0x4020_4924_9244_0000, 230));
 }
 
 #[test]

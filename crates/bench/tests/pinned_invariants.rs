@@ -32,15 +32,18 @@ fn saturating(n: usize) -> LrProtocol {
 }
 
 /// The saturating-user protocol's shape, and the work both solvers do on
-/// the converged unbounded `MaxProb` query to the critical region: the
-/// SCC-ordered solver must do strictly less than Jacobi.
+/// the converged unbounded `MaxProb` query to the critical region. Jacobi
+/// re-evaluates only the states whose own value or some successor's
+/// changed in the sweep before, while the SCC-ordered solver sweeps each
+/// of its nontrivial components whole until it converges; here that
+/// makes Jacobi the cheaper one, so both counts are pinned exactly.
 #[test]
 fn saturating_protocol_shape_and_solver_work_are_pinned() {
     // n, states, choices, transitions, components, nontrivial,
     // Jacobi updates, SCC updates.
     let pins = [
-        (3, 536, 1_512, 1_749, 188, 103, 3_752, 1_591),
-        (4, 4_252, 15_952, 18_456, 1_334, 837, 29_764, 10_771),
+        (3, 536, 1_512, 1_749, 188, 103, 1_260, 1_591),
+        (4, 4_252, 15_952, 18_456, 1_334, 837, 8_860, 10_771),
     ];
     for (n, states, choices, transitions, components, nontrivial, jacobi, scc) in pins {
         let explored = Explore::new(&saturating(n))
@@ -75,7 +78,6 @@ fn saturating_protocol_shape_and_solver_work_are_pinned() {
             (jacobi, scc),
             "n={n} Jacobi vs SCC state updates"
         );
-        assert!(scc < jacobi);
         let start = csr.initial_states()[0];
         assert!((ja.value(start) - sc.value(start)).abs() < 1e-9);
     }

@@ -31,8 +31,10 @@
 //! [`CsrRows`], handed out block by block by a [`CsrSource`]: an in-core
 //! [`CsrMdp`] (`CsrMdp::from` flattens a hand-built [`ExplicitMdp`]) is a
 //! single block, a stored model one or many. The default schedule is
-//! double-buffered Jacobi value iteration, with results that are
-//! bit-for-bit identical for every block structure. On a single-block source,
+//! Jacobi value iteration, each sweep computed from the previous iterate
+//! and re-evaluating, on a single block, only the states whose inputs
+//! changed, with results that are bit-for-bit identical for every block
+//! structure. On a single-block source,
 //! [`Solver::SccOrdered`] condenses the choice graph into strongly
 //! connected components first ([`SccDecomposition`]) and solves them in
 //! reverse topological order with the same per-state updates — far fewer

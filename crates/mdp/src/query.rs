@@ -38,9 +38,12 @@
 //! The block count, not the model's type, decides which algorithms can
 //! run.
 //!
-//! [`Solver::Jacobi`] is the original engine: global double-buffered
-//! sweeps, bit-for-bit reproducible across block structures. It is the
-//! one kernel set of [`crate::source`]. [`Solver::SccOrdered`] condenses the
+//! [`Solver::Jacobi`] is the original engine: global sweeps, each
+//! computed from the previous iterate alone, bit-for-bit reproducible
+//! across block structures. Over a single block a sweep re-evaluates only
+//! the states whose own value or some successor's changed in the sweep
+//! before, which returns the bits of a full sweep (see [`crate::source`]).
+//! It is the one kernel set of [`crate::source`]. [`Solver::SccOrdered`] condenses the
 //! choice graph of a single-block source first and solves components in
 //! reverse topological order (see [`crate::SccDecomposition`]); on layered
 //! models such as the Lehmann–Rabin round MDPs it performs strictly fewer
@@ -235,7 +238,7 @@ impl From<Objective> for QueryObjective {
 /// Which value-iteration engine a [`Query`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
-    /// Global double-buffered Jacobi sweeps.
+    /// Global Jacobi sweeps, each from the previous iterate alone.
     Jacobi,
     /// SCC-condensed sweeps: components of the choice graph are solved in
     /// reverse topological order against already-fixed successors. Over a

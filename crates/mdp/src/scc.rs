@@ -4,8 +4,9 @@
 //! The round-based timed models this workspace analyses (Section 5's
 //! Lehmann–Rabin rounds) are nearly DAGs: obligations and per-round budgets
 //! strictly shrink inside a round, so cycles are confined to small pockets
-//! of the state space. A global Jacobi sweep nevertheless revisits *every*
-//! state until the *slowest* state converges. The SCC-ordered solver
+//! of the state space. A global Jacobi iteration nevertheless runs until
+//! the *slowest* state converges, revisiting every state whose inputs are
+//! still moving. The SCC-ordered solver
 //! instead:
 //!
 //! 1. condenses the positive-probability choice graph into strongly

@@ -15,17 +15,32 @@
 //!
 //! # Block-structure invariance
 //!
-//! The Jacobi kernels are **double-buffered** sweeps: the new value of
-//! every state is computed from the previous iterate only, never from
-//! values updated earlier in the same sweep. Each state's update therefore
-//! reads the same immutable previous iterate and performs the same
-//! floating-point operations in the same order however the rows are cut
-//! into blocks, and the convergence test reduces deltas with a maximum
-//! (order-independent for the finite values these kernels produce), so
-//! **results are bit-for-bit identical for every block structure** — one
-//! block or seven hundred return the same bytes.
-//! `crates/mdp/tests/csr_equivalence.rs` and `crates/store`'s parity tests
-//! pin this contract. The sweeps run on the calling thread.
+//! The Jacobi kernels run one sweep driver. Every new value is computed
+//! from the previous iterate only, never from values updated earlier in
+//! the same sweep: the driver collects a sweep's changes and applies them
+//! after it. Each state's update therefore reads the same immutable
+//! previous iterate and performs the same floating-point operations in the
+//! same order however the rows are cut into blocks, and the convergence
+//! test reduces deltas with a maximum (order-independent for the finite
+//! values these kernels produce), so **results are bit-for-bit identical
+//! for every block structure** — one block or seven hundred return the
+//! same bytes. `crates/mdp/tests/csr_equivalence.rs` and `crates/store`'s
+//! parity tests pin this contract. The sweeps run on the calling thread.
+//!
+//! A sweep need not evaluate every state. A state's update reads its own
+//! value (the expected-cost fallback) and its successors' values, and
+//! constants of the query; when none of those changed bits in the sweep
+//! before, the same expression on the same operands returns the same bits
+//! again. So sweep 1 evaluates every state and sweep `k + 1` only the
+//! states whose own value or some successor's value changed in sweep `k`,
+//! found through predecessor lists over every transition (any superset of
+//! the true dependencies is exact). The skipped states keep their bits,
+//! and they would have contributed nothing to the residual, so the values,
+//! the residual of each sweep and the sweep count are those of full
+//! sweeps. A single-block source builds the predecessor lists once per
+//! query (4 bytes per transition and per state, dropped when the query
+//! ends); a multi-block source holds none and evaluates every state in
+//! every sweep, paging exactly as before.
 //!
 //! # One pass per budget level
 //!
@@ -81,17 +96,22 @@ use crate::scc::{self, SccDecomposition};
 use crate::{CsrBuilder, CsrMdp, CsrRow, IterOptions, MdpError, Objective, Solver};
 
 /// Work counters accumulated by one quantitative solve, reported through
-/// [`crate::Analysis::stats`]. The update counts are what the SCC-ordered
-/// solver is designed to shrink: a global Jacobi sweep recomputes every
-/// state until the slowest one converges, while the SCC-ordered path
-/// touches each component only as long as *it* needs.
+/// [`crate::Analysis::stats`]. Both solvers shrink the update count in
+/// their own way: a Jacobi sweep over a single-block source recomputes
+/// only the states whose own value or some successor's changed in the
+/// sweep before (a multi-block source recomputes every state), while the
+/// SCC-ordered path touches each component only as long as *it* needs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Value-iteration sweeps performed (global sweeps for the Jacobi
     /// solver, per-block sweeps for the SCC-ordered solver, one pass per
-    /// budget level for the reverse level pass).
+    /// budget level for the reverse level pass). Independent of the block
+    /// structure for Jacobi.
     pub sweeps: u64,
-    /// Individual state-value computations performed.
+    /// Individual state-value computations performed: the states a sweep
+    /// actually re-evaluated. A state whose value is fixed (a target, a
+    /// terminal, a qualitative zero or non-live state) is never counted,
+    /// except by an SCC-ordered sweep of a nontrivial component.
     pub state_updates: u64,
     /// Strongly connected components of the condensation (0 for the
     /// Jacobi solver, which never builds one; one per state for the
@@ -311,6 +331,50 @@ pub(crate) fn restrict(
     Ok((builder.finish(Vec::new()), states))
 }
 
+/// The predecessor lists of rows that span every state, as a CSR: for
+/// each kept transition `s → t`, `s` is listed once among `t`'s
+/// predecessors, in ascending order of `s`. Holds 4 bytes per kept
+/// transition and 4 per state.
+struct Predecessors {
+    offsets: Vec<u32>,
+    preds: Vec<u32>,
+}
+
+impl Predecessors {
+    /// The predecessors along the transitions `i` with `keep(i)`.
+    fn new(rows: &CsrRows<'_>, keep: impl Fn(usize) -> bool) -> Predecessors {
+        let n = rows.states().len();
+        // In-degree count, prefix sum, fill: no per-state vectors.
+        let mut offsets = vec![0u32; n + 1];
+        for (i, &t) in rows.targets.iter().enumerate() {
+            if keep(i) {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for t in 0..n {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut preds = vec![0u32; offsets[n] as usize];
+        let mut cursor = offsets.clone();
+        for s in 0..n {
+            for i in rows.choice_range(s).flat_map(|c| rows.trans_range(c)) {
+                if keep(i) {
+                    let t = rows.targets[i] as usize;
+                    preds[cursor[t] as usize] = s as u32;
+                    cursor[t] += 1;
+                }
+            }
+        }
+        Predecessors { offsets, preds }
+    }
+
+    /// The predecessors of state `t`.
+    #[inline]
+    fn of(&self, t: usize) -> &[u32] {
+        &self.preds[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    }
+}
+
 /// States with **maximal** reachability probability zero (no path to the
 /// target). A single-block source takes a backward BFS over a predecessor
 /// graph built on the fly; a multi-block one, for which no predecessor
@@ -324,32 +388,10 @@ pub(crate) fn prob0_max<S: CsrSource + ?Sized>(
     let mut can_reach = target.to_vec();
     if src.num_blocks() == 1 {
         with_one_block(src, |rows| {
-            let n = rows.states().len();
-            // In-degree count, prefix sum, fill: a predecessor CSR without
-            // per-state vectors.
-            let mut pred_off = vec![0u32; n + 1];
-            for (&t, &p) in rows.targets.iter().zip(rows.probs) {
-                if p > 0.0 {
-                    pred_off[t as usize + 1] += 1;
-                }
-            }
-            for t in 0..n {
-                pred_off[t + 1] += pred_off[t];
-            }
-            let mut preds = vec![0u32; pred_off[n] as usize];
-            let mut cursor = pred_off.clone();
-            for s in 0..n {
-                for i in rows.choice_range(s).flat_map(|c| rows.trans_range(c)) {
-                    if rows.probs[i] > 0.0 {
-                        let t = rows.targets[i] as usize;
-                        preds[cursor[t] as usize] = s as u32;
-                        cursor[t] += 1;
-                    }
-                }
-            }
-            let mut stack: Vec<usize> = (0..n).filter(|&s| target[s]).collect();
+            let preds = Predecessors::new(rows, |i| rows.probs[i] > 0.0);
+            let mut stack: Vec<usize> = (0..target.len()).filter(|&s| target[s]).collect();
             while let Some(t) = stack.pop() {
-                for &s in &preds[pred_off[t] as usize..pred_off[t + 1] as usize] {
+                for &s in preds.of(t) {
                     if !can_reach[s as usize] {
                         can_reach[s as usize] = true;
                         stack.push(s as usize);
@@ -435,31 +477,157 @@ pub(crate) fn has_zero_cost_cycle<S: CsrSource + ?Sized>(
     }
 }
 
-/// One double-buffered Jacobi sweep over all blocks in state order.
+/// The telemetry a [`Jacobi`] solve records besides `mdp.vi.recomputed`.
+#[derive(Clone, Copy)]
+enum Trace {
+    /// Unbounded reachability: `mdp.vi.sweeps`, a `mdp.vi.sweep_seconds`
+    /// span and a `mdp.vi.residual` entry per sweep.
+    Reach,
+    /// Expected cost: `mdp.vi.ec_sweeps`.
+    Cost,
+    /// One budget level: `mdp.vi.level_sweeps`.
+    Level,
+}
+
+/// The one Jacobi sweep driver (see the [module docs](self)). Sweep 1
+/// evaluates every state; sweep `k + 1` evaluates only the states whose
+/// own value or some successor's value changed bits in sweep `k`. Every
+/// new value is computed from the pre-sweep iterate and applied after the
+/// sweep, so one value vector suffices. A single-block source holds the
+/// predecessor lists this needs; a multi-block one has none and evaluates
+/// every state in every sweep.
 ///
-/// `update(rows, s, prev)` computes state `s`'s next value from the
-/// previous iterate only, `None` keeping a fixed state's value; the sweep
-/// writes it to `next[s]` and returns the maximal `|next[s] - prev[s]|`.
-/// See the module docs for why the result is bitwise independent of the
-/// block structure.
-fn jacobi_sweep<S, F>(src: &S, next: &mut [f64], prev: &[f64], update: &F) -> Result<f64, MdpError>
-where
-    S: CsrSource + ?Sized,
-    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
-{
-    let mut delta = 0.0f64;
-    for_each_block(src, &mut |rows| {
-        for (off, slot) in next[rows.states()].iter_mut().enumerate() {
-            let s = rows.first_state + off;
-            let v = update(&rows, s, prev).unwrap_or(prev[s]);
-            let d = (v - prev[s]).abs();
-            if d > delta {
-                delta = d;
+/// A query builds one driver and reuses it for every budget level.
+struct Jacobi {
+    /// Predecessors along every transition, whatever its probability or
+    /// choice; `None` on a multi-block source.
+    preds: Option<Predecessors>,
+    /// The states the next sweep evaluates, one bit each; unused while
+    /// every state is evaluated.
+    dirty: Vec<u64>,
+    /// The states whose bits the current sweep changed, with their new
+    /// values.
+    changed: Vec<(u32, f64)>,
+}
+
+impl Jacobi {
+    fn new<S: CsrSource + ?Sized>(src: &S) -> Result<Jacobi, MdpError> {
+        let preds = if src.num_blocks() == 1 {
+            Some(with_one_block(src, |rows| {
+                Predecessors::new(rows, |_| true)
+            })?)
+        } else {
+            None
+        };
+        Ok(Jacobi {
+            preds,
+            dirty: Vec::new(),
+            changed: Vec::new(),
+        })
+    }
+
+    /// Sweeps `values` until the largest change of a sweep is at most
+    /// `epsilon`, or for `max_sweeps` sweeps. `update(rows, s, values)`
+    /// computes state `s`'s next value, `None` keeping a fixed state's.
+    #[allow(clippy::too_many_arguments)]
+    fn solve<S, F>(
+        &mut self,
+        src: &S,
+        values: &mut [f64],
+        epsilon: f64,
+        max_sweeps: usize,
+        update: &F,
+        trace: Trace,
+        stats: &mut SolveStats,
+    ) -> Result<(), MdpError>
+    where
+        S: CsrSource + ?Sized,
+        F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
+    {
+        let telemetry = pa_telemetry::enabled();
+        let sweeps = telemetry.then(|| {
+            pa_telemetry::counter(match trace {
+                Trace::Reach => "mdp.vi.sweeps",
+                Trace::Cost => "mdp.vi.ec_sweeps",
+                Trace::Level => "mdp.vi.level_sweeps",
+            })
+        });
+        let residuals = (telemetry && matches!(trace, Trace::Reach))
+            .then(|| pa_telemetry::series("mdp.vi.residual"));
+        let Jacobi {
+            preds,
+            dirty,
+            changed,
+        } = self;
+        let mut every_state = true;
+        let updates_before = stats.state_updates;
+        for _ in 0..max_sweeps {
+            let sweep_span =
+                matches!(trace, Trace::Reach).then(|| pa_telemetry::span("mdp.vi.sweep_seconds"));
+            changed.clear();
+            let mut delta = 0.0f64;
+            let mut evaluated = 0u64;
+            for_each_block(src, &mut |rows| {
+                let mut eval = |s: usize| {
+                    let Some(v) = update(&rows, s, values) else {
+                        return;
+                    };
+                    evaluated += 1;
+                    let old = values[s];
+                    if v.to_bits() != old.to_bits() {
+                        let d = (v - old).abs();
+                        if d > delta {
+                            delta = d;
+                        }
+                        changed.push((s as u32, v));
+                    }
+                };
+                if every_state {
+                    rows.states().for_each(&mut eval);
+                    return;
+                }
+                // Marked states exist only on a single-block source.
+                for (w, &word) in dirty.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        eval(w * 64 + bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                }
+            })?;
+            for &(s, v) in changed.iter() {
+                values[s as usize] = v;
             }
-            *slot = v;
+            if let Some(preds) = preds {
+                dirty.clear();
+                dirty.resize(values.len().div_ceil(64), 0);
+                every_state = false;
+                let mut mark = |s: usize| dirty[s / 64] |= 1 << (s % 64);
+                for &(s, _) in changed.iter() {
+                    mark(s as usize);
+                    for &p in preds.of(s as usize) {
+                        mark(p as usize);
+                    }
+                }
+            }
+            drop(sweep_span);
+            stats.sweeps += 1;
+            stats.state_updates += evaluated;
+            if let Some(c) = &sweeps {
+                c.inc();
+            }
+            if let Some(r) = &residuals {
+                r.push(delta);
+            }
+            if delta <= epsilon {
+                break;
+            }
         }
-    })?;
-    Ok(delta)
+        if telemetry {
+            pa_telemetry::counter("mdp.vi.recomputed").add(stats.state_updates - updates_before);
+        }
+        Ok(())
+    }
 }
 
 /// States with **minimal** reachability probability zero: greatest
@@ -641,23 +809,16 @@ pub(crate) fn reach_prob<S: CsrSource + ?Sized>(
     if pa_telemetry::enabled() {
         pa_telemetry::counter("mdp.vi.runs").inc();
     }
-    let mut prev = cur.clone();
-    for _ in 0..options.max_sweeps {
-        let sweep_span = pa_telemetry::span("mdp.vi.sweep_seconds");
-        let delta = jacobi_sweep(src, &mut cur, &prev, &update)?;
-        sweep_span.finish();
-        stats.sweeps += 1;
-        stats.state_updates += n as u64;
-        if pa_telemetry::enabled() {
-            pa_telemetry::counter("mdp.vi.sweeps").inc();
-            pa_telemetry::series("mdp.vi.residual").push(delta);
-        }
-        std::mem::swap(&mut cur, &mut prev);
-        if delta <= options.epsilon {
-            break;
-        }
-    }
-    Ok(prev)
+    Jacobi::new(src)?.solve(
+        src,
+        &mut cur,
+        options.epsilon,
+        options.max_sweeps,
+        &update,
+        Trace::Reach,
+        stats,
+    )?;
+    Ok(cur)
 }
 
 fn bad_cost(state: usize, cost: u32) -> MdpError {
@@ -722,59 +883,6 @@ fn level_choice(
 fn init_level(target: &[bool], values: &mut Vec<f64>) {
     values.clear();
     values.extend(target.iter().map(|&t| if t { 1.0 } else { 0.0 }));
-}
-
-/// One level of cost-bounded backward induction: the least fixpoint of
-/// the zero-cost subgraph given the previous level, as a Jacobi
-/// iteration of the level's `update` capped at `4n + 8` sweeps (see
-/// the [`crate::query`] module docs for the semantics).
-///
-/// The level's values end up in `values`; `scratch` is the second Jacobi
-/// buffer. Both are reused across calls (cleared and resized here), so a
-/// `budget`-level induction allocates two vectors total instead of one per
-/// level.
-fn solve_level<S, F>(
-    src: &S,
-    target: &[bool],
-    update: &F,
-    values: &mut Vec<f64>,
-    scratch: &mut Vec<f64>,
-    stats: &mut SolveStats,
-) -> Result<(), MdpError>
-where
-    S: CsrSource + ?Sized,
-    F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
-{
-    let n = src.num_states();
-    init_level(target, values);
-    scratch.clear();
-    scratch.extend_from_slice(values);
-    let level_sweeps =
-        pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.level_sweeps"));
-    let max_sweeps = 4 * n + 8;
-    // Alternate write/read roles between the two buffers; after sweep
-    // `k` the newest iterate is in `values` iff `k` is odd.
-    let mut done = 0usize;
-    for k in 0..max_sweeps {
-        if let Some(c) = &level_sweeps {
-            c.inc();
-        }
-        stats.sweeps += 1;
-        stats.state_updates += n as u64;
-        let delta = if k % 2 == 0 {
-            jacobi_sweep(src, values, scratch, update)?
-        } else {
-            jacobi_sweep(src, scratch, values, update)?
-        };
-        done = k + 1;
-        if delta <= 1e-14 {
-            break;
-        }
-    }
-    if done.is_multiple_of(2) {
-        std::mem::swap(values, scratch);
-    }
-    Ok(())
 }
 
 /// One level of cost-bounded backward induction in a single reverse pass
@@ -870,7 +978,8 @@ fn extract_level_decisions<S: CsrSource + ?Sized>(
 /// How [`bounded_levels`] solves each budget level.
 #[derive(Clone, Copy)]
 pub(crate) enum LevelSolver<'a> {
-    /// Double-buffered Jacobi over the source.
+    /// Jacobi sweeps over the source, each level capped at `4n + 8`
+    /// sweeps (see the [`crate::query`] module docs for the semantics).
     Jacobi,
     /// The SCC-ordered solver of a single-block source over its zero-cost
     /// condensation (built once by the caller).
@@ -882,14 +991,13 @@ pub(crate) enum LevelSolver<'a> {
 }
 
 /// Cost-bounded backward induction (the bounded [`crate::Query`], see its
-/// module docs): rotates three reused buffers
-/// (previous level, current level, Jacobi scratch) through every budget
-/// level instead of materializing one vector per level, optionally
-/// extracting the optimal cost-indexed policy along the way and reporting
-/// each level to `on_level`. Every level solver evaluates
-/// [`level_choice`]. Returns the final level and the solver that ran:
-/// [`Solver::Jacobi`] for Jacobi, including a reverse pass that fell back
-/// to it, else [`Solver::SccOrdered`].
+/// module docs): rotates two reused buffers (previous level, current
+/// level) through every budget level instead of materializing one vector
+/// per level, optionally extracting the optimal cost-indexed policy along
+/// the way and reporting each level to `on_level`. Every level solver
+/// evaluates [`level_choice`]. Returns the final level and the solver
+/// that ran: [`Solver::Jacobi`] for Jacobi, including a reverse pass that
+/// fell back to it, else [`Solver::SccOrdered`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     src: &S,
@@ -914,20 +1022,26 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     }
     let mut level_prev = vec![0.0f64; n];
     let mut cur: Vec<f64> = Vec::new();
-    let mut scratch: Vec<f64> = Vec::new();
+    // One Jacobi driver, and one set of predecessor lists, for every level.
+    let mut jacobi = match solver {
+        LevelSolver::Jacobi => Some(Jacobi::new(src)?),
+        _ => None,
+    };
     if pa_telemetry::enabled() {
         // High-water value-buffer footprint of the whole induction:
-        // three reused f64 vectors, independent of the budget.
+        // two reused f64 vectors, independent of the budget.
         pa_telemetry::gauge("mdp.vi.level_buffer_bytes")
-            .set_max((3 * n * std::mem::size_of::<f64>()) as i64);
+            .set_max((2 * n * std::mem::size_of::<f64>()) as i64);
     }
     for k in 0..=budget {
         let level_prev_ref = &level_prev;
         let update = |rows: &CsrRows<'_>, s: usize, cur: &[f64]| {
             level_choice(rows, s, target, objective, level_prev_ref, cur).map(|(v, _)| v)
         };
-        let jacobi = |cur: &mut Vec<f64>, scratch: &mut Vec<f64>, stats: &mut SolveStats| {
-            solve_level(src, target, &update, cur, scratch, stats)
+        // The level's least fixpoint over the zero-cost subgraph.
+        let jacobi_level = |jacobi: &mut Jacobi, cur: &mut Vec<f64>, stats: &mut SolveStats| {
+            init_level(target, cur);
+            jacobi.solve(src, cur, 1e-14, 4 * n + 8, &update, Trace::Level, stats)
         };
         match solver {
             LevelSolver::Scc(scc) => {
@@ -944,7 +1058,11 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
                     )
                 })?;
             }
-            LevelSolver::Jacobi => jacobi(&mut cur, &mut scratch, stats)?,
+            LevelSolver::Jacobi => jacobi_level(
+                jacobi.as_mut().expect("built for a Jacobi solve"),
+                &mut cur,
+                stats,
+            )?,
             LevelSolver::Reverse { strict } => {
                 if !reverse_level(src, target, k == 0, &update, &mut cur, stats)? {
                     // Only level 0 checks, so this is still level 0:
@@ -959,7 +1077,7 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
                         });
                     }
                     solver = LevelSolver::Jacobi;
-                    jacobi(&mut cur, &mut scratch, stats)?;
+                    jacobi_level(jacobi.insert(Jacobi::new(src)?), &mut cur, stats)?;
                 }
             }
         }
@@ -1068,30 +1186,24 @@ pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
     solver: Solver,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
+    let _span = pa_telemetry::span("mdp.vi.expected_cost_seconds");
     let n = src.num_states();
-    let mut cur = vec![0.0f64; n];
+    let mut v = vec![0.0f64; n];
     let update =
         |rows: &CsrRows<'_>, s: usize, v: &[f64]| cost_update(rows, s, target, live, objective, v);
-    let mut v = if solver == Solver::SccOrdered {
-        scc::solve_unbounded(src, &mut cur, options, &update, stats)?;
-        cur
+    if solver == Solver::SccOrdered {
+        scc::solve_unbounded(src, &mut v, options, &update, stats)?;
     } else {
-        let ec_sweeps = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.ec_sweeps"));
-        let mut prev = cur.clone();
-        for _ in 0..options.max_sweeps {
-            if let Some(c) = &ec_sweeps {
-                c.inc();
-            }
-            stats.sweeps += 1;
-            stats.state_updates += n as u64;
-            let delta = jacobi_sweep(src, &mut cur, &prev, &update)?;
-            std::mem::swap(&mut cur, &mut prev);
-            if delta <= options.epsilon {
-                break;
-            }
-        }
-        prev
-    };
+        Jacobi::new(src)?.solve(
+            src,
+            &mut v,
+            options.epsilon,
+            options.max_sweeps,
+            &update,
+            Trace::Cost,
+            stats,
+        )?;
+    }
     for s in 0..n {
         if !target[s] && !live[s] {
             v[s] = f64::INFINITY;
@@ -1315,6 +1427,87 @@ mod tests {
             for split in splits(&m) {
                 assert_eq!(single, prob0_max(&split, &target).unwrap());
             }
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `update` run by the Jacobi driver from `init` over `src`.
+    fn jacobi<F>(src: &dyn CsrSource, init: &[f64], update: &F) -> (Vec<f64>, SolveStats)
+    where
+        F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
+    {
+        let mut values = init.to_vec();
+        let mut stats = SolveStats::default();
+        Jacobi::new(src)
+            .unwrap()
+            .solve(
+                src,
+                &mut values,
+                1e-12,
+                1_000,
+                update,
+                Trace::Cost,
+                &mut stats,
+            )
+            .unwrap();
+        (values, stats)
+    }
+
+    #[test]
+    fn changed_set_sweeps_re_evaluate_a_state_that_changed_itself() {
+        // 0 → 1 → 2, and an update that reads the state's own value: the
+        // mean of it and the first choice's value. State 1's successor
+        // never changes, yet its value moves in every sweep.
+        let m = model(vec![vec![Choice::to(0, 1)], vec![Choice::to(0, 2)], vec![]]);
+        let update = |rows: &CsrRows<'_>, s: usize, v: &[f64]| {
+            let first = rows.choice_range(s).next()?;
+            Some(0.5 * (v[s] + rows.choice_value(first, v)))
+        };
+        let init = [0.0, 0.0, 1.0];
+        let (single, stats) = jacobi(&m, &init, &update);
+        assert!((single[0] - 1.0).abs() < 1e-9, "{single:?}");
+        for split in splits(&m) {
+            let (full, full_stats) = jacobi(&split, &init, &update);
+            assert_eq!(bits(&single), bits(&full));
+            assert_eq!(stats.sweeps, full_stats.sweeps);
+        }
+    }
+
+    #[test]
+    fn a_live_state_without_an_eligible_choice_keeps_its_value() {
+        // 1's only choice leads to 3, neither live nor a target, so 1
+        // keeps its value and 0 pays one step to reach it.
+        let m = model(vec![
+            vec![Choice::to(1, 1)],
+            vec![Choice::to(1, 3)],
+            vec![],
+            vec![Choice::to(1, 2)],
+        ]);
+        let (target, live) = ([false, false, true, false], [true, true, false, false]);
+        let solve = |src: &dyn CsrSource| {
+            let mut stats = SolveStats::default();
+            let v = expected_cost(
+                src,
+                &target,
+                &live,
+                Objective::MaxProb,
+                IterOptions::default(),
+                Solver::Jacobi,
+                &mut stats,
+            )
+            .unwrap();
+            (v, stats)
+        };
+        let (single, stats) = solve(&m);
+        assert_eq!(single, [1.0, 0.0, 0.0, f64::INFINITY]);
+        assert_eq!((stats.sweeps, stats.state_updates), (2, 3));
+        for split in splits(&m) {
+            let (full, full_stats) = solve(&split);
+            assert_eq!(bits(&single), bits(&full));
+            assert_eq!(stats.sweeps, full_stats.sweeps);
         }
     }
 

@@ -8,6 +8,11 @@
 //! * every objective answers bit for bit the same on any block structure,
 //!   through [`Query::source`] over a model cut into blocks, as through
 //!   [`Query::csr`] over the whole in-core model;
+//! * every Jacobi-pinned query over one block, whose sweeps re-evaluate
+//!   only the states whose own value or some successor's changed, takes
+//!   the same sweeps to the same bits, level by level, as over several
+//!   blocks, whose sweeps re-evaluate every state — also with self-loops,
+//!   zero-probability transitions and zero-cost cycles;
 //! * an [`Explore`] run replays the automaton exactly — every state's row
 //!   lists its steps in order with interned successor ids — and fails with
 //!   [`MdpError::StateLimitExceeded`] exactly when the reachable space
@@ -150,31 +155,45 @@ fn assert_close(a: &[f64], b: &[f64], tol: f64) {
     }
 }
 
-/// One Jacobi query; a horizon also extracts the policy.
+/// One Jacobi query; a horizon also extracts the policy and collects
+/// every level's values.
 fn solve(
     query: Query<'_>,
     objective: QueryObjective,
     target: &[bool],
     horizon: Option<u32>,
     options: IterOptions,
-) -> Result<Analysis, MdpError> {
+) -> (Result<Analysis, MdpError>, Vec<Vec<f64>>) {
+    let mut levels = Vec::new();
     let query = query
         .objective(objective)
         .target(target)
         .options(options)
         .solver(Solver::Jacobi);
-    match horizon {
-        Some(budget) => query.horizon(budget).with_policy(),
-        None => query,
-    }
-    .run()
+    let analysis = match horizon {
+        Some(budget) => query
+            .horizon(budget)
+            .with_policy()
+            .on_level(|_, level| levels.push(level.to_vec()))
+            .run(),
+        None => query.run(),
+    };
+    (analysis, levels)
 }
 
-/// Every objective over `m` cut into 1, 2 and 5 blocks answers bit for bit
-/// as the in-core query: values, bounded policies, and divergence errors.
-fn assert_blocks_match_in_core(m: &ExplicitMdp, budget: u32, options: IterOptions) {
+/// Every objective over `m` — unbounded `MinProb`/`MaxProb`,
+/// `MinCost`/`MaxCost`, and bounded `MinProb`/`MaxProb` — cut into 1, 2
+/// and 5 blocks answers bit for bit as the in-core query: values, every
+/// bounded level, policies, sweep counts, and divergence errors. One
+/// block re-evaluates only the states whose inputs changed, several
+/// blocks every state, so the in-core query never counts more updates.
+fn assert_blocks_match_in_core(
+    m: &ExplicitMdp,
+    target: &[bool],
+    budget: u32,
+    options: IterOptions,
+) {
     let csr = CsrMdp::from_explicit(m);
-    let target = last_state_target(m);
     let queries = [
         (QueryObjective::MinProb, Some(budget)),
         (QueryObjective::MaxProb, Some(budget)),
@@ -184,16 +203,11 @@ fn assert_blocks_match_in_core(m: &ExplicitMdp, budget: u32, options: IterOption
         (QueryObjective::MaxCost, None),
     ];
     for (objective, horizon) in queries {
-        let in_core = solve(Query::csr(&csr), objective, &target, horizon, options);
+        let (in_core, in_core_levels) =
+            solve(Query::csr(&csr), objective, target, horizon, options);
         for k in [1, 2, 5] {
             let blocked = Blocked::split(&csr, k);
-            let got = solve(
-                Query::source(&blocked),
-                objective,
-                &target,
-                horizon,
-                options,
-            );
+            let (got, levels) = solve(Query::source(&blocked), objective, target, horizon, options);
             let tag = format!("{objective:?} horizon {horizon:?}, {k} blocks");
             match (&in_core, got) {
                 (Ok(a), Ok(b)) => {
@@ -203,9 +217,20 @@ fn assert_blocks_match_in_core(m: &ExplicitMdp, budget: u32, options: IterOption
                         b.policy.as_ref().map(|p| &p.decision),
                         "{tag}: policy"
                     );
+                    assert_eq!(a.stats.sweeps, b.stats.sweeps, "{tag}: sweeps");
+                    assert!(
+                        a.stats.state_updates <= b.stats.state_updates,
+                        "{tag}: {} vs {} state updates",
+                        a.stats.state_updates,
+                        b.stats.state_updates
+                    );
                 }
                 (Err(a), Err(b)) => assert_eq!(a, &b, "{tag}: error"),
                 (a, b) => panic!("{tag}: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+            }
+            assert_eq!(in_core_levels.len(), levels.len(), "{tag}: levels");
+            for (a, b) in in_core_levels.iter().zip(&levels) {
+                assert_bitwise(a, b);
             }
         }
     }
@@ -221,8 +246,61 @@ fn large_models_match_in_core_bitwise_on_any_block_structure() {
         max_sweeps: 300,
     };
     for seed in [1u64, 2, 3] {
-        assert_blocks_match_in_core(&scrambled_mdp(8300, seed), 3, options);
+        let m = scrambled_mdp(8300, seed);
+        assert_blocks_match_in_core(&m, &last_state_target(&m), 3, options);
     }
+}
+
+/// Strategy: a random MDP over 2 to 12 states whose choices mix
+/// self-loops, zero-probability transitions and repeated successors,
+/// with costs 0 and 1.
+fn edge_case_mdp() -> impl Strategy<Value = ExplicitMdp> {
+    (2usize..13, any::<u64>()).prop_map(|(n, seed)| {
+        let mut x = seed;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let choices: Vec<Vec<Choice>> = (0..n)
+            .map(|s| {
+                (0..next() % 4)
+                    .map(|_| {
+                        let cost = (next() % 2) as u32;
+                        let (a, b, c) = (next() % n, next() % n, next() % n);
+                        let transitions = match next() % 5 {
+                            0 => vec![(a, 1.0)],
+                            1 => vec![(s, 0.5), (a, 0.5)],
+                            2 => vec![(a, 0.0), (b, 1.0)],
+                            3 => vec![(a, 0.25), (b, 0.0), (c, 0.75)],
+                            _ => vec![(a, 0.5), (a, 0.25), (s, 0.25)],
+                        };
+                        Choice { cost, transitions }
+                    })
+                    .collect()
+            })
+            .collect();
+        ExplicitMdp::new(choices, vec![0]).expect("valid edge-case model")
+    })
+}
+
+#[test]
+fn changed_set_sweeps_match_full_sweeps_on_a_slow_self_loop() {
+    // 0 loops on itself with 15/16 and otherwise moves to 1, which
+    // reaches the target 2 or falls back to 0: a zero-cost cycle, so every
+    // bounded level sweeps to its cap or tolerance, and a self-loop whose
+    // value keeps changing while the target's stands still.
+    let m = ExplicitMdp::new(
+        vec![
+            vec![Choice::dist(0, vec![(0, 0.9375), (1, 0.0625)])],
+            vec![Choice::dist(0, vec![(2, 0.5), (0, 0.5)]), Choice::to(1, 1)],
+            vec![],
+        ],
+        vec![0],
+    )
+    .unwrap();
+    assert_blocks_match_in_core(&m, &[false, false, true], 4, IterOptions::default());
 }
 
 proptest! {
@@ -271,7 +349,21 @@ proptest! {
 
     #[test]
     fn block_structure_is_invisible_in_results(m in random_mdp(), budget in 0u32..8) {
-        assert_blocks_match_in_core(&m, budget, IterOptions::default());
+        assert_blocks_match_in_core(&m, &last_state_target(&m), budget, IterOptions::default());
+    }
+
+    #[test]
+    fn changed_set_sweeps_match_full_sweeps(
+        m in edge_case_mdp(),
+        targets in any::<u64>(),
+        budget in 0u32..6,
+    ) {
+        // The last state, and each other with probability 1/4.
+        let n = m.num_states();
+        let target: Vec<bool> = (0..n)
+            .map(|s| s == n - 1 || (targets >> (2 * s)) & 3 == 0)
+            .collect();
+        assert_blocks_match_in_core(&m, &target, budget, IterOptions::default());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::sync::Mutex;
 
-use pa_mdp::{Choice, CsrMdp, ExplicitMdp, IterOptions, Objective, Query, Solver};
+use pa_mdp::{Choice, CsrMdp, ExplicitMdp, IterOptions, Objective, Query, QueryObjective, Solver};
 
 /// Telemetry state is process-global; run the tests of this file one at a
 /// time (the file itself is its own process, so no other test binary can
@@ -57,6 +57,8 @@ fn vi_reports_exact_sweep_count_and_monotone_residuals() {
 
     assert_eq!(snap.counter("mdp.vi.runs"), Some(1));
     assert_eq!(snap.counter("mdp.vi.sweeps"), Some(10));
+    // The target is fixed; the looping state moves in every sweep.
+    assert_eq!(snap.counter("mdp.vi.recomputed"), Some(10));
     let residuals = &snap
         .series("mdp.vi.residual")
         .expect("residuals recorded")
@@ -128,6 +130,66 @@ fn disabled_registry_records_nothing() {
         "no residuals while disabled"
     );
     assert_eq!(snap.timer("mdp.vi.sweep_seconds").map_or(0, |t| t.count), 0);
+}
+
+#[test]
+fn sweeps_recompute_only_moving_states_and_expected_cost_is_timed() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    pa_telemetry::set_enabled(true);
+    pa_telemetry::reset();
+
+    // The geometric chain beside a state 2 one certain step from the
+    // target: 2 settles in sweep 1, so from sweep 3 on only 0 is
+    // recomputed.
+    let csr = CsrMdp::from_explicit(
+        &ExplicitMdp::new(
+            vec![
+                vec![Choice::dist(1, vec![(1, 0.5), (0, 0.5)])],
+                Vec::new(),
+                vec![Choice::to(1, 1)],
+            ],
+            vec![0, 2],
+        )
+        .expect("valid model"),
+    );
+    let target = vec![false, true, false];
+    let opts = IterOptions {
+        epsilon: 0.0,
+        max_sweeps: 10,
+    };
+    let reach = Query::csr(&csr)
+        .objective(Objective::MaxProb)
+        .target(&target)
+        .options(opts)
+        .solver(Solver::Jacobi)
+        .run()
+        .unwrap();
+    // Sweeps 1 and 2 recompute 0 and 2, sweeps 3 to 10 only 0.
+    assert_eq!((reach.stats.sweeps, reach.stats.state_updates), (10, 12));
+    let snap = pa_telemetry::snapshot();
+    assert_eq!(snap.counter("mdp.vi.recomputed"), Some(12));
+
+    pa_telemetry::reset();
+    let cost = Query::csr(&csr)
+        .objective(QueryObjective::MaxCost)
+        .target(&target)
+        .options(opts)
+        .solver(Solver::Jacobi)
+        .run()
+        .unwrap();
+    let snap = pa_telemetry::snapshot();
+    pa_telemetry::set_enabled(false);
+    // Expected flips from 0: 1 + 1/2 + ... after 10 sweeps.
+    assert_eq!(cost.values, [2.0 - 0.5f64.powi(9), 0.0, 1.0]);
+    assert_eq!((cost.stats.sweeps, cost.stats.state_updates), (10, 12));
+    assert_eq!(snap.counter("mdp.vi.ec_sweeps"), Some(10));
+    assert_eq!(snap.counter("mdp.vi.recomputed"), Some(12));
+    assert_eq!(snap.timer("mdp.vi.expected_cost_seconds").unwrap().count, 1);
+    assert_eq!(
+        snap.timer("mdp.vi.reach_prob_seconds")
+            .map_or(0, |t| t.count),
+        0
+    );
 }
 
 #[test]
