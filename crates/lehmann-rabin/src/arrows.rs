@@ -254,14 +254,16 @@ pub(crate) type ArrowModel<A> = (
 /// Explores the model every arrow analysis of the round model runs on
 /// ([`crate::explore_checker`]): each reachable configuration of `from`
 /// (each orbit representative under a quotient) as a fresh round start,
-/// `to` absorbing. `automaton` is the round model itself, or the model
-/// reduced for `to` ([`Reduced`]). Returns `None` when `from` has no
+/// `to` absorbing. `automaton` is `mdp` itself, or `mdp` reduced for `to`
+/// ([`Reduced`]); the configurations come from `mdp`'s memo
+/// ([`RoundMdp`]'s type docs). Returns `None` when `from` has no
 /// reachable configuration.
 ///
 /// States are always packed ([`RoundStateCodec`]): the packed store
 /// explores the same model, with the same ids, as the boxed one at half
 /// the bytes per state.
 pub(crate) fn arrow_model<A>(
+    mdp: &RoundMdp,
     automaton: A,
     from: &SetExpr,
     to: &SetExpr,
@@ -272,7 +274,7 @@ where
     A: RoundAutomaton<State = RoundState>,
 {
     let n = automaton.ring_size();
-    let configs = reachable_configs_in(n, limit, quotient)?;
+    let configs = mdp.reachable(limit, quotient)?;
     let space = PackedSpace::new(RoundStateCodec::new(n)?);
     explore_checker(
         automaton,
@@ -354,7 +356,7 @@ fn check_arrow_impl(
     quotient: Quotient,
 ) -> Result<ArrowCheck, LrError> {
     let reduced = Reduced::new(mdp.clone(), arrow.to())?;
-    match arrow_model(reduced, arrow.from(), arrow.to(), limit, quotient)? {
+    match arrow_model(mdp, reduced, arrow.from(), arrow.to(), limit, quotient)? {
         Some((_, checker)) => checker.arrow(arrow, |q| q),
         None => Ok(ArrowCheck::vacuous(arrow)),
     }
@@ -466,7 +468,7 @@ fn expected_time_impl(
     objective: QueryObjective,
     quotient: Quotient,
 ) -> Result<f64, LrError> {
-    match arrow_model(mdp.clone(), from_set, target_set, limit, quotient)? {
+    match arrow_model(mdp, mdp.clone(), from_set, target_set, limit, quotient)? {
         Some((_, checker)) => checker.expected_time(from_set, target_set, objective, |q| q),
         None => Ok(0.0),
     }

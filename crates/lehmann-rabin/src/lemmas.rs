@@ -431,7 +431,8 @@ pub fn progress_time_lower_bound(
     max_time: u32,
     limit: usize,
 ) -> Result<Option<u32>, LrError> {
-    let Some((_, checker)) = arrow_model(mdp.clone(), from_set, to_set, limit, Quotient::Full)?
+    let Some((_, checker)) =
+        arrow_model(mdp, mdp.clone(), from_set, to_set, limit, Quotient::Full)?
     else {
         return Ok(None);
     };

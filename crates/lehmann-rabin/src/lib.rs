@@ -21,7 +21,9 @@
 //!   [`ArrowChecker`] that every arrow and expected-time question in the
 //!   workspace runs on. The bounded arrow checks explore the round model
 //!   with its commuting intra-round interleavings reduced ([`Reduced`]);
-//!   the expected-time functions explore it unreduced.
+//!   the expected-time functions explore it unreduced. They all read the
+//!   reachable configurations from a memo on the [`RoundMdp`] value, so
+//!   checking many claims on one model enumerates them once.
 //! * [`check_arrow_quotient`] / [`RoundStateCodec`] — the same checks on
 //!   the dihedral-quotient model (rotations and the mirror image,
 //!   [`Config::reflected`]) with bit-packed states: up to `2n`-fold fewer

@@ -26,12 +26,12 @@
 //! adversary — the formal counterpart of the paper's informal argument for
 //! `Unit-Time`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pa_core::{collect_steps, map_outcomes, Automaton, Step};
-use pa_mdp::{least_key, reflect_lanes, rotate_lanes};
+use pa_mdp::{least_key, reflect_lanes, rotate_lanes, MdpError};
 
-use crate::{Config, LrAction, LrError, LrProtocol, UserModel};
+use crate::{Config, LrAction, LrError, LrProtocol, Quotient, UserModel};
 
 /// A state of the round MDP: the protocol configuration plus the
 /// scheduler's intra-round bookkeeping.
@@ -232,12 +232,35 @@ type AbsorbPred = Arc<dyn Fn(&Config) -> bool + Send + Sync>;
 /// with [`pa_mdp::Explore`] using [`round_cost`] and analyse with the
 /// `pa-mdp` algorithms. [`crate::check_arrow`] wires this together for the
 /// paper's arrow claims.
+///
+/// # The reachable-configuration memo
+///
+/// Every arrow analysis of the round model quantifies over the same set,
+/// the reachable configurations `rstates(M)` of the ring (one
+/// representative per orbit under a quotient). The first analysis on a
+/// value that needs them under a [`Quotient`] enumerates them
+/// ([`crate::reachable_configs_in`]) and keeps them on the value; every
+/// later analysis under that quotient reads them back. So checking the
+/// six paper claims on one model enumerates once, not six times.
+///
+/// * The enumeration uses the full user model and the all-idle start
+///   whatever this value's configuration says, so the memo depends on the
+///   ring size alone: [`RoundMdp::with_starts`] and
+///   [`RoundMdp::with_absorb`] keep it.
+/// * A clone of a value whose memo is filled shares the configurations; a
+///   clone taken before the first enumeration fills its own.
+/// * A state limit below the memoised count fails with the
+///   [`MdpError::StateLimitExceeded`] a fresh enumeration gives; a failed
+///   enumeration is not memoised.
 #[derive(Clone)]
 pub struct RoundMdp {
     cfg: RoundConfig,
     protocol: LrProtocol,
     starts: Vec<Config>,
     absorb: Option<AbsorbPred>,
+    /// The reachable configurations, one slot per [`Quotient`] (indexed
+    /// by its discriminant), each filled on first use.
+    reachable: [OnceLock<Arc<[Config]>>; 3],
 }
 
 impl std::fmt::Debug for RoundMdp {
@@ -261,6 +284,7 @@ impl RoundMdp {
             protocol,
             starts,
             absorb: None,
+            reachable: Default::default(),
         }
     }
 
@@ -291,6 +315,33 @@ impl RoundMdp {
     /// The underlying per-process protocol semantics.
     pub fn protocol(&self) -> &LrProtocol {
         &self.protocol
+    }
+
+    /// The reachable configurations under `quotient`, from the memo (see
+    /// the [type docs](RoundMdp)) or enumerated into it.
+    ///
+    /// # Errors
+    ///
+    /// [`MdpError::StateLimitExceeded`] (wrapped) when there are more
+    /// than `limit`, as a fresh enumeration reports it.
+    pub(crate) fn reachable(
+        &self,
+        limit: usize,
+        quotient: Quotient,
+    ) -> Result<Arc<[Config]>, LrError> {
+        let slot = &self.reachable[quotient as usize];
+        let configs = match slot.get() {
+            Some(configs) => Arc::clone(configs),
+            None => {
+                let configs = crate::reachable_configs_in(self.cfg.n, limit, quotient)?;
+                // An exact-length copy: the enumeration's buffer has slack.
+                Arc::clone(slot.get_or_init(|| configs.into()))
+            }
+        };
+        if configs.len() > limit {
+            return Err(MdpError::StateLimitExceeded { limit }.into());
+        }
+        Ok(configs)
     }
 
     /// Whether `config` is absorbing ([`RoundMdp::with_absorb`]).

@@ -65,9 +65,15 @@ impl std::fmt::Display for Witness {
 ///
 /// Returns region-resolution and exploration errors.
 pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result<Witness, LrError> {
-    let (model, checker) =
-        arrow_model(mdp.clone(), arrow.from(), arrow.to(), limit, Quotient::Full)?
-            .expect("the arrow's source region is reachable");
+    let (model, checker) = arrow_model(
+        mdp,
+        mdp.clone(),
+        arrow.from(),
+        arrow.to(),
+        limit,
+        Quotient::Full,
+    )?
+    .expect("the arrow's source region is reachable");
     let ArrowSolve {
         worst: worst_start,
         analysis,

@@ -41,8 +41,8 @@
 //! [`Solver::Jacobi`] is the original engine: global sweeps, each
 //! computed from the previous iterate alone, bit-for-bit reproducible
 //! across block structures. Over a single block a sweep re-evaluates only
-//! the states whose own value or some successor's changed in the sweep
-//! before, which returns the bits of a full sweep (see [`crate::source`]).
+//! the states some successor of which changed in the sweep before, which
+//! returns the bits of a full sweep (see [`crate::source`]).
 //! It is the one kernel set of [`crate::source`]. [`Solver::SccOrdered`] condenses the
 //! choice graph of a single-block source first and solves components in
 //! reverse topological order (see [`crate::SccDecomposition`]); on layered

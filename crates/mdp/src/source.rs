@@ -27,20 +27,22 @@
 //! same bytes. `crates/mdp/tests/csr_equivalence.rs` and `crates/store`'s
 //! parity tests pin this contract. The sweeps run on the calling thread.
 //!
-//! A sweep need not evaluate every state. A state's update reads its own
-//! value (the expected-cost fallback) and its successors' values, and
-//! constants of the query; when none of those changed bits in the sweep
-//! before, the same expression on the same operands returns the same bits
-//! again. So sweep 1 evaluates every state and sweep `k + 1` only the
-//! states whose own value or some successor's value changed in sweep `k`,
-//! found through predecessor lists over every transition (any superset of
-//! the true dependencies is exact). The skipped states keep their bits,
-//! and they would have contributed nothing to the residual, so the values,
-//! the residual of each sweep and the sweep count are those of full
-//! sweeps. A single-block source builds the predecessor lists once per
-//! query (4 bytes per transition and per state, dropped when the query
-//! ends); a multi-block source holds none and evaluates every state in
-//! every sweep, paging exactly as before.
+//! A sweep need not evaluate every state. A state's update reads its
+//! successors' values and constants of the query, and its own value only
+//! through a self-loop (itself a successor) or in a fallback that returns
+//! it unchanged; when no successor changed bits in the sweep before, the
+//! same expression on the same operands returns the same bits again. So
+//! sweep 1 evaluates every state and sweep `k + 1` only the states some
+//! successor of which changed in sweep `k`, found through predecessor
+//! lists over every transition (any superset of the true dependencies is
+//! exact). A state that changed is evaluated again only if it is its own
+//! successor. The skipped states keep their bits, and they would have
+//! contributed nothing to the residual, so the values, the residual of
+//! each sweep and the sweep count are those of full sweeps. A
+//! single-block source builds the predecessor lists once per query (4
+//! bytes per transition and per state, dropped when the query ends); a
+//! multi-block source holds none and evaluates every state in every
+//! sweep, paging exactly as before.
 //!
 //! # One pass per budget level
 //!
@@ -98,9 +100,9 @@ use crate::{CsrBuilder, CsrMdp, CsrRow, IterOptions, MdpError, Objective, Solver
 /// Work counters accumulated by one quantitative solve, reported through
 /// [`crate::Analysis::stats`]. Both solvers shrink the update count in
 /// their own way: a Jacobi sweep over a single-block source recomputes
-/// only the states whose own value or some successor's changed in the
-/// sweep before (a multi-block source recomputes every state), while the
-/// SCC-ordered path touches each component only as long as *it* needs.
+/// only the states some successor of which changed in the sweep before
+/// (a multi-block source recomputes every state), while the SCC-ordered
+/// path touches each component only as long as *it* needs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Value-iteration sweeps performed (global sweeps for the Jacobi
@@ -490,8 +492,10 @@ enum Trace {
 }
 
 /// The one Jacobi sweep driver (see the [module docs](self)). Sweep 1
-/// evaluates every state; sweep `k + 1` evaluates only the states whose
-/// own value or some successor's value changed bits in sweep `k`. Every
+/// evaluates every state; sweep `k + 1` evaluates only the states some
+/// successor of which changed bits in sweep `k`. So an `update` may read
+/// its own state's value only through a self-loop transition, or where
+/// that value never changes (the expected-cost fallback). Every
 /// new value is computed from the pre-sweep iterate and applied after the
 /// sweep, so one value vector suffices. A single-block source holds the
 /// predecessor lists this needs; a multi-block one has none and evaluates
@@ -604,7 +608,6 @@ impl Jacobi {
                 every_state = false;
                 let mut mark = |s: usize| dirty[s / 64] |= 1 << (s % 64);
                 for &(s, _) in changed.iter() {
-                    mark(s as usize);
                     for &p in preds.of(s as usize) {
                         mark(p as usize);
                     }
@@ -692,6 +695,13 @@ pub(crate) fn prob0<S: CsrSource + ?Sized>(
 /// numerically iterated reachability value: on large models value
 /// iteration can stop with true-1 states still measurably below 1, and
 /// any cutoff then misclassifies proper states as divergent.
+///
+/// Whether a state joins `Y` can change only when one of its
+/// positive-probability successors joins `Y` first. A single-block source
+/// therefore grows each inner `Y` from the target as a worklist along
+/// predecessor lists, re-testing a state only when a successor joined; a
+/// multi-block source rescans its blocks until `Y` is stable. Both reach
+/// the same least fixpoint.
 pub(crate) fn prob1<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
@@ -699,23 +709,30 @@ pub(crate) fn prob1<S: CsrSource + ?Sized>(
 ) -> Result<Vec<bool>, MdpError> {
     check_target(src, target)?;
     let n = src.num_states();
-    // A choice "stays" in Z when every positive-probability successor is
-    // in Z, and "progresses" when some such successor is already in Y.
-    let choice_ok = |rows: &CsrRows<'_>, c: usize, z: &[bool], y: &[bool]| -> bool {
-        let mut progresses = false;
-        for i in rows.trans_range(c) {
-            if rows.probs[i] == 0.0 {
-                continue;
-            }
-            let t = rows.targets[i] as usize;
-            if !z[t] {
-                return false;
-            }
-            progresses |= y[t];
-        }
-        progresses
-    };
     let mut z = vec![true; n];
+    if src.num_blocks() == 1 {
+        return with_one_block(src, |rows| {
+            let preds = Predecessors::new(rows, |i| rows.probs[i] > 0.0);
+            let mut stack = Vec::new();
+            loop {
+                let mut y = target.to_vec();
+                stack.extend((0..n).filter(|&s| target[s]));
+                while let Some(t) = stack.pop() {
+                    for &s in preds.of(t) {
+                        let s = s as usize;
+                        if !y[s] && z[s] && joins_y(rows, s, &z, &y, objective) {
+                            y[s] = true;
+                            stack.push(s);
+                        }
+                    }
+                }
+                if y == z {
+                    return y;
+                }
+                z = y;
+            }
+        });
+    }
     loop {
         // Inner least fixpoint: states that, while confined to Z, reach
         // a target state with positive probability.
@@ -724,18 +741,7 @@ pub(crate) fn prob1<S: CsrSource + ?Sized>(
             let mut changed = false;
             for_each_block(src, &mut |rows| {
                 for s in rows.states() {
-                    if y[s] || !z[s] || rows.is_terminal(s) {
-                        continue;
-                    }
-                    let ok = match objective {
-                        Objective::MinProb => {
-                            rows.choice_range(s).all(|c| choice_ok(&rows, c, &z, &y))
-                        }
-                        Objective::MaxProb => {
-                            rows.choice_range(s).any(|c| choice_ok(&rows, c, &z, &y))
-                        }
-                    };
-                    if ok {
+                    if !y[s] && z[s] && joins_y(&rows, s, &z, &y, objective) {
                         y[s] = true;
                         changed = true;
                     }
@@ -749,6 +755,35 @@ pub(crate) fn prob1<S: CsrSource + ?Sized>(
             return Ok(y);
         }
         z = y;
+    }
+}
+
+/// [`prob1`]'s step for a state `s` in `Z` and not yet in `Y`: whether
+/// every choice (`MinProb`) or some choice (`MaxProb`) both stays in `Z`
+/// (every positive-probability successor is in `Z`) and progresses (some
+/// such successor is in `Y`). A terminal state never joins.
+#[inline]
+fn joins_y(rows: &CsrRows<'_>, s: usize, z: &[bool], y: &[bool], objective: Objective) -> bool {
+    if rows.is_terminal(s) {
+        return false;
+    }
+    let choice_ok = |c: usize| {
+        let mut progresses = false;
+        for i in rows.trans_range(c) {
+            if rows.probs[i] == 0.0 {
+                continue;
+            }
+            let t = rows.targets[i] as usize;
+            if !z[t] {
+                return false;
+            }
+            progresses |= y[t];
+        }
+        progresses
+    };
+    match objective {
+        Objective::MinProb => rows.choice_range(s).all(choice_ok),
+        Objective::MaxProb => rows.choice_range(s).any(choice_ok),
     }
 }
 
@@ -1457,18 +1492,23 @@ mod tests {
     }
 
     #[test]
-    fn changed_set_sweeps_re_evaluate_a_state_that_changed_itself() {
-        // 0 → 1 → 2, and an update that reads the state's own value: the
-        // mean of it and the first choice's value. State 1's successor
-        // never changes, yet its value moves in every sweep.
-        let m = model(vec![vec![Choice::to(0, 1)], vec![Choice::to(0, 2)], vec![]]);
+    fn changed_set_sweeps_re_evaluate_a_state_on_a_self_loop() {
+        // 0 → 1 → 2, and 1 also loops on itself with probability 1/2.
+        // State 1's other successor never changes, yet its value moves in
+        // every sweep: the loop lists 1 among its own predecessors.
+        let m = model(vec![
+            vec![Choice::to(0, 1)],
+            vec![Choice::dist(0, vec![(1, 0.5), (2, 0.5)])],
+            vec![],
+        ]);
         let update = |rows: &CsrRows<'_>, s: usize, v: &[f64]| {
             let first = rows.choice_range(s).next()?;
-            Some(0.5 * (v[s] + rows.choice_value(first, v)))
+            Some(rows.choice_value(first, v))
         };
         let init = [0.0, 0.0, 1.0];
         let (single, stats) = jacobi(&m, &init, &update);
         assert!((single[0] - 1.0).abs() < 1e-9, "{single:?}");
+        assert!(stats.sweeps > 10, "{stats:?}");
         for split in splits(&m) {
             let (full, full_stats) = jacobi(&split, &init, &update);
             assert_eq!(bits(&single), bits(&full));
@@ -1503,7 +1543,9 @@ mod tests {
         };
         let (single, stats) = solve(&m);
         assert_eq!(single, [1.0, 0.0, 0.0, f64::INFINITY]);
-        assert_eq!((stats.sweeps, stats.state_updates), (2, 3));
+        // Sweep 1 evaluates 0 and 1 and changes 0, which no state reads:
+        // sweep 2 evaluates nothing and ends the solve.
+        assert_eq!((stats.sweeps, stats.state_updates), (2, 2));
         for split in splits(&m) {
             let (full, full_stats) = solve(&split);
             assert_eq!(bits(&single), bits(&full));
