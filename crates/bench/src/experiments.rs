@@ -16,6 +16,7 @@ use pa_lehmann_rabin::{
     set_pred, sims, verify_lemma_6_1, Config, LrAction, LrProtocol, Pc, RoundConfig, RoundMdp,
     Side, UserModel,
 };
+use pa_mc::{McConfig, McEstimate};
 use pa_mdp::{Explore, Objective};
 use pa_prob::stats::Z_99;
 use pa_prob::Prob;
@@ -531,6 +532,25 @@ pub fn concurrent_impl(sizes: &[usize], trials: u64) -> ExpResult {
         ));
     }
     Ok(rows)
+}
+
+/// Samples `scheduler` on the ring of `n` from the all-trying start:
+/// trial `i` runs on `SplitMix64::for_trial(cfg.seed, i)` for at most
+/// `cfg.max_time` rounds, and the estimate's histogram counts the trials
+/// that first reach `C` in each round.
+pub fn scheduler_estimate<S: sims::RoundScheduler>(
+    n: usize,
+    scheduler: S,
+    cfg: &McConfig,
+) -> Result<McEstimate, Box<dyn Error>> {
+    let sim = sims::LrSim::new(n, scheduler)?.with_start(sims::all_trying(n)?);
+    let mc = MonteCarlo::new(cfg.trajectories, cfg.seed, cfg.max_time);
+    Ok(mc.run_fold(
+        &sim,
+        |s| regions::in_c(&s.config),
+        || McEstimate::empty(cfg.max_time),
+        |acc, hit| acc.record(hit, false, 0, 0),
+    )?)
 }
 
 /// Sanity cross-check used by integration tests: the exact bounded

@@ -83,6 +83,12 @@ impl McEstimate {
         self.hits.iter().sum()
     }
 
+    /// The first-hit histogram: entry `t` counts the trajectories that
+    /// first reached the target at accumulated cost exactly `t`.
+    pub fn histogram(&self) -> &[u64] {
+        &self.hits
+    }
+
     /// Trajectories that missed (budget exhausted, dead end, or step cap).
     pub fn misses(&self) -> u64 {
         self.misses
