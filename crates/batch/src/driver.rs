@@ -142,9 +142,9 @@ pub fn run_batch_in(
     let slots_ref = &slots;
     let session_ref = &session;
     let next_ref = &next;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers.min(specs.len()) {
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let i = next_ref.fetch_add(1, Ordering::Relaxed);
                 if i >= order_ref.len() {
                     break;
@@ -154,8 +154,7 @@ pub fn run_batch_in(
                 *slots_ref[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
-    })
-    .expect("batch worker panicked");
+    });
 
     let jobs: Vec<JobResult> = slots
         .into_iter()

@@ -16,11 +16,10 @@ use pa_lehmann_rabin::{
     set_pred, sims, verify_lemma_6_1, Config, LrAction, LrProtocol, Pc, RoundConfig, RoundMdp,
     Side, UserModel,
 };
-use pa_mc::{McConfig, McEstimate};
+use pa_mc::{run_trajectories, McConfig, McEstimate};
 use pa_mdp::{Explore, Objective};
 use pa_prob::stats::Z_99;
 use pa_prob::Prob;
-use pa_sim::MonteCarlo;
 
 use crate::Row;
 
@@ -389,10 +388,8 @@ pub fn scaling(sizes: &[usize]) -> ExpResult {
     }
     // Monte-Carlo extension beyond exact reach.
     for &n in &[8usize, 16] {
-        let sim = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-        let mc = MonteCarlo::new(4_000, 2024, 60);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        let ci = est.wilson_interval(Z_99);
+        let est = scheduler_estimate(n, sims::AntiProgress, &McConfig::new(4_000, 2024, 13))?;
+        let ci = est.estimator().wilson_interval(Z_99);
         rows.push(Row::checked(
             "E11",
             format!("T —13→ C statistical (anti-progress scheduler), n={n}"),
@@ -433,24 +430,20 @@ pub fn ablation(n: usize) -> ExpResult {
         .measured
         .lo()
         .value();
-    let mc = MonteCarlo::new(20_000, 99, 60);
-    let mut sched_rows: Vec<(&str, f64)> = Vec::new();
-    {
-        let sim = sims::LrSim::new(n, sims::RoundRobin)?.with_start(sims::all_trying(n)?);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        sched_rows.push(("round-robin", est.point()?.value()));
-    }
-    {
-        let sim = sims::LrSim::new(n, sims::UniformRandom)?.with_start(sims::all_trying(n)?);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        sched_rows.push(("uniform-random", est.point()?.value()));
-    }
-    {
-        let sim = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        sched_rows.push(("anti-progress", est.point()?.value()));
-    }
-    for (name, p) in sched_rows {
+    let mc = McConfig::new(20_000, 99, 13);
+    let estimates = [
+        ("round-robin", scheduler_estimate(n, sims::RoundRobin, &mc)?),
+        (
+            "uniform-random",
+            scheduler_estimate(n, sims::UniformRandom, &mc)?,
+        ),
+        (
+            "anti-progress",
+            scheduler_estimate(n, sims::AntiProgress, &mc)?,
+        ),
+    ];
+    for (name, est) in estimates {
+        let p = est.point();
         rows.push(Row::checked(
             "E12",
             format!("scheduler comparison: P[T →13 C] under {name}"),
@@ -526,7 +519,7 @@ pub fn concurrent_impl(sizes: &[usize], trials: u64) -> ExpResult {
             ),
             report.timeouts == 0 && report.crit_entries == trials,
             format!(
-                "{} trials, {} flips total, parking_lot try-locks",
+                "{} trials, {} flips total, std Mutex try-locks",
                 report.trials, report.total_flips
             ),
         ));
@@ -544,13 +537,9 @@ pub fn scheduler_estimate<S: sims::RoundScheduler>(
     cfg: &McConfig,
 ) -> Result<McEstimate, Box<dyn Error>> {
     let sim = sims::LrSim::new(n, scheduler)?.with_start(sims::all_trying(n)?);
-    let mc = MonteCarlo::new(cfg.trajectories, cfg.seed, cfg.max_time);
-    Ok(mc.run_fold(
-        &sim,
-        |s| regions::in_c(&s.config),
-        || McEstimate::empty(cfg.max_time),
-        |acc, hit| acc.record(hit, false, 0, 0),
-    )?)
+    Ok(run_trajectories(cfg, |rng| {
+        sim.trajectory(regions::in_c, cfg.max_time, rng)
+    })?)
 }
 
 /// Sanity cross-check used by integration tests: the exact bounded
@@ -563,10 +552,8 @@ pub fn cross_validation(n: usize) -> Result<(f64, f64), Box<dyn Error>> {
         .measured
         .lo()
         .value();
-    let sim = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-    let mc = MonteCarlo::new(20_000, 7, 60);
-    let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-    Ok((exact_worst, est.point()?.value()))
+    let est = scheduler_estimate(n, sims::AntiProgress, &McConfig::new(20_000, 7, 13))?;
+    Ok((exact_worst, est.point()))
 }
 
 /// The `try` action availability sanity check used by E2: exit states are

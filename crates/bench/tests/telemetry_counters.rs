@@ -5,11 +5,11 @@
 
 use pa_faults::{faulty_round_cost, FaultEvent, FaultKind, FaultPlan, FaultyRoundMdp};
 use pa_lehmann_rabin::{check_arrow, paper, regions, round_cost, sims, RoundConfig, RoundMdp};
+use pa_mc::{run_trajectories, McConfig};
 use pa_mdp::{Explore, IterOptions, QueryObjective, Solver};
-use pa_sim::MonteCarlo;
 
 /// A fixed workload — exploration, Jacobi and SCC-ordered solves, a
-/// reduced arrow check, a `pa-sim` Monte-Carlo batch, a faulted
+/// reduced arrow check, a round-simulator batch through `pa-mc`'s driver, a faulted
 /// exploration with all three fault kinds, and a sampled-tier estimate —
 /// must leave every counter listed at the end above zero.
 #[test]
@@ -45,9 +45,15 @@ fn every_instrumented_layer_records_its_counters() {
     let sim = sims::LrSim::new(3, sims::RoundRobin)
         .unwrap()
         .with_start(sims::all_trying(3).unwrap());
-    MonteCarlo::new(2_000, 42, 60)
-        .hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)
-        .unwrap();
+    run_trajectories(&McConfig::new(2_000, 42, 13), |rng| {
+        sim.trajectory(regions::in_c, 13, rng)
+    })
+    .unwrap();
+    // The round-simulator batch is the only sampling so far.
+    assert_eq!(
+        pa_telemetry::snapshot().counter("mc.trajectories"),
+        Some(2_000)
+    );
 
     // A crash-restart, an obligation drop, then a total crash-stop, so
     // dead states exist for the crash-tag audit.
@@ -102,8 +108,6 @@ fn every_instrumented_layer_records_its_counters() {
         "lr.reduce.reduced_expansions",
         "lr.reduce.pruned_steps",
         "prob.rng.streams",
-        "sim.mc.trials",
-        "sim.mc.rng_draws",
         "faults.crashes_injected",
         "faults.restarts",
         "faults.obligations_dropped",
@@ -115,5 +119,4 @@ fn every_instrumented_layer_records_its_counters() {
         let value = snapshot.counter(counter).unwrap_or(0);
         assert!(value > 0, "counter {counter} = {value}");
     }
-    assert_eq!(snapshot.counter("sim.mc.trials"), Some(2_000));
 }

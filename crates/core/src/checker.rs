@@ -29,8 +29,7 @@ pub fn meets_time_bound(expected: f64, bound: f64) -> bool {
 /// The result of checking an [`Arrow`] claim against a model.
 ///
 /// Produced by the exact checker in `pa-lehmann-rabin` (backed by the
-/// `pa-mdp` backward-induction engine) and by the Monte-Carlo estimator in
-/// `pa-sim`. The `measured` bracket is the *minimal* probability over all
+/// `pa-mdp` backward-induction engine). The `measured` bracket is the *minimal* probability over all
 /// adversaries of the schema of reaching the target within the time bound,
 /// minimized over all start states in the source set; the claim holds when
 /// the whole bracket sits at or above the claimed probability.

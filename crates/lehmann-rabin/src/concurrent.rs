@@ -1,8 +1,8 @@
 //! A real multi-threaded implementation of the Lehmann–Rabin algorithm.
 //!
-//! Each philosopher is an OS thread; each resource is a `parking_lot`
-//! mutex. Figure 1's atomic test-and-take (`if Res free then take`) maps
-//! exactly to `Mutex::try_lock`, and the wait loop of line 2 maps to a spin
+//! Each philosopher is a scoped OS thread; each resource is a
+//! `std::sync::Mutex`. Figure 1's atomic test-and-take (`if Res free then
+//! take`) maps exactly to `Mutex::try_lock`, and the wait loop of line 2 maps to a spin
 //! on `try_lock` with a yield. The OS scheduler plays the adversary; the
 //! `Unit-Time` assumption corresponds to threads not being starved
 //! indefinitely, which holds on any fair scheduler.
@@ -13,13 +13,13 @@
 //! distributions under real lock contention.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
 use pa_prob::rng::SplitMix64;
 use pa_prob::stats::OnlineStats;
-use parking_lot::Mutex;
 use rand::RngExt;
 
 use crate::events::{EventKind, TimedEvent, TrialLog};
@@ -91,38 +91,65 @@ fn run_one_trial(
     trial: u64,
     timeout: Duration,
 ) -> Result<(Option<Duration>, u64), LrError> {
-    let resources: Arc<Vec<Mutex<()>>> = Arc::new((0..n).map(|_| Mutex::new(())).collect());
-    let done = Arc::new(AtomicBool::new(false));
-    let flips = Arc::new(AtomicU64::new(0));
-    let winner_at: Arc<Mutex<Option<Duration>>> = Arc::new(Mutex::new(None));
+    let resources: Vec<Mutex<()>> = (0..n).map(|_| Mutex::new(())).collect();
+    let done = AtomicBool::new(false);
+    let flips = AtomicU64::new(0);
+    let winner_at = Mutex::new(None);
     let start = Instant::now();
 
-    let mut handles = Vec::with_capacity(n);
-    for i in 0..n {
-        let resources = Arc::clone(&resources);
-        let done = Arc::clone(&done);
-        let flips = Arc::clone(&flips);
-        let winner_at = Arc::clone(&winner_at);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = SplitMix64::for_trial(seed ^ (trial.wrapping_mul(0x9E37)), i as u64);
-            let left = (i + n - 1) % n;
-            let right = i;
-            philosopher_loop(
-                &resources, left, right, &done, &flips, &winner_at, start, timeout, &mut rng, None,
-            );
-        }));
-    }
-    for h in handles {
-        h.join()
-            .map_err(|_| LrError::Concurrency("philosopher thread panicked".into()))?;
-    }
-    let elapsed = *winner_at.lock();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let (resources, done, flips, winner_at) = (&resources, &done, &flips, &winner_at);
+                scope.spawn(move || {
+                    let mut rng =
+                        SplitMix64::for_trial(seed ^ (trial.wrapping_mul(0x9E37)), i as u64);
+                    let left = (i + n - 1) % n;
+                    let right = i;
+                    philosopher_loop(
+                        resources, left, right, done, flips, winner_at, start, timeout, &mut rng,
+                        None,
+                    );
+                })
+            })
+            .collect();
+        join_all(handles)
+    })?;
+    let elapsed = *lock(&winner_at);
     Ok((elapsed, flips.load(Ordering::Relaxed)))
+}
+
+/// Joins every philosopher before reporting a panic: a panicked thread
+/// left unjoined would make the enclosing scope panic instead.
+fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) -> Result<(), LrError> {
+    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    if joined.iter().all(Result::is_ok) {
+        Ok(())
+    } else {
+        Err(LrError::Concurrency("philosopher thread panicked".into()))
+    }
+}
+
+/// Blocks for `m`. A lock poisoned by a panicked philosopher is still
+/// taken: the run reports the panic when it joins the thread.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Figure 1's atomic test-and-take: the guard if `m` was free, `None` if
+/// another philosopher holds it. A poisoned lock is taken as [`lock`]
+/// takes it.
+fn try_take<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
 }
 
 /// Runs one trial with full event logging: every flip, acquisition,
 /// failed second check, critical entry and thread exit is timestamped and
-/// streamed through a `crossbeam` channel. Returns the ordered log and the
+/// streamed through an `mpsc` channel. Returns the ordered log and the
 /// time of the first critical entry (if any).
 ///
 /// # Errors
@@ -137,45 +164,41 @@ pub fn run_logged_trial(
     if !(2..=16).contains(&n) {
         return Err(LrError::BadRingSize { n });
     }
-    let resources: Arc<Vec<Mutex<()>>> = Arc::new((0..n).map(|_| Mutex::new(())).collect());
-    let done = Arc::new(AtomicBool::new(false));
-    let flips = Arc::new(AtomicU64::new(0));
-    let winner_at: Arc<Mutex<Option<Duration>>> = Arc::new(Mutex::new(None));
-    let (tx, rx) = crossbeam::channel::unbounded::<TimedEvent>();
+    let resources: Vec<Mutex<()>> = (0..n).map(|_| Mutex::new(())).collect();
+    let done = AtomicBool::new(false);
+    let flips = AtomicU64::new(0);
+    let winner_at = Mutex::new(None);
+    let (tx, rx) = mpsc::channel::<TimedEvent>();
     let start = Instant::now();
 
-    let mut handles = Vec::with_capacity(n);
-    for i in 0..n {
-        let resources = Arc::clone(&resources);
-        let done = Arc::clone(&done);
-        let flips = Arc::clone(&flips);
-        let winner_at = Arc::clone(&winner_at);
-        let tx = tx.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = SplitMix64::for_trial(seed, i as u64);
-            let left = (i + n - 1) % n;
-            let right = i;
-            philosopher_loop(
-                &resources,
-                left,
-                right,
-                &done,
-                &flips,
-                &winner_at,
-                start,
-                timeout,
-                &mut rng,
-                Some((&tx, i)),
-            );
-        }));
-    }
-    drop(tx);
-    for h in handles {
-        h.join()
-            .map_err(|_| LrError::Concurrency("philosopher thread panicked".into()))?;
-    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let (resources, done, flips, winner_at) = (&resources, &done, &flips, &winner_at);
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    let mut rng = SplitMix64::for_trial(seed, i as u64);
+                    let left = (i + n - 1) % n;
+                    let right = i;
+                    philosopher_loop(
+                        resources,
+                        left,
+                        right,
+                        done,
+                        flips,
+                        winner_at,
+                        start,
+                        timeout,
+                        &mut rng,
+                        Some((&tx, i)),
+                    );
+                })
+            })
+            .collect();
+        join_all(handles)
+    })?;
     let events: Vec<TimedEvent> = rx.try_iter().collect();
-    let elapsed = *winner_at.lock();
+    let elapsed = *lock(&winner_at);
     Ok((TrialLog::new(events), elapsed))
 }
 
@@ -222,17 +245,17 @@ fn philosopher_loop(
                 emit(EventKind::Exited);
                 return;
             }
-            match resources[first].try_lock() {
+            match try_take(&resources[first]) {
                 Some(g) => break g,
                 None => std::thread::yield_now(),
             }
         };
         emit(EventKind::FirstAcquired(first));
         // Line 3: one-shot check of the second resource.
-        match resources[second].try_lock() {
+        match try_take(&resources[second]) {
             Some(second_guard) => {
                 // Critical section: record the win (first writer only).
-                let mut w = winner_at.lock();
+                let mut w = lock(winner_at);
                 if w.is_none() {
                     *w = Some(start.elapsed());
                 }
@@ -301,6 +324,24 @@ mod tests {
         assert_eq!(crits, 1, "trial stops at the first meal");
         let flips = log.count(|e| matches!(e.kind, EventKind::Flip(_)));
         assert!(flips >= 1);
+    }
+
+    #[test]
+    fn a_poisoned_resource_is_still_taken() {
+        let m = Mutex::new(());
+        let _ = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = m.lock();
+                    panic!("philosopher died holding the resource");
+                })
+                .join()
+        });
+        assert!(m.is_poisoned());
+        assert!(try_take(&m).is_some(), "poisoned but free");
+        let held = lock(&m);
+        assert!(try_take(&m).is_none(), "held by another guard");
+        drop(held);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Timestamped event logging for the concurrent implementation.
 //!
-//! Philosopher threads emit [`TimedEvent`]s through a `crossbeam` channel;
+//! Philosopher threads emit [`TimedEvent`]s through an `mpsc` channel;
 //! [`TrialLog`] collects and orders them, and offers the consistency
 //! checks the tests use to validate the threaded implementation against
 //! Figure 1's semantics (every critical entry is preceded by acquiring

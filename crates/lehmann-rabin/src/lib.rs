@@ -31,14 +31,15 @@
 //!   region. [`reachable_configs_quotient`] and the `pa-faults` quotient
 //!   stay on the rotation quotient; [`Quotient`] names the choice.
 //! * [`sims`] — concrete schedulers (round-robin, random, adaptive
-//!   anti-progress) plugged into the `pa-sim` Monte-Carlo runner.
+//!   anti-progress) and the round simulator whose trajectories
+//!   `pa-mc`'s batch driver samples.
 //! * [`lemmas`] — the appendix lemmas A.4–A.10 verified on conditioned
 //!   (forced-first-flip) models, plus the Section 7 future-work lower
 //!   bound on progress time.
 //! * [`worst_case_witness`] — replay of the extracted optimal adversary
 //!   as a concrete, inspectable schedule.
 //! * [`concurrent`] — a real multi-threaded implementation with
-//!   `parking_lot` try-locks and timestamped [`events`] logs, matching
+//!   `std::sync::Mutex` try-locks and timestamped [`events`] logs, matching
 //!   Figure 1's atomic semantics.
 //!
 //! # Example

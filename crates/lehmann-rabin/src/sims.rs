@@ -1,4 +1,5 @@
-//! Concrete round schedulers plugged into the `pa-sim` Monte-Carlo runner.
+//! Concrete round schedulers, and the round simulator [`LrSim`] whose
+//! trajectories `pa-mc`'s batch driver samples.
 //!
 //! Each scheduler resolves the adversary's two kinds of nondeterminism in
 //! the round model: the *order* in which ready processes take their step
@@ -8,8 +9,8 @@
 //! rejoin the competition at every round start, the saturated workload the
 //! paper's progress claims are about.
 
+use pa_mc::Trajectory;
 use pa_prob::rng::SplitMix64;
-use pa_sim::Simulable;
 use rand::RngExt;
 
 use crate::{Config, LrProtocol, Pc, Side, UserModel};
@@ -129,23 +130,27 @@ pub struct SimState {
     pub round: u32,
 }
 
-/// A Lehmann–Rabin Monte-Carlo system: the protocol under a concrete
-/// scheduler, ready for [`pa_sim::MonteCarlo`].
+/// The Lehmann–Rabin protocol under a concrete scheduler, simulated one
+/// round (one time unit) at a time. One round corresponds to one unit of
+/// the paper's time: every ready process takes one step per round.
+///
+/// [`LrSim::trajectory`] runs one trial for [`pa_mc::run_trajectories`].
 ///
 /// # Examples
 ///
 /// ```
-/// use pa_lehmann_rabin::sims::{all_trying, LrSim, RoundRobin};
 /// use pa_lehmann_rabin::regions;
-/// use pa_sim::MonteCarlo;
+/// use pa_lehmann_rabin::sims::{all_trying, LrSim, RoundRobin};
+/// use pa_mc::{run_trajectories, McConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sim = LrSim::new(3, RoundRobin)?.with_start(all_trying(3)?);
-/// let mc = MonteCarlo::new(2_000, 7, 100);
-/// let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
+/// let est = run_trajectories(&McConfig::new(2_000, 7, 13), |rng| {
+///     sim.trajectory(regions::in_c, 13, rng)
+/// })?;
 /// // The paper guarantees ≥ 1/8 against the *worst* adversary; a concrete
 /// // benign scheduler does much better.
-/// assert!(est.point()?.value() > 0.125);
+/// assert!(est.point() > 0.125);
 /// # Ok(())
 /// # }
 /// ```
@@ -181,37 +186,18 @@ impl<S: RoundScheduler> LrSim<S> {
         self.scheduler.name()
     }
 
-    /// Executes one step of process `i`, sampling probabilistic outcomes
-    /// and resolving exit nondeterminism through the scheduler.
-    fn step_process(&self, config: &Config, i: usize, rng: &mut SplitMix64) -> Config {
-        let steps = self.protocol.steps_of_process(config, i);
-        if steps.is_empty() {
-            return *config;
-        }
-        let step = if steps.len() == 1 {
-            &steps[0]
-        } else {
-            // Exit-drop variant pair: index 0 keeps Right, 1 keeps Left.
-            match self.scheduler.exit_keep(config, i) {
-                Side::Right => &steps[0],
-                Side::Left => &steps[1],
-            }
-        };
-        *step.target.sample(rng)
-    }
-}
-
-impl<S: RoundScheduler> Simulable for LrSim<S> {
-    type State = SimState;
-
-    fn initial(&self, _rng: &mut SplitMix64) -> SimState {
+    /// The state before the first round: the start configuration.
+    pub fn initial(&self) -> SimState {
         SimState {
             config: self.start,
             round: 0,
         }
     }
 
-    fn step_round(&self, state: SimState, rng: &mut SplitMix64) -> SimState {
+    /// Advances the state by one round. Idle processes first issue `try`
+    /// (the eager user), then every ready process takes one step in the
+    /// scheduler's order.
+    pub fn step_round(&self, state: SimState, rng: &mut SplitMix64) -> SimState {
         let mut config = state.config;
         // Eager user: idle processes issue try at the round start.
         for i in 0..config.n() {
@@ -231,6 +217,62 @@ impl<S: RoundScheduler> Simulable for LrSim<S> {
             config,
             round: state.round + 1,
         }
+    }
+
+    /// Runs one trial from the start until `target` holds or `cap` rounds
+    /// elapse. The hit time is the number of rounds to the first
+    /// configuration in `target` (0 when the start is already in it), and
+    /// a trial censored at the cap is a miss. `steps` counts the rounds
+    /// simulated.
+    pub fn trajectory(
+        &self,
+        target: impl Fn(&Config) -> bool,
+        cap: u32,
+        rng: &mut SplitMix64,
+    ) -> Trajectory {
+        let mut state = self.initial();
+        let mut hit_at = target(&state.config).then_some(0);
+        while hit_at.is_none() && state.round < cap {
+            state = self.step_round(state, rng);
+            hit_at = target(&state.config).then_some(state.round);
+        }
+        Trajectory {
+            hit_at,
+            early: false,
+            steps: u64::from(state.round),
+        }
+    }
+
+    /// Records `rounds` rounds from the start: entry `k` is the state
+    /// after `k` rounds, so the trace holds `rounds + 1` states.
+    pub fn trace(&self, rounds: u32, rng: &mut SplitMix64) -> Vec<SimState> {
+        let mut state = self.initial();
+        let mut states = Vec::with_capacity(rounds as usize + 1);
+        states.push(state.clone());
+        for _ in 0..rounds {
+            state = self.step_round(state, rng);
+            states.push(state.clone());
+        }
+        states
+    }
+
+    /// Executes one step of process `i`, sampling probabilistic outcomes
+    /// and resolving exit nondeterminism through the scheduler.
+    fn step_process(&self, config: &Config, i: usize, rng: &mut SplitMix64) -> Config {
+        let steps = self.protocol.steps_of_process(config, i);
+        if steps.is_empty() {
+            return *config;
+        }
+        let step = if steps.len() == 1 {
+            &steps[0]
+        } else {
+            // Exit-drop variant pair: index 0 keeps Right, 1 keeps Left.
+            match self.scheduler.exit_keep(config, i) {
+                Side::Right => &steps[0],
+                Side::Left => &steps[1],
+            }
+        };
+        *step.target.sample(rng)
     }
 }
 
@@ -252,7 +294,7 @@ pub fn all_trying(n: usize) -> Result<Config, crate::LrError> {
 mod tests {
     use super::*;
     use crate::{lemma_6_1_invariant, regions};
-    use pa_sim::{record_trace, MonteCarlo};
+    use pa_mc::{run_trajectories, McConfig};
 
     #[test]
     fn round_robin_rotates_the_starting_process() {
@@ -293,8 +335,9 @@ mod tests {
             .unwrap()
             .with_start(all_trying(4).unwrap());
         let mut rng = SplitMix64::new(11);
-        let trace = record_trace(&sim, 200, &mut rng);
-        for s in &trace.states {
+        let trace = sim.trace(200, &mut rng);
+        assert_eq!(trace.len(), 201);
+        for s in &trace {
             assert!(lemma_6_1_invariant(&s.config), "violated at {}", s.config);
         }
     }
@@ -305,10 +348,11 @@ mod tests {
         fn check<S: RoundScheduler>(s: S) {
             let name = s.name();
             let sim = LrSim::new(3, s).unwrap().with_start(all_trying(3).unwrap());
-            let mc = MonteCarlo::new(200, 3, 200);
-            let (stats, censored) = mc
-                .hitting_time_stats(&sim, |st| regions::in_c(&st.config))
-                .unwrap();
+            let est = run_trajectories(&McConfig::new(200, 3, 200), |rng| {
+                sim.trajectory(regions::in_c, 200, rng)
+            })
+            .unwrap();
+            let (stats, censored) = est.time_stats();
             assert_eq!(censored, 0, "{name}: some trial starved");
             assert!(stats.mean() < 20.0, "{name}: mean {}", stats.mean());
         }
@@ -322,11 +366,11 @@ mod tests {
         let sim = LrSim::new(3, AntiProgress)
             .unwrap()
             .with_start(all_trying(3).unwrap());
-        let mc = MonteCarlo::new(4_000, 17, 50);
-        let est = mc
-            .hitting_prob_within(&sim, |st| regions::in_c(&st.config), 13)
-            .unwrap();
-        let ci = est.wilson_interval(pa_prob::stats::Z_99);
+        let est = run_trajectories(&McConfig::new(4_000, 17, 13), |rng| {
+            sim.trajectory(regions::in_c, 13, rng)
+        })
+        .unwrap();
+        let ci = est.interval(pa_prob::stats::Z_99);
         assert!(
             ci.lo().value() >= 0.125,
             "P[T →13 C] CI {ci} fell below the paper's 1/8 bound"
@@ -337,7 +381,7 @@ mod tests {
     fn eager_user_rejoins_idle_processes() {
         let sim = LrSim::new(3, RoundRobin).unwrap();
         let mut rng = SplitMix64::new(2);
-        let s0 = sim.initial(&mut rng);
+        let s0 = sim.initial();
         assert_eq!(s0.config.proc(0).pc, Pc::R);
         let s1 = sim.step_round(s0, &mut rng);
         // After one round with the eager user, nobody is still idle.
@@ -348,10 +392,28 @@ mod tests {
     }
 
     #[test]
+    fn trajectory_hits_at_the_first_round_in_the_target() {
+        let sim = LrSim::new(3, UniformRandom)
+            .unwrap()
+            .with_start(all_trying(3).unwrap());
+        let trace = sim.trace(40, &mut SplitMix64::new(9));
+        let first = trace.iter().position(|s| regions::in_c(&s.config)).unwrap() as u32;
+        let hit = sim.trajectory(regions::in_c, 40, &mut SplitMix64::new(9));
+        assert_eq!(hit.hit_at, Some(first));
+        assert_eq!(hit.steps, u64::from(first));
+        // The start state is checked before any round runs.
+        let at_start = sim.trajectory(|c| c.n() == 3, 40, &mut SplitMix64::new(9));
+        assert_eq!((at_start.hit_at, at_start.steps), (Some(0), 0));
+        // A trial censored at the cap is a miss after `cap` rounds.
+        let censored = sim.trajectory(|_| false, 7, &mut SplitMix64::new(9));
+        assert_eq!((censored.hit_at, censored.steps), (None, 7));
+    }
+
+    #[test]
     fn rounds_count_up() {
         let sim = LrSim::new(2, RoundRobin).unwrap();
         let mut rng = SplitMix64::new(2);
-        let mut s = sim.initial(&mut rng);
+        let mut s = sim.initial();
         for expect in 1..=5 {
             s = sim.step_round(s, &mut rng);
             assert_eq!(s.round, expect);

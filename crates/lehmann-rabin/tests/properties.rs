@@ -324,10 +324,9 @@ proptest! {
     #[test]
     fn simulation_rounds_preserve_regions_invariants(n in 2usize..6, seed in any::<u64>()) {
         use pa_lehmann_rabin::sims::{all_trying, LrSim, UniformRandom};
-        use pa_sim::Simulable;
         let sim = LrSim::new(n, UniformRandom).unwrap().with_start(all_trying(n).unwrap());
         let mut rng = SplitMix64::new(seed);
-        let mut state = sim.initial(&mut rng);
+        let mut state = sim.initial();
         for _ in 0..40 {
             state = sim.step_round(state, &mut rng);
             prop_assert!(lemma_6_1_invariant(&state.config));

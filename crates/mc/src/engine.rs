@@ -3,14 +3,16 @@ use pa_prob::rng::SplitMix64;
 
 use crate::{McConfig, McError, McEstimate, SamplePolicy};
 
-/// Outcome of a single trajectory.
-struct Trajectory {
-    /// Accumulated cost at the first target visit, `None` for a miss.
-    hit_at: Option<u32>,
+/// Outcome of a single trajectory, the unit the batch driver accumulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trajectory {
+    /// Accumulated cost (time) at the first target visit, `None` for a
+    /// miss.
+    pub hit_at: Option<u32>,
     /// Whether the per-trajectory step cap fired.
-    early: bool,
+    pub early: bool,
     /// Steps taken.
-    steps: u64,
+    pub steps: u64,
 }
 
 /// Runs one trajectory on its private stream. Semantics mirror the exact
@@ -76,14 +78,15 @@ where
     }
 }
 
-/// Estimates the probability of reaching `target` from `start` within the
-/// cost budget `cfg.max_time`, sampling `cfg.trajectories` trajectories
-/// under `policy`.
+/// Runs a batch of `cfg.trajectories` trajectories and accumulates their
+/// outcomes into an [`McEstimate`] with cost budget `cfg.max_time`.
 ///
-/// Determinism contract: trajectory `i` runs on
-/// `SplitMix64::for_trial(cfg.seed, i)` and outcomes are accumulated as
-/// integers, so the returned [`McEstimate`] is bitwise identical for
-/// every worker count and across runs — only wall-clock time varies.
+/// Trajectory `i` calls `trajectory` on its private stream
+/// `SplitMix64::for_trial(cfg.seed, i)`. Worker `w` of `W` runs the
+/// strided indices `w, w + W, …` on a scoped thread into a local
+/// accumulator, and the accumulators merge by integer addition, so the
+/// estimate is bitwise identical for every worker count and across runs;
+/// only wall-clock time varies.
 ///
 /// Records the `mc.trajectories`, `mc.steps`, `mc.early_stops` and
 /// `mc.rng_draws` telemetry counters and the `mc.seconds` span.
@@ -91,7 +94,77 @@ where
 /// # Errors
 ///
 /// [`McError::NoTrajectories`] for an empty batch,
-/// [`McError::WorkerPanicked`] if a worker thread panics.
+/// [`McError::WorkerPanicked`] if `trajectory` panics on a worker.
+///
+/// # Examples
+///
+/// ```
+/// use pa_mc::{run_trajectories, McConfig, Trajectory};
+/// use rand::RngExt;
+///
+/// // One fair coin per round until heads, within 3 rounds.
+/// let est = run_trajectories(&McConfig::new(5_000, 42, 3), |rng| {
+///     let hit_at = (1..=3).find(|_| rng.random_bool(0.5));
+///     Trajectory { hit_at, early: false, steps: 3 }
+/// })
+/// .unwrap();
+/// assert!((est.point() - 0.875).abs() < 0.05);
+/// ```
+pub fn run_trajectories<F>(cfg: &McConfig, trajectory: F) -> Result<McEstimate, McError>
+where
+    F: Fn(&mut SplitMix64) -> Trajectory + Sync,
+{
+    if cfg.trajectories == 0 {
+        return Err(McError::NoTrajectories);
+    }
+    let _span = pa_telemetry::span("mc.seconds");
+    let workers = cfg.worker_count();
+    let trajectory = &trajectory;
+    // Join every worker before looking at any result: a panicked worker
+    // left unjoined would make the scope itself panic.
+    let parts: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut acc = McEstimate::empty(cfg.max_time);
+                    let mut i = w;
+                    while i < cfg.trajectories {
+                        let mut rng = SplitMix64::for_trial(cfg.seed, i);
+                        let out = trajectory(&mut rng);
+                        acc.record(out.hit_at, out.early, out.steps, rng.draws());
+                        i += workers;
+                    }
+                    acc
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+
+    // Integer merge: associative, so any partition of the trial index
+    // space (any worker count) lands on the same accumulator.
+    let mut total = McEstimate::empty(cfg.max_time);
+    for part in parts {
+        total.absorb(&part.map_err(|_| McError::WorkerPanicked)?);
+    }
+
+    if pa_telemetry::enabled() {
+        pa_telemetry::counter("mc.trajectories").add(total.trials());
+        pa_telemetry::counter("mc.steps").add(total.total_steps());
+        pa_telemetry::counter("mc.early_stops").add(total.early_stops());
+        pa_telemetry::counter("mc.rng_draws").add(total.rng_draws());
+    }
+    Ok(total)
+}
+
+/// Estimates the probability of reaching `target` from `start` within the
+/// cost budget `cfg.max_time`, sampling `cfg.trajectories` trajectories
+/// under `policy` through [`run_trajectories`] (which see for the
+/// determinism contract, telemetry and errors).
+///
+/// # Errors
+///
+/// As [`run_trajectories`].
 pub fn estimate_reach<M, P>(
     model: &M,
     start: &M::State,
@@ -105,49 +178,7 @@ where
     M::State: Send + Sync,
     P: SamplePolicy<M> + Sync,
 {
-    if cfg.trajectories == 0 {
-        return Err(McError::NoTrajectories);
-    }
-    let _span = pa_telemetry::span("mc.seconds");
-    let workers = cfg.worker_count();
-    let parts = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let target = &target;
-            let cost_of = &cost_of;
-            let cfg = *cfg;
-            handles.push(scope.spawn(move |_| {
-                let mut acc = McEstimate::empty(cfg.max_time);
-                let mut i = w;
-                while i < cfg.trajectories {
-                    let mut rng = SplitMix64::for_trial(cfg.seed, i);
-                    let out = run_trajectory(model, start, target, cost_of, policy, &cfg, &mut rng);
-                    acc.record(out.hit_at, out.early, out.steps, rng.draws());
-                    i += workers;
-                }
-                acc
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join())
-            .collect::<Result<Vec<McEstimate>, _>>()
+    run_trajectories(cfg, |rng| {
+        run_trajectory(model, start, &target, &cost_of, policy, cfg, rng)
     })
-    .map_err(|_| McError::WorkerPanicked)?
-    .map_err(|_| McError::WorkerPanicked)?;
-
-    // Integer merge: associative, so any partition of the trial index
-    // space (any worker count) lands on the same accumulator.
-    let mut total = McEstimate::empty(cfg.max_time);
-    for part in &parts {
-        total.absorb(part);
-    }
-
-    if pa_telemetry::enabled() {
-        pa_telemetry::counter("mc.trajectories").add(total.trials());
-        pa_telemetry::counter("mc.steps").add(total.total_steps());
-        pa_telemetry::counter("mc.early_stops").add(total.early_stops());
-        pa_telemetry::counter("mc.rng_draws").add(total.rng_draws());
-    }
-    Ok(total)
 }

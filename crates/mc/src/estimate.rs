@@ -37,16 +37,14 @@ impl McEstimate {
     }
 
     /// Records one finished trajectory. `hit_at` is the accumulated cost
-    /// at the first target visit, `None` for a miss; `early` marks a
-    /// trajectory cut off by the step cap.
+    /// at the first target visit, `None` for a miss; a hit past
+    /// `max_time` is outside the budget and also counts as a miss.
+    /// `early` marks a trajectory cut off by the step cap.
     pub fn record(&mut self, hit_at: Option<u32>, early: bool, steps: u64, rng_draws: u64) {
         self.trials += 1;
         match hit_at {
-            Some(t) => {
-                let slot = (t as usize).min(self.hits.len() - 1);
-                self.hits[slot] += 1;
-            }
-            None => self.misses += 1,
+            Some(t) if t <= self.max_time => self.hits[t as usize] += 1,
+            _ => self.misses += 1,
         }
         if early {
             self.early_stops += 1;
@@ -87,6 +85,11 @@ impl McEstimate {
     /// first reached the target at accumulated cost exactly `t`.
     pub fn histogram(&self) -> &[u64] {
         &self.hits
+    }
+
+    /// Trajectories that reached the target at accumulated cost `≤ t`.
+    pub fn hits_within(&self, t: u32) -> u64 {
+        self.hits.iter().take(t as usize + 1).sum()
     }
 
     /// Trajectories that missed (budget exhausted, dead end, or step cap).
@@ -206,6 +209,29 @@ mod tests {
         assert_eq!(ab.misses(), 1);
         assert_eq!(ab.early_stops(), 1);
         assert_eq!(ab.digest_fragment(), ba.digest_fragment());
+    }
+
+    #[test]
+    fn a_hit_past_the_budget_is_a_miss() {
+        let mut e = McEstimate::empty(3);
+        e.record(Some(3), false, 1, 1);
+        e.record(Some(4), false, 1, 1);
+        e.record(Some(u32::MAX), false, 1, 1);
+        assert_eq!(e.trials(), 3);
+        assert_eq!(e.hit_count(), 1);
+        assert_eq!(e.misses(), 2);
+        assert_eq!(e.histogram(), &[0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn hits_within_accumulates_the_histogram() {
+        let mut e = McEstimate::empty(4);
+        for t in [0, 1, 1, 3] {
+            e.record(Some(t), false, 1, 1);
+        }
+        e.record(None, false, 1, 1);
+        let within: Vec<u64> = (0..=5).map(|t| e.hits_within(t)).collect();
+        assert_eq!(within, [1, 3, 3, 4, 4, 4]);
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! around `n = 7` (2.16M states). This crate estimates the same
 //! quantities by sampling trajectories of the *implicit* model instead:
 //!
-//! * [`estimate_reach`] runs a batch of trajectories of any
-//!   [`pa_core::Automaton`] under a pluggable [`SamplePolicy`] (the
-//!   embedded adversary), accumulating first-hit times against a cost
-//!   budget into an [`McEstimate`].
+//! * [`run_trajectories`] is the one batch driver: it runs any
+//!   per-trajectory closure on scoped worker threads and accumulates the
+//!   [`Trajectory`] outcomes (first-hit times against a cost budget) into
+//!   an [`McEstimate`].
+//! * [`estimate_reach`] drives trajectories of any [`pa_core::Automaton`]
+//!   under a pluggable [`SamplePolicy`] (the embedded adversary); the
+//!   Lehmann–Rabin round simulator (`pa_lehmann_rabin::sims::LrSim`)
+//!   drives its concrete round schedulers through the same driver.
 //! * Determinism contract: trajectory `i` always runs on the private
 //!   stream `SplitMix64::for_trial(seed, i)`, and the accumulator is
 //!   integer-only (a first-hit-time histogram), so the result is bitwise
@@ -40,7 +44,7 @@ mod policy;
 
 pub use chain::{chain_target, ChainAction, ChainState, UniformChain};
 pub use config::McConfig;
-pub use engine::estimate_reach;
+pub use engine::{estimate_reach, run_trajectories, Trajectory};
 pub use error::McError;
 pub use estimate::McEstimate;
 pub use policy::{FirstPolicy, OptimalReplay, SamplePolicy, UniformPolicy};

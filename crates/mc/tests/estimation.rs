@@ -3,10 +3,14 @@
 
 use pa_core::{Automaton, Step};
 use pa_mc::{
-    chain_target, estimate_reach, McConfig, McError, OptimalReplay, UniformChain, UniformPolicy,
+    chain_target, estimate_reach, run_trajectories, McConfig, McError, OptimalReplay, Trajectory,
+    UniformChain, UniformPolicy,
 };
+use pa_prob::rng::SplitMix64;
 use pa_prob::stats::Z_99;
 use pa_prob::{FiniteDist, Prob};
+use proptest::prelude::*;
+use rand::RngExt;
 
 use pa_mdp::{Explore, Objective};
 
@@ -208,4 +212,98 @@ fn mean_hit_time_tracks_the_safe_walk() {
     assert_eq!(stats.mean(), 3.0);
     let (lo, hi) = est.mean_time_ci(Z_99);
     assert!(lo <= 3.0 && 3.0 <= hi);
+}
+
+/// A biased coin flipped once per round until it lands: each round
+/// succeeds with probability `p / 256`. The trajectory stops at the first
+/// success or after `cap` rounds.
+fn biased_coin(p: u8, cap: u32, rng: &mut SplitMix64) -> Trajectory {
+    for round in 1..=cap {
+        if rng.random_range(0u32..256) < u32::from(p) {
+            return Trajectory {
+                hit_at: Some(round),
+                early: false,
+                steps: u64::from(round),
+            };
+        }
+    }
+    Trajectory {
+        hit_at: None,
+        early: false,
+        steps: u64::from(cap),
+    }
+}
+
+#[test]
+fn a_panicking_trajectory_is_a_worker_error() {
+    for workers in [1, 3] {
+        let cfg = McConfig::new(100, 1, 5).with_workers(workers);
+        let err = run_trajectories(&cfg, |rng| {
+            if rng.random_range(0u32..10) == 0 {
+                panic!("trajectory bug");
+            }
+            biased_coin(128, 5, rng)
+        })
+        .unwrap_err();
+        assert_eq!(err, McError::WorkerPanicked, "{workers} workers");
+    }
+}
+
+#[test]
+fn the_driver_rejects_an_empty_batch() {
+    let err =
+        run_trajectories(&McConfig::new(0, 1, 5), |rng| biased_coin(128, 5, rng)).unwrap_err();
+    assert_eq!(err, McError::NoTrajectories);
+}
+
+#[test]
+fn the_driver_matches_the_geometric_law() {
+    let est = run_trajectories(&McConfig::new(20_000, 42, 3), |rng| {
+        biased_coin(128, 3, rng)
+    })
+    .unwrap();
+    // P[heads within 3 flips] = 1 - (1/2)^3 = 0.875.
+    assert!(est.interval(Z_99).contains(Prob::new(0.875).unwrap()));
+    assert_eq!(est.hit_count() + est.misses(), 20_000);
+}
+
+proptest! {
+    #[test]
+    fn driver_estimates_are_deterministic_in_configuration(
+        p in 1u8..=255, trials in 1u64..500, seed in any::<u64>(), cap in 0u32..20,
+    ) {
+        let cfg = McConfig::new(trials, seed, cap);
+        let a = run_trajectories(&cfg, |rng| biased_coin(p, cap, rng)).unwrap();
+        let b = run_trajectories(&cfg, |rng| biased_coin(p, cap, rng)).unwrap();
+        prop_assert_eq!(a.digest_fragment(), b.digest_fragment());
+        prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn driver_estimates_are_bitwise_invariant_in_worker_count(
+        p in 1u8..=255, trials in 1u64..500, seed in any::<u64>(),
+    ) {
+        let cfg = McConfig::new(trials, seed, 10);
+        let one = run_trajectories(&cfg.with_workers(1), |rng| biased_coin(p, 10, rng)).unwrap();
+        for workers in [2, 3, 7] {
+            let many =
+                run_trajectories(&cfg.with_workers(workers), |rng| biased_coin(p, 10, rng)).unwrap();
+            prop_assert_eq!(&one, &many);
+        }
+    }
+
+    #[test]
+    fn per_round_cdf_is_monotone_and_bounded(p in 1u8..=255, seed in any::<u64>()) {
+        let est = run_trajectories(&McConfig::new(500, seed, 30), |rng| biased_coin(p, 30, rng))
+            .unwrap();
+        prop_assert_eq!(est.trials(), 500);
+        let mut last = 0;
+        for t in 0..=30 {
+            let within = est.hits_within(t);
+            prop_assert!(within >= last);
+            prop_assert!(within <= est.trials());
+            last = within;
+        }
+        prop_assert_eq!(last + est.misses(), est.trials());
+    }
 }

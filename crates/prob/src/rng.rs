@@ -70,8 +70,8 @@ impl SplitMix64 {
 
     /// Number of `u64` words this generator has produced so far. Each
     /// `u32`, `u64` or float draw consumes one word; `fill_bytes` consumes
-    /// one word per started 8-byte chunk. The Monte-Carlo runner folds
-    /// these into the `sim.mc.rng_draws` telemetry counter.
+    /// one word per started 8-byte chunk. `pa-mc`'s batch driver folds
+    /// these into the `mc.rng_draws` telemetry counter.
     pub fn draws(&self) -> u64 {
         self.draws
     }

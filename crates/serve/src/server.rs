@@ -393,7 +393,7 @@ impl Server {
         let listener = UnixListener::bind(path)?;
         let active = AtomicUsize::new(0);
         let active_ref = &active;
-        crossbeam::thread::scope(|scope| -> io::Result<()> {
+        std::thread::scope(|scope| -> io::Result<()> {
             loop {
                 let (stream, _) = listener.accept()?;
                 if self.draining() {
@@ -422,7 +422,7 @@ impl Server {
                     "serve.connections.accepted",
                 );
                 active.fetch_add(1, Ordering::Relaxed);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let result = stream.try_clone().and_then(|read_half| {
                         self.handle_stream(BufReader::new(read_half), &stream)
                     });
@@ -434,8 +434,7 @@ impl Server {
                     }
                 });
             }
-        })
-        .expect("connection thread panicked")?;
+        })?;
         let _ = std::fs::remove_file(path);
         Ok(())
     }

@@ -26,17 +26,16 @@ const PER_THREAD: u64 = 10_000;
 fn counter_adds_are_not_lost_across_threads() {
     with_enabled_registry(|| {
         let c = telemetry::counter("test.conc.counter");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..THREADS {
                 let c = &c;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..PER_THREAD {
                         c.inc();
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(c.value(), THREADS as u64 * PER_THREAD);
     });
 }
@@ -45,17 +44,16 @@ fn counter_adds_are_not_lost_across_threads() {
 fn histogram_count_and_sum_are_exact_across_threads() {
     with_enabled_registry(|| {
         let h = telemetry::histogram("test.conc.histogram");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..THREADS as u64 {
                 let h = &h;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..PER_THREAD {
                         h.record(t * PER_THREAD + i);
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         let n = THREADS as u64 * PER_THREAD;
         assert_eq!(h.count(), n);
         assert_eq!(h.sum(), n * (n - 1) / 2);
@@ -70,16 +68,15 @@ fn histogram_count_and_sum_are_exact_across_threads() {
 fn timer_spans_from_threads_all_register() {
     with_enabled_registry(|| {
         let spans_per_thread = 50u64;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..THREADS {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..spans_per_thread {
                         let _span = telemetry::span("test.conc.timer");
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         let t = telemetry::timer("test.conc.timer");
         assert_eq!(t.count(), THREADS as u64 * spans_per_thread);
         assert!(t.max_nanos() <= t.total_nanos());
@@ -90,17 +87,16 @@ fn timer_spans_from_threads_all_register() {
 fn timer_record_accumulates_exactly() {
     with_enabled_registry(|| {
         let t = telemetry::timer("test.conc.timer_exact");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..THREADS {
                 let t = &t;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..100 {
                         t.record(Duration::from_nanos(7));
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(t.count(), THREADS as u64 * 100);
         assert_eq!(t.total_nanos(), THREADS as u64 * 100 * 7);
         assert_eq!(t.max_nanos(), 7);
@@ -112,17 +108,16 @@ fn series_under_contention_keeps_every_push_up_to_cap() {
     with_enabled_registry(|| {
         let s = telemetry::series("test.conc.series");
         let pushes = (telemetry::SERIES_CAP / THREADS) as u64;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..THREADS {
                 let s = &s;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..pushes {
                         s.push(i as f64);
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(s.values().len(), THREADS * pushes as usize);
         assert_eq!(s.truncated(), 0);
     });
@@ -132,17 +127,16 @@ fn series_under_contention_keeps_every_push_up_to_cap() {
 fn gauge_set_max_converges_to_global_maximum() {
     with_enabled_registry(|| {
         let g = telemetry::gauge("test.conc.gauge");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..THREADS as i64 {
                 let g = &g;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..1000 {
                         g.set_max(t * 1000 + i);
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(g.value(), (THREADS as i64 - 1) * 1000 + 999);
     });
 }
@@ -150,16 +144,15 @@ fn gauge_set_max_converges_to_global_maximum() {
 #[test]
 fn concurrent_registration_yields_one_metric_per_name() {
     with_enabled_registry(|| {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..THREADS {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..100 {
                         telemetry::counter("test.conc.registration").inc();
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(
             telemetry::counter("test.conc.registration").value(),
             THREADS as u64 * 100,

@@ -12,9 +12,9 @@ use std::error::Error;
 use std::time::Duration;
 
 use timebounds::lehmann_rabin::{concurrent, regions, sims};
+use timebounds::mc::{run_trajectories, McConfig, McEstimate};
 use timebounds::prob::rng::SplitMix64;
-use timebounds::prob::stats::Z_95;
-use timebounds::sim::{record_trace, MonteCarlo};
+use timebounds::prob::stats::{BernoulliEstimator, Z_95};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let n: usize = std::env::args()
@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("— one run, ring of {n}, round-robin scheduler —");
     let sim = sims::LrSim::new(n, sims::RoundRobin)?.with_start(sims::all_trying(n)?);
     let mut rng = SplitMix64::new(2024);
-    let trace = record_trace(&sim, 30, &mut rng);
-    for (round, state) in trace.states.iter().enumerate().take(12) {
+    let trace = sim.trace(30, &mut rng);
+    for (round, state) in trace.iter().enumerate().take(12) {
         let tags = [
             (regions::in_g(&state.config), "G"),
             (regions::in_p(&state.config), "P"),
@@ -40,35 +40,22 @@ fn main() -> Result<(), Box<dyn Error>> {
             break;
         }
     }
-    match trace.first_hit(|s| regions::in_c(&s.config)) {
+    match trace.iter().position(|s| regions::in_c(&s.config)) {
         Some(r) => println!("  first philosopher eats after {r} rounds"),
         None => println!("  nobody ate within 30 rounds (rare)"),
     }
 
     // 2. Monte-Carlo: distribution of the time to the first meal.
     println!("\n— Monte-Carlo, 20000 trials per scheduler —");
-    let mc = MonteCarlo::new(20_000, 7, 200);
-    for name in ["round-robin", "uniform-random", "anti-progress"] {
-        let (stats, censored, p13) = match name {
-            "round-robin" => {
-                let s = sims::LrSim::new(n, sims::RoundRobin)?.with_start(sims::all_trying(n)?);
-                let st = mc.hitting_time_stats(&s, |x| regions::in_c(&x.config))?;
-                let p = mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)?;
-                (st.0, st.1, p)
-            }
-            "uniform-random" => {
-                let s = sims::LrSim::new(n, sims::UniformRandom)?.with_start(sims::all_trying(n)?);
-                let st = mc.hitting_time_stats(&s, |x| regions::in_c(&x.config))?;
-                let p = mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)?;
-                (st.0, st.1, p)
-            }
-            _ => {
-                let s = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-                let st = mc.hitting_time_stats(&s, |x| regions::in_c(&x.config))?;
-                let p = mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)?;
-                (st.0, st.1, p)
-            }
-        };
+    let mc = McConfig::new(20_000, 7, 200);
+    let estimates = [
+        ("round-robin", sample(n, sims::RoundRobin, &mc)?),
+        ("uniform-random", sample(n, sims::UniformRandom, &mc)?),
+        ("anti-progress", sample(n, sims::AntiProgress, &mc)?),
+    ];
+    for (name, est) in estimates {
+        let (stats, censored) = est.time_stats();
+        let p13 = BernoulliEstimator::from_counts(est.hits_within(13), est.trials());
         println!(
             "  {name:<15} mean time-to-eat {:.2} rounds (max {:.0}), censored {censored}, P[eat ≤ 13] = {} ",
             stats.mean(),
@@ -79,7 +66,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("  paper guarantees: P[eat ≤ 13] ≥ 1/8 and E[time] ≤ 63 against ANY adversary");
 
     // 3. Real threads.
-    println!("\n— real threads ({n} philosophers, parking_lot try-locks) —");
+    println!("\n— real threads ({n} philosophers, std Mutex try-locks) —");
     let report = concurrent::run_trials(n, 50, 42, Duration::from_secs(20))?;
     println!(
         "  {} trials: mean {:.3} ms, max {:.3} ms to first meal; {} timeouts; {} coin flips",
@@ -94,4 +81,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         report.total_flips,
     );
     Ok(())
+}
+
+/// Samples `scheduler` on the ring of `n` from the all-trying start until
+/// some philosopher eats, for at most `mc.max_time` rounds.
+fn sample<S: sims::RoundScheduler>(
+    n: usize,
+    scheduler: S,
+    mc: &McConfig,
+) -> Result<McEstimate, Box<dyn Error>> {
+    let sim = sims::LrSim::new(n, scheduler)?.with_start(sims::all_trying(n)?);
+    Ok(run_trajectories(mc, |rng| {
+        sim.trajectory(regions::in_c, mc.max_time, rng)
+    })?)
 }

@@ -13,8 +13,8 @@ use std::error::Error;
 
 use timebounds::core::{geometric_bound, solve_expected_time, Branch, SetExpr};
 use timebounds::lehmann_rabin::{max_expected_time, paper, regions, sims, RoundConfig, RoundMdp};
+use timebounds::mc::{run_trajectories, McConfig};
 use timebounds::prob::Prob;
-use timebounds::sim::MonteCarlo;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let n: usize = std::env::args()
@@ -57,9 +57,11 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 4. Monte-Carlo under concrete schedulers (should sit below the exact
     //    worst case, up to the +1 partial-round margin and CI noise).
-    let mc = MonteCarlo::new(50_000, 123, 500);
     let sim = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-    let (stats, censored) = mc.hitting_time_stats(&sim, |s| regions::in_c(&s.config))?;
+    let est = run_trajectories(&McConfig::new(50_000, 123, 500), |rng| {
+        sim.trajectory(regions::in_c, 500, rng)
+    })?;
+    let (stats, censored) = est.time_stats();
     println!("\nMonte-Carlo, anti-progress scheduler, all-trying start:");
     println!(
         "  mean time-to-C = {:.3} ± {:.3} rounds over {} trials ({censored} censored)",

@@ -10,11 +10,11 @@
 //!   event schemas, and the `U —t→_p U'` arrow calculus (Sections 2–4).
 //! * [`mdp`] — explicit-state MDP model-checking substrate used to verify
 //!   arrow claims exactly against *all* adversaries of a schema.
-//! * [`sim`] — Monte-Carlo simulation substrate for statistical estimation.
-//! * [`mc`] — seeded deterministic Monte-Carlo estimation tier: trajectory
-//!   sampling of the implicit (faulty) round model with per-trajectory RNG
-//!   streams, worker-count-invariant accumulation, and policy replay
-//!   cross-validated against the exact engine.
+//! * [`mc`] — seeded deterministic Monte-Carlo estimation tier: one batch
+//!   driver with per-trajectory RNG streams and worker-count-invariant
+//!   accumulation, trajectory sampling of the implicit (faulty) round
+//!   model and of the round simulator's concrete schedulers, and policy
+//!   replay cross-validated against the exact engine.
 //! * [`lehmann_rabin`] — the Lehmann–Rabin Dining Philosophers case study
 //!   (Sections 5–6 and the appendix).
 //! * [`faults`] — fault-injection layer (crash-stop, crash-restart,
@@ -55,5 +55,4 @@ pub use pa_mc as mc;
 pub use pa_mdp as mdp;
 pub use pa_prob as prob;
 pub use pa_serve as serve;
-pub use pa_sim as sim;
 pub use pa_store as store;

@@ -1,14 +1,22 @@
 //! Cross-validation between the exact checker (pa-mdp backward induction)
-//! and the statistical estimator (pa-sim Monte-Carlo): independent
+//! and the statistical estimator (pa-mc sampling of the round simulator): independent
 //! implementations of the same semantics must agree.
 
 use timebounds::lehmann_rabin::{
     check_arrow, paper, regions, round_cost, sims, RoundConfig, RoundMdp,
 };
+use timebounds::mc::{run_trajectories, McConfig, McEstimate};
 use timebounds::mdp::{Explore, Objective};
-use timebounds::prob::stats::Z_99;
-use timebounds::prob::Prob;
-use timebounds::sim::MonteCarlo;
+use timebounds::prob::stats::{BernoulliEstimator, Z_99};
+
+/// Samples `scheduler` on the ring of 3 from the all-trying start until
+/// some process reaches `C`, for at most `cfg.max_time` rounds.
+fn sample<S: sims::RoundScheduler>(scheduler: S, cfg: &McConfig) -> McEstimate {
+    let sim = sims::LrSim::new(3, scheduler)
+        .unwrap()
+        .with_start(sims::all_trying(3).unwrap());
+    run_trajectories(cfg, |rng| sim.trajectory(regions::in_c, cfg.max_time, rng)).unwrap()
+}
 
 #[test]
 fn concrete_schedulers_dominate_the_exact_worst_case() {
@@ -19,34 +27,14 @@ fn concrete_schedulers_dominate_the_exact_worst_case() {
     .unwrap()
     .measured
     .lo();
-    let mc = MonteCarlo::new(20_000, 5, 60);
-    for which in 0..3 {
-        let ci = match which {
-            0 => {
-                let s = sims::LrSim::new(3, sims::RoundRobin)
-                    .unwrap()
-                    .with_start(sims::all_trying(3).unwrap());
-                mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)
-                    .unwrap()
-                    .wilson_interval(Z_99)
-            }
-            1 => {
-                let s = sims::LrSim::new(3, sims::UniformRandom)
-                    .unwrap()
-                    .with_start(sims::all_trying(3).unwrap());
-                mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)
-                    .unwrap()
-                    .wilson_interval(Z_99)
-            }
-            _ => {
-                let s = sims::LrSim::new(3, sims::AntiProgress)
-                    .unwrap()
-                    .with_start(sims::all_trying(3).unwrap());
-                mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)
-                    .unwrap()
-                    .wilson_interval(Z_99)
-            }
-        };
+    let mc = McConfig::new(20_000, 5, 13);
+    let estimates = [
+        sample(sims::RoundRobin, &mc),
+        sample(sims::UniformRandom, &mc),
+        sample(sims::AntiProgress, &mc),
+    ];
+    for (which, est) in estimates.iter().enumerate() {
+        let ci = est.estimator().wilson_interval(Z_99);
         assert!(
             ci.hi().at_least(exact_worst),
             "scheduler {which}: CI {ci} below exact worst case {exact_worst}"
@@ -94,14 +82,11 @@ fn exact_curve_lower_bounds_simulated_cdf() {
     let pinned: Vec<u64> = (0..=20).map(|t| steps[t / 4]).collect();
     assert_eq!(bits, pinned);
 
-    let sim = sims::LrSim::new(3, sims::UniformRandom)
-        .unwrap()
-        .with_start(all_trying);
-    let mc = MonteCarlo::new(30_000, 11, 20);
-    let cdf = mc.hitting_cdf(&sim, |s| regions::in_c(&s.config)).unwrap();
+    let est = sample(sims::UniformRandom, &McConfig::new(30_000, 11, 20));
     for t in 0..=20u32 {
         let exact = exact_curve[t as usize];
-        let ci = cdf.prob_within_ci(t, Z_99);
+        let ci =
+            BernoulliEstimator::from_counts(est.hits_within(t), est.trials()).wilson_interval(Z_99);
         assert!(
             ci.hi().value() + 1e-9 >= exact,
             "t={t}: simulated CI {ci} below exact worst case {exact}"
@@ -110,9 +95,9 @@ fn exact_curve_lower_bounds_simulated_cdf() {
     // And the curve shapes agree qualitatively: both are 0 before round 4
     // (a meal takes flip, wait, second, crit) and near 1 by round 20.
     assert_eq!(exact_curve[3], 0.0);
-    assert_eq!(cdf.prob_within(3), Prob::ZERO);
+    assert_eq!(est.hits_within(3), 0);
     assert!(exact_curve[20] > 0.99);
-    assert!(cdf.prob_within(20).value() > 0.99);
+    assert!(est.point() > 0.99);
 }
 
 /// Replaying the extracted optimal (minimizing) policy through the explicit

@@ -1,11 +1,11 @@
-//! Integration of the Monte-Carlo substrate with the case study, plus the
-//! real threaded implementation (experiment E13).
+//! Integration of the round simulator and `pa-mc`'s batch driver with the
+//! case study, plus the real threaded implementation (experiment E13).
 
 use std::time::Duration;
 
 use timebounds::lehmann_rabin::{concurrent, lemma_6_1_invariant, regions, sims};
+use timebounds::mc::{run_trajectories, McConfig};
 use timebounds::prob::rng::SplitMix64;
-use timebounds::sim::{record_trace, rounds_to_hit, MonteCarlo};
 
 #[test]
 fn invariant_holds_along_long_simulated_traces() {
@@ -14,8 +14,8 @@ fn invariant_holds_along_long_simulated_traces() {
             .unwrap()
             .with_start(sims::all_trying(n).unwrap());
         let mut rng = SplitMix64::new(n as u64);
-        let trace = record_trace(&sim, 300, &mut rng);
-        for s in &trace.states {
+        let trace = sim.trace(300, &mut rng);
+        for s in &trace {
             assert!(lemma_6_1_invariant(&s.config), "n={n}: {}", s.config);
             assert!(
                 timebounds::lehmann_rabin::adjacent_exclusion(&s.config),
@@ -31,10 +31,11 @@ fn every_trial_eventually_eats() {
     let sim = sims::LrSim::new(4, sims::AntiProgress)
         .unwrap()
         .with_start(sims::all_trying(4).unwrap());
-    let mc = MonteCarlo::new(2_000, 21, 500);
-    let (stats, censored) = mc
-        .hitting_time_stats(&sim, |s| regions::in_c(&s.config))
-        .unwrap();
+    let est = run_trajectories(&McConfig::new(2_000, 21, 500), |rng| {
+        sim.trajectory(regions::in_c, 500, rng)
+    })
+    .unwrap();
+    let (stats, censored) = est.time_stats();
     assert_eq!(censored, 0, "progress must happen with probability 1");
     assert!(stats.mean() >= 4.0, "a meal takes at least 4 rounds");
     assert!(stats.min().unwrap() >= 4.0);
@@ -45,20 +46,10 @@ fn hitting_time_is_deterministic_per_seed() {
     let sim = sims::LrSim::new(3, sims::UniformRandom)
         .unwrap()
         .with_start(sims::all_trying(3).unwrap());
-    let a = rounds_to_hit(
-        &sim,
-        |s| regions::in_c(&s.config),
-        100,
-        &mut SplitMix64::new(77),
-    );
-    let b = rounds_to_hit(
-        &sim,
-        |s| regions::in_c(&s.config),
-        100,
-        &mut SplitMix64::new(77),
-    );
+    let a = sim.trajectory(regions::in_c, 100, &mut SplitMix64::new(77));
+    let b = sim.trajectory(regions::in_c, 100, &mut SplitMix64::new(77));
     assert_eq!(a, b);
-    assert!(a.is_some());
+    assert!(a.hit_at.is_some());
 }
 
 #[test]
@@ -66,13 +57,8 @@ fn idle_start_with_eager_user_still_progresses() {
     // From the all-idle start the eager user issues try at round starts;
     // progress follows.
     let sim = sims::LrSim::new(3, sims::RoundRobin).unwrap();
-    let hit = rounds_to_hit(
-        &sim,
-        |s| regions::in_c(&s.config),
-        200,
-        &mut SplitMix64::new(3),
-    );
-    assert!(hit.is_some());
+    let hit = sim.trajectory(regions::in_c, 200, &mut SplitMix64::new(3));
+    assert!(hit.hit_at.is_some());
 }
 
 #[test]
