@@ -1,8 +1,8 @@
 //! A real multi-threaded implementation of the Lehmann–Rabin algorithm.
 //!
-//! Each philosopher is a scoped OS thread; each resource is a
-//! `std::sync::Mutex`. Figure 1's atomic test-and-take (`if Res free then
-//! take`) maps exactly to `Mutex::try_lock`, and the wait loop of line 2 maps to a spin
+//! Each philosopher is an OS thread; each resource is a `std::sync`
+//! mutex. Figure 1's atomic test-and-take (`if Res free then take`) maps
+//! exactly to `Mutex::try_lock`, and the wait loop of line 2 maps to a spin
 //! on `try_lock` with a yield. The OS scheduler plays the adversary; the
 //! `Unit-Time` assumption corresponds to threads not being starved
 //! indefinitely, which holds on any fair scheduler.
@@ -14,8 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
-use std::thread::ScopedJoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use pa_prob::rng::SplitMix64;
@@ -91,43 +90,33 @@ fn run_one_trial(
     trial: u64,
     timeout: Duration,
 ) -> Result<(Option<Duration>, u64), LrError> {
-    let resources: Vec<Mutex<()>> = (0..n).map(|_| Mutex::new(())).collect();
-    let done = AtomicBool::new(false);
-    let flips = AtomicU64::new(0);
-    let winner_at = Mutex::new(None);
+    let resources: Arc<Vec<Mutex<()>>> = Arc::new((0..n).map(|_| Mutex::new(())).collect());
+    let done = Arc::new(AtomicBool::new(false));
+    let flips = Arc::new(AtomicU64::new(0));
+    let winner_at: Arc<Mutex<Option<Duration>>> = Arc::new(Mutex::new(None));
     let start = Instant::now();
 
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let (resources, done, flips, winner_at) = (&resources, &done, &flips, &winner_at);
-                scope.spawn(move || {
-                    let mut rng =
-                        SplitMix64::for_trial(seed ^ (trial.wrapping_mul(0x9E37)), i as u64);
-                    let left = (i + n - 1) % n;
-                    let right = i;
-                    philosopher_loop(
-                        resources, left, right, done, flips, winner_at, start, timeout, &mut rng,
-                        None,
-                    );
-                })
-            })
-            .collect();
-        join_all(handles)
-    })?;
+    let mut handles = Vec::with_capacity(n);
+    for i in 0..n {
+        let resources = Arc::clone(&resources);
+        let done = Arc::clone(&done);
+        let flips = Arc::clone(&flips);
+        let winner_at = Arc::clone(&winner_at);
+        handles.push(std::thread::spawn(move || {
+            let mut rng = SplitMix64::for_trial(seed ^ (trial.wrapping_mul(0x9E37)), i as u64);
+            let left = (i + n - 1) % n;
+            let right = i;
+            philosopher_loop(
+                &resources, left, right, &done, &flips, &winner_at, start, timeout, &mut rng, None,
+            );
+        }));
+    }
+    for h in handles {
+        h.join()
+            .map_err(|_| LrError::Concurrency("philosopher thread panicked".into()))?;
+    }
     let elapsed = *lock(&winner_at);
     Ok((elapsed, flips.load(Ordering::Relaxed)))
-}
-
-/// Joins every philosopher before reporting a panic: a panicked thread
-/// left unjoined would make the enclosing scope panic instead.
-fn join_all(handles: Vec<ScopedJoinHandle<'_, ()>>) -> Result<(), LrError> {
-    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-    if joined.iter().all(Result::is_ok) {
-        Ok(())
-    } else {
-        Err(LrError::Concurrency("philosopher thread panicked".into()))
-    }
 }
 
 /// Blocks for `m`. A lock poisoned by a panicked philosopher is still
@@ -164,39 +153,43 @@ pub fn run_logged_trial(
     if !(2..=16).contains(&n) {
         return Err(LrError::BadRingSize { n });
     }
-    let resources: Vec<Mutex<()>> = (0..n).map(|_| Mutex::new(())).collect();
-    let done = AtomicBool::new(false);
-    let flips = AtomicU64::new(0);
-    let winner_at = Mutex::new(None);
+    let resources: Arc<Vec<Mutex<()>>> = Arc::new((0..n).map(|_| Mutex::new(())).collect());
+    let done = Arc::new(AtomicBool::new(false));
+    let flips = Arc::new(AtomicU64::new(0));
+    let winner_at: Arc<Mutex<Option<Duration>>> = Arc::new(Mutex::new(None));
     let (tx, rx) = mpsc::channel::<TimedEvent>();
     let start = Instant::now();
 
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let (resources, done, flips, winner_at) = (&resources, &done, &flips, &winner_at);
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut rng = SplitMix64::for_trial(seed, i as u64);
-                    let left = (i + n - 1) % n;
-                    let right = i;
-                    philosopher_loop(
-                        resources,
-                        left,
-                        right,
-                        done,
-                        flips,
-                        winner_at,
-                        start,
-                        timeout,
-                        &mut rng,
-                        Some((&tx, i)),
-                    );
-                })
-            })
-            .collect();
-        join_all(handles)
-    })?;
+    let mut handles = Vec::with_capacity(n);
+    for i in 0..n {
+        let resources = Arc::clone(&resources);
+        let done = Arc::clone(&done);
+        let flips = Arc::clone(&flips);
+        let winner_at = Arc::clone(&winner_at);
+        let tx = tx.clone();
+        handles.push(std::thread::spawn(move || {
+            let mut rng = SplitMix64::for_trial(seed, i as u64);
+            let left = (i + n - 1) % n;
+            let right = i;
+            philosopher_loop(
+                &resources,
+                left,
+                right,
+                &done,
+                &flips,
+                &winner_at,
+                start,
+                timeout,
+                &mut rng,
+                Some((&tx, i)),
+            );
+        }));
+    }
+    drop(tx);
+    for h in handles {
+        h.join()
+            .map_err(|_| LrError::Concurrency("philosopher thread panicked".into()))?;
+    }
     let events: Vec<TimedEvent> = rx.try_iter().collect();
     let elapsed = *lock(&winner_at);
     Ok((TrialLog::new(events), elapsed))

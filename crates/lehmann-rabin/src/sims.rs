@@ -186,6 +186,25 @@ impl<S: RoundScheduler> LrSim<S> {
         self.scheduler.name()
     }
 
+    /// Executes one step of process `i`, sampling probabilistic outcomes
+    /// and resolving exit nondeterminism through the scheduler.
+    fn step_process(&self, config: &Config, i: usize, rng: &mut SplitMix64) -> Config {
+        let steps = self.protocol.steps_of_process(config, i);
+        if steps.is_empty() {
+            return *config;
+        }
+        let step = if steps.len() == 1 {
+            &steps[0]
+        } else {
+            // Exit-drop variant pair: index 0 keeps Right, 1 keeps Left.
+            match self.scheduler.exit_keep(config, i) {
+                Side::Right => &steps[0],
+                Side::Left => &steps[1],
+            }
+        };
+        *step.target.sample(rng)
+    }
+
     /// The state before the first round: the start configuration.
     pub fn initial(&self) -> SimState {
         SimState {
@@ -254,25 +273,6 @@ impl<S: RoundScheduler> LrSim<S> {
             states.push(state.clone());
         }
         states
-    }
-
-    /// Executes one step of process `i`, sampling probabilistic outcomes
-    /// and resolving exit nondeterminism through the scheduler.
-    fn step_process(&self, config: &Config, i: usize, rng: &mut SplitMix64) -> Config {
-        let steps = self.protocol.steps_of_process(config, i);
-        if steps.is_empty() {
-            return *config;
-        }
-        let step = if steps.len() == 1 {
-            &steps[0]
-        } else {
-            // Exit-drop variant pair: index 0 keeps Right, 1 keeps Left.
-            match self.scheduler.exit_keep(config, i) {
-                Side::Right => &steps[0],
-                Side::Left => &steps[1],
-            }
-        };
-        *step.target.sample(rng)
     }
 }
 

@@ -105,7 +105,8 @@ where
 /// // One fair coin per round until heads, within 3 rounds.
 /// let est = run_trajectories(&McConfig::new(5_000, 42, 3), |rng| {
 ///     let hit_at = (1..=3).find(|_| rng.random_bool(0.5));
-///     Trajectory { hit_at, early: false, steps: 3 }
+///     let steps = u64::from(hit_at.unwrap_or(3));
+///     Trajectory { hit_at, early: false, steps }
 /// })
 /// .unwrap();
 /// assert!((est.point() - 0.875).abs() < 0.05);
