@@ -33,8 +33,10 @@
 //! A cache built with [`ModelCache::with_budget`] enforces a byte budget
 //! over the resident model slots (the small reachable-config vectors are
 //! not budgeted). Each successful build is accounted at its resident bytes —
-//! the CSR model plus the state store, which is all a slot keeps resident
-//! since exploration writes CSR rows directly. When the resident total
+//! the CSR rows, one region byte per state and the decoded starts, which
+//! is all a slot keeps resident: exploration writes CSR rows directly, and
+//! the state store is dropped once the checker has read its regions from
+//! it. When the resident total
 //! exceeds the budget, least-recently-used slots are dropped (never the
 //! slot that was just touched, and never an error slot) until the total
 //! fits or nothing evictable remains.
@@ -75,11 +77,10 @@ use pa_telemetry::TelemetryScope;
 use crate::report::CacheStats;
 
 /// Heap bytes a shared model is accounted at when a cache enforces a byte
-/// budget: the CSR arrays plus the state store (its estimate from
-/// [`pa_mdp::StateSpace::mem_bytes`]) — everything the slot keeps
-/// resident.
+/// budget: the CSR rows plus the checker's region bytes and starts —
+/// everything the slot keeps resident.
 fn model_bytes(checker: &FaultChecker) -> u64 {
-    checker.model().mdp.mem_bytes() + checker.model().mem_bytes()
+    checker.rows().mem_bytes() + checker.mem_bytes()
 }
 
 /// One keyed slot plus its build provenance: whether running its
@@ -348,7 +349,9 @@ impl ModelCache {
                 let configs = self.reachable(n, limit)?;
                 let cfg = RoundConfig::new(n).map_err(|e| e.to_string())?;
                 let model = FaultyRoundMdp::new(cfg, plan.clone()).map_err(|e| e.to_string())?;
-                let (_, checker) = explore_checker(
+                // The state store is dropped here, before the slot is
+                // filled: the checker keeps rows and region bytes only.
+                let (_, checker, _) = explore_checker(
                     model,
                     &configs,
                     None,
@@ -525,6 +528,21 @@ mod tests {
         assert_eq!(cache.resident_bytes(), model_bytes(&a));
     }
 
+    /// A slot is accounted at what it keeps resident: the CSR rows, one
+    /// region byte per state and the decoded starts (an id, a region byte
+    /// and a state each), and no state store.
+    #[test]
+    fn resident_bytes_are_rows_region_bytes_and_starts() {
+        let cache = ModelCache::new();
+        let checker = cache.model(3, &FaultPlan::none(), 1_000_000).unwrap();
+        let rows = checker.rows();
+        let regions = rows.num_states() as u64;
+        let start = std::mem::size_of::<(usize, u8, pa_faults::FaultyRoundState)>() as u64;
+        let starts = rows.initial_states().len() as u64 * start;
+        assert_eq!(checker.regions().len() as u64, regions);
+        assert_eq!(cache.resident_bytes(), rows.mem_bytes() + regions + starts);
+    }
+
     #[test]
     fn distinct_plans_get_distinct_models() {
         let cache = ModelCache::new();
@@ -596,7 +614,7 @@ mod tests {
         assert_eq!(cache.evictions(), 2, "the other slot got evicted");
         assert_eq!(cache.resident_bytes(), model_bytes(&rebuilt));
         assert_eq!(model_bytes(&rebuilt), model_bytes(&reference));
-        assert_eq!(rebuilt.model().num_states(), reference.model().num_states());
+        assert_eq!(rebuilt.regions(), reference.regions());
         for (arrow, _why) in pa_lehmann_rabin::paper::all_arrows() {
             assert_eq!(
                 arrow_worst(rebuilt.as_ref(), &arrow).to_bits(),

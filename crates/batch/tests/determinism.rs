@@ -212,11 +212,11 @@ fn assert_cones_are_the_arrow_models(n: usize) {
                 BoxedSpace::default(),
             )
             .unwrap();
-            let (Some(cone), Some((_, own))) = (cone, own) else {
+            let (Some(cone), Some((_, own, _))) = (cone, own) else {
                 panic!("{tag}: a vacuous arrow on one model only");
             };
             let cone_states = cone.analysis.values.iter().filter(|v| !v.is_nan()).count();
-            assert_eq!(cone_states, own.model().num_states(), "{tag}: cone size");
+            assert_eq!(cone_states, own.regions().len(), "{tag}: cone size");
             let own = own.solve_arrow(&arrow, jacobi).unwrap().unwrap();
             assert_eq!(cone.analysis.stats, own.analysis.stats, "{tag}: solve work");
             assert_eq!(cone.check.measured, own.check.measured, "{tag}");

@@ -808,12 +808,12 @@ pub fn out_of_core_frontier(n: usize, limit: usize, cache_budget: u64) -> ExpRes
         .expect("the paper has exactly one t = 1 arrow (P —1→ C)");
     let claimed = arrow.prob().value();
     // The fault-free quotient: no process is down when the clock starts.
-    let checker = ArrowChecker::new(n, 0, stored);
+    let checker = ArrowChecker::new(n, 0, stored.space(), stored.store());
     let t0 = Instant::now();
     let check = checker.arrow(&arrow, |q| q)?;
     let worst = check.measured.lo().value();
     let query = fmt_duration(t0.elapsed());
-    let stats = checker.model().store().cache().local_stats();
+    let stats = checker.rows().cache().local_stats();
 
     let rows = vec![
         Row::info(

@@ -449,9 +449,8 @@ impl Automaton for FaultyRoundMdp {
     }
 }
 
-/// An [`ArrowChecker`] over an in-core fault-wrapped model with boxed
-/// states.
-pub type FaultChecker = ArrowChecker<FaultyRoundState, Explored<FaultyRoundState>>;
+/// An [`ArrowChecker`] over the in-core rows of a fault-wrapped model.
+pub type FaultChecker = ArrowChecker<FaultyRoundState>;
 
 /// The checker reads a fault-wrapped state's regions under the faults in
 /// force and reports a worst start as the whole state.

@@ -25,7 +25,7 @@ use pa_mc::{
     chain_target, estimate_reach, ChainState, McConfig, McEstimate, OptimalReplay, UniformChain,
     UniformPolicy,
 };
-use pa_mdp::{BoxedSpace, Explore, Explored, Objective};
+use pa_mdp::{BoxedSpace, Explore, Explored, Objective, StateSpace};
 use pa_prob::stats::Z_99;
 use pa_prob::{Prob, ProbInterval};
 
@@ -72,7 +72,7 @@ pub fn sampled_arrow_under(
     limit: usize,
     mc: &McConfig,
 ) -> Result<Option<SampledArrow>, FaultError> {
-    let Some((model, checker)) = arrow_model(cfg, arrow, plan, limit)? else {
+    let Some((model, checker, space)) = arrow_model(cfg, arrow, plan, limit)? else {
         return Ok(None);
     };
     let ArrowSolve {
@@ -89,11 +89,13 @@ pub fn sampled_arrow_under(
     let to = set_pred_under(arrow.to())?;
     let n = cfg.n;
     let budget = time_to_budget(arrow.time());
-    let explored = checker.model();
-    let replay = OptimalReplay { explored, policy };
+    let replay = OptimalReplay {
+        space: &space,
+        policy,
+    };
     let estimate = estimate_reach(
         &model,
-        &explored.state(worst),
+        &space.state(worst),
         |s| to(&s.inner.config, s.crashed_mask(n)),
         faulty_round_cost,
         &replay,
@@ -107,7 +109,7 @@ pub fn sampled_arrow_under(
         arrow: arrow.to_string(),
         claimed: arrow.prob().value(),
         exact,
-        worst_state: explored.state(worst).to_string(),
+        worst_state: space.state(worst).to_string(),
         estimate,
         interval,
         contains_exact: interval.contains(Prob::clamped(exact)),
@@ -115,13 +117,21 @@ pub fn sampled_arrow_under(
 }
 
 /// The fault-wrapped arrow model the sampled replays run on (boxed,
-/// full space), with its automaton; `None` for an empty source region.
+/// full space), with its automaton and its state store; `None` for an
+/// empty source region.
 fn arrow_model(
     cfg: RoundConfig,
     arrow: &Arrow,
     plan: &FaultPlan,
     limit: usize,
-) -> Result<Option<(FaultyRoundMdp, FaultChecker)>, FaultError> {
+) -> Result<
+    Option<(
+        FaultyRoundMdp,
+        FaultChecker,
+        BoxedSpace<crate::FaultyRoundState>,
+    )>,
+    FaultError,
+> {
     let reachable = reachable_configs(cfg.n, limit)?;
     let model = FaultyRoundMdp::new(cfg, plan.clone())?;
     let scope = Some((arrow.from(), arrow.to()));
@@ -366,7 +376,7 @@ mod tests {
         let plan = FaultPlan::none();
         for n in [3usize, 4] {
             let cfg = RoundConfig::new(n).unwrap();
-            let (model, checker) = arrow_model(cfg, &arrow, &plan, 1_000_000)
+            let (model, checker, space) = arrow_model(cfg, &arrow, &plan, 1_000_000)
                 .unwrap()
                 .expect("G is non-empty on the fault-free ring");
             let ArrowSolve {
@@ -378,16 +388,15 @@ mod tests {
             let exact = analysis.values[worst];
             let to = set_pred_under(arrow.to()).unwrap();
             let budget = time_to_budget(arrow.time());
-            let explored = checker.model();
             let replay = OptimalReplay {
-                explored,
+                space: &space,
                 policy: analysis.policy.as_ref().unwrap(),
             };
             let mut contained = 0;
             for seed in 0..100u64 {
                 let estimate = estimate_reach(
                     &model,
-                    &explored.state(worst),
+                    &space.state(worst),
                     |s| to(&s.inner.config, s.crashed_mask(n)),
                     faulty_round_cost,
                     &replay,

@@ -153,10 +153,11 @@ fn check_arrow_in(
 ) -> Result<ArrowCheck, FaultError> {
     let model = FaultyRoundMdp::new(cfg, plan.clone())?;
     let scope = Some((arrow.from(), arrow.to()));
-    let check = if quotient {
+    // The store is dropped before the solve: the checker needs none.
+    let checker = if quotient {
         let space = PackedSpace::new(FaultyStateCodec::new(cfg.n, model.round_cap())?);
         explore_checker(model, reachable, scope, limit, Quotient::Rotation, space)?
-            .map(|(_, checker)| checker.arrow(arrow, |q| q))
+            .map(|(_, checker, _)| checker)
     } else {
         explore_checker(
             model,
@@ -166,11 +167,12 @@ fn check_arrow_in(
             Quotient::Full,
             BoxedSpace::default(),
         )?
-        .map(|(_, checker)| checker.arrow(arrow, |q| q))
+        .map(|(_, checker, _)| checker)
     };
-    Ok(check
-        .transpose()?
-        .unwrap_or_else(|| ArrowCheck::vacuous(arrow)))
+    match checker {
+        Some(checker) => Ok(checker.arrow(arrow, |q| q)?),
+        None => Ok(ArrowCheck::vacuous(arrow)),
+    }
 }
 
 /// The crash mask already in force when the clock starts: round-1 events

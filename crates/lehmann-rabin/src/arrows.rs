@@ -4,9 +4,7 @@
 //! [`crate::ArrowChecker`]).
 
 use pa_core::{Arrow, ArrowCheck, Derivation, SetExpr};
-use pa_mdp::{
-    BoxedSpace, CsrRow, Explore, Explored, MdpError, PackedSpace, QueryObjective, RowSink,
-};
+use pa_mdp::{BoxedSpace, CsrRow, Explore, MdpError, PackedSpace, QueryObjective, RowSink};
 use pa_prob::Prob;
 
 use crate::checker::{explore_checker, ArrowChecker, Quotient, RoundAutomaton};
@@ -130,15 +128,7 @@ pub mod paper {
 ///
 /// Returns [`LrError::UnknownRegion`] for any other name.
 pub fn region_pred(atom: &str) -> Result<fn(&Config) -> bool, LrError> {
-    match atom {
-        "T" => Ok(regions::in_t),
-        "C" => Ok(regions::in_c),
-        "RT" => Ok(regions::in_rt),
-        "F" => Ok(regions::in_f),
-        "G" => Ok(regions::in_g),
-        "P" => Ok(regions::in_p),
-        other => Err(LrError::UnknownRegion(other.to_string())),
-    }
+    Ok(regions::atom(atom)?.0.plain)
 }
 
 /// Resolves a [`SetExpr`] (union of region atoms) to a predicate.
@@ -160,15 +150,7 @@ pub fn set_pred(set: &SetExpr) -> Result<impl Fn(&Config) -> bool + Send + Sync,
 ///
 /// [`LrError::UnknownRegion`] for unknown atoms.
 pub fn region_pred_under(atom: &str) -> Result<fn(&Config, u32) -> bool, LrError> {
-    match atom {
-        "T" => Ok(regions::in_t_under),
-        "C" => Ok(regions::in_c_under),
-        "RT" => Ok(regions::in_rt_under),
-        "F" => Ok(regions::in_f_under),
-        "G" => Ok(regions::in_g_under),
-        "P" => Ok(regions::in_p_under),
-        other => Err(LrError::UnknownRegion(other.to_string())),
-    }
+    Ok(regions::atom(atom)?.0.under)
 }
 
 /// Resolves a [`SetExpr`] to a fault-aware union predicate.
@@ -244,12 +226,9 @@ impl RowSink for DiscardRows {
 }
 
 /// The explored arrow model of one `from → to` question on a round
-/// automaton: the automaton (the witness replays its steps) and the
-/// checker over its bit-packed states.
-pub(crate) type ArrowModel<A> = (
-    A,
-    ArrowChecker<RoundState, Explored<RoundState, PackedSpace<RoundStateCodec>>>,
-);
+/// automaton: the automaton and the bit-packed state store (the witness
+/// replays its steps and decodes its states) beside the checker.
+pub(crate) type ArrowModel<A> = (A, ArrowChecker<RoundState>, PackedSpace<RoundStateCodec>);
 
 /// Explores the model every arrow analysis of the round model runs on
 /// ([`crate::explore_checker`]): each reachable configuration of `from`
@@ -356,10 +335,13 @@ fn check_arrow_impl(
     quotient: Quotient,
 ) -> Result<ArrowCheck, LrError> {
     let reduced = Reduced::new(mdp.clone(), arrow.to())?;
-    match arrow_model(mdp, reduced, arrow.from(), arrow.to(), limit, quotient)? {
-        Some((_, checker)) => checker.arrow(arrow, |q| q),
-        None => Ok(ArrowCheck::vacuous(arrow)),
-    }
+    let Some((_, checker, space)) =
+        arrow_model(mdp, reduced, arrow.from(), arrow.to(), limit, quotient)?
+    else {
+        return Ok(ArrowCheck::vacuous(arrow));
+    };
+    drop(space);
+    checker.arrow(arrow, |q| q)
 }
 
 /// Computes the exact worst-case expected time (in time units) to reach
@@ -468,10 +450,13 @@ fn expected_time_impl(
     objective: QueryObjective,
     quotient: Quotient,
 ) -> Result<f64, LrError> {
-    match arrow_model(mdp, mdp.clone(), from_set, target_set, limit, quotient)? {
-        Some((_, checker)) => checker.expected_time(from_set, target_set, objective, |q| q),
-        None => Ok(0.0),
-    }
+    let Some((_, checker, space)) =
+        arrow_model(mdp, mdp.clone(), from_set, target_set, limit, quotient)?
+    else {
+        return Ok(0.0);
+    };
+    drop(space);
+    checker.expected_time(from_set, target_set, objective, |q| q)
 }
 
 #[cfg(test)]

@@ -10,9 +10,15 @@
 //! model's starts by the source region, answer an empty source vacuously,
 //! build the target mask, run the query, and take the worst start.
 //!
-//! Regions resolve once, through the `(config, crash mask)` family
-//! [`crate::set_pred_under`]; a fault-free state's mask is 0, under which
-//! every atom agrees with [`crate::region_pred`].
+//! The checker reads the model's states once, when it is built: one
+//! region byte per state ([`crate::regions::regions_under`], one bit per
+//! atom, judged under the state's own crash mask), and the decoded
+//! initial states with their bytes under the start crash mask. After that
+//! it holds the rows, the region bytes and the starts, and no state
+//! store: every source and target set of a question is a byte test. A
+//! fault-free state's mask is 0, under which every atom agrees with
+//! [`crate::region_pred`]. Callers that decode states along a policy keep
+//! the store [`explore_checker`] hands back beside the checker.
 //!
 //! # Why one model can answer many questions
 //!
@@ -52,15 +58,14 @@
 //! iteration stops on a residual over every state, which a cone would
 //! change.
 
-use std::marker::PhantomData;
-
 use pa_core::{Arrow, ArrowCheck, Automaton, SetExpr};
 use pa_mdp::{
-    Analysis, Explore, Explored, MirrorRingState, Objective, Query, QueryObjective, RingDihedral,
-    RingRotation, StateRows, StateSpace,
+    Analysis, CsrMdp, CsrSource, Explore, Explored, MirrorRingState, Objective, Query,
+    QueryObjective, RingDihedral, RingRotation, StateSpace,
 };
 use pa_prob::{Prob, ProbInterval};
 
+use crate::regions::{regions_under, set_bits};
 use crate::{round_cost, set_pred_under, time_to_budget, Config, LrError, RoundMdp, RoundState};
 
 /// A state the checker reads regions from.
@@ -156,7 +161,9 @@ impl Quotient {
 /// and `to` is absorbing, which is sound for first-hitting questions.
 /// It is `None` when no configuration lies in `from`. With `arrow = None`
 /// every configuration starts and nothing absorbs: the shared model.
-/// The automaton comes back too, for callers that replay its steps.
+/// The automaton and the state store come back too, for callers that
+/// replay steps or decode states along a policy; every other caller drops
+/// the store, which the checker does not need.
 ///
 /// # Errors
 ///
@@ -170,7 +177,7 @@ pub fn explore_checker<A, SP>(
     limit: usize,
     quotient: Quotient,
     space: SP,
-) -> Result<Option<(A, ArrowChecker<A::State, Explored<A::State, SP>>)>, LrError>
+) -> Result<Option<(A, ArrowChecker<A::State>, SP)>, LrError>
 where
     A: RoundAutomaton,
     SP: StateSpace<A::State>,
@@ -190,8 +197,9 @@ where
         None => automaton.starting_from(configs.to_vec()),
     };
     let explore = Explore::new(&automaton).cost(A::step_cost).limit(limit);
-    let explored = quotient.install(explore, n).run_in(space)?;
-    Ok(Some((automaton, ArrowChecker::new(n, mask0, explored))))
+    let Explored { space, mdp, .. } = quotient.install(explore, n).run_in(space)?;
+    let checker = ArrowChecker::new(n, mask0, &space, mdp);
+    Ok(Some((automaton, checker, space)))
 }
 
 /// One arrow's bounded solve: the answer and what it was read from.
@@ -205,47 +213,81 @@ pub struct ArrowSolve {
     pub analysis: Analysis,
 }
 
-/// Answers arrows and expected times over one explored model of a ring of
-/// `n` (see the [module docs](self)).
-///
-/// The model is any [`StateRows`]: an in-core [`Explored`], a stored
-/// model, or a state store paired with rows opened separately.
+/// A start of the model: an initial state, its region byte under the
+/// start crash mask, and the state itself, decoded once to render a worst
+/// start.
 #[derive(Debug)]
-pub struct ArrowChecker<S, M> {
-    n: usize,
-    mask0: u32,
-    model: M,
-    state: PhantomData<fn() -> S>,
+struct Start<S> {
+    id: usize,
+    regions: u8,
+    state: S,
 }
 
-impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
-    /// A checker over `model` of a ring of `n`, whose source regions are
-    /// judged under the start crash mask `mask0` (0 when fault-free).
-    pub fn new(n: usize, mask0: u32, model: M) -> ArrowChecker<S, M> {
+/// Answers arrows and expected times over the rows of one explored model
+/// of a ring (see the [module docs](self)).
+///
+/// The rows are any [`CsrSource`]: in-core [`CsrMdp`] rows (the
+/// default), or a stored model's rows paged from disk.
+#[derive(Debug)]
+pub struct ArrowChecker<S, R = CsrMdp> {
+    rows: R,
+    regions: Vec<u8>,
+    starts: Vec<Start<S>>,
+}
+
+impl<S: CheckedState, R: CsrSource> ArrowChecker<S, R> {
+    /// A checker over `rows` of a ring of `n`, explored into `space`. Reads
+    /// every state once: its region byte under its own crash mask, and,
+    /// for the initial states, their region byte under the start crash
+    /// mask `mask0` (0 when fault-free). Keeps no reference to `space`.
+    pub fn new<SP: StateSpace<S>>(n: usize, mask0: u32, space: &SP, rows: R) -> ArrowChecker<S, R> {
+        debug_assert_eq!(space.len(), rows.num_states());
+        let mut regions = Vec::with_capacity(space.len());
+        space.for_each_state(|_, s| regions.push(regions_under(s.config(), s.crash_mask(n))));
+        let starts = rows
+            .initial_states()
+            .iter()
+            .map(|&id| {
+                let state = space.state(id);
+                Start {
+                    id,
+                    regions: regions_under(state.config(), mask0),
+                    state,
+                }
+            })
+            .collect();
         ArrowChecker {
-            n,
-            mask0,
-            model,
-            state: PhantomData,
+            rows,
+            regions,
+            starts,
         }
     }
 
-    /// The explored model.
-    pub fn model(&self) -> &M {
-        &self.model
+    /// The rows.
+    pub fn rows(&self) -> &R {
+        &self.rows
+    }
+
+    /// Each state's region byte under its own crash mask: bit `k` is
+    /// [`crate::regions::ATOMS`]`[k]`.
+    pub fn regions(&self) -> &[u8] {
+        &self.regions
+    }
+
+    /// Heap bytes the checker holds beside its rows: one region byte per
+    /// state and the starts.
+    pub fn mem_bytes(&self) -> u64 {
+        (self.regions.capacity() + self.starts.capacity() * std::mem::size_of::<Start<S>>()) as u64
     }
 
     /// The initial states in `from`, in initial-state order.
     fn starts(&self, from: &SetExpr) -> Result<Vec<usize>, LrError> {
-        let from = set_pred_under(from)?;
-        let space = self.model.space();
+        let from = set_bits(from)?;
         Ok(self
-            .model
-            .rows()
-            .initial_states()
+            .starts
             .iter()
-            .copied()
-            .filter(|&i| from(space.state(i).config(), self.mask0))
+            .filter(|s| s.regions & from != 0)
+            .map(|s| s.id)
             .collect())
     }
 
@@ -256,12 +298,18 @@ impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
     ///
     /// [`LrError::UnknownRegion`] for unresolvable atoms.
     pub(crate) fn target_mask(&self, to: &SetExpr) -> Result<Vec<bool>, LrError> {
-        let to = set_pred_under(to)?;
-        let mut mask = vec![false; self.model.space().len()];
-        self.model
-            .space()
-            .for_each_state(|i, s| mask[i] = to(s.config(), s.crash_mask(self.n)));
-        Ok(mask)
+        let to = set_bits(to)?;
+        Ok(self.regions.iter().map(|&b| b & to != 0).collect())
+    }
+
+    /// How the start `id` is reported.
+    fn render(&self, id: usize) -> String {
+        self.starts
+            .iter()
+            .find(|s| s.id == id)
+            .expect("the worst state is a start")
+            .state
+            .render()
     }
 
     /// Whether an arrow from `starts` to `target` needs a cone: not when
@@ -270,7 +318,7 @@ impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
     /// multi-block model, which the query solves whole anyway (scanning
     /// its rows would page every block).
     fn needs_cone(&self, starts: &[usize], target: &[bool]) -> Result<bool, LrError> {
-        let rows = self.model.rows();
+        let rows = &self.rows;
         if rows.num_blocks() > 1 {
             return Ok(false);
         }
@@ -317,7 +365,7 @@ impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
             return Ok(None);
         }
         let target = self.target_mask(arrow.to())?;
-        let mut query = Query::source(self.model.rows())
+        let mut query = Query::source(&self.rows)
             .objective(Objective::MinProb)
             .horizon(time_to_budget(arrow.time()));
         if self.needs_cone(&starts, &target)? {
@@ -328,7 +376,7 @@ impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
         let check = ArrowCheck {
             arrow: arrow.clone(),
             measured: ProbInterval::exact(Prob::clamped(measured)),
-            worst_state: Some(self.model.space().state(worst).render()),
+            worst_state: Some(self.render(worst)),
             states_checked: starts.len(),
         };
         Ok(Some(ArrowSolve {
@@ -359,7 +407,7 @@ impl<S: CheckedState, M: StateRows<S>> ArrowChecker<S, M> {
         if starts.is_empty() {
             return Ok(0.0);
         }
-        let query = Query::source(self.model.rows())
+        let query = Query::source(&self.rows)
             .objective(objective)
             .target(self.target_mask(to)?);
         let (_, worst) = tune(query)

@@ -18,7 +18,7 @@
 //! adversary can still surely prevent progress.
 
 use pa_core::{Automaton, Step};
-use pa_mdp::{Explore, Objective};
+use pa_mdp::{Explore, Objective, Query};
 
 use crate::arrows::arrow_model;
 use crate::{
@@ -431,17 +431,16 @@ pub fn progress_time_lower_bound(
     max_time: u32,
     limit: usize,
 ) -> Result<Option<u32>, LrError> {
-    let Some((_, checker)) =
+    let Some((_, checker, space)) =
         arrow_model(mdp, mdp.clone(), from_set, to_set, limit, Quotient::Full)?
     else {
         return Ok(None);
     };
+    drop(space);
     let target = checker.target_mask(to_set)?;
-    let initials = checker.model().mdp.initial_states();
+    let initials = checker.rows().initial_states();
     let mut first_positive: Option<u32> = None;
-    checker
-        .model()
-        .query()
+    Query::csr(checker.rows())
         .objective(Objective::MinProb)
         .target(target)
         .horizon(time_to_budget(f64::from(max_time)))

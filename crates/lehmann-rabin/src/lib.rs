@@ -8,8 +8,8 @@
 //!   Section 6.1 (with dead `uᵢ` values canonicalized).
 //! * [`LrProtocol`] — Figure 1's transition semantics as a probabilistic
 //!   automaton under free interleaving.
-//! * [`regions`] — the classifiers `T`, `C`, `RT`, `F`, `G`, `P` and the
-//!   *good process* notion.
+//! * [`regions`] — the classifiers `T`, `C`, `RT`, `F`, `G`, `P`, the
+//!   *good process* notion, and the one-byte region summary of a state.
 //! * [`lemma_6_1_invariant`] / [`verify_lemma_6_1`] — the resource
 //!   invariant, checked exhaustively.
 //! * [`RoundMdp`] — the round-based realization of the `Unit-Time`

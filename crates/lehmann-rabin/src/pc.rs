@@ -42,7 +42,7 @@ impl Pc {
     ];
 
     /// `true` for the trying region `T = {F, W, S, D, P}`.
-    pub fn in_trying(self) -> bool {
+    pub const fn in_trying(self) -> bool {
         matches!(self, Pc::F | Pc::W | Pc::S | Pc::D | Pc::P)
     }
 

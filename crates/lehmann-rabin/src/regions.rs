@@ -1,5 +1,11 @@
 //! The state-set classifiers of Section 6.2: `T`, `C`, `RT`, `F`, `G`, `P`
 //! and the *good process* notion behind `G`.
+//!
+//! [`ATOMS`] is the one table of the atoms: their names, plain and
+//! fault-aware predicates, and visibility features. The region resolvers
+//! ([`crate::region_pred`], [`crate::region_pred_under`]), [`Visibility`]
+//! and the region byte ([`regions_under`], one bit per atom, which the
+//! [`crate::ArrowChecker`] keeps per state) all read it.
 
 use pa_core::SetExpr;
 
@@ -106,32 +112,214 @@ const COMMITTED: u8 = 1 << 5;
 const CONTROLLING: u8 = 1 << 6;
 
 /// The pc features of `pc` (one bit each).
-fn pc_features(pc: Pc) -> u8 {
-    let bit = |on: bool, feature: u8| if on { feature } else { 0 };
+const fn pc_features(pc: Pc) -> u8 {
+    const fn bit(on: bool, feature: u8) -> u8 {
+        if on {
+            feature
+        } else {
+            0
+        }
+    }
     bit(pc.in_trying(), TRYING)
         | bit(matches!(pc, Pc::Er | Pc::R), IDLE)
-        | bit(pc == Pc::C, CRITICAL)
-        | bit(pc == Pc::P, PRE_CRITICAL)
-        | bit(pc == Pc::F, FLIPPING)
+        | bit(matches!(pc, Pc::C), CRITICAL)
+        | bit(matches!(pc, Pc::P), PRE_CRITICAL)
+        | bit(matches!(pc, Pc::F), FLIPPING)
         | bit(matches!(pc, Pc::W | Pc::S), COMMITTED)
         | bit(matches!(pc, Pc::W | Pc::S | Pc::D), CONTROLLING)
 }
 
-/// The pc features a region atom reads: `T`, `C` and `P` one each; `RT`
-/// whether some process is trying and whether each is in `{E_R, R} ∪ T`;
-/// `F` those and `F` itself; `G` those and the committed and
-/// potentially-controlling sets of the good-process test.
-fn atom_features(atom: &str) -> Result<u8, LrError> {
-    const RT: u8 = TRYING | IDLE;
-    Ok(match atom {
-        "T" => TRYING,
-        "C" => CRITICAL,
-        "P" => PRE_CRITICAL,
-        "RT" => RT,
-        "F" => RT | FLIPPING,
-        "G" => RT | FLIPPING | COMMITTED | CONTROLLING,
-        other => return Err(LrError::UnknownRegion(other.to_string())),
-    })
+/// The features `RT` reads: whether some process is trying and whether
+/// each is in `{E_R, R} ∪ T`.
+const RT_FEATURES: u8 = TRYING | IDLE;
+
+// ---------------------------------------------------------------------------
+// The atom table.
+
+/// One region atom: its name, its plain and fault-aware predicates, and
+/// the pc features it reads ([`Visibility`]). Its bit in a region byte
+/// ([`regions_under`]) is its index in [`ATOMS`].
+#[derive(Debug, Clone, Copy)]
+pub struct Atom {
+    /// The name a [`SetExpr`] uses.
+    pub name: &'static str,
+    /// The fault-free predicate.
+    pub plain: fn(&Config) -> bool,
+    /// The fault-aware predicate under a crash mask.
+    pub under: fn(&Config, u32) -> bool,
+    /// The pc features the atom reads: `T`, `C` and `P` one each; `RT`
+    /// its two; `F` those and `F` itself; `G` those and the committed and
+    /// potentially-controlling sets of the good-process test.
+    features: u8,
+}
+
+/// Every region atom, in region-byte bit order.
+pub const ATOMS: [Atom; 6] = [
+    Atom {
+        name: "T",
+        plain: in_t,
+        under: in_t_under,
+        features: TRYING,
+    },
+    Atom {
+        name: "C",
+        plain: in_c,
+        under: in_c_under,
+        features: CRITICAL,
+    },
+    Atom {
+        name: "RT",
+        plain: in_rt,
+        under: in_rt_under,
+        features: RT_FEATURES,
+    },
+    Atom {
+        name: "F",
+        plain: in_f,
+        under: in_f_under,
+        features: RT_FEATURES | FLIPPING,
+    },
+    Atom {
+        name: "G",
+        plain: in_g,
+        under: in_g_under,
+        features: RT_FEATURES | FLIPPING | COMMITTED | CONTROLLING,
+    },
+    Atom {
+        name: "P",
+        plain: in_p,
+        under: in_p_under,
+        features: PRE_CRITICAL,
+    },
+];
+
+// Each atom's region-byte bit, in `ATOMS` order (`tests/region_byte.rs`
+// checks every bit against its atom's predicate).
+const BIT_T: u8 = 1;
+const BIT_C: u8 = 1 << 1;
+const BIT_RT: u8 = 1 << 2;
+const BIT_F: u8 = 1 << 3;
+const BIT_G: u8 = 1 << 4;
+const BIT_P: u8 = 1 << 5;
+
+/// The atom named `name` and its region-byte bit.
+///
+/// # Errors
+///
+/// [`LrError::UnknownRegion`] for a name outside `T`, `C`, `RT`, `F`,
+/// `G`, `P`.
+pub(crate) fn atom(name: &str) -> Result<(&'static Atom, u8), LrError> {
+    ATOMS
+        .iter()
+        .zip(0..)
+        .find(|(a, _)| a.name == name)
+        .map(|(a, k)| (a, 1 << k))
+        .ok_or_else(|| LrError::UnknownRegion(name.to_string()))
+}
+
+/// The region-byte bits of `set`: a state is in `set` exactly when its
+/// region byte shares a bit with them.
+///
+/// # Errors
+///
+/// [`LrError::UnknownRegion`] for an unknown atom.
+pub(crate) fn set_bits(set: &SetExpr) -> Result<u8, LrError> {
+    set.atoms()
+        .try_fold(0, |bits, name| Ok(bits | atom(name)?.1))
+}
+
+// What one process contributes to a region byte (`PROCESS_CODES`): its pc
+// features when it is live in the low byte, whether it is outside `RT`,
+// and a nibble of good-process flags (`GOOD_FLAGS`).
+const OUTSIDE_RT: u16 = 1 << 8;
+const GOOD_FLAGS: u32 = 9;
+/// Live, committed and pointing left: good when its right neighbour is
+/// benign.
+const COMMITTED_LEFT: u16 = 1;
+/// Live, committed and pointing right: good when its left neighbour is
+/// benign.
+const COMMITTED_RIGHT: u16 = 1 << 1;
+/// Benign as the right neighbour of a process pointing left.
+const BENIGN_RIGHT: u16 = 1 << 2;
+/// Benign as the left neighbour of a process pointing right.
+const BENIGN_LEFT: u16 = 1 << 3;
+
+/// The code of a process with `pc` and `side`, live or crashed. The
+/// flags restate [`is_good_under`]: a good process is live and committed,
+/// and its neighbour on the second-resource side is idle or flipping,
+/// controls the resource away from it, or is a crashed waiter.
+const fn process_code(pc: Pc, side: Side, live: bool) -> u16 {
+    const fn flag(on: bool, flag: u16) -> u16 {
+        if on {
+            flag
+        } else {
+            0
+        }
+    }
+    let features = pc_features(pc);
+    let left = matches!(side, Side::Left);
+    let committed = live && features & COMMITTED != 0;
+    let calm = features & (IDLE | FLIPPING) != 0 || (!live && matches!(pc, Pc::W));
+    let controlling = features & CONTROLLING != 0;
+    let good = flag(committed && left, COMMITTED_LEFT)
+        | flag(committed && !left, COMMITTED_RIGHT)
+        | flag(calm || (controlling && !left), BENIGN_RIGHT)
+        | flag(calm || (controlling && left), BENIGN_LEFT);
+    flag(live, features as u16) | flag(features & RT_FEATURES == 0, OUTSIDE_RT) | good << GOOD_FLAGS
+}
+
+/// [`process_code`] of every pc, side and liveness, at
+/// `(pc · 2 + side) · 2 + live`.
+const PROCESS_CODES: [u16; 40] = {
+    let mut table = [0; 40];
+    let mut k = 0;
+    while k < table.len() {
+        let side = if k / 2 % 2 == 0 {
+            Side::Left
+        } else {
+            Side::Right
+        };
+        table[k] = process_code(Pc::ALL[k / 4], side, k % 2 == 1);
+        k += 1;
+    }
+    table
+};
+
+/// The region byte of `c` under the crash mask `crashed`: bit `k` is set
+/// when `c` is in [`ATOMS`]`[k]` (its fault-aware predicate). One pass
+/// over the processes decides all six atoms; a state read under the mask
+/// 0 gets the plain atoms.
+pub fn regions_under(c: &Config, crashed: u32) -> u8 {
+    let procs = c.procs();
+    let n = procs.len();
+    let mut any = 0u16;
+    // Nibble `i`: the good-process flags of process `i`.
+    let mut good = 0u64;
+    for (i, p) in procs.iter().enumerate() {
+        let live = usize::from(is_live(crashed, i));
+        let code = PROCESS_CODES[(p.pc as usize * 2 + p.side as usize) * 2 + live];
+        any |= code;
+        good |= u64::from(code >> GOOD_FLAGS) << (4 * i);
+    }
+    // Nibble `i` of `next` is process `i + 1`'s, of `previous` process
+    // `i − 1`'s (ring order; `n ≤ 16` nibbles fill at most 64 bits).
+    let ring = u64::MAX >> (64 - 4 * n);
+    let next = (good >> 4 | good << (4 * n - 4)) & ring;
+    let previous = (good << 4 | good >> (4 * n - 4)) & ring;
+    let ones = 0x1111_1111_1111_1111u64;
+    let left = good & next >> 2;
+    let right = good >> 1 & previous >> 3;
+    let good = (left | right) & ones != 0;
+    let live = any as u8;
+    let bit = |on: bool, b: u8| if on { b } else { 0 };
+    let t = live & TRYING != 0;
+    let rt = t && any & OUTSIDE_RT == 0;
+    bit(t, BIT_T)
+        | bit(live & CRITICAL != 0, BIT_C)
+        | bit(rt, BIT_RT)
+        | bit(rt && live & FLIPPING != 0, BIT_F)
+        | bit(rt && good, BIT_G)
+        | bit(live & PRE_CRITICAL != 0, BIT_P)
 }
 
 /// The one-process pc transitions that can change a set of region atoms:
@@ -149,8 +337,8 @@ impl Visibility {
     /// `G`, `P`.
     pub fn of(set: &SetExpr) -> Result<Visibility, LrError> {
         let mut read = 0u8;
-        for atom in set.atoms() {
-            read |= atom_features(atom)?;
+        for name in set.atoms() {
+            read |= atom(name)?.0.features;
         }
         let mut bits = 0u128;
         for before in Pc::ALL {

@@ -11,6 +11,7 @@
 //! that forces repeated flip retries in the composed `T —13→ C` claim.
 
 use pa_core::Arrow;
+use pa_mdp::StateSpace;
 
 use crate::arrows::arrow_model;
 use crate::{time_to_budget, ArrowSolve, Config, LrError, Quotient, RoundAction, RoundMdp};
@@ -65,7 +66,7 @@ impl std::fmt::Display for Witness {
 ///
 /// Returns region-resolution and exploration errors.
 pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result<Witness, LrError> {
-    let (model, checker) = arrow_model(
+    let (model, checker, space) = arrow_model(
         mdp,
         mdp.clone(),
         arrow.from(),
@@ -82,7 +83,6 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         .solve_arrow(arrow, |q| q.with_policy())?
         .expect("an arrow model has starts");
     let target = checker.target_mask(arrow.to())?;
-    let explored = checker.model();
     let n = mdp.config().n;
     let budget = time_to_budget(arrow.time());
     let values = analysis.values;
@@ -105,7 +105,7 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         let Some(choice_idx) = policy.choice(state, remaining) else {
             break;
         };
-        let rows = explored.mdp.rows();
+        let rows = checker.rows().rows();
         let c = rows.choice_range(state).start + choice_idx as usize;
         let cost = rows.costs[c];
         if cost > remaining {
@@ -124,18 +124,18 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         // implicit model's step order (preserved by exploration).
         let action = {
             use pa_core::Automaton;
-            model.steps(&explored.state(state))[choice_idx as usize].action
+            model.steps(&space.state(state))[choice_idx as usize].action
         };
         state = next;
         steps.push(WitnessStep {
             action,
-            config: explored.state(state).config,
+            config: space.state(state).config,
             time: budget - remaining,
         });
     }
 
     Ok(Witness {
-        start: explored.state(worst_start).config,
+        start: space.state(worst_start).config,
         min_prob: values[worst_start],
         steps,
         reached,

@@ -77,10 +77,10 @@ fn print_claim_model_states() {
                 let space = PackedSpace::new(RoundStateCodec::new(n).unwrap());
                 let mdp = RoundMdp::new(RoundConfig::new(n).unwrap());
                 let scope = Some((arrow.from(), arrow.to()));
-                let (_, checker) = explore_checker(mdp, &configs, scope, LIMIT, quotient, space)
+                let (_, checker, _) = explore_checker(mdp, &configs, scope, LIMIT, quotient, space)
                     .unwrap()
                     .unwrap();
-                counts[slot] = checker.model().num_states();
+                counts[slot] = checker.regions().len();
                 totals[slot] += counts[slot];
             }
             println!(

@@ -21,11 +21,11 @@ use pa_lehmann_rabin::{
     reachable_configs_quotient, ArrowChecker, Quotient, RoundConfig, RoundMdp, RoundState,
     RoundStateCodec,
 };
-use pa_mdp::{Explored, PackedSpace, QueryObjective};
+use pa_mdp::{PackedSpace, QueryObjective};
 
 const LIMIT: usize = 30_000_000;
 
-type RotationChecker = ArrowChecker<RoundState, Explored<RoundState, PackedSpace<RoundStateCodec>>>;
+type RotationChecker = ArrowChecker<RoundState>;
 
 /// The rotation-quotient arrow model of `from → to`: rotation orbit
 /// representatives as starts, `to` absorbing.
@@ -42,7 +42,7 @@ fn rotation_checker(mdp: &RoundMdp, from: &SetExpr, to: &SetExpr) -> Option<Rota
         space,
     )
     .unwrap()
-    .map(|(_, checker)| checker)
+    .map(|(_, checker, _)| checker)
 }
 
 fn rotation_arrow(mdp: &RoundMdp, arrow: &Arrow) -> ArrowCheck {

@@ -27,7 +27,7 @@ use pa_lehmann_rabin::{
     Quotient, Reduced, RoundAction, RoundAutomaton, RoundConfig, RoundMdp, RoundState,
     RoundStateCodec, UserModel,
 };
-use pa_mdp::{csr_digest, Explore, Explored, PackedSpace};
+use pa_mdp::{csr_digest, Explore, PackedSpace};
 
 const LIMIT: usize = 30_000_000;
 const ATOMS: [&str; 6] = ["T", "C", "RT", "F", "G", "P"];
@@ -244,7 +244,7 @@ fn every_kept_step_meets_the_ample_set_conditions() {
     }
 }
 
-type Checker = ArrowChecker<RoundState, Explored<RoundState, PackedSpace<RoundStateCodec>>>;
+type Checker = ArrowChecker<RoundState>;
 
 /// The arrow model of `arrow` under `quotient` explored from `automaton`;
 /// `None` when its source is empty.
@@ -258,7 +258,7 @@ where
     let arrow_sets = Some((arrow.from(), arrow.to()));
     explore_checker(automaton, &configs, arrow_sets, LIMIT, quotient, space)
         .unwrap()
-        .map(|(_, checker)| checker)
+        .map(|(_, checker, _)| checker)
 }
 
 /// The answer to `arrow` on the model explored from `automaton`, and the
@@ -270,7 +270,7 @@ where
     match arrow_model(automaton, arrow, quotient) {
         Some(checker) => (
             checker.arrow(arrow, |q| q).unwrap(),
-            checker.model().num_states(),
+            checker.rows().num_states(),
         ),
         None => (ArrowCheck::vacuous(arrow), 0),
     }
@@ -340,7 +340,7 @@ fn reduced_claims_match_unreduced_on_the_n6_dihedral_quotient() {
 fn bursts_above_one_explore_the_unreduced_model() {
     let digest = |checker: Option<Checker>| {
         let checker = checker.expect("every claim has starts at n = 3");
-        csr_digest(&checker.model().mdp).unwrap()
+        csr_digest(checker.rows()).unwrap()
     };
     for burst in [2, 3] {
         let mdp = RoundMdp::new(RoundConfig::new(3).unwrap().with_burst(burst).unwrap());

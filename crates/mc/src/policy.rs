@@ -3,7 +3,7 @@ use pa_prob::rng::SplitMix64;
 use rand::RngExt;
 
 use pa_core::Automaton;
-use pa_mdp::{BoundedPolicy, Explored};
+use pa_mdp::{BoundedPolicy, StateSpace};
 
 /// The embedded adversary of a sampled batch: picks one of the current
 /// state's enabled steps.
@@ -80,7 +80,7 @@ impl<M: Automaton> SamplePolicy<M> for FirstPolicy {
 /// Replays the exact engine's optimal cost-indexed policy on the implicit
 /// model.
 ///
-/// [`Explored`] preserves choice order (`mdp.choices(i)[k]` is
+/// [`pa_mdp::Explored`] preserves choice order (`mdp.choices(i)[k]` is
 /// `automaton.steps(&states[i])[k]`), so the index the [`BoundedPolicy`]
 /// stores for explicit state `i` at budget `remaining` is directly the
 /// index into the implicit `steps` here. Under this policy the sampled
@@ -88,14 +88,14 @@ impl<M: Automaton> SamplePolicy<M> for FirstPolicy {
 /// estimand equals the exact query value — the property the
 /// cross-validation gates lean on.
 #[derive(Debug, Clone, Copy)]
-pub struct OptimalReplay<'a, S> {
-    /// The exploration the policy was extracted over.
-    pub explored: &'a Explored<S>,
+pub struct OptimalReplay<'a, SP> {
+    /// The state store of the exploration the policy was extracted over.
+    pub space: &'a SP,
     /// The extracted cost-indexed policy.
     pub policy: &'a BoundedPolicy,
 }
 
-impl<M: Automaton> SamplePolicy<M> for OptimalReplay<'_, M::State> {
+impl<M: Automaton, SP: StateSpace<M::State>> SamplePolicy<M> for OptimalReplay<'_, SP> {
     fn choose(
         &self,
         state: &M::State,
@@ -104,7 +104,7 @@ impl<M: Automaton> SamplePolicy<M> for OptimalReplay<'_, M::State> {
         _rng: &mut SplitMix64,
     ) -> usize {
         let fallback = 0;
-        let Some(index) = self.explored.index_of(state) else {
+        let Some(index) = self.space.get(state) else {
             // Unreached under the exploration that produced the policy;
             // cannot happen when the trajectory starts from an explored
             // start state of the same model.

@@ -85,7 +85,7 @@ fn optimal_replay_interval_contains_exact_min_prob() {
     let policy = analysis.policy.as_ref().unwrap();
 
     let replay = OptimalReplay {
-        explored: &explored,
+        space: &explored.space,
         policy,
     };
     let est = estimate_reach(

@@ -148,39 +148,6 @@ impl<S, SP: StateSpace<S>> Explored<S, SP> {
     }
 }
 
-/// An explored model as a checker reads it: a state store plus the rows
-/// over the same dense ids. [`Explored`] holds its rows in core,
-/// `pa-store`'s `StoredModel` pages them from disk, and a `(space, rows)`
-/// pair joins a store to rows opened separately.
-pub trait StateRows<S> {
-    /// The state store's type.
-    type Space: StateSpace<S>;
-    /// The state store.
-    fn space(&self) -> &Self::Space;
-    /// The rows.
-    fn rows(&self) -> &dyn crate::CsrSource;
-}
-
-impl<S, SP: StateSpace<S>> StateRows<S> for Explored<S, SP> {
-    type Space = SP;
-    fn space(&self) -> &SP {
-        &self.space
-    }
-    fn rows(&self) -> &dyn crate::CsrSource {
-        &self.mdp
-    }
-}
-
-impl<S, SP: StateSpace<S>, R: crate::CsrSource> StateRows<S> for (&SP, &R) {
-    type Space = SP;
-    fn space(&self) -> &SP {
-        self.0
-    }
-    fn rows(&self) -> &dyn crate::CsrSource {
-        self.1
-    }
-}
-
 impl<S: Clone + Eq + std::hash::Hash> Explored<S, BoxedSpace<S>> {
     /// The explored states in id order (boxed representation only).
     pub fn states(&self) -> &[S] {

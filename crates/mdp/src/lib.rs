@@ -88,9 +88,7 @@ mod tag;
 
 pub use csr::{CsrBuilder, CsrMdp, CsrRow};
 pub use error::MdpError;
-pub use explore::{
-    check_invariant, Explore, Explored, InvariantResult, RowSink, StateRows, StreamSummary,
-};
+pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use model::{Choice, ExplicitMdp};
 pub use query::{

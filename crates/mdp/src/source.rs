@@ -219,6 +219,32 @@ pub trait CsrSource {
     fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError>;
 }
 
+/// A borrowed source is a source: a holder generic over its rows can hold
+/// them by reference.
+impl<T: CsrSource + ?Sized> CsrSource for &T {
+    fn num_states(&self) -> usize {
+        (**self).num_states()
+    }
+    fn num_choices(&self) -> u64 {
+        (**self).num_choices()
+    }
+    fn num_transitions(&self) -> u64 {
+        (**self).num_transitions()
+    }
+    fn initial_states(&self) -> &[usize] {
+        (**self).initial_states()
+    }
+    fn num_blocks(&self) -> usize {
+        (**self).num_blocks()
+    }
+    fn block_states(&self, block: usize) -> Range<usize> {
+        (**self).block_states(block)
+    }
+    fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError> {
+        (**self).with_rows(block, f)
+    }
+}
+
 pub(crate) fn check_target<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],

@@ -50,12 +50,6 @@ pub trait StateSpace<S> {
         self.len() == 0
     }
 
-    /// Drops the lookup index, keeping id-to-state decoding intact. Frees
-    /// the interner's memory once no further [`StateSpace::intern`] /
-    /// [`StateSpace::get`] calls are needed (long-lived benchmark models
-    /// do this between exploration and analysis).
-    fn clear_index(&mut self);
-
     /// Estimated resident bytes of the store's own tables: the id-ordered
     /// `Vec`'s capacity times the element size, plus 8 bytes per index
     /// slot. Heap payloads owned by individual boxed states are not
@@ -239,10 +233,6 @@ impl<S: Clone + Eq + Hash> StateSpace<S> for BoxedSpace<S> {
         self.states.len()
     }
 
-    fn clear_index(&mut self) {
-        self.index = IdIndex::default();
-    }
-
     fn mem_bytes(&self) -> u64 {
         self.states.capacity() as u64 * std::mem::size_of::<S>() as u64 + self.index.bytes()
     }
@@ -330,10 +320,6 @@ impl<C: StateCodec> StateSpace<C::State> for PackedSpace<C> {
         self.words.len()
     }
 
-    fn clear_index(&mut self) {
-        self.index = IdIndex::default();
-    }
-
     fn mem_bytes(&self) -> u64 {
         self.words.capacity() as u64 * std::mem::size_of::<C::Word>() as u64 + self.index.bytes()
     }
@@ -398,15 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_index_keeps_decoding() {
-        let mut sp = PackedSpace::new(PairCodec);
-        sp.intern(&(9, 9));
-        sp.clear_index();
-        assert_eq!(sp.state(0), (9, 9));
-        assert_eq!(sp.len(), 1);
-    }
-
-    #[test]
     fn mem_bytes_counts_allocated_buckets_not_usable_capacity() {
         // An empty store owns nothing; the first state allocates the
         // smallest table.
@@ -431,8 +408,6 @@ mod tests {
         assert_eq!(boxed.index.slots.len(), 2048);
         let states = boxed.states.capacity() as u64 * 8;
         assert_eq!(boxed.mem_bytes(), states + 2048 * 8);
-        boxed.clear_index();
-        assert_eq!(boxed.mem_bytes(), states);
     }
 
     #[test]

@@ -61,19 +61,12 @@ impl Stores {
         assert_eq!(self.packed.get(&s), want, "packed get {s:?}");
     }
 
-    /// Every interned state decodes and looks up to its id; after the
-    /// index is dropped, every state still decodes.
-    fn check_all(mut self) {
+    /// Every interned state decodes and looks up to its id.
+    fn check_all(self) {
         assert_eq!(self.boxed.len(), self.order.len());
         assert_eq!(self.packed.len(), self.order.len());
         for (id, &s) in self.order.iter().enumerate() {
             self.get(s);
-            assert_eq!(self.boxed.state(id), s);
-            assert_eq!(self.packed.state(id), s);
-        }
-        self.boxed.clear_index();
-        self.packed.clear_index();
-        for (id, &s) in self.order.iter().enumerate() {
             assert_eq!(self.boxed.state(id), s);
             assert_eq!(self.packed.state(id), s);
         }

@@ -5,7 +5,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::path::Path;
 
-use pa_mdp::{CsrRows, CsrSource, MdpError, Query, StateRows, StateSpace};
+use pa_mdp::{CsrRows, CsrSource, MdpError, Query, StateSpace};
 
 use crate::cache::BlockCache;
 use crate::error::StoreError;
@@ -191,15 +191,5 @@ impl<S, SP: StateSpace<S>> StoredModel<S, SP> {
     /// are excluded by design.
     pub fn mem_bytes(&self) -> u64 {
         self.space.mem_bytes() + self.csr.cache().budget()
-    }
-}
-
-impl<S, SP: StateSpace<S>> StateRows<S> for StoredModel<S, SP> {
-    type Space = SP;
-    fn space(&self) -> &SP {
-        &self.space
-    }
-    fn rows(&self) -> &dyn CsrSource {
-        &self.csr
     }
 }

@@ -66,12 +66,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Answer every paper arrow on the stored backend, worst case over the
     // arrow's source states, and chart residency as the sweeps page. The
     // quotient is fault-free: no process is down when the clock starts.
-    let checker = ArrowChecker::new(n, 0, stored);
+    let checker = ArrowChecker::new(n, 0, stored.space(), stored.store());
     let mut first_value = None;
     for (arrow, _why) in paper::all_arrows() {
         let worst = checker.arrow(&arrow, |q| q)?.measured.lo().value();
         first_value.get_or_insert(worst.to_bits());
-        let s = checker.model().store().cache().local_stats();
+        let s = checker.rows().cache().local_stats();
         println!(
             "{arrow}: worst P = {worst:.6} | resident {} peak {} (faults {}, hits {}, evictions {})",
             s.resident_bytes, s.peak_resident_bytes, s.faults, s.hits, s.evictions,
@@ -80,7 +80,6 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Paging bound: budget plus at most two in-flight blocks (one pinned
     // by the sweep, one just faulted before eviction catches up).
-    let stored = checker.model();
     let s = stored.store().cache().local_stats();
     let bound = budget + 2 * max_payload;
     if s.peak_resident_bytes > bound {
@@ -99,7 +98,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // answer the first arrow bitwise identically.
     let roomy = StoredCsr::open(stored.store().file().path(), u64::MAX)?;
     let (arrow, _why) = paper::all_arrows().remove(0);
-    let worst = ArrowChecker::new(n, 0, (stored.space(), &roomy))
+    let worst = ArrowChecker::new(n, 0, stored.space(), &roomy)
         .arrow(&arrow, |q| q)?
         .measured
         .lo()

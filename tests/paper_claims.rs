@@ -57,7 +57,7 @@ fn composed_claim_is_solver_independent() {
     let composed = paper::arrow_t_to_c();
     let configs = reachable_configs(3, DEFAULT_STATE_LIMIT).expect("enumerable");
     let space = PackedSpace::new(RoundStateCodec::new(3).expect("valid ring"));
-    let (_, checker) = explore_checker(
+    let (_, checker, _) = explore_checker(
         mdp(3),
         &configs,
         Some((composed.from(), composed.to())),
