@@ -36,7 +36,11 @@
 //! the CSR rows, one region byte per state and the decoded starts, which
 //! is all a slot keeps resident: exploration writes CSR rows directly, and
 //! the state store is dropped once the checker has read its regions from
-//! it. When the resident total
+//! it. Rows dominate: a choice takes 5 bytes (a `u32` offset and a `u8`
+//! cost) and a transition 5 (a `u32` target and a `u8` index into the
+//! model's probability table), so the eight n = 3, 4 default-grid models
+//! hold 48.1 MB of rows beside 7.8 MB of region bytes and starts. When
+//! the resident total
 //! exceeds the budget, least-recently-used slots are dropped (never the
 //! slot that was just touched, and never an error slot) until the total
 //! fits or nothing evictable remains.
@@ -541,6 +545,31 @@ mod tests {
         let starts = rows.initial_states().len() as u64 * start;
         assert_eq!(checker.regions().len() as u64, regions);
         assert_eq!(cache.resident_bytes(), rows.mem_bytes() + regions + starts);
+    }
+
+    /// The n = 3 shared `none` model's rows at their compact width: a
+    /// `u32` offset per state, an offset and a cost byte per choice, a
+    /// target and a probability index byte per transition, a two-entry
+    /// probability table (1/2 and 1) and the initial ids.
+    #[test]
+    fn n3_none_rows_take_five_bytes_per_choice_and_per_transition() {
+        let cache = ModelCache::new();
+        let checker = cache.model(3, &FaultPlan::none(), 1_000_000).unwrap();
+        let rows = checker.rows();
+        let (states, choices, trans) = (10_196, 18_309, 19_998);
+        assert_eq!(
+            (
+                rows.num_states(),
+                rows.num_choices(),
+                rows.num_transitions()
+            ),
+            (states, choices, trans)
+        );
+        assert_eq!(rows.rows().prob_table, [1.0, 0.5]);
+        let initial = rows.initial_states().len();
+        let expected = 4 * (states + 1) + 5 * choices + 4 + 5 * trans + 2 * 8 + 8 * initial;
+        assert_eq!(rows.mem_bytes(), expected as u64);
+        assert_eq!(rows.mem_bytes(), 244_439);
     }
 
     #[test]

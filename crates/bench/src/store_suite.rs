@@ -1,7 +1,7 @@
 //! The out-of-core probe behind `tables --store`.
 //!
 //! The `n = 4` rotation-quotient model is spilled to a multi-block
-//! `pa-store/csr/v1` file (4 KiB blocks, so even this small model splits)
+//! `pa-store/csr/v2` file (4 KiB blocks, so even this small model splits)
 //! and re-queried through the block-streamed engines at two cache
 //! budgets: unbounded and one byte (exactly one resident block). Every
 //! paper arrow's full value vector is digested for all three backends.
@@ -18,7 +18,7 @@ use pa_mdp::{Explore, Query, QueryObjective, RingRotation};
 /// Orbit states of the spilled `n = 4` fault-free quotient.
 pub const PINNED_STATES: u64 = 55_502;
 /// CSR blocks of the spill file at [`PINNED_BLOCK_BYTES`].
-pub const PINNED_CSR_BLOCKS: u64 = 700;
+pub const PINNED_CSR_BLOCKS: u64 = 377;
 /// Target payload bytes per block the writer is configured with.
 pub const PINNED_BLOCK_BYTES: u64 = 4096;
 /// FNV-64 digest of the five arrows' value vectors, on every backend.

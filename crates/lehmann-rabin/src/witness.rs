@@ -107,7 +107,7 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         };
         let rows = checker.rows().rows();
         let c = rows.choice_range(state).start + choice_idx as usize;
-        let cost = rows.costs[c];
+        let cost = rows.cost(c);
         if cost > remaining {
             break;
         }
@@ -116,7 +116,7 @@ pub fn worst_case_witness(mdp: &RoundMdp, arrow: &Arrow, limit: usize) -> Result
         // the post-step budget level.
         let next = rows
             .trans_range(c)
-            .filter(|&i| rows.probs[i] > 0.0)
+            .filter(|&i| rows.prob(i) > 0.0)
             .map(|i| rows.targets[i] as usize)
             .min_by(|&a, &b| values[a].total_cmp(&values[b]))
             .expect("valid distribution");

@@ -1,22 +1,32 @@
 //! The model representation: an MDP as compressed-sparse-row arrays.
 //!
-//! Exploration writes every state's choices straight into five contiguous
+//! Exploration writes every state's choices straight into six contiguous
 //! arrays —
 //!
 //! ```text
-//! choice_offsets : n+1      per-state range into the choice arrays
-//! trans_offsets  : m+1      per-choice range into the transition arrays
-//! costs          : m        per-choice cost
-//! targets        : k        per-transition successor (u32)
-//! probs          : k        per-transition probability
+//! choice_offsets : n+1      u32  per-state range into the choice arrays
+//! trans_offsets  : m+1      u32  per-choice range into the transition arrays
+//! targets        : k        u32  per-transition successor
+//! costs          : m        u8   per-choice cost
+//! prob_ids       : k        u8   per-transition index into prob_table
+//! prob_table     : ≤ 256    f64  the block's distinct probabilities
 //! ```
 //!
 //! — so every analysis sweep is a linear walk and no per-state or
-//! per-choice allocation ever exists. The explorer hands each finished
-//! state to a [`crate::RowSink`] as a [`CsrRow`]; [`CsrBuilder`] is the
-//! one row builder that appends rows to these arrays, used both for the
-//! in-core [`CsrMdp`] of [`crate::Explore::run_in`] and, block by block,
-//! by `pa-store`'s disk writer.
+//! per-choice allocation ever exists. A transition costs 5 bytes and a
+//! choice 5: the round models use two probabilities (1/2 and 1) and two
+//! costs (0 and 1), so a probability is stored once per block, in the
+//! order of its first use, and each transition names it by a `u8` index.
+//! [`CsrRows::prob`] reads `prob_table[prob_ids[i]]`, the same `f64` the
+//! explorer emitted, so every analysis computes the same bits it would on
+//! a flat `f64` array. A block needing a 257th distinct probability or a
+//! cost above 255 is refused when its row is pushed.
+//!
+//! The explorer hands each finished state to a [`crate::RowSink`] as a
+//! [`CsrRow`] (flat `u32` costs and `f64` probabilities); [`CsrBuilder`]
+//! is the one row builder that interns such rows into these arrays, used
+//! both for the in-core [`CsrMdp`] of [`crate::Explore::run_in`] and,
+//! block by block, by `pa-store`'s disk writer.
 //!
 //! The nested [`ExplicitMdp`] (`Vec<Vec<Choice>>`) remains the constructor
 //! for hand-built models and the input of the [`crate::reference`]
@@ -31,23 +41,34 @@
 use crate::source::{CsrRows, CsrSource};
 use crate::{ExplicitMdp, MdpError, RowSink};
 
+/// The most distinct probabilities one block's table holds: a `u8` index
+/// names each.
+pub const PROB_TABLE_MAX: usize = 256;
+
+/// The largest choice cost a row can carry: costs are stored as `u8`.
+pub const COST_MAX: u32 = u8::MAX as u32;
+
 /// An MDP in compressed-sparse-row form: what [`crate::Explore::run_in`]
 /// builds and every in-core analysis runs on.
 ///
 /// Indices are `u32` internally; [`CsrBuilder`] rejects a model whose
-/// choice or transition count would overflow them.
+/// choice or transition count would overflow them, that needs more than
+/// [`PROB_TABLE_MAX`] distinct probabilities, or that has a cost above
+/// [`COST_MAX`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMdp {
     /// `choice_offsets[s]..choice_offsets[s+1]` are state `s`'s choices.
     choice_offsets: Vec<u32>,
     /// `trans_offsets[c]..trans_offsets[c+1]` are choice `c`'s transitions.
     trans_offsets: Vec<u32>,
-    /// Cost of each choice.
-    costs: Vec<u32>,
     /// Successor state of each transition.
     targets: Vec<u32>,
-    /// Probability of each transition.
-    probs: Vec<f64>,
+    /// Cost of each choice.
+    costs: Vec<u8>,
+    /// Index into `prob_table` of each transition's probability.
+    prob_ids: Vec<u8>,
+    /// The distinct probabilities, in order of first use.
+    prob_table: Vec<f64>,
     /// Initial state indices.
     initial: Vec<usize>,
 }
@@ -83,16 +104,17 @@ impl CsrMdp {
         &self.initial
     }
 
-    /// Heap bytes held by the flattened arrays (offsets, costs, targets,
-    /// probabilities, initial states). This is the per-slot size a model
-    /// cache accounts a resident CSR at when enforcing a byte budget.
+    /// Heap bytes held by the flattened arrays (offsets, targets, costs,
+    /// probability indices and table, initial states). This is the
+    /// per-slot size a model cache accounts a resident CSR at when
+    /// enforcing a byte budget.
     pub fn mem_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.choice_offsets.capacity() * size_of::<u32>()
-            + self.trans_offsets.capacity() * size_of::<u32>()
-            + self.costs.capacity() * size_of::<u32>()
-            + self.targets.capacity() * size_of::<u32>()
-            + self.probs.capacity() * size_of::<f64>()
+        ((self.choice_offsets.capacity() + self.trans_offsets.capacity() + self.targets.capacity())
+            * size_of::<u32>()
+            + self.costs.capacity()
+            + self.prob_ids.capacity()
+            + self.prob_table.capacity() * size_of::<f64>()
             + self.initial.capacity() * size_of::<usize>()) as u64
     }
 
@@ -102,9 +124,10 @@ impl CsrMdp {
             first_state: 0,
             choice_offsets: &self.choice_offsets,
             trans_offsets: &self.trans_offsets,
-            costs: &self.costs,
             targets: &self.targets,
-            probs: &self.probs,
+            costs: &self.costs,
+            prob_ids: &self.prob_ids,
+            prob_table: &self.prob_table,
         }
     }
 }
@@ -138,8 +161,9 @@ impl From<&ExplicitMdp> for CsrMdp {
                 targets: &targets,
                 probs: &probs,
             };
-            b.push_row(row)
-                .expect("model too large for u32 CSR offsets");
+            if let Err(e) = b.push_row(row) {
+                panic!("model does not fit the CSR layout: {e}");
+            }
         }
         b.finish(mdp.initial_states().to_vec())
     }
@@ -149,7 +173,7 @@ impl From<&ExplicitMdp> for CsrMdp {
 /// [`crate::RowSink`]: choice `k` costs `costs[k]` and owns the
 /// transitions `trans_ends[k - 1]..trans_ends[k]` (from 0 for `k = 0`) of
 /// `targets`/`probs`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CsrRow<'a> {
     /// Cost of each choice.
     pub costs: &'a [u32],
@@ -173,17 +197,19 @@ impl CsrRow<'_> {
     }
 }
 
-/// Appends [`CsrRow`]s to CSR arrays — the one row builder shared by the
-/// in-core sink of [`crate::Explore::run_in`] (finished with
+/// Appends rows to CSR arrays — the one row builder shared by the in-core
+/// sink of [`crate::Explore::run_in`] (finished with
 /// [`CsrBuilder::finish`]) and block writers that flush and
-/// [`CsrBuilder::clear`] it per block (`pa-store`).
+/// [`CsrBuilder::clear`] it per block (`pa-store`). It interns each
+/// probability into the block's table by its bit pattern.
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
     choice_offsets: Vec<u32>,
     trans_offsets: Vec<u32>,
-    costs: Vec<u32>,
     targets: Vec<u32>,
-    probs: Vec<f64>,
+    costs: Vec<u8>,
+    prob_ids: Vec<u8>,
+    prob_table: Vec<f64>,
 }
 
 impl Default for CsrBuilder {
@@ -192,38 +218,144 @@ impl Default for CsrBuilder {
     }
 }
 
+fn backend(reason: String) -> MdpError {
+    MdpError::Backend { reason }
+}
+
 impl CsrBuilder {
     /// An empty builder.
     pub fn new() -> CsrBuilder {
+        CsrBuilder::with_table(&[])
+    }
+
+    /// An empty builder whose probability table starts as `table`, so
+    /// rows of a block with that table copy in with
+    /// [`CsrBuilder::copy_row`].
+    ///
+    /// # Panics
+    ///
+    /// If `table` holds more than [`PROB_TABLE_MAX`] entries, which no
+    /// block's table does.
+    pub fn with_table(table: &[f64]) -> CsrBuilder {
+        assert!(
+            table.len() <= PROB_TABLE_MAX,
+            "a probability table of {} entries",
+            table.len()
+        );
         CsrBuilder {
             choice_offsets: vec![0],
             trans_offsets: vec![0],
-            costs: Vec::new(),
             targets: Vec::new(),
-            probs: Vec::new(),
+            costs: Vec::new(),
+            prob_ids: Vec::new(),
+            prob_table: table.to_vec(),
         }
     }
 
-    /// Appends one state's row.
+    /// The table index of `p`, appended on first use; `None` when the
+    /// table is full.
+    fn intern(&mut self, p: f64) -> Option<u8> {
+        let bits = p.to_bits();
+        match self.prob_table.iter().position(|q| q.to_bits() == bits) {
+            Some(i) => Some(i as u8),
+            None if self.prob_table.len() < PROB_TABLE_MAX => {
+                self.prob_table.push(p);
+                Some((self.prob_table.len() - 1) as u8)
+            }
+            None => None,
+        }
+    }
+
+    /// Fails unless `choices` more choices and `trans` more transitions
+    /// fit the `u32` offsets.
+    fn check_offsets(&self, choices: usize, trans: usize) -> Result<(), MdpError> {
+        let choices = self.costs.len() + choices;
+        let trans = self.targets.len() + trans;
+        if choices >= u32::MAX as usize || trans >= u32::MAX as usize {
+            return Err(backend("model too large for u32 CSR offsets".into()));
+        }
+        Ok(())
+    }
+
+    /// Appends one state's row, interning its probabilities.
     ///
     /// # Errors
     ///
     /// [`MdpError::Backend`] if the builder's choice or transition count
-    /// would overflow the `u32` offsets (nothing is appended then).
+    /// would overflow the `u32` offsets, if a cost exceeds [`COST_MAX`],
+    /// or if the row would need a probability past the
+    /// [`PROB_TABLE_MAX`] distinct ones of the block. Nothing is appended
+    /// then.
     pub fn push_row(&mut self, row: CsrRow<'_>) -> Result<(), MdpError> {
-        let choices = self.costs.len() + row.costs.len();
-        let trans = self.targets.len() + row.targets.len();
-        if choices >= u32::MAX as usize || trans >= u32::MAX as usize {
-            return Err(MdpError::Backend {
-                reason: "model too large for u32 CSR offsets".into(),
-            });
+        self.check_offsets(row.costs.len(), row.targets.len())?;
+        if let Some(&c) = row.costs.iter().find(|&&c| c > COST_MAX) {
+            return Err(backend(format!(
+                "choice cost {c} exceeds the CSR cost limit {COST_MAX}"
+            )));
+        }
+        let (table, ids) = (self.prob_table.len(), self.prob_ids.len());
+        for &p in row.probs {
+            let Some(id) = self.intern(p) else {
+                self.prob_table.truncate(table);
+                self.prob_ids.truncate(ids);
+                return Err(backend(format!(
+                    "probability {p} would be distinct probability {} of a block, \
+                     past the table's {PROB_TABLE_MAX}",
+                    PROB_TABLE_MAX + 1
+                )));
+            };
+            self.prob_ids.push(id);
         }
         let base = self.targets.len() as u32;
-        self.costs.extend_from_slice(row.costs);
+        self.costs.extend(row.costs.iter().map(|&c| c as u8));
         self.trans_offsets
             .extend(row.trans_ends.iter().map(|&end| base + end));
         self.targets.extend_from_slice(row.targets);
-        self.probs.extend_from_slice(row.probs);
+        self.choice_offsets.push(self.costs.len() as u32);
+        Ok(())
+    }
+
+    /// Appends state `s`'s row of `rows` with every successor mapped
+    /// through `renumber`, copying costs and probability indices as they
+    /// are — no probability is interned again.
+    ///
+    /// # Errors
+    ///
+    /// [`MdpError::Backend`] if `rows`' table is not a prefix of this
+    /// builder's (start the builder with [`CsrBuilder::with_table`]) or
+    /// if the `u32` offsets would overflow. Nothing is appended then.
+    pub fn copy_row(
+        &mut self,
+        rows: &CsrRows<'_>,
+        s: usize,
+        renumber: impl Fn(u32) -> u32,
+    ) -> Result<(), MdpError> {
+        let table = rows.prob_table;
+        let prefix = self.prob_table.len() >= table.len()
+            && self
+                .prob_table
+                .iter()
+                .zip(table)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !prefix {
+            return Err(backend(
+                "copied rows use a probability table the builder does not start with".into(),
+            ));
+        }
+        let choices = rows.choice_range(s);
+        let trans =
+            rows.trans_offsets[choices.start] as usize..rows.trans_offsets[choices.end] as usize;
+        self.check_offsets(choices.len(), trans.len())?;
+        let shift = (self.targets.len() as u32).wrapping_sub(trans.start as u32);
+        self.costs.extend_from_slice(&rows.costs[choices.clone()]);
+        self.trans_offsets.extend(
+            rows.trans_offsets[choices.start + 1..=choices.end]
+                .iter()
+                .map(|&end| end.wrapping_add(shift)),
+        );
+        self.targets
+            .extend(rows.targets[trans.clone()].iter().map(|&t| renumber(t)));
+        self.prob_ids.extend_from_slice(&rows.prob_ids[trans]);
         self.choice_offsets.push(self.costs.len() as u32);
         Ok(())
     }
@@ -234,11 +366,12 @@ impl CsrBuilder {
     }
 
     /// Bytes the pending arrays occupy at their lengths: what a block
-    /// writer compares against its block target.
+    /// writer compares against its block target, and what it writes.
     pub fn payload_bytes(&self) -> usize {
-        self.probs.len() * 8
-            + (self.choice_offsets.len() + self.trans_offsets.len()) * 4
-            + (self.costs.len() + self.targets.len()) * 4
+        self.prob_table.len() * 8
+            + (self.choice_offsets.len() + self.trans_offsets.len() + self.targets.len()) * 4
+            + self.costs.len()
+            + self.prob_ids.len()
     }
 
     /// The pending rows as one block whose first state is `first_state`.
@@ -247,19 +380,22 @@ impl CsrBuilder {
             first_state,
             choice_offsets: &self.choice_offsets,
             trans_offsets: &self.trans_offsets,
-            costs: &self.costs,
             targets: &self.targets,
-            probs: &self.probs,
+            costs: &self.costs,
+            prob_ids: &self.prob_ids,
+            prob_table: &self.prob_table,
         }
     }
 
-    /// Drops the pending rows, keeping the allocations for the next block.
+    /// Drops the pending rows and the probability table, keeping the
+    /// allocations for the next block.
     pub fn clear(&mut self) {
         self.choice_offsets.truncate(1);
         self.trans_offsets.truncate(1);
-        self.costs.clear();
         self.targets.clear();
-        self.probs.clear();
+        self.costs.clear();
+        self.prob_ids.clear();
+        self.prob_table.clear();
     }
 
     /// The finished in-core model, trimmed to its length.
@@ -267,16 +403,18 @@ impl CsrBuilder {
         let mut csr = CsrMdp {
             choice_offsets: self.choice_offsets,
             trans_offsets: self.trans_offsets,
-            costs: self.costs,
             targets: self.targets,
-            probs: self.probs,
+            costs: self.costs,
+            prob_ids: self.prob_ids,
+            prob_table: self.prob_table,
             initial,
         };
         csr.choice_offsets.shrink_to_fit();
         csr.trans_offsets.shrink_to_fit();
-        csr.costs.shrink_to_fit();
         csr.targets.shrink_to_fit();
-        csr.probs.shrink_to_fit();
+        csr.costs.shrink_to_fit();
+        csr.prob_ids.shrink_to_fit();
+        csr.prob_table.shrink_to_fit();
         csr.initial.shrink_to_fit();
         csr
     }
@@ -361,6 +499,22 @@ mod tests {
         .unwrap()
     }
 
+    /// A one-choice row over `probs`, all to state 0, costing `cost`.
+    fn push(b: &mut CsrBuilder, cost: u32, probs: &[f64]) -> Result<(), MdpError> {
+        let targets = vec![0; probs.len()];
+        b.push_row(CsrRow {
+            costs: &[cost],
+            trans_ends: &[probs.len() as u32],
+            targets: &targets,
+            probs,
+        })
+    }
+
+    /// Everything a builder holds, to compare before and after a refusal.
+    fn snapshot(b: &CsrBuilder) -> String {
+        format!("{:?}", b.rows(0))
+    }
+
     #[test]
     fn csr_layout_matches_nested_counts() {
         let m = escape();
@@ -372,10 +526,14 @@ mod tests {
         // Spot-check flattening order: state 0's second choice.
         let rows = csr.rows();
         let c = rows.choice_range(0).nth(1).unwrap();
-        assert_eq!(rows.costs[c], 1);
+        assert_eq!(rows.cost(c), 1);
         let r = rows.trans_range(c);
         assert_eq!(&rows.targets[r.clone()], [2, 0]);
-        assert_eq!(&rows.probs[r], [0.5, 0.5]);
+        assert_eq!(r.map(|i| rows.prob(i)).collect::<Vec<_>>(), [0.5, 0.5]);
+        // Probabilities in order of first use: 1 (state 0's first choice),
+        // then 1/2.
+        assert_eq!(rows.prob_table, [1.0, 0.5]);
+        assert_eq!(rows.prob_ids, [0, 1, 1, 0]);
     }
 
     #[test]
@@ -387,10 +545,10 @@ mod tests {
             let flat: Vec<Choice> = rows
                 .choice_range(s)
                 .map(|c| Choice {
-                    cost: rows.costs[c],
+                    cost: rows.cost(c),
                     transitions: rows
                         .trans_range(c)
-                        .map(|i| (rows.targets[i] as usize, rows.probs[i]))
+                        .map(|i| (rows.targets[i] as usize, rows.prob(i)))
                         .collect(),
                 })
                 .collect();
@@ -413,7 +571,93 @@ mod tests {
         assert_eq!(rows.choice_offsets, [0, 2, 4]);
         assert_eq!(rows.trans_offsets, [0, 1, 3, 4, 6]);
         assert_eq!(b.num_states(), 2);
-        assert_eq!(b.payload_bytes(), 6 * 8 + (3 + 5) * 4 + (4 + 6) * 4);
+        // A 2-entry table, three u32 arrays, a cost byte per choice and an
+        // index byte per transition.
+        assert_eq!(b.payload_bytes(), 2 * 8 + (3 + 5 + 6) * 4 + 4 + 6);
+    }
+
+    #[test]
+    fn copied_rows_keep_their_index_bytes() {
+        let csr = CsrMdp::from_explicit(&escape());
+        let rows = csr.rows();
+        // State 0 alone, successors shifted by 10.
+        let mut b = CsrBuilder::with_table(rows.prob_table);
+        b.copy_row(&rows, 0, |t| t + 10).unwrap();
+        let copy = b.rows(0);
+        assert_eq!(copy.choice_offsets, [0, 2]);
+        assert_eq!(copy.trans_offsets, [0, 1, 3]);
+        assert_eq!(copy.targets, [11, 12, 10]);
+        assert_eq!(copy.costs, [1, 1]);
+        assert_eq!(copy.prob_ids, &rows.prob_ids[..3]);
+        // Every state in turn copies the whole model back.
+        let mut b = CsrBuilder::with_table(rows.prob_table);
+        for s in rows.states() {
+            b.copy_row(&rows, s, |t| t).unwrap();
+        }
+        assert_eq!(b.finish(csr.initial_states().to_vec()), csr);
+        // A builder with a different table refuses the copy.
+        let mut b = CsrBuilder::new();
+        push(&mut b, 0, &[0.5, 0.5]).unwrap();
+        let before = snapshot(&b);
+        assert!(matches!(
+            b.copy_row(&rows, 0, |t| t),
+            Err(MdpError::Backend { .. })
+        ));
+        assert_eq!(snapshot(&b), before);
+    }
+
+    #[test]
+    fn a_257th_distinct_probability_is_refused_and_appends_nothing() {
+        let mut b = CsrBuilder::new();
+        let distinct: Vec<f64> = (1..=255).map(|k| f64::from(k) / 1024.0).collect();
+        push(&mut b, 1, &distinct).unwrap();
+        // Known probabilities intern to their old index.
+        push(&mut b, 0, &[distinct[3], distinct[0]]).unwrap();
+        assert_eq!(b.rows(0).prob_table.len(), 255);
+        let before = snapshot(&b);
+        // Two new ones: the first fits as the 256th, the second does not,
+        // and the first is taken out of the table again.
+        let err = push(&mut b, 0, &[0.75, 0.875]).unwrap_err();
+        assert!(matches!(err, MdpError::Backend { .. }), "{err}");
+        assert!(err.to_string().contains("257"), "{err}");
+        assert_eq!(snapshot(&b), before, "a refused row appends nothing");
+        // One new probability is the 256th and fits.
+        push(&mut b, 0, &[0.75, distinct[7]]).unwrap();
+        let rows = b.rows(0);
+        assert_eq!(rows.prob_table.len(), PROB_TABLE_MAX);
+        assert_eq!(rows.prob_ids[rows.prob_ids.len() - 2..], [255, 7]);
+        assert_eq!(rows.prob(rows.prob_ids.len() - 2), 0.75);
+    }
+
+    #[test]
+    fn a_cost_past_255_is_refused_and_appends_nothing() {
+        let mut b = CsrBuilder::new();
+        push(&mut b, COST_MAX, &[1.0]).unwrap();
+        let before = snapshot(&b);
+        let err = push(&mut b, COST_MAX + 1, &[0.5, 0.25, 0.25]).unwrap_err();
+        assert!(matches!(err, MdpError::Backend { .. }), "{err}");
+        assert!(err.to_string().contains("256"), "{err}");
+        assert_eq!(snapshot(&b), before, "a refused row appends nothing");
+        assert_eq!(b.rows(0).cost(0), 255);
+    }
+
+    #[test]
+    fn a_cleared_builder_starts_a_fresh_table() {
+        let mut b = CsrBuilder::new();
+        push(&mut b, 0, &[0.25, 0.75]).unwrap();
+        b.clear();
+        push(&mut b, 0, &[1.0]).unwrap();
+        let rows = b.rows(0);
+        assert_eq!(rows.prob_table, [1.0]);
+        assert_eq!(rows.prob_ids, [0]);
+        // A full table empties on clear too.
+        b.clear();
+        let distinct: Vec<f64> = (0..256).map(|k| f64::from(k) / 256.0).collect();
+        push(&mut b, 0, &distinct).unwrap();
+        assert!(push(&mut b, 0, &[0.3]).is_err());
+        b.clear();
+        push(&mut b, 0, &[0.3]).unwrap();
+        assert_eq!(b.rows(0).prob_table, [0.3]);
     }
 
     #[test]

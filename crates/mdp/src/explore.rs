@@ -639,8 +639,8 @@ mod tests {
         let s0 = e.index_of(&0).unwrap();
         let s1 = e.index_of(&1).unwrap();
         let rows = e.mdp.rows();
-        assert_eq!(rows.costs[rows.choice_range(s0).start], 1);
-        assert_eq!(rows.costs[rows.choice_range(s1).start], 0);
+        assert_eq!(rows.cost(rows.choice_range(s0).start), 1);
+        assert_eq!(rows.cost(rows.choice_range(s1).start), 0);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub mod space;
 pub mod symmetry;
 mod tag;
 
-pub use csr::{CsrBuilder, CsrMdp, CsrRow};
+pub use csr::{CsrBuilder, CsrMdp, CsrRow, COST_MAX, PROB_TABLE_MAX};
 pub use error::MdpError;
 pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};

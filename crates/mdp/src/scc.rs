@@ -116,7 +116,7 @@ impl CsrMdp {
 /// induction, so their transitions are always fixed and do not constrain
 /// the per-level solve order.
 pub(crate) fn zero_cost_scc(rows: &CsrRows<'_>) -> SccDecomposition {
-    condense(rows, |c| rows.costs[c] == 0, |_| true)
+    condense(rows, |c| rows.cost(c) == 0, |_| true)
 }
 
 /// One explicit Tarjan stack frame: a state plus its choice/transition
@@ -184,7 +184,7 @@ pub(crate) fn condense(
                 };
                 while ti < range.end {
                     let t = rows.targets[ti] as usize;
-                    if rows.probs[ti] > 0.0 && keep_state(t) {
+                    if rows.prob(ti) > 0.0 && keep_state(t) {
                         frame.trans = ti;
                         next = Some(t);
                         break 'scan;
@@ -232,7 +232,7 @@ pub(crate) fn condense(
                             && rows.choice_range(s).any(|c| {
                                 keep_choice(c)
                                     && rows.trans_range(c).any(|i| {
-                                        rows.targets[i] as usize == s && rows.probs[i] > 0.0
+                                        rows.targets[i] as usize == s && rows.prob(i) > 0.0
                                     })
                             });
                         nontrivial.push(size > 1 || self_loop);
@@ -402,7 +402,7 @@ mod tests {
         for s in rows.states() {
             for c in rows.choice_range(s) {
                 for i in rows.trans_range(c) {
-                    let (t, p) = (rows.targets[i] as usize, rows.probs[i]);
+                    let (t, p) = (rows.targets[i] as usize, rows.prob(i));
                     if p > 0.0 && scc.component_of(t) != scc.component_of(s) {
                         assert!(
                             scc.component_of(t) < scc.component_of(s),

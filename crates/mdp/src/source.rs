@@ -1,7 +1,7 @@
 //! Backend-agnostic CSR access — the [`CsrSource`] trait — and the one set
 //! of solver kernels that every query runs on.
 //!
-//! [`crate::CsrMdp`] holds the whole model in five flat arrays; an
+//! [`crate::CsrMdp`] holds the whole model in six flat arrays; an
 //! out-of-core backend (e.g. `pa-store`'s mmap-backed block file) holds the
 //! same arrays cut into contiguous *blocks* of states and pages them in on
 //! demand. [`CsrSource`] is the seam between the two: a backend exposes its
@@ -127,11 +127,14 @@ pub struct SolveStats {
 ///
 /// Offsets are *block-relative*: `choice_offsets[0] == 0` indexes into the
 /// block's own `costs`/`trans_offsets` slices, and `trans_offsets[0] == 0`
-/// indexes into the block's own `targets`/`probs` slices. Successor state
-/// ids in `targets` are **global**. The accessor methods take global state
-/// indices (within [`CsrRows::states`]) and block-local choice/transition
-/// indices. [`crate::CsrMdp::rows`] is the single block of an in-core
-/// model.
+/// indexes into the block's own `targets`/`prob_ids` slices. Successor
+/// state ids in `targets` are **global**. A block stores each distinct
+/// probability once, in `prob_table`, and each transition names its
+/// probability by a `u8` index into it. The accessor methods take global
+/// state indices (within [`CsrRows::states`]) and block-local
+/// choice/transition indices; read costs and probabilities through
+/// [`CsrRows::cost`] and [`CsrRows::prob`]. [`crate::CsrMdp::rows`] is the
+/// single block of an in-core model.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrRows<'a> {
     /// Global index of the first state in this block.
@@ -143,12 +146,16 @@ pub struct CsrRows<'a> {
     /// Per-choice ranges into the block's transition arrays, length
     /// `choices + 1`, starting at 0.
     pub trans_offsets: &'a [u32],
-    /// Cost of each choice in the block.
-    pub costs: &'a [u32],
     /// Global successor state of each transition in the block.
     pub targets: &'a [u32],
-    /// Probability of each transition in the block.
-    pub probs: &'a [f64],
+    /// Cost of each choice in the block, at most [`crate::COST_MAX`].
+    pub costs: &'a [u8],
+    /// Per transition in the block, the index of its probability in
+    /// `prob_table`.
+    pub prob_ids: &'a [u8],
+    /// The block's distinct probabilities, at most
+    /// [`crate::PROB_TABLE_MAX`], in order of first use.
+    pub prob_table: &'a [f64],
 }
 
 impl CsrRows<'_> {
@@ -171,6 +178,18 @@ impl CsrRows<'_> {
         self.trans_offsets[c] as usize..self.trans_offsets[c + 1] as usize
     }
 
+    /// The cost of block-local choice `c`.
+    #[inline]
+    pub fn cost(&self, c: usize) -> u32 {
+        u32::from(self.costs[c])
+    }
+
+    /// The probability of block-local transition `i`.
+    #[inline]
+    pub fn prob(&self, i: usize) -> f64 {
+        self.prob_table[usize::from(self.prob_ids[i])]
+    }
+
     /// Whether global state `s` has no choices.
     #[inline]
     pub fn is_terminal(&self, s: usize) -> bool {
@@ -183,9 +202,10 @@ impl CsrRows<'_> {
     /// operation order every engine in this crate agrees on.
     #[inline]
     pub fn choice_value(&self, c: usize, source: &[f64]) -> f64 {
+        let r = self.trans_range(c);
         let mut val = 0.0f64;
-        for i in self.trans_range(c) {
-            val += self.probs[i] * source[self.targets[i] as usize];
+        for (&t, &p) in self.targets[r.clone()].iter().zip(&self.prob_ids[r]) {
+            val += self.prob_table[usize::from(p)] * source[t as usize];
         }
         val
     }
@@ -314,9 +334,11 @@ pub(crate) fn cone_mask(rows: &CsrRows<'_>, starts: &[usize], target: &[bool]) -
 
 /// The rows of the states in `cone`, copied in ascending id order into a
 /// model of their own with successors renumbered, so a zero-cost edge to
-/// a higher id still points forward. A target state gets an empty row:
-/// every solver fixes its value, so its choices are never read. Returns
-/// the copy and the original id of each of its states.
+/// a higher id still points forward. The copy keeps the block's
+/// probability table and copies each transition's index byte. A target
+/// state gets an empty row: every solver fixes its value, so its choices
+/// are never read. Returns the copy and the original id of each of its
+/// states.
 ///
 /// # Errors
 ///
@@ -331,30 +353,13 @@ pub(crate) fn restrict(
     for (new, &old) in states.iter().enumerate() {
         id[old] = new as u32;
     }
-    let mut builder = CsrBuilder::new();
-    let (mut trans_ends, mut succ) = (Vec::new(), Vec::new());
+    let mut builder = CsrBuilder::with_table(rows.prob_table);
     for &s in &states {
-        let choices = if target[s] {
-            0..0
+        if target[s] {
+            builder.push_row(CsrRow::default())?;
         } else {
-            rows.choice_range(s)
-        };
-        trans_ends.clear();
-        succ.clear();
-        for c in choices.clone() {
-            succ.extend(rows.trans_range(c).map(|i| id[rows.targets[i] as usize]));
-            trans_ends.push(succ.len() as u32);
+            builder.copy_row(rows, s, |t| id[t as usize])?;
         }
-        let first = choices
-            .clone()
-            .next()
-            .map_or(0, |c| rows.trans_offsets[c] as usize);
-        builder.push_row(CsrRow {
-            costs: &rows.costs[choices],
-            trans_ends: &trans_ends,
-            targets: &succ,
-            probs: &rows.probs[first..first + succ.len()],
-        })?;
     }
     Ok((builder.finish(Vec::new()), states))
 }
@@ -416,7 +421,7 @@ pub(crate) fn prob0_max<S: CsrSource + ?Sized>(
     let mut can_reach = target.to_vec();
     if src.num_blocks() == 1 {
         with_one_block(src, |rows| {
-            let preds = Predecessors::new(rows, |i| rows.probs[i] > 0.0);
+            let preds = Predecessors::new(rows, |i| rows.prob(i) > 0.0);
             let mut stack: Vec<usize> = (0..target.len()).filter(|&s| target[s]).collect();
             while let Some(t) = stack.pop() {
                 for &s in preds.of(t) {
@@ -437,7 +442,7 @@ pub(crate) fn prob0_max<S: CsrSource + ?Sized>(
                     }
                     let reaches = rows.choice_range(s).any(|c| {
                         rows.trans_range(c)
-                            .any(|i| rows.probs[i] > 0.0 && can_reach[rows.targets[i] as usize])
+                            .any(|i| rows.prob(i) > 0.0 && can_reach[rows.targets[i] as usize])
                     });
                     if reaches {
                         can_reach[s] = true;
@@ -476,7 +481,7 @@ pub(crate) fn has_zero_cost_cycle<S: CsrSource + ?Sized>(
     check_target(src, target)?;
     if src.num_blocks() == 1 {
         return with_one_block(src, |rows| {
-            scc::condense(rows, |c| rows.costs[c] == 0, |t| !target[t]).num_nontrivial() > 0
+            scc::condense(rows, |c| rows.cost(c) == 0, |t| !target[t]).num_nontrivial() > 0
         });
     }
     let mut in_u: Vec<bool> = target.iter().map(|&t| !t).collect();
@@ -488,10 +493,10 @@ pub(crate) fn has_zero_cost_cycle<S: CsrSource + ?Sized>(
                     continue;
                 }
                 let keeps = rows.choice_range(s).any(|c| {
-                    rows.costs[c] == 0
+                    rows.cost(c) == 0
                         && rows
                             .trans_range(c)
-                            .any(|i| rows.probs[i] > 0.0 && in_u[rows.targets[i] as usize])
+                            .any(|i| rows.prob(i) > 0.0 && in_u[rows.targets[i] as usize])
                 });
                 if !keeps {
                     in_u[s] = false;
@@ -679,7 +684,7 @@ pub(crate) fn prob0_min<S: CsrSource + ?Sized>(
                 let stays = rows.is_terminal(s)
                     || rows.choice_range(s).any(|c| {
                         rows.trans_range(c)
-                            .all(|i| rows.probs[i] == 0.0 || in_x[rows.targets[i] as usize])
+                            .all(|i| rows.prob(i) == 0.0 || in_x[rows.targets[i] as usize])
                     });
                 if !stays {
                     in_x[s] = false;
@@ -738,7 +743,7 @@ pub(crate) fn prob1<S: CsrSource + ?Sized>(
     let mut z = vec![true; n];
     if src.num_blocks() == 1 {
         return with_one_block(src, |rows| {
-            let preds = Predecessors::new(rows, |i| rows.probs[i] > 0.0);
+            let preds = Predecessors::new(rows, |i| rows.prob(i) > 0.0);
             let mut stack = Vec::new();
             loop {
                 let mut y = target.to_vec();
@@ -796,7 +801,7 @@ fn joins_y(rows: &CsrRows<'_>, s: usize, z: &[bool], y: &[bool], objective: Obje
     let choice_ok = |c: usize| {
         let mut progresses = false;
         for i in rows.trans_range(c) {
-            if rows.probs[i] == 0.0 {
+            if rows.prob(i) == 0.0 {
                 continue;
             }
             let t = rows.targets[i] as usize;
@@ -892,7 +897,7 @@ fn bad_cost(state: usize, cost: u32) -> MdpError {
 /// The first choice of state `s` whose cost exceeds 1, as `(s, cost)`.
 fn first_bad_cost(rows: &CsrRows<'_>, s: usize) -> Option<(usize, u32)> {
     rows.choice_range(s)
-        .map(|c| rows.costs[c])
+        .map(|c| rows.cost(c))
         .find(|&cost| cost > 1)
         .map(|cost| (s, cost))
 }
@@ -930,7 +935,7 @@ fn level_choice(
     let mut best = objective.start();
     let mut best_i = 0u32;
     for (i, c) in rows.choice_range(s).enumerate() {
-        let source = if rows.costs[c] == 1 { level_prev } else { cur };
+        let source = if rows.cost(c) == 1 { level_prev } else { cur };
         let val = rows.choice_value(c, source);
         if objective.better(val, best) {
             best = val;
@@ -972,7 +977,7 @@ where
     init_level(target, values);
     let reads_final = |rows: &CsrRows<'_>, s: usize| {
         rows.choice_range(s)
-            .filter(|&c| rows.costs[c] != 1)
+            .filter(|&c| rows.cost(c) != 1)
             .flat_map(|c| rows.trans_range(c))
             .all(|i| {
                 let t = rows.targets[i] as usize;
@@ -1210,10 +1215,10 @@ fn cost_update(
     }
     let mut best = objective.start();
     for c in rows.choice_range(s) {
-        let mut val = rows.costs[c] as f64;
+        let mut val = f64::from(rows.cost(c));
         let mut ok = true;
         for i in rows.trans_range(c) {
-            let p = rows.probs[i];
+            let p = rows.prob(i);
             if p == 0.0 {
                 continue;
             }
@@ -1310,12 +1315,12 @@ pub fn csr_digest<S: CsrSource + ?Sized>(src: &S) -> Result<u64, MdpError> {
             let cr = rows.choice_range(s);
             eat((cr.end - cr.start) as u64);
             for c in cr {
-                eat(u64::from(rows.costs[c]));
+                eat(u64::from(rows.cost(c)));
                 let tr = rows.trans_range(c);
                 eat((tr.end - tr.start) as u64);
                 for i in tr {
                     eat(u64::from(rows.targets[i]));
-                    eat(rows.probs[i].to_bits());
+                    eat(rows.prob(i).to_bits());
                 }
             }
         }
@@ -1357,22 +1362,9 @@ mod tests {
             Split(
                 cuts.windows(2)
                     .map(|w| {
-                        let mut b = CsrBuilder::new();
+                        let mut b = CsrBuilder::with_table(rows.prob_table);
                         for s in w[0]..w[1] {
-                            let choices = rows.choice_range(s);
-                            let trans = rows.trans_offsets[choices.start] as usize
-                                ..rows.trans_offsets[choices.end] as usize;
-                            let ends: Vec<u32> = choices
-                                .clone()
-                                .map(|c| (rows.trans_range(c).end - trans.start) as u32)
-                                .collect();
-                            b.push_row(CsrRow {
-                                costs: &rows.costs[choices],
-                                trans_ends: &ends,
-                                targets: &rows.targets[trans.clone()],
-                                probs: &rows.probs[trans],
-                            })
-                            .unwrap();
+                            b.copy_row(&rows, s, |t| t).unwrap();
                         }
                         (w[0], b)
                     })

@@ -105,7 +105,7 @@ pub fn tagged_absorbing_violations(
             let trans = rows.trans_range(c);
             let absorbing = trans.len() == 1
                 && rows.targets[trans.start] as usize == s
-                && rows.probs[trans.start] == 1.0;
+                && rows.prob(trans.start) == 1.0;
             if !absorbing {
                 out.push((s, k));
             }

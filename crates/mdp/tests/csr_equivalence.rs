@@ -454,10 +454,10 @@ proptest! {
             let choices = rows.choice_range(i);
             prop_assert_eq!(choices.len(), steps.len(), "state {}", s);
             for (c, step) in choices.zip(&steps) {
-                prop_assert_eq!(rows.costs[c], cost(s, &step.action));
+                prop_assert_eq!(rows.cost(c), cost(s, &step.action));
                 let got: Vec<(u32, f64)> = rows
                     .trans_range(c)
-                    .map(|t| (rows.targets[t], rows.probs[t]))
+                    .map(|t| (rows.targets[t], rows.prob(t)))
                     .collect();
                 let want: Vec<(u32, f64)> = step
                     .target

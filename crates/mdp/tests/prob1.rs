@@ -71,7 +71,7 @@ fn nested_fixpoint(rows: &CsrRows<'_>, target: &[bool], objective: Objective) ->
     let choice_ok = |c: usize, z: &[bool], y: &[bool]| {
         let positive: Vec<usize> = rows
             .trans_range(c)
-            .filter(|&i| rows.probs[i] > 0.0)
+            .filter(|&i| rows.prob(i) > 0.0)
             .map(|i| rows.targets[i] as usize)
             .collect();
         positive.iter().all(|&t| z[t]) && positive.iter().any(|&t| y[t])

@@ -357,7 +357,7 @@ proptest! {
         for s in rows.states() {
             for c in rows.choice_range(s) {
                 for i in rows.trans_range(c) {
-                    let (t, p) = (rows.targets[i] as usize, rows.probs[i]);
+                    let (t, p) = (rows.targets[i] as usize, rows.prob(i));
                     if p > 0.0 && scc.component_of(t) != scc.component_of(s) {
                         prop_assert!(scc.component_of(t) < scc.component_of(s));
                     }

@@ -77,9 +77,10 @@ pub struct ServeConfig {
     /// LRU byte budget for the shared model cache (`None` = unbounded).
     /// A model is accounted at its CSR rows, one region byte per state and
     /// its decoded starts (`pa_batch::ModelCache`'s eviction docs): the
-    /// four n = 4 models of the default fault grid take 93.1 MB, where
+    /// four n = 4 models of the default fault grid take 53.5 MB, where
     /// rows plus state stores took 316.5 MB, so a given budget holds
-    /// about 3× as many of them as when the stores were kept.
+    /// about 6× as many of them as when the stores were kept. Rows are
+    /// most of it (46.2 MB), at 5 bytes per choice and per transition.
     pub cache_budget: Option<u64>,
     /// Default per-job cooperative timeout (a `run` line may override).
     pub timeout: Option<Duration>,

@@ -22,7 +22,7 @@ pub enum StoreError {
         /// Which structure was cut short.
         what: String,
     },
-    /// The file does not start with the `pa-store/csr/v1` magic, or the
+    /// The file does not start with a `pa-store/csr` magic (`PACSR…`), or the
     /// footer trailer magic is wrong.
     BadMagic,
     /// The file declares a format version this reader does not speak, or a
@@ -70,7 +70,7 @@ impl fmt::Display for StoreError {
             StoreError::Truncated { what } => {
                 write!(f, "store file truncated: {what} extends past end of file")
             }
-            StoreError::BadMagic => write!(f, "not a pa-store/csr/v1 file (bad magic)"),
+            StoreError::BadMagic => write!(f, "not a pa-store/csr/v2 file (bad magic)"),
             StoreError::Unsupported { reason } => write!(f, "unsupported store file: {reason}"),
             StoreError::DigestMismatch {
                 block,

@@ -1,24 +1,32 @@
-//! The `pa-store/csr/v1` on-disk format: writer, reader, and block views.
+//! The `pa-store/csr/v2` on-disk format: writer, reader, and block views.
 //!
 //! ```text
-//! offset 0     header   magic "PACSRv1\0" · version u32 · key_words u32
+//! offset 0     header   magic "PACSRv2\0" · version u32 · key_words u32
 //! offset 4096  blocks   each page-aligned (4096); payload layouts below
-//! ...          footer   counts · initial ids · one 64-byte meta per block
+//! ...          footer   counts · initial ids · one 72-byte meta per block
 //! end-16       trailer  footer_offset u64 · magic "PACSRFTR"
 //! ```
 //!
 //! Every multi-byte value is little-endian; [`StoreFile::open`] rejects
 //! big-endian hosts rather than byte-swap on every access. A *CSR* block
 //! holds a contiguous run of states' rows with block-relative `u32`
-//! offsets (the in-memory [`CsrRows`] shape, dumped):
+//! offsets, its own probability table and a `u8` table index per
+//! transition: the in-memory [`CsrRows`] shape, dumped, so a paged-in
+//! block is read where it lies, with no conversion.
 //!
 //! ```text
-//! probs  f64 × trans          (8-aligned: first section, page-aligned base)
+//! prob_table     f64 × table   (8-aligned: first section, page-aligned base)
 //! choice_offsets u32 × states+1
 //! trans_offsets  u32 × choices+1
-//! costs          u32 × choices
 //! targets        u32 × trans   (global state ids)
+//! costs          u8  × choices
+//! prob_ids       u8  × trans   (indices into prob_table)
 //! ```
+//!
+//! A block's meta records `table`, its table length (at most
+//! [`pa_mdp::PROB_TABLE_MAX`]). Version 1 files, which stored an `f64`
+//! per transition and a `u32` per cost, are refused as
+//! [`StoreError::Unsupported`]; re-spill the model to read it.
 //!
 //! A *keys* block holds the packed state words of a run of states
 //! (`u64 × states × key_words`), so the interned id → state mapping
@@ -35,17 +43,17 @@ use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use pa_mdp::{CsrBuilder, CsrRow, CsrRows, MdpError, RowSink};
+use pa_mdp::{CsrBuilder, CsrRow, CsrRows, MdpError, RowSink, PROB_TABLE_MAX};
 
 use crate::error::StoreError;
 use crate::mmap::Mapping;
 
 /// File magic: the first 8 bytes of every store file.
-pub const HEADER_MAGIC: [u8; 8] = *b"PACSRv1\0";
+pub const HEADER_MAGIC: [u8; 8] = *b"PACSRv2\0";
 /// Trailer magic: the last 8 bytes of every store file.
 pub const FOOTER_MAGIC: [u8; 8] = *b"PACSRFTR";
 /// Format version written into the header.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Block alignment: every block payload starts on a 4096-byte boundary so
 /// the mmap path can map it directly.
 pub const BLOCK_ALIGN: u64 = 4096;
@@ -76,6 +84,8 @@ pub struct BlockMeta {
     pub choices: u64,
     /// Number of transitions (0 for key blocks).
     pub trans: u64,
+    /// Entries of the block's probability table (0 for key blocks).
+    pub table: u64,
     /// Byte offset of the payload (multiple of [`BLOCK_ALIGN`]).
     pub offset: u64,
     /// Payload length in bytes.
@@ -88,11 +98,12 @@ impl BlockMeta {
     fn expected_payload(&self, key_words: usize) -> u64 {
         match self.kind {
             BlockKind::Csr => {
-                self.trans * 8
+                self.table * 8
                     + (self.states + 1) * 4
                     + (self.choices + 1) * 4
-                    + self.choices * 4
                     + self.trans * 4
+                    + self.choices
+                    + self.trans
             }
             BlockKind::Keys => self.states * key_words as u64 * 8,
         }
@@ -216,19 +227,21 @@ impl StoreWriter {
         }
         let rows = self.pending.rows(self.first_state);
         let mut payload = Vec::with_capacity(self.pending.payload_bytes());
-        for p in rows.probs {
+        for p in rows.prob_table {
             payload.extend_from_slice(&p.to_bits().to_le_bytes());
         }
         push_u32s(&mut payload, rows.choice_offsets);
         push_u32s(&mut payload, rows.trans_offsets);
-        push_u32s(&mut payload, rows.costs);
         push_u32s(&mut payload, rows.targets);
+        payload.extend_from_slice(rows.costs);
+        payload.extend_from_slice(rows.prob_ids);
         let meta = BlockMeta {
             kind: BlockKind::Csr,
             first_state: self.first_state as u64,
             states: states as u64,
             choices: rows.costs.len() as u64,
             trans: rows.targets.len() as u64,
+            table: rows.prob_table.len() as u64,
             offset: self.pos,
             payload_len: payload.len() as u64,
             digest: fnv1a_64(&payload),
@@ -261,6 +274,7 @@ impl StoreWriter {
             states: count as u64,
             choices: 0,
             trans: 0,
+            table: 0,
             offset: self.pos,
             payload_len: payload.len() as u64,
             digest: fnv1a_64(&payload),
@@ -306,6 +320,7 @@ impl StoreWriter {
                 b.states,
                 b.choices,
                 b.trans,
+                b.table,
                 b.offset,
                 b.payload_len,
                 b.digest,
@@ -378,7 +393,7 @@ impl StoreFile {
     pub fn open(path: impl AsRef<Path>) -> Result<StoreFile, StoreError> {
         if cfg!(target_endian = "big") {
             return Err(StoreError::Unsupported {
-                reason: "pa-store/csr/v1 files are little-endian; this host is big-endian".into(),
+                reason: "pa-store/csr/v2 files are little-endian; this host is big-endian".into(),
             });
         }
         let path = path.as_ref().to_path_buf();
@@ -395,11 +410,13 @@ impl StoreFile {
         let mut header = [0u8; 16];
         file.read_exact(&mut header)
             .map_err(StoreError::io("read header"))?;
-        if header[..8] != HEADER_MAGIC {
+        // Magic and version move together; a file of another version is
+        // named as such, not as a foreign file.
+        if header[..5] != HEADER_MAGIC[..5] {
             return Err(StoreError::BadMagic);
         }
         let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
+        if version != VERSION || header[..8] != HEADER_MAGIC {
             return Err(StoreError::Unsupported {
                 reason: format!("format version {version} (this reader speaks {VERSION})"),
             });
@@ -472,10 +489,20 @@ impl StoreFile {
                 states: cur.u64()?,
                 choices: cur.u64()?,
                 trans: cur.u64()?,
+                table: cur.u64()?,
                 offset: cur.u64()?,
                 payload_len: cur.u64()?,
                 digest: cur.u64()?,
             };
+            if meta.kind == BlockKind::Csr && meta.table > PROB_TABLE_MAX as u64 {
+                return Err(StoreError::BadBlock {
+                    block: i,
+                    reason: format!(
+                        "probability table of {} entries (at most {PROB_TABLE_MAX})",
+                        meta.table
+                    ),
+                });
+            }
             if !meta.offset.is_multiple_of(BLOCK_ALIGN) {
                 return Err(StoreError::BadBlock {
                     block: i,
@@ -611,11 +638,12 @@ impl StoreFile {
 
 /// Checks the CSR invariants of a paged-in block whose digest matched: both
 /// offset arrays start at 0, never decrease, and end at the declared
-/// geometry; every target is a state of the model; every choice is a
-/// distribution, with probabilities in [0, 1] summing to 1 within the
-/// `1e-6` that `ExplicitMdp::new` allows. A digest only proves the bytes
-/// are the ones written, so these checks are what keep a crafted or buggy
-/// block from panicking inside a solver kernel.
+/// geometry; every target is a state of the model; every table entry is a
+/// probability in [0, 1] and every index names an entry; every choice is
+/// a distribution, its probabilities summing to 1 within the `1e-6` that
+/// `ExplicitMdp::new` allows. A digest only proves the bytes are the ones
+/// written, so these checks are what keep a crafted or buggy block from
+/// panicking inside a solver kernel.
 fn check_rows(rows: &CsrRows<'_>, meta: &BlockMeta, num_states: usize) -> Result<(), String> {
     let (co, to) = (rows.choice_offsets, rows.trans_offsets);
     let (co_last, to_last) = (co[co.len() - 1], to[to.len() - 1]);
@@ -641,14 +669,23 @@ fn check_rows(rows: &CsrRows<'_>, meta: &BlockMeta, num_states: usize) -> Result
     if let Some(t) = rows.targets.iter().find(|&&t| t as usize >= num_states) {
         return Err(format!("target {t} out of range ({num_states} states)"));
     }
+    let table = rows.prob_table;
+    if let Some(k) = table.iter().position(|p| !(0.0..=1.0).contains(p)) {
+        return Err(format!("probability table entry {k} is {}", table[k]));
+    }
+    if let Some(i) = rows
+        .prob_ids
+        .iter()
+        .position(|&k| usize::from(k) >= table.len())
+    {
+        return Err(format!(
+            "transition {i} names probability {} of a {}-entry table",
+            rows.prob_ids[i],
+            table.len()
+        ));
+    }
     for c in 0..co_last as usize {
-        let mut sum = 0.0f64;
-        for &p in &rows.probs[rows.trans_range(c)] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("choice {c} has probability {p}"));
-            }
-            sum += p;
-        }
+        let sum: f64 = rows.trans_range(c).map(|i| rows.prob(i)).sum();
         if (sum - 1.0).abs() > 1e-6 {
             return Err(format!("choice {c} probabilities sum to {sum}"));
         }
@@ -666,6 +703,10 @@ pub struct MappedBlock {
 }
 
 impl MappedBlock {
+    fn u8s(&self, off: usize, len: usize) -> &[u8] {
+        &self.mapping.bytes()[off..off + len]
+    }
+
     fn u32s(&self, off: usize, len: usize) -> &[u32] {
         let b = &self.mapping.bytes()[off..off + len * 4];
         debug_assert_eq!(b.as_ptr() as usize % 4, 0);
@@ -691,28 +732,32 @@ impl MappedBlock {
         let states = self.meta.states as usize;
         let choices = self.meta.choices as usize;
         let trans = self.meta.trans as usize;
-        let probs = {
-            let b = &self.mapping.bytes()[..trans * 8];
+        let table = self.meta.table as usize;
+        let prob_table = {
+            let b = &self.mapping.bytes()[..table * 8];
             debug_assert_eq!(b.as_ptr() as usize % 8, 0);
             // SAFETY: in bounds, 8-aligned base, f64 accepts any bit
             // pattern (probabilities were written as raw to_bits).
-            unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<f64>(), trans) }
+            unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<f64>(), table) }
         };
-        let mut off = trans * 8;
+        let mut off = table * 8;
         let choice_offsets = self.u32s(off, states + 1);
         off += (states + 1) * 4;
         let trans_offsets = self.u32s(off, choices + 1);
         off += (choices + 1) * 4;
-        let costs = self.u32s(off, choices);
-        off += choices * 4;
         let targets = self.u32s(off, trans);
+        off += trans * 4;
+        let costs = self.u8s(off, choices);
+        off += choices;
+        let prob_ids = self.u8s(off, trans);
         CsrRows {
             first_state: self.meta.first_state as usize,
             choice_offsets,
             trans_offsets,
-            costs,
             targets,
-            probs,
+            costs,
+            prob_ids,
+            prob_table,
         }
     }
 

@@ -1,5 +1,5 @@
 //! Out-of-core state spaces for the `timebounds` workspace: spill explored
-//! CSR blocks to an append-only `pa-store/csr/v1` file, page them back on
+//! CSR blocks to an append-only `pa-store/csr/v2` file, page them back on
 //! demand through a byte-budgeted mmap block cache, and run the
 //! block-streamed solvers so peak memory is bounded by the cache budget —
 //! with results bitwise identical to the in-core pipeline.

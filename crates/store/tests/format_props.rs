@@ -1,4 +1,4 @@
-//! Property tests for the `pa-store/csr/v1` format: serialize → (mmap)
+//! Property tests for the `pa-store/csr/v2` format: serialize → (mmap)
 //! → deserialize is the identity on arbitrary blocks, and damaged files —
 //! truncation anywhere, a flipped payload bit, malformed rows behind a
 //! matching digest — surface as *named* errors, never as UB, panics or
@@ -67,12 +67,12 @@ proptest! {
                     let cr = r.choice_range(s);
                     assert_eq!(cr.len(), want.len(), "state {s} choice count");
                     for (c, choice) in cr.zip(want) {
-                        assert_eq!(r.costs[c], choice.cost);
+                        assert_eq!(r.cost(c), choice.cost);
                         let tr = r.trans_range(c);
                         assert_eq!(tr.len(), choice.transitions.len());
                         for (i, &(t, p)) in tr.zip(&choice.transitions) {
                             assert_eq!(r.targets[i] as usize, t);
-                            assert_eq!(r.probs[i].to_bits(), p.to_bits());
+                            assert_eq!(r.prob(i).to_bits(), p.to_bits());
                         }
                     }
                 }
@@ -143,19 +143,22 @@ proptest! {
 
 /// Damages block `meta` of the store file image `bytes` so that its rows
 /// break one CSR invariant, then rewrites the footer digest to match the
-/// damaged payload. `pick` selects the damage and where it lands.
+/// damaged payload. `pick % 6` selects the damage, `pick / 6` where it
+/// lands.
 fn craft_block(bytes: &mut [u8], meta: &pa_store::BlockMeta, num_states: usize, pick: u64) {
-    let (states, choices, trans) = (
+    let (states, choices, trans, table) = (
         meta.states as usize,
         meta.choices as usize,
         meta.trans as usize,
+        meta.table as usize,
     );
-    let probs = meta.offset as usize;
-    let choice_offsets = probs + trans * 8;
+    let prob_table = meta.offset as usize;
+    let choice_offsets = prob_table + table * 8;
     let trans_offsets = choice_offsets + (states + 1) * 4;
-    let targets = trans_offsets + (choices + 1) * 4 + choices * 4;
-    let at = (pick / 4) as usize;
-    let (pos, value) = match pick % 4 {
+    let targets = trans_offsets + (choices + 1) * 4;
+    let prob_ids = targets + trans * 4 + choices;
+    let at = (pick / 6) as usize;
+    let (pos, value) = match pick % 6 {
         // A successor past the last state.
         0 if trans > 0 => (
             targets + 4 * (at % trans),
@@ -163,15 +166,29 @@ fn craft_block(bytes: &mut [u8], meta: &pa_store::BlockMeta, num_states: usize, 
                 .to_le_bytes()
                 .to_vec(),
         ),
-        // A probability outside [0, 1], or one that breaks the sum.
-        1 if trans > 0 => {
-            let i = probs + 8 * (at % trans);
+        // A table entry outside [0, 1], or one that breaks the sums of
+        // the choices that use it (every entry is used: it was interned at
+        // its first use).
+        1 if table > 0 => {
+            let i = prob_table + 8 * (at % table);
             let p = f64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
             let bad = [f64::NAN, 2.0, -0.25, p / 2.0][at % 4];
             (i, bad.to_le_bytes().to_vec())
         }
+        // An index at or past the table's end.
+        2 if trans > 0 => (
+            prob_ids + at % trans,
+            vec![(table + at % (256 - table)) as u8],
+        ),
+        // An index to another entry: entries are distinct, so the
+        // choice's sum moves off 1.
+        3 if trans > 0 && table > 1 => {
+            let i = prob_ids + at % trans;
+            let other = (bytes[i] as usize + 1 + at % (table - 1)) % table;
+            (i, vec![other as u8])
+        }
         // A transition offset that runs backwards or past the end.
-        2 if choices > 0 => (
+        4 if choices > 0 => (
             trans_offsets + 4 * (at % (choices + 1)),
             u32::MAX.to_le_bytes().to_vec(),
         ),
@@ -182,7 +199,7 @@ fn craft_block(bytes: &mut [u8], meta: &pa_store::BlockMeta, num_states: usize, 
         ),
     };
     bytes[pos..pos + value.len()].copy_from_slice(&value);
-    let payload = &bytes[probs..probs + meta.payload_len as usize];
+    let payload = &bytes[prob_table..prob_table + meta.payload_len as usize];
     let digest = fnv1a_64(payload).to_le_bytes();
     // The footer sits behind every payload, so the last occurrence of the
     // old digest is its footer entry.
@@ -233,6 +250,94 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Every kind of damage `craft_block` makes, on a fixed model of several
+/// 4 KiB blocks with four-entry tables, is refused at page-in as a
+/// named BadBlock.
+#[test]
+fn every_crafted_damage_is_a_named_bad_block() {
+    let n = 400;
+    let rows: Vec<Vec<Choice>> = (0..n)
+        .map(|s| {
+            let p = if s % 2 == 0 { 0.5 } else { 0.25 };
+            vec![
+                Choice::dist(1, vec![((s + 1) % n, p), (0, 1.0 - p)]),
+                Choice::to(0, s),
+            ]
+        })
+        .collect();
+    for pick in 0..48 {
+        let dir = tmpdir(&format!("damage-{pick}"));
+        let file = write_store(&dir, &rows, 4096);
+        let path = file.path().to_path_buf();
+        let metas: Vec<_> = file.blocks().to_vec();
+        drop(file);
+        assert!(metas.len() >= 2, "the model splits into blocks");
+        assert!(metas.iter().all(|m| m.table == 4));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let victim = pick as usize % metas.len();
+        craft_block(&mut bytes, &metas[victim], rows.len(), pick);
+        std::fs::write(&path, &bytes).unwrap();
+        let file = pa_store::StoreFile::open(&path).unwrap();
+        match file.load_block(victim) {
+            Err(StoreError::BadBlock { block, .. }) => assert_eq!(block, victim, "pick {pick}"),
+            Err(other) => panic!("pick {pick}: unexpected error kind: {other}"),
+            Ok(_) => panic!("pick {pick}: crafted block paged in"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A block directory entry claiming a table past 256 probabilities is
+/// refused at open, before any payload arithmetic uses it.
+#[test]
+fn an_oversized_table_is_refused_at_open() {
+    let dir = tmpdir("table");
+    let file = write_store(&dir, &[vec![Choice::to(0, 0)]], 4096);
+    let path = file.path().to_path_buf();
+    let meta = file.blocks()[0];
+    drop(file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    // The entry's fields run kind, first state, states, choices,
+    // transitions, table, offset, payload length, digest: the table sits
+    // three words before the digest, the last occurrence of its bytes.
+    let digest = bytes
+        .windows(8)
+        .rposition(|w| w == meta.digest.to_le_bytes())
+        .unwrap();
+    let table = digest - 24;
+    assert_eq!(bytes[table..table + 8], meta.table.to_le_bytes());
+    bytes[table..table + 8].copy_from_slice(&257u64.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match pa_store::StoreFile::open(&path) {
+        Err(StoreError::BadBlock { block: 0, reason }) => {
+            assert!(reason.contains("257"), "{reason}")
+        }
+        other => panic!("an oversized table opened as {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A file written by the version 1 format (`PACSRv1\0`, version 1) is
+/// refused with the version error, not read as version 2 rows.
+#[test]
+fn a_v1_header_is_refused_with_the_version_error() {
+    let dir = tmpdir("v1");
+    let file = write_store(&dir, &[vec![Choice::to(0, 0)]], 4096);
+    let path = file.path().to_path_buf();
+    drop(file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[..8].copy_from_slice(b"PACSRv1\0");
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match pa_store::StoreFile::open(&path) {
+        Err(StoreError::Unsupported { reason }) => {
+            assert!(reason.contains("version 1"), "{reason}")
+        }
+        other => panic!("a v1 file opened as {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -150,20 +150,20 @@ fn extracted_worst_case_policy_reproduces_its_value() {
             };
             let rows = explored.mdp.rows();
             let c = rows.choice_range(state).start + choice_idx as usize;
-            if rows.costs[c] > remaining {
+            if rows.cost(c) > remaining {
                 break; // out of time budget
             }
-            remaining -= rows.costs[c];
+            remaining -= rows.cost(c);
             // Sample the successor.
             let mut x: f64 = rng.random();
             let trans = rows.trans_range(c);
             let mut next = rows.targets[trans.start] as usize;
             for i in trans {
-                if x < rows.probs[i] {
+                if x < rows.prob(i) {
                     next = rows.targets[i] as usize;
                     break;
                 }
-                x -= rows.probs[i];
+                x -= rows.prob(i);
             }
             state = next;
         }
