@@ -40,10 +40,16 @@
 //! cost) and a transition 5 (a `u32` target and a `u8` index into the
 //! model's probability table), so the eight n = 3, 4 default-grid models
 //! hold 48.1 MB of rows beside 7.8 MB of region bytes and starts. When
-//! the resident total
-//! exceeds the budget, least-recently-used slots are dropped (never the
-//! slot that was just touched, and never an error slot) until the total
-//! fits or nothing evictable remains.
+//! the resident total exceeds the budget, least-recently-used slots are
+//! dropped (never the slot that was just touched, and never an error
+//! slot) until the total fits or nothing evictable remains.
+//!
+//! The store is transient but sets the peak of a build: each model is
+//! explored into a [`PackedSpace`] of [`FaultyStateCodec`] words, 32
+//! bytes a state where a boxed `FaultyRoundState` takes 64, for every
+//! round a plan can strike at up to n = 11. The eight models' stores
+//! take 143.9 MB with their interner slots (239.9 MB boxed); the rows,
+//! region bytes and starts are the same from either store.
 //!
 //! Eviction keeps the key's map entry as a tombstone, so the lifetime
 //! accounting stays stable: *misses* still count first-ever builds of
@@ -73,9 +79,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pa_faults::{FaultChecker, FaultPlan, FaultyRoundMdp};
+use pa_faults::{FaultChecker, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
 use pa_lehmann_rabin::{explore_checker, reachable_configs, Config, Quotient, RoundConfig};
-use pa_mdp::BoxedSpace;
+use pa_mdp::PackedSpace;
 use pa_telemetry::TelemetryScope;
 
 use crate::report::CacheStats;
@@ -353,6 +359,8 @@ impl ModelCache {
                 let configs = self.reachable(n, limit)?;
                 let cfg = RoundConfig::new(n).map_err(|e| e.to_string())?;
                 let model = FaultyRoundMdp::new(cfg, plan.clone()).map_err(|e| e.to_string())?;
+                let codec =
+                    FaultyStateCodec::new(n, model.round_cap()).map_err(|e| e.to_string())?;
                 // The state store is dropped here, before the slot is
                 // filled: the checker keeps rows and region bytes only.
                 let (_, checker, _) = explore_checker(
@@ -361,7 +369,7 @@ impl ModelCache {
                     None,
                     limit,
                     Quotient::Full,
-                    BoxedSpace::default(),
+                    PackedSpace::new(codec),
                 )
                 .map_err(|e| e.to_string())?
                 .expect("a shared model starts from every configuration");
@@ -570,6 +578,31 @@ mod tests {
         let expected = 4 * (states + 1) + 5 * choices + 4 + 5 * trans + 2 * 8 + 8 * initial;
         assert_eq!(rows.mem_bytes(), expected as u64);
         assert_eq!(rows.mem_bytes(), 244_439);
+    }
+
+    /// The packed store the cache explores into hands the checker the
+    /// same rows, region bytes and starts (id, region byte and state) as
+    /// a boxed exploration of the same model: under every default plan,
+    /// the checkers are equal field for field (their `Debug` forms).
+    #[test]
+    fn n3_shared_models_match_a_boxed_exploration() {
+        const LIMIT: usize = 1_000_000;
+        let cache = ModelCache::new();
+        let configs = reachable_configs(3, LIMIT).unwrap();
+        for (name, plan) in pa_faults::default_grid() {
+            let packed = cache.model(3, &plan, LIMIT).unwrap();
+            let model = FaultyRoundMdp::new(RoundConfig::new(3).unwrap(), plan).unwrap();
+            let space = pa_mdp::BoxedSpace::default();
+            let (_, boxed, _) =
+                explore_checker(model, &configs, None, LIMIT, Quotient::Full, space)
+                    .unwrap()
+                    .unwrap();
+            assert_eq!(packed.regions(), boxed.regions(), "{name}: region bytes");
+            assert!(
+                format!("{packed:?}") == format!("{boxed:?}"),
+                "{name}: the packed and boxed checkers differ"
+            );
+        }
     }
 
     #[test]

@@ -441,3 +441,72 @@ fn sampled_interval_contains_the_exact_tier_value() {
     );
     assert!(!refuted, "the paper's T -> C claim must survive sampling");
 }
+
+/// A plan that strikes past round 4095 (past the 12 round bits of word 1
+/// of a packed state) is answered on the packed shared model, and its
+/// answers are those of a boxed exploration of the same model: the arrow
+/// value, worst start and expected time, bit for bit.
+#[test]
+#[ignore = "1.7 M states: takes a release build; CI runs it with --include-ignored"]
+fn late_plan_jobs_match_a_boxed_exploration() {
+    const N: usize = 2;
+    let plan = FaultPlan::single(4200, 0, FaultKind::CrashRestart { downtime: 2 }).unwrap();
+    let name = "crash-restart r4200 p0 d2";
+    let (arrow, _why) = paper::all_arrows().remove(0);
+    let (from, to) = (SetExpr::named("RT"), SetExpr::named("P"));
+    let specs = vec![
+        JobSpec::new(N, JobKind::Arrow { index: 0 }).with_plan(name, plan.clone()),
+        JobSpec::new(
+            N,
+            JobKind::ExpectedTime {
+                from: from.clone(),
+                to: to.clone(),
+                bound: paper::expected_time_rt_to_p(),
+            },
+        )
+        .with_plan(name, plan.clone()),
+    ];
+    let report = run_batch(&specs, &BatchOptions::with_workers(1)).unwrap();
+    assert_eq!(report.tally().done, 2, "{}", report.canonical_json());
+
+    let model = FaultyRoundMdp::new(RoundConfig::new(N).unwrap(), plan).unwrap();
+    assert_eq!(model.round_cap(), 4201);
+    let configs = reachable_configs(N, DEFAULT_STATE_LIMIT).unwrap();
+    let (_, boxed, _) = explore_checker(
+        model,
+        &configs,
+        None,
+        DEFAULT_STATE_LIMIT,
+        Quotient::Full,
+        BoxedSpace::default(),
+    )
+    .unwrap()
+    .unwrap();
+    assert!(
+        boxed.regions().len() > 1_000_000,
+        "the plan's rounds are explored"
+    );
+    let check = boxed.arrow(&arrow, |q| jacobi(q).epsilon(1e-9)).unwrap();
+    let expected = boxed
+        .expected_time(&from, &to, QueryObjective::MaxCost, |q| {
+            jacobi(q).epsilon(1e-9)
+        })
+        .unwrap();
+    for job in &report.jobs {
+        match &job.status {
+            JobStatus::Done(JobValue::Prob {
+                measured,
+                worst_state,
+                ..
+            }) => {
+                assert_eq!(measured.to_bits(), check.measured.lo().value().to_bits());
+                assert_eq!(worst_state, &check.worst_state);
+            }
+            JobStatus::Done(JobValue::Time {
+                expected: Some(time),
+                ..
+            }) => assert_eq!(time.to_bits(), expected.to_bits()),
+            other => panic!("{}: unexpected status {other:?}", job.key),
+        }
+    }
+}

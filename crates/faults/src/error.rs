@@ -41,11 +41,14 @@ pub enum FaultError {
     /// A survival map was asked for over a fault grid with no columns; the
     /// hybrid map needs at least its zero-fault column.
     EmptyGrid,
-    /// A fault plan's round cap does not fit the 12-bit round field of the
-    /// bit-packed state encoding.
+    /// A fault plan's round cap does not fit the round field of the
+    /// bit-packed state encoding, whose width shrinks with the ring
+    /// ([`crate::max_packed_round`]; only rings of 12 or more can miss).
     RoundCapUnencodable {
         /// The offending cap (one past the last scripted round).
         cap: u32,
+        /// The ring size.
+        n: usize,
     },
     /// An error from the underlying protocol / round model.
     Lr(LrError),
@@ -80,9 +83,11 @@ impl std::fmt::Display for FaultError {
                 f,
                 "the fault grid is empty; it needs at least the zero-fault column"
             ),
-            FaultError::RoundCapUnencodable { cap } => {
-                write!(f, "round cap {cap} exceeds the packable bound 4095")
-            }
+            FaultError::RoundCapUnencodable { cap, n } => write!(
+                f,
+                "round cap {cap} exceeds the packable bound {} of a ring of {n}",
+                crate::max_packed_round(*n)
+            ),
             FaultError::Lr(e) => write!(f, "protocol error: {e}"),
             FaultError::Mdp(e) => write!(f, "mdp error: {e}"),
             FaultError::Mc(e) => write!(f, "monte-carlo error: {e}"),

@@ -64,7 +64,7 @@ pub use model::FaultModel;
 /// The fault-aware region resolvers, which live beside the fault-free
 /// ones in `pa-lehmann-rabin`.
 pub use pa_lehmann_rabin::{region_pred_under, set_pred_under};
-pub use packed::{FaultyStateCodec, MAX_PACKED_ROUND};
+pub use packed::{max_packed_round, FaultyStateCodec};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, MAX_DOWNTIME};
 pub use round::{
     faulty_round_cost, FaultChecker, FaultyRoundMdp, FaultyRoundState, STOPPED, TAG_CRASH,

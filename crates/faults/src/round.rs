@@ -213,8 +213,8 @@ impl FaultyRoundMdp {
         let starts = vec![Config::initial(cfg.n)?];
         // Saturating: a plan scripted at round u32::MAX must cap *at* it,
         // not wrap to 0 (which would saturate every state's round counter
-        // at zero and collapse the model). Whether the cap then fits the
-        // packed 12-bit round field is FaultyStateCodec::new's typed check.
+        // at zero and collapse the model). FaultyStateCodec packs every
+        // u32 cap up to n = 11; past that its constructor checks the cap.
         let cap = plan.max_round().saturating_add(1);
         Ok(FaultyRoundMdp {
             base,

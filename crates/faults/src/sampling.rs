@@ -25,12 +25,13 @@ use pa_mc::{
     chain_target, estimate_reach, ChainState, McConfig, McEstimate, OptimalReplay, UniformChain,
     UniformPolicy,
 };
-use pa_mdp::{BoxedSpace, Explore, Explored, Objective, StateSpace};
+use pa_mdp::{Explore, Explored, Objective, PackedSpace, StateSpace};
 use pa_prob::stats::Z_99;
 use pa_prob::{Prob, ProbInterval};
 
 use crate::{
     faulty_round_cost, set_pred_under, FaultChecker, FaultError, FaultPlan, FaultyRoundMdp,
+    FaultyStateCodec,
 };
 
 /// A sampled arrow check with its exact-engine anchor.
@@ -116,7 +117,7 @@ pub fn sampled_arrow_under(
     }))
 }
 
-/// The fault-wrapped arrow model the sampled replays run on (boxed,
+/// The fault-wrapped arrow model the sampled replays run on (packed,
 /// full space), with its automaton and its state store; `None` for an
 /// empty source region.
 fn arrow_model(
@@ -124,16 +125,10 @@ fn arrow_model(
     arrow: &Arrow,
     plan: &FaultPlan,
     limit: usize,
-) -> Result<
-    Option<(
-        FaultyRoundMdp,
-        FaultChecker,
-        BoxedSpace<crate::FaultyRoundState>,
-    )>,
-    FaultError,
-> {
+) -> Result<Option<(FaultyRoundMdp, FaultChecker, PackedSpace<FaultyStateCodec>)>, FaultError> {
     let reachable = reachable_configs(cfg.n, limit)?;
     let model = FaultyRoundMdp::new(cfg, plan.clone())?;
+    let space = PackedSpace::new(FaultyStateCodec::new(cfg.n, model.round_cap())?);
     let scope = Some((arrow.from(), arrow.to()));
     Ok(explore_checker(
         model,
@@ -141,7 +136,7 @@ fn arrow_model(
         scope,
         limit,
         Quotient::Full,
-        BoxedSpace::default(),
+        space,
     )?)
 }
 

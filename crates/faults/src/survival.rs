@@ -14,7 +14,7 @@ use pa_lehmann_rabin::{
     explore_checker, paper, reachable_configs, reachable_configs_quotient, set_pred_under,
     time_to_budget, Config, Quotient, RoundConfig,
 };
-use pa_mdp::{BoxedSpace, PackedSpace};
+use pa_mdp::PackedSpace;
 use serde::Serialize;
 
 use crate::{FaultError, FaultKind, FaultPlan, FaultyRoundMdp, FaultyStateCodec};
@@ -100,7 +100,8 @@ pub fn classify(measured: f64, claimed: f64) -> Survival {
 /// arrival — within time `t` must be at least `p`.
 ///
 /// Mirrors [`pa_lehmann_rabin::check_arrow_with_limit`]; with
-/// [`FaultPlan::none`] the result is bitwise identical to it.
+/// [`FaultPlan::none`] the result is bitwise identical to it. States are
+/// bit-packed ([`FaultyStateCodec`]) during exploration.
 ///
 /// # Errors
 ///
@@ -112,14 +113,13 @@ pub fn check_arrow_under(
     limit: usize,
 ) -> Result<ArrowCheck, FaultError> {
     let reachable = reachable_configs(cfg.n, limit)?;
-    check_arrow_in(cfg, arrow, plan, &reachable, limit, false)
+    check_arrow_in(cfg, arrow, plan, &reachable, limit, Quotient::Full)
 }
 
-/// [`check_arrow_under`] on the rotation-quotient model with bit-packed
-/// states ([`FaultyStateCodec`]): starts are orbit representatives
-/// (`states_checked` counts orbits) and successors canonicalize during
-/// exploration. This is what holds the zero-fault column of large-`n`
-/// survival maps inside memory.
+/// [`check_arrow_under`] on the rotation-quotient model: starts are orbit
+/// representatives (`states_checked` counts orbits) and successors
+/// canonicalize during exploration. This is what holds the zero-fault
+/// column of large-`n` survival maps inside memory.
 ///
 /// # Errors
 ///
@@ -136,39 +136,27 @@ pub fn check_arrow_under_quotient(
         return Err(FaultError::SymmetryBroken);
     }
     let reps = reachable_configs_quotient(cfg.n, limit)?;
-    check_arrow_in(cfg, arrow, plan, &reps, limit, true)
+    check_arrow_in(cfg, arrow, plan, &reps, limit, Quotient::Rotation)
 }
 
-/// The exact fault check over already enumerated configurations: `reachable`
-/// holds the orbit representatives when `quotient` (and `plan` is then
-/// empty, and states are bit-packed), every reachable configuration
-/// otherwise.
+/// The exact fault check over already enumerated configurations, with
+/// bit-packed states: `reachable` holds the orbit representatives under
+/// [`Quotient::Rotation`] (and `plan` is then empty), every reachable
+/// configuration under [`Quotient::Full`].
 fn check_arrow_in(
     cfg: RoundConfig,
     arrow: &Arrow,
     plan: &FaultPlan,
     reachable: &[Config],
     limit: usize,
-    quotient: bool,
+    quotient: Quotient,
 ) -> Result<ArrowCheck, FaultError> {
     let model = FaultyRoundMdp::new(cfg, plan.clone())?;
     let scope = Some((arrow.from(), arrow.to()));
+    let space = PackedSpace::new(FaultyStateCodec::new(cfg.n, model.round_cap())?);
     // The store is dropped before the solve: the checker needs none.
-    let checker = if quotient {
-        let space = PackedSpace::new(FaultyStateCodec::new(cfg.n, model.round_cap())?);
-        explore_checker(model, reachable, scope, limit, Quotient::Rotation, space)?
-            .map(|(_, checker, _)| checker)
-    } else {
-        explore_checker(
-            model,
-            reachable,
-            scope,
-            limit,
-            Quotient::Full,
-            BoxedSpace::default(),
-        )?
-        .map(|(_, checker, _)| checker)
-    };
+    let checker = explore_checker(model, reachable, scope, limit, quotient, space)?
+        .map(|(_, checker, _)| checker);
     match checker {
         Some(checker) => Ok(checker.arrow(arrow, |q| q)?),
         None => Ok(ArrowCheck::vacuous(arrow)),
@@ -235,7 +223,7 @@ pub fn survival_map_with_grid(
         let claimed = arrow.prob().value();
         let mut cells = Vec::new();
         for (name, plan) in grid {
-            let check = check_arrow_in(cfg, &arrow, plan, &reachable, limit, false)?;
+            let check = check_arrow_in(cfg, &arrow, plan, &reachable, limit, Quotient::Full)?;
             let measured = check.measured.lo().value();
             cells.push(SurvivalCell {
                 fault: name.clone(),
@@ -344,7 +332,7 @@ pub fn survival_map_hybrid_with_grid(
     let mut rows = Vec::new();
     for (arrow, _why) in paper::all_arrows() {
         let claimed = arrow.prob().value();
-        let check = check_arrow_in(cfg, &arrow, zero_plan, &reps, limit, true)?;
+        let check = check_arrow_in(cfg, &arrow, zero_plan, &reps, limit, Quotient::Rotation)?;
         let measured = check.measured.lo().value();
         let exact = SurvivalCell {
             fault: zero_name.clone(),

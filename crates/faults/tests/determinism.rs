@@ -136,8 +136,9 @@ fn zero_fault_query_values_are_bitwise_unchanged() {
 /// The one region resolver the checker reads (`region_pred_under`)
 /// agrees with the fault-free one under the empty crash mask on every
 /// reachable configuration, and checker verdicts under the empty plan
-/// (boxed fault-wrapped states) equal the fault-free `check_arrow`
-/// results (packed round states) bitwise, for all six paper claims.
+/// (packed fault-wrapped states, `FaultyStateCodec`) equal the
+/// fault-free `check_arrow` results (packed round states,
+/// `RoundStateCodec`) bitwise, for all six paper claims.
 #[test]
 fn zero_fault_checker_verdicts_are_bitwise_unchanged() {
     for n in [3, 4] {

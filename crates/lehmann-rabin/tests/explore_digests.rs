@@ -233,6 +233,8 @@ fn claim_reduced_dihedral_models_are_pinned() {
     }
 }
 
+/// Each default-grid plan's model has one digest in the boxed and the
+/// packed store (the fault checks explore packed).
 #[test]
 fn faulty_round_models_are_pinned() {
     let pins = [
@@ -246,12 +248,16 @@ fn faulty_round_models_are_pinned() {
     for ((name, plan), (pinned_name, want)) in grid.into_iter().zip(pins) {
         assert_eq!(name, pinned_name);
         let m = FaultyRoundMdp::new(RoundConfig::new(3).unwrap(), plan).unwrap();
+        let explore = || Explore::new(&m).cost(faulty_round_cost).limit(LIMIT);
+        let cap = m.round_cap();
+        let packed = || PackedSpace::new(FaultyStateCodec::new(3, cap).unwrap());
         assert_pinned(
             &format!("faulty n=3 {name}"),
             want,
-            || Explore::new(&m).cost(faulty_round_cost).limit(LIMIT),
+            explore,
             BoxedSpace::default,
         );
+        assert_pinned(&format!("faulty n=3 {name}, packed"), want, explore, packed);
     }
 }
 

@@ -312,3 +312,41 @@ fn admission_refuses_connections_over_the_cap() {
     first.drain();
     daemon.join().unwrap().unwrap();
 }
+
+/// A job whose plan strikes at round 4200 — past the 12 round bits of
+/// word 1 of a packed state — is answered over the wire, not failed.
+#[test]
+fn a_late_plan_job_is_answered() {
+    let server = Arc::new(Server::new(ServeConfig::default(), CustomRegistry::new()).unwrap());
+    let path = socket_path("late-plan");
+    let daemon = {
+        let server = Arc::clone(&server);
+        let path = path.clone();
+        std::thread::spawn(move || server.serve_unix(&path))
+    };
+
+    let mut client = Client::connect(&path);
+    let ack = client.send(
+        "{\"op\":\"job\",\"kind\":{\"arrow\":0},\"n\":2,\"plan_name\":\"crash-restart r4200 p0 d2\",\
+         \"plan\":[{\"round\":4200,\"process\":0,\"kind\":{\"crash-restart\":{\"downtime\":2}}}]}",
+    );
+    assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true), "{ack:?}");
+    let done = client.send("{\"op\":\"run\",\"workers\":1}");
+    assert_eq!(
+        done.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{done:?}"
+    );
+    assert_eq!(
+        done.get("done").and_then(Json::as_f64),
+        Some(1.0),
+        "{done:?}"
+    );
+    assert_eq!(
+        done.get("failed").and_then(Json::as_f64),
+        Some(0.0),
+        "{done:?}"
+    );
+    client.drain();
+    daemon.join().unwrap().unwrap();
+}

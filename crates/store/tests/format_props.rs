@@ -12,9 +12,17 @@ use common::write_store;
 use pa_mdp::{Choice, CsrSource, Query, QueryObjective};
 use pa_store::{fnv1a_64, StoreError, StoredCsr};
 
-/// An arbitrary small model as nested rows: per state, a list of choices,
-/// each a cost in {0,1} and a normalized support over the state ids.
-fn arb_rows(max_states: usize) -> impl Strategy<Value = Vec<Vec<Choice>>> {
+/// The block size every property writes at: the writer's smallest
+/// (`StoreWriter::create` raises any smaller target to 4 KiB).
+const BLOCK_BYTES: usize = 4096;
+
+/// An arbitrary model of `states` states as nested rows: per state, a
+/// list of up to three choices, each a cost in {0,1} and a normalized
+/// support of up to three transitions over the state ids. A state takes
+/// about 26 payload bytes on average, so a model of more than about 160
+/// states spans several blocks of [`BLOCK_BYTES`].
+fn arb_rows(states: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<Vec<Choice>>> {
+    let max_states = *states.end();
     prop::collection::vec(
         prop::collection::vec(
             (
@@ -23,7 +31,7 @@ fn arb_rows(max_states: usize) -> impl Strategy<Value = Vec<Vec<Choice>>> {
             ),
             0..4,
         ),
-        1..max_states + 1,
+        states,
     )
     .prop_map(|rows| {
         let n = rows.len();
@@ -45,17 +53,22 @@ fn arb_rows(max_states: usize) -> impl Strategy<Value = Vec<Vec<Choice>>> {
     })
 }
 
+/// The models the properties draw: mostly several blocks, sometimes one.
+fn arb_model() -> impl Strategy<Value = Vec<Vec<Choice>>> {
+    arb_rows(1..=800)
+}
+
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("pa-store-props-{}-{tag}", std::process::id()))
 }
 
 proptest! {
     /// Round trip: every row read back from disk equals what was written,
-    /// for a block size small enough to split most cases multi-block.
+    /// across every block of the file.
     #[test]
-    fn round_trip_is_identity(rows in arb_rows(24)) {
+    fn round_trip_is_identity(rows in arb_model()) {
         let dir = tmpdir("roundtrip");
-        let file = write_store(&dir, &rows, 256);
+        let file = write_store(&dir, &rows, BLOCK_BYTES);
         let stored = StoredCsr::new(file, u64::MAX);
         prop_assert_eq!(CsrSource::num_states(&stored), rows.len());
         let mut seen = vec![false; rows.len()];
@@ -86,9 +99,9 @@ proptest! {
     /// StoreError from open (or, for cuts inside a late block whose footer
     /// is gone too, still from open — the footer is always behind the cut).
     #[test]
-    fn truncation_is_a_named_error(rows in arb_rows(12), frac in 0.0f64..1.0) {
+    fn truncation_is_a_named_error(rows in arb_model(), frac in 0.0f64..1.0) {
         let dir = tmpdir("truncate");
-        let file = write_store(&dir, &rows, 256);
+        let file = write_store(&dir, &rows, BLOCK_BYTES);
         let path = file.path().to_path_buf();
         drop(file);
         let full = std::fs::read(&path).unwrap();
@@ -110,9 +123,9 @@ proptest! {
     /// Flipping one bit of one block's payload is caught by the digest on
     /// page-in — a named DigestMismatch naming the block.
     #[test]
-    fn corrupted_payload_is_a_digest_mismatch(rows in arb_rows(12), seed in 0usize..4096) {
+    fn corrupted_payload_is_a_digest_mismatch(rows in arb_model(), seed in 0usize..4096) {
         let dir = tmpdir("corrupt");
-        let file = write_store(&dir, &rows, 256);
+        let file = write_store(&dir, &rows, BLOCK_BYTES);
         let path = file.path().to_path_buf();
         let metas: Vec<_> = file.blocks().to_vec();
         drop(file);
@@ -216,9 +229,9 @@ proptest! {
     /// a named BadBlock, and every query over the file returns an error
     /// instead of panicking inside a solver kernel.
     #[test]
-    fn crafted_block_with_valid_digest_is_a_named_error(rows in arb_rows(12), pick in any::<u64>()) {
+    fn crafted_block_with_valid_digest_is_a_named_error(rows in arb_model(), pick in any::<u64>()) {
         let dir = tmpdir("crafted");
-        let file = write_store(&dir, &rows, 256);
+        let file = write_store(&dir, &rows, BLOCK_BYTES);
         let path = file.path().to_path_buf();
         let metas: Vec<_> = file.blocks().to_vec();
         drop(file);
@@ -250,6 +263,28 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// At least three in four of the models the properties draw span several
+/// blocks, so round trip, truncation, digests and crafted damage run on
+/// multi-block files (256 draws of the properties' own generator).
+#[test]
+fn most_drawn_models_span_several_blocks() {
+    let mut rng = proptest::TestRng::for_test("most_drawn_models_span_several_blocks");
+    let draws = 256;
+    let multi = (0..draws)
+        .filter(|&i| {
+            let rows = arb_model().sample(&mut rng);
+            let dir = tmpdir(&format!("share-{i}"));
+            let blocks = write_store(&dir, &rows, BLOCK_BYTES).blocks().len();
+            std::fs::remove_dir_all(&dir).unwrap();
+            blocks > 1
+        })
+        .count();
+    assert!(
+        4 * multi >= 3 * draws,
+        "{multi} of {draws} drawn models span several blocks"
+    );
 }
 
 /// Every kind of damage `craft_block` makes, on a fixed model of several
