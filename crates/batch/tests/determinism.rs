@@ -18,7 +18,7 @@ use pa_faults::{
 use pa_lehmann_rabin::{
     explore_checker, max_expected_time, paper, reachable_configs, Quotient, RoundConfig, RoundMdp,
 };
-use pa_mdp::{BoxedSpace, Query, QueryObjective, Solver};
+use pa_mdp::{Analysis, BoxedSpace, Query, QueryObjective, Solver};
 
 /// Serializes tests that toggle the process-global telemetry flag.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
@@ -184,25 +184,45 @@ fn batch_arrow_values_match_the_unshared_pipeline_bitwise() {
     }
 }
 
+/// A batch job's adjustment of its query before it runs.
+type Tune = fn(Query<'_>) -> Query<'_>;
+
 /// Pins a query to Jacobi, as every batch job does.
 fn jacobi(q: Query<'_>) -> Query<'_> {
     q.solver(Solver::Jacobi)
 }
 
+/// The bits of an analysis's solved values (`NaN` marks a state outside
+/// the cone), sorted: the values of a cone and of its arrow model, whose
+/// states are numbered differently, compare as multisets.
+fn solved_bits(analysis: &Analysis) -> Vec<u64> {
+    let mut bits: Vec<u64> = analysis
+        .values
+        .iter()
+        .filter(|v| !v.is_nan())
+        .map(|v| v.to_bits())
+        .collect();
+    bits.sort_unstable();
+    bits
+}
+
 /// For every paper arrow under every default plan on a ring of `n`: the
 /// cone a batch arrow job solves on the shared model has exactly the
 /// states of the arrow's own model (`explore_checker` with the target
-/// absorbing), and the two Jacobi solves do the same work.
+/// absorbing). Pinned to Jacobi, as every batch job is, and routed
+/// automatically (SCC-ordered wherever the cone's zero-cost subgraph is
+/// acyclic), the two solves return the same values, do the same work and
+/// report the same solver.
 fn assert_cones_are_the_arrow_models(n: usize) {
     const LIMIT: usize = 2_000_000;
     let cfg = RoundConfig::new(n).unwrap();
     let configs = reachable_configs(n, LIMIT).unwrap();
     let cache = ModelCache::new();
+    let routes: [(&str, Tune); 2] = [("Jacobi", jacobi), ("routed", |q| q)];
+    let mut scc_routed = 0;
     for (name, plan) in default_grid() {
         let shared = cache.model(n, &plan, LIMIT).unwrap();
         for (arrow, _why) in paper::all_arrows() {
-            let tag = format!("n={n} {arrow} under {name}");
-            let cone = shared.solve_arrow(&arrow, jacobi).unwrap();
             let own = explore_checker(
                 FaultyRoundMdp::new(cfg, plan.clone()).unwrap(),
                 &configs,
@@ -212,16 +232,24 @@ fn assert_cones_are_the_arrow_models(n: usize) {
                 BoxedSpace::default(),
             )
             .unwrap();
-            let (Some(cone), Some((_, own, _))) = (cone, own) else {
-                panic!("{tag}: a vacuous arrow on one model only");
-            };
-            let cone_states = cone.analysis.values.iter().filter(|v| !v.is_nan()).count();
-            assert_eq!(cone_states, own.regions().len(), "{tag}: cone size");
-            let own = own.solve_arrow(&arrow, jacobi).unwrap().unwrap();
-            assert_eq!(cone.analysis.stats, own.analysis.stats, "{tag}: solve work");
-            assert_eq!(cone.check.measured, own.check.measured, "{tag}");
+            for (route, tune) in routes {
+                let tag = format!("n={n} {arrow} under {name}, {route}");
+                let cone = shared.solve_arrow(&arrow, tune).unwrap();
+                let (Some(cone), Some((_, own, _))) = (cone, &own) else {
+                    panic!("{tag}: a vacuous arrow on one model only");
+                };
+                let values = solved_bits(&cone.analysis);
+                assert_eq!(values.len(), own.regions().len(), "{tag}: cone size");
+                let own = own.solve_arrow(&arrow, tune).unwrap().unwrap();
+                assert_eq!(values, solved_bits(&own.analysis), "{tag}: values");
+                assert_eq!(cone.analysis.stats, own.analysis.stats, "{tag}: solve work");
+                assert_eq!(cone.analysis.solver, own.analysis.solver, "{tag}: solver");
+                assert_eq!(cone.check.measured, own.check.measured, "{tag}");
+                scc_routed += usize::from(cone.analysis.solver == Solver::SccOrdered);
+            }
         }
     }
+    assert!(scc_routed > 0, "no cone took the SCC-ordered route");
 }
 
 #[test]

@@ -49,14 +49,14 @@
 //! value depends only on its *cone*, the states reachable from its starts
 //! without passing a target state. That is exactly the state set of the
 //! arrow model, with the same rows. [`ArrowChecker::solve_arrow`] hands
-//! its starts to [`Query::cone`], which solves a copy of the cone alone
-//! (on `n = 4` shared models, 1.8%–85% of the states) and reports the
-//! arrow model's values. An arrow model is already its own cone: every
-//! initial state is a start and every target state is terminal. The
-//! checker then names no cone, so the per-arrow checks run no search and
-//! no copy. Expected-time questions solve the whole model: their
-//! iteration stops on a residual over every state, which a cone would
-//! change.
+//! its starts to [`Query::cone`], which solves the cone's states alone,
+//! in place over the shared rows (on `n = 4` shared models, 1.8%–85% of
+//! the states), and reports the arrow model's values. An arrow model is
+//! already its own cone: every initial state is a start and every target
+//! state is terminal. The checker then names no cone, so the per-arrow
+//! checks run no search. Expected-time questions solve the whole model:
+//! their iteration stops on a residual over every state, which a cone
+//! would change.
 
 use pa_core::{Arrow, ArrowCheck, Automaton, SetExpr};
 use pa_mdp::{

@@ -225,30 +225,13 @@ fn backend(reason: String) -> MdpError {
 impl CsrBuilder {
     /// An empty builder.
     pub fn new() -> CsrBuilder {
-        CsrBuilder::with_table(&[])
-    }
-
-    /// An empty builder whose probability table starts as `table`, so
-    /// rows of a block with that table copy in with
-    /// [`CsrBuilder::copy_row`].
-    ///
-    /// # Panics
-    ///
-    /// If `table` holds more than [`PROB_TABLE_MAX`] entries, which no
-    /// block's table does.
-    pub fn with_table(table: &[f64]) -> CsrBuilder {
-        assert!(
-            table.len() <= PROB_TABLE_MAX,
-            "a probability table of {} entries",
-            table.len()
-        );
         CsrBuilder {
             choice_offsets: vec![0],
             trans_offsets: vec![0],
             targets: Vec::new(),
             costs: Vec::new(),
             prob_ids: Vec::new(),
-            prob_table: table.to_vec(),
+            prob_table: Vec::new(),
         }
     }
 
@@ -311,51 +294,6 @@ impl CsrBuilder {
         self.trans_offsets
             .extend(row.trans_ends.iter().map(|&end| base + end));
         self.targets.extend_from_slice(row.targets);
-        self.choice_offsets.push(self.costs.len() as u32);
-        Ok(())
-    }
-
-    /// Appends state `s`'s row of `rows` with every successor mapped
-    /// through `renumber`, copying costs and probability indices as they
-    /// are — no probability is interned again.
-    ///
-    /// # Errors
-    ///
-    /// [`MdpError::Backend`] if `rows`' table is not a prefix of this
-    /// builder's (start the builder with [`CsrBuilder::with_table`]) or
-    /// if the `u32` offsets would overflow. Nothing is appended then.
-    pub fn copy_row(
-        &mut self,
-        rows: &CsrRows<'_>,
-        s: usize,
-        renumber: impl Fn(u32) -> u32,
-    ) -> Result<(), MdpError> {
-        let table = rows.prob_table;
-        let prefix = self.prob_table.len() >= table.len()
-            && self
-                .prob_table
-                .iter()
-                .zip(table)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !prefix {
-            return Err(backend(
-                "copied rows use a probability table the builder does not start with".into(),
-            ));
-        }
-        let choices = rows.choice_range(s);
-        let trans =
-            rows.trans_offsets[choices.start] as usize..rows.trans_offsets[choices.end] as usize;
-        self.check_offsets(choices.len(), trans.len())?;
-        let shift = (self.targets.len() as u32).wrapping_sub(trans.start as u32);
-        self.costs.extend_from_slice(&rows.costs[choices.clone()]);
-        self.trans_offsets.extend(
-            rows.trans_offsets[choices.start + 1..=choices.end]
-                .iter()
-                .map(|&end| end.wrapping_add(shift)),
-        );
-        self.targets
-            .extend(rows.targets[trans.clone()].iter().map(|&t| renumber(t)));
-        self.prob_ids.extend_from_slice(&rows.prob_ids[trans]);
         self.choice_offsets.push(self.costs.len() as u32);
         Ok(())
     }
@@ -574,36 +512,6 @@ mod tests {
         // A 2-entry table, three u32 arrays, a cost byte per choice and an
         // index byte per transition.
         assert_eq!(b.payload_bytes(), 2 * 8 + (3 + 5 + 6) * 4 + 4 + 6);
-    }
-
-    #[test]
-    fn copied_rows_keep_their_index_bytes() {
-        let csr = CsrMdp::from_explicit(&escape());
-        let rows = csr.rows();
-        // State 0 alone, successors shifted by 10.
-        let mut b = CsrBuilder::with_table(rows.prob_table);
-        b.copy_row(&rows, 0, |t| t + 10).unwrap();
-        let copy = b.rows(0);
-        assert_eq!(copy.choice_offsets, [0, 2]);
-        assert_eq!(copy.trans_offsets, [0, 1, 3]);
-        assert_eq!(copy.targets, [11, 12, 10]);
-        assert_eq!(copy.costs, [1, 1]);
-        assert_eq!(copy.prob_ids, &rows.prob_ids[..3]);
-        // Every state in turn copies the whole model back.
-        let mut b = CsrBuilder::with_table(rows.prob_table);
-        for s in rows.states() {
-            b.copy_row(&rows, s, |t| t).unwrap();
-        }
-        assert_eq!(b.finish(csr.initial_states().to_vec()), csr);
-        // A builder with a different table refuses the copy.
-        let mut b = CsrBuilder::new();
-        push(&mut b, 0, &[0.5, 0.5]).unwrap();
-        let before = snapshot(&b);
-        assert!(matches!(
-            b.copy_row(&rows, 0, |t| t),
-            Err(MdpError::Backend { .. })
-        ));
-        assert_eq!(snapshot(&b), before);
     }
 
     #[test]

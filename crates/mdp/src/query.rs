@@ -106,36 +106,42 @@
 //! then:
 //!
 //! 1. finds the cone by a graph search from the starts that does not
-//!    expand target states;
-//! 2. copies the cone's rows in ascending id order into a model of its
-//!    own, giving each target state an empty row, so a zero-cost edge
-//!    that pointed forward still does;
-//! 3. routes the copy exactly as above (a pinned solver stays pinned) and
-//!    reports the answer in the source's numbering: `NaN` values and
-//!    `None` policy decisions outside the cone, and [`SolveStats`] that
-//!    count only the states solved. [`Analysis::worst_over`] names an
-//!    unsolved start with [`MdpError::Unsolved`].
+//!    expand target states, as a list of state ids in ascending order;
+//! 2. routes the query exactly as above (a pinned solver stays pinned)
+//!    and solves it in place over the source's rows, visiting only the
+//!    cone's states: Jacobi's first sweep of a level evaluates the cone,
+//!    its predecessor lists keep only the transitions out of non-target
+//!    cone states, and its per-level sweep cap counts the cone's states;
+//!    the zero-cost condensation roots only cone states, in ascending
+//!    order, and does not expand targets. Every level resets, solves and
+//!    decides the cone alone, so its work grows with the cone, not the
+//!    model;
+//! 3. reports the answer in the source's numbering, as it solved it:
+//!    `NaN` values and `None` policy decisions outside the cone, at every
+//!    level [`Query::on_level`] reports too, and [`SolveStats`] that count
+//!    only the states solved. [`Analysis::worst_over`] names an unsolved
+//!    start with [`MdpError::Unsolved`].
 //!
-//! A cone that holds every state is solved in place, with no copy.
+//! A cone that holds every state is solved as if no cone were named.
 //!
-//! A cone state's row is copied unchanged, its successors stay in the
-//! cone, and a target state's value is fixed at every level. So each cone
-//! state evaluates the same floating-point expression on the same
-//! operands as in the unrestricted query, and the cone solve is the solve
-//! of the cone as a model of its own: for an arrow on a shared model,
-//! the arrow's own model, with its target absorbing. Against the
-//! unrestricted query, one thing can differ: a Jacobi level may stop
-//! after fewer sweeps, because its residual then ranges over fewer
-//! states. A level whose zero-cost subgraph has no cycle reaches its
-//! fixpoint exactly, so further sweeps recompute the same bits and the
-//! values agree bitwise. A level with a zero-cost cycle converges only to
-//! within `1e-14`, and its last bits may differ.
+//! A cone state's row is read unchanged, its successors stay in the cone,
+//! and a target state's value is fixed at every level. So each cone state
+//! evaluates the same floating-point expression on the same operands as
+//! in the unrestricted query, and the cone solve is the solve of the cone
+//! as a model of its own: for an arrow on a shared model, the arrow's own
+//! model, with its target absorbing, with the same values, work counts
+//! and solver. Against the unrestricted query, one thing can differ: a
+//! Jacobi level may stop after fewer sweeps, because its residual then
+//! ranges over fewer states. A level whose zero-cost subgraph has no
+//! cycle reaches its fixpoint exactly, so further sweeps recompute the
+//! same bits and the values agree bitwise. A level with a zero-cost cycle
+//! converges only to within `1e-14`, and its last bits may differ.
 //!
 //! Two cases solve without a cone:
 //!
 //! * a **multi-block** source solves the whole model, as if no cone were
-//!   named, because an in-core copy of the cone would defeat the page
-//!   budget that made the model multi-block;
+//!   named: its kernels page every block in turn, and none of them skips
+//!   the blocks that hold no cone state;
 //! * an **unbounded** or **expected-cost** query rejects a cone at the
 //!   `"validate"` stage. Its Jacobi iteration stops on the largest
 //!   residual over every state, so a cone solve could stop at an earlier
@@ -498,12 +504,13 @@ impl<'m> Query<'m> {
     /// Restricts a bounded probability query to the cone of `starts`: the
     /// states reachable from them without passing a target state, which
     /// are all the states their values depend on. On a single-block
-    /// source the query solves a copy of the cone's rows and reports
-    /// `NaN` values and `None` decisions outside it; a multi-block source
-    /// solves the whole model. Inside the cone the values are those of the
-    /// unrestricted query, bitwise wherever a level reaches its fixpoint
-    /// exactly (see the [module docs](self#cone-restriction)). Unbounded
-    /// and expected-cost queries reject a cone.
+    /// source the query solves the cone's states alone, in place over the
+    /// source's rows, and reports `NaN` values and `None` decisions
+    /// outside it; a multi-block source solves the whole model. Inside the
+    /// cone the values are those of the unrestricted query, bitwise
+    /// wherever a level reaches its fixpoint exactly (see the
+    /// [module docs](self#cone-restriction)). Unbounded and expected-cost
+    /// queries reject a cone.
     pub fn cone(mut self, starts: &[usize]) -> Self {
         self.cone = Some(starts.to_vec());
         self
@@ -511,9 +518,9 @@ impl<'m> Query<'m> {
 
     /// Calls `f(k, values)` after each budget level `k = 0..=horizon` of a
     /// bounded probability query, with that level's values of every state
-    /// (see the [module docs](self#bounded-queries-and-their-levels)).
-    /// Unbounded and expected-cost queries reject it, and so does a query
-    /// with a [`Query::cone`], whose copy numbers the states differently.
+    /// (see the [module docs](self#bounded-queries-and-their-levels)),
+    /// `NaN` outside a [`Query::cone`]. Unbounded and expected-cost
+    /// queries reject it.
     pub fn on_level(mut self, f: impl FnMut(u32, &[f64]) + 'm) -> Self {
         self.on_level = Some(Box::new(f));
         self
@@ -574,10 +581,9 @@ impl<'m> Query<'m> {
                 }));
             }
         }
-        if self.on_level.is_some() && (!bounded || self.cone.is_some()) {
+        if self.on_level.is_some() && !bounded {
             return Err(invalid(
-                "on_level reports the levels of bounded probability queries without a cone only \
-                 (a cone's copy numbers the states differently)",
+                "on_level reports the levels of bounded probability queries only",
             ));
         }
         if pinned == Some(Solver::SccOrdered) && !one_block && !bounded {
@@ -606,33 +612,46 @@ impl<'m> Query<'m> {
         let mut policy = None;
         let values = match (prob_objective, self.horizon) {
             (Some(objective), Some(budget)) => {
+                let solve = wrap("solve");
                 let cone = match &self.cone {
-                    Some(starts) if one_block => find_cone(src, starts, &target),
-                    _ => Ok(None),
+                    Some(starts) if one_block => find_cone(src, starts, &target).map_err(solve)?,
+                    _ => None,
                 };
+                let cone = cone.as_deref();
+                // A single-block source unless pinned to Jacobi: the
+                // zero-cost condensation, which picks SCC or Jacobi.
+                let condensation = (one_block && pinned != Some(Solver::Jacobi))
+                    .then(|| with_one_block(src, |rows| scc::zero_cost_scc(rows, cone, &target)))
+                    .transpose()
+                    .map_err(solve)?;
+                let level_solver = match (pinned, &condensation) {
+                    (Some(Solver::Jacobi), _) => LevelSolver::Jacobi,
+                    (Some(_), Some(scc)) => LevelSolver::Scc(scc),
+                    (None, Some(scc)) if scc.num_nontrivial() == 0 => LevelSolver::Scc(scc),
+                    (None, Some(_)) => LevelSolver::Jacobi,
+                    (pinned, None) => LevelSolver::Reverse {
+                        strict: pinned == Some(Solver::SccOrdered),
+                    },
+                };
+                let mut decisions = Vec::new();
                 let mut on_level = self.on_level.unwrap_or_else(|| Box::new(|_, _| {}));
-                let mut bounded = |src: &dyn CsrSource, target: &[bool], stats: &mut SolveStats| {
-                    solve_bounded(
-                        src,
-                        target,
-                        budget,
-                        objective,
-                        pinned,
-                        self.with_policy,
-                        &mut *on_level,
-                        stats,
-                    )
-                };
-                let solved = cone
-                    .and_then(|cone| match cone {
-                        None => bounded(src, &target, &mut stats),
-                        Some(cone) => bounded(&cone.copy, &cone.target, &mut stats)
-                            .map(|solved| solved.lift(&cone.states, src.num_states())),
-                    })
-                    .map_err(wrap("solve"))?;
-                policy = solved.policy;
-                solver = solved.solver;
-                Ok(solved.values)
+                let (values, ran) = source::bounded_levels(
+                    src,
+                    &target,
+                    cone,
+                    budget,
+                    objective,
+                    level_solver,
+                    self.with_policy.then_some(&mut decisions),
+                    &mut *on_level,
+                    &mut stats,
+                )
+                .map_err(solve)?;
+                policy = self.with_policy.then_some(BoundedPolicy {
+                    decision: decisions,
+                });
+                solver = ran;
+                Ok(values)
             }
             (Some(objective), None) => {
                 source::reach_prob(src, &target, objective, self.options, solver, &mut stats)
@@ -668,124 +687,20 @@ impl<'m> Query<'m> {
     }
 }
 
-/// A bounded solve's answer: per-state values, the policy if asked for,
-/// and the solver that ran.
-struct Bounded {
-    values: Vec<f64>,
-    policy: Option<BoundedPolicy>,
-    solver: Solver,
-}
-
-impl Bounded {
-    /// The answer of a solve over a cone copy, in the numbering of the
-    /// `num_states`-state source: `states[i]` is copy state `i`'s id, and
-    /// every other state reads `NaN` and `None`.
-    fn lift(self, states: &[usize], num_states: usize) -> Bounded {
-        let mut values = vec![f64::NAN; num_states];
-        for (&v, &s) in self.values.iter().zip(states) {
-            values[s] = v;
-        }
-        let policy = self.policy.map(|p| BoundedPolicy {
-            decision: p
-                .decision
-                .iter()
-                .map(|level| {
-                    let mut decision = vec![None; num_states];
-                    for (&d, &s) in level.iter().zip(states) {
-                        decision[s] = d;
-                    }
-                    decision
-                })
-                .collect(),
-        });
-        Bounded {
-            values,
-            policy,
-            solver: self.solver,
-        }
-    }
-}
-
-/// Cost-bounded backward induction over `src`, routed as the
-/// [module docs](self) say, reporting each level to `on_level`.
-#[allow(clippy::too_many_arguments)]
-fn solve_bounded(
-    src: &dyn CsrSource,
-    target: &[bool],
-    budget: u32,
-    objective: Objective,
-    pinned: Option<Solver>,
-    with_policy: bool,
-    on_level: &mut dyn FnMut(u32, &[f64]),
-    stats: &mut SolveStats,
-) -> Result<Bounded, MdpError> {
-    // A single-block source unless pinned to Jacobi: the zero-cost
-    // condensation, which picks SCC or Jacobi.
-    let condensation = (src.num_blocks() == 1 && pinned != Some(Solver::Jacobi))
-        .then(|| with_one_block(src, scc::zero_cost_scc))
-        .transpose()?;
-    let level_solver = match (pinned, &condensation) {
-        (Some(Solver::Jacobi), _) => LevelSolver::Jacobi,
-        (Some(_), Some(scc)) => LevelSolver::Scc(scc),
-        (None, Some(scc)) if scc.num_nontrivial() == 0 => LevelSolver::Scc(scc),
-        (None, Some(_)) => LevelSolver::Jacobi,
-        (pinned, None) => LevelSolver::Reverse {
-            strict: pinned == Some(Solver::SccOrdered),
-        },
-    };
-    let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
-    let (values, solver) = source::bounded_levels(
-        src,
-        target,
-        budget,
-        objective,
-        level_solver,
-        with_policy.then_some(&mut decisions),
-        on_level,
-        stats,
-    )?;
-    Ok(Bounded {
-        values,
-        policy: with_policy.then_some(BoundedPolicy {
-            decision: decisions,
-        }),
-        solver,
-    })
-}
-
-/// A cone's rows copied into a model of their own (see
-/// [`source::restrict`]), with the target mask in the copy's numbering.
-struct Cone {
-    copy: CsrMdp,
-    states: Vec<usize>,
-    target: Vec<bool>,
-}
-
-/// The cone of `starts` under `target` on a single-block source; `None`
-/// when it holds every state, so the query solves the source in place.
+/// The cone of `starts` under `target` on a single-block source, as an
+/// ascending id list; `None` when it holds every state, so the query
+/// solves the source as if no cone were named.
 fn find_cone(
     src: &dyn CsrSource,
     starts: &[usize],
     target: &[bool],
-) -> Result<Option<Cone>, MdpError> {
+) -> Result<Option<Vec<usize>>, MdpError> {
     let _span = pa_telemetry::span("mdp.query.cone_seconds");
-    with_one_block(src, |rows| {
-        let mask = source::cone_mask(rows, starts, target);
-        let size = mask.iter().filter(|&&m| m).count();
-        if pa_telemetry::enabled() {
-            pa_telemetry::counter("mdp.query.cone_states").add(size as u64);
-        }
-        if size == mask.len() {
-            return Ok(None);
-        }
-        let (copy, states) = source::restrict(rows, &mask, target)?;
-        let target = states.iter().map(|&s| target[s]).collect();
-        Ok(Some(Cone {
-            copy,
-            states,
-            target,
-        }))
-    })?
+    let cone = with_one_block(src, |rows| source::cone(rows, starts, target))?;
+    if pa_telemetry::enabled() {
+        pa_telemetry::counter("mdp.query.cone_states").add(cone.len() as u64);
+    }
+    Ok((cone.len() < src.num_states()).then_some(cone))
 }
 
 #[cfg(test)]
@@ -1247,23 +1162,35 @@ mod tests {
     }
 
     #[test]
-    fn on_level_is_rejected_together_with_a_cone() {
-        let m = geometric();
-        let err = Query::csr(&m)
+    fn on_level_reports_a_cone_in_the_source_numbering() {
+        // 0 —1→ {1, 0} half each, 1 the target, and 2 —1→ 1 outside the
+        // cone of 0.
+        let m = CsrMdp::from(
+            &ExplicitMdp::new(
+                vec![
+                    vec![Choice::dist(1, vec![(1, 0.5), (0, 0.5)])],
+                    vec![],
+                    vec![Choice::to(1, 1)],
+                ],
+                vec![0],
+            )
+            .unwrap(),
+        );
+        let mut levels = Vec::new();
+        let a = Query::csr(&m)
             .target(vec![1])
             .horizon(3)
             .cone(&[0])
-            .on_level(|_, _| {})
+            .on_level(|k, v| levels.push((k, v.to_vec())))
             .run()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            MdpError::Query {
-                stage: "validate",
-                ..
-            }
-        ));
-        assert!(matches!(err.into_root(), MdpError::InvalidQuery { .. }));
+            .unwrap();
+        assert_eq!(levels.len(), 4);
+        for (k, (level, v)) in levels.iter().enumerate() {
+            assert_eq!(*level as usize, k);
+            assert_eq!(v[..2], [1.0 - 0.5f64.powi(k as i32), 1.0]);
+            assert!(v[2].is_nan(), "2 lies outside the cone");
+        }
+        assert_eq!(levels[3].1[..2], a.values[..2]);
     }
 
     #[test]

@@ -107,7 +107,8 @@ impl CsrMdp {
     /// transition with `p > 0`) into strongly connected components in
     /// reverse topological order.
     pub fn scc(&self) -> SccDecomposition {
-        condense(&self.rows(), |_| true, |_| true)
+        let rows = self.rows();
+        condense(&rows, rows.states(), |_| true, |_| true)
     }
 }
 
@@ -115,8 +116,21 @@ impl CsrMdp {
 /// `cost == 1` read the previous budget level during cost-bounded
 /// induction, so their transitions are always fixed and do not constrain
 /// the per-level solve order.
-pub(crate) fn zero_cost_scc(rows: &CsrRows<'_>) -> SccDecomposition {
-    condense(rows, |c| rows.cost(c) == 0, |_| true)
+///
+/// Over a `cone` (ascending ids) it roots only the cone's states, in
+/// order, and expands no `target` state, whose value every level fixes:
+/// the components are those of the cone as a model of its own, with its
+/// targets absorbing, in the same order.
+pub(crate) fn zero_cost_scc(
+    rows: &CsrRows<'_>,
+    cone: Option<&[usize]>,
+    target: &[bool],
+) -> SccDecomposition {
+    let zero_cost = |c| rows.cost(c) == 0;
+    match cone {
+        None => condense(rows, rows.states(), zero_cost, |_| true),
+        Some(cone) => condense(rows, cone.iter().copied(), zero_cost, |s| !target[s]),
+    }
 }
 
 /// One explicit Tarjan stack frame: a state plus its choice/transition
@@ -128,13 +142,16 @@ struct Frame {
 }
 
 /// Iterative Tarjan over `rows`, which must span every state (a
-/// single-block source). The edge relation is every positive-probability
-/// transition of a choice `c` with `keep_choice(c)` into a state `t` with
-/// `keep_state(t)`.
+/// single-block source), rooting the states of `roots` in turn. The edge
+/// relation is every positive-probability transition of a choice `c` with
+/// `keep_choice(c)` out of a state `s` with `expand(s)`. The components
+/// cover the states reachable from `roots`; every other state's entry in
+/// [`SccDecomposition::component_of`] means nothing.
 pub(crate) fn condense(
     rows: &CsrRows<'_>,
+    roots: impl ExactSizeIterator<Item = usize>,
     keep_choice: impl Fn(usize) -> bool,
-    keep_state: impl Fn(usize) -> bool,
+    expand: impl Fn(usize) -> bool,
 ) -> SccDecomposition {
     let n = rows.states().len();
     debug_assert_eq!(rows.first_state, 0, "the rows span every state");
@@ -147,18 +164,24 @@ pub(crate) fn condense(
 
     let mut comp_of = vec![0u32; n];
     let mut comp_offsets: Vec<u32> = vec![0];
-    let mut comp_states: Vec<u32> = Vec::with_capacity(n);
+    let mut comp_states: Vec<u32> = Vec::with_capacity(roots.len());
     let mut nontrivial: Vec<bool> = Vec::new();
+    // A state that is not expanded starts with its choices exhausted.
+    let new_frame = |s: usize| Frame {
+        state: s as u32,
+        choice: if expand(s) {
+            rows.choice_range(s).start
+        } else {
+            rows.choice_range(s).end
+        },
+        trans: usize::MAX,
+    };
 
-    for root in 0..n {
+    for root in roots {
         if index[root] != UNVISITED {
             continue;
         }
-        frames.push(Frame {
-            state: root as u32,
-            choice: rows.choice_range(root).start,
-            trans: usize::MAX,
-        });
+        frames.push(new_frame(root));
         index[root] = next_index;
         lowlink[root] = next_index;
         next_index += 1;
@@ -184,7 +207,7 @@ pub(crate) fn condense(
                 };
                 while ti < range.end {
                     let t = rows.targets[ti] as usize;
-                    if rows.prob(ti) > 0.0 && keep_state(t) {
+                    if rows.prob(ti) > 0.0 {
                         frame.trans = ti;
                         next = Some(t);
                         break 'scan;
@@ -201,11 +224,7 @@ pub(crate) fn condense(
                     next_index += 1;
                     tarjan_stack.push(t as u32);
                     on_stack[t] = true;
-                    frames.push(Frame {
-                        state: t as u32,
-                        choice: rows.choice_range(t).start,
-                        trans: usize::MAX,
-                    });
+                    frames.push(new_frame(t));
                 }
                 Some(t) => {
                     if on_stack[t] && index[t] < lowlink[s] {
@@ -228,7 +247,7 @@ pub(crate) fn condense(
                             }
                         }
                         let size = comp_states.len() - start;
-                        let self_loop = keep_state(s)
+                        let self_loop = expand(s)
                             && rows.choice_range(s).any(|c| {
                                 keep_choice(c)
                                     && rows.trans_range(c).any(|i| {
@@ -372,7 +391,7 @@ where
     F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
 {
     with_one_block(src, |rows| {
-        let scc = condense(rows, |_| true, |_| true);
+        let scc = condense(rows, rows.states(), |_| true, |_| true);
         record_shape(&scc, stats);
         ordered_solve(
             rows,
@@ -488,7 +507,7 @@ mod tests {
         // condensation is a pure DAG while the full one has a cycle.
         let m = csr(vec![vec![Choice::to(0, 1)], vec![Choice::to(1, 0)]]);
         assert_eq!(m.scc().num_nontrivial(), 1);
-        let zc = zero_cost_scc(&m.rows());
+        let zc = zero_cost_scc(&m.rows(), None, &[false; 2]);
         assert_eq!(zc.num_components(), 2);
         assert_eq!(zc.num_nontrivial(), 0);
         // 1 has no zero-cost successors: it must be solved before 0.

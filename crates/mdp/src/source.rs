@@ -44,6 +44,12 @@
 //! multi-block source holds none and evaluates every state in every
 //! sweep, paging exactly as before.
 //!
+//! A bounded query over a cone ([`crate::Query::cone`]) runs the same
+//! kernels in place, on the cone's states alone: sweep 1 evaluates the
+//! cone, and the predecessor lists, indexed by position in the cone, keep
+//! only the transitions out of its non-target states. Nothing else in
+//! the model is read.
+//!
 //! # One pass per budget level
 //!
 //! A cost-bounded query solves one least fixpoint over the zero-cost
@@ -95,7 +101,7 @@
 use std::ops::Range;
 
 use crate::scc::{self, SccDecomposition};
-use crate::{CsrBuilder, CsrMdp, CsrRow, IterOptions, MdpError, Objective, Solver};
+use crate::{IterOptions, MdpError, Objective, Solver};
 
 /// Work counters accumulated by one quantitative solve, reported through
 /// [`crate::Analysis::stats`]. Both solvers shrink the update count in
@@ -305,95 +311,82 @@ where
 
 /// The cone of `starts` under `target` over rows that span every state:
 /// the states reachable from `starts` without expanding a target state,
-/// as a membership mask. Every transition is followed whatever its
+/// in ascending id order. Every transition is followed whatever its
 /// probability, so no row of a non-target cone state leaves the cone.
-pub(crate) fn cone_mask(rows: &CsrRows<'_>, starts: &[usize], target: &[bool]) -> Vec<bool> {
+pub(crate) fn cone(rows: &CsrRows<'_>, starts: &[usize], target: &[bool]) -> Vec<usize> {
     let mut seen = vec![false; rows.states().len()];
-    let mut stack = Vec::new();
-    let mut visit = |s: usize, stack: &mut Vec<usize>| {
+    // The list is its own breadth-first queue until it is sorted.
+    let mut cone = Vec::new();
+    let mut visit = |s: usize, cone: &mut Vec<usize>| {
         if !seen[s] {
             seen[s] = true;
-            stack.push(s);
+            cone.push(s);
         }
     };
     for &s in starts {
-        visit(s, &mut stack);
+        visit(s, &mut cone);
     }
-    while let Some(s) = stack.pop() {
+    let mut next = 0;
+    while let Some(&s) = cone.get(next) {
+        next += 1;
         if target[s] {
             continue;
         }
-        for c in rows.choice_range(s) {
-            for i in rows.trans_range(c) {
-                visit(rows.targets[i] as usize, &mut stack);
-            }
+        for i in rows.choice_range(s).flat_map(|c| rows.trans_range(c)) {
+            visit(rows.targets[i] as usize, &mut cone);
         }
     }
-    seen
+    cone.sort_unstable();
+    cone
 }
 
-/// The rows of the states in `cone`, copied in ascending id order into a
-/// model of their own with successors renumbered, so a zero-cost edge to
-/// a higher id still points forward. The copy keeps the block's
-/// probability table and copies each transition's index byte. A target
-/// state gets an empty row: every solver fixes its value, so its choices
-/// are never read. Returns the copy and the original id of each of its
-/// states.
-///
-/// # Errors
-///
-/// [`MdpError::Backend`] if the copy overflows the `u32` CSR offsets.
-pub(crate) fn restrict(
-    rows: &CsrRows<'_>,
-    cone: &[bool],
-    target: &[bool],
-) -> Result<(CsrMdp, Vec<usize>), MdpError> {
-    let states: Vec<usize> = rows.states().filter(|&s| cone[s]).collect();
-    let mut id = vec![u32::MAX; cone.len()];
-    for (new, &old) in states.iter().enumerate() {
-        id[old] = new as u32;
-    }
-    let mut builder = CsrBuilder::with_table(rows.prob_table);
-    for &s in &states {
-        if target[s] {
-            builder.push_row(CsrRow::default())?;
-        } else {
-            builder.copy_row(rows, s, |t| id[t as usize])?;
-        }
-    }
-    Ok((builder.finish(Vec::new()), states))
-}
-
-/// The predecessor lists of rows that span every state, as a CSR: for
-/// each kept transition `s → t`, `s` is listed once among `t`'s
-/// predecessors, in ascending order of `s`. Holds 4 bytes per kept
-/// transition and 4 per state.
+/// Predecessor lists as a CSR over the states of rows that span every
+/// state, or over a cone's positions: for each kept transition `s → t`,
+/// `s` is listed once among `t`'s predecessors, in ascending order of
+/// `s`. Holds 4 bytes per kept transition and 4 per state.
 struct Predecessors {
     offsets: Vec<u32>,
     preds: Vec<u32>,
 }
 
 impl Predecessors {
-    /// The predecessors along the transitions `i` with `keep(i)`.
-    fn new(rows: &CsrRows<'_>, keep: impl Fn(usize) -> bool) -> Predecessors {
-        let n = rows.states().len();
-        // In-degree count, prefix sum, fill: no per-state vectors.
-        let mut offsets = vec![0u32; n + 1];
-        for (i, &t) in rows.targets.iter().enumerate() {
-            if keep(i) {
-                offsets[t as usize + 1] += 1;
+    /// The lists of `len` nodes along the transitions `i` with `keep(i)`
+    /// out of each `(node, state)` of `sources`, in ascending order of
+    /// node; `node(t)` is the node of successor state `t`.
+    fn build<I>(
+        rows: &CsrRows<'_>,
+        len: usize,
+        sources: I,
+        keep: impl Fn(usize) -> bool,
+        node: impl Fn(usize) -> usize,
+    ) -> Predecessors
+    where
+        I: Iterator<Item = (u32, usize)> + Clone,
+    {
+        // A state's transitions, every choice's in turn.
+        let out = |s: usize| {
+            let choices = rows.choice_range(s);
+            rows.trans_offsets[choices.start] as usize..rows.trans_offsets[choices.end] as usize
+        };
+        // In-degree count, prefix sum, fill: no per-node vectors.
+        let mut offsets = vec![0u32; len + 1];
+        for (_, s) in sources.clone() {
+            for i in out(s) {
+                if keep(i) {
+                    offsets[node(rows.targets[i] as usize) + 1] += 1;
+                }
             }
         }
-        for t in 0..n {
+        for t in 0..len {
             offsets[t + 1] += offsets[t];
         }
-        let mut preds = vec![0u32; offsets[n] as usize];
+        let mut preds = vec![0u32; offsets[len] as usize];
         let mut cursor = offsets.clone();
-        for s in 0..n {
-            for i in rows.choice_range(s).flat_map(|c| rows.trans_range(c)) {
+        for (p, s) in sources {
+            for i in out(s) {
                 if keep(i) {
-                    let t = rows.targets[i] as usize;
-                    preds[cursor[t] as usize] = s as u32;
+                    let t = node(rows.targets[i] as usize);
+                    preds[cursor[t] as usize] = p;
                     cursor[t] += 1;
                 }
             }
@@ -401,7 +394,34 @@ impl Predecessors {
         Predecessors { offsets, preds }
     }
 
-    /// The predecessors of state `t`.
+    /// The predecessors along the transitions `i` with `keep(i)`.
+    fn new(rows: &CsrRows<'_>, keep: impl Fn(usize) -> bool) -> Predecessors {
+        let states = rows.states();
+        let sources = states.clone().map(|s| (s as u32, s));
+        Predecessors::build(rows, states.len(), sources, keep, |t| t)
+    }
+
+    /// The predecessors of a cone (see [`cone`]) by position in it, along
+    /// every transition out of a non-target cone state: a target's row is
+    /// never read, and every other row stays in the cone.
+    fn of_cone(rows: &CsrRows<'_>, cone: &[usize], target: &[bool]) -> Predecessors {
+        let mut position = vec![0u32; rows.states().len()];
+        for (p, &s) in cone.iter().enumerate() {
+            position[s] = p as u32;
+        }
+        let sources = (cone.iter().enumerate())
+            .filter(|&(_, &s)| !target[s])
+            .map(|(p, &s)| (p as u32, s));
+        Predecessors::build(
+            rows,
+            cone.len(),
+            sources,
+            |_| true,
+            |t| position[t] as usize,
+        )
+    }
+
+    /// The predecessors of node `t`.
     #[inline]
     fn of(&self, t: usize) -> &[u32] {
         &self.preds[self.offsets[t] as usize..self.offsets[t + 1] as usize]
@@ -481,7 +501,9 @@ pub(crate) fn has_zero_cost_cycle<S: CsrSource + ?Sized>(
     check_target(src, target)?;
     if src.num_blocks() == 1 {
         return with_one_block(src, |rows| {
-            scc::condense(rows, |c| rows.cost(c) == 0, |t| !target[t]).num_nontrivial() > 0
+            scc::condense(rows, rows.states(), |c| rows.cost(c) == 0, |s| !target[s])
+                .num_nontrivial()
+                > 0
         });
     }
     let mut in_u: Vec<bool> = target.iter().map(|&t| !t).collect();
@@ -532,29 +554,44 @@ enum Trace {
 /// predecessor lists this needs; a multi-block one has none and evaluates
 /// every state in every sweep.
 ///
+/// Over a cone the driver evaluates only the cone's states, and tracks
+/// them by their position in it, so a sweep's work grows with the cone,
+/// not the model.
+///
 /// A query builds one driver and reuses it for every budget level.
-struct Jacobi {
-    /// Predecessors along every transition, whatever its probability or
-    /// choice; `None` on a multi-block source.
+struct Jacobi<'c> {
+    /// The states a sweep may evaluate, ascending; `None` for every state.
+    cone: Option<&'c [usize]>,
+    /// Predecessors by position (in the cone, else the state id) along
+    /// every transition whatever its probability or choice, a cone's
+    /// targets excepted; `None` on a multi-block source.
     preds: Option<Predecessors>,
-    /// The states the next sweep evaluates, one bit each; unused while
+    /// The positions the next sweep evaluates, one bit each; unused while
     /// every state is evaluated.
     dirty: Vec<u64>,
-    /// The states whose bits the current sweep changed, with their new
+    /// The positions whose bits the current sweep changed, with their new
     /// values.
     changed: Vec<(u32, f64)>,
 }
 
-impl Jacobi {
-    fn new<S: CsrSource + ?Sized>(src: &S) -> Result<Jacobi, MdpError> {
+impl<'c> Jacobi<'c> {
+    /// A driver over every state of `src`, or over the `cone` of a
+    /// single-block source under `target`.
+    fn new<S: CsrSource + ?Sized>(
+        src: &S,
+        cone: Option<&'c [usize]>,
+        target: &[bool],
+    ) -> Result<Jacobi<'c>, MdpError> {
         let preds = if src.num_blocks() == 1 {
-            Some(with_one_block(src, |rows| {
-                Predecessors::new(rows, |_| true)
+            Some(with_one_block(src, |rows| match cone {
+                None => Predecessors::new(rows, |_| true),
+                Some(cone) => Predecessors::of_cone(rows, cone, target),
             })?)
         } else {
             None
         };
         Ok(Jacobi {
+            cone,
             preds,
             dirty: Vec::new(),
             changed: Vec::new(),
@@ -590,10 +627,14 @@ impl Jacobi {
         let residuals = (telemetry && matches!(trace, Trace::Reach))
             .then(|| pa_telemetry::series("mdp.vi.residual"));
         let Jacobi {
+            cone,
             preds,
             dirty,
             changed,
         } = self;
+        let cone = *cone;
+        let state = |p: usize| cone.map_or(p, |cone| cone[p]);
+        let positions = cone.map_or(values.len(), <[usize]>::len);
         let mut every_state = true;
         let updates_before = stats.state_updates;
         for _ in 0..max_sweeps {
@@ -603,7 +644,8 @@ impl Jacobi {
             let mut delta = 0.0f64;
             let mut evaluated = 0u64;
             for_each_block(src, &mut |rows| {
-                let mut eval = |s: usize| {
+                let mut eval = |p: usize| {
+                    let s = state(p);
                     let Some(v) = update(&rows, s, values) else {
                         return;
                     };
@@ -614,14 +656,16 @@ impl Jacobi {
                         if d > delta {
                             delta = d;
                         }
-                        changed.push((s as u32, v));
+                        changed.push((p as u32, v));
                     }
                 };
                 if every_state {
-                    rows.states().for_each(&mut eval);
+                    // A cone lies in a single block.
+                    cone.map_or(rows.states(), |cone| 0..cone.len())
+                        .for_each(&mut eval);
                     return;
                 }
-                // Marked states exist only on a single-block source.
+                // Marked positions exist only on a single-block source.
                 for (w, &word) in dirty.iter().enumerate() {
                     let mut bits = word;
                     while bits != 0 {
@@ -630,17 +674,17 @@ impl Jacobi {
                     }
                 }
             })?;
-            for &(s, v) in changed.iter() {
-                values[s as usize] = v;
+            for &(p, v) in changed.iter() {
+                values[state(p as usize)] = v;
             }
             if let Some(preds) = preds {
                 dirty.clear();
-                dirty.resize(values.len().div_ceil(64), 0);
+                dirty.resize(positions.div_ceil(64), 0);
                 every_state = false;
-                let mut mark = |s: usize| dirty[s / 64] |= 1 << (s % 64);
-                for &(s, _) in changed.iter() {
-                    for &p in preds.of(s as usize) {
-                        mark(p as usize);
+                let mut mark = |p: usize| dirty[p / 64] |= 1 << (p % 64);
+                for &(p, _) in changed.iter() {
+                    for &q in preds.of(p as usize) {
+                        mark(q as usize);
                     }
                 }
             }
@@ -875,7 +919,7 @@ pub(crate) fn reach_prob<S: CsrSource + ?Sized>(
     if pa_telemetry::enabled() {
         pa_telemetry::counter("mdp.vi.runs").inc();
     }
-    Jacobi::new(src)?.solve(
+    Jacobi::new(src, None, target)?.solve(
         src,
         &mut cur,
         options.epsilon,
@@ -902,11 +946,23 @@ fn first_bad_cost(rows: &CsrRows<'_>, s: usize) -> Option<(usize, u32)> {
         .map(|cost| (s, cost))
 }
 
-fn validate_costs<S: CsrSource + ?Sized>(src: &S) -> Result<(), MdpError> {
+/// Fails on the lowest state whose row a level solve reads and that has a
+/// choice costing more than 1: any state, or a cone's non-target states.
+fn validate_costs<S: CsrSource + ?Sized>(
+    src: &S,
+    cone: Option<&[usize]>,
+    target: &[bool],
+) -> Result<(), MdpError> {
     let mut bad: Option<(usize, u32)> = None;
     for_each_block(src, &mut |rows| {
         if bad.is_none() {
-            bad = rows.states().find_map(|s| first_bad_cost(&rows, s));
+            bad = match cone {
+                None => rows.states().find_map(|s| first_bad_cost(&rows, s)),
+                Some(cone) => cone
+                    .iter()
+                    .filter(|&&s| !target[s])
+                    .find_map(|&s| first_bad_cost(&rows, s)),
+            };
         }
     })?;
     match bad {
@@ -945,10 +1001,23 @@ fn level_choice(
     Some((best, best_i))
 }
 
-/// Resets `values` to a level's starting point: 1 on the target, else 0.
-fn init_level(target: &[bool], values: &mut Vec<f64>) {
-    values.clear();
-    values.extend(target.iter().map(|&t| if t { 1.0 } else { 0.0 }));
+/// Resets `values` to a level's starting point over every state, or over
+/// the states of a `cone`: 1 on the target, else 0. Values outside a cone
+/// are `NaN`.
+fn init_level(target: &[bool], cone: Option<&[usize]>, values: &mut Vec<f64>) {
+    let start = |t: bool| f64::from(u8::from(t));
+    match cone {
+        None => {
+            values.clear();
+            values.extend(target.iter().map(|&t| start(t)));
+        }
+        Some(cone) => {
+            values.resize(target.len(), f64::NAN);
+            for &s in cone {
+                values[s] = start(target[s]);
+            }
+        }
+    }
 }
 
 /// One level of cost-bounded backward induction in a single reverse pass
@@ -974,7 +1043,7 @@ where
     S: CsrSource + ?Sized,
     F: Fn(&CsrRows<'_>, usize, &[f64]) -> Option<f64>,
 {
-    init_level(target, values);
+    init_level(target, None, values);
     let reads_final = |rows: &CsrRows<'_>, s: usize| {
         rows.choice_range(s)
             .filter(|&c| rows.cost(c) != 1)
@@ -1022,33 +1091,39 @@ where
 }
 
 /// Extracts the optimal per-state choice of one budget level, given the
-/// converged level `values` and the previous level `level_prev`.
+/// converged level `values` and the previous level `level_prev`, for every
+/// state or a `cone`'s (`None` outside it).
 /// Solver-independent: every level solver feeds its fixpoint through this.
 fn extract_level_decisions<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
+    cone: Option<&[usize]>,
     level_prev: &[f64],
     values: &[f64],
     objective: Objective,
-    dec: &mut Vec<Option<u32>>,
-) -> Result<(), MdpError> {
-    dec.clear();
-    dec.resize(src.num_states(), None);
+) -> Result<Vec<Option<u32>>, MdpError> {
+    let mut dec = vec![None; src.num_states()];
     for_each_block(src, &mut |rows| {
-        for s in rows.states() {
+        let mut decide = |s: usize| {
             dec[s] = level_choice(&rows, s, target, objective, level_prev, values).map(|(_, i)| i);
+        };
+        match cone {
+            None => rows.states().for_each(&mut decide),
+            Some(cone) => cone.iter().for_each(|&s| decide(s)),
         }
-    })
+    })?;
+    Ok(dec)
 }
 
 /// How [`bounded_levels`] solves each budget level.
 #[derive(Clone, Copy)]
 pub(crate) enum LevelSolver<'a> {
     /// Jacobi sweeps over the source, each level capped at `4n + 8`
-    /// sweeps (see the [`crate::query`] module docs for the semantics).
+    /// sweeps for `n` solved states (see the [`crate::query`] module docs
+    /// for the semantics).
     Jacobi,
     /// The SCC-ordered solver of a single-block source over its zero-cost
-    /// condensation (built once by the caller).
+    /// condensation (built once by the caller, over the cone if any).
     Scc(&'a SccDecomposition),
     /// The reverse level pass over the source. On a backward zero-cost
     /// edge the query falls back to Jacobi from scratch, or, when
@@ -1064,10 +1139,16 @@ pub(crate) enum LevelSolver<'a> {
 /// evaluates [`level_choice`]. Returns the final level and the solver
 /// that ran: [`Solver::Jacobi`] for Jacobi, including a reverse pass that
 /// fell back to it, else [`Solver::SccOrdered`].
+///
+/// With a `cone` (ascending ids, see [`cone`]; single-block sources only)
+/// every level resets, solves and decides only the cone's states, in
+/// place over the source's rows; values outside it are `NaN` and
+/// decisions `None`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
+    cone: Option<&[usize]>,
     budget: u32,
     objective: Objective,
     mut solver: LevelSolver<'_>,
@@ -1078,19 +1159,22 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
     check_target(src, target)?;
     // The reverse pass validates the costs during level 0 instead.
     if !matches!(solver, LevelSolver::Reverse { .. }) {
-        validate_costs(src)?;
+        validate_costs(src, cone, target)?;
     }
     let _span = pa_telemetry::span("mdp.vi.cost_bounded_seconds");
     let levels = pa_telemetry::enabled().then(|| pa_telemetry::counter("mdp.vi.levels"));
     let n = src.num_states();
+    let len = cone.map_or(n, <[usize]>::len);
     if let LevelSolver::Scc(scc) = solver {
         scc::record_shape(scc, stats);
     }
+    // Level -1: no state reaches the target. A cone solve reads only the
+    // cone's entries.
     let mut level_prev = vec![0.0f64; n];
     let mut cur: Vec<f64> = Vec::new();
     // One Jacobi driver, and one set of predecessor lists, for every level.
     let mut jacobi = match solver {
-        LevelSolver::Jacobi => Some(Jacobi::new(src)?),
+        LevelSolver::Jacobi => Some(Jacobi::new(src, cone, target)?),
         _ => None,
     };
     if pa_telemetry::enabled() {
@@ -1106,19 +1190,19 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
         };
         // The level's least fixpoint over the zero-cost subgraph.
         let jacobi_level = |jacobi: &mut Jacobi, cur: &mut Vec<f64>, stats: &mut SolveStats| {
-            init_level(target, cur);
-            jacobi.solve(src, cur, 1e-14, 4 * n + 8, &update, Trace::Level, stats)
+            init_level(target, cone, cur);
+            jacobi.solve(src, cur, 1e-14, 4 * len + 8, &update, Trace::Level, stats)
         };
         match solver {
             LevelSolver::Scc(scc) => {
-                init_level(target, &mut cur);
+                init_level(target, cone, &mut cur);
                 with_one_block(src, |rows| {
                     scc::ordered_solve(
                         rows,
                         scc,
                         &mut cur,
                         1e-14,
-                        |len| 4 * len + 8,
+                        |size| 4 * size + 8,
                         &update,
                         stats,
                     )
@@ -1133,7 +1217,7 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
                 if !reverse_level(src, target, k == 0, &update, &mut cur, stats)? {
                     // Only level 0 checks, so this is still level 0:
                     // nothing has been reported yet.
-                    validate_costs(src)?;
+                    validate_costs(src, cone, target)?;
                     if strict {
                         return Err(MdpError::InvalidQuery {
                             reason: "the SCC-ordered solver over a multi-block source needs \
@@ -1143,17 +1227,30 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
                         });
                     }
                     solver = LevelSolver::Jacobi;
-                    jacobi_level(jacobi.insert(Jacobi::new(src)?), &mut cur, stats)?;
+                    jacobi_level(
+                        jacobi.insert(Jacobi::new(src, cone, target)?),
+                        &mut cur,
+                        stats,
+                    )?;
                 }
             }
         }
         if let Some(policy) = policy.as_deref_mut() {
-            let mut dec = Vec::new();
-            extract_level_decisions(src, target, &level_prev, &cur, objective, &mut dec)?;
-            policy.push(dec);
+            policy.push(extract_level_decisions(
+                src,
+                target,
+                cone,
+                &level_prev,
+                &cur,
+                objective,
+            )?);
         }
         on_level(k, &cur);
-        std::mem::swap(&mut level_prev, &mut cur);
+        match cone {
+            // `cur` keeps its `NaN`s outside the cone, for every level.
+            Some(cone) => cone.iter().for_each(|&s| level_prev[s] = cur[s]),
+            None => std::mem::swap(&mut level_prev, &mut cur),
+        }
     }
     if let Some(c) = levels {
         c.add(u64::from(budget) + 1);
@@ -1167,8 +1264,9 @@ pub(crate) fn bounded_levels<S: CsrSource + ?Sized>(
         }
         LevelSolver::Scc(_) => Solver::SccOrdered,
     };
-    // The final level ended up in `level_prev` after the last swap.
-    Ok((level_prev, ran))
+    // The final level: in `cur` over a cone, else in `level_prev` after
+    // the last swap.
+    Ok((if cone.is_some() { cur } else { level_prev }, ran))
 }
 
 /// The states whose optimal expected cost to the target is finite, for
@@ -1260,7 +1358,7 @@ pub(crate) fn expected_cost<S: CsrSource + ?Sized>(
     if solver == Solver::SccOrdered {
         scc::solve_unbounded(src, &mut v, options, &update, stats)?;
     } else {
-        Jacobi::new(src)?.solve(
+        Jacobi::new(src, None, target)?.solve(
             src,
             &mut v,
             options.epsilon,
@@ -1332,7 +1430,7 @@ pub fn csr_digest<S: CsrSource + ?Sized>(src: &S) -> Result<u64, MdpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Choice, ExplicitMdp};
+    use crate::{Choice, CsrBuilder, CsrMdp, CsrRow, ExplicitMdp};
     use proptest::prelude::*;
 
     fn model(rows: Vec<Vec<Choice>>) -> CsrMdp {
@@ -1348,9 +1446,9 @@ mod tests {
     }
 
     /// An in-core model's rows cut into blocks at the given state bounds,
-    /// each rebuilt with block-relative offsets: a multi-block source, so
-    /// the qualitative checks take their block fixpoints and a bounded
-    /// query the reverse level pass.
+    /// each rebuilt with block-relative offsets and its own probability
+    /// table: a multi-block source, so the qualitative checks take their
+    /// block fixpoints and a bounded query the reverse level pass.
     struct Split(Vec<(usize, CsrBuilder)>);
 
     impl Split {
@@ -1362,9 +1460,23 @@ mod tests {
             Split(
                 cuts.windows(2)
                     .map(|w| {
-                        let mut b = CsrBuilder::with_table(rows.prob_table);
+                        let mut b = CsrBuilder::new();
                         for s in w[0]..w[1] {
-                            b.copy_row(&rows, s, |t| t).unwrap();
+                            let choices = rows.choice_range(s);
+                            let first = rows.trans_offsets[choices.start];
+                            let last = rows.trans_offsets[choices.end];
+                            let costs: Vec<u32> = choices.clone().map(|c| rows.cost(c)).collect();
+                            let trans_ends: Vec<u32> =
+                                choices.map(|c| rows.trans_offsets[c + 1] - first).collect();
+                            let probs: Vec<f64> =
+                                (first..last).map(|i| rows.prob(i as usize)).collect();
+                            b.push_row(CsrRow {
+                                costs: &costs,
+                                trans_ends: &trans_ends,
+                                targets: &rows.targets[first as usize..last as usize],
+                                probs: &probs,
+                            })
+                            .unwrap();
                         }
                         (w[0], b)
                     })
@@ -1494,7 +1606,7 @@ mod tests {
     {
         let mut values = init.to_vec();
         let mut stats = SolveStats::default();
-        Jacobi::new(src)
+        Jacobi::new(src, None, &[])
             .unwrap()
             .solve(
                 src,

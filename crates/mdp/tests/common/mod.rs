@@ -2,13 +2,12 @@
 
 use std::ops::Range;
 
-use pa_mdp::{CsrBuilder, CsrMdp, CsrRows, CsrSource, MdpError};
+use pa_mdp::{CsrBuilder, CsrMdp, CsrRow, CsrRows, CsrSource, MdpError};
 
 /// A test-only backend: a [`CsrMdp`]'s rows cut into `k` contiguous
 /// blocks of near-equal state counts (empty ones included when `k`
 /// exceeds the state count), each with its own block-relative offset
-/// arrays and a copy of the model's probability table — the shape
-/// `pa-store` pages in.
+/// arrays and its own probability table — the shape `pa-store` pages in.
 pub struct Blocked {
     num_states: usize,
     num_choices: u64,
@@ -25,9 +24,23 @@ impl Blocked {
         let blocks = (0..k)
             .map(|b| {
                 let states = b * n / k..(b + 1) * n / k;
-                let mut block = CsrBuilder::with_table(rows.prob_table);
+                let mut block = CsrBuilder::new();
                 for s in states.clone() {
-                    block.copy_row(&rows, s, |t| t).unwrap();
+                    let choices = rows.choice_range(s);
+                    let first = rows.trans_offsets[choices.start];
+                    let last = rows.trans_offsets[choices.end];
+                    let costs: Vec<u32> = choices.clone().map(|c| rows.cost(c)).collect();
+                    let trans_ends: Vec<u32> =
+                        choices.map(|c| rows.trans_offsets[c + 1] - first).collect();
+                    let probs: Vec<f64> = (first..last).map(|i| rows.prob(i as usize)).collect();
+                    block
+                        .push_row(CsrRow {
+                            costs: &costs,
+                            trans_ends: &trans_ends,
+                            targets: &rows.targets[first as usize..last as usize],
+                            probs: &probs,
+                        })
+                        .unwrap();
                 }
                 (states.start, block)
             })

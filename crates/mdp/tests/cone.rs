@@ -9,8 +9,9 @@
 //! cone it reports `NaN` and `None`. The cone solve must also be the solve
 //! of the arrow model built independently: the cone's states in search
 //! order with every target absorbing, giving the same values, solver and
-//! work counters. A multi-block source ignores the cone, and the settings
-//! a cone cannot serve fail at `"validate"`.
+//! work counters, and the same values at every level `on_level` reports
+//! (`NaN` outside the cone). A multi-block source ignores the cone, and
+//! the settings a cone cannot serve fail at `"validate"`.
 
 mod common;
 
@@ -178,11 +179,15 @@ proptest! {
                 let whole = bounded(Query::csr(&csr), objective, &target, budget, pinned)
                     .run()
                     .unwrap();
+                let mut cone_levels = Vec::new();
                 let cone = bounded(Query::csr(&csr), objective, &target, budget, pinned)
                     .cone(&starts)
+                    .on_level(|_, v| cone_levels.push(v.to_vec()))
                     .run()
                     .unwrap();
+                let mut own_levels = Vec::new();
                 let own = bounded(Query::csr(&arrow), objective, &arrow_target, budget, pinned)
+                    .on_level(|_, v| own_levels.push(v.to_vec()))
                     .run()
                     .unwrap();
                 if let Some(solver) = pinned {
@@ -208,6 +213,25 @@ proptest! {
                 }
                 for (new, &s) in order.iter().enumerate() {
                     prop_assert_eq!(own.values[new].to_bits(), cone.values[s].to_bits(), "{}", tag);
+                }
+                prop_assert_eq!(cone_levels.len(), budget as usize + 1, "{}", tag);
+                prop_assert_eq!(own_levels.len(), cone_levels.len(), "{}", tag);
+                for (k, (cone_level, own_level)) in cone_levels.iter().zip(&own_levels).enumerate() {
+                    for (s, &inside) in in_cone.iter().enumerate() {
+                        if !inside {
+                            prop_assert!(cone_level[s].is_nan(), "{}: level {} state {}", tag, k, s);
+                        }
+                    }
+                    for (new, &s) in order.iter().enumerate() {
+                        prop_assert_eq!(
+                            own_level[new].to_bits(),
+                            cone_level[s].to_bits(),
+                            "{}: level {} state {}",
+                            tag,
+                            k,
+                            s
+                        );
+                    }
                 }
                 for level in 0..=budget as usize {
                     for (s, &inside) in in_cone.iter().enumerate() {
