@@ -75,8 +75,8 @@ impl StoreBench {
     /// - All three digests equal [`PINNED_DIGEST`].
     /// - The one-block run faulted and evicted (otherwise its digest
     ///   passed without paging pressure).
-    /// - Peak residency stayed within the one-byte budget plus two
-    ///   blocks: the pinned one and the one faulted in before eviction.
+    /// - Peak residency stayed within the one-byte budget plus one
+    ///   block: a fault evicts before it reads the incoming block in.
     /// - The one-block run paged at most `csr_blocks × levels` blocks,
     ///   one pass per budget level.
     #[must_use]
@@ -108,9 +108,9 @@ impl StoreBench {
                 self.faults, self.evictions
             ));
         }
-        if self.peak_resident_bytes > 1 + 2 * self.max_block_payload {
+        if self.peak_resident_bytes > 1 + self.max_block_payload {
             failures.push(format!(
-                "peak resident {} bytes exceeded budget + two blocks ({} max payload)",
+                "peak resident {} bytes exceeded budget + one block ({} max payload)",
                 self.peak_resident_bytes, self.max_block_payload,
             ));
         }

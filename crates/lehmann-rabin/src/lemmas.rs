@@ -17,7 +17,7 @@
 //! future-work item (Section 7) — the largest time for which some
 //! adversary can still surely prevent progress.
 
-use pa_core::{Automaton, Step};
+use pa_core::{collect_steps, map_outcomes, Automaton, Step};
 use pa_mdp::{Explore, Objective, Query};
 
 use crate::arrows::arrow_model;
@@ -78,42 +78,39 @@ impl Automaton for ForcedRoundMdp {
     }
 
     fn steps(&self, state: &ForcedState) -> Vec<Step<ForcedState, RoundAction>> {
+        collect_steps(|f| self.for_each_step(state, f))
+    }
+
+    /// The round model's steps with the pending bits carried along; the
+    /// first flip of a process still pending is forced to its side (one
+    /// outcome of weight 1) and clears that process's bit.
+    fn for_each_step<F>(&self, state: &ForcedState, mut f: F)
+    where
+        F: FnMut(&RoundAction, &[(ForcedState, f64)]),
+    {
         self.inner
-            .steps(&state.round)
-            .into_iter()
-            .map(|step| {
-                let is_forced_flip = matches!(
-                    step.action,
-                    RoundAction::Schedule(LrAction::Flip(p))
-                        if state.pending & (1 << p) != 0
-                );
-                match step.action {
-                    RoundAction::Schedule(LrAction::Flip(p)) if is_forced_flip => {
-                        let side = self.forced_side(p as usize);
-                        let outcome = step
-                            .target
-                            .support()
-                            .find(|rs| rs.config.proc(p as usize).side == side)
-                            .expect("flip offers both sides")
-                            .clone();
-                        Step::deterministic(
-                            step.action,
-                            ForcedState {
-                                round: outcome,
-                                pending: state.pending & !(1 << p),
-                            },
-                        )
-                    }
-                    _ => Step {
-                        action: step.action,
-                        target: step.target.map(|rs| ForcedState {
-                            round: rs.clone(),
-                            pending: state.pending,
-                        }),
-                    },
+            .for_each_step(&state.round, |action, outcomes| match *action {
+                RoundAction::Schedule(LrAction::Flip(p)) if state.pending & (1 << p) != 0 => {
+                    let side = self.forced_side(p as usize);
+                    let (outcome, _) = outcomes
+                        .iter()
+                        .find(|(rs, _)| rs.config.proc(p as usize).side == side)
+                        .expect("flip offers both sides");
+                    let forced = ForcedState {
+                        round: outcome.clone(),
+                        pending: state.pending & !(1 << p),
+                    };
+                    f(action, &[(forced, 1.0)]);
                 }
-            })
-            .collect()
+                _ => map_outcomes(
+                    outcomes,
+                    |rs| ForcedState {
+                        round: rs.clone(),
+                        pending: state.pending,
+                    },
+                    |mapped| f(action, mapped),
+                ),
+            });
     }
 
     fn is_external(&self, action: &RoundAction) -> bool {

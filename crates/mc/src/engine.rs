@@ -1,5 +1,6 @@
 use pa_core::Automaton;
 use pa_prob::rng::SplitMix64;
+use pa_prob::FiniteDist;
 
 use crate::{McConfig, McError, McEstimate, SamplePolicy};
 
@@ -19,6 +20,13 @@ pub struct Trajectory {
 /// bounded value iteration: a visit to the target with accumulated cost
 /// `≤ max_time` is a hit; a step whose cost would exceed the budget, a
 /// dead end, or the step cap is a miss.
+///
+/// Each state's steps come from [`Automaton::for_each_step`] into three
+/// buffers the trajectory reuses at every step, so a model with an
+/// allocation-free visitor is sampled without allocating per step. The
+/// chosen step's outcomes go through [`FiniteDist::sample_pairs`], the
+/// arithmetic of [`FiniteDist::sample`], so the draws are those of
+/// sampling [`Automaton::steps`], step for step.
 fn run_trajectory<M, P>(
     model: &M,
     start: &M::State,
@@ -35,6 +43,11 @@ where
     let mut state = start.clone();
     let mut spent = 0u32;
     let mut steps_taken = 0u64;
+    // The enabled steps of `state`: their actions, and the end of each
+    // step's run of `(target, probability)` pairs in `outcomes`.
+    let mut actions: Vec<M::Action> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    let mut outcomes: Vec<(M::State, f64)> = Vec::new();
     loop {
         if target(&state) {
             return Trajectory {
@@ -50,8 +63,15 @@ where
                 steps: steps_taken,
             };
         }
-        let steps = model.steps(&state);
-        if steps.is_empty() {
+        actions.clear();
+        ends.clear();
+        outcomes.clear();
+        model.for_each_step(&state, |action, outs| {
+            actions.push(action.clone());
+            outcomes.extend_from_slice(outs);
+            ends.push(outcomes.len());
+        });
+        if actions.is_empty() {
             // Dead end outside the target: the exact engine values it 0.
             return Trajectory {
                 hit_at: None,
@@ -60,9 +80,8 @@ where
             };
         }
         let remaining = cfg.max_time - spent;
-        let chosen = policy.choose(&state, &steps, remaining, rng);
-        let step = &steps[chosen];
-        let cost = cost_of(&state, &step.action);
+        let chosen = policy.choose(&state, actions.len(), remaining, rng);
+        let cost = cost_of(&state, &actions[chosen]);
         if cost > remaining {
             // Budget exhausted before the target — exactly the level-0
             // failure of the cost-bounded recursion.
@@ -73,7 +92,8 @@ where
             };
         }
         spent += cost;
-        state = step.target.sample(rng).clone();
+        let begin = if chosen == 0 { 0 } else { ends[chosen - 1] };
+        state = FiniteDist::sample_pairs(&outcomes[begin..ends[chosen]], rng).clone();
         steps_taken += 1;
     }
 }

@@ -1,4 +1,3 @@
-use pa_core::Step;
 use pa_prob::rng::SplitMix64;
 use rand::RngExt;
 
@@ -6,18 +5,19 @@ use pa_core::Automaton;
 use pa_mdp::{BoundedPolicy, StateSpace};
 
 /// The embedded adversary of a sampled batch: picks one of the current
-/// state's enabled steps.
+/// state's enabled steps, by its index in [`Automaton::steps`] order.
 ///
 /// `remaining` is the cost budget still available — cost-indexed policies
 /// (the exact engine's [`BoundedPolicy`]) key their decision on it. A
 /// policy may consume randomness from the trajectory's private stream;
 /// those draws are part of the trajectory's deterministic replay.
 pub trait SamplePolicy<M: Automaton> {
-    /// Chooses an index into `steps` (guaranteed non-empty).
+    /// Chooses an index below `enabled`, the number of steps `state`
+    /// enables (at least one).
     fn choose(
         &self,
         state: &M::State,
-        steps: &[Step<M::State, M::Action>],
+        enabled: usize,
         remaining: u32,
         rng: &mut SplitMix64,
     ) -> usize;
@@ -37,17 +37,17 @@ impl<M: Automaton> SamplePolicy<M> for UniformPolicy {
     fn choose(
         &self,
         _state: &M::State,
-        steps: &[Step<M::State, M::Action>],
+        enabled: usize,
         _remaining: u32,
         rng: &mut SplitMix64,
     ) -> usize {
         // A forced move consumes no randomness: most round-model states
         // have exactly one enabled step, and skipping the draw keeps
         // trajectories short-stream without changing the law.
-        if steps.len() == 1 {
+        if enabled == 1 {
             0
         } else {
-            rng.random_range(0..steps.len())
+            rng.random_range(0..enabled)
         }
     }
 
@@ -65,7 +65,7 @@ impl<M: Automaton> SamplePolicy<M> for FirstPolicy {
     fn choose(
         &self,
         _state: &M::State,
-        _steps: &[Step<M::State, M::Action>],
+        _enabled: usize,
         _remaining: u32,
         _rng: &mut SplitMix64,
     ) -> usize {
@@ -83,7 +83,7 @@ impl<M: Automaton> SamplePolicy<M> for FirstPolicy {
 /// [`pa_mdp::Explored`] preserves choice order (`mdp.choices(i)[k]` is
 /// `automaton.steps(&states[i])[k]`), so the index the [`BoundedPolicy`]
 /// stores for explicit state `i` at budget `remaining` is directly the
-/// index into the implicit `steps` here. Under this policy the sampled
+/// index of the implicit model's step here. Under this policy the sampled
 /// trajectory law *is* the law of the optimizing adversary, so the
 /// estimand equals the exact query value — the property the
 /// cross-validation gates lean on.
@@ -99,7 +99,7 @@ impl<M: Automaton, SP: StateSpace<M::State>> SamplePolicy<M> for OptimalReplay<'
     fn choose(
         &self,
         state: &M::State,
-        steps: &[Step<M::State, M::Action>],
+        enabled: usize,
         remaining: u32,
         _rng: &mut SplitMix64,
     ) -> usize {
@@ -111,7 +111,7 @@ impl<M: Automaton, SP: StateSpace<M::State>> SamplePolicy<M> for OptimalReplay<'
             return fallback;
         };
         match self.policy.choice(index, remaining) {
-            Some(choice) => (choice as usize).min(steps.len().saturating_sub(1)),
+            Some(choice) => (choice as usize).min(enabled.saturating_sub(1)),
             None => fallback,
         }
     }

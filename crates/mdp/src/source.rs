@@ -2,7 +2,7 @@
 //! of solver kernels that every query runs on.
 //!
 //! [`crate::CsrMdp`] holds the whole model in six flat arrays; an
-//! out-of-core backend (e.g. `pa-store`'s mmap-backed block file) holds the
+//! out-of-core backend (e.g. `pa-store`'s paged block file) holds the
 //! same arrays cut into contiguous *blocks* of states and pages them in on
 //! demand. [`CsrSource`] is the seam between the two: a backend exposes its
 //! rows block by block as borrowed [`CsrRows`] slices, and every kernel in

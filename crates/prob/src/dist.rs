@@ -169,15 +169,28 @@ impl<T> FiniteDist<T> {
 
     /// Samples an outcome according to the distribution.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &T {
+        FiniteDist::sample_pairs(&self.entries, rng)
+    }
+
+    /// Samples one of `(value, weight)` pairs that form a distribution —
+    /// the outcomes of a step, borrowed, with no `FiniteDist` built — by
+    /// the arithmetic of [`FiniteDist::sample`]: one uniform `f64` draw,
+    /// walked down the weights in order. On a distribution's own entries
+    /// it draws and returns exactly what `sample` does.
+    ///
+    /// # Panics
+    ///
+    /// If `pairs` is empty.
+    pub fn sample_pairs<'a, R: Rng + ?Sized>(pairs: &'a [(T, f64)], rng: &mut R) -> &'a T {
         let mut x: f64 = rng.random::<f64>();
-        for (v, w) in &self.entries {
+        for (v, w) in pairs {
             if x < *w {
                 return v;
             }
             x -= w;
         }
         // Floating-point underflow: fall back to the last entry.
-        &self.entries.last().expect("support is non-empty").0
+        &pairs.last().expect("support is non-empty").0
     }
 
     /// Maps the support through `f`, merging outcomes that collide.

@@ -5,11 +5,13 @@
 //! verified against their written digest, so a reload is bitwise identical
 //! to the original bytes), stay resident while any caller still holds
 //! their [`std::sync::Arc`] (a *pin* — pinned blocks are never evicted),
-//! and once the resident total exceeds the budget the least-recently-used
-//! unpinned block is dropped. The block a fault just brought in is itself
-//! exempt from that fault's eviction pass, so any budget — down to a
-//! single byte — leaves exactly the block being swept resident and the
-//! engines still terminate.
+//! and a fault first drops least-recently-used unpinned blocks until the
+//! incoming block fits the budget. The incoming block is admitted even
+//! when nothing more can be dropped, so any budget — down to a single
+//! byte — leaves exactly the block being swept resident and the engines
+//! still terminate. Because eviction comes first, the fault reads into
+//! the largest victim's buffer (and reuses its `Arc`): a sweep at a
+//! one-block budget pages every block into the same allocation.
 //!
 //! Telemetry: `mdp.store.faults`, `mdp.store.hits`, `mdp.store.evictions`
 //! counters and the `mdp.store.resident_bytes` /
@@ -97,10 +99,12 @@ struct Inner {
     peak_resident: u64,
 }
 
-/// An LRU cache of mapped blocks with a byte budget. A block stays
-/// resident while any caller holds its `Arc` (a pin); past the budget the
-/// least-recently-used unpinned block is dropped, except the block the
-/// current fault brought in, so any budget down to one byte terminates.
+/// An LRU cache of paged-in blocks with a byte budget. A block stays
+/// resident while any caller holds its `Arc` (a pin); a fault first drops
+/// least-recently-used unpinned blocks until the incoming block fits, and
+/// admits it even if none is left to drop, so any budget down to one byte
+/// terminates with peak residency at most the budget plus one block
+/// beyond those pinned.
 pub struct BlockCache {
     budget: u64,
     inner: Mutex<Inner>,
@@ -147,11 +151,46 @@ impl BlockCache {
             }
             return Ok(block);
         }
-        // Fault: load and digest-verify under the lock (the workspace's
-        // solvers are single-threaded per model, so there is no concurrent
-        // load to overlap with).
-        let block = Arc::new(file.load_block(idx)?);
-        let bytes = block.resident_bytes();
+        // Fault: evict until the incoming block fits, then load and
+        // digest-verify under the lock (the workspace's solvers are
+        // single-threaded per model, so there is no concurrent load to
+        // overlap with).
+        let bytes = file.blocks()[idx].payload_len;
+        let mut spare: Option<Arc<MappedBlock>> = None;
+        while inner.resident_bytes + bytes > self.budget {
+            // LRU victim among unpinned blocks: a count of one is the
+            // slot's own `Arc`, and only this lock clones it.
+            let victim = inner
+                .resident
+                .iter()
+                .filter(|(_, s)| Arc::strong_count(&s.block) == 1)
+                .min_by_key(|(_, s)| s.last_use)
+                .map(|(&k, _)| k);
+            let Some(victim) = victim else { break };
+            let slot = inner.resident.remove(&victim).expect("victim resident");
+            inner.resident_bytes -= slot.bytes;
+            inner.evictions += 1;
+            EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            sub_resident(slot.bytes);
+            if pa_telemetry::enabled() {
+                pa_telemetry::counter("mdp.store.evictions").inc();
+            }
+            if spare
+                .as_ref()
+                .is_none_or(|s| s.buffer_bytes() < slot.block.buffer_bytes())
+            {
+                spare = Some(slot.block);
+            }
+        }
+        let block = match spare {
+            Some(mut block) => {
+                let reused = Arc::get_mut(&mut block).expect("an evicted block is unpinned");
+                let buf = reused.take_buffer();
+                *reused = file.load_block_into(idx, buf)?;
+                block
+            }
+            None => Arc::new(file.load_block(idx)?),
+        };
         inner.faults += 1;
         FAULTS.fetch_add(1, Ordering::Relaxed);
         if pa_telemetry::enabled() {
@@ -168,25 +207,6 @@ impl BlockCache {
         inner.resident_bytes += bytes;
         inner.peak_resident = inner.peak_resident.max(inner.resident_bytes);
         add_resident(bytes);
-        while inner.resident_bytes > self.budget {
-            // LRU victim among unpinned blocks; the block just faulted in
-            // is pinned by the caller-bound Arc above, so it survives.
-            let victim = inner
-                .resident
-                .iter()
-                .filter(|(_, s)| Arc::strong_count(&s.block) == 1)
-                .min_by_key(|(_, s)| s.last_use)
-                .map(|(&k, _)| k);
-            let Some(victim) = victim else { break };
-            let slot = inner.resident.remove(&victim).expect("victim resident");
-            inner.resident_bytes -= slot.bytes;
-            inner.evictions += 1;
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            sub_resident(slot.bytes);
-            if pa_telemetry::enabled() {
-                pa_telemetry::counter("mdp.store.evictions").inc();
-            }
-        }
         Ok(block)
     }
 

@@ -40,13 +40,13 @@
 //! [`StoreError::BadBlock`] — never as a panic inside a solver.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use pa_mdp::{CsrBuilder, CsrRow, CsrRows, MdpError, RowSink, PROB_TABLE_MAX};
 
 use crate::error::StoreError;
-use crate::mmap::Mapping;
 
 /// File magic: the first 8 bytes of every store file.
 pub const HEADER_MAGIC: [u8; 8] = *b"PACSRv2\0";
@@ -54,8 +54,8 @@ pub const HEADER_MAGIC: [u8; 8] = *b"PACSRv2\0";
 pub const FOOTER_MAGIC: [u8; 8] = *b"PACSRFTR";
 /// Format version written into the header.
 pub const VERSION: u32 = 2;
-/// Block alignment: every block payload starts on a 4096-byte boundary so
-/// the mmap path can map it directly.
+/// Block alignment: every block payload starts on a 4096-byte boundary, so
+/// a page-in reads whole pages of the file.
 pub const BLOCK_ALIGN: u64 = 4096;
 /// Default target payload size per block (8 MiB). Small enough that a
 /// one-block cache budget stays modest, large enough that sweeps are
@@ -352,7 +352,7 @@ impl RowSink for StoreWriter {
 }
 
 /// A validated, opened store file: parsed footer plus the file handle
-/// blocks are mapped from. Open-time validation checks the header, the
+/// blocks are read from. Open-time validation checks the header, the
 /// trailer, footer bounds, every block's geometry arithmetic, and that the
 /// CSR blocks partition `0..num_states` consecutively; payload digests are
 /// checked lazily, on each page-in.
@@ -594,14 +594,48 @@ impl StoreFile {
         &self.blocks
     }
 
-    /// Pages block `idx` in (mmap where possible, buffered read
-    /// otherwise), verifies its payload digest and, for a CSR block, the
-    /// row invariants the solver kernels index by (see
-    /// [`StoreError::BadBlock`]).
+    /// Pages block `idx` in: one positioned read of its payload into an
+    /// owned, 8-byte-aligned buffer, then the payload digest and, for a CSR
+    /// block, the row invariants the solver kernels index by (see
+    /// [`StoreError::BadBlock`]). A file that ends inside the block (it
+    /// was truncated after [`StoreFile::open`]) fails as
+    /// [`StoreError::Truncated`].
     pub fn load_block(&self, idx: usize) -> Result<MappedBlock, StoreError> {
+        self.load_block_into(idx, Vec::new())
+    }
+
+    /// [`StoreFile::load_block`] into `buf`, whose allocation the block
+    /// takes over: a buffer recycled from an evicted block of at least
+    /// this block's size makes the page-in allocate nothing.
+    pub(crate) fn load_block_into(
+        &self,
+        idx: usize,
+        mut buf: Vec<u64>,
+    ) -> Result<MappedBlock, StoreError> {
         let meta = self.blocks[idx];
-        let mapping = Mapping::map(&self.file, meta.offset, meta.payload_len as usize)?;
-        let got = fnv1a_64(mapping.bytes());
+        // The stale words a recycled buffer keeps are overwritten by the
+        // read; only growth past its old length is zeroed.
+        buf.resize((meta.payload_len as usize).div_ceil(8), 0);
+        let mut block = MappedBlock {
+            buf,
+            meta,
+            key_words: self.key_words,
+        };
+        self.file
+            .read_exact_at(block.bytes_mut(), meta.offset)
+            .map_err(|source| match source.kind() {
+                ErrorKind::UnexpectedEof => StoreError::Truncated {
+                    what: format!(
+                        "block {idx} payload at offset {} ({} bytes)",
+                        meta.offset, meta.payload_len
+                    ),
+                },
+                _ => StoreError::Io {
+                    op: format!("read block {idx}"),
+                    source,
+                },
+            })?;
+        let got = fnv1a_64(block.bytes());
         if got != meta.digest {
             return Err(StoreError::DigestMismatch {
                 block: idx,
@@ -609,11 +643,6 @@ impl StoreFile {
                 got,
             });
         }
-        let block = MappedBlock {
-            mapping,
-            meta,
-            key_words: self.key_words,
-        };
         if meta.kind == BlockKind::Csr {
             check_rows(&block.rows(), &meta, self.num_states)
                 .map_err(|reason| StoreError::BadBlock { block: idx, reason })?;
@@ -693,22 +722,49 @@ fn check_rows(rows: &CsrRows<'_>, meta: &BlockMeta, num_states: usize) -> Result
     Ok(())
 }
 
-/// One resident block: the mapping plus its parsed geometry. CSR blocks
-/// expose [`MappedBlock::rows`]; keys blocks expose [`MappedBlock::keys`].
-#[derive(Debug)]
+/// One resident block: its payload, read into an owned buffer, plus its
+/// parsed geometry. CSR blocks expose [`MappedBlock::rows`]; keys blocks
+/// expose [`MappedBlock::keys`], both as typed views of the buffer.
 pub struct MappedBlock {
-    mapping: Mapping,
+    /// The payload in its first `meta.payload_len` bytes. `u64` words
+    /// keep the base 8-byte aligned, which the typed views rely on.
+    buf: Vec<u64>,
     meta: BlockMeta,
     key_words: usize,
 }
 
 impl MappedBlock {
+    fn bytes(&self) -> &[u8] {
+        let len = self.meta.payload_len as usize;
+        assert!(len <= self.buf.len() * 8);
+        // SAFETY: the buffer owns at least `len` initialized bytes.
+        unsafe { std::slice::from_raw_parts(self.buf.as_ptr().cast::<u8>(), len) }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        let len = self.meta.payload_len as usize;
+        assert!(len <= self.buf.len() * 8);
+        // SAFETY: as in `bytes`, borrowed uniquely; u8 accepts any value.
+        unsafe { std::slice::from_raw_parts_mut(self.buf.as_mut_ptr().cast::<u8>(), len) }
+    }
+
+    /// Hands the block's buffer back for the next page-in to read into.
+    pub(crate) fn take_buffer(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.buf)
+    }
+
+    /// Capacity of the block's buffer in bytes: what a page-in reusing it
+    /// can read without allocating.
+    pub(crate) fn buffer_bytes(&self) -> usize {
+        self.buf.capacity() * 8
+    }
+
     fn u8s(&self, off: usize, len: usize) -> &[u8] {
-        &self.mapping.bytes()[off..off + len]
+        &self.bytes()[off..off + len]
     }
 
     fn u32s(&self, off: usize, len: usize) -> &[u32] {
-        let b = &self.mapping.bytes()[off..off + len * 4];
+        let b = &self.bytes()[off..off + len * 4];
         debug_assert_eq!(b.as_ptr() as usize % 4, 0);
         // SAFETY: the range is in bounds, 4-aligned (8-aligned base, all
         // section offsets are multiples of 4), and u32 has no invalid bit
@@ -734,7 +790,7 @@ impl MappedBlock {
         let trans = self.meta.trans as usize;
         let table = self.meta.table as usize;
         let prob_table = {
-            let b = &self.mapping.bytes()[..table * 8];
+            let b = &self.bytes()[..table * 8];
             debug_assert_eq!(b.as_ptr() as usize % 8, 0);
             // SAFETY: in bounds, 8-aligned base, f64 accepts any bit
             // pattern (probabilities were written as raw to_bits).
@@ -764,10 +820,18 @@ impl MappedBlock {
     /// The block's packed key words. Panics if called on a CSR block.
     pub fn keys(&self) -> &[u64] {
         assert_eq!(self.meta.kind, BlockKind::Keys);
-        let len = self.meta.states as usize * self.key_words;
-        let b = &self.mapping.bytes()[..len * 8];
-        debug_assert_eq!(b.as_ptr() as usize % 8, 0);
-        // SAFETY: in bounds, 8-aligned, u64 has no invalid bit patterns.
-        unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<u64>(), len) }
+        // The payload is the words themselves: `buf` holds them as read
+        // (little-endian, which `StoreFile::open` requires of the host).
+        &self.buf[..self.meta.states as usize * self.key_words]
+    }
+}
+
+impl std::fmt::Debug for MappedBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MappedBlock")
+            .field("meta", &self.meta)
+            .field("key_words", &self.key_words)
+            .field("buffer_bytes", &self.buffer_bytes())
+            .finish()
     }
 }

@@ -1,6 +1,7 @@
 //! Out-of-core state spaces for the `timebounds` workspace: spill explored
 //! CSR blocks to an append-only `pa-store/csr/v2` file, page them back on
-//! demand through a byte-budgeted mmap block cache, and run the
+//! demand (one positioned read per block) through a byte-budgeted block
+//! cache, and run the
 //! block-streamed solvers so peak memory is bounded by the cache budget —
 //! with results bitwise identical to the in-core pipeline.
 //!
@@ -58,7 +59,6 @@
 mod cache;
 mod error;
 mod format;
-mod mmap;
 mod spill;
 mod stored;
 

@@ -97,11 +97,11 @@ impl CsrSource for StoredCsr {
     }
 
     fn with_rows(&self, block: usize, f: &mut dyn FnMut(CsrRows<'_>)) -> Result<(), MdpError> {
-        let mapped = self
+        let paged = self
             .cache
             .block(&self.file, self.csr_blocks[block])
             .map_err(MdpError::from)?;
-        f(mapped.rows());
+        f(paged.rows());
         Ok(())
     }
 }

@@ -1,16 +1,60 @@
-//! Property tests for the `pa-store/csr/v2` format: serialize → (mmap)
+//! Property tests for the `pa-store/csr/v2` format: serialize → page in
 //! → deserialize is the identity on arbitrary blocks, and damaged files —
-//! truncation anywhere, a flipped payload bit, malformed rows behind a
-//! matching digest — surface as *named* errors, never as UB, panics or
-//! silently zeroed rows.
+//! truncation anywhere (before open or under an open file), a flipped
+//! payload bit, malformed rows behind a matching digest — surface as
+//! *named* errors, never as UB, panics or silently zeroed rows. The
+//! paging properties check the block cache at a one-byte budget: one
+//! eviction per fault after the first, peak residency within budget plus
+//! one block, and every page-in reading into one recycled buffer.
 
 mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 
 use common::write_store;
-use pa_mdp::{Choice, CsrSource, Query, QueryObjective};
-use pa_store::{fnv1a_64, StoreError, StoredCsr};
+use pa_mdp::{Choice, CsrRows, CsrSource, Query, QueryObjective};
+use pa_store::{fnv1a_64, StoreError, StoredCsr, BLOCK_ALIGN};
+
+/// Counts the allocations each test thread makes, so a property can
+/// check that a page-in allocates nothing.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// counter is a const-initialized thread-local `Cell`, which allocates
+// nothing and has no destructor.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` contract is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` here.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as in `dealloc`; the caller's size contract is passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations (and reallocations) this thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// The block size every property writes at: the writer's smallest
 /// (`StoreWriter::create` raises any smaller target to 4 KiB).
@@ -120,6 +164,72 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A file cut *after* it was opened: every block that ends at or
+    /// before the cut still pages in, and every block the cut reaches
+    /// into fails its page-in as a named Truncated.
+    #[test]
+    fn a_block_read_past_eof_is_truncated(rows in arb_model(), frac in 0.0f64..1.0) {
+        let dir = tmpdir("past-eof");
+        let file = write_store(&dir, &rows, BLOCK_BYTES);
+        let len = std::fs::metadata(file.path()).unwrap().len();
+        let cut = (len as f64 * frac) as u64;
+        set_len(file.path(), cut);
+        for (i, meta) in file.blocks().iter().enumerate() {
+            let fits = meta.offset + meta.payload_len <= cut;
+            match file.load_block(i) {
+                Ok(_) => prop_assert!(fits, "block {} paged in past a cut at {}", i, cut),
+                Err(StoreError::Truncated { .. }) => {
+                    prop_assert!(!fits, "block {} before the cut at {} is truncated", i, cut)
+                }
+                Err(other) => prop_assert!(false, "block {i}: unexpected error kind: {other}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// At a one-byte cache budget, over any sequence of block requests:
+    /// only the last block requested stays resident, so every fault but
+    /// the first evicts exactly one block; peak residency stays within
+    /// the budget plus one block; and once a first sweep has grown the
+    /// buffer to the largest block, no request allocates: every page-in
+    /// reads into the evicted block's buffer behind its `Arc`, with rows
+    /// equal to a fresh page-in.
+    #[test]
+    fn one_byte_budget_pages_through_one_recycled_buffer(
+        rows in arb_model(),
+        picks in prop::collection::vec(any::<usize>(), 1..48),
+    ) {
+        let dir = tmpdir("recycle");
+        let file = write_store(&dir, &rows, BLOCK_BYTES);
+        let blocks = file.blocks().len();
+        let max_payload = file.blocks().iter().map(|m| m.payload_len).max().unwrap();
+        let stored = StoredCsr::new(file, 1);
+        let (cache, file) = (stored.cache(), stored.file());
+        for idx in 0..blocks {
+            cache.block(file, idx).unwrap();
+        }
+        let mut expected_faults = blocks as u64;
+        let mut last = blocks - 1;
+        for pick in picks {
+            let idx = pick % blocks;
+            expected_faults += u64::from(idx != last);
+            last = idx;
+            let before = allocations();
+            let block = cache.block(file, idx).unwrap();
+            prop_assert_eq!(allocations(), before, "request for block {} allocated", idx);
+            prop_assert_eq!(rows_image(&block.rows()), rows_image(&file.load_block(idx).unwrap().rows()));
+        }
+        let stats = cache.local_stats();
+        prop_assert_eq!(stats.faults, expected_faults);
+        prop_assert_eq!(stats.evictions, stats.faults - 1);
+        prop_assert!(
+            stats.peak_resident_bytes <= 1 + max_payload,
+            "peak {} over budget + one block of {}", stats.peak_resident_bytes, max_payload
+        );
+        prop_assert_eq!(stats.resident_bytes, file.blocks()[last].payload_len);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Flipping one bit of one block's payload is caught by the digest on
     /// page-in — a named DigestMismatch naming the block.
     #[test]
@@ -152,6 +262,33 @@ proptest! {
         prop_assert!(hit_bad_block, "bit flip in block payload went unnoticed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Truncates (or extends) the file at `path` to `len` bytes in place, as
+/// an outside process would under an open store.
+fn set_len(path: &std::path::Path, len: u64) {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_len(len)
+        .unwrap();
+}
+
+/// Every array of a block's rows, probabilities as bits, in one string.
+fn rows_image(r: &CsrRows<'_>) -> String {
+    let probs: Vec<u64> = r.prob_table.iter().map(|p| p.to_bits()).collect();
+    format!(
+        "{:?}",
+        (
+            r.choice_offsets,
+            r.trans_offsets,
+            r.targets,
+            r.costs,
+            r.prob_ids,
+            probs
+        )
+    )
 }
 
 /// Damages block `meta` of the store file image `bytes` so that its rows
@@ -322,6 +459,35 @@ fn every_crafted_damage_is_a_named_bad_block() {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A block pinned when its file is truncated under the open store still
+/// reads as it was paged in: its payload is a copy in memory, not a view
+/// of the file. The next fault, now past the end of the file, fails as a
+/// named Truncated, and a query through the source returns that error.
+#[test]
+fn a_pinned_block_outlives_truncation_and_the_next_fault_is_truncated() {
+    let n = 400;
+    let rows: Vec<Vec<Choice>> = (0..n)
+        .map(|s| vec![Choice::dist(1, vec![((s + 1) % n, 0.5), (s, 0.5)])])
+        .collect();
+    let dir = tmpdir("pinned-truncation");
+    let stored = StoredCsr::new(write_store(&dir, &rows, 4096), 1);
+    assert!(stored.num_blocks() >= 2, "the model splits into blocks");
+    let pinned = stored.cache().block(stored.file(), 0).unwrap();
+    let before = rows_image(&pinned.rows());
+    set_len(stored.file().path(), BLOCK_ALIGN);
+    assert_eq!(rows_image(&pinned.rows()), before);
+    match stored.cache().block(stored.file(), 1) {
+        Err(StoreError::Truncated { .. }) => {}
+        Err(other) => panic!("unexpected error kind: {other}"),
+        Ok(_) => panic!("a block past the end of the file paged in"),
+    }
+    let err = stored.with_rows(1, &mut |_| {}).unwrap_err();
+    assert!(err.to_string().contains("truncated"), "{err}");
+    assert_eq!(rows_image(&pinned.rows()), before);
+    drop(pinned);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A block directory entry claiming a table past 256 probabilities is

@@ -519,9 +519,8 @@ fn reopened_store_answers_identically_without_the_original_space() {
 }
 
 /// A spilled file truncated after it was opened fails the query with a
-/// named error instead of killing the process: touching a mapped page
-/// past the new end of file would raise `SIGBUS`, so page-in checks the
-/// block range against the file's current length first.
+/// named error: the page-in's positioned read comes up short, which is
+/// `StoreError::Truncated`.
 #[test]
 fn truncated_spill_fails_the_query_instead_of_faulting() {
     let arrow = paper::arrow_g_to_p();

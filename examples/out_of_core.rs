@@ -6,8 +6,8 @@
 //! heap; queries page blocks back through a cache whose byte budget is
 //! deliberately tiny (64 KiB against a multi-megabyte model). After each
 //! arrow the resident-bytes trajectory is printed — the point of the
-//! subsystem is that `resident` never exceeds budget + two in-flight
-//! blocks, no matter how large the model on disk grows.
+//! subsystem is that `resident` never exceeds budget + one block, no
+//! matter how large the model on disk grows.
 //!
 //! One arrow is re-answered with an *unbounded* cache over the same file
 //! and must match bitwise: answers are budget-independent. Run with:
@@ -78,13 +78,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    // Paging bound: budget plus at most two in-flight blocks (one pinned
-    // by the sweep, one just faulted before eviction catches up).
+    // Paging bound: budget plus the one block being faulted in (a fault
+    // evicts first, and the sweep pins no other block meanwhile).
     let s = stored.store().cache().local_stats();
-    let bound = budget + 2 * max_payload;
+    let bound = budget + max_payload;
     if s.peak_resident_bytes > bound {
         return Err(format!(
-            "peak resident {} exceeds bound {bound} (budget {budget} + 2 x {max_payload})",
+            "peak resident {} exceeds bound {bound} (budget {budget} + {max_payload})",
             s.peak_resident_bytes,
         )
         .into());
